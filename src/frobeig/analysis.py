@@ -1,0 +1,104 @@
+"""One analysis per validated record, each certified object built once.
+
+Objects are built on first read, in the order eigenvalue group,
+splitting field, Galois group, relation engine, verdicts.  A bound
+failure of the field or its Galois group is kept and raised again on
+every read.  Both verdicts use the one Frobenius rank r.  Full (d, n)
+decompositions keep only their dims, which rho tables reuse.
+"""
+
+from functools import cached_property
+from typing import Dict, Iterator, Optional, Tuple
+
+from .config import DEFAULT, Settings
+from .eig import EigGroup, RelationLattice, _relation_engine, build_eig_group
+from .errors import DegreeCapExceeded, PrecisionExhausted
+from .lefmot import (ALL_PASS, DecompositionReport, HypothesisVerdict,
+                     classify_orbits, hypothesis_check)
+from .splitfield import (GaloisData, SplittingField, galois_group,
+                         splitting_field)
+from .weil import WeilData
+
+_BOUNDS = (DegreeCapExceeded, PrecisionExhausted)
+
+
+class Analysis:
+    """Everything certified about one validated record; not shared
+    between threads.  cm_assertion enters `verdict` only: the exotic
+    shape gate uses the verdict without it."""
+
+    def __init__(self, data: WeilData, settings: Settings = DEFAULT,
+                 cm_assertion: Optional[bool] = None):
+        self.data = data
+        self.settings = settings
+        self.cm_assertion = cm_assertion
+        self._failed: Dict[str, Exception] = {}
+        self._dims: Dict[Tuple[int, int], Tuple[int, int, int, int]] = {}
+
+    def _once(self, part: str, build, *args):
+        if part not in self._failed:
+            try:
+                return build(*args)
+            except _BOUNDS as exc:
+                self._failed[part] = exc
+        raise self._failed[part]
+
+    def undetermined(self, part: str) -> Optional[str]:
+        """Name of the bound failure that leaves "field" or "gal" (which
+        needs the field) undetermined, or None."""
+        try:
+            getattr(self, part)
+        except _BOUNDS as exc:
+            return type(exc).__name__
+        return None
+
+    @cached_property
+    def eig(self) -> EigGroup:
+        return build_eig_group(self.data)
+
+    @cached_property
+    def field(self) -> SplittingField:
+        return self._once("field", splitting_field, self.data, self.settings)
+
+    @cached_property
+    def gal(self) -> GaloisData:
+        return self._once("gal", galois_group, self.field, self.data,
+                          self.settings)
+
+    @cached_property
+    def relations(self) -> Tuple[RelationLattice, int, int]:
+        """(kernel lattice, torsion-relation rank, Frobenius rank r): the
+        verified multiplicative relations among the eigenvalues and q."""
+        eig = self.eig          # a torsion failure outranks a field failure
+        return _relation_engine(self.data, self.field, eig,
+                                self.settings.search_bound)
+
+    @property
+    def r(self) -> int:
+        return self.relations[2]
+
+    @cached_property
+    def verdict(self) -> HypothesisVerdict:
+        """Hypothesis verdict under cm_assertion; NotSimple if reducible."""
+        return hypothesis_check(self.data, self.r, self.cm_assertion)
+
+    @cached_property
+    def shape_certified(self) -> bool:
+        """Do the hypotheses hold without cm_assertion?"""
+        return self.data.is_simple and \
+            hypothesis_check(self.data, self.r).verdict == ALL_PASS
+
+    def grid(self, max_power: int) -> Iterator[DecompositionReport]:
+        """Full decompositions for d = 1..max_power, n = 0..g*d, in order,
+        yielded one at a time."""
+        for d in range(1, max_power + 1):
+            for n in range(self.data.g * d + 1):
+                dec = classify_orbits(self, d, n)
+                self._dims[(d, n)] = dec.dims
+                yield dec
+
+    def full_dims(self, d: int, n: int) -> Tuple[int, int, int, int]:
+        """(L, E, T, total) of h^2n of power d, classified at most once."""
+        if (d, n) not in self._dims:
+            self._dims[(d, n)] = classify_orbits(self, d, n).dims
+        return self._dims[(d, n)]

@@ -24,15 +24,14 @@ from typing import Dict, List
 from . import __version__
 from .config import DEFAULT, Settings
 from .errors import FrobeigError, MalformedInput
-from .weil import validate
-from .splitfield import galois_group, splitting_field
-from .eig import build_eig_group, invariants_report
-from . import lefmot
+from .eig import invariants_report
+from .lefmot import classify_orbits
 from .quadforms import am_filter, signature, tannaka_transfer
-from .report import (InputRecord, build_report_record, canonical_json,
-                     decomposition_fragment, effective_options,
-                     eig_fragment, galois_fragment, hypothesis_fragment,
-                     parse_record, run_batch, settings_for)
+from .report import (OPTION_KEYS, InputRecord, analyse, build_report_record,
+                     canonical_json, decomposition_fragment,
+                     effective_options, eig_fragment, galois_fragment,
+                     hypothesis_fragment, parse_options, parse_record,
+                     run_batch)
 
 
 def _emit(obj) -> None:
@@ -40,17 +39,8 @@ def _emit(obj) -> None:
 
 
 def _flag_options(args) -> Dict[str, int]:
-    out = {}
-    for key in ("search_bound", "degree_cap", "precision_ceiling",
-                "max_power"):
-        value = getattr(args, key, None)
-        if value is None:
-            continue
-        if value < 1:
-            raise MalformedInput(f"--{key.replace('_', '-')} must be "
-                                 "positive")
-        out[key] = value
-    return out
+    return parse_options({key: getattr(args, key) for key in OPTION_KEYS
+                          if getattr(args, key, None) is not None})
 
 
 def _record_from_args(args) -> InputRecord:
@@ -78,88 +68,54 @@ def _record_from_args(args) -> InputRecord:
     return record
 
 
-def _prepared(args, base: Settings):
-    """(record, effective options, settings, validated data)."""
+def _analysis(args, base: Settings):
+    """(record, effective options, Analysis) of the command-line input."""
     record = _record_from_args(args)
     opts = effective_options(base, _flag_options(args), record.option_dict)
-    st = settings_for(opts, base)
-    data = validate(record.q, record.coeffs, st)
-    return record, opts, st, data
+    return record, opts, analyse(record, opts, base)
 
 
 # --- subcommand bodies ---
 
-def cmd_validate(args, base: Settings) -> int:
-    record, _, _, data = _prepared(args, base)
-    _emit({"accepted": True, "input": record.echo(), "q": data.q,
-           "p": data.p, "e": data.e, "g": data.g,
-           "simple": data.is_simple})
-    return 0
+# the read-only subcommands: help text, and what each prints of the
+# analysis next to the input
+_VIEWS = {
+    "validate": ("accept or reject a q-Weil polynomial", lambda an, opts: {
+        "accepted": True, "q": an.data.q, "p": an.data.p, "e": an.data.e,
+        "g": an.data.g, "simple": an.data.is_simple}),
+    "invariants": ("numerical invariants, ranks, kernel", lambda an, opts: {
+        "invariants": invariants_report(an)}),
+    "eig": ("eigenvalue group presentation", lambda an, opts: {
+        "eig": eig_fragment(an.eig)}),
+    "galois": ("Galois group of the splitting field", lambda an, opts: {
+        "splitting_degree": an.field.degree,
+        "galois": galois_fragment(an.gal)}),
+    "decompose": ("decomposition grid over d and n", lambda an, opts: {
+        "decompositions": [decomposition_fragment(dec)
+                           for dec in an.grid(opts["max_power"])]}),
+    "check-hypotheses": ("positivity-theorem hypothesis verdict",
+                         lambda an, opts: {
+                             "hypothesis": hypothesis_fragment(an.verdict)}),
+}
 
 
-def cmd_invariants(args, base: Settings) -> int:
-    record, _, st, data = _prepared(args, base)
-    _emit({"input": record.echo(), "invariants": invariants_report(data, st)})
-    return 0
-
-
-def cmd_eig(args, base: Settings) -> int:
-    record, _, _, data = _prepared(args, base)
-    _emit({"input": record.echo(), "eig": eig_fragment(build_eig_group(data))})
-    return 0
-
-
-def cmd_galois(args, base: Settings) -> int:
-    record, _, st, data = _prepared(args, base)
-    field = splitting_field(data, settings=st)
-    gal = galois_group(field, data, st)
-    _emit({"input": record.echo(), "splitting_degree": field.degree,
-           "galois": galois_fragment(gal)})
+def cmd_view(args, base: Settings) -> int:
+    record, opts, an = _analysis(args, base)
+    _emit({"input": record.echo(), **_VIEWS[args.command][1](an, opts)})
     return 0
 
 
 def cmd_motives(args, base: Settings) -> int:
-    record, _, st, data = _prepared(args, base)
+    record, _, an = _analysis(args, base)
     if args.power < 1 or args.power > base.d_max:
         raise MalformedInput(f"--power must lie in 1..{base.d_max}")
-    if args.codim < 0 or args.codim > data.g * args.power:
+    if args.codim < 0 or args.codim > an.data.g * args.power:
         raise MalformedInput(
-            f"--codim must lie in 0..{data.g * args.power}")
+            f"--codim must lie in 0..{an.data.g * args.power}")
     ambient = "primitive" if args.primitive else "full"
-    eig = build_eig_group(data)
-    field = splitting_field(data, settings=st)
-    gal = galois_group(field, data, st)
-    rep = lefmot.classify_orbits(data, field, eig, gal, args.power,
-                                 args.codim, ambient, st)
+    rep = classify_orbits(an, args.power, args.codim, ambient)
     _emit({"input": record.echo(),
            "decomposition": decomposition_fragment(rep, include_orbits=True)})
-    return 0
-
-
-def cmd_decompose(args, base: Settings) -> int:
-    record, opts, st, data = _prepared(args, base)
-    eig = build_eig_group(data)
-    field = splitting_field(data, settings=st)
-    gal = galois_group(field, data, st)
-    decs = []
-    for d in range(1, opts["max_power"] + 1):
-        for n in range(data.g * d + 1):
-            rep = lefmot.classify_orbits(data, field, eig, gal, d, n,
-                                         "full", st)
-            decs.append(decomposition_fragment(rep))
-    _emit({"input": record.echo(), "decompositions": decs})
-    return 0
-
-
-def cmd_check_hypotheses(args, base: Settings) -> int:
-    record, _, st, data = _prepared(args, base)
-    eig = build_eig_group(data)
-    field = splitting_field(data, settings=st)
-    verdict = lefmot.hypothesis_check(data, field, eig,
-                                      cm_assertion=record.cm_assertion,
-                                      settings=st)
-    _emit({"input": record.echo(),
-           "hypothesis": hypothesis_fragment(verdict)})
     return 0
 
 
@@ -280,18 +236,13 @@ def build_parser() -> argparse.ArgumentParser:
     common = _common_flags()
     inp = _input_flags()
 
-    sub.add_parser("validate", parents=[inp, common],
-                   help="accept or reject a q-Weil polynomial") \
-       .set_defaults(func=cmd_validate)
-    sub.add_parser("invariants", parents=[inp, common],
-                   help="numerical invariants, ranks, kernel") \
-       .set_defaults(func=cmd_invariants)
-    sub.add_parser("eig", parents=[inp, common],
-                   help="eigenvalue group presentation") \
-       .set_defaults(func=cmd_eig)
-    sub.add_parser("galois", parents=[inp, common],
-                   help="Galois group of the splitting field") \
-       .set_defaults(func=cmd_galois)
+    for name, (text, _) in _VIEWS.items():
+        sub.add_parser(name, parents=[inp, common], help=text) \
+           .set_defaults(func=cmd_view)
+    sub.choices["check-hypotheses"].add_argument(
+        "--assert-cm", action="store_true",
+        help="assert a totally real splitting subfield (CM datum) is "
+             "available")
 
     motives = sub.add_parser("motives", parents=[inp, common],
                              help="orbit decomposition of one (d, n)")
@@ -302,17 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     motives.add_argument("--primitive", action="store_true",
                          help="decompose the primitive part only")
     motives.set_defaults(func=cmd_motives)
-
-    sub.add_parser("decompose", parents=[inp, common],
-                   help="decomposition grid over d and n") \
-       .set_defaults(func=cmd_decompose)
-
-    hyp = sub.add_parser("check-hypotheses", parents=[inp, common],
-                         help="positivity-theorem hypothesis verdict")
-    hyp.add_argument("--assert-cm", action="store_true",
-                     help="assert a totally real splitting subfield "
-                          "(CM datum) is available")
-    hyp.set_defaults(func=cmd_check_hypotheses)
 
     sub.add_parser("report", parents=[inp, common],
                    help="full report record for one input") \

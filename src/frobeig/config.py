@@ -10,9 +10,9 @@ _ENV_CEILING = "FROBEIG_MAX_PRECISION"
 class Settings:
     """Knobs for certified numerics and bounded searches.
 
-    precision_start / precision_ceiling are in bits.  The ceiling may be
-    overridden by the FROBEIG_MAX_PRECISION environment variable (used by
-    the CLI entry points; library callers pass an explicit Settings).
+    precision_start / precision_ceiling are in bits.  Library code never
+    reads the environment: only cli.main applies with_env_ceiling, so the
+    FROBEIG_MAX_PRECISION variable sits below flags and record options.
     """
 
     precision_start: int = 192

@@ -29,17 +29,19 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .config import DEFAULT, Settings
-from .errors import (DegreeCapExceeded, InternalInconsistency, MalformedInput,
-                     PrecisionExhausted, TorsionDetected)
+from .errors import InternalInconsistency, MalformedInput, TorsionDetected
 from .exactmath.latt import (hermite_column_form, invariant_factors,
                              relation_candidates)
 from .exactmath.roots import arg_ball, two_pi_ball
 from .splitfield import (SplittingField, is_root_of_unity,
-                         orbit_representatives, splitting_field, word_value)
+                         orbit_representatives, word_value)
 from .weil import WeilData, base_change, validate
+
+if TYPE_CHECKING:
+    from .analysis import Analysis
 
 Coords = Tuple[int, ...]
 
@@ -92,7 +94,13 @@ class EigGroup:
 
 @dataclass(frozen=True)
 class RelationLattice:
-    """Verified multiplicative relations, HNF rows in basis coordinates."""
+    """Verified multiplicative relations, HNF rows in basis coordinates.
+
+    Exhaustive within the max-norm search bound; lattice-reduction
+    candidates may add longer vectors.  The lattice is not saturated:
+    realizing to a root of unity other than 1 does not qualify, so the
+    saturation index is reported rather than divided out.
+    """
     basis: Tuple[Coords, ...]
     rank: int
     search_bound: int
@@ -442,21 +450,6 @@ def _relation_engine(data: WeilData, field: SplittingField, eig: EigGroup,
     return lattice, torsion_rank, r
 
 
-def realization_kernel(data: WeilData, field: SplittingField, eig: EigGroup,
-                       bound: Optional[int] = None,
-                       settings: Settings = DEFAULT) -> RelationLattice:
-    """Verified multiplicative relations among eigenvalues and q.
-
-    Exhaustive within the max-norm bound; lattice-reduction candidates may
-    add longer vectors.  The lattice is not saturated: realizing to a root
-    of unity other than 1 does not qualify, so the saturation index is
-    reported separately rather than divided out.
-    """
-    lattice, _, _ = _relation_engine(data, field, eig,
-                                     bound or settings.search_bound)
-    return lattice
-
-
 def frobenius_rank(data: WeilData, field: SplittingField, eig: EigGroup,
                    settings: Settings = DEFAULT) -> int:
     """Rank of the multiplicative group of the eigenvalues, minus one."""
@@ -485,48 +478,43 @@ def _simplicity_probe(data: WeilData,
     return isotypic, growth
 
 
-def invariants_report(data: WeilData,
-                      settings: Settings = DEFAULT) -> Dict[str, object]:
+def invariants_report(an: Analysis) -> Dict[str, object]:
     """Bundle of the numerical invariants driving the main positivity
-    statement; splitting-field failures mark the affected fields
-    undetermined instead of aborting."""
+    statement; a splitting-field failure stored in the analysis marks
+    the affected fields undetermined."""
+    data = an.data
     report: Dict[str, object] = {
         "q": data.q, "p": data.p, "e": data.e, "g": data.g,
         "simple": data.is_simple,
         "real_roots": len(data.real_root_indices),
         "distinct_roots": len(data.roots),
     }
-    undetermined: List[str] = []
     if data.is_simple:
         report["multiplicity"] = data.multiplicity
         report["center_degree"] = data.factors[0].poly.degree
     else:
         report["multiplicity"] = None
         report["center_degree"] = sum(f.poly.degree for f in data.factors)
-    isotypic, growth = _simplicity_probe(data, settings)
+    isotypic, growth = _simplicity_probe(data, an.settings)
     report["geometrically_isotypic"] = isotypic
     report["multiplicity_growth_at"] = growth
 
-    eig = build_eig_group(data)
-    report["rank_eig"] = eig.rank
+    report["rank_eig"] = an.eig.rank
     report["torsion_free"] = True
-    report["basis_labels"] = list(eig.basis_labels)
+    report["basis_labels"] = list(an.eig.basis_labels)
 
-    try:
-        field = splitting_field(data, settings=settings)
-        lattice, torsion_rank, r = _relation_engine(
-            data, field, eig, settings.search_bound)
-    except (DegreeCapExceeded, PrecisionExhausted) as exc:
-        for key in ("frobenius_rank", "kernel_rank", "kernel_basis",
-                    "saturation_index", "splitting_degree", "rank_bound_ok",
-                    "kernel_rank_identity_ok"):
-            report[key] = None
-            undetermined.append(key)
-        report["undetermined"] = undetermined
-        report["undetermined_reason"] = type(exc).__name__
+    reason = an.undetermined("field")
+    if reason:
+        missing = ["frobenius_rank", "kernel_rank", "kernel_basis",
+                   "saturation_index", "splitting_degree", "rank_bound_ok",
+                   "kernel_rank_identity_ok"]
+        report.update(dict.fromkeys(missing))
+        report["undetermined"] = missing
+        report["undetermined_reason"] = reason
         return report
 
-    report["splitting_degree"] = field.degree
+    lattice, _, r = an.relations
+    report["splitting_degree"] = an.field.degree
     report["frobenius_rank"] = r
     report["kernel_rank"] = lattice.rank
     report["kernel_basis"] = [list(row) for row in lattice.basis]
@@ -544,5 +532,5 @@ def invariants_report(data: WeilData,
     else:
         report["rank_bound_ok"] = None
         report["kernel_rank_identity_ok"] = None
-    report["undetermined"] = undetermined
+    report["undetermined"] = []
     return report

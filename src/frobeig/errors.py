@@ -49,10 +49,6 @@ class RootModulusFailed(FrobeigError):
         self.witness = witness
 
 
-class MismatchedBaseField(FrobeigError):
-    """Operands live over different finite fields."""
-
-
 class NotSimple(FrobeigError):
     """Operation requires an irreducible-power (simple) input."""
 

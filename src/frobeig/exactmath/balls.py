@@ -129,13 +129,6 @@ class ComplexBall:
     def abs_sq_mid(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
-    def abs_ub(self) -> Fraction:
-        return frac_sqrt_ub(self.abs_sq_mid()) + self.rad
-
-    def abs_lb(self) -> Fraction:
-        lb = frac_sqrt_lb(self.abs_sq_mid()) - self.rad
-        return lb if lb > 0 else _ZERO
-
     # --- arithmetic ---
 
     def __add__(self, other: "ComplexBall") -> "ComplexBall":
@@ -207,10 +200,6 @@ class ComplexBall:
 
     def contains_zero(self) -> bool:
         return self.contains_exact(0, 0)
-
-    def is_nonzero(self) -> bool:
-        """True only when the disk certifiably excludes zero."""
-        return not self.contains_zero()
 
     def disjoint(self, other: "ComplexBall") -> bool:
         dx = self.re - other.re

@@ -110,14 +110,6 @@ class IntPoly:
         sign = 1 if self.leading > 0 else -1
         return IntPoly([x // (c * sign) for x in self.coefficients])
 
-    def shift_degree(self, k: int) -> "IntPoly":
-        """Multiply by X^k."""
-        return IntPoly((0,) * k + self.coefficients)
-
-    def reverse(self) -> "IntPoly":
-        """Reciprocal polynomial X^deg * p(1/X)."""
-        return IntPoly(tuple(reversed(self.coefficients)))
-
     def divides(self, other: "IntPoly") -> bool:
         q, r = qpoly_divmod(
             [Fraction(c) for c in other.coefficients],

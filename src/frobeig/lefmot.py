@@ -30,14 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .config import DEFAULT, Settings
-from .eig import (EigElement, EigGroup, frobenius_rank, galois_action,
-                  realize_coords)
+from .eig import EigElement, EigGroup, galois_action, realize_coords
 from .errors import InternalInconsistency, MalformedInput, NotSimple
-from .splitfield import GaloisData, SplittingField
 from .weil import WeilData
+
+if TYPE_CHECKING:
+    from .analysis import Analysis
 
 TATE_TRIVIAL = "TATE_TRIVIAL"
 EXOTIC = "EXOTIC"
@@ -171,16 +171,15 @@ def _exotic_shape_ok(eig: EigGroup, members: Sequence[EigElement]) -> bool:
         and b[s] == a[s] + j * s
 
 
-def classify_orbits(data: WeilData, field: SplittingField, eig: EigGroup,
-                    gal: GaloisData, d: int, n: int, ambient: str = "full",
-                    settings: Settings = DEFAULT) -> DecompositionReport:
+def classify_orbits(an: Analysis, d: int, n: int,
+                    ambient: str = "full") -> DecompositionReport:
     """Group the weight-2n eigenvalue multiset into Galois orbits and
     classify each as TATE_TRIVIAL, EXOTIC, or NON_TATE.
 
-    The Tate test rho(lam) = q^n is exact in the splitting field; callers
-    without a splitting field (degree cap) must report the classification
-    as undetermined rather than call this.
+    The Tate test rho(lam) = q^n is exact in the splitting field, so an
+    analysis without one raises its stored bound failure here.
     """
+    data, eig, field, gal = an.data, an.eig, an.field, an.gal
     if ambient == "full":
         multiset = eigen_multiset(data, eig, d, 2 * n)
     elif ambient == "primitive":
@@ -191,18 +190,6 @@ def classify_orbits(data: WeilData, field: SplittingField, eig: EigGroup,
     ring = field.ring()
     target = ring.const(data.q ** n)
     trivial = tuple(n * c for c in eig.q_coords)
-
-    verdict_cache: List[bool] = []
-
-    def hypotheses_pass() -> bool:
-        # computed at most once, and only if an exotic orbit shows up
-        if not verdict_cache:
-            if data.is_simple:
-                v = hypothesis_check(data, field, eig, settings=settings)
-                verdict_cache.append(v.verdict == ALL_PASS)
-            else:
-                verdict_cache.append(False)
-        return verdict_cache[0]
 
     orbits: List[MotiveOrbit] = []
     exotic_details: List[dict] = []
@@ -234,7 +221,7 @@ def classify_orbits(data: WeilData, field: SplittingField, eig: EigGroup,
                       "orbit_size": orbit.orbit_size,
                       "multiplicity": orbit.multiplicity_in_ambient}
             shape = _exotic_shape_ok(eig, members)
-            if hypotheses_pass():
+            if an.shape_certified:
                 if not shape:
                     raise InternalInconsistency(
                         "exotic orbit violates the rank-2 antipodal shape "
@@ -262,17 +249,14 @@ def classify_orbits(data: WeilData, field: SplittingField, eig: EigGroup,
                                exotic_details=tuple(exotic_details))
 
 
-def dims(data: WeilData, field: SplittingField, eig: EigGroup,
-         gal: GaloisData, d: int, n: int,
-         settings: Settings = DEFAULT) -> Tuple[int, int, int]:
+def dims(an: Analysis, d: int, n: int) -> Tuple[int, int, int]:
     """(lefschetz_dim, tate_dim, exotic_dim) of codimension n on power d.
 
     tate_dim counts all orbits whose realization is exactly q^n, so
     tate_dim = lefschetz_dim + exotic_dim, and an injective realization
     forces exotic_dim = 0.
     """
-    report = classify_orbits(data, field, eig, gal, d, n, "full", settings)
-    dim_l, dim_e, _, _ = report.dims
+    dim_l, dim_e, _, _ = an.full_dims(d, n)
     return dim_l, dim_l + dim_e, dim_e
 
 
@@ -287,10 +271,10 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def hypothesis_check(data: WeilData, field: SplittingField, eig: EigGroup,
-                     cm_assertion: Optional[bool] = None,
-                     settings: Settings = DEFAULT) -> HypothesisVerdict:
-    """Check the hypotheses of the positivity theorem for a simple input.
+def hypothesis_check(data: WeilData, r: int,
+                     cm_assertion: Optional[bool] = None) -> HypothesisVerdict:
+    """Check the hypotheses of the positivity theorem for a simple input
+    whose Frobenius rank is r.
 
     (1) the multiplicity m is odd; (2) the Frobenius rank satisfies
     r >= g/m - 1; (3) the endomorphism algebra is split by a totally real
@@ -301,7 +285,6 @@ def hypothesis_check(data: WeilData, field: SplittingField, eig: EigGroup,
     """
     m = data.multiplicity      # NotSimple on reducible input
     g = data.g
-    r = frobenius_rank(data, field, eig, settings)
     conditions: List[Tuple[str, str]] = []
     failures: List[str] = []
     warnings: List[str] = []
@@ -372,19 +355,18 @@ def predicted_signature(rho_table: Sequence[int], half_dim: int,
                                source=source)
 
 
-def build_rho_table(data: WeilData, field: SplittingField, eig: EigGroup,
-                    gal: GaloisData, d: int, source: str = "tate",
-                    settings: Settings = DEFAULT) -> List[int]:
+def build_rho_table(an: Analysis, d: int,
+                    source: str = "tate") -> List[int]:
     """rho_n for n = 0 .. g*d/2 on power d, from Tate dimensions by
     default or Lefschetz dimensions as the unconditional lower bound."""
     if source not in ("tate", "lefschetz"):
         raise MalformedInput(f"unknown rho source {source!r}")
-    dim_x = data.g * d
+    dim_x = an.data.g * d
     if dim_x % 2:
         raise MalformedInput(
             f"variety dimension g*d = {dim_x} is odd; no middle degree")
     table = []
     for n in range(dim_x // 2 + 1):
-        lef, tate, _ = dims(data, field, eig, gal, d, n, settings)
+        lef, tate, _ = dims(an, d, n)
         table.append(tate if source == "tate" else lef)
     return table

@@ -29,12 +29,12 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
+from .analysis import Analysis
 from .config import DEFAULT, Settings
-from .errors import (DegreeCapExceeded, FrobeigError, MalformedInput,
-                     PrecisionExhausted)
+from .errors import FrobeigError, MalformedInput
 from .weil import validate
-from .splitfield import GaloisData, galois_group, splitting_field
-from .eig import EigGroup, build_eig_group, invariants_report
+from .splitfield import GaloisData
+from .eig import EigGroup, invariants_report
 from . import lefmot
 
 
@@ -186,6 +186,36 @@ def settings_for(options: Dict[str, int], base: Settings) -> Settings:
                    precision_ceiling=ceiling)
 
 
+def _resolve(record: InputRecord, global_options: Optional[Dict[str, int]],
+             base: Settings, version: str) -> Tuple[Dict[str, int], str]:
+    """Effective options and content_key of one record."""
+    opts = effective_options(base, global_options or {}, record.option_dict)
+    return opts, content_key(record.echo(), opts, version)
+
+
+def _parse_line(raw: str, global_options: Optional[Dict[str, int]],
+                base: Settings, version: str):
+    """(record, options, content_key, parse error) of one batch line.  An
+    unparseable line has no record, the global options and a key over
+    its raw text."""
+    try:
+        record = parse_record(json.loads(raw))
+        return (record, *_resolve(record, global_options, base, version),
+                None)
+    except (json.JSONDecodeError, MalformedInput) as exc:
+        gopts = effective_options(base, global_options or {})
+        return None, gopts, content_key({"raw": raw}, gopts, version), exc
+
+
+def analyse(record: InputRecord, options: Dict[str, int],
+            base: Settings) -> Analysis:
+    """Validate a record under its resolved options and open its
+    Analysis, which the report and every CLI command read from."""
+    st = settings_for(options, base)
+    return Analysis(validate(record.q, record.coeffs, st), st,
+                    record.cm_assertion)
+
+
 # --- report fragments ---
 
 def eig_fragment(eig: EigGroup) -> dict:
@@ -254,11 +284,9 @@ def build_report_record(record: InputRecord,
     Splitting-field failures inside the pipeline degrade to null
     fragments enumerated under status.undetermined instead of aborting.
     """
-    opts = effective_options(base, global_options or {},
-                             record.option_dict)
-    st = settings_for(opts, base)
-    key = content_key(record.echo(), opts, version)
-    data = validate(record.q, record.coeffs, st)
+    opts, key = _resolve(record, global_options, base, version)
+    an = analyse(record, opts, base)
+    data = an.data
 
     rep: dict = {"record_type": "report",
                  "content_key": key,
@@ -269,47 +297,37 @@ def build_report_record(record: InputRecord,
     reasons: Dict[str, str] = {}
     warnings: List[str] = []
 
-    inv = invariants_report(data, st)
+    inv = invariants_report(an)
     rep["invariants"] = inv
-    for name in inv.get("undetermined") or []:
+    for name in inv["undetermined"]:
         undetermined.append("invariants." + name)
-        if inv.get("undetermined_reason"):
-            reasons["invariants." + name] = inv["undetermined_reason"]
+        reasons["invariants." + name] = inv["undetermined_reason"]
 
-    eig = build_eig_group(data)
-    rep["eig"] = eig_fragment(eig)
+    rep["eig"] = eig_fragment(an.eig)
 
-    try:
-        field = splitting_field(data, settings=st)
-        gal = galois_group(field, data, st)
-    except (DegreeCapExceeded, PrecisionExhausted) as exc:
+    reason = an.undetermined("gal")
+    if reason:
         for part in ("galois", "decompositions", "hypothesis",
                      "signature_predictions"):
             rep[part] = None
             undetermined.append(part)
-            reasons[part] = type(exc).__name__
+            reasons[part] = reason
         rep["status"] = {"undetermined": undetermined, "reasons": reasons,
                          "warnings": warnings}
         return rep
 
-    rep["galois"] = galois_fragment(gal)
+    rep["galois"] = galois_fragment(an.gal)
 
     decs = []
-    for d in range(1, opts["max_power"] + 1):
-        for n in range(data.g * d + 1):
-            dec = lefmot.classify_orbits(data, field, eig, gal, d, n,
-                                         "full", st)
-            decs.append(decomposition_fragment(dec))
-            for det in dec.exotic_details:
-                if "warning" in det:
-                    warnings.append(f"d={d} n={n}: {det['warning']}")
+    for dec in an.grid(opts["max_power"]):
+        decs.append(decomposition_fragment(dec))
+        for det in dec.exotic_details:
+            if "warning" in det:
+                warnings.append(f"d={dec.d} n={dec.n}: {det['warning']}")
     rep["decompositions"] = decs
 
     if data.is_simple:
-        verdict = lefmot.hypothesis_check(data, field, eig,
-                                          cm_assertion=record.cm_assertion,
-                                          settings=st)
-        rep["hypothesis"] = hypothesis_fragment(verdict)
+        rep["hypothesis"] = hypothesis_fragment(an.verdict)
     else:
         rep["hypothesis"] = None
         undetermined.append("hypothesis")
@@ -319,7 +337,7 @@ def build_report_record(record: InputRecord,
     for d in range(1, opts["max_power"] + 1):
         if (data.g * d) % 2:
             continue
-        rho = lefmot.build_rho_table(data, field, eig, gal, d, "tate", st)
+        rho = lefmot.build_rho_table(an, d, "tate")
         pred = lefmot.predicted_signature(rho, data.g * d // 2,
                                           source="tate")
         preds.append(prediction_fragment(d, "tate", rho, pred))
@@ -347,17 +365,10 @@ def _error_line(key: str, echo, opts: Dict[str, int], exc: Exception,
 def process_line(raw: str, global_options: Optional[Dict[str, int]],
                  base: Settings, version: str) -> Tuple[str, str, str]:
     """One batch line -> (content_key, output line, "report"|"error")."""
-    try:
-        obj = json.loads(raw)
-        record = parse_record(obj)
-        opts = effective_options(base, global_options or {},
-                                 record.option_dict)
-    except (json.JSONDecodeError, MalformedInput) as exc:
-        gopts = effective_options(base, global_options or {})
-        key = content_key({"raw": raw}, gopts, version)
-        return key, _error_line(key, None, gopts, exc, version, raw=raw), \
+    record, opts, key, exc = _parse_line(raw, global_options, base, version)
+    if exc is not None:
+        return key, _error_line(key, None, opts, exc, version, raw=raw), \
             "error"
-    key = content_key(record.echo(), opts, version)
     try:
         rep = build_report_record(record, global_options, base, version)
     except FrobeigError as exc:
@@ -369,14 +380,7 @@ def process_line(raw: str, global_options: Optional[Dict[str, int]],
 def plan_keys(raw: str, global_options: Optional[Dict[str, int]],
               base: Settings, version: str) -> str:
     """content_key a batch line will carry, without computing the report."""
-    try:
-        record = parse_record(json.loads(raw))
-        opts = effective_options(base, global_options or {},
-                                 record.option_dict)
-        return content_key(record.echo(), opts, version)
-    except (json.JSONDecodeError, MalformedInput):
-        gopts = effective_options(base, global_options or {})
-        return content_key({"raw": raw}, gopts, version)
+    return _parse_line(raw, global_options, base, version)[2]
 
 
 def existing_keys(out_path) -> set:

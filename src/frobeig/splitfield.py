@@ -54,6 +54,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -354,8 +355,13 @@ class SplittingField:
     root_balls: Tuple[ComplexBall, ...]
     prec: int
 
-    def ring(self) -> ModRing:
+    @cached_property
+    def _ring(self) -> ModRing:
         return ModRing(self.modulus)
+
+    def ring(self) -> ModRing:
+        """Arithmetic of the field, built once per field."""
+        return self._ring
 
 
 @dataclass(frozen=True)
@@ -550,7 +556,6 @@ def splitting_field(data: WeilData, settings: Settings = DEFAULT) -> SplittingFi
     DegreeCapExceeded when every subgroup within the degree cap is
     excluded by an exact certificate.
     """
-    settings = settings.with_env_ceiling()
     sf_poly = data.poly.squarefree_part()
     n = len(data.roots)
     iota = data.iota
@@ -649,7 +654,6 @@ def galois_group(field: SplittingField, data: WeilData,
     images are pairwise distinct, and the permutations form a group of the
     right order centralizing the conjugation involution.
     """
-    settings = settings.with_env_ceiling()
     perms = list(field.group_perms)
     n_roots = len(field.root_balls)
     order = len(perms)

@@ -104,9 +104,6 @@ class WeilData:
     def real_root_indices(self) -> Tuple[int, ...]:
         return tuple(i for i, j in enumerate(self.iota) if i == j)
 
-    def distinct_root_count(self) -> int:
-        return len(self.roots)
-
 
 def _match_permutation(images: Sequence[ComplexBall],
                        targets: Sequence[ComplexBall]) -> Optional[List[int]]:

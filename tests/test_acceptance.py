@@ -7,6 +7,7 @@ per criterion; each prints a single PASS line with its runtime when it
 succeeds, and criteria with a stated time budget assert it.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -18,7 +19,7 @@ import pytest
 
 from frobeig.config import DEFAULT
 from frobeig.corpus import CORPUS
-from frobeig.eig import build_eig_group, frobenius_rank, realization_kernel
+from frobeig.eig import build_eig_group, frobenius_rank
 from frobeig.errors import FrobeigError, RootModulusFailed
 from frobeig.lefmot import (ALL_PASS, EXOTIC, FAIL, build_rho_table,
                             classify_orbits, dims, eigen_multiset,
@@ -27,10 +28,9 @@ from frobeig.quadforms import (am_filter, charpoly_exact,
                                constant_signature_certify, count_real_roots,
                                mat_inverse, mat_mul_q, tannaka_transfer)
 from frobeig.report import canonical_json, run_batch
-from frobeig.splitfield import galois_group
 from frobeig.weil import base_change, validate
 
-from conftest import split_cached
+from conftest import analysis_cached, split_cached
 
 F = Fraction
 
@@ -40,10 +40,8 @@ def report_pass(num, label, elapsed):
 
 
 def full_setup(q, coeffs):
-    data, field = split_cached(q, tuple(coeffs))
-    eig = build_eig_group(data)
-    gal = galois_group(field, data)
-    return data, field, eig, gal
+    an = analysis_cached(q, tuple(coeffs))
+    return an, an.data, an.field, an.eig, an.gal
 
 
 # 1. validation soundness over the quadratic grid
@@ -91,7 +89,7 @@ def test_criterion_02_eig_freeness_and_rank_identity():
         assert data.g <= 3
         eig = build_eig_group(data)
         assert all(f == 1 for f in eig.invariant_factors)
-        lattice = realization_kernel(data, field, eig)
+        lattice = analysis_cached(entry.q, entry.coefficients).relations[0]
         assert lattice.complete_within_bound
         r = frobenius_rank(data, field, eig)
         assert lattice.rank + r + 1 == eig.rank, entry.tag
@@ -107,9 +105,9 @@ def test_criterion_02_eig_freeness_and_rank_identity():
 # 3. the worked supersingular fourth power
 
 def test_criterion_03_supersingular_worked_example():
-    data, field, eig, gal = full_setup(3, (3, 0, 1))
+    an, data, field, eig, gal = full_setup(3, (3, 0, 1))
     t0 = time.perf_counter()
-    rep = classify_orbits(data, field, eig, gal, 4, 2)
+    rep = classify_orbits(an, 4, 2)
     elapsed = time.perf_counter() - t0
     assert rep.dims == (36, 2, 32, 70)
     assert 70 == math.comb(8, 4)
@@ -129,14 +127,14 @@ def test_criterion_03_supersingular_worked_example():
 
 def test_criterion_04_ordinary_control():
     t0 = time.perf_counter()
-    data, field, eig, gal = full_setup(5, (5, -1, 1))
-    rep = classify_orbits(data, field, eig, gal, 2, 1)
+    an, data, field, eig, gal = full_setup(5, (5, -1, 1))
+    rep = classify_orbits(an, 2, 1)
     assert rep.dims == (4, 0, 2, 6)
-    lattice = realization_kernel(data, field, eig)
+    lattice = an.relations[0]
     assert lattice.rank == 0
     for d in range(1, 4):
         for n in range(d + 1):
-            lef, tate, exo = dims(data, field, eig, gal, d, n)
+            lef, tate, exo = dims(an, d, n)
             assert exo == 0
             assert lef == tate
     elapsed = time.perf_counter() - t0
@@ -168,7 +166,7 @@ def test_criterion_06_hypothesis_checker():
     t0 = time.perf_counter()
     data, field = split_cached(3, (3, 0, 1))
     eig = build_eig_group(data)
-    verdict = hypothesis_check(data, field, eig)
+    verdict = hypothesis_check(data, frobenius_rank(data, field, eig))
     assert verdict.verdict == ALL_PASS
     assert data.multiplicity == 1
     # the totally-real condition is automatic at multiplicity one
@@ -177,7 +175,7 @@ def test_criterion_06_hypothesis_checker():
 
     data9, field9 = split_cached(9, (9, 6, 1))
     eig9 = build_eig_group(data9)
-    verdict9 = hypothesis_check(data9, field9, eig9)
+    verdict9 = hypothesis_check(data9, frobenius_rank(data9, field9, eig9))
     assert verdict9.verdict == FAIL
     assert ("multiplicity_odd", "FAIL") in verdict9.conditions
     assert any("even" in f for f in verdict9.failures)
@@ -309,8 +307,7 @@ def test_criterion_10_am_filter_truth_table():
 
 def test_criterion_11_predicted_signature_surface():
     t0 = time.perf_counter()
-    data, field, eig, gal = full_setup(5, (5, -1, 1))
-    rho = build_rho_table(data, field, eig, gal, 2, source="tate")
+    rho = build_rho_table(analysis_cached(5, (5, -1, 1)), 2, source="tate")
     assert rho == [1, 4]
     pred = predicted_signature(rho, 1, source="tate")
     assert (pred.s_plus, pred.s_minus) == (3, 1)
@@ -346,6 +343,11 @@ def test_criterion_12_batch_determinism(tmp_path):
     assert sorted(lines1) == sorted(lines4)      # parallel set equality
     keys = [json.loads(ln)["content_key"] for ln in lines1]
     assert len(set(keys)) == len(CORPUS)
+    # the store is the output contract: a deliberate output change bumps
+    # __version__ and this digest together
+    digest = hashlib.sha256(("\n".join(lines1) + "\n").encode()).hexdigest()
+    assert digest == ("89f333d8a44e3afd77f7171e77b6223f"
+                      "755f3ea28407f995bc3bdfd60d96b47e")
     elapsed = time.perf_counter() - t0
     report_pass(12, f"batch determinism over {len(CORPUS)} records x 3 runs",
                 elapsed)

@@ -1,0 +1,40 @@
+"""One Analysis per record: every certified object is built once."""
+
+import sys
+
+from frobeig import eig, lefmot, splitfield
+from frobeig.report import build_report_record, parse_record
+
+
+def record_calls(monkeypatch, module, name):
+    """Results of every call to module.name, under each frobeig module
+    that binds it, for the length of the test."""
+    orig = getattr(module, name)
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(orig(*args, **kwargs))
+        return results[-1]
+
+    for key, mod in list(sys.modules.items()):
+        if (key == "frobeig" or key.startswith("frobeig.")) and \
+                getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, recorded)
+    return results
+
+
+def test_report_builds_each_object_once(monkeypatch):
+    fields = record_calls(monkeypatch, splitfield, "splitting_field")
+    engines = record_calls(monkeypatch, eig, "_relation_engine")
+    decs = record_calls(monkeypatch, lefmot, "classify_orbits")
+    rep = build_report_record(parse_record(
+        {"q": 3, "coeffs": [3, 0, 1], "options": {"max_power": 4}}))
+    grid = rep["decompositions"]
+    assert len(grid) == 14
+    assert any(x["shape"] == "certified" for dec in grid
+               for x in dec["exotic"])
+    # the rho tables of d = 2 and d = 4 come from the grid's dims
+    assert [p["d"] for p in rep["signature_predictions"]] == [2, 4]
+    assert (len(fields), len(engines), len(decs)) == (1, 1, 14)
+    field = fields[0]
+    assert field.ring() is field.ring()

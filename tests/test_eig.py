@@ -7,14 +7,15 @@ from math import isqrt
 
 import pytest
 
+from frobeig.analysis import Analysis
 from frobeig.config import DEFAULT
 from frobeig.eig import (EigElement, build_eig_group, frobenius_rank,
-                         galois_action, invariants_report, realization_kernel)
+                         galois_action, invariants_report)
 from frobeig.errors import MalformedInput, TorsionDetected
 from frobeig.splitfield import galois_group, splitting_field, word_value
 from frobeig.weil import base_change, validate
 
-from conftest import split_cached
+from conftest import analysis_cached, split_cached
 
 
 def eig_cached(q, coeffs):
@@ -142,14 +143,13 @@ class TestGaloisAction:
 
 class TestRealizationKernel:
     def test_ordinary_injective(self):
-        data, field, e = eig_cached(5, (5, -1, 1))
-        k = realization_kernel(data, field, e)
+        k = analysis_cached(5, (5, -1, 1)).relations[0]
         assert k.rank == 0 and k.basis == ()
         assert k.complete_within_bound
 
     def test_supersingular_index_two_sublattice(self):
         data, field, e = eig_cached(3, (3, 0, 1))
-        k = realization_kernel(data, field, e)
+        k = analysis_cached(3, (3, 0, 1)).relations[0]
         assert k.basis == ((4, -2),)
         assert k.saturation_index == 2
         # the half vector realizes to -1, not 1, so it must stay out
@@ -161,25 +161,22 @@ class TestRealizationKernel:
         assert value == ring.const(-1)
 
     def test_real_root_injective(self):
-        data, field, e = eig_cached(9, (9, 6, 1))
-        k = realization_kernel(data, field, e)
+        k = analysis_cached(9, (9, 6, 1)).relations[0]
         assert k.rank == 0
 
     def test_product_with_supersingular_factor(self):
-        data, field, e = eig_cached(5, (25, -5, 10, -1, 1))
-        k = realization_kernel(data, field, e)
+        k = analysis_cached(5, (25, -5, 10, -1, 1)).relations[0]
         assert k.rank == 1
         assert k.basis == ((4, 0, -2),)
         assert k.saturation_index == 2
 
     def test_generic_quartic_no_relations(self):
-        data, field, e = eig_cached(5, (25, -5, 6, -1, 1))
-        k = realization_kernel(data, field, e)
+        k = analysis_cached(5, (25, -5, 6, -1, 1)).relations[0]
         assert k.rank == 0
 
     def test_degenerate_sextic_rank_three(self):
         data, field, e = eig_cached(3, (27, 0, 0, 0, 0, 0, 1))
-        k = realization_kernel(data, field, e)
+        k = analysis_cached(3, (27, 0, 0, 0, 0, 0, 1)).relations[0]
         assert k.rank == 3
         # every basis vector realizes to exactly 1
         ring = field.ring()
@@ -234,14 +231,14 @@ class TestFrobeniusRank:
             data = validate(q, [q, -a, 1])
             field = splitting_field(data)
             e = build_eig_group(data)
-            k = realization_kernel(data, field, e)
+            k = Analysis(data).relations[0]
             r = frobenius_rank(data, field, e)
             assert r + 1 + k.rank == e.rank
 
 
 class TestInvariantsReport:
     def test_ordinary(self):
-        rep = invariants_report(validate(5, [5, -1, 1]))
+        rep = invariants_report(Analysis(validate(5, [5, -1, 1])))
         assert rep["g"] == 1 and rep["multiplicity"] == 1
         assert rep["frobenius_rank"] == 1 and rep["kernel_rank"] == 0
         assert rep["rank_bound_ok"] is True
@@ -251,20 +248,20 @@ class TestInvariantsReport:
         assert rep["undetermined"] == []
 
     def test_supersingular(self):
-        rep = invariants_report(validate(3, [3, 0, 1]))
+        rep = invariants_report(Analysis(validate(3, [3, 0, 1])))
         assert rep["frobenius_rank"] == 0 and rep["kernel_rank"] == 1
         assert rep["kernel_rank_identity_ok"] is True
         assert rep["multiplicity_growth_at"] == 2
 
     def test_real_root_case(self):
-        rep = invariants_report(validate(9, [9, 6, 1]))
+        rep = invariants_report(Analysis(validate(9, [9, 6, 1])))
         assert rep["multiplicity"] == 2
         assert rep["frobenius_rank"] == 0 and rep["kernel_rank"] == 0
         assert rep["rank_bound_ok"] is True
         assert rep["kernel_rank_identity_ok"] is None
 
     def test_non_simple(self):
-        rep = invariants_report(validate(5, [25, -5, 10, -1, 1]))
+        rep = invariants_report(Analysis(validate(5, [25, -5, 10, -1, 1])))
         assert rep["simple"] is False
         assert rep["multiplicity"] is None
         assert rep["center_degree"] == 4
@@ -272,8 +269,8 @@ class TestInvariantsReport:
 
     def test_capped_field_marks_undetermined(self):
         tight = replace(DEFAULT, degree_cap=4)
-        rep = invariants_report(validate(5, [25, -5, 6, -1, 1]),
-                                settings=tight)
+        rep = invariants_report(Analysis(validate(5, [25, -5, 6, -1, 1]),
+                                         tight))
         assert rep["frobenius_rank"] is None
         assert "frobenius_rank" in rep["undetermined"]
         assert rep["undetermined_reason"] == "DegreeCapExceeded"

@@ -7,24 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobeig.eig import build_eig_group, realization_kernel
 from frobeig.errors import InternalInconsistency, MalformedInput, NotSimple
 from frobeig.lefmot import (ALL_PASS, EXOTIC, FAIL, NON_TATE,
                             PASS_CONDITIONAL_ON_CM, TATE_TRIVIAL,
                             build_rho_table, classify_orbits, dims,
                             eigen_multiset, hypothesis_check,
                             predicted_signature, primitive_multiset)
-from frobeig.splitfield import galois_group
 from frobeig.weil import base_change, validate
 
-from conftest import split_cached
+from conftest import analysis_cached, split_cached
 
 
 def full_setup(q, coeffs):
-    data, field = split_cached(q, coeffs)
-    eig = build_eig_group(data)
-    gal = galois_group(field, data)
-    return data, field, eig, gal
+    an = analysis_cached(q, coeffs)
+    return an.data, an.field, an.eig, an.gal
 
 
 class TestEigenMultiset:
@@ -120,8 +116,8 @@ class TestPrimitiveMultiset:
 
 class TestClassifyOrbits:
     def test_supersingular_fourth_power_full(self):
-        data, field, eig, gal = full_setup(3, (3, 0, 1))
-        rep = classify_orbits(data, field, eig, gal, 4, 2)
+        an = analysis_cached(3, (3, 0, 1))
+        rep = classify_orbits(an, 4, 2)
         assert rep.dims == (36, 2, 32, 70)
         exo = [o for o in rep.orbits if o.classification == EXOTIC]
         assert len(exo) == 1 and exo[0].orbit_size == 2
@@ -129,29 +125,29 @@ class TestClassifyOrbits:
         assert rep.exotic_details[0]["shape"] == "certified"
 
     def test_supersingular_fourth_power_primitive(self):
-        data, field, eig, gal = full_setup(3, (3, 0, 1))
-        rep = classify_orbits(data, field, eig, gal, 4, 2, "primitive")
+        an = analysis_cached(3, (3, 0, 1))
+        rep = classify_orbits(an, 4, 2, "primitive")
         assert rep.dims == (20, 2, 20, 42)
 
     def test_ordinary_square(self):
-        data, field, eig, gal = full_setup(5, (5, -1, 1))
-        rep = classify_orbits(data, field, eig, gal, 2, 1)
+        an = analysis_cached(5, (5, -1, 1))
+        rep = classify_orbits(an, 2, 1)
         assert rep.dims == (4, 0, 2, 6)
         assert rep.exotic_details == ()
         kinds = sorted(o.classification for o in rep.orbits)
         assert kinds == [NON_TATE, TATE_TRIVIAL]
 
     def test_point_class(self):
-        data, field, eig, gal = full_setup(5, (5, -1, 1))
-        rep = classify_orbits(data, field, eig, gal, 1, 0)
+        an = analysis_cached(5, (5, -1, 1))
+        rep = classify_orbits(an, 1, 0)
         assert rep.dims == (1, 0, 0, 1)
         assert rep.orbits[0].classification == TATE_TRIVIAL
 
     def test_squared_factor_shape_not_certified(self):
         # m = 2 fails the hypotheses, so the (correct) shape is reported
         # without certification
-        data, field, eig, gal = full_setup(3, (9, 0, 6, 0, 1))
-        rep = classify_orbits(data, field, eig, gal, 2, 2)
+        an = analysis_cached(3, (9, 0, 6, 0, 1))
+        rep = classify_orbits(an, 2, 2)
         assert rep.dims == (36, 2, 32, 70)
         assert rep.exotic_details[0]["shape"] == "as_predicted"
         assert "warning" not in rep.exotic_details[0]
@@ -159,8 +155,8 @@ class TestClassifyOrbits:
     def test_mixed_supersingular_sextic_off_shape(self):
         # three distinct conjugate pairs give exotic orbits of size 4 and
         # non-antipodal coordinates; reducible input, so warnings only
-        data, field, eig, gal = full_setup(2, (8, 0, 4, 0, 2, 0, 1))
-        rep = classify_orbits(data, field, eig, gal, 2, 2)
+        an = analysis_cached(2, (8, 0, 4, 0, 2, 0, 1))
+        rep = classify_orbits(an, 2, 2)
         assert rep.dims == (51, 18, 426, 495)
         sizes = sorted(x["orbit_size"] for x in rep.exotic_details)
         assert sizes == [2, 4]
@@ -173,7 +169,7 @@ class TestClassifyOrbits:
                  (2, (8, 0, 4, 0, 2, 0, 1), 2, 2)]
         for q, coeffs, d, n in cases:
             data, field, eig, gal = full_setup(q, coeffs)
-            rep = classify_orbits(data, field, eig, gal, d, n)
+            rep = classify_orbits(analysis_cached(q, coeffs), d, n)
             seen = set()
             for orbit in rep.orbits:
                 coords = {el.coords for el in orbit.elements}
@@ -187,9 +183,9 @@ class TestClassifyOrbits:
             assert total == rep.dims[3] == math.comb(2 * data.g * d, 2 * n)
 
     def test_rejects_unknown_ambient(self):
-        data, field, eig, gal = full_setup(5, (5, -1, 1))
+        an = analysis_cached(5, (5, -1, 1))
         with pytest.raises(MalformedInput):
-            classify_orbits(data, field, eig, gal, 1, 0, "middle")
+            classify_orbits(an, 1, 0, "middle")
 
 
 class TestDims:
@@ -200,16 +196,15 @@ class TestDims:
             (5, (5, -1, 1), 2, 1, (4, 4, 0)),
         ]
         for q, coeffs, d, n, want in table:
-            data, field, eig, gal = full_setup(q, coeffs)
-            assert dims(data, field, eig, gal, d, n) == want
+            assert dims(analysis_cached(q, coeffs), d, n) == want
 
     def test_injective_realization_forces_no_exotic(self):
         for q, coeffs in [(5, (5, -1, 1)), (5, (25, -5, 6, -1, 1))]:
-            data, field, eig, gal = full_setup(q, coeffs)
-            assert realization_kernel(data, field, eig).rank == 0
+            an = analysis_cached(q, coeffs)
+            assert an.relations[0].rank == 0
             for d in (1, 2, 3):
                 for n in range(d + 1):
-                    lef, tate, exo = dims(data, field, eig, gal, d, n)
+                    lef, tate, exo = dims(an, d, n)
                     assert exo == 0 and tate == lef
 
     def test_tate_monotone_along_field_containment(self):
@@ -223,55 +218,54 @@ class TestDims:
                 poly = data0.poly
             else:
                 poly = base_change(data0.poly, k)
-            data, field, eig, gal = full_setup(3 ** k,
-                                               tuple(poly.coefficients))
-            vals.append(dims(data, field, eig, gal, 2, 1)[1])
+            an = analysis_cached(3 ** k, tuple(poly.coefficients))
+            vals.append(dims(an, 2, 1)[1])
         assert vals == [4, 6, 6]
         bc3 = base_change(data0.poly, 3)
-        data3, field3, eig3, gal3 = full_setup(27, tuple(bc3.coefficients))
-        assert dims(data3, field3, eig3, gal3, 2, 1)[1] == 4
+        an3 = analysis_cached(27, tuple(bc3.coefficients))
+        assert dims(an3, 2, 1)[1] == 4
 
 
 class TestHypothesisCheck:
     def test_supersingular_all_pass(self):
-        data, field, eig, _ = full_setup(3, (3, 0, 1))
-        v = hypothesis_check(data, field, eig)
+        an = analysis_cached(3, (3, 0, 1))
+        v = hypothesis_check(an.data, an.r)
         assert v.verdict == ALL_PASS
         assert v.failures == () and v.warnings == ()
 
     def test_ordinary_all_pass(self):
-        data, field, eig, _ = full_setup(5, (5, -1, 1))
-        assert hypothesis_check(data, field, eig).verdict == ALL_PASS
+        an = analysis_cached(5, (5, -1, 1))
+        assert hypothesis_check(an.data, an.r).verdict == ALL_PASS
 
     def test_even_multiplicity_fails(self):
-        data, field, eig, _ = full_setup(9, (9, 6, 1))
-        v = hypothesis_check(data, field, eig)
+        an = analysis_cached(9, (9, 6, 1))
+        v = hypothesis_check(an.data, an.r)
         assert v.verdict == FAIL
         assert any("even" in f for f in v.failures)
 
     def test_rank_condition_fails(self):
         # roots of X^4+2X^2+4 satisfy pi^6 = q^3, so r = 0 < g/m - 1 = 1
-        data, field, eig, _ = full_setup(2, (4, 0, 2, 0, 1))
-        v = hypothesis_check(data, field, eig)
+        an = analysis_cached(2, (4, 0, 2, 0, 1))
+        v = hypothesis_check(an.data, an.r)
         assert v.verdict == FAIL
         assert v.failures == ("frobenius rank r=0 below g/m - 1 = 1",)
         assert any("prime dimension g=2" in w for w in v.warnings)
 
     def test_cm_assertion_paths(self):
-        data, field, eig, _ = full_setup(3, (27, 0, 27, 0, 9, 0, 1))
-        v = hypothesis_check(data, field, eig)
+        an = analysis_cached(3, (27, 0, 27, 0, 9, 0, 1))
+        v = hypothesis_check(an.data, an.r)
         assert v.verdict == PASS_CONDITIONAL_ON_CM
-        assert hypothesis_check(data, field, eig,
+        assert hypothesis_check(an.data, an.r,
                                 cm_assertion=True).verdict == ALL_PASS
-        assert hypothesis_check(data, field, eig,
+        assert hypothesis_check(an.data, an.r,
                                 cm_assertion=False).verdict == FAIL
         # g = 3 is prime but m = 3, so the Tankeev expectation is flagged
         assert any("prime dimension" in w for w in v.warnings)
 
     def test_not_simple(self):
-        data, field, eig, _ = full_setup(5, (25, -5, 10, -1, 1))
+        an = analysis_cached(5, (25, -5, 10, -1, 1))
         with pytest.raises(NotSimple):
-            hypothesis_check(data, field, eig)
+            hypothesis_check(an.data, an.r)
 
 
 class TestPredictedSignature:
@@ -300,20 +294,18 @@ class TestPredictedSignature:
             predicted_signature((1,), 1)
 
     def test_rho_table_ordinary_square(self):
-        data, field, eig, gal = full_setup(5, (5, -1, 1))
-        tab = build_rho_table(data, field, eig, gal, 2)
+        tab = build_rho_table(analysis_cached(5, (5, -1, 1)), 2)
         assert tab == [1, 4]
         s = predicted_signature(tab, len(tab) - 1, source="tate")
         assert (s.s_plus, s.s_minus) == (3, 1) and s.source == "tate"
 
     def test_rho_table_lefschetz_source(self):
-        data, field, eig, gal = full_setup(3, (3, 0, 1))
-        assert build_rho_table(data, field, eig, gal, 2,
+        assert build_rho_table(analysis_cached(3, (3, 0, 1)), 2,
                                source="lefschetz") == [1, 4]
 
     def test_rho_table_odd_dimension_rejected(self):
-        data, field, eig, gal = full_setup(5, (5, -1, 1))
+        an = analysis_cached(5, (5, -1, 1))
         with pytest.raises(MalformedInput):
-            build_rho_table(data, field, eig, gal, 1)
+            build_rho_table(an, 1)
         with pytest.raises(MalformedInput):
-            build_rho_table(data, field, eig, gal, 2, source="hodge")
+            build_rho_table(an, 2, source="hodge")

@@ -1,14 +1,17 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from frobeig.config import DEFAULT
 from frobeig.exactmath.intpoly import (IntPoly, discriminant_magnitude,
                                        sylvester_resultant)
-from frobeig.errors import MalformedInput
+from frobeig.errors import MalformedInput, PrecisionExhausted
 from frobeig.splitfield import (ModRing, eval_exact, galois_group,
                                 is_root_of_unity, power_root_system,
-                                root_system, word_value)
+                                root_system, splitting_field, word_value)
+from frobeig.weil import validate
 
 from conftest import split_cached
 
@@ -137,6 +140,15 @@ class TestSplittingField:
         swap = g.perms.index((1, 0))
         # conjugation sends x to 1 - x (the other root of X^2-X+5)
         assert g.images[swap] == (Fraction(1), Fraction(-1))
+
+    def test_env_ceiling_does_not_override_settings(self, monkeypatch):
+        # only the CLI reads FROBEIG_MAX_PRECISION; an explicit Settings
+        # keeps its ceiling (the same field is degree 8 at 4096 bits)
+        st = replace(DEFAULT, precision_start=16, precision_ceiling=16)
+        data = validate(5, [25, -5, 6, -1, 1], st)
+        monkeypatch.setenv("FROBEIG_MAX_PRECISION", "4096")
+        with pytest.raises(PrecisionExhausted):
+            splitting_field(data, st)
 
 
 class TestPowerSystems:
