@@ -19,7 +19,6 @@ class Settings:
     precision_ceiling: int = 4096
     degree_cap: int = 48          # splitting-field degree cap
     search_bound: int = 4         # sup-norm box for kernel / torsion searches
-    probe_bound: int = 12         # base-change range for the simplicity probe
     factor_degree_cap: int = 12   # max degree for subset-recombination factoring
     d_max: int = 6                # largest power of the variety in reports
 

@@ -38,7 +38,7 @@ from .exactmath.latt import (hermite_column_form, invariant_factors,
 from .exactmath.roots import arg_ball, two_pi_ball
 from .splitfield import (SplittingField, is_root_of_unity,
                          orbit_representatives, word_value)
-from .weil import WeilData, base_change, validate
+from .weil import WeilData, base_change
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -457,25 +457,20 @@ def frobenius_rank(data: WeilData, field: SplittingField, eig: EigGroup,
     return r
 
 
-def _simplicity_probe(data: WeilData,
-                      settings: Settings) -> Tuple[Optional[bool],
-                                                   Optional[int]]:
-    """Does the input stay isotypic under base change, and where does the
-    multiplicity first grow?  (None, None) for non-simple inputs."""
-    if not data.is_simple:
-        return None, None
-    m = data.multiplicity
-    growth: Optional[int] = None
-    isotypic = True
-    for k in range(2, settings.probe_bound + 1):
-        bc = base_change(data.poly, k)
-        wd = validate(data.q ** k, list(bc.coefficients), settings=settings)
-        if not wd.is_simple:
-            isotypic = False
-            break
-        if growth is None and wd.multiplicity > m:
-            growth = k
-    return isotypic, growth
+# Base-change degrees k = 2..12 scanned for multiplicity growth.  The
+# batch store pins this range: a larger one changes report bytes and
+# needs a __version__ bump.
+_GROWTH_RANGE = range(2, 13)
+
+
+def _multiplicity_growth_at(data: WeilData) -> Optional[int]:
+    """First k in _GROWTH_RANGE where the multiplicity of a simple input
+    grows under base change, or None."""
+    degree = data.factors[0].poly.degree
+    for k in _GROWTH_RANGE:
+        if base_change(data.poly, k).squarefree_part().degree < degree:
+            return k
+    return None
 
 
 def invariants_report(an: Analysis) -> Dict[str, object]:
@@ -492,12 +487,16 @@ def invariants_report(an: Analysis) -> Dict[str, object]:
     if data.is_simple:
         report["multiplicity"] = data.multiplicity
         report["center_degree"] = data.factors[0].poly.degree
+        # for P = h^m the k-th powers of the roots of h stay Galois
+        # conjugate, so base_change(P, k) is a power of the minimal
+        # polynomial of pi^k: a simple input stays isotypic for every k
+        report["geometrically_isotypic"] = True
+        report["multiplicity_growth_at"] = _multiplicity_growth_at(data)
     else:
         report["multiplicity"] = None
         report["center_degree"] = sum(f.poly.degree for f in data.factors)
-    isotypic, growth = _simplicity_probe(data, an.settings)
-    report["geometrically_isotypic"] = isotypic
-    report["multiplicity_growth_at"] = growth
+        report["geometrically_isotypic"] = None
+        report["multiplicity_growth_at"] = None
 
     report["rank_eig"] = an.eig.rank
     report["torsion_free"] = True

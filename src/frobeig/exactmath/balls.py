@@ -224,16 +224,6 @@ class ComplexBall:
     def imag_interval(self) -> RealBall:
         return RealBall(self.im, self.rad)
 
-    def imag_sign(self) -> int:
-        """Certified sign of the imaginary part; Ambiguous if undecided."""
-        if self.im - self.rad > 0:
-            return 1
-        if self.im + self.rad < 0:
-            return -1
-        if self.rad == 0 and self.im == 0:
-            return 0
-        raise Ambiguous("imaginary part sign undecided")
-
     def unique_integer(self):
         """The single integer in the real interval, when imag covers 0.
 

@@ -111,7 +111,7 @@ def _aberth(poly: IntPoly, wp: int, warm: Optional[List[complex]] = None,
         return zs
 
 
-def _eval_exact(poly: IntPoly, re: Fraction, im: Fraction) -> Tuple[Fraction, Fraction]:
+def _horner(poly: IntPoly, re: Fraction, im: Fraction) -> Tuple[Fraction, Fraction]:
     ar, ai = Fraction(0), Fraction(0)
     for c in reversed(poly.coefficients):
         ar, ai = ar * re - ai * im + c, ar * im + ai * re
@@ -128,7 +128,7 @@ def _certify(poly: IntPoly, approx: List[Tuple[Fraction, Fraction]]) -> Optional
     lead = Fraction(poly.leading)
     balls = []
     for i, (xr, xi) in enumerate(approx):
-        pr, pi = _eval_exact(poly, xr, xi)
+        pr, pi = _horner(poly, xr, xi)
         dr, di = lead, Fraction(0)
         for j, (yr, yi) in enumerate(approx):
             if j == i:

@@ -20,6 +20,7 @@ file.
 
 import hashlib
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -416,7 +417,8 @@ def run_batch(in_path, out_path, jobs: int = 1,
     """Batch-process newline-delimited input records.
 
     Appends new report/error lines sorted by content_key, skips keys the
-    store already holds, and closes with a manifest line.  Per-record
+    store already holds, and closes with a manifest line.  The store is
+    rewritten through a temporary file and replaced atomically.  Per-record
     failures become inline error records; only I/O problems raise.
     """
     if jobs < 1:
@@ -451,9 +453,20 @@ def run_batch(in_path, out_path, jobs: int = 1,
                 "written": len(results), "skipped": skipped,
                 "errors": errors,
                 "timestamp": datetime.now(timezone.utc).isoformat()}
-    with open(out_path, "a") as handle:
-        for _, line, _ in results:
-            handle.write(line + "\n")
-        handle.write(canonical_json(manifest) + "\n")
+    # a run killed before os.replace leaves the old store untouched
+    path = Path(out_path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as handle:
+            if path.exists():
+                handle.write(path.read_bytes())
+            for _, line, _ in results:
+                handle.write((line + "\n").encode())
+            handle.write((canonical_json(manifest) + "\n").encode())
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return {"processed": len(lines), "written": len(results),
             "skipped": skipped, "errors": errors, "out": str(out_path)}

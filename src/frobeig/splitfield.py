@@ -60,7 +60,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .config import DEFAULT, Settings
 from .errors import (Ambiguous, DegreeCapExceeded, InternalInconsistency,
-                     MalformedInput, PrecisionExhausted)
+                     PrecisionExhausted)
 from .exactmath.balls import ComplexBall
 from .exactmath.intpoly import (IntPoly, discriminant_magnitude, power_sums,
                                 qpoly_divmod, qpoly_gcd, qpoly_strip)
@@ -372,21 +372,6 @@ class GaloisData:
     generator_indices: Tuple[int, ...]
     images: Tuple[Optional[Tuple[Fraction, ...]], ...]  # x-image per element
     fully_certified: bool
-
-
-@dataclass(frozen=True)
-class RootSystem:
-    """Distinct eigenvalues presented inside one fixed splitting field.
-
-    For power k, coords hold the k-th powers of the base eigenvalue
-    coordinates with exact deduplication; iota is the induced involution
-    and q the corresponding base field size q^k.
-    """
-    ring: ModRing
-    coords: Tuple[Tuple[Fraction, ...], ...]
-    iota: Tuple[int, ...]
-    mult: Tuple[int, ...]
-    q: int
 
 
 # --- the construction ---
@@ -748,51 +733,6 @@ def galois_group(field: SplittingField, data: WeilData,
                       fully_certified=fully)
 
 
-def root_system(field: SplittingField, data: WeilData) -> RootSystem:
-    return RootSystem(ring=field.ring(), coords=field.root_coords,
-                      iota=data.iota, mult=data.root_mult, q=data.q)
-
-
-def power_root_system(field: SplittingField, data: WeilData, k: int) -> RootSystem:
-    """Eigenvalue system after base change of degree k, inside the same
-    splitting field: coordinates are exact k-th powers with exact
-    deduplication, so no new field construction is required."""
-    if k < 1:
-        raise ValueError("power must be positive")
-    ring = field.ring()
-    powered = [tuple(ring.pow(list(vec), k)) for vec in field.root_coords]
-    classes: List[Tuple[Fraction, ...]] = []
-    class_of: List[int] = []
-    mults: List[int] = []
-    ball_keys: List[ComplexBall] = []
-    for i, vec in enumerate(powered):
-        found = None
-        for t, existing in enumerate(classes):
-            if existing == vec:
-                found = t
-                break
-        if found is None:
-            classes.append(vec)
-            mults.append(data.root_mult[i])
-            ball_keys.append(field.root_balls[i].power(k))
-            class_of.append(len(classes) - 1)
-        else:
-            mults[found] += data.root_mult[i]
-            class_of.append(found)
-    iota_k = [0] * len(classes)
-    for i in range(len(powered)):
-        iota_k[class_of[i]] = class_of[data.iota[i]]
-    # canonical order by enclosure midpoints, ties by first occurrence
-    order = sorted(range(len(classes)),
-                   key=lambda t: (ball_keys[t].re, ball_keys[t].im, t))
-    rank_of = {old: new for new, old in enumerate(order)}
-    return RootSystem(ring=ring,
-                      coords=tuple(classes[t] for t in order),
-                      iota=tuple(rank_of[iota_k[t]] for t in order),
-                      mult=tuple(mults[t] for t in order),
-                      q=data.q ** k)
-
-
 # --- multiplicative words and torsion tests ---
 
 def word_value(ring: ModRing, coords: Sequence[Sequence[Fraction]],
@@ -816,20 +756,6 @@ def word_value(ring: ModRing, coords: Sequence[Sequence[Fraction]],
         scale = Fraction(q) ** q_exponent
         acc = [c * scale for c in acc]
     return acc
-
-
-def eval_exact(field: SplittingField, exponents: Sequence[int],
-               q_exponent: int = 0, q: Optional[int] = None) -> Tuple[Fraction, ...]:
-    """Evaluate a multiplicative word in the distinct eigenvalues and q.
-
-    exponents[i] is the exponent of the i-th root coordinate vector of
-    `field`; q must be supplied whenever q_exponent is nonzero.
-    """
-    if q_exponent and q is None:
-        raise MalformedInput("q value required for a nonzero q exponent")
-    value = word_value(field.ring(), field.root_coords, exponents,
-                       q or 0, q_exponent)
-    return tuple(value)
 
 
 def _minimal_polynomial(ring: ModRing, elem: Sequence[Fraction]) -> List[Fraction]:

@@ -2,7 +2,7 @@
 
 import sys
 
-from frobeig import eig, lefmot, splitfield
+from frobeig import eig, lefmot, splitfield, weil
 from frobeig.report import build_report_record, parse_record
 
 
@@ -24,6 +24,7 @@ def record_calls(monkeypatch, module, name):
 
 
 def test_report_builds_each_object_once(monkeypatch):
+    validated = record_calls(monkeypatch, weil, "validate")
     fields = record_calls(monkeypatch, splitfield, "splitting_field")
     engines = record_calls(monkeypatch, eig, "_relation_engine")
     decs = record_calls(monkeypatch, lefmot, "classify_orbits")
@@ -35,6 +36,7 @@ def test_report_builds_each_object_once(monkeypatch):
                for x in dec["exotic"])
     # the rho tables of d = 2 and d = 4 come from the grid's dims
     assert [p["d"] for p in rep["signature_predictions"]] == [2, 4]
-    assert (len(fields), len(engines), len(decs)) == (1, 1, 14)
+    assert (len(validated), len(fields), len(engines), len(decs)) \
+        == (1, 1, 1, 14)
     field = fields[0]
     assert field.ring() is field.ring()

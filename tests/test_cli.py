@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+from frobeig import report
 from frobeig.cli import main
 from frobeig.config import DEFAULT
 from frobeig.errors import MalformedInput
 from frobeig.report import (InputRecord, build_report_record, canonical_json,
-                            content_key, effective_options, parse_record,
-                            run_batch, settings_for)
+                            content_key, effective_options, existing_keys,
+                            parse_record, run_batch, settings_for)
 
 
 def run_cli(capsys, *argv):
@@ -410,6 +411,31 @@ def store_records(path):
     return keyed, manifests
 
 
+class _DyingFile:
+    """Writable file that stops halfway through its third write, as a
+    run killed while writing its store would."""
+
+    def __init__(self, handle):
+        self.handle = handle
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def __getattr__(self, name):
+        return getattr(self.handle, name)
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 3:
+            self.handle.write(data[:len(data) // 2])
+            raise RuntimeError("killed while writing the store")
+        return self.handle.write(data)
+
+
 class TestBatch:
     def test_fresh_run_and_idempotent_rerun(self, capsys, tmp_path):
         inp = write_batch_input(tmp_path)
@@ -490,6 +516,29 @@ class TestBatch:
                           "--out", str(out))
         assert rc == 3
         assert "refusing to append" in msg["error"]["message"]
+
+    def test_failed_write_leaves_store_intact(self, monkeypatch, tmp_path):
+        out = tmp_path / "store.ndjson"
+        opts = {"max_power": 1}
+        run_batch(write_batch_input(tmp_path, BATCH_LINES[:1]), out,
+                  global_options=opts)
+        before = out.read_bytes()
+        keys = existing_keys(out)
+        inp = write_batch_input(tmp_path, BATCH_LINES[1:])
+
+        def dying_open(file, mode="r", *args, **kwargs):
+            handle = open(file, mode, *args, **kwargs)
+            return _DyingFile(handle) if "r" not in mode else handle
+
+        monkeypatch.setattr(report, "open", dying_open, raising=False)
+        with pytest.raises(RuntimeError):
+            run_batch(inp, out, global_options=opts)
+        monkeypatch.undo()
+        assert out.read_bytes() == before
+        assert existing_keys(out) == keys
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["in.ndjson", "store.ndjson"]
+        assert run_batch(inp, out, global_options=opts)["written"] == 3
 
     def test_run_batch_api_options_change_keys(self, tmp_path):
         inp = write_batch_input(tmp_path, [BATCH_LINES[0]])

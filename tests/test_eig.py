@@ -243,15 +243,29 @@ class TestInvariantsReport:
         assert rep["frobenius_rank"] == 1 and rep["kernel_rank"] == 0
         assert rep["rank_bound_ok"] is True
         assert rep["kernel_rank_identity_ok"] is True
-        assert rep["geometrically_isotypic"] is True
-        assert rep["multiplicity_growth_at"] is None
         assert rep["undetermined"] == []
 
     def test_supersingular(self):
         rep = invariants_report(Analysis(validate(3, [3, 0, 1])))
         assert rep["frobenius_rank"] == 0 and rep["kernel_rank"] == 1
         assert rep["kernel_rank_identity_ok"] is True
-        assert rep["multiplicity_growth_at"] == 2
+
+    # growth is the first k <= 12 where pi^k has a smaller minimal
+    # polynomial; the sextic's roots are -2 zeta_7^j, so pi^7 = -128
+    @pytest.mark.parametrize("q, coeffs, growth", [
+        (5, (5, -1, 1), None),
+        (3, (3, 0, 1), 2),
+        (2, (2, -2, 1), 4),
+        (3, (3, -3, 1), 6),
+        (4, (4, -2, 1), 3),
+        (2, (4, -4, 2, -2, 1), 3),
+        (2, (4, -6, 5, -3, 1), 6),
+        (4, (64, -32, 16, -8, 4, -2, 1), 7),
+    ])
+    def test_multiplicity_growth_at(self, q, coeffs, growth):
+        rep = invariants_report(analysis_cached(q, coeffs))
+        assert rep["geometrically_isotypic"] is True
+        assert rep["multiplicity_growth_at"] == growth
 
     def test_real_root_case(self):
         rep = invariants_report(Analysis(validate(9, [9, 6, 1])))
@@ -266,6 +280,8 @@ class TestInvariantsReport:
         assert rep["multiplicity"] is None
         assert rep["center_degree"] == 4
         assert rep["rank_bound_ok"] is None
+        assert rep["geometrically_isotypic"] is None
+        assert rep["multiplicity_growth_at"] is None
 
     def test_capped_field_marks_undetermined(self):
         tight = replace(DEFAULT, degree_cap=4)

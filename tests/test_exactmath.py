@@ -160,13 +160,10 @@ def test_ball_power_and_inverse():
         ComplexBall(Fraction(0), Fraction(0), Fraction(1, 10)).inverse()
 
 
-def test_disjoint_and_imag_sign():
+def test_disjoint():
     a = ComplexBall(Fraction(0), Fraction(1), Fraction(1, 4))
     b = ComplexBall(Fraction(0), Fraction(-1), Fraction(1, 4))
     assert a.disjoint(b)
-    assert a.imag_sign() == 1 and b.imag_sign() == -1
-    with pytest.raises(Ambiguous):
-        ComplexBall(Fraction(0), Fraction(0), Fraction(1)).imag_sign()
 
 
 def test_unique_integer():

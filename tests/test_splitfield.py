@@ -7,10 +7,9 @@ import pytest
 from frobeig.config import DEFAULT
 from frobeig.exactmath.intpoly import (IntPoly, discriminant_magnitude,
                                        sylvester_resultant)
-from frobeig.errors import MalformedInput, PrecisionExhausted
-from frobeig.splitfield import (ModRing, eval_exact, galois_group,
-                                is_root_of_unity, power_root_system,
-                                root_system, splitting_field, word_value)
+from frobeig.errors import PrecisionExhausted
+from frobeig.splitfield import (ModRing, galois_group, is_root_of_unity,
+                                splitting_field, word_value)
 from frobeig.weil import validate
 
 from conftest import split_cached
@@ -151,42 +150,18 @@ class TestSplittingField:
             splitting_field(data, st)
 
 
-class TestPowerSystems:
-    def test_quadratic_square(self):
-        d, sf = split_cached(5, (5, -1, 1))
-        ring = sf.ring()
-        prs = power_root_system(sf, d, 2)
-        assert prs.q == 25 and prs.mult == (1, 1)
-        sq = tuple(ring.pow(list(sf.root_coords[1]), 2))
-        assert sq in prs.coords
-        for i in range(len(prs.coords)):
-            got = ring.mul(list(prs.coords[prs.iota[i]]), list(prs.coords[i]))
-            assert got == ring.const(25)
-
-    def test_degenerate_collapse(self):
-        d, sf = split_cached(2, (4, 0, -4, 0, 1))
-        prs = power_root_system(sf, d, 2)
-        assert len(prs.coords) == 1
-        assert prs.mult == (4,)
-        assert prs.coords[0] == tuple(sf.ring().const(2))
-        assert prs.iota == (0,)
-
-    def test_base_system(self):
-        d, sf = split_cached(5, (5, -1, 1))
-        rs = root_system(sf, d)
-        assert rs.q == 5 and rs.mult == (1, 1) and rs.iota == (1, 0)
-
-
 class TestWords:
     def test_conjugate_product_is_q(self):
         d, sf = split_cached(3, (3, 0, 1))
-        assert eval_exact(sf, [1, 1]) == tuple(sf.ring().const(3))
+        ring = sf.ring()
+        assert word_value(ring, sf.root_coords, [1, 1]) == ring.const(3)
 
     def test_q_exponent_cancels(self):
         # pi^2 = -3 in the supersingular field, so pi^4 / q^2 = 1
         d, sf = split_cached(3, (3, 0, 1))
-        assert eval_exact(sf, [4, 0], q_exponent=-2, q=3) \
-            == tuple(sf.ring().const(1))
+        ring = sf.ring()
+        assert word_value(ring, sf.root_coords, [4, 0], 3, -2) \
+            == ring.const(1)
 
     def test_negative_exponent_inverts(self):
         d, sf = split_cached(5, (5, -1, 1))
@@ -199,13 +174,8 @@ class TestWords:
         # tr(pi^2 / q) = ((pi+pibar)^2 - 2q)/q = (1 - 10)/5
         d, sf = split_cached(5, (5, -1, 1))
         ring = sf.ring()
-        val = eval_exact(sf, [2, 0], q_exponent=-1, q=5)
-        assert ring.trace(list(val)) == Fraction(-9, 5)
-
-    def test_missing_q_rejected(self):
-        d, sf = split_cached(5, (5, -1, 1))
-        with pytest.raises(MalformedInput):
-            eval_exact(sf, [1, 0], q_exponent=1)
+        val = word_value(ring, sf.root_coords, [2, 0], 5, -1)
+        assert ring.trace(val) == Fraction(-9, 5)
 
     def test_unity_orders(self):
         d, sf = split_cached(3, (3, 0, 1))
@@ -214,8 +184,8 @@ class TestWords:
         assert is_root_of_unity(ring, ring.const(-1)) == 2
         assert is_root_of_unity(ring, ring.const(7)) is None
         # pi / pibar = -1 for a supersingular pair
-        ratio = eval_exact(sf, [1, -1])
-        assert is_root_of_unity(ring, list(ratio)) == 2
+        ratio = word_value(ring, sf.root_coords, [1, -1])
+        assert is_root_of_unity(ring, ratio) == 2
         # (1 + pi)/2 is a primitive 6th root of unity when pi^2 = -3
         one = ring.const(1)
         zeta = [(a + b) / 2 for a, b in zip(one, sf.root_coords[0])]
@@ -223,5 +193,6 @@ class TestWords:
 
     def test_ordinary_ratio_has_infinite_order(self):
         d, sf = split_cached(5, (5, -1, 1))
-        ratio = eval_exact(sf, [1, -1])
-        assert is_root_of_unity(sf.ring(), list(ratio)) is None
+        ring = sf.ring()
+        ratio = word_value(ring, sf.root_coords, [1, -1])
+        assert is_root_of_unity(ring, ratio) is None
