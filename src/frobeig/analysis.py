@@ -3,18 +3,27 @@
 Objects are built on first read, in the order eigenvalue group,
 splitting field, Galois group, relation engine, verdicts.  A bound
 failure of the field or its Galois group is kept and raised again on
-every read.  Both verdicts use the one Frobenius rank r.  Full (d, n)
-decompositions keep only their dims, which rho tables reuse.
+every read.  Both verdicts use the one Frobenius rank r.
+
+The orbit classification reads four per-record tables: one expansion of
+the eigenvalue multisets of every weight per power d, the validated
+action rows of every Galois element, the realization map rho (shared
+with the relation engine), and the Tate verdict rho(lam) = q^n of every
+orbit representative lam, decided once for all (d, n) and both
+ambients.  Full (d, n) decompositions keep only their dims, which rho
+tables reuse.
 """
 
 from functools import cached_property
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, Optional, Tuple
 
 from .config import DEFAULT, Settings
-from .eig import EigGroup, RelationLattice, _relation_engine, build_eig_group
+from .eig import (Coords, EigGroup, Realization, RelationLattice,
+                  _relation_engine, action_rows, apply_rows, build_eig_group,
+                  realize_coords)
 from .errors import DegreeCapExceeded, PrecisionExhausted
 from .lefmot import (ALL_PASS, DecompositionReport, HypothesisVerdict,
-                     classify_orbits, hypothesis_check)
+                     classify_orbits, hypothesis_check, power_layers)
 from .splitfield import (GaloisData, SplittingField, galois_group,
                          splitting_field)
 from .weil import WeilData
@@ -34,6 +43,8 @@ class Analysis:
         self.cm_assertion = cm_assertion
         self._failed: Dict[str, Exception] = {}
         self._dims: Dict[Tuple[int, int], Tuple[int, int, int, int]] = {}
+        self._layers: Dict[int, Tuple[Dict[Coords, int], ...]] = {}
+        self._tate: Dict[Coords, bool] = {}
 
     def _once(self, part: str, build, *args):
         if part not in self._failed:
@@ -66,12 +77,18 @@ class Analysis:
                           self.settings)
 
     @cached_property
+    def rho(self) -> Realization:
+        """The realization map of the eigenvalue group in the field."""
+        eig = self.eig          # a torsion failure outranks a field failure
+        return Realization(eig, self.field, self.data.q)
+
+    @cached_property
     def relations(self) -> Tuple[RelationLattice, int, int]:
         """(kernel lattice, torsion-relation rank, Frobenius rank r): the
         verified multiplicative relations among the eigenvalues and q."""
-        eig = self.eig          # a torsion failure outranks a field failure
-        return _relation_engine(self.data, self.field, eig,
-                                self.settings.search_bound)
+        rho = self.rho
+        return _relation_engine(self.data, self.field, self.eig,
+                                self.settings.search_bound, rho)
 
     @property
     def r(self) -> int:
@@ -87,6 +104,34 @@ class Analysis:
         """Do the hypotheses hold without cm_assertion?"""
         return self.data.is_simple and \
             hypothesis_check(self.data, self.r).verdict == ALL_PASS
+
+    @cached_property
+    def action(self) -> Tuple[Tuple[Coords, ...], ...]:
+        """Basis-image rows of every Galois element, each validated once."""
+        eig = self.eig
+        return tuple(action_rows(eig, p) for p in self.gal.perms)
+
+    def orbit(self, coords: Coords) -> FrozenSet[Coords]:
+        """Galois orbit of the basis-coordinate vector coords."""
+        return frozenset(apply_rows(rows, coords) for rows in self.action)
+
+    def layers(self, d: int) -> Tuple[Dict[Coords, int], ...]:
+        """Eigenvalue multisets of weights 0 .. 2gd on power d, by
+        coordinates, expanded once per d (see lefmot.power_layers)."""
+        if d not in self._layers:
+            self._layers[d] = power_layers(self.data, self.eig, d)
+        return self._layers[d]
+
+    def is_tate(self, coords: Coords) -> bool:
+        """Does rho(lam) = q^n hold, 2n the weight of lam?  Decided exactly
+        once per coords; the weight fixes n."""
+        if coords not in self._tate:
+            weight = self.eig.element(coords).weight
+            rho = self.rho
+            self._tate[coords] = weight % 2 == 0 and \
+                realize_coords(rho, coords) == rho.ring.const(
+                    self.data.q ** (weight // 2))
+        return self._tate[coords]
 
     def grid(self, max_power: int) -> Iterator[DecompositionReport]:
         """Full decompositions for d = 1..max_power, n = 0..g*d, in order,

@@ -9,8 +9,9 @@ already forces [q] = 2[pi].  Two distinct real eigenvalues force a
 2-torsion class, which is reported as TorsionDetected rather than silently
 quotiented away.
 
-The realization map rho sends symbols to the actual field elements.  Its
-kernel is found by exhaustive box search in basis coordinates (complete
+The realization map rho sends symbols to the actual field elements;
+Realization tabulates it on the canonical basis, and realize_coords
+evaluates it exactly.  Its kernel is found by exhaustive box search in basis coordinates (complete
 within the bound) merged with lattice-reduction candidates; every vector
 entering the lattice is verified to realize to exactly 1 in the splitting
 field.  Torsion relations -- exponent vectors over the eigenvalues whose
@@ -168,27 +169,39 @@ def build_eig_group(data: WeilData) -> EigGroup:
                     symbol_coords=tuple(symbol_coords), q_coords=q_coords)
 
 
-def galois_action(eig: EigGroup, sigma: Sequence[int],
-                  elem: EigElement) -> EigElement:
-    """Image of elem under the root permutation sigma ([q] stays fixed)."""
+def action_rows(eig: EigGroup, sigma: Sequence[int]) -> Tuple[Coords, ...]:
+    """Images of the basis vectors under the root permutation sigma ([q]
+    stays fixed), after checking that sigma permutes the roots, commutes
+    with conjugation and keeps the weight of every basis vector."""
     s = eig.n_roots
     perm = tuple(sigma)
     if sorted(perm) != list(range(s)):
         raise MalformedInput("not a permutation of the root indices")
     if any(perm[eig.iota[i]] != eig.iota[perm[i]] for i in range(s)):
         raise MalformedInput("permutation does not commute with conjugation")
-    out = [0] * eig.rank
-    for j, br in enumerate(eig.basis_roots):
-        c = elem.coords[j]
-        if not c:
-            continue
-        image = eig.q_coords if br is None else eig.symbol_coords[perm[br]]
-        for t in range(eig.rank):
-            out[t] += c * image[t]
-    result = eig.element(out)
-    if result.weight != elem.weight:
+    rows = tuple(eig.q_coords if br is None else eig.symbol_coords[perm[br]]
+                 for br in eig.basis_roots)
+    if any(_dot(eig.weight_vector, row) != w
+           for row, w in zip(rows, eig.weight_vector)):
         raise InternalInconsistency("conjugation changed the weight")
-    return result
+    return rows
+
+
+def apply_rows(rows: Sequence[Coords], coords: Sequence[int]) -> Coords:
+    """Basis coordinates of the image of coords under action rows."""
+    out = [0] * len(coords)
+    for c, row in zip(coords, rows):
+        if c:
+            for t, x in enumerate(row):
+                if x:
+                    out[t] += c * x
+    return tuple(out)
+
+
+def galois_action(eig: EigGroup, sigma: Sequence[int],
+                  elem: EigElement) -> EigElement:
+    """Image of elem under the root permutation sigma ([q] stays fixed)."""
+    return eig.element(apply_rows(action_rows(eig, sigma), elem.coords))
 
 
 # --- relation searches ---
@@ -277,17 +290,54 @@ def _balanced_box(bound: int, dim: int):
     yield from rec(0, 0)
 
 
-def realize_coords(eig: EigGroup, field: SplittingField, q: int,
-                   a: Sequence[int]) -> List[Fraction]:
-    """Field element realizing the basis-coordinate vector a under rho."""
-    exps = [0] * eig.n_roots
-    q_exp = 0
-    for j, br in enumerate(eig.basis_roots):
-        if br is None:
-            q_exp += a[j]
+class Realization:
+    """The realization map rho on basis coordinates, exact in the
+    splitting field.
+
+    rho(b_j)^e is tabulated for each basis root position j on first use;
+    negative powers start from one ring.inv per basis root, and the [q]
+    slot is the rational scalar q.  With the tables filled, rho of a
+    vector costs at most rank - 1 ring products.
+    """
+
+    def __init__(self, eig: EigGroup, field: SplittingField, q: int):
+        self.ring = field.ring()
+        self.q = q
+        self.q_slot = eig.basis_roots.index(None) \
+            if None in eig.basis_roots else None
+        one = self.ring.const(1)
+        # position -> [rho(b_j)^0, rho(b_j)^1, ...], grown on demand
+        self.up: Dict[int, List[List[Fraction]]] = {
+            j: [one, list(field.root_coords[br])]
+            for j, br in enumerate(eig.basis_roots) if br is not None}
+        self.down: Dict[int, List[List[Fraction]]] = {}
+
+    def power(self, j: int, e: int) -> List[Fraction]:
+        """rho(b_j)^e for the basis root position j (not a copy)."""
+        if e >= 0:
+            table = self.up[j]
         else:
-            exps[br] += a[j]
-    return word_value(field.ring(), field.root_coords, exps, q, q_exp)
+            if j not in self.down:
+                self.down[j] = [self.up[j][0], self.ring.inv(self.up[j][1])]
+            table = self.down[j]
+        while len(table) <= abs(e):
+            table.append(self.ring.mul(table[-1], table[1]))
+        return table[abs(e)]
+
+
+def realize_coords(rho: Realization, a: Sequence[int]) -> List[Fraction]:
+    """Field element realizing the basis-coordinate vector a under rho."""
+    acc: Optional[List[Fraction]] = None
+    for j in rho.up:
+        if a[j]:
+            p = rho.power(j, a[j])
+            acc = p if acc is None else rho.ring.mul(acc, p)
+    if acc is None:
+        acc = rho.ring.const(1)
+    if rho.q_slot is not None and a[rho.q_slot]:
+        scale = Fraction(rho.q) ** a[rho.q_slot]
+        return [c * scale for c in acc]
+    return list(acc)
 
 
 def _to_root_coords(eig: EigGroup, a: Sequence[int]) -> Coords:
@@ -314,14 +364,15 @@ def _to_basis_coords(eig: EigGroup, a: Sequence[int]) -> Coords:
 
 
 def _relation_engine(data: WeilData, field: SplittingField, eig: EigGroup,
-                     bound: int) -> Tuple[RelationLattice, int, int]:
+                     bound: int, rho: Realization
+                     ) -> Tuple[RelationLattice, int, int]:
     """Kernel lattice, torsion-relation rank, and Frobenius rank.
 
     Runs both bounded searches, cross-feeds verified vectors, and checks
-    the rank bookkeeping before returning.
+    the rank bookkeeping before returning.  Kernel vectors are verified
+    through rho, the realization map of eig in field.
     """
     ring = field.ring()
-    q = data.q
     s = eig.n_roots
     one = ring.const(1)
     args = _root_args(field)
@@ -329,7 +380,7 @@ def _relation_engine(data: WeilData, field: SplittingField, eig: EigGroup,
     basis_args = [0.0 if br is None else args[br] for br in eig.basis_roots]
 
     def verify_kernel(a: Sequence[int]) -> bool:
-        return realize_coords(eig, field, q, a) == one
+        return realize_coords(rho, a) == one
 
     kernel_vecs: List[Coords] = []
     kernel_rows: Tuple[Coords, ...] = ()
@@ -453,7 +504,8 @@ def _relation_engine(data: WeilData, field: SplittingField, eig: EigGroup,
 def frobenius_rank(data: WeilData, field: SplittingField, eig: EigGroup,
                    settings: Settings = DEFAULT) -> int:
     """Rank of the multiplicative group of the eigenvalues, minus one."""
-    _, _, r = _relation_engine(data, field, eig, settings.search_bound)
+    _, _, r = _relation_engine(data, field, eig, settings.search_bound,
+                               Realization(eig, field, data.q))
     return r
 
 

@@ -80,6 +80,11 @@ class InternalInconsistency(FrobeigError):
     """A cross-check that should always hold failed; indicates a bug."""
 
 
+class InternalError(FrobeigError):
+    """An exception outside this hierarchy escaped a record's pipeline;
+    the message names its type.  Indicates a bug."""
+
+
 # --- quadratic forms -------------------------------------------------------
 
 class NotSymmetric(FrobeigError):

@@ -10,11 +10,21 @@ subtraction relies on is the hard Lefschetz theorem for the exterior
 algebra of a symplectic space, so a negative entry is a genuine internal
 error, not a data condition.
 
+power_layers expands this product once per power d, for every weight at
+once; an Analysis caches the layers, and the full and primitive
+multisets of each (d, n) are views of them.
+
 Each Galois orbit of labels is one simple motive class and falls into a
 trichotomy: the orbit {n[q]} (Lefschetz classes), orbits realizing
 exactly to q^n without being n[q] (exotic Tate classes, possible only
 when the realization has a kernel), and everything else (no Tate classes
-at all).  When the main positivity hypotheses all pass, exotic orbits
+at all).  Orbits come from the analysis's validated action rows.  The
+Tate test rho(lam) = q^n runs through one realization map per analysis,
+eig.Realization: it tabulates the powers rho(b_j)^e of every basis root
+with one field inversion per root and treats [q] as the rational scalar
+q, so one test costs at most rank - 1 field products, and its verdict is
+kept per coordinate vector, so each orbit representative is tested once
+for all (d, n) and both ambients.  When the main positivity hypotheses all pass, exotic orbits
 must have size two and the antipodal coordinate shape predicted by the
 classification theorem; the shape is enforced in that case and reported
 as a warning otherwise.
@@ -32,7 +42,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .eig import EigElement, EigGroup, galois_action, realize_coords
+from .eig import Coords, EigElement, EigGroup
 from .errors import InternalInconsistency, MalformedInput, NotSimple
 from .weil import WeilData
 
@@ -88,68 +98,74 @@ class SignaturePrediction:
     source: Optional[str] = None
 
 
-def eigen_multiset(data: WeilData, eig: EigGroup, d: int,
-                   k: int) -> Dict[EigElement, int]:
-    """Multiset of enriched eigenvalues on the weight-k part of power d.
-
-    Coefficient of t^k in prod_i (1 + x_i t)^(d * mult_i) over the group
-    algebra; keys are group elements in basis coordinates, total mass is
-    C(2gd, k) exactly.
-    """
+def power_layers(data: WeilData, eig: EigGroup,
+                 d: int) -> Tuple[Dict[Coords, int], ...]:
+    """Enriched eigenvalue multisets of every weight k = 0 .. 2gd on
+    power d, one expansion: layer k is the coefficient of t^k in
+    prod_i (1 + x_i t)^(d * mult_i) over the group algebra, keyed by
+    basis coordinates, of total mass C(2gd, k) exactly."""
     if d < 1:
         raise MalformedInput(f"power d={d} must be positive")
     top = 2 * data.g * d
-    if k < 0 or k > top:
-        raise MalformedInput(f"degree k={k} outside 0..{top}")
-    zero = (0,) * eig.rank
-    # one coefficient dict per degree; a monomial's degree equals its
-    # weight, so entries of different degrees never share coordinates
-    layers: List[Dict[Tuple[int, ...], int]] = [{} for _ in range(k + 1)]
-    layers[0][zero] = 1
+    # a monomial's degree equals its weight, so entries of different
+    # degrees never share coordinates
+    layers: List[Dict[Coords, int]] = [{} for _ in range(top + 1)]
+    layers[0][(0,) * eig.rank] = 1
+    reached = 0
     for i, mult in enumerate(data.root_mult):
         e = d * mult
         sym = eig.symbol_coords[i]
-        binom = [math.comb(e, j) for j in range(min(e, k) + 1)]
-        new: List[Dict[Tuple[int, ...], int]] = [{} for _ in range(k + 1)]
-        for deg in range(k + 1):
-            for coords, c in layers[deg].items():
-                for j in range(min(e, k - deg) + 1):
-                    nc = coords if j == 0 else tuple(
-                        a + j * b for a, b in zip(coords, sym))
-                    bucket = new[deg + j]
+        binom = [math.comb(e, j) for j in range(e + 1)]
+        reached += e
+        # new terms land in degrees above deg, so walking down reads
+        # every source layer before it is written
+        for deg in range(reached - e, -1, -1):
+            src = layers[deg]
+            for coords, c in list(src.items()):
+                nc = coords
+                for j in range(1, e + 1):
+                    nc = tuple(a + b for a, b in zip(nc, sym))
+                    bucket = layers[deg + j]
                     bucket[nc] = bucket.get(nc, 0) + c * binom[j]
-        layers = new
-    mass = sum(layers[k].values())
-    if mass != math.comb(top, k):
-        raise InternalInconsistency(
-            f"eigenvalue multiset mass {mass} != C({top},{k})")
-    return {eig.element(coords): c for coords, c in layers[k].items()}
+    for k, layer in enumerate(layers):
+        mass = sum(layer.values())
+        if mass != math.comb(top, k):
+            raise InternalInconsistency(
+                f"eigenvalue multiset mass {mass} != C({top},{k})")
+    return tuple(layers)
 
 
-def primitive_multiset(data: WeilData, eig: EigGroup, d: int,
-                       n: int) -> Dict[EigElement, int]:
-    """Multiset on the primitive part of weight 2n: full minus the
-    Lefschetz image, prim(lam) = mult_2n(lam) - mult_{2n-2}(lam - [q])."""
+def _full_layer(an: Analysis, d: int, k: int) -> Dict[Coords, int]:
+    if d < 1:
+        raise MalformedInput(f"power d={d} must be positive")
+    top = 2 * an.data.g * d
+    if k < 0 or k > top:
+        raise MalformedInput(f"degree k={k} outside 0..{top}")
+    return an.layers(d)[k]
+
+
+def _primitive_layer(an: Analysis, d: int, n: int) -> Dict[Coords, int]:
+    """prim(lam) = mult_2n(lam) - mult_{2n-2}(lam - [q]), by coordinates."""
+    data, eig = an.data, an.eig
     if n < 0:
         raise MalformedInput(f"codimension n={n} must be nonnegative")
     if 2 * n > data.g * d:
         raise MalformedInput(
             f"primitive decomposition needs 2n <= g*d = {data.g * d}")
-    full = eigen_multiset(data, eig, d, 2 * n)
+    full = _full_layer(an, d, 2 * n)
     if n == 0:
         return full
-    below = eigen_multiset(data, eig, d, 2 * n - 2)
-    below_by_coords = {el.coords: c for el, c in below.items()}
-    prim: Dict[EigElement, int] = {}
-    for el, c in full.items():
-        shifted = tuple(a - b for a, b in zip(el.coords, eig.q_coords))
-        p = c - below_by_coords.pop(shifted, 0)
+    below = dict(_full_layer(an, d, 2 * n - 2))
+    prim: Dict[Coords, int] = {}
+    for coords, c in full.items():
+        shifted = tuple(a - b for a, b in zip(coords, eig.q_coords))
+        p = c - below.pop(shifted, 0)
         if p < 0:
             raise InternalInconsistency(
-                f"negative primitive multiplicity at {el.coords}")
+                f"negative primitive multiplicity at {coords}")
         if p:
-            prim[el] = p
-    if below_by_coords:
+            prim[coords] = p
+    if below:
         raise InternalInconsistency(
             "Lefschetz image leaves the weight-2n support")
     want = math.comb(2 * data.g * d, 2 * n) \
@@ -157,6 +173,21 @@ def primitive_multiset(data: WeilData, eig: EigGroup, d: int,
     if sum(prim.values()) != want:
         raise InternalInconsistency("primitive total mass mismatch")
     return prim
+
+
+def eigen_multiset(an: Analysis, d: int, k: int) -> Dict[EigElement, int]:
+    """Multiset of enriched eigenvalues on the weight-k part of power d,
+    read from the analysis's expansion of power d (see power_layers)."""
+    layer = _full_layer(an, d, k)
+    return {an.eig.element(coords): c for coords, c in layer.items()}
+
+
+def primitive_multiset(an: Analysis, d: int,
+                       n: int) -> Dict[EigElement, int]:
+    """Multiset on the primitive part of weight 2n: full minus the
+    Lefschetz image, prim(lam) = mult_2n(lam) - mult_{2n-2}(lam - [q])."""
+    layer = _primitive_layer(an, d, n)
+    return {an.eig.element(coords): c for coords, c in layer.items()}
 
 
 def _exotic_shape_ok(eig: EigGroup, members: Sequence[EigElement]) -> bool:
@@ -176,19 +207,18 @@ def classify_orbits(an: Analysis, d: int, n: int,
     """Group the weight-2n eigenvalue multiset into Galois orbits and
     classify each as TATE_TRIVIAL, EXOTIC, or NON_TATE.
 
-    The Tate test rho(lam) = q^n is exact in the splitting field, so an
-    analysis without one raises its stored bound failure here.
+    The Tate test rho(lam) = q^n is exact in the splitting field and is
+    decided once per analysis for each orbit representative (see
+    Analysis.is_tate), so an analysis without a field raises its stored
+    bound failure here.
     """
-    data, eig, field, gal = an.data, an.eig, an.field, an.gal
+    eig = an.eig
     if ambient == "full":
-        multiset = eigen_multiset(data, eig, d, 2 * n)
+        by_coords = _full_layer(an, d, 2 * n)
     elif ambient == "primitive":
-        multiset = primitive_multiset(data, eig, d, n)
+        by_coords = _primitive_layer(an, d, n)
     else:
         raise MalformedInput(f"unknown ambient {ambient!r}")
-    by_coords = {el.coords: c for el, c in multiset.items()}
-    ring = field.ring()
-    target = ring.const(data.q ** n)
     trivial = tuple(n * c for c in eig.q_coords)
 
     orbits: List[MotiveOrbit] = []
@@ -197,9 +227,7 @@ def classify_orbits(an: Analysis, d: int, n: int,
     for coords in sorted(by_coords):
         if coords in seen:
             continue
-        elem = eig.element(coords)
-        orbit_coords = {galois_action(eig, p, elem).coords
-                        for p in gal.perms}
+        orbit_coords = an.orbit(coords)
         seen |= orbit_coords
         mults = {by_coords[c] for c in orbit_coords}
         if len(mults) != 1:
@@ -208,7 +236,7 @@ def classify_orbits(an: Analysis, d: int, n: int,
         members = tuple(eig.element(c) for c in sorted(orbit_coords))
         if orbit_coords == {trivial}:
             cls = TATE_TRIVIAL
-        elif realize_coords(eig, field, data.q, coords) == target:
+        elif an.is_tate(coords):
             cls = EXOTIC
         else:
             cls = NON_TATE

@@ -20,6 +20,7 @@ file.
 
 import hashlib
 import json
+import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -32,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import __version__
 from .analysis import Analysis
 from .config import DEFAULT, Settings
-from .errors import FrobeigError, MalformedInput
+from .errors import FrobeigError, InternalError, MalformedInput
 from .weil import validate
 from .splitfield import GaloisData
 from .eig import EigGroup, invariants_report
@@ -365,7 +366,13 @@ def _error_line(key: str, echo, opts: Dict[str, int], exc: Exception,
 
 def process_line(raw: str, global_options: Optional[Dict[str, int]],
                  base: Settings, version: str) -> Tuple[str, str, str]:
-    """One batch line -> (content_key, output line, "report"|"error")."""
+    """One batch line -> (content_key, output line, "report"|"error").
+
+    Any exception from the pipeline becomes the line's error record, so
+    one record never loses the batch; one outside the FrobeigError
+    hierarchy is a bug, logged with its traceback and recorded as an
+    InternalError naming its type.
+    """
     record, opts, key, exc = _parse_line(raw, global_options, base, version)
     if exc is not None:
         return key, _error_line(key, None, opts, exc, version, raw=raw), \
@@ -374,6 +381,11 @@ def process_line(raw: str, global_options: Optional[Dict[str, int]],
         rep = build_report_record(record, global_options, base, version)
     except FrobeigError as exc:
         return key, _error_line(key, record.echo(), opts, exc, version), \
+            "error"
+    except Exception as exc:
+        logging.getLogger(__name__).exception("record %s failed", key)
+        err = InternalError(f"{type(exc).__name__}: {exc}")
+        return key, _error_line(key, record.echo(), opts, err, version), \
             "error"
     return key, canonical_json(rep), "report"
 

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from frobeig.analysis import Analysis
 from frobeig.config import DEFAULT
 from frobeig.corpus import CORPUS
 from frobeig.eig import build_eig_group, frobenius_rank
@@ -149,11 +150,11 @@ def test_criterion_05_mass_conservation():
     t0 = time.perf_counter()
     multisets = 0
     for entry in CORPUS:
-        data = validate(entry.q, entry.coefficients)
-        eig = build_eig_group(data)
+        an = Analysis(validate(entry.q, entry.coefficients))
+        data = an.data
         for d in range(1, 5):
             for k in range(2 * data.g * d + 1):
-                ms = eigen_multiset(data, eig, d, k)
+                ms = eigen_multiset(an, d, k)
                 assert sum(ms.values()) == math.comb(2 * data.g * d, k)
                 multisets += 1
     elapsed = time.perf_counter() - t0

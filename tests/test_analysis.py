@@ -3,7 +3,11 @@
 import sys
 
 from frobeig import eig, lefmot, splitfield, weil
+from frobeig.analysis import Analysis
+from frobeig.lefmot import classify_orbits
 from frobeig.report import build_report_record, parse_record
+from frobeig.splitfield import ModRing
+from frobeig.weil import validate
 
 
 def record_calls(monkeypatch, module, name):
@@ -40,3 +44,28 @@ def test_report_builds_each_object_once(monkeypatch):
         == (1, 1, 1, 14)
     field = fields[0]
     assert field.ring() is field.ring()
+
+
+def test_each_tate_verdict_decided_once(monkeypatch):
+    # the sextic's grid holds exotic orbits of sizes 2 and 4 and needs
+    # negative powers of every basis root
+    an = Analysis(validate(2, [8, 0, 4, 0, 2, 0, 1]))
+    an.relations                  # the kernel search reads rho too
+    tabulated = len(an.rho.down)
+    inverses = []
+    real_inv = ModRing.inv
+    monkeypatch.setattr(ModRing, "inv", lambda ring, x: inverses.append(
+        x) or real_inv(ring, x))
+    tate = record_calls(monkeypatch, eig, "realize_coords")
+    reps = set()
+    for d in (1, 2):
+        for n in range(3 * d + 1):
+            decs = [classify_orbits(an, d, n)]
+            if 2 * n <= 3 * d:
+                decs.append(classify_orbits(an, d, n, "primitive"))
+            reps |= {o.elements[0].coords for dec in decs
+                     for o in dec.orbits
+                     if o.classification != lefmot.TATE_TRIVIAL}
+    assert len(tate) == len(reps) > 0
+    roots = [br for br in an.eig.basis_roots if br is not None]
+    assert tabulated + len(inverses) == len(an.rho.down) <= len(roots)

@@ -540,6 +540,32 @@ class TestBatch:
             ["in.ndjson", "store.ndjson"]
         assert run_batch(inp, out, global_options=opts)["written"] == 3
 
+    def test_unexpected_exception_becomes_error_record(self, monkeypatch,
+                                                       tmp_path):
+        # a bug outside the FrobeigError hierarchy costs its own record only
+        real = report.invariants_report
+
+        def flaky(an):
+            if an.data.q == 3:
+                raise ZeroDivisionError("injected")
+            return real(an)
+
+        monkeypatch.setattr(report, "invariants_report", flaky)
+        lines = BATCH_LINES[:2] + ['{"q": 2, "coeffs": [2, -1, 1]}']
+        out = tmp_path / "store.ndjson"
+        summary = run_batch(write_batch_input(tmp_path, lines), out,
+                            global_options={"max_power": 1})
+        assert (summary["written"], summary["errors"]) == (3, 1)
+        keyed = [json.loads(ln) for ln in out.read_text().splitlines()]
+        kinds = sorted(r["record_type"] for r in keyed)
+        assert kinds == ["error", "manifest", "report", "report"]
+        err, = [r for r in keyed if r["record_type"] == "error"]
+        assert err["error"] == {"type": "InternalError",
+                                "message": "ZeroDivisionError: injected"}
+        assert err["input"]["label"] == "supersingular"
+        assert existing_keys(out) == {r["content_key"] for r in keyed
+                                      if r["record_type"] != "manifest"}
+
     def test_run_batch_api_options_change_keys(self, tmp_path):
         inp = write_batch_input(tmp_path, [BATCH_LINES[0]])
         out = tmp_path / "store.ndjson"

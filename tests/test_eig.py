@@ -9,10 +9,12 @@ import pytest
 
 from frobeig.analysis import Analysis
 from frobeig.config import DEFAULT
+from frobeig.corpus import CORPUS
 from frobeig.eig import (EigElement, build_eig_group, frobenius_rank,
-                         galois_action, invariants_report)
-from frobeig.errors import MalformedInput, TorsionDetected
-from frobeig.splitfield import galois_group, splitting_field, word_value
+                         galois_action, invariants_report, realize_coords)
+from frobeig.errors import FrobeigError, MalformedInput, TorsionDetected
+from frobeig.splitfield import (ModRing, galois_group, splitting_field,
+                                word_value)
 from frobeig.weil import base_change, validate
 
 from conftest import analysis_cached, split_cached
@@ -292,3 +294,75 @@ class TestInvariantsReport:
         assert rep["undetermined_reason"] == "DegreeCapExceeded"
         # presentation-level facts survive
         assert rep["rank_eig"] == 3 and rep["torsion_free"] is True
+
+
+def _word_of(e, a):
+    """Root exponents and q exponent of the basis-coordinate vector a."""
+    exps = [0] * e.n_roots
+    q_exp = 0
+    for j, br in enumerate(e.basis_roots):
+        if br is None:
+            q_exp += a[j]
+        else:
+            exps[br] += a[j]
+    return exps, q_exp
+
+
+def _random_weil(rng, q, degree):
+    """A validated q-Weil polynomial of the given degree: a random
+    quartic by rejection, or a product of random quadratics."""
+    while True:
+        try:
+            if degree == 4:
+                a1 = rng.randint(-4 * isqrt(q), 4 * isqrt(q))
+                a2 = rng.randint(-2 * q, 6 * q)
+                return validate(q, [q * q, q * a1, a2, a1, 1])
+            poly = [1]
+            for _ in range(degree // 2):
+                a = rng.randint(-2 * isqrt(q), 2 * isqrt(q))
+                quad = [q, -a, 1]
+                poly = [sum(poly[i] * quad[t - i] for i in range(len(poly))
+                            if 0 <= t - i < 3)
+                        for t in range(len(poly) + 2)]
+            return validate(q, poly)
+        except FrobeigError:
+            continue
+
+
+class TestRealization:
+    """The tabulated map rho against word_value, the direct product."""
+
+    def _agree(self, an, rng, vectors=12):
+        ring = an.field.ring()
+        e = an.eig
+        for _ in range(vectors):
+            a = tuple(rng.randint(-5, 5) for _ in range(e.rank))
+            exps, q_exp = _word_of(e, a)
+            assert realize_coords(an.rho, a) == word_value(
+                ring, an.field.root_coords, exps, an.data.q, q_exp)
+
+    def test_corpus_agrees_with_word_value(self):
+        rng = random.Random(20261018)
+        for entry in CORPUS:
+            an = analysis_cached(entry.q, tuple(entry.coefficients))
+            if an.undetermined("field") is None:
+                self._agree(an, rng)
+
+    @pytest.mark.parametrize("degree", [4, 6])
+    def test_random_inputs_agree_with_word_value(self, degree):
+        rng = random.Random(1000 + degree)
+        for _ in range(6):
+            data = _random_weil(rng, rng.choice([2, 3, 5]), degree)
+            self._agree(Analysis(data), rng)
+
+    def test_one_inverse_per_basis_root(self, monkeypatch):
+        an = Analysis(validate(2, [8, 0, 4, 0, 2, 0, 1]))
+        rho = an.rho
+        inverses = []
+        real_inv = ModRing.inv
+        monkeypatch.setattr(ModRing, "inv", lambda ring, x: inverses.append(
+            x) or real_inv(ring, x))
+        rng = random.Random(7)
+        for _ in range(40):
+            realize_coords(rho, [rng.randint(-4, 4) for _ in rho.up] + [1])
+        assert len(inverses) == len(rho.down) == len(rho.up)

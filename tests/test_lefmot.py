@@ -12,7 +12,9 @@ from frobeig.lefmot import (ALL_PASS, EXOTIC, FAIL, NON_TATE,
                             PASS_CONDITIONAL_ON_CM, TATE_TRIVIAL,
                             build_rho_table, classify_orbits, dims,
                             eigen_multiset, hypothesis_check,
-                            predicted_signature, primitive_multiset)
+                            power_layers, predicted_signature,
+                            primitive_multiset)
+from frobeig.eig import build_eig_group
 from frobeig.weil import base_change, validate
 
 from conftest import analysis_cached, split_cached
@@ -25,43 +27,45 @@ def full_setup(q, coeffs):
 
 class TestEigenMultiset:
     def test_ordinary_square(self):
-        data, _, eig, _ = full_setup(5, (5, -1, 1))
-        ms = {el.coords: c for el, c in eigen_multiset(data, eig, 2, 2).items()}
+        an = analysis_cached(5, (5, -1, 1))
+        eig = an.eig
+        ms = {el.coords: c for el, c in eigen_multiset(an, 2, 2).items()}
         two_pi = tuple(2 * c for c in eig.symbol_coords[eig.orbit_reps[0]])
         assert ms[eig.q_coords] == 4
         assert ms[two_pi] == 1
         assert sorted(ms.values()) == [1, 1, 4]
 
     def test_supersingular_fourth_power(self):
-        data, _, eig, _ = full_setup(3, (3, 0, 1))
-        ms = eigen_multiset(data, eig, 4, 4)
+        an = analysis_cached(3, (3, 0, 1))
+        ms = eigen_multiset(an, 4, 4)
         assert sorted(ms.values()) == [1, 1, 16, 16, 36]
         assert sum(ms.values()) == 70
 
     def test_empty_wedge(self):
-        data, _, eig, _ = full_setup(5, (5, -1, 1))
-        ms = eigen_multiset(data, eig, 1, 0)
+        an = analysis_cached(5, (5, -1, 1))
+        eig = an.eig
+        ms = eigen_multiset(an, 1, 0)
         (el, c), = ms.items()
         assert el.coords == (0,) * eig.rank and c == 1
 
     def test_odd_weight(self):
-        data, _, eig, _ = full_setup(5, (5, -1, 1))
-        ms = {el.coords: c for el, c in eigen_multiset(data, eig, 1, 1).items()}
+        an = analysis_cached(5, (5, -1, 1))
+        ms = {el.coords: c for el, c in eigen_multiset(an, 1, 1).items()}
         assert set(ms.values()) == {1} and len(ms) == 2
 
     def test_weights_match_degree(self):
-        data, _, eig, _ = full_setup(3, (27, 0, 0, 0, 0, 0, 1))
-        for el, c in eigen_multiset(data, eig, 2, 5).items():
+        an = analysis_cached(3, (27, 0, 0, 0, 0, 0, 1))
+        for el, c in eigen_multiset(an, 2, 5).items():
             assert el.weight == 5 and c > 0
 
     def test_rejects_out_of_range(self):
-        data, _, eig, _ = full_setup(5, (5, -1, 1))
+        an = analysis_cached(5, (5, -1, 1))
         with pytest.raises(MalformedInput):
-            eigen_multiset(data, eig, 1, 3)
+            eigen_multiset(an, 1, 3)
         with pytest.raises(MalformedInput):
-            eigen_multiset(data, eig, 1, -1)
+            eigen_multiset(an, 1, -1)
         with pytest.raises(MalformedInput):
-            eigen_multiset(data, eig, 0, 0)
+            eigen_multiset(an, 0, 0)
 
     @settings(deadline=None, max_examples=60)
     @given(st.sampled_from([(5, (5, -1, 1)), (3, (3, 0, 1)), (9, (9, 6, 1)),
@@ -70,38 +74,93 @@ class TestEigenMultiset:
            st.integers(min_value=1, max_value=3),
            st.data())
     def test_mass_conservation(self, entry, d, datax):
-        data, _, eig, _ = full_setup(*entry)
+        an = analysis_cached(*entry)
+        data = an.data
         k = datax.draw(st.integers(min_value=0, max_value=2 * data.g * d))
-        ms = eigen_multiset(data, eig, d, k)
+        ms = eigen_multiset(an, d, k)
         assert sum(ms.values()) == math.comb(2 * data.g * d, k)
+
+
+def _expand_degree(data, eig, d, k):
+    """Coefficient of t^k in prod_i (1 + x_i t)^(d * mult_i), summed over
+    the ways to take j_i factors from root i with sum j_i = k."""
+    out = {}
+    roots = list(enumerate(data.root_mult))
+
+    def rec(pos, left, coords, weight):
+        if pos == len(roots):
+            if left == 0:
+                out[coords] = out.get(coords, 0) + weight
+            return
+        i, mult = roots[pos]
+        e = d * mult
+        for j in range(min(e, left) + 1):
+            nc = tuple(a + j * b for a, b in zip(coords, eig.symbol_coords[i]))
+            rec(pos + 1, left - j, nc, weight * math.comb(e, j))
+
+    rec(0, k, (0,) * eig.rank, 1)
+    return out
+
+
+class TestPowerLayers:
+    @pytest.mark.parametrize("q, coeffs, max_d", [
+        (5, (5, -1, 1), 4), (3, (3, 0, 1), 4), (9, (9, 6, 1), 3),
+        (5, (25, -5, 10, -1, 1), 2), (3, (9, 0, 6, 0, 1), 2),
+        (2, (8, 0, 4, 0, 2, 0, 1), 1)])
+    def test_layers_match_per_degree_expansion(self, q, coeffs, max_d):
+        data = validate(q, list(coeffs))
+        eig = build_eig_group(data)
+        for d in range(1, max_d + 1):
+            layers = power_layers(data, eig, d)
+            assert len(layers) == 2 * data.g * d + 1
+            for k, layer in enumerate(layers):
+                assert layer == _expand_degree(data, eig, d, k)
+
+    def test_analysis_expands_each_power_once(self, monkeypatch):
+        import frobeig.analysis as analysis_module
+        from frobeig.analysis import Analysis
+        calls = []
+        real = analysis_module.power_layers
+        monkeypatch.setattr(analysis_module, "power_layers",
+                            lambda *args: calls.append(args[2]) or real(*args))
+        an = Analysis(validate(3, [3, 0, 1]))
+        for n in range(3):
+            eigen_multiset(an, 4, 2 * n)
+            primitive_multiset(an, 4, n)
+            classify_orbits(an, 4, n)
+            classify_orbits(an, 4, n, "primitive")
+        eigen_multiset(an, 3, 1)
+        assert calls == [4, 3]
 
 
 class TestPrimitiveMultiset:
     def test_ordinary_middle(self):
-        data, _, eig, _ = full_setup(5, (5, -1, 1))
+        an = analysis_cached(5, (5, -1, 1))
+        eig = an.eig
         prim = {el.coords: c
-                for el, c in primitive_multiset(data, eig, 2, 1).items()}
+                for el, c in primitive_multiset(an, 2, 1).items()}
         assert prim[eig.q_coords] == 3
         assert sum(prim.values()) == 5
 
     def test_supersingular_exotic_survives(self):
-        data, _, eig, _ = full_setup(3, (3, 0, 1))
+        an = analysis_cached(3, (3, 0, 1))
+        eig = an.eig
         prim = {el.coords: c
-                for el, c in primitive_multiset(data, eig, 4, 2).items()}
+                for el, c in primitive_multiset(an, 4, 2).items()}
         four_pi = tuple(4 * c for c in eig.symbol_coords[eig.orbit_reps[0]])
         assert prim[four_pi] == 1
         assert sum(prim.values()) == math.comb(8, 4) - math.comb(8, 2)
 
     def test_codimension_zero(self):
-        data, _, eig, _ = full_setup(5, (5, -1, 1))
-        prim = primitive_multiset(data, eig, 3, 0)
+        an = analysis_cached(5, (5, -1, 1))
+        prim = primitive_multiset(an, 3, 0)
         assert sum(prim.values()) == 1
 
     def test_beyond_middle_rejected(self):
         # primitive parts stop at the middle degree g*d
-        data, _, eig, _ = full_setup(5, (5, -1, 1))
+        an = analysis_cached(5, (5, -1, 1))
         with pytest.raises(MalformedInput):
-            primitive_multiset(data, eig, 1, 1)
+            primitive_multiset(an, 1, 1)
 
     def test_lefschetz_image_contained(self):
         # the subtraction never clamps: every lower class lifts
@@ -109,8 +168,8 @@ class TestPrimitiveMultiset:
                                 (3, (3, 0, 1), 4, 2),
                                 (2, (8, 0, 4, 0, 2, 0, 1), 2, 3),
                                 (5, (25, -5, 10, -1, 1), 2, 2)]:
-            data, _, eig, _ = full_setup(q, coeffs)
-            prim = primitive_multiset(data, eig, d, n)
+            an = analysis_cached(q, coeffs)
+            prim = primitive_multiset(an, d, n)
             assert all(c > 0 for c in prim.values())
 
 
