@@ -12,7 +12,7 @@ throughout, with floating point confined to root-finding *iterations* whose
 results are always certified a posteriori by exact arithmetic.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .config import Settings
 from . import errors

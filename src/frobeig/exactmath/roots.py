@@ -66,8 +66,12 @@ def _aberth(poly: IntPoly, wp: int, warm: Optional[List[complex]] = None,
         if warm is not None:
             zs = [mpmath.mpc(z) for z in warm]
         else:
+            # Fujiwara's bound: every root has modulus at most
+            # 2 max_k |c_{n-k} / c_n|^(1/k); the Cauchy bound 1 + max|c_i|
+            # starts a circle far outside roots of modulus sqrt(q)
             lead = abs(coeffs[-1])
-            radius = 1 + max(abs(c) for c in coeffs[:-1]) / lead
+            radius = 2 * max(abs(coeffs[n - k] / lead) ** (mpmath.mpf(1) / k)
+                             for k in range(1, n + 1))
             zs = [radius * mpmath.expjpi(mpmath.mpf(2 * k + 1) / n
                                          + mpmath.mpf(0.401) + offset)
                   for k in range(n)]

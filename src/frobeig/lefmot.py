@@ -191,15 +191,18 @@ def primitive_multiset(an: Analysis, d: int,
 
 
 def _exotic_shape_ok(eig: EigGroup, members: Sequence[EigElement]) -> bool:
-    # size-2 orbit {i[q] + j*mu, (i + j*s)[q] - j*mu} with mu the sum of
-    # the orbit representative symbols and s their count
+    # size-2 orbit {x, xbar} with x = i[q] + j*mu, mu the sum of one root
+    # of each conjugate pair: pibar = [q] - pi, so every representative
+    # coordinate of x is +-j, and xbar negates them and adds their sum to
+    # the [q] coordinate, whichever root of each pair mu holds
     if len(members) != 2 or eig.basis_roots[-1] is not None:
         return False
     s = eig.rank - 1
     a, b = members[0].coords, members[1].coords
-    j = a[0]
-    return all(c == j for c in a[:s]) and all(c == -j for c in b[:s]) \
-        and b[s] == a[s] + j * s
+    j = abs(a[0])
+    return j > 0 and all(abs(c) == j for c in a[:s]) \
+        and all(y == -x for x, y in zip(a[:s], b[:s])) \
+        and b[s] == a[s] + sum(a[:s])
 
 
 def classify_orbits(an: Analysis, d: int, n: int,

@@ -7,6 +7,7 @@ on randomized inputs.
 
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -295,6 +296,26 @@ def test_isolate_sextic_modulus():
         sq = b.power(2) * b.power(2).conjugate()
         # |z|^2 must be 3 for every root, so |z|^4 = 9
         assert sq.contains_exact(9)
+
+
+def test_isolate_large_q_sextic():
+    # roots 4096 * zeta_7^j, q = 4^12: the starting circle must scale with
+    # the roots (the Cauchy radius here is about 2^72)
+    coeffs = tuple(4096 ** k for k in range(6, -1, -1))
+    signal.signal(signal.SIGALRM, _too_slow)
+    signal.alarm(30)
+    try:
+        roots = isolate_roots(IntPoly(coeffs), 64)
+    finally:
+        signal.alarm(0)
+    assert len(roots) == 6
+    for b in roots:
+        # |z|^2 = 4096^2 for every root
+        assert (b * b.conjugate()).contains_exact(4096 ** 2)
+
+
+def _too_slow(signum, frame):
+    raise AssertionError("root isolation did not return within 30 s")
 
 
 def _reexpand(balls):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from frobeig.errors import InternalInconsistency, MalformedInput, NotSimple
 from frobeig.lefmot import (ALL_PASS, EXOTIC, FAIL, NON_TATE,
                             PASS_CONDITIONAL_ON_CM, TATE_TRIVIAL,
-                            build_rho_table, classify_orbits, dims,
+                            _exotic_shape_ok, build_rho_table, classify_orbits, dims,
                             eigen_multiset, hypothesis_check,
                             power_layers, predicted_signature,
                             primitive_multiset)
@@ -221,6 +221,22 @@ class TestClassifyOrbits:
         assert sizes == [2, 4]
         assert all(x["shape"] == "unexpected" and "warning" in x
                    for x in rep.exotic_details)
+
+    def test_shape_independent_of_representatives(self):
+        # {0[q] + 6mu, 12[q] - 6mu} with mu = pibar_1 + pi_3: the shape
+        # holds although mu mixes the two kinds of orbit representative
+        an = analysis_cached(2, (4, -6, 5, -3, 1))
+        assert an.eig.basis_labels == ("pi_1", "pi_3", "q")
+        rep = classify_orbits(an, 6, 6)
+        detail, = rep.exotic_details
+        assert detail["elements"] == [(-6, 6, 6), (6, -6, 6)]
+        assert detail["shape"] == "certified"
+        elements = lambda *cs: [an.eig.element(c) for c in cs]
+        assert _exotic_shape_ok(an.eig, elements((6, -6, 6), (-6, 6, 6)))
+        assert _exotic_shape_ok(an.eig, elements((6, 6, 0), (-6, -6, 12)))
+        # unequal magnitudes, or a [q] part that is not conjugate
+        assert not _exotic_shape_ok(an.eig, elements((-6, 4, 7), (6, -4, 5)))
+        assert not _exotic_shape_ok(an.eig, elements((-6, 6, 6), (6, -6, 7)))
 
     def test_partition_properties(self):
         from frobeig.eig import galois_action
