@@ -11,10 +11,10 @@ quotiented away.
 
 The realization map rho sends symbols to the actual field elements;
 Realization tabulates it on the canonical basis, and realize_coords
-evaluates it exactly.  Its kernel is found by exhaustive box search in basis coordinates (complete
-within the bound) merged with lattice-reduction candidates; every vector
-entering the lattice is verified to realize to exactly 1 in the splitting
-field.  Torsion relations -- exponent vectors over the eigenvalues whose
+evaluates it exactly.  Its kernel is found by exhaustive box search in
+basis coordinates (complete within the bound) merged with
+lattice-reduction candidates; every vector entering the lattice is
+verified to realize to exactly 1 in the splitting field.  Torsion relations -- exponent vectors over the eigenvalues whose
 realization is a root of unity -- live in root coordinates and drive the
 Frobenius rank.  Each search feeds its verified vectors to the other, so
 the bookkeeping identity rank(ker rho) + r + 1 = rank(Eig) is genuinely

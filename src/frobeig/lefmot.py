@@ -24,8 +24,10 @@ eig.Realization: it tabulates the powers rho(b_j)^e of every basis root
 with one field inversion per root and treats [q] as the rational scalar
 q, so one test costs at most rank - 1 field products, and its verdict is
 kept per coordinate vector, so each orbit representative is tested once
-for all (d, n) and both ambients.  When the main positivity hypotheses all pass, exotic orbits
-must have size two and the antipodal coordinate shape predicted by the
+for all (d, n) and both ambients.
+
+When the main positivity hypotheses all pass, exotic orbits must have
+size two and the antipodal coordinate shape predicted by the
 classification theorem; the shape is enforced in that case and reported
 as a warning otherwise.
 

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from frobeig.errors import InternalInconsistency, MalformedInput, NotSimple
 from frobeig.lefmot import (ALL_PASS, EXOTIC, FAIL, NON_TATE,
                             PASS_CONDITIONAL_ON_CM, TATE_TRIVIAL,
-                            _exotic_shape_ok, build_rho_table, classify_orbits, dims,
-                            eigen_multiset, hypothesis_check,
-                            power_layers, predicted_signature,
-                            primitive_multiset)
+                            _exotic_shape_ok, build_rho_table,
+                            classify_orbits, dims, eigen_multiset,
+                            hypothesis_check, power_layers,
+                            predicted_signature, primitive_multiset)
 from frobeig.eig import build_eig_group
 from frobeig.weil import base_change, validate
 
