@@ -1,9 +1,12 @@
 """One analysis per validated record, each certified object built once.
 
 Objects are built on first read, in the order eigenvalue group,
-splitting field, Galois group, relation engine, verdicts.  A bound
-failure of the field or its Galois group is kept and raised again on
-every read.  Both verdicts use the one Frobenius rank r.
+splitting field, Galois group, relation engine, verdicts.  Only the
+field can fail on a bound (degree cap or precision ceiling); that
+failure is kept and raised again on every read of the field and of
+everything built on it, the Galois group included, which is certified
+exactly from the field's root coordinates.  Both verdicts use the one
+Frobenius rank r.
 
 The orbit classification reads four per-record tables: one expansion of
 the eigenvalue multisets of every weight per power d, the validated
@@ -41,22 +44,14 @@ class Analysis:
         self.data = data
         self.settings = settings
         self.cm_assertion = cm_assertion
-        self._failed: Dict[str, Exception] = {}
+        self._field_failure: Optional[Exception] = None
         self._dims: Dict[Tuple[int, int], Tuple[int, int, int, int]] = {}
         self._layers: Dict[int, Tuple[Dict[Coords, int], ...]] = {}
         self._tate: Dict[Coords, bool] = {}
 
-    def _once(self, part: str, build, *args):
-        if part not in self._failed:
-            try:
-                return build(*args)
-            except _BOUNDS as exc:
-                self._failed[part] = exc
-        raise self._failed[part]
-
     def undetermined(self, part: str) -> Optional[str]:
-        """Name of the bound failure that leaves "field" or "gal" (which
-        needs the field) undetermined, or None."""
+        """Name of the field's bound failure if it leaves part ("field",
+        or "gal", which needs the field) undetermined, or None."""
         try:
             getattr(self, part)
         except _BOUNDS as exc:
@@ -69,12 +64,16 @@ class Analysis:
 
     @cached_property
     def field(self) -> SplittingField:
-        return self._once("field", splitting_field, self.data, self.settings)
+        if self._field_failure is None:
+            try:
+                return splitting_field(self.data, self.settings)
+            except _BOUNDS as exc:
+                self._field_failure = exc
+        raise self._field_failure
 
     @cached_property
     def gal(self) -> GaloisData:
-        return self._once("gal", galois_group, self.field, self.data,
-                          self.settings)
+        return galois_group(self.field, self.data)
 
     @cached_property
     def rho(self) -> Realization:

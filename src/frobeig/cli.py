@@ -14,6 +14,7 @@ per-record options.
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import replace
@@ -283,11 +284,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _env_settings() -> Settings:
+    """DEFAULT with the FROBEIG_MAX_PRECISION ceiling, validated as the
+    flag is; a ceiling below precision_start is raised to it."""
+    raw = os.environ.get("FROBEIG_MAX_PRECISION")
+    if not raw:
+        return DEFAULT
+    ceiling = parse_options({"precision_ceiling": raw})["precision_ceiling"]
+    return replace(DEFAULT, precision_ceiling=max(ceiling,
+                                                  DEFAULT.precision_start))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    base = DEFAULT.with_env_ceiling()
     try:
-        return args.func(args, base)
+        return args.func(args, _env_settings())
     except MalformedInput as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 2

@@ -1,9 +1,6 @@
 """Runtime settings shared across the pipeline."""
 
-import os
-from dataclasses import dataclass, replace
-
-_ENV_CEILING = "FROBEIG_MAX_PRECISION"
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -11,8 +8,8 @@ class Settings:
     """Knobs for certified numerics and bounded searches.
 
     precision_start / precision_ceiling are in bits.  Library code never
-    reads the environment: only cli.main applies with_env_ceiling, so the
-    FROBEIG_MAX_PRECISION variable sits below flags and record options.
+    reads the environment: only cli.main reads FROBEIG_MAX_PRECISION, so
+    the variable sits below flags and record options.
     """
 
     precision_start: int = 192
@@ -21,18 +18,6 @@ class Settings:
     search_bound: int = 4         # sup-norm box for kernel / torsion searches
     factor_degree_cap: int = 12   # max degree for subset-recombination factoring
     d_max: int = 6                # largest power of the variety in reports
-
-    def with_env_ceiling(self) -> "Settings":
-        raw = os.environ.get(_ENV_CEILING)
-        if not raw:
-            return self
-        try:
-            ceiling = int(raw)
-        except ValueError:
-            return self
-        if ceiling < self.precision_start:
-            ceiling = self.precision_start
-        return replace(self, precision_ceiling=ceiling)
 
 
 DEFAULT = Settings()

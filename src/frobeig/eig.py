@@ -14,9 +14,10 @@ Realization tabulates it on the canonical basis, and realize_coords
 evaluates it exactly.  Its kernel is found by exhaustive box search in
 basis coordinates (complete within the bound) merged with
 lattice-reduction candidates; every vector entering the lattice is
-verified to realize to exactly 1 in the splitting field.  Torsion relations -- exponent vectors over the eigenvalues whose
-realization is a root of unity -- live in root coordinates and drive the
-Frobenius rank.  Each search feeds its verified vectors to the other, so
+verified to realize to exactly 1 in the splitting field.  Torsion
+relations -- exponent vectors over the eigenvalues whose realization is
+a root of unity -- live in root coordinates and drive the Frobenius
+rank.  Each search feeds its verified vectors to the other, so
 the bookkeeping identity rank(ker rho) + r + 1 = rank(Eig) is genuinely
 checked rather than assumed: a violation raises InternalInconsistency.
 
@@ -35,7 +36,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from .config import DEFAULT, Settings
 from .errors import InternalInconsistency, MalformedInput, TorsionDetected
 from .exactmath.latt import (hermite_column_form, invariant_factors,
-                             relation_candidates)
+                             lattice_saturation_index, relation_candidates)
 from .exactmath.roots import arg_ball, two_pi_ball
 from .splitfield import (SplittingField, is_root_of_unity,
                          orbit_representatives, word_value)
@@ -489,15 +490,11 @@ def _relation_engine(data: WeilData, field: SplittingField, eig: EigGroup,
             "rank bookkeeping failed: r=%d kernel=%d eig=%d "
             "(a relation escaped both searches)" % (r, kernel_rank, eig.rank))
 
-    sat = 1
-    if kernel_rows:
-        sat = 1
-        for f in invariant_factors([list(row) for row in kernel_rows]):
-            sat *= f
-    lattice = RelationLattice(basis=kernel_rows, rank=kernel_rank,
-                              search_bound=bound,
-                              complete_within_bound=True,
-                              saturation_index=sat)
+    lattice = RelationLattice(
+        basis=kernel_rows, rank=kernel_rank, search_bound=bound,
+        complete_within_bound=True,
+        saturation_index=lattice_saturation_index(
+            [list(row) for row in kernel_rows]))
     return lattice, torsion_rank, r
 
 

@@ -23,6 +23,7 @@ import json
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -431,7 +432,9 @@ def run_batch(in_path, out_path, jobs: int = 1,
     Appends new report/error lines sorted by content_key, skips keys the
     store already holds, and closes with a manifest line.  The store is
     rewritten through a temporary file and replaced atomically.  Per-record
-    failures become inline error records; only I/O problems raise.
+    failures become inline error records; only I/O problems raise, and a
+    worker process that dies at jobs > 1 raises BrokenProcessPool after
+    the lines finished so far and the manifest are stored.
     """
     if jobs < 1:
         raise MalformedInput("jobs must be positive")
@@ -452,11 +455,18 @@ def run_batch(in_path, out_path, jobs: int = 1,
 
     worker = partial(process_line, global_options=global_options,
                      base=base, version=version)
+    broken: Optional[BrokenProcessPool] = None
     if jobs == 1 or len(pending) <= 1:
         results = [worker(raw) for raw in pending]
     else:
+        results = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(worker, pending))
+            for future in [pool.submit(worker, raw) for raw in pending]:
+                try:
+                    results.append(future.result())
+                except BrokenProcessPool as exc:
+                    # a worker died; the lines finished before it are kept
+                    broken = exc
 
     results.sort(key=lambda item: item[0])
     errors = sum(1 for _, _, kind in results if kind == "error")
@@ -480,5 +490,7 @@ def run_batch(in_path, out_path, jobs: int = 1,
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+    if broken is not None:
+        raise broken
     return {"processed": len(lines), "written": len(results),
             "skipped": skipped, "errors": errors, "out": str(out_path)}

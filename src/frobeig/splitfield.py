@@ -31,6 +31,12 @@ representatives reproduces x, and conjugate coordinates multiply to q.
 Enclosures only ever decide which exact checks to attempt; they are never
 the evidence.
 
+The Galois group is then certified from those verified coordinates
+alone, with no enclosures and no precision: the image of x under each
+element is the same weight combination of the permuted roots, and the
+map x -> image must be an automorphism that permutes the roots as the
+element claims.
+
 Rejection is equally certified.  Eigenvalues are algebraic integers, so
 their true coordinates in the power basis of an algebraic-integer
 generator have denominators dividing the index of Z[theta] in the ring of
@@ -188,12 +194,17 @@ class ModRing:
         out = [c / lead for c in s1]
         return self.reduce_list(out)
 
-    def eval_intpoly(self, p: IntPoly, elem: Sequence[Fraction]) -> List[Fraction]:
+    def eval_poly(self, coeffs: Sequence, elem: Sequence[Fraction]) -> List[Fraction]:
+        """Value at elem of the polynomial with coefficients coeffs (low to
+        high), by Horner's rule."""
         acc = self.const(0)
-        for c in reversed(p.coefficients):
+        for c in reversed(coeffs):
             acc = self.mul(acc, elem)
             acc[0] += c
         return acc
+
+    def eval_intpoly(self, p: IntPoly, elem: Sequence[Fraction]) -> List[Fraction]:
+        return self.eval_poly(p.coefficients, elem)
 
     def trace(self, a: Sequence[Fraction]) -> Fraction:
         return sum(x * p for x, p in zip(a, self._psums))
@@ -351,9 +362,7 @@ class SplittingField:
     orbit_reps: Tuple[int, ...]
     root_coords: Tuple[Tuple[Fraction, ...], ...]
     group_perms: Tuple[Perm, ...]           # Galois action on root indices
-    gamma_ball: ComplexBall
     root_balls: Tuple[ComplexBall, ...]
-    prec: int
 
     @cached_property
     def _ring(self) -> ModRing:
@@ -600,13 +609,11 @@ def splitting_field(data: WeilData, settings: Settings = DEFAULT) -> SplittingFi
                 unresolved_size = len(h_perms)
         if accepted:
             h_perms, weight, (modulus, coords) = accepted
-            gamma = gamma_cache[weight][tuple(range(n))]
             return SplittingField(modulus=modulus, degree=modulus.degree,
                                   weight=weight, orbit_reps=reps,
                                   root_coords=coords,
                                   group_perms=tuple(sorted(h_perms)),
-                                  gamma_ball=gamma,
-                                  root_balls=tuple(balls), prec=prec)
+                                  root_balls=tuple(balls))
         if unresolved_size is None:
             # every candidate died on an exact certificate
             raise DegreeCapExceeded(
@@ -628,19 +635,22 @@ def _gamma_ball(weight: Tuple[int, ...], reps: Tuple[int, ...], perm: Perm,
     return acc
 
 
-def galois_group(field: SplittingField, data: WeilData,
-                 settings: Settings = DEFAULT) -> GaloisData:
+def galois_group(field: SplittingField, data: WeilData) -> GaloisData:
     """Galois group of the splitting field with exact certification.
 
-    The permutations come from the accepted construction; this operation
-    re-certifies them as field automorphisms: for each element (every one
-    when the order is at most 16, a generating set otherwise), the image
-    of x is recovered exactly and checked to be a root of the modulus, the
-    images are pairwise distinct, and the permutations form a group of the
-    right order centralizing the conjugation involution.
+    The permutations come from the accepted construction, and the field's
+    root coordinates are already verified; this operation re-certifies
+    the permutations as field automorphisms with exact arithmetic alone.
+    The image of x under the element w is the combination sum_j c_j *
+    root_coords[w(rep_j)].  For each certified element (every one when
+    the order is at most 16, the generators and the identity otherwise)
+    the image must be a root of the modulus, and x -> image must send
+    every orbit representative's coordinates to those of its w-image.
+    The images must be pairwise distinct, and the permutations must form
+    a group of the right order centralizing the conjugation involution.
     """
     perms = list(field.group_perms)
-    n_roots = len(field.root_balls)
+    n_roots = len(field.root_coords)
     order = len(perms)
     if order != field.degree:
         raise InternalInconsistency("group order differs from field degree")
@@ -676,52 +686,26 @@ def galois_group(field: SplittingField, data: WeilData,
     members = perms if order <= 16 else [perms[i] for i in gen_idx] + [ident]
     fully = order <= 16
 
-    prec = field.prec
-    balls = list(field.root_balls)
+    # the automorphism acting as w sends x = sum_j c_j r_{rep_j} to the
+    # same combination of the roots r_{w(rep_j)}; each claim is checked
+    # exactly on the verified root coordinates
     ring = field.ring()
-    den_bound = isqrt(discriminant_magnitude(field.modulus)) + 1
-    while True:
-        gammas = {w: _gamma_ball(field.weight, field.orbit_reps, w, balls)
-                  for w in perms}
-        try:
-            images: Dict[Perm, Tuple[Fraction, ...]] = {}
-            nodes = [gammas[v] for v in perms]
-            for w in members:
-                vals = [gammas[_compose(v, w)] for v in perms]
-                poly_balls = _newton_interpolate(nodes, vals, prec + 64)
-                vec = []
-                for cb in poly_balls:
-                    r = rational_reconstruct(cb, den_bound)
-                    if r is None:
-                        raise InternalInconsistency(
-                            "automorphism image has no admissible coordinates")
-                    vec.append(r)
-                vec = vec + [Fraction(0)] * (ring.n - len(vec))
-                images[w] = tuple(vec)
-            # each image, evaluated on the generator enclosure, must isolate
-            # the enclosure of the generator conjugate it claims to be
-            gamma_id = gammas[ident]
-            for w, vec in images.items():
-                enc = _eval_on_ball(vec, gamma_id)
-                target = gammas[w]
-                if enc.disjoint(target):
-                    raise InternalInconsistency(
-                        "automorphism image evaluates away from its conjugate")
-                for v in perms:
-                    if v != w and not enc.disjoint(gammas[v]):
-                        raise Ambiguous("conjugate enclosures overlap")
-            break
-        except Ambiguous:
-            prec *= 2
-            if prec > settings.precision_ceiling:
-                raise PrecisionExhausted(
-                    "automorphism images undecided at the precision ceiling")
-            balls = refine_roots(data.poly, balls, prec)
-
-    for w, vec in images.items():
-        if any(ring.eval_intpoly(field.modulus, list(vec))):
+    coords = field.root_coords
+    images: Dict[Perm, Tuple[Fraction, ...]] = {}
+    for w in members:
+        image = ring.const(0)
+        for c, rep in zip(field.weight, field.orbit_reps):
+            image = [a + c * b for a, b in zip(image, coords[w[rep]])]
+        if any(ring.eval_intpoly(field.modulus, image)):
             raise InternalInconsistency(
                 "claimed automorphism image is not a modulus root")
+        # x -> image is then an automorphism; it must move every
+        # representative as w does (conjugates follow from r rbar = q)
+        for rep in field.orbit_reps:
+            if ring.eval_poly(coords[rep], image) != list(coords[w[rep]]):
+                raise InternalInconsistency(
+                    "automorphism does not act as its permutation")
+        images[w] = tuple(image)
     vals = list(images.values())
     for i in range(len(vals)):
         for j in range(i + 1, len(vals)):

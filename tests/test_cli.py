@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
 import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
 import pytest
@@ -304,6 +307,26 @@ class TestReportRecord:
         assert rc == 0
         assert out["options"]["precision_ceiling"] == "8192"
 
+    def test_env_ceiling_validated_like_the_flag(self, capsys, monkeypatch):
+        argv = ("report", "--q", "5", "--coeffs", "5,-1,1",
+                "--max-power", "1")
+        monkeypatch.setenv("FROBEIG_MAX_PRECISION", "abc")
+        assert run_cli(capsys, *argv) == (2, {"error": {
+            "type": "MalformedInput",
+            "message": "option precision_ceiling must be an integer, "
+                       "got 'abc'"}})
+        monkeypatch.setenv("FROBEIG_MAX_PRECISION", "0")
+        env = run_cli(capsys, *argv)
+        monkeypatch.delenv("FROBEIG_MAX_PRECISION")
+        assert env[0] == 2
+        assert env == run_cli(capsys, *argv, "--precision-ceiling", "0")
+        # a ceiling below the starting precision is raised to it
+        monkeypatch.setenv("FROBEIG_MAX_PRECISION", "100")
+        rc, out = run_cli(capsys, *argv)
+        assert rc == 0
+        assert out["options"]["precision_ceiling"] == \
+            str(DEFAULT.precision_start)
+
 
 # --- signature subcommands ---
 
@@ -436,6 +459,18 @@ class _DyingFile:
         return self.handle.write(data)
 
 
+_process_line = report.process_line
+
+
+def _dies_on_marked_line(raw, global_options, base, version):
+    """process_line stand-in whose worker process exits on the line
+    labelled "dies", after the other lines had time to finish."""
+    if '"dies"' in raw:
+        time.sleep(3)
+        os._exit(1)
+    return _process_line(raw, global_options, base, version)
+
+
 class TestBatch:
     def test_fresh_run_and_idempotent_rerun(self, capsys, tmp_path):
         inp = write_batch_input(tmp_path)
@@ -565,6 +600,32 @@ class TestBatch:
         assert err["input"]["label"] == "supersingular"
         assert existing_keys(out) == {r["content_key"] for r in keyed
                                       if r["record_type"] != "manifest"}
+
+    def test_worker_death_keeps_finished_lines(self, monkeypatch, tmp_path):
+        lines = ['{"q": 2, "coeffs": [2, 1, 1], "label": "dies"}'] + [
+            '{"q": %d, "coeffs": [%d, %d, 1]}' % (q, q, a)
+            for q, a in ((2, -1), (3, 1), (3, -2), (5, 2), (7, -3))]
+        inp = write_batch_input(tmp_path, lines)
+        clean = tmp_path / "clean.ndjson"
+        run_batch(inp, clean, global_options={"max_power": 1})
+        out = tmp_path / "store.ndjson"
+        monkeypatch.setattr(report, "process_line", _dies_on_marked_line)
+        with pytest.raises(BrokenProcessPool):
+            run_batch(inp, out, jobs=2, global_options={"max_power": 1})
+        monkeypatch.undo()
+        # the finished lines and the manifest were stored and read back
+        keyed, manifests = store_records(out)
+        assert len(manifests) == 1
+        clean_keyed, _ = store_records(clean)
+        died = {r["content_key"] for r in clean_keyed
+                if r["input"].get("label") == "dies"}
+        assert existing_keys(out) == {r["content_key"] for r in keyed}
+        assert existing_keys(out) < {r["content_key"] for r in clean_keyed}
+        assert not existing_keys(out) & died
+        run_batch(inp, out, global_options={"max_power": 1})
+        strip = lambda p: sorted(ln for ln in p.read_text().splitlines()
+                                 if '"record_type":"manifest"' not in ln)
+        assert strip(out) == strip(clean)
 
     def test_run_batch_api_options_change_keys(self, tmp_path):
         inp = write_batch_input(tmp_path, [BATCH_LINES[0]])

@@ -4,15 +4,18 @@ from fractions import Fraction
 
 import pytest
 
+from frobeig import splitfield
 from frobeig.config import DEFAULT
+from frobeig.corpus import CORPUS
 from frobeig.exactmath.intpoly import (IntPoly, discriminant_magnitude,
                                        sylvester_resultant)
-from frobeig.errors import PrecisionExhausted
-from frobeig.splitfield import (ModRing, galois_group, is_root_of_unity,
+from frobeig.errors import InternalInconsistency, PrecisionExhausted
+from frobeig.splitfield import (ModRing, _block_permutations, _compose,
+                                galois_group, is_root_of_unity,
                                 splitting_field, word_value)
 from frobeig.weil import validate
 
-from conftest import split_cached
+from conftest import analysis_cached, split_cached
 
 
 class TestResultant:
@@ -148,6 +151,79 @@ class TestSplittingField:
         monkeypatch.setenv("FROBEIG_MAX_PRECISION", "4096")
         with pytest.raises(PrecisionExhausted):
             splitting_field(data, st)
+
+
+def corpus_fields():
+    """(data, field) of every corpus record whose field builds."""
+    out = []
+    for e in CORPUS:
+        an = analysis_cached(e.q, e.coefficients)
+        if an.undetermined("field") is None:
+            out.append((an.data, an.field))
+    return out
+
+
+class TestGaloisGroup:
+    def test_no_numerics(self, monkeypatch):
+        # the group is certified from the field's exact root coordinates:
+        # no enclosure, reconstruction or precision work
+        fields = corpus_fields()
+        calls = []
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("_newton_interpolate", "rational_reconstruct",
+                     "refine_roots", "discriminant_magnitude"):
+            monkeypatch.setattr(splitfield, name,
+                                counted(name, getattr(splitfield, name)))
+        for data, field in fields:
+            galois_group(field, data)
+        assert calls == []
+
+    def test_images_are_root_combinations(self):
+        # the image of x under w is sum_j c_j * r_{w(rep_j)}
+        checked = 0
+        for data, field in corpus_fields():
+            gal = galois_group(field, data)
+            if gal.order > 16:
+                continue
+            assert gal.fully_certified
+            for w, image in zip(gal.perms, gal.images):
+                expected = [sum(c * field.root_coords[w[rep]][k]
+                                for c, rep in zip(field.weight,
+                                                  field.orbit_reps))
+                            for k in range(field.degree)]
+                assert list(image) == expected
+                checked += 1
+        assert checked == 135          # every element of every corpus group
+
+    def test_forged_group_rejected(self):
+        # G = {id, iota, (2,3,0,1), (3,2,1,0)}; every other order-4
+        # subgroup of W' through iota passes the group checks, so only
+        # the exact image and action checks can refuse it
+        d, sf = split_cached(2, (4, -6, 5, -3, 1))
+        iota = d.iota
+        assert iota == (1, 0, 3, 2)
+        assert sf.group_perms == ((0, 1, 2, 3), (1, 0, 3, 2),
+                                  (2, 3, 0, 1), (3, 2, 1, 0))
+        ident = (0, 1, 2, 3)
+        wprime = _block_permutations(4, [f.root_indices for f in d.factors],
+                                     iota)
+        subgroups = set()
+        for a in wprime:
+            h = frozenset({ident, iota, a, _compose(a, iota)})
+            if len(h) == 4 and all(_compose(x, y) in h
+                                   for x in h for y in h):
+                subgroups.add(tuple(sorted(h)))
+        forged = subgroups - {sf.group_perms}
+        assert len(forged) == 2
+        for perms in sorted(forged):
+            with pytest.raises(InternalInconsistency):
+                galois_group(replace(sf, group_perms=perms), d)
 
 
 class TestWords:
