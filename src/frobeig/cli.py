@@ -5,7 +5,8 @@ check-hypotheses, signature {sig,transfer,am-filter}, batch.  Single
 results print one canonical JSON line to stdout; batch appends
 newline-delimited records to its output store (see report.py for the
 format).  Exit codes: 0 success, 1 domain rejection or certificate
-failure, 2 malformed input, 3 I/O failure.
+failure, 2 malformed input, 3 I/O failure, 4 a batch worker process died
+(the lines finished before it are stored).
 
 Option precedence, lowest to highest: built-in defaults, the
 FROBEIG_MAX_PRECISION environment variable, command-line flags,
@@ -17,6 +18,7 @@ import json
 import os
 import re
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -308,6 +310,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 3
+    except BrokenProcessPool as exc:
+        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
+        return 4
 
 
 if __name__ == "__main__":

@@ -2,8 +2,10 @@
 
 Domain rejections (bad or out-of-scope input) and certification failures are
 ordinary exceptions carrying a human-readable reason; the command line maps
-them to exit code 1.  Malformed input (schema level) maps to exit code 2 and
-I/O problems to exit code 3.
+them to exit code 1.  Malformed input (schema level) maps to exit code 2,
+I/O problems to exit code 3, and a batch worker process that dies (the
+standard library's BrokenProcessPool, not one of these classes) to exit
+code 4.
 """
 
 
@@ -12,11 +14,11 @@ class FrobeigError(Exception):
 
 
 class Ambiguous(FrobeigError):
-    """A certified comparison or reconstruction could not be decided.
+    """A certified comparison could not be decided.
 
-    Raised when a ball straddles a decision boundary or when an interval
-    contains more than one admissible rational.  Callers normally escalate
-    precision and retry.
+    Raised when a ball straddles a decision boundary, for instance when an
+    enclosure of a rational integer holds more than one integer.  Callers
+    normally escalate precision and retry.
     """
 
 

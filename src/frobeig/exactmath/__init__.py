@@ -1,6 +1,6 @@
 """Exact arithmetic substrate: integer polynomials, certified complex balls,
 integer lattices (Smith/Hermite forms, kernels, LLL) and certified root
-isolation with rational reconstruction.
+isolation.
 
 Rationals are `fractions.Fraction` throughout: the stdlib type already
 guarantees the normalization this package needs (lowest terms, positive
@@ -8,7 +8,7 @@ denominator).
 """
 
 from .intpoly import IntPoly
-from .balls import ComplexBall, RealBall
+from .balls import ComplexBall
 from .latt import (
     smith_normal_form,
     hermite_column_form,
@@ -17,12 +17,11 @@ from .latt import (
     lll_reduce,
     relation_candidates,
 )
-from .roots import isolate_roots, refine_roots, rational_reconstruct
+from .roots import isolate_roots, refine_roots
 
 __all__ = [
     "IntPoly",
     "ComplexBall",
-    "RealBall",
     "smith_normal_form",
     "hermite_column_form",
     "kernel_lattice",
@@ -31,5 +30,4 @@ __all__ = [
     "relation_candidates",
     "isolate_roots",
     "refine_roots",
-    "rational_reconstruct",
 ]

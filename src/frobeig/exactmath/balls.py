@@ -54,59 +54,6 @@ def round_frac(x: Fraction, bits: int) -> Tuple[Fraction, Fraction]:
 
 
 @dataclass(frozen=True)
-class RealBall:
-    """Closed interval mid +- rad over the rationals."""
-
-    mid: Fraction
-    rad: Fraction
-
-    def __post_init__(self):
-        if self.rad < 0:
-            raise ValueError("negative radius")
-
-    @staticmethod
-    def exact(x) -> "RealBall":
-        return RealBall(Fraction(x), _ZERO)
-
-    @property
-    def lo(self) -> Fraction:
-        return self.mid - self.rad
-
-    @property
-    def hi(self) -> Fraction:
-        return self.mid + self.rad
-
-    def __add__(self, other: "RealBall") -> "RealBall":
-        return RealBall(self.mid + other.mid, self.rad + other.rad)
-
-    def __sub__(self, other: "RealBall") -> "RealBall":
-        return RealBall(self.mid - other.mid, self.rad + other.rad)
-
-    def __mul__(self, other: "RealBall") -> "RealBall":
-        m = self.mid * other.mid
-        r = (abs(self.mid) * other.rad + abs(other.mid) * self.rad
-             + self.rad * other.rad)
-        return RealBall(m, r)
-
-    def scale(self, c) -> "RealBall":
-        c = Fraction(c)
-        return RealBall(self.mid * c, self.rad * abs(c))
-
-    def contains(self, x) -> bool:
-        return abs(Fraction(x) - self.mid) <= self.rad
-
-    def contains_zero(self) -> bool:
-        return abs(self.mid) <= self.rad
-
-    def round_bits(self, bits: int) -> "RealBall":
-        m, err = round_frac(self.mid, bits)
-        r, _ = round_frac(self.rad + err, bits)
-        if r < self.rad + err:
-            r += Fraction(1, 1 << bits)
-        return RealBall(m, r)
-
-
-@dataclass(frozen=True)
 class ComplexBall:
     """Closed disk with rational midpoint (re, im) and rational radius."""
 
@@ -218,24 +165,17 @@ class ComplexBall:
             return False
         return dx * dx + dy * dy <= gap * gap
 
-    def real_interval(self) -> RealBall:
-        return RealBall(self.re, self.rad)
-
-    def imag_interval(self) -> RealBall:
-        return RealBall(self.im, self.rad)
-
     def unique_integer(self):
         """The single integer in the real interval, when imag covers 0.
 
         Returns the integer, or None when the disk certifiably contains no
-        Gaussian-rational integer candidate; raises Ambiguous if more than
-        one integer is possible.
+        rational integer; raises Ambiguous if more than one integer is
+        possible.
         """
-        if not self.imag_interval().contains_zero():
+        if abs(self.im) > self.rad:
             return None
-        iv = self.real_interval()
-        lo = math.ceil(iv.lo)
-        hi = math.floor(iv.hi)
+        lo = math.ceil(self.re - self.rad)
+        hi = math.floor(self.re + self.rad)
         if lo > hi:
             return None
         if lo < hi:

@@ -269,46 +269,3 @@ def power_sums(p: IntPoly, count: int) -> List[Fraction]:
             acc += k * a[n - k]
         s.append(-acc)
     return s
-
-def sylvester_resultant(p: IntPoly, q: IntPoly) -> int:
-    """Exact resultant via fraction-free Bareiss elimination."""
-    m, n = p.degree, q.degree
-    if m < 0 or n < 0:
-        return 0
-    if m == 0:
-        return p.coefficients[0] ** n
-    if n == 0:
-        return q.coefficients[0] ** m
-    size = m + n
-    pc = list(reversed(p.coefficients))
-    qc = list(reversed(q.coefficients))
-    mat: List[List[int]] = []
-    for i in range(n):
-        mat.append([0] * i + pc + [0] * (n - 1 - i))
-    for i in range(m):
-        mat.append([0] * i + qc + [0] * (m - 1 - i))
-    denom = 1
-    sign = 1
-    for k in range(size - 1):
-        if mat[k][k] == 0:
-            swap = next((r for r in range(k + 1, size) if mat[r][k] != 0), None)
-            if swap is None:
-                return 0
-            mat[k], mat[swap] = mat[swap], mat[k]
-            sign = -sign
-        pivot = mat[k][k]
-        for i in range(k + 1, size):
-            row = mat[i]
-            lead = row[k]
-            for j in range(k + 1, size):
-                row[j] = (row[j] * pivot - lead * mat[k][j]) // denom
-            row[k] = 0
-        denom = pivot
-    return sign * mat[size - 1][size - 1]
-
-
-def discriminant_magnitude(p: IntPoly) -> int:
-    """|discriminant| of a squarefree polynomial (sign conventions dropped)."""
-    res = sylvester_resultant(p, p.derivative())
-    lead = abs(p.leading)
-    return abs(res) // lead if lead else 0

@@ -1,4 +1,4 @@
-"""Certified complex root isolation and rational reconstruction.
+"""Certified complex root isolation.
 
 Floating point appears only inside the Aberth iteration that produces
 approximations; everything after that is exact.  A Weierstrass-type a
@@ -12,14 +12,13 @@ returned isolation is a proof, not a heuristic.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import mpmath
 
 from ..errors import Ambiguous, PrecisionExhausted
-from .balls import ComplexBall, RealBall, frac_sqrt_lb, frac_sqrt_ub, round_frac
+from .balls import ComplexBall, frac_sqrt_lb, frac_sqrt_ub, round_frac
 from .intpoly import IntPoly
 
 _OFFSETS = (0.0, 0.25, 0.37, 0.51, 0.63, 0.79)
@@ -229,68 +228,6 @@ def refine_roots(poly: IntPoly, prev: Sequence[ComplexBall], prec: int) -> List[
         warm = [complex(z.real, z.imag) for z in zs]
         wp *= 2
     raise PrecisionExhausted("root refinement failed to re-match enclosures")
-
-
-# --- rational reconstruction ---
-
-def _simplest_in(lo: Fraction, hi: Fraction) -> Fraction:
-    """Rational with the smallest denominator in the closed interval
-    [lo, hi] (ties among integers resolved toward ceil(lo))."""
-    if lo > hi:
-        raise ValueError("empty interval")
-    fl = math.ceil(lo)
-    if fl <= hi:
-        return Fraction(fl)
-    # now floor(lo) == floor(hi) and neither endpoint is an integer
-    base = math.floor(lo)
-    inner = _simplest_in(Fraction(1) / (hi - base), Fraction(1) / (lo - base))
-    return base + 1 / inner
-
-
-def _farey_neighbors(x: Fraction, n: int) -> Tuple[Fraction, Fraction]:
-    """Immediate left and right neighbors of x in the Farey sequence of
-    order n (x must have denominator <= n)."""
-    p, q = x.numerator, x.denominator
-    if q == 1:
-        return Fraction(p * n - 1, n), Fraction(p * n + 1, n)
-    pinv = pow(p % q, -1, q)
-    b = n - (n - pinv) % q            # largest b <= n, b = pinv mod q
-    d = n - (n + pinv) % q            # largest d <= n, d = -pinv mod q
-    left = Fraction((p * b - 1) // q, b)
-    right = Fraction((p * d + 1) // q, d)
-    return left, right
-
-
-def rational_reconstruct(ball, max_den: int) -> Optional[Fraction]:
-    """The unique rational with denominator <= max_den inside the enclosure.
-
-    Accepts a ComplexBall (imaginary part must cover zero) or RealBall.
-    Returns None when the interval certifiably contains no rational of
-    denominator <= max_den, and raises Ambiguous when it contains more
-    than one.
-    """
-    if max_den < 1:
-        raise ValueError("denominator bound must be positive")
-    if isinstance(ball, ComplexBall):
-        if not ball.imag_interval().contains_zero():
-            return None
-        iv = ball.real_interval()
-    elif isinstance(ball, RealBall):
-        iv = ball
-    else:
-        iv = RealBall(Fraction(ball), Fraction(0))
-    lo, hi = iv.lo, iv.hi
-    best = _simplest_in(lo, hi)
-    if best.denominator > max_den:
-        return None
-    left, right = _farey_neighbors(best, max_den)
-    if left >= lo or right <= hi:
-        # interval endpoints can be astronomically long fractions; never
-        # format them into the message
-        raise Ambiguous(
-            f"interval of width ~2^{(hi - lo).numerator.bit_length() - (hi - lo).denominator.bit_length()} "
-            f"admits several rationals with denominator <= {max_den}")
-    return best
 
 
 # --- argument enclosures (candidate generation only) ---

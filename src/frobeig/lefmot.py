@@ -45,8 +45,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .eig import Coords, EigElement, EigGroup
-from .errors import InternalInconsistency, MalformedInput, NotSimple
-from .weil import WeilData
+from .errors import InternalInconsistency, MalformedInput, NotPrimePower
+from .weil import WeilData, prime_power_decomposition
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -293,17 +293,6 @@ def dims(an: Analysis, d: int, n: int) -> Tuple[int, int, int]:
     return dim_l, dim_l + dim_e, dim_e
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def hypothesis_check(data: WeilData, r: int,
                      cm_assertion: Optional[bool] = None) -> HypothesisVerdict:
     """Check the hypotheses of the positivity theorem for a simple input
@@ -347,7 +336,11 @@ def hypothesis_check(data: WeilData, r: int,
         conditions.append(("totally_real_splitting", "CONDITIONAL"))
         conditional = True
 
-    if _is_prime(g) and (r < g - 1 or m != 1):
+    try:
+        prime_g = prime_power_decomposition(g)[1] == 1
+    except NotPrimePower:
+        prime_g = False
+    if prime_g and (r < g - 1 or m != 1):
         warnings.append(
             f"prime dimension g={g}: expected r >= {g - 1} and m = 1, "
             f"got r={r}, m={m}")

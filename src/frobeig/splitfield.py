@@ -23,13 +23,19 @@ its M_H is irreducible: smaller subgroups die on a certified non-integer
 coefficient or a repeated factor, and both certificates are exact.
 
 Verification of an accepted candidate never trusts the floating point
-layer: root coordinates are recovered by Newton interpolation on enclosure
-data and rational reconstruction, then checked exactly in Q[x]/(m) -- the
-defining polynomial vanishes on every coordinate vector, the coordinate
-vectors multiply out to the squarefree part, the weight combination of the
+layer.  Were H the Galois group, x would generate K, and the trace
+t_{i,k} = sum_{w in H} root_{w(i)} * gamma_w^k = Tr(root_i * x^k) would be
+a rational integer, since roots and x are algebraic integers.  Each t_{i,k}
+is read off its enclosure as the unique integer it holds, and the
+coordinates of root_i solve sum_j coords_{i,j} p_{j+k} = t_{i,k} exactly,
+where p_s is the s-th power sum of the roots of m; the Hankel matrix
+[p_{j+k}] is nonsingular because m is squarefree.  The coordinates are
+then checked exactly in Q[x]/(m): they multiply out to the squarefree
+part of P (so each is a root of it), the weight combination of the
 representatives reproduces x, and conjugate coordinates multiply to q.
-Enclosures only ever decide which exact checks to attempt; they are never
-the evidence.
+Evaluated on the enclosure of x, each coordinate vector must meet its own
+root enclosure and no other.  Enclosures only ever decide which exact
+checks to attempt; they are never the evidence.
 
 The Galois group is then certified from those verified coordinates
 alone, with no enclosures and no precision: the image of x under each
@@ -37,18 +43,17 @@ element is the same weight combination of the permuted roots, and the
 map x -> image must be an automorphism that permutes the roots as the
 element claims.
 
-Rejection is equally certified.  Eigenvalues are algebraic integers, so
-their true coordinates in the power basis of an algebraic-integer
-generator have denominators dividing the index of Z[theta] in the ring of
-integers, whose square divides disc(m).  Reconstructing against the bound
-isqrt(|disc m|)+1 therefore makes a failed reconstruction, a failed ring
-identity, or a coordinate vector that evaluates away from its own root
-enclosure into an exact proof that the candidate subgroup is not the
-Galois group.  Any fully verified candidate presents a ring in which the
-polynomial splits and which is generated by a combination of the roots, so
-its degree is a multiple of the true splitting degree; scanning subgroups
-by increasing order and accepting only when every smaller candidate holds
-a rejection certificate pins the degree exactly and forces m irreducible.
+Rejection is equally certified.  When H is the Galois group, every
+trace t_{i,k} is an integer for every weight past the squarefree gate,
+and the true coordinates pass every identity above.  So an enclosure of
+a trace that holds no integer, a failed ring identity, or a coordinate
+vector that evaluates away from its own root enclosure is an exact proof
+that the candidate subgroup is not the Galois group.  Any fully verified
+candidate presents a ring in which the polynomial splits and which is
+generated by a combination of the roots, so its degree is a multiple of
+the true splitting degree; scanning subgroups by increasing order and
+accepting only when every smaller candidate holds a rejection
+certificate pins the degree exactly and forces m irreducible.
 The weight ladder (indicator vectors, then geometric vectors over a long
 prime list) provably contains a non-degenerate weight for every input in
 the supported degree range, so the true group is never starved of a
@@ -68,9 +73,10 @@ from .config import DEFAULT, Settings
 from .errors import (Ambiguous, DegreeCapExceeded, InternalInconsistency,
                      PrecisionExhausted)
 from .exactmath.balls import ComplexBall
-from .exactmath.intpoly import (IntPoly, discriminant_magnitude, power_sums,
-                                qpoly_divmod, qpoly_gcd, qpoly_strip)
-from .exactmath.roots import rational_reconstruct, refine_roots
+from .exactmath.intpoly import (IntPoly, power_sums, qpoly_divmod, qpoly_gcd,
+                                qpoly_strip)
+from .exactmath.roots import refine_roots
+from .quadforms import mat_inverse
 from .weil import WeilData
 
 Perm = Tuple[int, ...]
@@ -317,34 +323,6 @@ def _ball_product(values: Sequence[ComplexBall], bits: int) -> ComplexBall:
     return acc
 
 
-def _newton_interpolate(nodes: Sequence[ComplexBall],
-                        values: Sequence[ComplexBall],
-                        bits: int) -> List[ComplexBall]:
-    """Power-basis coefficient enclosures of the interpolating polynomial.
-
-    Raises Ambiguous when a node difference enclosure cannot be inverted,
-    which the caller treats as an escalation signal.
-    """
-    n = len(nodes)
-    dd = list(values)
-    newton = [dd[0]]
-    for j in range(1, n):
-        for t in range(n - j):
-            diff = nodes[t + j] - nodes[t]
-            dd[t] = ((dd[t + 1] - dd[t]) * diff.inverse()).round_bits(bits)
-        newton.append(dd[0])
-    # expand from Newton form: poly = (...((a_{n-1})(X - x_{n-2}) + a_{n-2})...)
-    poly = [newton[n - 1]]
-    for j in range(n - 2, -1, -1):
-        nxt = [ComplexBall.exact(0)] * (len(poly) + 1)
-        for t, c in enumerate(poly):
-            nxt[t + 1] = nxt[t + 1] + c
-            nxt[t] = nxt[t] + (c * (-nodes[j])).round_bits(bits)
-        nxt[0] = nxt[0] + newton[j]
-        poly = nxt
-    return poly
-
-
 def _is_squarefree_exact(m: IntPoly) -> bool:
     g = qpoly_gcd([Fraction(c) for c in m.coefficients],
                   [Fraction(c) for c in m.derivative().coefficients])
@@ -418,16 +396,6 @@ _DEAD_SUBGROUP = "dead-subgroup"      # certificate refutes the subgroup itself
 _UNRESOLVED = "unresolved"
 
 
-def _coordinate_bound(modulus: IntPoly, cache: Dict[Tuple[int, ...], int]) -> int:
-    """Certified denominator bound for algebraic-integer coordinates in the
-    power basis of a root of the (squarefree) modulus: the index of the
-    power-basis order divides isqrt(|disc|)."""
-    key = modulus.coefficients
-    if key not in cache:
-        cache[key] = isqrt(discriminant_magnitude(modulus)) + 1
-    return cache[key]
-
-
 def _eval_on_ball(vec: Sequence[Fraction], point: ComplexBall) -> ComplexBall:
     acc = ComplexBall.exact(0)
     for c in reversed(vec):
@@ -438,20 +406,20 @@ def _eval_on_ball(vec: Sequence[Fraction], point: ComplexBall) -> ComplexBall:
 def _try_candidate(h_perms: List[Perm], weight: Tuple[int, ...],
                    reps: Tuple[int, ...], gammas: Dict[Perm, ComplexBall],
                    balls: Sequence[ComplexBall], sf_poly: IntPoly,
-                   iota: Perm, q: int, disc_cache: Dict[Tuple[int, ...], int],
-                   bits: int):
+                   iota: Perm, q: int, bits: int):
     """One (subgroup, weight) attempt at the current precision.
 
     Returns a payload tuple on success, _UNRESOLVED when the precision
     cannot decide, or one of two exact rejection certificates.  Key
     asymmetry: were the subgroup the Galois group, the resolvent would
     have integer coefficients for EVERY integer weight (a degenerate
-    weight only repeats roots), and past the squarefree gate the
-    coordinates would reconstruct and verify for ANY weight.  So a
-    certified non-integer coefficient, a failed reconstruction against the
-    index bound, a failed ring identity, or a misplaced root enclosure
-    refutes the subgroup outright (_DEAD_SUBGROUP); only a squarefree
-    failure is specific to the weight (_DEAD_WEIGHT).
+    weight only repeats roots), and past the squarefree gate every trace
+    t_{i,k} = Tr(r_i x^k) would be an integer whose exact Hankel solve
+    gives coordinates that verify, for ANY weight.  So a certified
+    non-integer coefficient or trace, a failed ring identity, or a
+    misplaced root enclosure refutes the subgroup outright
+    (_DEAD_SUBGROUP); only a squarefree failure is specific to the weight
+    (_DEAD_WEIGHT).
     """
     values = [gammas[w] for w in h_perms]
     # cheap gates first: the trace and norm coefficients must round to
@@ -484,29 +452,41 @@ def _try_candidate(h_perms: List[Perm], weight: Tuple[int, ...],
     if not _is_squarefree_exact(modulus):
         return _DEAD_WEIGHT
 
-    # recover every root coordinate against the index denominator bound
-    den_bound = _coordinate_bound(modulus, disc_cache)
+    # trace certificate: were H the Galois group, t_{i,k} = sum_w
+    # r_{w(i)} gamma_w^k = Tr(r_i x^k) would be a rational integer
+    n = modulus.degree
+    powers = []
+    for v in values:
+        row = [ComplexBall.exact(1)]
+        for _ in range(n - 1):
+            row.append((row[-1] * v).round_bits(bits))
+        powers.append(row)
+    traces = []
     try:
-        coords = []
         for i in range(len(balls)):
             node_vals = [balls[w[i]] for w in h_perms]
-            poly_balls = _newton_interpolate(values, node_vals, bits)
-            vec = []
-            for cb in poly_balls:
-                r = rational_reconstruct(cb, den_bound)
-                if r is None:
+            row = []
+            for k in range(n):
+                acc = ComplexBall.exact(0)
+                for r, pw in zip(node_vals, powers):
+                    acc = acc + r * pw[k]
+                t = acc.unique_integer()
+                if t is None:
                     return _DEAD_SUBGROUP
-                vec.append(r)
-            coords.append(vec)
+                row.append(t)
+            traces.append(row)
     except Ambiguous:
         return _UNRESOLVED
 
+    # Tr(r_i x^k) = sum_j coords_{i,j} p_{j+k}; the Hankel matrix of power
+    # sums is nonsingular because the modulus is squarefree
+    psums = power_sums(modulus, 2 * n - 2)
+    hankel_inv = mat_inverse([[psums[j + k] for j in range(n)]
+                              for k in range(n)])
+    coords = [[sum(a * t for a, t in zip(row, ts)) for row in hankel_inv]
+              for ts in traces]
+
     ring = ModRing(modulus)
-    n = ring.n
-    coords = [vec + [Fraction(0)] * (n - len(vec)) for vec in coords]
-    for vec in coords:
-        if any(ring.eval_intpoly(sf_poly, vec)):
-            return _DEAD_SUBGROUP
     # prod (X - r_i) must equal the squarefree part over the ring
     prod = [ring.const(1)]
     for vec in coords:
@@ -568,7 +548,6 @@ def splitting_field(data: WeilData, settings: Settings = DEFAULT) -> SplittingFi
     if prec > data.prec:
         balls = refine_roots(data.poly, balls, prec)
     largest_dead = 0
-    disc_cache: Dict[Tuple[int, ...], int] = {}
     while True:
         bits = prec + 64
         gamma_cache: Dict[Tuple[int, ...], Dict[Perm, ComplexBall]] = {}
@@ -586,7 +565,7 @@ def splitting_field(data: WeilData, settings: Settings = DEFAULT) -> SplittingFi
                         w: _gamma_ball(weight, reps, w, balls) for w in wprime}
                 out = _try_candidate(h_perms, weight, reps,
                                      gamma_cache[weight], balls, sf_poly,
-                                     iota, data.q, disc_cache, bits)
+                                     iota, data.q, bits)
                 if out is _DEAD_SUBGROUP:
                     subgroup_dead = True
                     break

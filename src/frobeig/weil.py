@@ -28,6 +28,7 @@ from .errors import (Ambiguous, FunctionalEquationFailed,
                      NotSimple, PrecisionExhausted, RootModulusFailed)
 from .exactmath.balls import ComplexBall
 from .exactmath.intpoly import IntPoly
+from .exactmath.latt import mat_mul
 from .exactmath.roots import isolate_roots, refine_roots
 from .quadforms import charpoly_exact
 
@@ -313,8 +314,8 @@ def base_change(poly: IntPoly, k: int) -> IntPoly:
     kk = k
     while kk:
         if kk & 1:
-            power = _imat_mul(power, base)
-        base = _imat_mul(base, base)
+            power = mat_mul(power, base)
+        base = mat_mul(base, base)
         kk >>= 1
     cp = charpoly_exact([[Fraction(x) for x in row] for row in power])
     out = []
@@ -323,9 +324,3 @@ def base_change(poly: IntPoly, k: int) -> IntPoly:
             raise InternalInconsistency("companion charpoly not integral")
         out.append(int(c))
     return IntPoly(tuple(out))
-
-
-def _imat_mul(a, b):
-    n = len(a)
-    return [[sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)]

@@ -627,6 +627,19 @@ class TestBatch:
                                  if '"record_type":"manifest"' not in ln)
         assert strip(out) == strip(clean)
 
+    def test_worker_death_exit_4(self, capsys, monkeypatch, tmp_path):
+        lines = ['{"q": 2, "coeffs": [2, 1, 1], "label": "dies"}',
+                 '{"q": 3, "coeffs": [3, 1, 1]}']
+        inp = write_batch_input(tmp_path, lines)
+        out = tmp_path / "store.ndjson"
+        monkeypatch.setattr(report, "process_line", _dies_on_marked_line)
+        rc, obj = run_cli(capsys, "batch", "--in", str(inp), "--out",
+                          str(out), "--jobs", "2", "--max-power", "1")
+        assert rc == 4
+        assert obj["error"]["type"] == "BrokenProcessPool"
+        _, manifests = store_records(out)
+        assert len(manifests) == 1
+
     def test_run_batch_api_options_change_keys(self, tmp_path):
         inp = write_batch_input(tmp_path, [BATCH_LINES[0]])
         out = tmp_path / "store.ndjson"

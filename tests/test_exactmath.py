@@ -14,9 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobeig.errors import Ambiguous
-from frobeig.exactmath import (ComplexBall, IntPoly, RealBall,
-                               hermite_column_form, isolate_roots,
-                               kernel_lattice, lll_reduce, rational_reconstruct,
+from frobeig.exactmath import (ComplexBall, IntPoly, hermite_column_form,
+                               isolate_roots, kernel_lattice, lll_reduce,
                                relation_candidates, smith_normal_form)
 from frobeig.exactmath.balls import frac_sqrt_lb, frac_sqrt_ub
 from frobeig.exactmath.intpoly import power_sums, yun_decomposition
@@ -351,45 +350,6 @@ def test_refine_preserves_matching():
     for f, c in zip(fine, coarse):
         assert f.intersects(c)
         assert f.rad < c.rad
-
-
-# --- rational reconstruction ---
-
-def test_reconstruct_spec_oracles():
-    wide = ComplexBall(Fraction(1, 2), Fraction(0), Fraction(2, 5))
-    with pytest.raises(Ambiguous):
-        rational_reconstruct(wide, 10)
-    tight = ComplexBall(Fraction(2), Fraction(0), Fraction(1, 10 ** 9))
-    assert rational_reconstruct(tight, 1) == 2
-
-
-def test_reconstruct_none_cases():
-    # interval (0.334, 0.335) holds no rational with denominator <= 2
-    b = RealBall(Fraction(3345, 10000), Fraction(1, 2000))
-    assert rational_reconstruct(b, 2) is None
-    # nonreal enclosure
-    z = ComplexBall(Fraction(1, 2), Fraction(1), Fraction(1, 100))
-    assert rational_reconstruct(z, 10) is None
-
-
-def test_reconstruct_seeded_roundtrip():
-    rng = random.Random(777)
-    bound = 60
-    for _ in range(1000):
-        q = rng.randint(1, bound)
-        p = rng.randint(-10 * q, 10 * q)
-        x = Fraction(p, q)
-        rad = Fraction(1, 2 * bound * q + 1)
-        off = Fraction(rng.randint(-50, 50), 100) * rad
-        ball = RealBall(x + off, rad - abs(off))
-        assert rational_reconstruct(ball, bound) == x
-
-
-@given(st.integers(-500, 500), st.integers(1, 40))
-def test_reconstruct_roundtrip_property(p, q):
-    x = Fraction(p, q)
-    rad = Fraction(1, 2 * 40 * q + 1)
-    assert rational_reconstruct(RealBall(x, rad), 40) == x
 
 
 # --- relation candidates ---

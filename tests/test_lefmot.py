@@ -2,6 +2,7 @@
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -341,6 +342,13 @@ class TestHypothesisCheck:
         an = analysis_cached(5, (25, -5, 10, -1, 1))
         with pytest.raises(NotSimple):
             hypothesis_check(an.data, an.r)
+
+    def test_prime_dimension_warning(self):
+        # r = 0 falls short of g - 1 for every g >= 2; only prime g warns
+        for g in range(1, 8):
+            data = SimpleNamespace(g=g, multiplicity=1)
+            warned = bool(hypothesis_check(data, 0).warnings)
+            assert warned == (g in (2, 3, 5, 7)), g
 
 
 class TestPredictedSignature:

@@ -7,8 +7,7 @@ import pytest
 from frobeig import splitfield
 from frobeig.config import DEFAULT
 from frobeig.corpus import CORPUS
-from frobeig.exactmath.intpoly import (IntPoly, discriminant_magnitude,
-                                       sylvester_resultant)
+from frobeig.exactmath.intpoly import IntPoly
 from frobeig.errors import InternalInconsistency, PrecisionExhausted
 from frobeig.splitfield import (ModRing, _block_permutations, _compose,
                                 galois_group, is_root_of_unity,
@@ -16,25 +15,6 @@ from frobeig.splitfield import (ModRing, _block_permutations, _compose,
 from frobeig.weil import validate
 
 from conftest import analysis_cached, split_cached
-
-
-class TestResultant:
-    def test_oracles(self):
-        assert abs(sylvester_resultant(IntPoly((-1, 1)), IntPoly((-2, 1)))) == 1
-        assert discriminant_magnitude(IntPoly((5, -1, 1))) == 19
-        assert discriminant_magnitude(IntPoly((3, 0, 1))) == 12
-        assert discriminant_magnitude(IntPoly((2, -3, 1))) == 1
-        assert discriminant_magnitude(IntPoly((-1, 0, 0, 1))) == 27
-
-    def test_product_rule_seeded(self):
-        rng = random.Random(4242)
-        for _ in range(40):
-            a = IntPoly([rng.randint(-5, 5) for _ in range(rng.randint(1, 3))] + [1])
-            b = IntPoly([rng.randint(-5, 5) for _ in range(rng.randint(1, 3))] + [1])
-            c = IntPoly([rng.randint(-5, 5) for _ in range(rng.randint(1, 3))] + [1])
-            lhs = sylvester_resultant(a * b, c)
-            rhs = sylvester_resultant(a, c) * sylvester_resultant(b, c)
-            assert lhs == rhs
 
 
 class TestModRing:
@@ -143,13 +123,24 @@ class TestSplittingField:
         # conjugation sends x to 1 - x (the other root of X^2-X+5)
         assert g.images[swap] == (Fraction(1), Fraction(-1))
 
+    def test_low_precision_builds_degree_eight(self):
+        # the integer traces resolve on the 16-bit root enclosures; the
+        # Newton interpolation they replaced needed more precision here
+        st = replace(DEFAULT, precision_start=16, precision_ceiling=16)
+        field = splitting_field(validate(5, [25, -5, 6, -1, 1], st), st)
+        _, default_field = split_cached(5, (25, -5, 6, -1, 1))
+        assert field.degree == 8
+        assert field.group_perms == default_field.group_perms
+
     def test_env_ceiling_does_not_override_settings(self, monkeypatch):
         # only the CLI reads FROBEIG_MAX_PRECISION; an explicit Settings
-        # keeps its ceiling (the same field is degree 8 at 4096 bits)
+        # keeps its ceiling, even when every attempt asks for more bits
         st = replace(DEFAULT, precision_start=16, precision_ceiling=16)
         data = validate(5, [25, -5, 6, -1, 1], st)
+        monkeypatch.setattr(splitfield, "_try_candidate",
+                            lambda *args: splitfield._UNRESOLVED)
         monkeypatch.setenv("FROBEIG_MAX_PRECISION", "4096")
-        with pytest.raises(PrecisionExhausted):
+        with pytest.raises(PrecisionExhausted, match="at 16 bits"):
             splitting_field(data, st)
 
 
@@ -166,7 +157,7 @@ def corpus_fields():
 class TestGaloisGroup:
     def test_no_numerics(self, monkeypatch):
         # the group is certified from the field's exact root coordinates:
-        # no enclosure, reconstruction or precision work
+        # no candidate attempt, enclosure or precision work
         fields = corpus_fields()
         calls = []
 
@@ -176,8 +167,7 @@ class TestGaloisGroup:
                 return real(*args, **kwargs)
             return call
 
-        for name in ("_newton_interpolate", "rational_reconstruct",
-                     "refine_roots", "discriminant_magnitude"):
+        for name in ("_try_candidate", "refine_roots"):
             monkeypatch.setattr(splitfield, name,
                                 counted(name, getattr(splitfield, name)))
         for data, field in fields:
