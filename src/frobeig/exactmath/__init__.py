@@ -2,9 +2,11 @@
 integer lattices (Smith/Hermite forms, kernels, LLL) and certified root
 isolation.
 
-Rationals are `fractions.Fraction` throughout: the stdlib type already
-guarantees the normalization this package needs (lowest terms, positive
-denominator).
+Rationals are `fractions.Fraction`: the stdlib type already guarantees
+the normalization this package needs (lowest terms, positive
+denominator).  Complex balls are the exception: they hold integer
+mantissas over a power-of-two exponent and round outward (see `balls`),
+and rational data enters them through one constructor.
 """
 
 from .intpoly import IntPoly

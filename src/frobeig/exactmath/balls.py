@@ -1,10 +1,23 @@
-"""Certified midpoint-radius arithmetic over exact rationals.
+"""Certified midpoint-radius arithmetic on dyadic grids.
 
-A `ComplexBall` is a closed disk {z : |z - mid| <= rad} with a rational
-midpoint and radius, so every operation can propagate enclosures exactly:
-there is no hidden rounding anywhere.  Midpoints are kept on a dyadic grid
-by `round_bits`, which folds the quantization error into the radius, keeping
-coefficient sizes proportional to the working precision.
+A `ComplexBall` is a closed disk {z : |z - mid| <= rad} stored as three
+integer mantissas over one power-of-two exponent: the midpoint is
+(mre + i*mim) * 2^exp and the radius mrad * 2^exp.  This is the
+midpoint-radius design of Arb (Johansson, arXiv:1611.02831) with exact
+integer midpoints: sums, products, scaling and negation are exact
+integer operations on the mantissas, and the product radius takes its
+midpoint moduli from `math.isqrt`, rounded up.
+
+Within the class rounding happens in exactly two places, and both round
+outward, so a ball always contains every value it stands for:
+  - `round_bits` moves the midpoint to the nearest point of the 2^-bits
+    grid, adds the displacement to the radius and rounds the radius up;
+  - `enclose` is the single entry point for rational data (`inverse` and
+    `div_int` go through it): it does the same for a rational midpoint
+    and radius.
+Code that builds a ball from mantissas directly (root isolation) rounds
+its radius up itself.  The read-only views `re`, `im` and `rad` give the
+exact rational values of the mantissas, for witness strings and tests.
 
 Comparisons that a ball cannot decide raise `Ambiguous` instead of guessing;
 callers escalate precision and retry.
@@ -13,156 +26,187 @@ callers escalate precision and retry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
 
 from ..errors import Ambiguous
 
-_ZERO = Fraction(0)
+# extra bits of relative precision `inverse` keeps beyond its input's
+_INVERSE_GUARD = 32
 
 
-def frac_sqrt_lb(x: Fraction) -> Fraction:
-    """Largest convenient rational lower bound for sqrt(x), x >= 0."""
-    if x < 0:
-        raise ValueError("negative operand")
-    p, q = x.numerator, x.denominator
-    return Fraction(math.isqrt(p * q), q)
+def isqrt_ub(n: int) -> int:
+    """Smallest integer s with s*s >= n, for n >= 0."""
+    s = math.isqrt(n)
+    return s if s * s == n else s + 1
 
 
-def frac_sqrt_ub(x: Fraction) -> Fraction:
-    """Rational upper bound for sqrt(x), x >= 0."""
-    if x < 0:
-        raise ValueError("negative operand")
-    p, q = x.numerator, x.denominator
-    s = math.isqrt(p * q)
-    if s * s < p * q:
-        s += 1
-    return Fraction(s, q)
+def _dyadic(mantissa: int, exp: int) -> Fraction:
+    if exp >= 0:
+        return Fraction(mantissa << exp)
+    return Fraction(mantissa, 1 << -exp)
 
 
-def round_frac(x: Fraction, bits: int) -> Tuple[Fraction, Fraction]:
-    """Round x to the 2^-bits grid; return (rounded, |error| bound)."""
-    scale = 1 << bits
-    n = x.numerator * scale
-    d = x.denominator
-    q, r = divmod(n, d)
-    if 2 * r >= d:
-        q += 1
-    rounded = Fraction(q, scale)
-    return rounded, abs(rounded - x)
-
-
-@dataclass(frozen=True)
 class ComplexBall:
-    """Closed disk with rational midpoint (re, im) and rational radius."""
+    """Closed disk with midpoint (mre + i*mim) * 2^exp and radius
+    mrad * 2^exp; the four fields are ints and never change."""
 
-    re: Fraction
-    im: Fraction
-    rad: Fraction
+    __slots__ = ("mre", "mim", "mrad", "exp")
 
-    def __post_init__(self):
-        if self.rad < 0:
+    def __init__(self, mre: int, mim: int, mrad: int, exp: int):
+        if mrad < 0:
             raise ValueError("negative radius")
+        self.mre = mre
+        self.mim = mim
+        self.mrad = mrad
+        self.exp = exp
 
     # --- constructors ---
 
     @staticmethod
-    def exact(re, im=0) -> "ComplexBall":
-        return ComplexBall(Fraction(re), Fraction(im), _ZERO)
+    def exact(re: int, im: int = 0) -> "ComplexBall":
+        """The point ball at the Gaussian integer re + i*im."""
+        return ComplexBall(re, im, 0, 0)
 
-    # --- bounds ---
+    @staticmethod
+    def enclose(re, im, rad, bits: int) -> "ComplexBall":
+        """The ball on the 2^-bits grid that contains the disk with
+        rational midpoint (re, im) and rational radius rad >= 0.
+
+        The midpoint goes to the nearest grid point (ties upward); the
+        displacement is added to the radius, which is rounded up."""
+        scale = _dyadic(1, bits)
+        re, im = Fraction(re) * scale, Fraction(im) * scale
+        rad = Fraction(rad) * scale
+        if rad < 0:
+            raise ValueError("negative radius")
+        mre = math.floor(re + Fraction(1, 2))
+        mim = math.floor(im + Fraction(1, 2))
+        mrad = math.ceil(rad + abs(re - mre) + abs(im - mim))
+        return ComplexBall(mre, mim, mrad, -bits)
+
+    # --- exact rational views ---
+
+    @property
+    def re(self) -> Fraction:
+        return _dyadic(self.mre, self.exp)
+
+    @property
+    def im(self) -> Fraction:
+        return _dyadic(self.mim, self.exp)
+
+    @property
+    def rad(self) -> Fraction:
+        return _dyadic(self.mrad, self.exp)
 
     def abs_sq_mid(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return _dyadic(self.mre * self.mre + self.mim * self.mim,
+                       2 * self.exp)
 
     # --- arithmetic ---
 
     def __add__(self, other: "ComplexBall") -> "ComplexBall":
-        return ComplexBall(self.re + other.re, self.im + other.im,
-                           self.rad + other.rad)
-
-    def __sub__(self, other: "ComplexBall") -> "ComplexBall":
-        return ComplexBall(self.re - other.re, self.im - other.im,
-                           self.rad + other.rad)
+        e, f = self.exp, other.exp
+        if e == f:
+            return ComplexBall(self.mre + other.mre, self.mim + other.mim,
+                               self.mrad + other.mrad, e)
+        if e > f:
+            s = e - f
+            return ComplexBall((self.mre << s) + other.mre,
+                               (self.mim << s) + other.mim,
+                               (self.mrad << s) + other.mrad, f)
+        s = f - e
+        return ComplexBall(self.mre + (other.mre << s),
+                           self.mim + (other.mim << s),
+                           self.mrad + (other.mrad << s), e)
 
     def __neg__(self) -> "ComplexBall":
-        return ComplexBall(-self.re, -self.im, self.rad)
+        return ComplexBall(-self.mre, -self.mim, self.mrad, self.exp)
 
     def conjugate(self) -> "ComplexBall":
-        return ComplexBall(self.re, -self.im, self.rad)
+        return ComplexBall(self.mre, -self.mim, self.mrad, self.exp)
 
     def __mul__(self, other: "ComplexBall") -> "ComplexBall":
-        a, b, r = self.re, self.im, self.rad
-        c, d, s = other.re, other.im, other.rad
-        re = a * c - b * d
-        im = a * d + b * c
-        rad = (frac_sqrt_ub(a * a + b * b) * s
-               + frac_sqrt_ub(c * c + d * d) * r + r * s)
-        return ComplexBall(re, im, rad)
+        a, b, r = self.mre, self.mim, self.mrad
+        c, d, s = other.mre, other.mim, other.mrad
+        # |xy - mid(x)mid(y)| <= |mid(x)| s + |mid(y)| r + r s
+        rad = r * s
+        if s:
+            rad += isqrt_ub(a * a + b * b) * s
+        if r:
+            rad += isqrt_ub(c * c + d * d) * r
+        return ComplexBall(a * c - b * d, a * d + b * c, rad,
+                           self.exp + other.exp)
 
-    def scale(self, c) -> "ComplexBall":
-        c = Fraction(c)
-        return ComplexBall(self.re * c, self.im * c, self.rad * abs(c))
+    def scale(self, c: int) -> "ComplexBall":
+        return ComplexBall(self.mre * c, self.mim * c, self.mrad * abs(c),
+                           self.exp)
 
     def inverse(self) -> "ComplexBall":
-        norm = self.abs_sq_mid()
-        lb = frac_sqrt_lb(norm)
-        if lb <= self.rad:
+        """Enclosure of 1/z over the disk, on a grid that keeps
+        _INVERSE_GUARD more bits than the midpoint mantissas hold."""
+        a, b, r = self.mre, self.mim, self.mrad
+        norm = a * a + b * b
+        lb = math.isqrt(norm)
+        if lb <= r:
             raise Ambiguous("ball may contain zero; cannot invert")
-        re = self.re / norm
-        im = -self.im / norm
-        rad = self.rad / (lb * (lb - self.rad))
-        return ComplexBall(re, im, rad)
+        # 1/mid = conj(mid)/|mid|^2, and over the disk
+        # |1/z - 1/mid| <= r / (|mid| (|mid| - r)); all in units 2^-exp
+        unit = _dyadic(1, -self.exp)
+        bits = 2 * max(abs(a), abs(b)).bit_length() + self.exp + _INVERSE_GUARD
+        return ComplexBall.enclose(Fraction(a, norm) * unit,
+                                   Fraction(-b, norm) * unit,
+                                   Fraction(r, lb * (lb - r)) * unit, bits)
 
-    def __truediv__(self, other: "ComplexBall") -> "ComplexBall":
-        return self * other.inverse()
-
-    def power(self, e: int) -> "ComplexBall":
-        if e < 0:
-            return self.inverse().power(-e)
-        result = ComplexBall.exact(1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+    def div_int(self, d: int, bits: int) -> "ComplexBall":
+        """Enclosure of z/d, for a nonzero integer d, on the 2^-bits grid."""
+        return ComplexBall.enclose(self.re / d, self.im / d,
+                                   self.rad / abs(d), bits)
 
     def round_bits(self, bits: int) -> "ComplexBall":
-        re, e1 = round_frac(self.re, bits)
-        im, e2 = round_frac(self.im, bits)
-        rad, _ = round_frac(self.rad + e1 + e2, bits)
-        if rad < self.rad + e1 + e2:
-            rad += Fraction(1, 1 << bits)
-        return ComplexBall(re, im, rad)
+        """The ball moved onto the 2^-bits grid, enlarged to keep every
+        point it contained; a ball already on that grid is returned."""
+        shift = -bits - self.exp
+        if shift <= 0:
+            return self
+        half = 1 << (shift - 1)
+        re = (self.mre + half) >> shift
+        im = (self.mim + half) >> shift
+        err = (self.mrad + abs(self.mre - (re << shift))
+               + abs(self.mim - (im << shift)))
+        return ComplexBall(re, im, -((-err) >> shift), -bits)
 
     # --- certified predicates ---
+
+    def _aligned(self, other: "ComplexBall"):
+        """Mantissas of both balls over their common (finer) exponent."""
+        e, f = self.exp, other.exp
+        a, b, r = self.mre, self.mim, self.mrad
+        c, d, s = other.mre, other.mim, other.mrad
+        if e > f:
+            a, b, r = a << (e - f), b << (e - f), r << (e - f)
+        elif f > e:
+            c, d, s = c << (f - e), d << (f - e), s << (f - e)
+        return a, b, r, c, d, s
 
     def contains_exact(self, re, im=0) -> bool:
         dx = self.re - Fraction(re)
         dy = self.im - Fraction(im)
         return dx * dx + dy * dy <= self.rad * self.rad
 
-    def contains_zero(self) -> bool:
-        return self.contains_exact(0, 0)
-
     def disjoint(self, other: "ComplexBall") -> bool:
-        dx = self.re - other.re
-        dy = self.im - other.im
-        rr = self.rad + other.rad
+        a, b, r, c, d, s = self._aligned(other)
+        dx, dy, rr = a - c, b - d, r + s
         return dx * dx + dy * dy > rr * rr
 
     def intersects(self, other: "ComplexBall") -> bool:
         return not self.disjoint(other)
 
     def contains_ball(self, other: "ComplexBall") -> bool:
-        dx = self.re - other.re
-        dy = self.im - other.im
-        gap = self.rad - other.rad
+        a, b, r, c, d, s = self._aligned(other)
+        gap = r - s
         if gap < 0:
             return False
+        dx, dy = a - c, b - d
         return dx * dx + dy * dy <= gap * gap
 
     def unique_integer(self):
@@ -172,15 +216,23 @@ class ComplexBall:
         rational integer; raises Ambiguous if more than one integer is
         possible.
         """
-        if abs(self.im) > self.rad:
+        if abs(self.mim) > self.mrad:
             return None
-        lo = math.ceil(self.re - self.rad)
-        hi = math.floor(self.re + self.rad)
+        lo, hi = self.mre - self.mrad, self.mre + self.mrad
+        if self.exp >= 0:
+            lo, hi = lo << self.exp, hi << self.exp
+        else:
+            shift = -self.exp
+            lo, hi = -((-lo) >> shift), hi >> shift
         if lo > hi:
             return None
         if lo < hi:
             raise Ambiguous("interval holds several integers")
         return lo
+
+    def __repr__(self) -> str:
+        return (f"ComplexBall({self.mre}, {self.mim}, {self.mrad}, "
+                f"{self.exp})")
 
     def __str__(self) -> str:
         return f"({float(self.re):.6g} {float(self.im):+.6g}i) +- {float(self.rad):.3g}"

@@ -1,27 +1,34 @@
 """Certified complex root isolation.
 
 Floating point appears only inside the Aberth iteration that produces
-approximations; everything after that is exact.  A Weierstrass-type a
-posteriori bound turns the approximations into certified disks: with
-W_i = P(z_i) / (lc(P) * prod_{j != i} (z_i - z_j)) computed in exact rational
-arithmetic, every root of P lies in the union of the disks D(z_i, n*|W_i|),
-and when those disks are pairwise disjoint each contains exactly one root.
-Disjointness and radii are checked with exact squared comparisons, so a
-returned isolation is a proof, not a heuristic.
+approximations; everything after that is exact.  Each approximation is
+rounded to a point z_i of the 2^-wp grid, so it is a dyadic rational held
+as an integer mantissa.  A Weierstrass-type a posteriori bound turns the
+points into certified disks: with W_i = P(z_i) / (lc(P) * prod_{j != i}
+(z_i - z_j)) computed exactly in integers, every root of P lies in the
+union of the disks D(z_i, n*|W_i|), and when those disks are pairwise
+disjoint each contains exactly one root.  The radius n*|W_i| is rounded
+up onto a grid _GUARD bits finer than the midpoints, so the returned
+`ComplexBall`s share one exponent and enclose at least those disks.
+Disjointness and radii are checked with exact squared comparisons of
+integers, so a returned isolation is a proof, not a heuristic.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import mpmath
 
 from ..errors import Ambiguous, PrecisionExhausted
-from .balls import ComplexBall, frac_sqrt_lb, frac_sqrt_ub, round_frac
+from .balls import ComplexBall, isqrt_ub
 from .intpoly import IntPoly
 
 _OFFSETS = (0.0, 0.25, 0.37, 0.51, 0.63, 0.79)
+# the radius grid is this many bits finer than the 2^-wp midpoint grid
+_GUARD = 16
 
 
 def _mpf_to_frac(x) -> Fraction:
@@ -114,25 +121,40 @@ def _aberth(poly: IntPoly, wp: int, warm: Optional[List[complex]] = None,
         return zs
 
 
-def _horner(poly: IntPoly, re: Fraction, im: Fraction) -> Tuple[Fraction, Fraction]:
-    ar, ai = Fraction(0), Fraction(0)
-    for c in reversed(poly.coefficients):
-        ar, ai = ar * re - ai * im + c, ar * im + ai * re
-    return ar, ai
+def _grid_point(x, bits: int) -> int:
+    """The mpf x rounded to the nearest multiple of 2^-bits (ties upward),
+    as the integer multiple."""
+    sign, man, exp, _ = x._mpf_
+    man, exp = int(man), int(exp)
+    if man == 0 and exp != 0:
+        raise ValueError("non-finite float in root iteration")
+    if sign:
+        man = -man
+    shift = -exp - bits
+    if shift <= 0:
+        return man << -shift
+    return (man + (1 << (shift - 1))) >> shift
 
 
-def _certify(poly: IntPoly, approx: List[Tuple[Fraction, Fraction]]) -> Optional[List[ComplexBall]]:
-    """Exact Weierstrass bound: disks of radius n*|W_i| around each point.
+def _certify(poly: IntPoly, approx: List[Tuple[int, int]],
+             wp: int) -> Optional[List[ComplexBall]]:
+    """Exact Weierstrass bound: disks of radius n*|W_i| around each point
+    (re + i*im) * 2^-wp of approx.
 
-    Returns certified pairwise-disjoint balls, or None when disjointness
-    fails at this precision.
+    Returns certified pairwise-disjoint balls with exponent -(wp +
+    _GUARD), or None when disjointness fails at this precision.
     """
     n = poly.degree
-    lead = Fraction(poly.leading)
+    coeffs = poly.coefficients
     balls = []
     for i, (xr, xi) in enumerate(approx):
-        pr, pi = _horner(poly, xr, xi)
-        dr, di = lead, Fraction(0)
+        # Horner on the grid integers: pr + i*pi = P(z_i) * 2^(wp*n)
+        pr, pi = coeffs[n], 0
+        for k in range(n - 1, -1, -1):
+            pr, pi = (pr * xr - pi * xi + (coeffs[k] << (wp * (n - k))),
+                      pr * xi + pi * xr)
+        # dr + i*di = lc(P) * prod_{j != i} (z_i - z_j) * 2^(wp*(n-1))
+        dr, di = poly.leading, 0
         for j, (yr, yi) in enumerate(approx):
             if j == i:
                 continue
@@ -141,10 +163,12 @@ def _certify(poly: IntPoly, approx: List[Tuple[Fraction, Fraction]]) -> Optional
         nsq = dr * dr + di * di
         if nsq == 0:
             return None
-        wr = (pr * dr + pi * di) / nsq
-        wi = (pi * dr - pr * di) / nsq
-        rad = n * frac_sqrt_ub(wr * wr + wi * wi)
-        balls.append(ComplexBall(xr, xi, rad))
+        # |W_i| = |p| / (|d| * 2^wp); the radius n*|W_i| in units of
+        # 2^-(wp + _GUARD) is n * |p| * 2^_GUARD / |d|, rounded up
+        num = n * n * (pr * pr + pi * pi) << (2 * _GUARD)
+        rad = isqrt_ub(-(-num // nsq))
+        balls.append(ComplexBall(xr << _GUARD, xi << _GUARD, rad,
+                                 -(wp + _GUARD)))
     for i in range(n):
         for j in range(i + 1, n):
             if not balls[i].disjoint(balls[j]):
@@ -153,21 +177,17 @@ def _certify(poly: IntPoly, approx: List[Tuple[Fraction, Fraction]]) -> Optional
 
 
 def _small_enough(balls: Sequence[ComplexBall], prec: int) -> bool:
-    eps = Fraction(1, 1 << prec)
+    # rad <= 2^-prec * max(1, |re| + |im|), for balls with exponent <= 0
     for b in balls:
-        scale = max(Fraction(1), abs(b.re) + abs(b.im))
-        if b.rad > eps * scale:
+        scale = max(1 << -b.exp, abs(b.mre) + abs(b.mim))
+        if b.mrad << prec > scale:
             return False
     return True
 
 
-def _round_points(zs, bits: int) -> List[Tuple[Fraction, Fraction]]:
-    out = []
-    for z in zs:
-        re, _ = round_frac(_mpf_to_frac(z.real), bits)
-        im, _ = round_frac(_mpf_to_frac(z.imag), bits)
-        out.append((re, im))
-    return out
+def _round_points(zs, bits: int) -> List[Tuple[int, int]]:
+    return [(_grid_point(z.real, bits), _grid_point(z.imag, bits))
+            for z in zs]
 
 
 def isolate_roots(poly: IntPoly, prec: int) -> List[ComplexBall]:
@@ -190,9 +210,10 @@ def isolate_roots(poly: IntPoly, prec: int) -> List[ComplexBall]:
         offset = _OFFSETS[min(attempt, len(_OFFSETS) - 1)]
         zs = _aberth(sf, wp, warm=warm, offset=offset)
         pts = _round_points(zs, wp)
-        balls = _certify(sf, pts)
+        balls = _certify(sf, pts, wp)
         if balls is not None and _small_enough(balls, prec):
-            return sorted(balls, key=lambda b: (b.re, b.im))
+            # the balls share one exponent, so mantissas order the midpoints
+            return sorted(balls, key=lambda b: (b.mre, b.mim))
         warm = [complex(z.real, z.imag) for z in zs] if balls is not None else None
         wp *= 2
     raise PrecisionExhausted(
@@ -213,7 +234,7 @@ def refine_roots(poly: IntPoly, prev: Sequence[ComplexBall], prec: int) -> List[
     for _ in range(12):
         zs = _aberth(sf, wp, warm=warm)
         pts = _round_points(zs, wp)
-        balls = _certify(sf, pts)
+        balls = _certify(sf, pts, wp)
         if balls is not None and _small_enough(balls, prec):
             matched: List[Optional[ComplexBall]] = [None] * len(prev)
             ok = True
@@ -239,14 +260,15 @@ def arg_ball(ball: ComplexBall, prec: int) -> Tuple[Fraction, Fraction]:
     atan2 at the midpoint.  Used only to seed lattice-based relation
     candidates, which are verified exactly downstream.
     """
-    lb = frac_sqrt_lb(ball.abs_sq_mid()) - ball.rad
+    # the mantissas share the exponent, which cancels from r / |m|
+    lb = math.isqrt(ball.mre * ball.mre + ball.mim * ball.mim) - ball.mrad
     if lb <= 0:
         raise Ambiguous("disk too close to the origin for an argument bound")
     with mpmath.workprec(prec + 16):
-        a = mpmath.atan2(mpmath.mpf(ball.im.numerator) / ball.im.denominator,
-                         mpmath.mpf(ball.re.numerator) / ball.re.denominator)
+        a = mpmath.atan2(mpmath.mpf((ball.mim, ball.exp)),
+                         mpmath.mpf((ball.mre, ball.exp)))
         mid = _mpf_to_frac(a)
-    rad = 2 * ball.rad / lb + Fraction(1, 1 << prec)
+    rad = Fraction(2 * ball.mrad, lb) + Fraction(1, 1 << prec)
     return mid, rad
 
 

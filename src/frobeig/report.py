@@ -288,6 +288,12 @@ def build_report_record(record: InputRecord,
     fragments enumerated under status.undetermined instead of aborting.
     """
     opts, key = _resolve(record, global_options, base, version)
+    return _report(record, opts, key, base, version)
+
+
+def _report(record: InputRecord, opts: Dict[str, int], key: str,
+            base: Settings, version: str) -> dict:
+    """The report of a record whose options and content_key are resolved."""
     an = analyse(record, opts, base)
     data = an.data
 
@@ -379,7 +385,7 @@ def process_line(raw: str, global_options: Optional[Dict[str, int]],
         return key, _error_line(key, None, opts, exc, version, raw=raw), \
             "error"
     try:
-        rep = build_report_record(record, global_options, base, version)
+        rep = _report(record, opts, key, base, version)
     except FrobeigError as exc:
         return key, _error_line(key, record.echo(), opts, exc, version), \
             "error"

@@ -37,6 +37,16 @@ Evaluated on the enclosure of x, each coordinate vector must meet its own
 root enclosure and no other.  Enclosures only ever decide which exact
 checks to attempt; they are never the evidence.
 
+The enclosures are dyadic `ComplexBall`s: integer mantissas over one
+power-of-two exponent, so ball arithmetic is integer arithmetic.  The
+running products behind the resolvent coefficients, the powers of gamma_w
+and each Horner step of the coordinate evaluation are rounded outward
+onto the 2^-bits working grid (bits = precision + 64), which keeps every
+true value inside its ball and the mantissas proportional to the
+precision.  The coordinate evaluation runs on the integer numerators over
+the common denominator and divides it out last, through the balls' one
+rational constructor.
+
 The Galois group is then certified from those verified coordinates
 alone, with no enclosures and no precision: the image of x under each
 element is the same weight combination of the permuted roots, and the
@@ -66,7 +76,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt
+from math import isqrt, lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .config import DEFAULT, Settings
@@ -376,7 +386,7 @@ def orbit_representatives(data: WeilData) -> Tuple[int, ...]:
             reps.append(i)
         else:
             # prefer the representative in the upper half plane
-            reps.append(i if data.roots[i].im > 0 else j)
+            reps.append(i if data.roots[i].mim > 0 else j)
     return tuple(sorted(reps))
 
 
@@ -396,11 +406,18 @@ _DEAD_SUBGROUP = "dead-subgroup"      # certificate refutes the subgroup itself
 _UNRESOLVED = "unresolved"
 
 
-def _eval_on_ball(vec: Sequence[Fraction], point: ComplexBall) -> ComplexBall:
+def _eval_on_ball(vec: Sequence[Fraction], point: ComplexBall,
+                  bits: int) -> ComplexBall:
+    """Enclosure on the 2^-bits grid of the polynomial with rational
+    coefficients vec (low to high) at the ball point.  Horner runs on the
+    integer numerators over the common denominator, rounding each step
+    onto the grid; the denominator is divided out at the end."""
+    den = lcm(*(c.denominator for c in vec))
     acc = ComplexBall.exact(0)
     for c in reversed(vec):
-        acc = acc * point + ComplexBall.exact(c)
-    return acc
+        term = ComplexBall.exact(c.numerator * (den // c.denominator))
+        acc = (acc * point + term).round_bits(bits)
+    return acc.div_int(den, bits)
 
 
 def _try_candidate(h_perms: List[Perm], weight: Tuple[int, ...],
@@ -513,7 +530,7 @@ def _try_candidate(h_perms: List[Perm], weight: Tuple[int, ...],
     # generator enclosure, must isolate its own root enclosure
     gamma_id = gammas[tuple(range(len(balls)))]
     for i, vec in enumerate(coords):
-        enc = _eval_on_ball(vec, gamma_id)
+        enc = _eval_on_ball(vec, gamma_id, bits)
         if enc.disjoint(balls[i]):
             return _DEAD_SUBGROUP
         for j in range(len(balls)):

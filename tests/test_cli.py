@@ -575,6 +575,24 @@ class TestBatch:
             ["in.ndjson", "store.ndjson"]
         assert run_batch(inp, out, global_options=opts)["written"] == 3
 
+    def test_each_line_resolved_once_per_pass(self, monkeypatch, tmp_path):
+        # plan_keys resolves a line to skip stored keys; process_line
+        # resolves it once more and hands the result to the report
+        real = report._resolve
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(report, "_resolve", counting)
+        lines = BATCH_LINES[:3]
+        summary = run_batch(write_batch_input(tmp_path, lines),
+                            tmp_path / "store.ndjson",
+                            global_options={"max_power": 1})
+        assert summary["written"] == 3
+        assert len(calls) == 2 * len(lines)
+
     def test_unexpected_exception_becomes_error_record(self, monkeypatch,
                                                        tmp_path):
         # a bug outside the FrobeigError hierarchy costs its own record only

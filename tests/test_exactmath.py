@@ -17,7 +17,7 @@ from frobeig.errors import Ambiguous
 from frobeig.exactmath import (ComplexBall, IntPoly, hermite_column_form,
                                isolate_roots, kernel_lattice, lll_reduce,
                                relation_candidates, smith_normal_form)
-from frobeig.exactmath.balls import frac_sqrt_lb, frac_sqrt_ub
+from frobeig.exactmath.balls import isqrt_ub
 from frobeig.exactmath.intpoly import power_sums, yun_decomposition
 from frobeig.exactmath.latt import (identity_matrix, invariant_factors,
                                     lattice_rank, lattice_saturation_index,
@@ -114,24 +114,27 @@ def test_intpoly_ring_axioms(a, b):
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 40),
        st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 40))
 def test_ball_arithmetic_encloses_exact_points(ar, ai, an, br, bi, bn):
-    za = ComplexBall(Fraction(ar, an), Fraction(ai, an), Fraction(1, 100))
-    zb = ComplexBall(Fraction(br, bn), Fraction(bi, bn), Fraction(1, 100))
+    za = ComplexBall.enclose(Fraction(ar, an), Fraction(ai, an),
+                             Fraction(1, 100), 64)
+    zb = ComplexBall.enclose(Fraction(br, bn), Fraction(bi, bn),
+                             Fraction(1, 100), 64)
     # the exact midpoints must land inside every operation's output ball
     sr, si = za.re + zb.re, za.im + zb.im
     assert (za + zb).contains_exact(sr, si)
     mr = za.re * zb.re - za.im * zb.im
     mi = za.re * zb.im + za.im * zb.re
     assert (za * zb).contains_exact(mr, mi)
-    if not zb.contains_zero():
-        quot = (za / zb)
+    if not zb.contains_exact(0, 0):
+        quot = za * zb.inverse()
         # (za/zb) * zb should enclose za's midpoint
-        back = quot * ComplexBall(zb.re, zb.im, Fraction(0))
+        back = quot * ComplexBall(zb.mre, zb.mim, 0, zb.exp)
         assert back.contains_exact(za.re, za.im)
 
 
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**4), st.integers(4, 64))
 def test_round_bits_keeps_enclosure(num, den, bits):
-    b = ComplexBall(Fraction(num, den), Fraction(-num, 3 * den), Fraction(1, den))
+    b = ComplexBall.enclose(Fraction(num, den), Fraction(-num, 3 * den),
+                            Fraction(1, den), 128)
     r = b.round_bits(bits)
     assert r.contains_ball(b) or r.rad >= b.rad
     assert r.contains_exact(b.re, b.im)
@@ -140,15 +143,15 @@ def test_round_bits_keeps_enclosure(num, den, bits):
 
 @given(st.integers(0, 10**8), st.integers(1, 10**4))
 def test_sqrt_bounds(p, q):
-    x = Fraction(p, q)
-    lb, ub = frac_sqrt_lb(x), frac_sqrt_ub(x)
+    x = p * q
+    lb, ub = math.isqrt(x), isqrt_ub(x)
     assert lb * lb <= x <= ub * ub
     assert lb <= ub
 
 
 def test_ball_power_and_inverse():
-    z = ComplexBall.exact(Fraction(1, 2), Fraction(3, 2))
-    w = z.power(3)
+    z = ComplexBall.enclose(Fraction(1, 2), Fraction(3, 2), 0, 1)
+    w = z * z * z
     # (1/2 + 3i/2)^3 = 1/8 + 3*(1/4)*(3i/2) + 3*(1/2)*(9 i^2/4) + 27 i^3 / 8
     ex_re = Fraction(1, 8) - Fraction(27, 8)
     ex_im = Fraction(9, 8) * 1 - Fraction(27, 8)
@@ -157,21 +160,24 @@ def test_ball_power_and_inverse():
     prod = inv * z
     assert prod.contains_exact(1, 0)
     with pytest.raises(Ambiguous):
-        ComplexBall(Fraction(0), Fraction(0), Fraction(1, 10)).inverse()
+        ComplexBall.enclose(0, 0, Fraction(1, 10), 64).inverse()
 
 
 def test_disjoint():
-    a = ComplexBall(Fraction(0), Fraction(1), Fraction(1, 4))
-    b = ComplexBall(Fraction(0), Fraction(-1), Fraction(1, 4))
+    a = ComplexBall.enclose(0, 1, Fraction(1, 4), 2)
+    b = ComplexBall.enclose(0, -1, Fraction(1, 4), 2)
     assert a.disjoint(b)
 
 
 def test_unique_integer():
-    assert ComplexBall(Fraction(3), Fraction(0), Fraction(1, 4)).unique_integer() == 3
-    assert ComplexBall(Fraction(5, 2), Fraction(0), Fraction(1, 8)).unique_integer() is None
-    assert ComplexBall(Fraction(3), Fraction(1), Fraction(1, 4)).unique_integer() is None
+    def ball(re, im, rad):
+        return ComplexBall.enclose(re, im, rad, 8)
+
+    assert ball(3, 0, Fraction(1, 4)).unique_integer() == 3
+    assert ball(Fraction(5, 2), 0, Fraction(1, 8)).unique_integer() is None
+    assert ball(3, 1, Fraction(1, 4)).unique_integer() is None
     with pytest.raises(Ambiguous):
-        ComplexBall(Fraction(5, 2), Fraction(0), Fraction(1)).unique_integer()
+        ball(Fraction(5, 2), 0, 1).unique_integer()
 
 
 # --- lattices ---
@@ -292,7 +298,7 @@ def test_isolate_sextic_modulus():
     roots = isolate_roots(IntPoly((27, 0, 0, 0, 0, 0, 1)), 96)  # X^6 + 27
     assert len(roots) == 6
     for b in roots:
-        sq = b.power(2) * b.power(2).conjugate()
+        sq = (b * b) * (b * b).conjugate()
         # |z|^2 must be 3 for every root, so |z|^4 = 9
         assert sq.contains_exact(9)
 

@@ -1,6 +1,8 @@
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -8,13 +10,18 @@ from frobeig import splitfield
 from frobeig.config import DEFAULT
 from frobeig.corpus import CORPUS
 from frobeig.exactmath.intpoly import IntPoly
-from frobeig.errors import InternalInconsistency, PrecisionExhausted
+from frobeig.errors import (FrobeigError, InternalInconsistency,
+                            PrecisionExhausted)
 from frobeig.splitfield import (ModRing, _block_permutations, _compose,
                                 galois_group, is_root_of_unity,
                                 splitting_field, word_value)
 from frobeig.weil import validate
 
 from conftest import analysis_cached, split_cached
+
+# sha256 of the seeded splitting fields in TestBallCertificates
+SEEDED_FIELDS_SHA256 = (
+    "9821116fa648afd3cc8e2751318790fae75d8e0179ac2ca0dd019e8f47b39e34")
 
 
 class TestModRing:
@@ -262,3 +269,61 @@ class TestWords:
         ring = sf.ring()
         ratio = word_value(ring, sf.root_coords, [1, -1])
         assert is_root_of_unity(ring, ratio) is None
+
+
+def seeded_weil_inputs(seed, per_degree):
+    """Validated quartics X^4+aX^3+bX^2+qaX+q^2 and sextics X^6+aX^3+q^3
+    drawn from a seeded generator, per_degree of each (ascending
+    coefficients)."""
+    rng = random.Random(seed)
+    found = {4: [], 6: []}
+    while min(len(v) for v in found.values()) < per_degree:
+        q = rng.choice((2, 3, 4, 5, 7, 8, 9))
+        if rng.random() < 0.5:
+            a = rng.randint(-4 * isqrt(q), 4 * isqrt(q))
+            coeffs = (q * q, q * a, rng.randint(-2 * q, 6 * q), a, 1)
+        else:
+            amax = 2 * isqrt(q ** 3)
+            coeffs = (q ** 3, 0, 0, rng.randint(-amax, amax), 0, 0, 1)
+        bucket = found[len(coeffs) - 1]
+        if len(bucket) == per_degree or (q, coeffs) in bucket:
+            continue
+        try:
+            validate(q, coeffs)
+        except FrobeigError:
+            continue
+        bucket.append((q, coeffs))
+    return found[4] + found[6]
+
+
+class TestBallCertificates:
+    def test_seeded_fields_pinned(self):
+        # the splitting fields of 12 seeded inputs, digested; the digest
+        # was taken from the exact Fraction ball arithmetic that the dyadic
+        # balls replaced, so a rounding that changes a decision shows here
+        digest = hashlib.sha256()
+        for q, coeffs in seeded_weil_inputs(2026, 6):
+            field = splitting_field(validate(q, coeffs))
+            digest.update(repr((
+                q, coeffs, field.modulus.coefficients, field.weight,
+                tuple(tuple(str(c) for c in v) for v in field.root_coords),
+                field.group_perms)).encode())
+        assert digest.hexdigest() == SEEDED_FIELDS_SHA256
+
+    def test_assignment_enclosure_on_working_grid(self):
+        # the assignment certificate evaluates each root's rational
+        # coordinates on the enclosure of x; the result lies on the
+        # working grid instead of carrying the coordinates' denominators
+        d, sf = split_cached(2, (8, 0, 0, -1, 0, 0, 1))
+        assert any(c.denominator > 1 for v in sf.root_coords for c in v)
+        bits = DEFAULT.precision_start + 64
+        ident = tuple(range(len(sf.root_balls)))
+        gamma = splitfield._gamma_ball(sf.weight, sf.orbit_reps, ident,
+                                       sf.root_balls)
+        for i, vec in enumerate(sf.root_coords):
+            enc = splitfield._eval_on_ball(vec, gamma, bits)
+            for value in (enc.re, enc.im, enc.rad):
+                assert (value * 2 ** bits).denominator == 1
+            assert enc.intersects(sf.root_balls[i])
+            assert all(enc.disjoint(b) for j, b in enumerate(sf.root_balls)
+                       if j != i)
