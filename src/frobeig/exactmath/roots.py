@@ -31,21 +31,22 @@ _OFFSETS = (0.0, 0.25, 0.37, 0.51, 0.63, 0.79)
 _GUARD = 16
 
 
-def _mpf_to_frac(x) -> Fraction:
+def _mantissa_exponent(x) -> Tuple[int, int]:
+    """(m, e) with the finite mpf x = m * 2^e exactly."""
     # read the mantissa directly; mpmath.mpf(x) would re-round to the
     # ambient precision and silently discard accuracy.  The int() calls
     # matter: with the gmpy2 backend the mantissa is a gmpy2.mpz, which
-    # must not leak into Fraction internals.
+    # must not leak into Fraction or ball internals.
     sign, man, exp, _ = x._mpf_
     man, exp = int(man), int(exp)
     if man == 0 and exp != 0:
         raise ValueError("non-finite float in root iteration")
-    v = Fraction(man)
-    if exp >= 0:
-        v *= 1 << exp
-    else:
-        v /= 1 << (-exp)
-    return -v if sign else v
+    return (-man if sign else man), exp
+
+
+def _mpf_to_frac(x) -> Fraction:
+    man, exp = _mantissa_exponent(x)
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def _aberth(poly: IntPoly, wp: int, warm: Optional[List[complex]] = None,
@@ -124,12 +125,7 @@ def _aberth(poly: IntPoly, wp: int, warm: Optional[List[complex]] = None,
 def _grid_point(x, bits: int) -> int:
     """The mpf x rounded to the nearest multiple of 2^-bits (ties upward),
     as the integer multiple."""
-    sign, man, exp, _ = x._mpf_
-    man, exp = int(man), int(exp)
-    if man == 0 and exp != 0:
-        raise ValueError("non-finite float in root iteration")
-    if sign:
-        man = -man
+    man, exp = _mantissa_exponent(x)
     shift = -exp - bits
     if shift <= 0:
         return man << -shift

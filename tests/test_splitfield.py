@@ -314,7 +314,7 @@ class TestBallCertificates:
         # the assignment certificate evaluates each root's rational
         # coordinates on the enclosure of x; the result lies on the
         # working grid instead of carrying the coordinates' denominators
-        d, sf = split_cached(2, (8, 0, 0, -1, 0, 0, 1))
+        d, sf = split_cached(5, (25, -5, 6, -1, 1))       # degree 8
         assert any(c.denominator > 1 for v in sf.root_coords for c in v)
         bits = DEFAULT.precision_start + 64
         ident = tuple(range(len(sf.root_balls)))
