@@ -21,7 +21,7 @@ from conftest import analysis_cached, split_cached
 
 # sha256 of the seeded splitting fields in TestBallCertificates
 SEEDED_FIELDS_SHA256 = (
-    "9821116fa648afd3cc8e2751318790fae75d8e0179ac2ca0dd019e8f47b39e34")
+    "1443fbb251a70bdde84fa64c76dfbbb7a1f6ed3743de655aa9c46d9b4d373771")
 
 
 class TestModRing:
@@ -271,13 +271,13 @@ class TestWords:
         assert is_root_of_unity(ring, ratio) is None
 
 
-def seeded_weil_inputs(seed, per_degree):
+def seeded_weil_inputs(seed, quartics, sextics):
     """Validated quartics X^4+aX^3+bX^2+qaX+q^2 and sextics X^6+aX^3+q^3
-    drawn from a seeded generator, per_degree of each (ascending
-    coefficients)."""
+    drawn from a seeded generator (ascending coefficients)."""
     rng = random.Random(seed)
+    wanted = {4: quartics, 6: sextics}
     found = {4: [], 6: []}
-    while min(len(v) for v in found.values()) < per_degree:
+    while any(len(found[k]) < wanted[k] for k in found):
         q = rng.choice((2, 3, 4, 5, 7, 8, 9))
         if rng.random() < 0.5:
             a = rng.randint(-4 * isqrt(q), 4 * isqrt(q))
@@ -286,7 +286,7 @@ def seeded_weil_inputs(seed, per_degree):
             amax = 2 * isqrt(q ** 3)
             coeffs = (q ** 3, 0, 0, rng.randint(-amax, amax), 0, 0, 1)
         bucket = found[len(coeffs) - 1]
-        if len(bucket) == per_degree or (q, coeffs) in bucket:
+        if len(bucket) == wanted[len(coeffs) - 1] or (q, coeffs) in bucket:
             continue
         try:
             validate(q, coeffs)
@@ -302,7 +302,7 @@ class TestBallCertificates:
         # was taken from the exact Fraction ball arithmetic that the dyadic
         # balls replaced, so a rounding that changes a decision shows here
         digest = hashlib.sha256()
-        for q, coeffs in seeded_weil_inputs(2026, 6):
+        for q, coeffs in seeded_weil_inputs(2026, 8, 4):
             field = splitting_field(validate(q, coeffs))
             digest.update(repr((
                 q, coeffs, field.modulus.coefficients, field.weight,
