@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Dict, List
 
 from . import __version__
-from .config import DEFAULT, Settings
+from .config import DEFAULT, MAX_POWER_CAP, Settings
 from .errors import FrobeigError, MalformedInput
 from .eig import invariants_report
 from .lefmot import classify_orbits
@@ -110,8 +110,8 @@ def cmd_view(args, base: Settings) -> int:
 
 def cmd_motives(args, base: Settings) -> int:
     record, _, an = _analysis(args, base)
-    if args.power < 1 or args.power > base.d_max:
-        raise MalformedInput(f"--power must lie in 1..{base.d_max}")
+    if args.power < 1 or args.power > MAX_POWER_CAP:
+        raise MalformedInput(f"--power must lie in 1..{MAX_POWER_CAP}")
     if args.codim < 0 or args.codim > an.data.g * args.power:
         raise MalformedInput(
             f"--codim must lie in 0..{an.data.g * args.power}")

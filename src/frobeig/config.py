@@ -16,8 +16,8 @@ class Settings:
     precision_ceiling: int = 4096
     degree_cap: int = 48          # splitting-field degree cap
     search_bound: int = 4         # sup-norm box for kernel / torsion searches
-    factor_degree_cap: int = 12   # max degree for subset-recombination factoring
-    d_max: int = 6                # largest power of the variety in reports
 
 
 DEFAULT = Settings()
+FACTOR_DEGREE_CAP = 12   # max degree for subset-recombination factoring
+MAX_POWER_CAP = 6        # largest power of the variety in reports

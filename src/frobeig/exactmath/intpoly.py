@@ -104,11 +104,11 @@ class IntPoly:
         return math.gcd(*self.coefficients) if self.coefficients else 0
 
     def primitive_part(self) -> "IntPoly":
-        c = self.content()
+        """Divided by its content, with a positive leading coefficient."""
+        c = self.content() if self.leading > 0 else -self.content()
         if c in (0, 1):
             return self
-        sign = 1 if self.leading > 0 else -1
-        return IntPoly([x // (c * sign) for x in self.coefficients])
+        return IntPoly([x // c for x in self.coefficients])
 
     def divides(self, other: "IntPoly") -> bool:
         q, r = qpoly_divmod(

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .analysis import Analysis
-from .config import DEFAULT, Settings
+from .config import DEFAULT, MAX_POWER_CAP, Settings
 from .errors import FrobeigError, InternalError, MalformedInput
 from .weil import validate
 from .splitfield import GaloisData
@@ -174,10 +174,10 @@ def effective_options(base: Settings, *layers: Dict[str, int]) -> Dict[str, int]
             if key not in OPTION_KEYS:
                 raise MalformedInput(f"unknown option {key!r}")
             out[key] = value
-    if out["max_power"] > base.d_max:
+    if out["max_power"] > MAX_POWER_CAP:
         raise MalformedInput(
             f"max_power {out['max_power']} exceeds the configured "
-            f"cap {base.d_max}")
+            f"cap {MAX_POWER_CAP}")
     return out
 
 

@@ -21,6 +21,9 @@ squarefree, checked by an exact gcd.  Candidates are scanned in order of
 increasing |H|, so the first fully verified candidate satisfies H = G and
 its M_H is irreducible: smaller subgroups die on a certified non-integer
 coefficient or a repeated factor, and both certificates are exact.
+W', the candidates and the Galois group's closure check are spans of
+generator lists under one routine, `_span`, and the candidate search
+drops every span past the degree cap.
 
 Verification of an accepted candidate never trusts the floating point
 layer.  Were H the Galois group, x would generate K, and the trace
@@ -72,7 +75,6 @@ witness.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -235,75 +237,80 @@ class ModRing:
 
 def _compose(p: Perm, q: Perm) -> Perm:
     # (p o q)(i) = p(q(i))
-    return tuple(p[q[i]] for i in range(len(q)))
+    return tuple(map(p.__getitem__, q))
 
 
-def _closure(table: Dict[Tuple[int, int], int], seed: FrozenSet[int],
-             universe_size: int) -> FrozenSet[int]:
-    elems = set(seed)
-    frontier = list(seed)
-    while frontier:
-        a = frontier.pop()
-        for b in list(elems):
-            for c in (table[(a, b)], table[(b, a)]):
-                if c not in elems:
-                    elems.add(c)
-                    frontier.append(c)
-    return frozenset(elems)
+def _span(gens: Sequence[Perm], n: int,
+          limit: Optional[int] = None) -> Optional[FrozenSet[Perm]]:
+    """The group generated by gens on n points: the closure of the identity
+    under right products by gens, or None once it grows past limit."""
+    ident = tuple(range(n))
+    span = {ident}
+    todo = [ident]
+    while todo:
+        a = todo.pop()
+        for g in gens:
+            c = _compose(a, g)
+            if c not in span:
+                if limit is not None and len(span) >= limit:
+                    return None
+                span.add(c)
+                todo.append(c)
+    return frozenset(span)
 
 
 def _block_permutations(n: int, blocks: Sequence[Tuple[int, ...]],
                         iota: Perm) -> List[Perm]:
-    """Permutations preserving every block and commuting with iota."""
-    per_block = []
-    for block in blocks:
-        per_block.append([dict(zip(block, image))
-                          for image in itertools.permutations(block)])
-    out = []
-    for assignment in itertools.product(*per_block):
+    """Permutations preserving every block and commuting with iota: on
+    each block, any permutation of the fixed points of iota times the
+    signed permutations of the iota-pairs."""
+
+    def moving(src, dst) -> Perm:
         perm = list(range(n))
-        for mapping in assignment:
-            for k, v in mapping.items():
-                perm[k] = v
-        p = tuple(perm)
-        if all(p[iota[i]] == iota[p[i]] for i in range(n)):
-            out.append(p)
-    return sorted(out)
+        for s, d in zip(src, dst):
+            for x, y in zip(s, d):
+                perm[x] = y
+        return tuple(perm)
+
+    gens = []
+    for block in blocks:
+        fixed = [(i,) for i in block if iota[i] == i]
+        pairs = [(i, iota[i]) for i in block if i < iota[i]]
+        for orbits in (fixed, pairs):
+            # the symmetric group on the orbits: swap two, cycle all
+            gens.append(moving(orbits[:2], orbits[1::-1]))
+            gens.append(moving(orbits, orbits[1:] + orbits[:1]))
+        gens.append(moving(pairs[:1], [p[::-1] for p in pairs[:1]]))
+    return sorted(_span(gens, n))
 
 
 def _subgroup_candidates(wprime: List[Perm], iota: Perm, blocks: Sequence[Tuple[int, ...]],
                          cap: int) -> List[List[int]]:
     """Subgroups of W' containing iota, transitive on every block, with
     order at most cap; each is a list of indices into wprime, and the list
-    of subgroups is sorted by (order, element tuple) for determinism."""
-    index = {p: i for i, p in enumerate(wprime)}
-    size = len(wprime)
-    table = {(i, j): index[_compose(wprime[i], wprime[j])]
-             for i in range(size) for j in range(size)}
-    iota_idx = index[iota]
-    seed = _closure(table, frozenset({iota_idx}), size)
-    subs = {seed}
-    frontier = [seed]
+    of subgroups is sorted by (order, element tuple) for determinism.
+
+    From <iota>, each H is extended by one e per right coset H e, since
+    <H, e> = <H, h e>, and spans past the cap are dropped: every subgroup
+    within the cap is reached through a chain of its own subgroups."""
+    found = set()
+    frontier = [[iota]]
     while frontier:
-        h = frontier.pop()
-        for e in range(size):
-            if e not in h:
-                bigger = _closure(table, h | {e}, size)
-                if bigger not in subs:
-                    subs.add(bigger)
-                    frontier.append(bigger)
-
-    def transitive(h: FrozenSet[int]) -> bool:
-        for block in blocks:
-            if len(block) <= 1:
-                continue
-            start = block[0]
-            orbit = {wprime[i][start] for i in h}
-            if orbit != set(block):
-                return False
-        return True
-
-    good = [sorted(h) for h in subs if len(h) <= cap and transitive(h)]
+        gens = frontier.pop()
+        h = _span(gens, len(iota), cap)
+        if h is None or h in found:
+            continue
+        found.add(h)
+        if 2 * len(h) > cap:
+            continue        # a proper overgroup has order at least 2|H|
+        covered = set(h)
+        for e in wprime:
+            if e not in covered:
+                covered.update(_compose(x, e) for x in h)
+                frontier.append(gens + [e])
+    index = {p: i for i, p in enumerate(wprime)}
+    good = [sorted(index[p] for p in h) for h in found
+            if all({p[b[0]] for p in h} == set(b) for b in blocks)]
     good.sort(key=lambda h: (len(h), [wprime[i] for i in h]))
     return good
 
@@ -643,7 +650,8 @@ def galois_group(field: SplittingField, data: WeilData) -> GaloisData:
     the image must be a root of the modulus, and x -> image must send
     every orbit representative's coordinates to those of its w-image.
     The images must be pairwise distinct, and the permutations must form
-    a group of the right order centralizing the conjugation involution.
+    a group of the right order centralizing the conjugation involution;
+    closure holds when their greedy generators span exactly the set.
     """
     perms = list(field.group_perms)
     n_roots = len(field.root_coords)
@@ -655,28 +663,21 @@ def galois_group(field: SplittingField, data: WeilData) -> GaloisData:
     if ident not in perm_set or data.iota not in perm_set:
         raise InternalInconsistency("group misses identity or conjugation")
     for a in perms:
-        for b in perms:
-            if _compose(a, b) not in perm_set:
-                raise InternalInconsistency("group is not closed")
         if _compose(a, data.iota) != _compose(data.iota, a):
             raise InternalInconsistency("conjugation is not central")
 
-    # greedy generating set in canonical order
+    # greedy generating set in canonical order; a span past |perms|
+    # already refutes closure
     gens: List[Perm] = []
-    span = {ident}
+    span: Optional[FrozenSet[Perm]] = frozenset({ident})
     for p in perms:
         if p not in span:
             gens.append(p)
-            while True:
-                grew = False
-                for a in list(span):
-                    for g in gens:
-                        c = _compose(a, g)
-                        if c not in span:
-                            span.add(c)
-                            grew = True
-                if not grew:
-                    break
+            span = _span(gens, n_roots, order)
+            if span is None:
+                break
+    if span != perm_set:
+        raise InternalInconsistency("group is not closed")
     gen_idx = tuple(perms.index(g) for g in gens)
 
     members = perms if order <= 16 else [perms[i] for i in gen_idx] + [ident]
@@ -702,11 +703,8 @@ def galois_group(field: SplittingField, data: WeilData) -> GaloisData:
                 raise InternalInconsistency(
                     "automorphism does not act as its permutation")
         images[w] = tuple(image)
-    vals = list(images.values())
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if vals[i] == vals[j]:
-                raise InternalInconsistency("automorphism images collide")
+    if len(set(images.values())) < len(images):
+        raise InternalInconsistency("automorphism images collide")
     image_list = tuple(images.get(w) for w in perms)
     return GaloisData(perms=tuple(perms), order=order,
                       generator_indices=gen_idx, images=image_list,

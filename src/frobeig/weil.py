@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
-from .config import DEFAULT, Settings
+from .config import DEFAULT, FACTOR_DEGREE_CAP, Settings
 from .errors import (Ambiguous, FunctionalEquationFailed,
                      InternalInconsistency, MalformedInput, NotPrimePower,
                      NotSimple, PrecisionExhausted, RootModulusFailed)
@@ -191,10 +191,10 @@ def q_factorization(poly: IntPoly, settings: Settings = DEFAULT,
     """
     if poly.degree < 1:
         raise MalformedInput("cannot factor a constant polynomial")
-    if poly.degree > settings.factor_degree_cap:
+    if poly.degree > FACTOR_DEGREE_CAP:
         raise MalformedInput(
             f"degree {poly.degree} exceeds the factorization cap "
-            f"{settings.factor_degree_cap}")
+            f"{FACTOR_DEGREE_CAP}")
     sf = poly.squarefree_part()
     if prec is None:
         prec = settings.precision_start

@@ -12,7 +12,7 @@ import pytest
 
 from frobeig import report
 from frobeig.cli import main
-from frobeig.config import DEFAULT
+from frobeig.config import DEFAULT, MAX_POWER_CAP
 from frobeig.errors import MalformedInput
 from frobeig.report import (InputRecord, build_report_record, canonical_json,
                             content_key, effective_options, existing_keys,
@@ -96,7 +96,7 @@ class TestOptions:
 
     def test_max_power_capped_by_settings(self):
         with pytest.raises(MalformedInput):
-            effective_options(DEFAULT, {"max_power": DEFAULT.d_max + 1})
+            effective_options(DEFAULT, {"max_power": MAX_POWER_CAP + 1})
 
     def test_settings_for_clamps_low_ceiling(self):
         opts = effective_options(DEFAULT, {"precision_ceiling": 8})

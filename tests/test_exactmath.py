@@ -18,7 +18,8 @@ from frobeig.exactmath import (ComplexBall, IntPoly, hermite_column_form,
                                isolate_roots, kernel_lattice, lll_reduce,
                                relation_candidates, smith_normal_form)
 from frobeig.exactmath.balls import isqrt_ub
-from frobeig.exactmath.intpoly import power_sums, yun_decomposition
+from frobeig.exactmath.intpoly import (power_sums, qpoly_clear_denominators,
+                                      yun_decomposition)
 from frobeig.exactmath.latt import (identity_matrix, invariant_factors,
                                     lattice_rank, lattice_saturation_index,
                                     mat_mul)
@@ -66,6 +67,18 @@ def test_intpoly_exact_division():
     assert IntPoly((3, 0, 1)).divides(p)
     with pytest.raises(ValueError):
         p.exact_div(IntPoly((1, 1)))
+
+
+def test_primitive_part_positive_leading():
+    # the sign is normalized whatever the content, 1 included
+    assert IntPoly((-4, -2)).primitive_part() == IntPoly((2, 1))
+    assert IntPoly((-2, -1)).primitive_part() == IntPoly((2, 1))
+    assert IntPoly((3, -1)).primitive_part() == IntPoly((-3, 1))
+    assert IntPoly(()).primitive_part() == IntPoly(())
+    assert qpoly_clear_denominators(
+        [Fraction(-2), Fraction(-1)]).coefficients == (2, 1)
+    assert qpoly_clear_denominators(
+        [Fraction(1, 2), Fraction(-1, 3)]).coefficients == (-3, 2)
 
 
 def test_squarefree_and_yun():

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import random
+import signal
 from dataclasses import replace
 from fractions import Fraction
 from math import isqrt
@@ -13,8 +15,8 @@ from frobeig.exactmath.intpoly import IntPoly
 from frobeig.errors import (FrobeigError, InternalInconsistency,
                             PrecisionExhausted)
 from frobeig.splitfield import (ModRing, _block_permutations, _compose,
-                                galois_group, is_root_of_unity,
-                                splitting_field, word_value)
+                                _subgroup_candidates, galois_group,
+                                is_root_of_unity, splitting_field, word_value)
 from frobeig.weil import validate
 
 from conftest import analysis_cached, split_cached
@@ -22,6 +24,12 @@ from conftest import analysis_cached, split_cached
 # sha256 of the seeded splitting fields in TestBallCertificates
 SEEDED_FIELDS_SHA256 = (
     "1443fbb251a70bdde84fa64c76dfbbb7a1f6ed3743de655aa9c46d9b4d373771")
+# sha256 of (q, coeffs, W', candidate subgroups) in TestGroupLayer, taken
+# from the product-table subgroup enumeration that the span search replaced
+GROUP_LAYER_SHA256 = (
+    "d2e4a913c590336dec462c8d53c2498afd16977aaecc5e5aafa1e9ce30946866")
+GENERIC_SEXTIC = (3, (27, 27, 6, -1, 2, 3, 1))        # G = W_3, order 48
+GENERIC_OCTIC = (2, (16, 16, 24, 18, 17, 9, 6, 2, 1))  # |W'| = 384
 
 
 class TestModRing:
@@ -221,6 +229,94 @@ class TestGaloisGroup:
         for perms in sorted(forged):
             with pytest.raises(InternalInconsistency):
                 galois_group(replace(sf, group_perms=perms), d)
+
+    def test_non_closed_set_rejected(self):
+        # the right size, the identity and iota, every element central:
+        # only the closure certificate can refuse it
+        d, sf = split_cached(2, (4, -6, 5, -3, 1))
+        perms = ((0, 1, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2), (2, 3, 0, 1))
+        assert all(_compose(a, d.iota) == _compose(d.iota, a) for a in perms)
+        with pytest.raises(InternalInconsistency, match="not closed"):
+            galois_group(replace(sf, group_perms=perms), d)
+
+    def test_non_central_involution_rejected(self):
+        # a genuine group of the right order that contains the claimed
+        # involution without centralizing it
+        d, sf = split_cached(5, (25, -5, 6, -1, 1))       # dihedral, order 8
+        fake_iota = (0, 1, 3, 2)
+        assert fake_iota in sf.group_perms
+        with pytest.raises(InternalInconsistency, match="not central"):
+            galois_group(sf, replace(d, iota=fake_iota))
+
+
+def _brute_force_wprime(n, blocks, iota):
+    """Every block-preserving permutation, filtered by commuting with iota."""
+    out = []
+    for images in itertools.product(*(itertools.permutations(b)
+                                      for b in blocks)):
+        perm = list(range(n))
+        for block, image in zip(blocks, images):
+            for k, v in zip(block, image):
+                perm[k] = v
+        if all(perm[iota[i]] == iota[perm[i]] for i in range(n)):
+            out.append(tuple(perm))
+    return sorted(out)
+
+
+def _group_inputs(q, coeffs):
+    data = analysis_cached(q, tuple(coeffs)).data
+    return len(data.roots), [f.root_indices for f in data.factors], data.iota
+
+
+class TestGroupLayer:
+    def test_group_layer_pinned(self):
+        digest = hashlib.sha256()
+        inputs = [(e.q, tuple(e.coefficients)) for e in CORPUS]
+        for q, coeffs in inputs + [GENERIC_SEXTIC]:
+            n, blocks, iota = _group_inputs(q, coeffs)
+            wprime = _block_permutations(n, blocks, iota)
+            cands = _subgroup_candidates(wprime, iota, blocks,
+                                         DEFAULT.degree_cap)
+            digest.update(repr((q, coeffs, wprime,
+                                [[wprime[i] for i in c] for c in cands]))
+                          .encode())
+        assert digest.hexdigest() == GROUP_LAYER_SHA256
+
+    def test_wprime_matches_brute_force(self):
+        # every block structure of the corpus, and three that it lacks
+        structures = set()
+        for e in CORPUS:
+            n, blocks, iota = _group_inputs(e.q, e.coefficients)
+            structures.add((n, tuple(blocks), iota))
+        structures |= {
+            (2, ((0, 1),), (0, 1)),                       # X^2 - q: both real
+            (5, ((0, 1, 2, 3, 4),), (0, 1, 2, 4, 3)),     # three real, a pair
+            (9, ((0, 1, 2, 3, 4, 5), (6, 7), (8,)),
+             (3, 4, 5, 0, 1, 2, 7, 6, 8)),                # several blocks
+        }
+        for n, blocks, iota in sorted(structures):
+            assert _block_permutations(n, blocks, iota) \
+                == _brute_force_wprime(n, blocks, iota)
+
+    def test_generic_octic_candidates_bounded(self):
+        # the search stops at the degree cap instead of building the
+        # subgroup lattice of W', which does not finish within the guard
+        def too_slow(signum, frame):
+            raise TimeoutError("candidate search exceeded 60 s")
+
+        n, blocks, iota = _group_inputs(*GENERIC_OCTIC)
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(60)
+        try:
+            wprime = _block_permutations(n, blocks, iota)
+            cands = _subgroup_candidates(wprime, iota, blocks,
+                                         DEFAULT.degree_cap)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(wprime) == 384
+        assert len(cands) == 178
+        assert min(map(len, cands)) == 8 and max(map(len, cands)) == 48
 
 
 class TestWords:
