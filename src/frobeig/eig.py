@@ -16,10 +16,17 @@ basis coordinates (complete within the bound) merged with
 lattice-reduction candidates; every vector entering the lattice is
 verified to realize to exactly 1 in the splitting field.  Torsion
 relations -- exponent vectors over the eigenvalues whose realization is
-a root of unity -- live in root coordinates and drive the Frobenius
-rank.  Each search feeds its verified vectors to the other, so
-the bookkeeping identity rank(ker rho) + r + 1 = rank(Eig) is genuinely
-checked rather than assumed: a violation raises InternalInconsistency.
+a root of unity -- live in root coordinates, are evaluated through the
+same rho, and drive the Frobenius rank.
+
+One round of cross-feeding turns a torsion relation of order t into the
+kernel vector t*a and a kernel vector into a torsion relation of order
+1; with the injected conjugation relations this makes torsion rank =
+kernel rank + #reps - 1 hold by construction, and with it the identity
+rank(ker rho) + r + 1 = rank(Eig).  The InternalInconsistency raised on
+a violation guards the cross-feed code only.  It cannot detect a
+relation that both searches miss: q=4 [4,2,1] passes it while the
+kernel misses (6, -3), which realizes to 1.
 
 Floating-point angle data only ever selects which exact verifications to
 attempt; acceptance and rejection both rest on exact arithmetic.
@@ -39,7 +46,7 @@ from .exactmath.latt import (hermite_column_form, invariant_factors,
                              lattice_saturation_index, relation_candidates)
 from .exactmath.roots import arg_ball, two_pi_ball
 from .splitfield import (SplittingField, is_root_of_unity,
-                         orbit_representatives, word_value)
+                         orbit_representatives)
 from .weil import WeilData, base_change
 
 if TYPE_CHECKING:
@@ -295,10 +302,12 @@ class Realization:
     """The realization map rho on basis coordinates, exact in the
     splitting field.
 
-    rho(b_j)^e is tabulated for each basis root position j on first use;
-    negative powers start from one ring.inv per basis root, and the [q]
-    slot is the rational scalar q.  With the tables filled, rho of a
-    vector costs at most rank - 1 ring products.
+    rho(b_j)^e is tabulated for each basis root position j, grown on
+    demand.  Negative powers need no field inversion: 1/rho(b_j) =
+    rho(bbar_j)/q, exact because the field construction verified
+    r * rbar = q for every root.  The [q] slot is the rational scalar q.
+    With the tables filled, rho of a vector costs at most rank - 1 ring
+    products.
     """
 
     def __init__(self, eig: EigGroup, field: SplittingField, q: int):
@@ -307,20 +316,19 @@ class Realization:
         self.q_slot = eig.basis_roots.index(None) \
             if None in eig.basis_roots else None
         one = self.ring.const(1)
-        # position -> [rho(b_j)^0, rho(b_j)^1, ...], grown on demand
+        coords = field.root_coords
+        # position -> [rho(b_j)^0, rho(b_j)^1, ...] and the same for the
+        # inverse, grown on demand
         self.up: Dict[int, List[List[Fraction]]] = {
-            j: [one, list(field.root_coords[br])]
+            j: [one, list(coords[br])]
             for j, br in enumerate(eig.basis_roots) if br is not None}
-        self.down: Dict[int, List[List[Fraction]]] = {}
+        self.down: Dict[int, List[List[Fraction]]] = {
+            j: [one, [c / q for c in coords[eig.iota[br]]]]
+            for j, br in enumerate(eig.basis_roots) if br is not None}
 
     def power(self, j: int, e: int) -> List[Fraction]:
         """rho(b_j)^e for the basis root position j (not a copy)."""
-        if e >= 0:
-            table = self.up[j]
-        else:
-            if j not in self.down:
-                self.down[j] = [self.up[j][0], self.ring.inv(self.up[j][1])]
-            table = self.down[j]
+        table = self.up[j] if e >= 0 else self.down[j]
         while len(table) <= abs(e):
             table.append(self.ring.mul(table[-1], table[1]))
         return table[abs(e)]
@@ -369,9 +377,11 @@ def _relation_engine(data: WeilData, field: SplittingField, eig: EigGroup,
                      ) -> Tuple[RelationLattice, int, int]:
     """Kernel lattice, torsion-relation rank, and Frobenius rank.
 
-    Runs both bounded searches, cross-feeds verified vectors, and checks
-    the rank bookkeeping before returning.  Kernel vectors are verified
-    through rho, the realization map of eig in field.
+    Runs both bounded searches and cross-feeds their verified vectors,
+    which makes the rank bookkeeping hold by construction; the check
+    before returning guards the cross-feed, not the searches' reach.
+    Kernel and torsion vectors are both evaluated through rho, the
+    realization map of eig in field.
     """
     ring = field.ring()
     s = eig.n_roots
@@ -430,7 +440,7 @@ def _relation_engine(data: WeilData, field: SplittingField, eig: EigGroup,
         # products of verified torsion relations are torsion; skip them
         if torsion_rows and _in_row_lattice(torsion_rows, vec):
             return None
-        value = word_value(ring, field.root_coords, vec)
+        value = realize_coords(rho, _to_basis_coords(eig, vec))
         order = is_root_of_unity(ring, value)
         if order is not None:
             torsion_vecs.append((vec, order))
@@ -488,7 +498,7 @@ def _relation_engine(data: WeilData, field: SplittingField, eig: EigGroup,
     if r + 1 + kernel_rank != eig.rank:
         raise InternalInconsistency(
             "rank bookkeeping failed: r=%d kernel=%d eig=%d "
-            "(a relation escaped both searches)" % (r, kernel_rank, eig.rank))
+            "(the cross-feed lost a relation)" % (r, kernel_rank, eig.rank))
 
     lattice = RelationLattice(
         basis=kernel_rows, rank=kernel_rank, search_bound=bound,

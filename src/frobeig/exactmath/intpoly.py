@@ -269,3 +269,14 @@ def power_sums(p: IntPoly, count: int) -> List[Fraction]:
             acc += k * a[n - k]
         s.append(-acc)
     return s
+
+
+def from_power_sums(sums: Sequence) -> List[Fraction]:
+    """Monic polynomial (ascending coefficients) whose sums[0] = n roots
+    have the power sums sums[1..n], by Newton's identities
+    k * c_(n-k) = -(c_(n-k+1) s_1 + ... + c_n s_k)."""
+    n = int(sums[0])
+    c = [Fraction(0)] * n + [Fraction(1)]
+    for k in range(1, n + 1):
+        c[n - k] = -sum(c[n - k + i] * sums[i] for i in range(1, k + 1)) / k
+    return c

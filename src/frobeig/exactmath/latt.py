@@ -46,7 +46,11 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix, Mat
     """Return (U, S, V) with U*mat*V = S in Smith normal form.
 
     U and V are unimodular; S is diagonal with non-negative entries
-    satisfying the divisibility chain s_1 | s_2 | ... .
+    satisfying the divisibility chain s_1 | s_2 | ... .  The chain is
+    enforced in the one pivot loop: once row t and column t are clear, a
+    lower row holding an entry the pivot does not divide is added to row
+    t and the pivot is chosen again, so the pivot that stays divides every
+    entry left below and to the right of it.
     """
     s = [list(map(int, row)) for row in mat]
     n = len(s)
@@ -81,88 +85,28 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix, Mat
         _swap_rows(u, t, pivot[0])
         _swap_cols(s, t, pivot[1])
         _swap_cols(v, t, pivot[1])
-
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, n):
-                if s[i][t]:
-                    q = s[i][t] // s[t][t]
-                    row_op(i, t, q)
-                    if s[i][t]:
-                        # remainder is a smaller pivot; promote it
-                        _swap_rows(s, t, i)
-                        _swap_rows(u, t, i)
-                        dirty = True
-            for j in range(t + 1, m):
-                if s[t][j]:
-                    q = s[t][j] // s[t][t]
-                    col_op(j, t, q)
-                    if s[t][j]:
-                        _swap_cols(s, t, j)
-                        _swap_cols(v, t, j)
-                        dirty = True
+        p = s[t][t]
+        for i in range(t + 1, n):
+            if s[i][t]:
+                row_op(i, t, s[i][t] // p)
+        for j in range(t + 1, m):
+            if s[t][j]:
+                col_op(j, t, s[t][j] // p)
+        if (any(s[i][t] for i in range(t + 1, n))
+                or any(s[t][j] for j in range(t + 1, m))):
+            continue            # a nonzero remainder is a smaller pivot
+        # row t and column t are clear; fold in a row the pivot does not
+        # divide, and the next pivot is smaller again
+        bad = next((i for i in range(t + 1, n)
+                    if any(x % p for x in s[i][t + 1:])), None)
+        if bad is not None:
+            row_op(t, bad, -1)
+            continue
+        if p < 0:
+            s[t] = [-x for x in s[t]]
+            u[t] = [-x for x in u[t]]
         t += 1
-
-    # sign normalization
-    for i in range(min(n, m)):
-        if s[i][i] < 0:
-            s[i] = [-x for x in s[i]]
-            u[i] = [-x for x in u[i]]
-
-    # enforce the divisibility chain d_i | d_{i+1}
-    r = 0
-    while r < min(n, m) and s[r][r]:
-        r += 1
-    changed = True
-    while changed:
-        changed = False
-        for i in range(r - 1):
-            a, b = s[i][i], s[i + 1][i + 1]
-            if b % a:
-                # fold row i+1 into row i and rediagonalize the 2x2 block
-                s[i][i + 1] = b
-                u[i] = [x + y for x, y in zip(u[i], u[i + 1])]
-                _two_by_two(s, u, v, i)
-                changed = True
     return u, s, v
-
-
-def _two_by_two(s: Matrix, u: Matrix, v: Matrix, i: int) -> None:
-    """Rediagonalize rows/cols i, i+1 of s.
-
-    On entry the block is [[a, b], [0, b]] (the row fold just set entry
-    (i, i+1) to b).  A unimodular column mix produces [[g, 0], [y*b, lcm]],
-    and one row operation clears the stray subdiagonal entry.
-    """
-    import math
-    a, b = s[i][i], s[i][i + 1]
-    g = math.gcd(a, b)
-    # Bezout: x*a + y*b = g
-    x, y = _bezout(a, b)
-    bi, ai = b // g, a // g
-    for row in (s, v):
-        for rr in row:
-            ci, cj = rr[i], rr[i + 1]
-            rr[i] = x * ci + y * cj
-            rr[i + 1] = -bi * ci + ai * cj
-    assert s[i][i] == g and s[i][i + 1] == 0
-    c = s[i + 1][i] // g
-    s[i + 1] = [p - c * q for p, q in zip(s[i + 1], s[i])]
-    u[i + 1] = [p - c * q for p, q in zip(u[i + 1], u[i])]
-    assert s[i + 1][i] == 0 and s[i + 1][i + 1] == a // g * b
-
-
-def _bezout(a: int, b: int) -> Tuple[int, int]:
-    old_r, r = a, b
-    old_s, ss = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, ss = ss, old_s - q * ss
-        old_t, t = t, old_t - q * t
-    return old_s, old_t
 
 
 def invariant_factors(mat: Sequence[Sequence[int]]) -> List[int]:

@@ -216,6 +216,22 @@ def isolate_roots(poly: IntPoly, prec: int) -> List[ComplexBall]:
         f"root isolation failed for degree {sf.degree} at {wp} bits")
 
 
+def _match_permutation(images: Sequence[ComplexBall],
+                       targets: Sequence[ComplexBall]) -> Optional[List[int]]:
+    """For each image ball, the unique target it intersects; None when any
+    image meets zero or several targets or the matching is not a
+    bijection (insufficient precision)."""
+    perm = []
+    for img in images:
+        hits = [j for j, t in enumerate(targets) if img.intersects(t)]
+        if len(hits) != 1:
+            return None
+        perm.append(hits[0])
+    if sorted(perm) != list(range(len(targets))):
+        return None
+    return perm
+
+
 def refine_roots(poly: IntPoly, prev: Sequence[ComplexBall], prec: int) -> List[ComplexBall]:
     """Re-isolate at higher precision, preserving the order of prev.
 
@@ -232,16 +248,10 @@ def refine_roots(poly: IntPoly, prev: Sequence[ComplexBall], prec: int) -> List[
         pts = _round_points(zs, wp)
         balls = _certify(sf, pts, wp)
         if balls is not None and _small_enough(balls, prec):
-            matched: List[Optional[ComplexBall]] = [None] * len(prev)
-            ok = True
-            for nb in balls:
-                hits = [k for k, pb in enumerate(prev) if nb.intersects(pb)]
-                if len(hits) != 1 or matched[hits[0]] is not None:
-                    ok = False
-                    break
-                matched[hits[0]] = nb
-            if ok and all(m is not None for m in matched):
-                return [m for m in matched if m is not None]
+            perm = _match_permutation(balls, prev)
+            if perm is not None:
+                # perm is a bijection, so its values order the balls
+                return [b for _, b in sorted(zip(perm, balls))]
         warm = [complex(z.real, z.imag) for z in zs]
         wp *= 2
     raise PrecisionExhausted("root refinement failed to re-match enclosures")

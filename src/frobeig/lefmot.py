@@ -21,10 +21,10 @@ when the realization has a kernel), and everything else (no Tate classes
 at all).  Orbits come from the analysis's validated action rows.  The
 Tate test rho(lam) = q^n runs through one realization map per analysis,
 eig.Realization: it tabulates the powers rho(b_j)^e of every basis root
-with one field inversion per root and treats [q] as the rational scalar
-q, so one test costs at most rank - 1 field products, and its verdict is
-kept per coordinate vector, so each orbit representative is tested once
-for all (d, n) and both ambients.
+with no field inversion (1/r = rbar/q) and treats [q] as the rational
+scalar q, so one test costs at most rank - 1 field products, and its
+verdict is kept per coordinate vector, so each orbit representative is
+tested once for all (d, n) and both ambients.
 
 When the main positivity hypotheses all pass, exotic orbits must have
 size two and the antipodal coordinate shape predicted by the

@@ -75,9 +75,8 @@ witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from functools import cached_property
 from math import isqrt, lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -85,8 +84,7 @@ from .config import DEFAULT, Settings
 from .errors import (Ambiguous, DegreeCapExceeded, InternalInconsistency,
                      PrecisionExhausted)
 from .exactmath.balls import ComplexBall
-from .exactmath.intpoly import (IntPoly, power_sums, qpoly_divmod, qpoly_gcd,
-                                qpoly_strip)
+from .exactmath.intpoly import IntPoly, power_sums, qpoly_gcd
 from .exactmath.roots import refine_roots
 from .quadforms import mat_inverse
 from .weil import WeilData
@@ -185,32 +183,14 @@ class ModRing:
         return result
 
     def inv(self, a: Sequence[Fraction]) -> List[Fraction]:
-        """Inverse via the extended Euclidean algorithm; requires m
-        irreducible (or at least a unit argument)."""
-        r0 = [Fraction(c) for c in self.modulus.coefficients]
-        r1 = qpoly_strip(list(a))
-        if not r1:
-            raise ZeroDivisionError("zero element")
-        s0: List[Fraction] = []
-        s1 = [Fraction(1)]
-        while len(r1) > 1:
-            quot, rem = qpoly_divmod(r0, r1)
-            # s_next = s0 - quot * s1
-            prod = [Fraction(0)] * (len(quot) + len(s1) - 1) if s1 else []
-            for i, x in enumerate(quot):
-                for j, y in enumerate(s1):
-                    prod[i + j] += x * y
-            ln = max(len(s0), len(prod))
-            s_next = [(s0[i] if i < len(s0) else Fraction(0))
-                      - (prod[i] if i < len(prod) else Fraction(0))
-                      for i in range(ln)]
-            r0, r1 = r1, qpoly_strip(rem)
-            s0, s1 = s1, qpoly_strip(s_next)
-            if not r1:
-                raise ZeroDivisionError("element is a zero divisor")
-        lead = r1[0]
-        out = [c / lead for c in s1]
-        return self.reduce_list(out)
+        """Inverse read off the minimal polynomial mu of a: mu(a) = 0
+        gives a^-1 = -(mu_1 + mu_2 a + ... + a^(d-1)) / mu_0.  A zero
+        mu_0 means a is zero or a zero divisor: ZeroDivisionError."""
+        mu = _minimal_polynomial(self, a)
+        if not mu[0]:
+            raise ZeroDivisionError("element is zero or a zero divisor")
+        scale = -1 / mu[0]
+        return [c * scale for c in self.eval_poly(mu[1:], a)]
 
     def eval_poly(self, coeffs: Sequence, elem: Sequence[Fraction]) -> List[Fraction]:
         """Value at elem of the polynomial with coefficients coeffs (low to
@@ -358,14 +338,12 @@ class SplittingField:
     root_coords: Tuple[Tuple[Fraction, ...], ...]
     group_perms: Tuple[Perm, ...]           # Galois action on root indices
     root_balls: Tuple[ComplexBall, ...]
-
-    @cached_property
-    def _ring(self) -> ModRing:
-        return ModRing(self.modulus)
+    arithmetic: ModRing = dataclass_field(compare=False, repr=False)
 
     def ring(self) -> ModRing:
-        """Arithmetic of the field, built once per field."""
-        return self._ring
+        """Arithmetic of the field: the one ring the construction verified
+        the root coordinates in."""
+        return self.arithmetic
 
 
 @dataclass(frozen=True)
@@ -543,7 +521,7 @@ def _try_candidate(h_perms: List[Perm], weight: Tuple[int, ...],
         for j in range(len(balls)):
             if j != i and not enc.disjoint(balls[j]):
                 return _UNRESOLVED
-    return modulus, tuple(tuple(v) for v in coords)
+    return modulus, tuple(tuple(v) for v in coords), ring
 
 
 def splitting_field(data: WeilData, settings: Settings = DEFAULT) -> SplittingField:
@@ -611,12 +589,12 @@ def splitting_field(data: WeilData, settings: Settings = DEFAULT) -> SplittingFi
             elif unresolved_size is None:
                 unresolved_size = len(h_perms)
         if accepted:
-            h_perms, weight, (modulus, coords) = accepted
+            h_perms, weight, (modulus, coords, ring) = accepted
             return SplittingField(modulus=modulus, degree=modulus.degree,
                                   weight=weight, orbit_reps=reps,
                                   root_coords=coords,
                                   group_perms=tuple(sorted(h_perms)),
-                                  root_balls=tuple(balls))
+                                  root_balls=tuple(balls), arithmetic=ring)
         if unresolved_size is None:
             # every candidate died on an exact certificate
             raise DegreeCapExceeded(

@@ -11,14 +11,13 @@ a Weil polynomial.
 
 The module also factors the polynomial into Q-irreducibles by recombining
 certified root subsets, and computes base change along finite field
-extensions as an exact resultant (realized as the characteristic polynomial
-of a companion matrix power).
+extensions from power sums: the k-th powers of the roots have every k-th
+power sum of the input, and Newton's identities rebuild the polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
@@ -27,10 +26,8 @@ from .errors import (Ambiguous, FunctionalEquationFailed,
                      InternalInconsistency, MalformedInput, NotPrimePower,
                      NotSimple, PrecisionExhausted, RootModulusFailed)
 from .exactmath.balls import ComplexBall
-from .exactmath.intpoly import IntPoly
-from .exactmath.latt import mat_mul
-from .exactmath.roots import isolate_roots, refine_roots
-from .quadforms import charpoly_exact
+from .exactmath.intpoly import IntPoly, from_power_sums, power_sums
+from .exactmath.roots import _match_permutation, isolate_roots, refine_roots
 
 
 def prime_power_decomposition(q: int) -> Tuple[int, int]:
@@ -104,21 +101,6 @@ class WeilData:
     @property
     def real_root_indices(self) -> Tuple[int, ...]:
         return tuple(i for i, j in enumerate(self.iota) if i == j)
-
-
-def _match_permutation(images: Sequence[ComplexBall],
-                       targets: Sequence[ComplexBall]) -> Optional[List[int]]:
-    """For each image ball, the unique target it intersects; None when any
-    image meets zero or several targets (insufficient precision)."""
-    perm = []
-    for img in images:
-        hits = [j for j, t in enumerate(targets) if img.intersects(t)]
-        if len(hits) != 1:
-            return None
-        perm.append(hits[0])
-    if sorted(perm) != list(range(len(targets))):
-        return None
-    return perm
 
 
 def _conjugation_permutation(roots: Sequence[ComplexBall]) -> Optional[List[int]]:
@@ -295,32 +277,16 @@ def validate(q: int, coefficients: Sequence[int],
 def base_change(poly: IntPoly, k: int) -> IntPoly:
     """Weil polynomial after extending the base field by degree k.
 
-    The roots become k-th powers, so the result is the characteristic
-    polynomial of the k-th power of the companion matrix of the input,
-    computed exactly over Z.
+    The roots become k-th powers, whose power sums are every k-th power
+    sum of the input; Newton's identities rebuild the polynomial from
+    them, exactly over Q, and the result must be integral.
     """
     if k < 1:
         raise MalformedInput("extension degree must be positive")
     n = poly.degree
     if n < 1 or not poly.is_monic():
         raise MalformedInput("base change needs a monic nonconstant polynomial")
-    comp = [[0] * n for _ in range(n)]
-    for i in range(1, n):
-        comp[i][i - 1] = 1
-    for i in range(n):
-        comp[i][n - 1] = -poly.coefficients[i]
-    power = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    base = comp
-    kk = k
-    while kk:
-        if kk & 1:
-            power = mat_mul(power, base)
-        base = mat_mul(base, base)
-        kk >>= 1
-    cp = charpoly_exact([[Fraction(x) for x in row] for row in power])
-    out = []
-    for c in cp:
-        if c.denominator != 1:
-            raise InternalInconsistency("companion charpoly not integral")
-        out.append(int(c))
-    return IntPoly(tuple(out))
+    out = from_power_sums(power_sums(poly, n * k)[::k])
+    if any(c.denominator != 1 for c in out):
+        raise InternalInconsistency("base change is not integral")
+    return IntPoly(out)

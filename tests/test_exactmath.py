@@ -18,12 +18,14 @@ from frobeig.exactmath import (ComplexBall, IntPoly, hermite_column_form,
                                isolate_roots, kernel_lattice, lll_reduce,
                                relation_candidates, smith_normal_form)
 from frobeig.exactmath.balls import isqrt_ub
-from frobeig.exactmath.intpoly import (power_sums, qpoly_clear_denominators,
+from frobeig.exactmath.intpoly import (from_power_sums, power_sums,
+                                      qpoly_clear_denominators,
                                       yun_decomposition)
 from frobeig.exactmath.latt import (identity_matrix, invariant_factors,
                                     lattice_rank, lattice_saturation_index,
                                     mat_mul)
-from frobeig.exactmath.roots import refine_roots, two_pi_ball, _mpf_to_frac
+from frobeig.exactmath.roots import (_match_permutation, _mpf_to_frac,
+                                     refine_roots, two_pi_ball)
 
 
 def det(mat):
@@ -109,6 +111,25 @@ def test_power_sums_oracle():
     # roots of X^2 - X + 5: s1 = 1, s2 = 1 - 10 = -9, s3 = s2 - 5 s1 = -14
     ps = power_sums(IntPoly((5, -1, 1)), 3)
     assert ps == [Fraction(2), Fraction(1), Fraction(-9), Fraction(-14)]
+
+
+def test_from_power_sums_round_trip():
+    # power sums of the roots (with multiplicity) rebuild the monic
+    # polynomial; repeated roots and a non-monic input included
+    rng = random.Random(20261018)
+    polys = [IntPoly((-2, 1)) ** 3 * IntPoly((1, 0, 1)) ** 2,
+             IntPoly((3, 1)) ** 4, IntPoly((5, -1, 1)) ** 2 * IntPoly((7, 1))]
+    for _ in range(40):
+        p = IntPoly((1,))
+        for _ in range(rng.randint(1, 4)):
+            f = IntPoly((rng.randint(-9, 9), rng.randint(-3, 3), 1))
+            p = p * f ** rng.randint(1, 2)
+        polys.append(p)
+    for p in polys:
+        assert from_power_sums(power_sums(p, p.degree)) \
+            == [Fraction(c) for c in p.coefficients]
+    assert from_power_sums(power_sums(IntPoly((5, 3, 2)), 2)) \
+        == [Fraction(5, 2), Fraction(3, 2), Fraction(1)]
 
 
 @given(st.lists(st.integers(-9, 9), min_size=1, max_size=5),
@@ -233,6 +254,13 @@ def test_snf_seeded_bulk():
     for _ in range(1000):
         n = rng.randint(1, 4)
         m = rng.randint(1, 4)
+        mat = [[rng.randint(-30, 30) for _ in range(m)] for _ in range(n)]
+        _check_snf(mat)
+    # up to 6 x 6, where unchecked entry growth can keep the pivot loop
+    # from ending
+    for _ in range(500):
+        n = rng.randint(1, 6)
+        m = rng.randint(1, 6)
         mat = [[rng.randint(-30, 30) for _ in range(m)] for _ in range(n)]
         _check_snf(mat)
 
@@ -369,6 +397,18 @@ def test_refine_preserves_matching():
     for f, c in zip(fine, coarse):
         assert f.intersects(c)
         assert f.rad < c.rad
+
+
+def test_match_permutation_requires_a_bijection():
+    balls = isolate_roots(IntPoly((25, 0, 9, 0, 1)), 48)
+    perm = [2, 0, 3, 1]
+    assert _match_permutation([balls[i] for i in perm], balls) == perm
+    # two images on one target, or an image missing every target
+    assert _match_permutation([balls[0], balls[0], balls[2], balls[3]],
+                              balls) is None
+    assert _match_permutation(balls[:3], balls) is None
+    far = ComplexBall.exact(100)
+    assert _match_permutation([far] + balls[1:], balls) is None
 
 
 # --- relation candidates ---

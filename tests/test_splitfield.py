@@ -69,8 +69,37 @@ class TestModRing:
                 assert ring.mul(a, ring.inv(a)) == ring.const(1)
             assert ring.pow(a, 3) == ring.mul(a, ring.mul(a, a))
 
+    def test_inverse_from_minimal_polynomial(self):
+        # Q[x]/(x^2 - 1) is no field: x - 1 is a zero divisor
+        ring = ModRing(IntPoly((-1, 0, 1)))
+        assert ring.inv([Fraction(2), Fraction(1)]) \
+            == [Fraction(2, 3), Fraction(-1, 3)]
+        for bad in ([Fraction(-1), Fraction(1)], ring.const(0)):
+            with pytest.raises(ZeroDivisionError):
+                ring.inv(bad)
+
 
 class TestSplittingField:
+    @pytest.mark.parametrize("q, coeffs", [
+        (5, (5, -1, 1)), (5, (25, -5, 6, -1, 1)),
+        (3, (27, 0, 0, 0, 0, 0, 1)), (2, (8, 0, 4, 0, 2, 0, 1))])
+    def test_one_ring_per_field(self, monkeypatch, q, coeffs):
+        # the ring the construction verified the coordinates in is the
+        # field's ring; no second one is built for it
+        built = []
+        real_init = ModRing.__init__
+
+        def init(ring, modulus):
+            built.append(modulus.degree)
+            real_init(ring, modulus)
+
+        data = validate(q, list(coeffs))
+        monkeypatch.setattr(ModRing, "__init__", init)
+        field = splitting_field(data)
+        ring = field.ring()
+        assert built.count(field.degree) == 1
+        assert ring is field.ring() and ring.n == field.degree
+
     def test_ordinary_quadratic(self):
         d, sf = split_cached(5, (5, -1, 1))
         assert sf.modulus == IntPoly((5, -1, 1))

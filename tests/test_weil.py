@@ -1,12 +1,34 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from frobeig.errors import (FunctionalEquationFailed, MalformedInput,
-                            NotPrimePower, NotSimple, RootModulusFailed)
+from frobeig.corpus import CORPUS
+from frobeig.errors import (FrobeigError, FunctionalEquationFailed,
+                            MalformedInput, NotPrimePower, NotSimple,
+                            RootModulusFailed)
 from frobeig.exactmath.intpoly import IntPoly
+from frobeig.exactmath.latt import identity_matrix, mat_mul
+from frobeig.quadforms import charpoly_exact
 from frobeig.weil import base_change, prime_power_decomposition, validate
+
+
+def _companion_base_change(poly, k):
+    """Oracle: the characteristic polynomial of the k-th power of the
+    companion matrix of poly."""
+    n = poly.degree
+    comp = [[0] * n for _ in range(n)]
+    for i in range(1, n):
+        comp[i][i - 1] = 1
+    for i in range(n):
+        comp[i][n - 1] = -poly.coefficients[i]
+    power = identity_matrix(n)
+    for _ in range(k):
+        power = mat_mul(power, comp)
+    cp = charpoly_exact([[Fraction(x) for x in row] for row in power])
+    assert all(c.denominator == 1 for c in cp)
+    return IntPoly(cp)
 
 
 class TestPrimePower:
@@ -130,6 +152,37 @@ class TestBaseChange:
         # squares of the eigenvalues of both quadratic factors
         lhs = base_change(IntPoly((5, -1, 1)), 2) * base_change(IntPoly((5, 1, 1)), 2)
         assert p2 == lhs
+
+    def test_corpus_against_companion_oracle(self):
+        for e in CORPUS:
+            p = IntPoly(e.coefficients)
+            for k in range(1, 13):
+                assert base_change(p, k) == _companion_base_change(p, k), \
+                    (e.q, e.coefficients, k)
+
+    def test_seeded_against_companion_oracle(self):
+        rng = random.Random(20261018)
+        polys = []
+        while len(polys) < 48:
+            q = rng.choice([2, 3, 4, 5, 7])
+            if len(polys) % 2:
+                # a random quartic, kept when it validates
+                a1 = rng.randint(-4 * isqrt(q), 4 * isqrt(q))
+                a2 = rng.randint(-2 * q, 6 * q)
+                try:
+                    polys.append(validate(q, [q * q, q * a1, a2, a1, 1]).poly)
+                except FrobeigError:
+                    pass
+                continue
+            p = IntPoly((1,))
+            for _ in range(rng.randint(1, 3)):
+                a = rng.randint(-2 * isqrt(q), 2 * isqrt(q))
+                p = p * IntPoly((q, -a, 1))
+            polys.append(p)
+        for p in polys:
+            for k in range(1, 13):
+                assert base_change(p, k) == _companion_base_change(p, k), \
+                    (p, k)
 
     def test_stays_weil_seeded(self):
         rng = random.Random(20260819)
