@@ -1,26 +1,36 @@
 """Exact quadratic form invariants and certified signature transfer.
 
-All matrices are rational, held as lists of Fraction rows.  Signatures are
-computed by symmetric congruence diagonalization, spectra are located with
-Sturm chains, and the transfer engine moves a signature from a side where
-the form is positive definite to a side where it is not, through an exact
-characteristic polynomial comparison.  Nothing here is numerical: every
-verdict is backed by integer arithmetic.
+Matrices come in as rational rows (anything Fraction accepts).  Each is
+cleared once to an integer matrix A and a denominator d > 0 with
+mat = A/d, and every kernel runs on Python ints:
+
+- characteristic polynomials by Faddeev-LeVerrier on A, rescaled once;
+- signatures by Bareiss fraction-free symmetric elimination;
+- inverses and the comparison endomorphisms base^-1 * moved by one
+  Bareiss solve A*X = det*B;
+- spectra by one signed pseudo-remainder Sturm chain of p and p'.
+
+Fractions appear only in results (charpolys, inverses) and messages.  The
+transfer engine moves a signature from a side where the form is positive
+definite to a side where it is not, through an exact characteristic
+polynomial comparison.  Nothing here is numerical: every verdict is
+backed by integer arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (CharpolyMismatch, InternalInconsistency, MalformedInput,
                      NondegeneracyFailed, NotPositiveDefinite,
                      NotPositiveSpectrum, NotSelfAdjoint, NotSymmetric)
-from .exactmath.intpoly import (qpoly_clear_denominators, qpoly_divmod,
-                                qpoly_strip, yun_decomposition)
 
 QMat = List[List[Fraction]]
+IMat = List[List[int]]
 
 
 def to_qmat(rows: Sequence[Sequence]) -> QMat:
@@ -35,6 +45,14 @@ def to_qmat(rows: Sequence[Sequence]) -> QMat:
     return out
 
 
+def _clear(mat: QMat) -> Tuple[IMat, int]:
+    """(A, d) with mat = A/d, A integral and d > 0 the least common
+    denominator of the entries."""
+    d = math.lcm(*(x.denominator for row in mat for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row]
+            for row in mat], d
+
+
 def check_symmetric(mat: QMat, what: str = "matrix") -> None:
     n = len(mat)
     for i in range(n):
@@ -44,28 +62,62 @@ def check_symmetric(mat: QMat, what: str = "matrix") -> None:
 
 
 def mat_mul_q(a: QMat, b: QMat) -> QMat:
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def bareiss_solve(a: IMat, b: IMat) -> Tuple[IMat, int]:
+    """(x, det) with a*x = det*b for a nonsingular integer matrix a; x is
+    integral and det = +-det(a), the last Bareiss pivot.
+
+    Forward elimination is fraction-free (each division by the previous
+    pivot is exact) with the first nonzero entry of a column as pivot;
+    back substitution divides exactly because x = det * a^-1 * b is
+    integral.  NondegeneracyFailed when a is singular.
+    """
     n = len(a)
-    return [[sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)]
+    w = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    prev = 1
+    for c in range(n):
+        piv = next((r for r in range(c, n) if w[r][c] != 0), None)
+        if piv is None:
+            raise NondegeneracyFailed("matrix is singular")
+        w[c], w[piv] = w[piv], w[c]
+        rc = w[c]
+        p = rc[c]
+        for r in range(c + 1, n):
+            rr = w[r]
+            f = rr[c]
+            rr[c:] = [(p * x - f * y) // prev
+                      for x, y in zip(rr[c:], rc[c:])]
+        prev = p
+    x: IMat = [[]] * n
+    for i in range(n - 1, -1, -1):
+        ri = w[i]
+        x[i] = [(prev * bt - sum(ri[j] * x[j][t] for j in range(i + 1, n)))
+                // ri[i] for t, bt in enumerate(ri[n:])]
+    return x, prev
 
 
 def mat_inverse(a: QMat) -> QMat:
-    """Exact inverse by Gauss-Jordan; NondegeneracyFailed when singular."""
-    n = len(a)
-    work = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-            for i, row in enumerate(a)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if work[r][c] != 0), None)
-        if piv is None:
-            raise NondegeneracyFailed("matrix is singular")
-        work[c], work[piv] = work[piv], work[c]
-        inv = 1 / work[c][c]
-        work[c] = [x * inv for x in work[c]]
-        for r in range(n):
-            if r != c and work[r][c] != 0:
-                f = work[r][c]
-                work[r] = [x - f * y for x, y in zip(work[r], work[c])]
-    return [row[n:] for row in work]
+    """Exact inverse by one Bareiss solve; NondegeneracyFailed when singular."""
+    ai, d = _clear([[Fraction(x) for x in row] for row in a])
+    n = len(ai)
+    x, det = bareiss_solve(ai, [[int(i == j) for j in range(n)]
+                                for i in range(n)])
+    # (A/d)^-1 = d * A^-1 = d * x / det
+    return [[Fraction(d * v, det) for v in row] for row in x]
+
+
+def _quotient(base: IMat, db: int, moved: IMat, dm: int) -> Tuple[IMat, int]:
+    """(U, du) with U/du = (base/db)^-1 * (moved/dm), du > 0 and the
+    common content of U and du divided out."""
+    x, det = bareiss_solve(base, moved)
+    den = det * dm
+    if den < 0:
+        den, db = -den, -db
+    g = math.gcd(den, *(v * db for row in x for v in row))
+    return [[v * db // g for v in row] for row in x], den // g
 
 
 def signature(gram) -> Tuple[int, int]:
@@ -74,8 +126,23 @@ def signature(gram) -> Tuple[int, int]:
 
     Raises NotSymmetric or, for a singular form, NondegeneracyFailed.
     """
-    a = to_qmat(gram)
+    a, _ = _clear(to_qmat(gram))
     check_symmetric(a)
+    return _signature(a)
+
+
+def _signature(a: IMat) -> Tuple[int, int]:
+    """Signature of a symmetric integer matrix by Bareiss fraction-free
+    symmetric elimination.
+
+    The trailing block at step k holds d_(k-1) times the Schur complement
+    of the diagonalization over Q, where d_(k-1) is the previous pivot, so
+    the pivot rules (a diagonal swap, else row_k += row_j) see the same
+    zeros and the k-th diagonal entry has the sign of d_k / d_(k-1).
+    Every entry is a minor of an integer congruent matrix, so each
+    division by d_(k-1) is exact.  The argument is not modified.
+    """
+    a = [list(row) for row in a]
     n = len(a)
 
     def sym_swap(i, j):
@@ -83,13 +150,8 @@ def signature(gram) -> Tuple[int, int]:
         for row in a:
             row[i], row[j] = row[j], row[i]
 
-    def sym_add(i, j, c):
-        # row_i += c row_j, then the mirrored column operation
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        for row in a:
-            row[i] += c * row[j]
-
     pos = neg = 0
+    prev = 1
     for k in range(n):
         if a[k][k] == 0:
             j = next((t for t in range(k + 1, n) if a[t][t] != 0), None)
@@ -100,15 +162,23 @@ def signature(gram) -> Tuple[int, int]:
                 if j is None:
                     raise NondegeneracyFailed(
                         f"form is degenerate (zero row at step {k})")
-                sym_add(k, j, Fraction(1))   # makes a[k][k] = 2 a[k][j]
-        pivot = a[k][k]
-        if pivot > 0:
+                # row_k += row_j and the mirrored column operation make
+                # a[k][k] = 2 a[k][j]
+                a[k] = [x + y for x, y in zip(a[k], a[j])]
+                for row in a:
+                    row[k] += row[j]
+        rk = a[k]
+        pivot = rk[k]
+        if (pivot > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        for t in range(k + 1, n):
-            if a[t][k] != 0:
-                sym_add(t, k, -a[t][k] / pivot)
+        for i in range(k + 1, n):
+            ri = a[i]
+            f = rk[i]
+            for j in range(i, n):
+                a[j][i] = ri[j] = (pivot * ri[j] - f * rk[j]) // prev
+        prev = pivot
     return pos, neg
 
 
@@ -123,34 +193,99 @@ def is_positive_definite(gram) -> bool:
 def charpoly_exact(mat) -> List[Fraction]:
     """Characteristic polynomial det(X*I - mat), coefficients low to high,
     by the Faddeev-LeVerrier recurrence."""
-    a = to_qmat(mat)
+    a, d = _clear(to_qmat(mat))
+    return _rescale(_charpoly(a), d)
+
+
+def _charpoly(a: IMat) -> List[int]:
+    """det(X*I - a) of an integer matrix, low to high: M_1 = I,
+    c_(n-k) = -tr(a M_k) / k, M_(k+1) = a M_k + c_(n-k) I.  Every M_k is
+    integral and each division by k is exact."""
     n = len(a)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    coeffs = [0] * n + [1]
+    am = [list(row) for row in a]      # a M_k, starting at a M_1 = a
     for k in range(1, n + 1):
-        am = mat_mul_q(a, mk)
-        ck = -sum(am[i][i] for i in range(n)) / k
+        ck = -sum(am[i][i] for i in range(n)) // k
         coeffs[n - k] = ck
-        mk = [[am[i][j] + (ck if i == j else 0) for j in range(n)]
-              for i in range(n)]
+        if k < n:
+            for i in range(n):
+                am[i][i] += ck
+            am = mat_mul_q(am, a)      # M_(k+1) commutes with a
     return coeffs
+
+
+def _rescale(coeffs: List[int], d: int) -> List[Fraction]:
+    """Charpoly of a/d from the charpoly of the integer matrix a:
+    coefficient i is c_i d^i / d^n."""
+    n = len(coeffs) - 1
+    return [Fraction(c, d ** (n - i)) for i, c in enumerate(coeffs)]
+
+
+def _root_poly(coeffs: List[int], d: int) -> List[int]:
+    """d^n times the charpoly of a/d: an integer polynomial with the same
+    roots and the same signs."""
+    return [c * d ** i for i, c in enumerate(coeffs)]
 
 
 # --- Sturm chains ---
 
-def sturm_chain(p: List[Fraction]) -> List[List[Fraction]]:
-    """Sturm chain of a squarefree rational polynomial (low-to-high)."""
-    p0 = qpoly_strip(list(p))
-    p1 = [i * c for i, c in enumerate(p0)][1:]
-    chain = [p0, qpoly_strip(p1)]
-    while len(chain[-1]) > 1:
-        _, rem = qpoly_divmod(chain[-2], chain[-1])
-        rem = qpoly_strip([-c for c in rem])
+def _primitive(p: List[int]) -> List[int]:
+    """p with trailing zeros stripped and its positive content divided out."""
+    while p and p[-1] == 0:
+        p.pop()
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _int_poly(p: Sequence) -> List[int]:
+    """The primitive integer positive multiple of a rational polynomial."""
+    p = [Fraction(c) for c in p]
+    d = math.lcm(*(c.denominator for c in p))
+    return _primitive([c.numerator * (d // c.denominator) for c in p])
+
+
+def _neg_prem(a: List[int], b: List[int]) -> List[int]:
+    """-|lc(b)|^s * (a mod b) with its content divided out, s the number
+    of reduction steps: a positive multiple of -(a mod b)."""
+    r = list(a)
+    lead = b[-1]
+    scale, sign = abs(lead), (1 if lead > 0 else -1)
+    db = len(b) - 1
+    while len(r) > db:
+        k = len(r) - 1 - db
+        f = sign * r[-1]
+        r = [scale * c for c in r]
+        for i, c in enumerate(b):
+            r[k + i] -= f * c
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return _primitive([-c for c in r])
+
+
+def _chain(p: List[int]) -> List[List[int]]:
+    """p, p', then negated signed pseudo-remainders, each a positive
+    multiple of the Euclidean chain's element; the last is a multiple of
+    gcd(p, p').  Empty for the zero polynomial."""
+    if not p:
+        return []
+    chain = [p]
+    dp = _primitive([i * c for i, c in enumerate(p)][1:])
+    if dp:
+        chain.append(dp)
+    while len(chain) > 1 and len(chain[-1]) > 1:
+        rem = _neg_prem(chain[-2], chain[-1])
         if not rem:
             break
         chain.append(rem)
-    return [c for c in chain if c]
+    return chain
+
+
+def sturm_chain(p: List[Fraction]) -> List[List[int]]:
+    """Sturm chain of a rational polynomial (low-to-high), on the integers:
+    each element is the primitive positive multiple of the rational
+    chain's element, so the sign variations are the same."""
+    return _chain(_int_poly(p))
 
 
 def _variations(signs: List[int]) -> int:
@@ -158,14 +293,17 @@ def _variations(signs: List[int]) -> int:
     return sum(1 for x, y in zip(signs, signs[1:]) if x * y < 0)
 
 
-def _sign_at(poly: List[Fraction], x: Fraction) -> int:
-    acc = Fraction(0)
+def _sign_at(poly: List[int], x: Fraction) -> int:
+    # sign of den^deg * poly(num/den), den > 0, by homogeneous Horner
+    num, den = x.numerator, x.denominator
+    acc, dpow = 0, 1
     for c in reversed(poly):
-        acc = acc * x + c
+        acc = acc * num + c * dpow
+        dpow *= den
     return (acc > 0) - (acc < 0)
 
 
-def _sign_at_inf(poly: List[Fraction], positive: bool) -> int:
+def _sign_at_inf(poly: List[int], positive: bool) -> int:
     lead = poly[-1]
     s = (lead > 0) - (lead < 0)
     if positive:
@@ -173,10 +311,8 @@ def _sign_at_inf(poly: List[Fraction], positive: bool) -> int:
     return s if (len(poly) - 1) % 2 == 0 else -s
 
 
-def count_real_roots(p: List[Fraction], lo: Optional[Fraction] = None,
-                     hi: Optional[Fraction] = None) -> int:
-    """Distinct real roots of squarefree p in (lo, hi]; None means +-infinity."""
-    chain = sturm_chain(p)
+def _count(chain: List[List[int]], lo: Optional[Fraction] = None,
+           hi: Optional[Fraction] = None) -> int:
     at_lo = [_sign_at(c, lo) if lo is not None else _sign_at_inf(c, False)
              for c in chain]
     at_hi = [_sign_at(c, hi) if hi is not None else _sign_at_inf(c, True)
@@ -184,34 +320,43 @@ def count_real_roots(p: List[Fraction], lo: Optional[Fraction] = None,
     return _variations(at_lo) - _variations(at_hi)
 
 
+def count_real_roots(p: List[Fraction], lo: Optional[Fraction] = None,
+                     hi: Optional[Fraction] = None) -> int:
+    """Distinct real roots of squarefree p in (lo, hi]; None means +-infinity."""
+    return _count(sturm_chain(p),
+                  None if lo is None else Fraction(lo),
+                  None if hi is None else Fraction(hi))
+
+
+def _distinct(chain: List[List[int]]) -> int:
+    # deg p - deg gcd(p, p'), the chain's last element being that gcd
+    return len(chain[0]) - len(chain[-1]) if chain else 0
+
+
 def real_spectrum_summary(p: List[Fraction]) -> Tuple[int, int, bool]:
     """(distinct real roots, distinct roots, all real) for a rational
-    polynomial, multiplicity handled by squarefree decomposition."""
-    ip = qpoly_clear_denominators(list(p))
-    distinct_real = 0
-    distinct = 0
-    for factor, _mult in yun_decomposition(ip):
-        fr = [Fraction(c) for c in factor.coefficients]
-        distinct += factor.degree
-        distinct_real += count_real_roots(fr)
+    polynomial; the Sturm chain of p and p' counts each distinct root once
+    even when roots repeat."""
+    chain = sturm_chain(p)
+    distinct_real, distinct = _count(chain), _distinct(chain)
     return distinct_real, distinct, distinct_real == distinct
 
 
 def spectrum_all_real_positive(p: List[Fraction]) -> bool:
     """True when every complex root of p is a (strictly) positive real."""
-    ip = qpoly_clear_denominators(list(p))
-    if ip.degree < 0:
+    ip = _int_poly(p)
+    if not ip:
         raise MalformedInput("zero polynomial has no spectrum")
-    if ip.coefficients[0] == 0:
+    return _positive_spectrum(ip)
+
+
+def _positive_spectrum(p: List[int]) -> bool:
+    """p(0) != 0 and all deg p - deg gcd(p, p') distinct roots of the
+    nonzero integer polynomial p lie in (0, inf)."""
+    if p[0] == 0:
         return False          # zero eigenvalue
-    for factor, _mult in yun_decomposition(ip):
-        fr = [Fraction(c) for c in factor.coefficients]
-        d = factor.degree
-        if d == 0:
-            continue
-        if count_real_roots(fr, lo=Fraction(0)) != d:
-            return False
-    return True
+    chain = _chain(p)
+    return _count(chain, lo=Fraction(0)) == _distinct(chain)
 
 
 # --- certified transfer ---
@@ -243,6 +388,22 @@ class AmFilterResult:
     note: str
 
 
+def _certify(base: IMat, moved: IMat, root_poly: List[int],
+             spectrum_msg: str) -> Tuple[int, int]:
+    """The certification step of both public entry points: the deformation
+    taking base to moved (integer multiples of the forms) has a positive
+    real spectrum (root_poly, a positive multiple of its charpoly), and
+    the two signatures, computed independently, agree."""
+    if not _positive_spectrum(root_poly):
+        raise NotPositiveSpectrum(spectrum_msg)
+    sig_base = _signature(base)
+    sig_moved = _signature(moved)
+    if sig_base != sig_moved:
+        raise InternalInconsistency(
+            f"certified-equal signatures differ: {sig_base} vs {sig_moved}")
+    return sig_base
+
+
 def constant_signature_certify(gram, u) -> SignatureCertificate:
     """Certify signature(gram) == signature(gram*u) for a deformation u.
 
@@ -256,23 +417,18 @@ def constant_signature_certify(gram, u) -> SignatureCertificate:
     uu = to_qmat(u)
     if len(g) != len(uu):
         raise MalformedInput("matrix dimensions differ")
+    (g, _), (uu, du) = _clear(g), _clear(uu)
     check_symmetric(g, "base form")
-    moved = mat_mul_q(g, uu)
+    moved = mat_mul_q(g, uu)           # a positive multiple of gram*u
     try:
         check_symmetric(moved, "transported form")
     except NotSymmetric as exc:
         raise NotSelfAdjoint(
             f"deformation is not self-adjoint for the form: {exc}") from exc
-    cp = charpoly_exact(uu)
-    if not spectrum_all_real_positive(cp):
-        raise NotPositiveSpectrum(
-            "deformation spectrum is not positive real")
-    sig_base = signature(g)
-    sig_moved = signature(moved)
-    if sig_base != sig_moved:
-        raise InternalInconsistency(
-            f"certified-equal signatures differ: {sig_base} vs {sig_moved}")
-    return SignatureCertificate(signature=sig_base, u_charpoly=tuple(cp))
+    cp = _charpoly(uu)
+    sig = _certify(g, moved, _root_poly(cp, du),
+                   "deformation spectrum is not positive real")
+    return SignatureCertificate(signature=sig, u_charpoly=tuple(_rescale(cp, du)))
 
 
 def tannaka_transfer(side_a_base, side_a_moved, side_b_base, side_b_moved) -> TransferResult:
@@ -284,34 +440,31 @@ def tannaka_transfer(side_a_base, side_a_moved, side_b_base, side_b_moved) -> Tr
     moved must have identical characteristic polynomials on both sides
     (they realize the same abstract endomorphism); positivity on side A
     forces a positive real spectrum, which transports to side B and pins
-    the signature there.
+    the signature there.  Side B's moved form is base * v itself, so the
+    certification reads it directly.
     """
-    a0 = to_qmat(side_a_base)
-    a1 = to_qmat(side_a_moved)
-    b0 = to_qmat(side_b_base)
-    b1 = to_qmat(side_b_moved)
-    if not (len(a0) == len(a1) and len(b0) == len(b1) and len(a0) == len(b0)):
+    mats = [to_qmat(m) for m in (side_a_base, side_a_moved,
+                                 side_b_base, side_b_moved)]
+    if len({len(m) for m in mats}) != 1:
         raise MalformedInput("the four matrices must share one dimension")
+    (a0, da0), (a1, da1), (b0, db0), (b1, db1) = [_clear(m) for m in mats]
     for m, name in ((a0, "side A base"), (a1, "side A moved"),
                     (b0, "side B base"), (b1, "side B moved")):
         check_symmetric(m, name)
-    if signature(a0) != (len(a0), 0):
+    if _signature(a0) != (len(a0), 0):
         raise NotPositiveDefinite("side A base form is not positive definite")
-    u = mat_mul_q(mat_inverse(a0), a1)
-    v = mat_mul_q(mat_inverse(b0), b1)
-    cp_u = charpoly_exact(u)
-    cp_v = charpoly_exact(v)
+    u, du = _quotient(a0, da0, a1, da1)
+    v, dv = _quotient(b0, db0, b1, db1)
+    cu, cv = _charpoly(u), _charpoly(v)
+    cp_u, cp_v = _rescale(cu, du), _rescale(cv, dv)
     if cp_u != cp_v:
         raise CharpolyMismatch(
             "comparison endomorphisms disagree: "
             f"{_poly_str(cp_u)} vs {_poly_str(cp_v)}")
-    if not spectrum_all_real_positive(cp_u):
-        raise NotPositiveSpectrum(
-            "comparison endomorphism spectrum is not positive real "
-            "(side A moved form cannot be positive definite)")
-    cert = constant_signature_certify(b0, v)
-    return TransferResult(verdict="SignaturesEqual",
-                          signature=cert.signature,
+    sig = _certify(b0, b1, _root_poly(cu, du),
+                   "comparison endomorphism spectrum is not positive real "
+                   "(side A moved form cannot be positive definite)")
+    return TransferResult(verdict="SignaturesEqual", signature=sig,
                           charpoly=tuple(cp_u))
 
 

@@ -32,7 +32,9 @@ a rational integer, since roots and x are algebraic integers.  Each t_{i,k}
 is read off its enclosure as the unique integer it holds, and the
 coordinates of root_i solve sum_j coords_{i,j} p_{j+k} = t_{i,k} exactly,
 where p_s is the s-th power sum of the roots of m; the Hankel matrix
-[p_{j+k}] is nonsingular because m is squarefree.  The coordinates are
+[p_{j+k}] is integral because m is monic and nonsingular because m is
+squarefree, so one fraction-free Bareiss solve gives all coordinates
+over the common denominator det [p_{j+k}].  The coordinates are
 then checked exactly in Q[x]/(m): they multiply out to the squarefree
 part of P (so each is a root of it), the weight combination of the
 representatives reproduces x, and conjugate coordinates multiply to q.
@@ -86,7 +88,7 @@ from .errors import (Ambiguous, DegreeCapExceeded, InternalInconsistency,
 from .exactmath.balls import ComplexBall
 from .exactmath.intpoly import IntPoly, power_sums, qpoly_gcd
 from .exactmath.roots import refine_roots
-from .quadforms import mat_inverse
+from .quadforms import bareiss_solve
 from .weil import WeilData
 
 Perm = Tuple[int, ...]
@@ -481,12 +483,12 @@ def _try_candidate(h_perms: List[Perm], weight: Tuple[int, ...],
         return _UNRESOLVED
 
     # Tr(r_i x^k) = sum_j coords_{i,j} p_{j+k}; the Hankel matrix of power
-    # sums is nonsingular because the modulus is squarefree
+    # sums is integral (the modulus is monic) and nonsingular (it is
+    # squarefree), so one integer solve H X = det T^T gives every coords_i
     psums = power_sums(modulus, 2 * n - 2)
-    hankel_inv = mat_inverse([[psums[j + k] for j in range(n)]
-                              for k in range(n)])
-    coords = [[sum(a * t for a, t in zip(row, ts)) for row in hankel_inv]
-              for ts in traces]
+    x, det = bareiss_solve([[int(psums[j + k]) for j in range(n)]
+                            for k in range(n)], list(zip(*traces)))
+    coords = [[Fraction(v, det) for v in col] for col in zip(*x)]
 
     ring = ModRing(modulus)
     # prod (X - r_i) must equal the squarefree part over the ring

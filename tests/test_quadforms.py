@@ -1,20 +1,22 @@
 """Tests for exact signatures, Sturm counting, and signature transfer."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frobeig import quadforms
 from frobeig.errors import (CharpolyMismatch, MalformedInput,
                             NondegeneracyFailed, NotPositiveDefinite,
                             NotPositiveSpectrum, NotSelfAdjoint, NotSymmetric)
-from frobeig.quadforms import (am_filter, charpoly_exact,
+from frobeig.quadforms import (am_filter, bareiss_solve, charpoly_exact,
                                constant_signature_certify, count_real_roots,
                                is_positive_definite, mat_inverse, mat_mul_q,
                                real_spectrum_summary, signature,
-                               spectrum_all_real_positive, tannaka_transfer,
-                               to_qmat)
+                               spectrum_all_real_positive, sturm_chain,
+                               tannaka_transfer, to_qmat)
 
 F = Fraction
 
@@ -212,6 +214,257 @@ def test_positive_definite_helper():
     assert not is_positive_definite(diag(2, -5))
     assert not is_positive_definite(diag(2, 0))
     assert is_positive_definite([[F(2), F(1)], [F(1), F(2)]])
+
+
+# --- independent oracles for the integer kernels ---
+
+def fraction_charpoly(mat):
+    """Faddeev-LeVerrier over Fraction, entry by entry: the oracle for the
+    integer kernel."""
+    a = to_qmat(mat)
+    n = len(a)
+    coeffs = [F(0)] * (n + 1)
+    coeffs[n] = F(1)
+    mk = [[F(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        am = [[sum(a[i][t] * mk[t][j] for t in range(n)) for j in range(n)]
+              for i in range(n)]
+        ck = -sum(am[i][i] for i in range(n)) / k
+        coeffs[n - k] = ck
+        mk = [[am[i][j] + (ck if i == j else 0) for j in range(n)]
+              for i in range(n)]
+    return coeffs
+
+
+entries = st.builds(F, st.integers(-9, 9),
+                    st.sampled_from((1, 1, 1, 2, 3, 4, 7, 12)))
+sparse_entries = st.one_of(st.just(F(0)), entries)
+kernel = settings(max_examples=150, deadline=None)
+
+
+@st.composite
+def rational_matrices(draw, max_n=6):
+    n = draw(st.integers(1, max_n))
+    cell = draw(st.sampled_from((entries, sparse_entries)))
+    return [[draw(cell) for _ in range(n)] for _ in range(n)]
+
+
+@st.composite
+def symmetric_matrices(draw, max_n=6):
+    m = draw(rational_matrices(max_n))
+    n = len(m)
+    s = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            s[i][i] = F(0)
+    return s
+
+
+def _descartes(coeffs):
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
+
+
+@kernel
+@given(rational_matrices())
+def test_charpoly_matches_fraction_oracle(m):
+    assert charpoly_exact(m) == fraction_charpoly(m)
+
+
+def test_charpoly_matches_fraction_oracle_at_8():
+    rng = random.Random(8008)
+    for _ in range(20):
+        m = [[F(rng.randint(-9, 9), rng.choice((1, 2, 5, 6)))
+              for _ in range(8)] for _ in range(8)]
+        assert charpoly_exact(m) == fraction_charpoly(m)
+
+
+@kernel
+@given(symmetric_matrices())
+def test_signature_against_descartes(s):
+    # the charpoly of a symmetric matrix is real-rooted, so Descartes'
+    # rule counts its positive and negative roots exactly
+    cp = charpoly_exact(s)
+    if cp[0] == 0:
+        with pytest.raises(NondegeneracyFailed):
+            signature(s)
+        return
+    mirrored = [c if i % 2 == 0 else -c for i, c in enumerate(cp)]
+    assert signature(s) == (_descartes(cp), _descartes(mirrored))
+
+
+@kernel
+@given(rational_matrices(max_n=7))
+def test_inverse_is_inverse(m):
+    n = len(m)
+    try:
+        inv = mat_inverse(m)
+    except NondegeneracyFailed as exc:
+        assert str(exc) == "matrix is singular"
+        assert charpoly_exact(m)[0] == 0
+        return
+    ident = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    assert mat_mul_q(m, inv) == ident
+    assert all(type(x) is F for row in inv for x in row)
+
+
+@kernel
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-20, 20), min_size=n, max_size=n),
+             min_size=n, max_size=n),
+    st.lists(st.lists(st.integers(-20, 20), min_size=3, max_size=3),
+             min_size=n, max_size=n))))
+def test_bareiss_solve_scales_by_determinant(ab):
+    a, b = ab
+    if charpoly_exact(a)[0] == 0:
+        with pytest.raises(NondegeneracyFailed, match="matrix is singular"):
+            bareiss_solve(a, b)
+        return
+    x, det = bareiss_solve(a, b)
+    assert abs(det) == abs(charpoly_exact(a)[0])
+    assert mat_mul_q(a, x) == [[det * v for v in row] for row in b]
+
+
+def _poly_from(real_roots, complex_pairs):
+    p = [F(1)]
+    factors = [[-r, F(1)] for r in real_roots]
+    factors += [[F(a * a + b * b), F(-2 * a), F(1)] for a, b in complex_pairs]
+    for f in factors:
+        p = [sum(p[i] * f[k - i] for i in range(len(p)) if 0 <= k - i < len(f))
+             for k in range(len(p) + len(f) - 1)]
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(F, st.integers(-6, 6), st.sampled_from((1, 2, 3))),
+                max_size=5),
+       st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 3)), max_size=2),
+       st.builds(F, st.integers(1, 9), st.integers(1, 9)),
+       st.booleans())
+def test_sturm_positivity_with_repeated_and_complex_roots(roots, pairs, c,
+                                                          negate):
+    # repeated roots come from duplicates in `roots`; the positive or
+    # negative scalar c changes no root
+    p = [c * x * (-1 if negate else 1) for x in _poly_from(roots, pairs)]
+    distinct = set(roots)
+    assert spectrum_all_real_positive(p) == (
+        not pairs and all(r > 0 for r in roots))
+    assert count_real_roots(p) == len(distinct)
+    # the gcd-terminated chain counts (lo, hi] when neither end is a root
+    for lo, hi in ((F(0), None), (F(-1, 2), F(5, 3)), (F(-7, 4), F(2, 5))):
+        if lo in distinct or hi in distinct:
+            continue
+        assert count_real_roots(p, lo=lo, hi=hi) == sum(
+            1 for r in distinct if lo < r and (hi is None or r <= hi))
+    n_pairs = len(set(pairs))
+    assert real_spectrum_summary(p) == (
+        len(distinct), len(distinct) + 2 * n_pairs, n_pairs == 0)
+
+
+def test_sturm_chain_is_integral_and_positive():
+    # (X - 1/2)^2 (X^2 + 1): the chain ends in a positive multiple of the
+    # Euclidean chain's last element, 100/49 - 200/49 X
+    p = _poly_from([F(1, 2), F(1, 2)], [(0, 1)])
+    chain = sturm_chain(p)
+    assert all(type(c) is int for poly in chain for c in poly)
+    assert chain[0] == [1, -4, 5, -4, 4]
+    assert chain[-1] == [1, -2]
+    assert sturm_chain([]) == []
+    assert count_real_roots([]) == 0
+    assert real_spectrum_summary([]) == (0, 0, True)
+    assert spectrum_all_real_positive([F(3)])
+    with pytest.raises(MalformedInput, match="zero polynomial"):
+        spectrum_all_real_positive([F(0), F(0)])
+
+
+@pytest.mark.parametrize("rows, step", [
+    ([[0]], 0),
+    ([[2, 0], [0, 0]], 1),
+    ([[0, 0], [0, 1]], 1),                       # swap, then zero row
+    ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], 2),      # row_k += row_j first
+    ([[1, 1, 0], [1, 1, 0], [0, 0, 5]], 2),      # zero Schur pivot, swap
+    ([[0, 3, 1], [3, 0, 2], [1, 2, F(4, 3)]], 2),
+    ([[1, 2, 3], [2, 4, 6], [3, 6, 9]], 1),
+])
+def test_zero_row_messages_pinned(rows, step):
+    with pytest.raises(NondegeneracyFailed) as exc:
+        signature(rows)
+    assert str(exc.value) == f"form is degenerate (zero row at step {step})"
+
+
+def _shear_frame(rng, n):
+    """Unimodular integer matrix C and its inverse, built from shears."""
+    c = [[int(i == j) for j in range(n)] for i in range(n)]
+    c_inv = [row[:] for row in c]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        c[i] = [x + k * y for x, y in zip(c[i], c[j])]
+        for row in c_inv:
+            row[j] -= k * row[i]
+    return c, c_inv
+
+
+def _bench_shaped_jobs(seed):
+    """Forms C^T D C and deformations (C^-1 L C)^2 + eps*I in shear frames
+    C, as the benchmark builds them, at dimensions 2 to 10."""
+    rng = random.Random(seed)
+    jobs = []
+    for n in range(2, 11):
+        c, c_inv = _shear_frame(rng, n)
+        ct = [list(col) for col in zip(*c)]
+        d = diag(*[rng.choice((-1, 1)) * rng.randint(1, 5) for _ in range(n)])
+        lam = diag(*[rng.choice((-1, 1)) * rng.randint(1, 4) for _ in range(n)])
+        u0 = mat_mul_q(c_inv, mat_mul_q(lam, c))
+        u = mat_mul_q(u0, u0)
+        eps = F(1, rng.randint(2, 9))
+        for i in range(n):
+            u[i][i] += eps
+        jobs.append((mat_mul_q(ct, mat_mul_q(d, c)), u))
+    return jobs
+
+
+# computed with the Fraction kernels these replace
+PINNED_KERNEL_DIGEST = (
+    "a71110ddda7d850eaf99794c955a181739aafba3919a5498bbf8b066c7ec434c")
+
+
+def test_signature_and_charpoly_digest_pinned():
+    # SHA-256 of (signature, charpoly of the form, charpoly of the
+    # deformation) over 27 seeded bench-shaped jobs up to 10x10
+    lines = []
+    for seed in (1, 2, 3):
+        for form, u in _bench_shaped_jobs(seed):
+            lines.append(repr((signature(form),
+                               [str(c) for c in charpoly_exact(form)],
+                               [str(c) for c in charpoly_exact(u)])))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PINNED_KERNEL_DIGEST
+
+
+def test_each_charpoly_computed_once(monkeypatch):
+    # a passing transfer needs the charpolys of u and v only; the side B
+    # certification reuses them
+    calls = []
+    kernel_fn = quadforms._charpoly
+
+    def counted(a):
+        calls.append(len(a))
+        return kernel_fn(a)
+
+    monkeypatch.setattr(quadforms, "_charpoly", counted)
+    c, c_inv = _shear_frame(random.Random(5), 6)
+    ct = [list(col) for col in zip(*c)]
+    d, lam = [2, -1, 3, -5, 1, -2], [3, 1, 4, 1, 5, 9]
+    b0 = mat_mul_q(ct, mat_mul_q(diag(*d), c))
+    b1 = mat_mul_q(ct, mat_mul_q(diag(*[x * y for x, y in zip(d, lam)]), c))
+    res = tannaka_transfer(diag(*[1] * 6), diag(*lam), b0, b1)
+    assert res.signature == (3, 3)
+    assert calls == [6, 6]
+    calls.clear()
+    v = mat_mul_q(c_inv, mat_mul_q(diag(*lam), c))
+    assert constant_signature_certify(b0, v).signature == (3, 3)
+    assert calls == [6]
 
 
 # --- multiplicity filter ---
