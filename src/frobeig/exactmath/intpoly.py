@@ -1,17 +1,18 @@
-"""Dense univariate polynomials with exact coefficients.
+"""Dense univariate polynomials with integer coefficients.
 
 `IntPoly` stores integer coefficients in ascending order (coefficients[i]
-is the coefficient of X^i) with no trailing zeros.  Helper functions ending
-in `_q` operate on plain lists of Fractions in the same convention; they
-back the handful of places that need rational intermediate results (gcds,
-exact division, squarefree parts).
+is the coefficient of X^i) with no trailing zeros.  All arithmetic runs on
+Python ints.  One pseudo-remainder routine, `prem`, sits at the centre:
+the gcd is a primitive pseudo-remainder sequence, divisibility is a zero
+pseudo-remainder, and the squarefree part divides by that gcd exactly.
+`quadforms` builds its Sturm chains on the same routine.  Power sums and
+Newton's identities work on monic polynomials, where they stay integral.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
 
@@ -110,46 +111,50 @@ class IntPoly:
             return self
         return IntPoly([x // c for x in self.coefficients])
 
+    def gcd(self, other: "IntPoly") -> "IntPoly":
+        """Greatest common divisor over Q as a primitive integer polynomial
+        with a positive leading coefficient, by a primitive pseudo-remainder
+        sequence; zero only when both inputs are zero."""
+        a, b = primitive(self.coefficients), primitive(other.coefficients)
+        if len(a) < len(b):
+            a, b = b, a
+        while b:
+            a, b = b, prem(a, b)
+        return IntPoly(a).primitive_part()
+
     def divides(self, other: "IntPoly") -> bool:
-        q, r = qpoly_divmod(
-            [Fraction(c) for c in other.coefficients],
-            [Fraction(c) for c in self.coefficients],
-        )
-        return all(c == 0 for c in r)
+        """True when self divides other over Q."""
+        return not prem(other.coefficients, self.coefficients)
 
     def exact_div(self, other: "IntPoly") -> "IntPoly":
         """Quotient self/other, requiring an exact integer division."""
-        q, r = qpoly_divmod(
-            [Fraction(c) for c in self.coefficients],
-            [Fraction(c) for c in other.coefficients],
-        )
-        if any(c != 0 for c in r):
+        b = other.coefficients
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        r = list(self.coefficients)
+        lead, db = b[-1], len(b) - 1
+        q = [0] * max(0, len(r) - db)
+        for k in range(len(q) - 1, -1, -1):
+            c, rest = divmod(r[k + db], lead)
+            if rest:
+                raise ValueError("quotient is not integral"
+                                 if other.divides(self)
+                                 else "division is not exact")
+            q[k] = c
+            if c:
+                for i, bc in enumerate(b):
+                    r[k + i] -= c * bc
+        if any(r):
             raise ValueError("division is not exact")
-        if any(c.denominator != 1 for c in q):
-            raise ValueError("quotient is not integral")
-        return IntPoly([int(c) for c in q])
+        return IntPoly(q)
 
     def squarefree_part(self) -> "IntPoly":
-        """Product of distinct irreducible factors (primitive, monic sign)."""
+        """Product of distinct irreducible factors (primitive, monic sign):
+        self // gcd(self, self'), exact over Z by Gauss's lemma because
+        the gcd is primitive."""
         if self.degree <= 0:
             return IntPoly([1])
-        d = self.derivative()
-        g = qpoly_gcd(
-            [Fraction(c) for c in self.coefficients],
-            [Fraction(c) for c in d.coefficients],
-        )
-        gz = qpoly_clear_denominators(g)
-        return self.exact_div_rational(gz)
-
-    def exact_div_rational(self, denom: "IntPoly") -> "IntPoly":
-        """self/denom normalized to a primitive integer polynomial."""
-        q, r = qpoly_divmod(
-            [Fraction(c) for c in self.coefficients],
-            [Fraction(c) for c in denom.coefficients],
-        )
-        if any(c != 0 for c in r):
-            raise ValueError("division is not exact")
-        return qpoly_clear_denominators(q)
+        return self.exact_div(self.gcd(self.derivative())).primitive_part()
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -171,112 +176,68 @@ class IntPoly:
         return " + ".join(reversed(parts)).replace("+ -", "- ")
 
 
-# --- rational-coefficient helpers ------------------------------------------
+# --- pseudo-remainders ---
 
-QP = List[Fraction]
-
-
-def qpoly_strip(p: QP) -> QP:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def primitive(p: Sequence[int]) -> List[int]:
+    """p with trailing zeros stripped and its positive content divided out."""
+    p = list(_strip(p))
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
 
 
-def qpoly_divmod(num: Sequence[Fraction], den: Sequence[Fraction]):
-    num = list(num)
-    den = qpoly_strip(list(den))
-    if not den:
+def prem(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """|lc(b)|^s * (a mod b) with its content divided out, s the number of
+    reduction steps: a positive multiple of the remainder over Q, and
+    empty exactly when b divides a over Q.  Lists run low to high."""
+    if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    r = list(num)
-    dlead = den[-1]
-    for k in range(len(num) - len(den), -1, -1):
-        coef = r[k + len(den) - 1] / dlead
-        q[k] = coef
-        if coef:
-            for i, dc in enumerate(den):
-                r[k + i] -= coef * dc
-    return qpoly_strip(q), qpoly_strip(r)
+    r = list(a)
+    lead = b[-1]
+    scale, sign = abs(lead), (1 if lead > 0 else -1)
+    db = len(b) - 1
+    while len(r) > db:
+        k = len(r) - 1 - db
+        f = sign * r[-1]
+        r = [scale * c for c in r]
+        for i, c in enumerate(b):
+            r[k + i] -= f * c
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return primitive(r)
 
 
-def qpoly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> QP:
-    """Monic gcd over the rationals."""
-    a = qpoly_strip(list(a))
-    b = qpoly_strip(list(b))
-    while b:
-        _, r = qpoly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+# --- Newton's identities ---
 
-
-def qpoly_clear_denominators(p: Sequence[Fraction]) -> IntPoly:
-    """Scale to a primitive integer polynomial with positive leading term."""
-    p = qpoly_strip(list(p))
-    if not p:
-        return IntPoly([])
-    lcm = 1
-    for c in p:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in p]
-    return IntPoly(ints).primitive_part()
-
-
-def yun_decomposition(p: IntPoly) -> List[Tuple[IntPoly, int]]:
-    """Squarefree decomposition p = prod q_i^i (primitive q_i, increasing i)."""
-    if p.degree <= 0:
-        return []
-    out: List[Tuple[IntPoly, int]] = []
-    pq = [Fraction(c) for c in p.coefficients]
-    dq = [Fraction(c) for c in p.derivative().coefficients]
-    g = qpoly_gcd(pq, dq)
-    if len(g) == 1:
-        return [(p.primitive_part(), 1)]
-    w, _ = qpoly_divmod(pq, g)
-    y, _ = qpoly_divmod(dq, g)
-    i = 1
-    # stop once w is constant: for non-monic p the leftover is the content,
-    # not 1, and waiting for exactly 1 would never terminate
-    while len(qpoly_strip(list(w))) > 1:
-        wd = [k * c for k, c in enumerate(w)][1:]
-        z = [a - b for a, b in zip(y + [Fraction(0)] * len(wd), wd + [Fraction(0)] * len(y))]
-        z = qpoly_strip(z)
-        f = qpoly_gcd(w, z)
-        if len(f) > 1:
-            out.append((qpoly_clear_denominators(f), i))
-        w, _ = qpoly_divmod(w, f)
-        y, _ = qpoly_divmod(z, f)
-        i += 1
-    return out
-
-
-def power_sums(p: IntPoly, count: int) -> List[Fraction]:
-    """Newton power sums s_0..s_count of the roots of p (with multiplicity)."""
+def power_sums(p: IntPoly, count: int) -> List[int]:
+    """Newton power sums s_0..s_count of the roots of the monic p (with
+    multiplicity), all integers."""
     n = p.degree
     if n < 0:
         raise ValueError("zero polynomial")
-    lead = Fraction(p.leading)
-    # e[i] = (-1)^i * elementary symmetric e_i
-    a = [Fraction(c) / lead for c in p.coefficients]
-    s: List[Fraction] = [Fraction(n)]
+    if not p.is_monic():
+        raise ValueError("power sums need a monic polynomial")
+    a = p.coefficients
+    s = [n]
     for k in range(1, count + 1):
-        acc = Fraction(0)
-        for i in range(1, min(k - 1, n) + 1):
-            acc += a[n - i] * s[k - i]
+        acc = sum(a[n - i] * s[k - i] for i in range(1, min(k - 1, n) + 1))
         if k <= n:
             acc += k * a[n - k]
         s.append(-acc)
     return s
 
 
-def from_power_sums(sums: Sequence) -> List[Fraction]:
-    """Monic polynomial (ascending coefficients) whose sums[0] = n roots
-    have the power sums sums[1..n], by Newton's identities
-    k * c_(n-k) = -(c_(n-k+1) s_1 + ... + c_n s_k)."""
+def from_power_sums(sums: Sequence[int]) -> List[int]:
+    """Monic integer polynomial (ascending coefficients) whose sums[0] = n
+    roots have the integer power sums sums[1..n], by Newton's identities
+    k * c_(n-k) = -(c_(n-k+1) s_1 + ... + c_n s_k).  ValueError when a
+    step does not divide exactly: no such integer polynomial exists."""
     n = int(sums[0])
-    c = [Fraction(0)] * n + [Fraction(1)]
+    c = [0] * n + [1]
     for k in range(1, n + 1):
-        c[n - k] = -sum(c[n - k + i] * sums[i] for i in range(1, k + 1)) / k
+        c[n - k], rest = divmod(
+            -sum(c[n - k + i] * sums[i] for i in range(1, k + 1)), k)
+        if rest:
+            raise ValueError("power sums are not those of an integer "
+                             "polynomial")
     return c

@@ -18,21 +18,6 @@ def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    oi[j] += c * bt[j]
-    return out
-
-
 def _swap_rows(m: Matrix, i: int, j: int) -> None:
     m[i], m[j] = m[j], m[i]
 
@@ -189,11 +174,6 @@ def kernel_lattice(mat: Sequence[Sequence[int]]) -> Matrix:
         return [[] for _ in range(m)]
     gens = [[v[r][j] for j in range(rank, m)] for r in range(m)]
     return hermite_column_form(gens)
-
-
-def lattice_rank(mat: Sequence[Sequence[int]]) -> int:
-    _, s, _ = smith_normal_form(mat)
-    return sum(1 for i in range(min(len(s), len(s[0]) if s else 0)) if s[i][i])
 
 
 def lattice_saturation_index(mat: Sequence[Sequence[int]]) -> int:

@@ -8,7 +8,9 @@ mat = A/d, and every kernel runs on Python ints:
 - signatures by Bareiss fraction-free symmetric elimination;
 - inverses and the comparison endomorphisms base^-1 * moved by one
   Bareiss solve A*X = det*B;
-- spectra by one signed pseudo-remainder Sturm chain of p and p'.
+- spectra by one signed Sturm chain of p and p', built on the
+  pseudo-remainder `exactmath.intpoly.prem` that also backs every
+  polynomial gcd.
 
 Fractions appear only in results (charpolys, inverses) and messages.  The
 transfer engine moves a signature from a side where the form is positive
@@ -28,6 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import (CharpolyMismatch, InternalInconsistency, MalformedInput,
                      NondegeneracyFailed, NotPositiveDefinite,
                      NotPositiveSpectrum, NotSelfAdjoint, NotSymmetric)
+from .exactmath.intpoly import IntPoly, prem, primitive
 
 QMat = List[List[Fraction]]
 IMat = List[List[int]]
@@ -229,38 +232,11 @@ def _root_poly(coeffs: List[int], d: int) -> List[int]:
 
 # --- Sturm chains ---
 
-def _primitive(p: List[int]) -> List[int]:
-    """p with trailing zeros stripped and its positive content divided out."""
-    while p and p[-1] == 0:
-        p.pop()
-    g = math.gcd(*p)
-    return [c // g for c in p] if g > 1 else p
-
-
 def _int_poly(p: Sequence) -> List[int]:
     """The primitive integer positive multiple of a rational polynomial."""
     p = [Fraction(c) for c in p]
     d = math.lcm(*(c.denominator for c in p))
-    return _primitive([c.numerator * (d // c.denominator) for c in p])
-
-
-def _neg_prem(a: List[int], b: List[int]) -> List[int]:
-    """-|lc(b)|^s * (a mod b) with its content divided out, s the number
-    of reduction steps: a positive multiple of -(a mod b)."""
-    r = list(a)
-    lead = b[-1]
-    scale, sign = abs(lead), (1 if lead > 0 else -1)
-    db = len(b) - 1
-    while len(r) > db:
-        k = len(r) - 1 - db
-        f = sign * r[-1]
-        r = [scale * c for c in r]
-        for i, c in enumerate(b):
-            r[k + i] -= f * c
-        r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-    return _primitive([-c for c in r])
+    return primitive([c.numerator * (d // c.denominator) for c in p])
 
 
 def _chain(p: List[int]) -> List[List[int]]:
@@ -270,14 +246,14 @@ def _chain(p: List[int]) -> List[List[int]]:
     if not p:
         return []
     chain = [p]
-    dp = _primitive([i * c for i, c in enumerate(p)][1:])
+    dp = primitive([i * c for i, c in enumerate(p)][1:])
     if dp:
         chain.append(dp)
     while len(chain) > 1 and len(chain[-1]) > 1:
-        rem = _neg_prem(chain[-2], chain[-1])
+        rem = prem(chain[-2], chain[-1])
         if not rem:
             break
-        chain.append(rem)
+        chain.append([-c for c in rem])
     return chain
 
 
@@ -322,8 +298,12 @@ def _count(chain: List[List[int]], lo: Optional[Fraction] = None,
 
 def count_real_roots(p: List[Fraction], lo: Optional[Fraction] = None,
                      hi: Optional[Fraction] = None) -> int:
-    """Distinct real roots of squarefree p in (lo, hi]; None means +-infinity."""
-    return _count(sturm_chain(p),
+    """Distinct real roots of p in (lo, hi]; None means +-infinity.
+
+    The chain is that of the squarefree part p / gcd(p, p'), so a multiple
+    root at an end point cannot make every element vanish there."""
+    sf = IntPoly(_int_poly(p)).squarefree_part()
+    return _count(_chain(list(sf.coefficients)),
                   None if lo is None else Fraction(lo),
                   None if hi is None else Fraction(hi))
 

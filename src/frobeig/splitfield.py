@@ -17,7 +17,7 @@ an integer weight vector c over the conjugation-orbit representatives, set
 and let M_H = prod_{w in H} (X - gamma_w).  M_H has integer coefficients
 exactly when the value multiset is stable under G, which forces G <= H
 once the values are distinct; distinctness is equivalent to M_H being
-squarefree, checked by an exact gcd.  Candidates are scanned in order of
+squarefree, checked by an integer gcd.  Candidates are scanned in order of
 increasing |H|, so the first fully verified candidate satisfies H = G and
 its M_H is irreducible: smaller subgroups die on a certified non-integer
 coefficient or a repeated factor, and both certificates are exact.
@@ -86,7 +86,7 @@ from .config import DEFAULT, Settings
 from .errors import (Ambiguous, DegreeCapExceeded, InternalInconsistency,
                      PrecisionExhausted)
 from .exactmath.balls import ComplexBall
-from .exactmath.intpoly import IntPoly, power_sums, qpoly_gcd
+from .exactmath.intpoly import IntPoly, power_sums
 from .exactmath.roots import refine_roots
 from .quadforms import bareiss_solve
 from .weil import WeilData
@@ -139,7 +139,7 @@ class ModRing:
                     nxt = [a + lead * b for a, b in zip(nxt, base)]
                 self._table.append(nxt)
                 cur = nxt
-        self._psums = power_sums(modulus, self.n - 1) if self.n > 1 else [Fraction(1)]
+        self._psums = power_sums(modulus, self.n - 1)
 
     def const(self, c) -> List[Fraction]:
         out = [Fraction(0)] * self.n
@@ -322,12 +322,6 @@ def _ball_product(values: Sequence[ComplexBall], bits: int) -> ComplexBall:
     return acc
 
 
-def _is_squarefree_exact(m: IntPoly) -> bool:
-    g = qpoly_gcd([Fraction(c) for c in m.coefficients],
-                  [Fraction(c) for c in m.derivative().coefficients])
-    return len(g) == 1
-
-
 # --- results ---
 
 @dataclass(frozen=True)
@@ -354,7 +348,6 @@ class GaloisData:
     perms: Tuple[Perm, ...]
     order: int
     generator_indices: Tuple[int, ...]
-    images: Tuple[Optional[Tuple[Fraction, ...]], ...]  # x-image per element
     fully_certified: bool
 
 
@@ -453,8 +446,8 @@ def _try_candidate(h_perms: List[Perm], weight: Tuple[int, ...],
             return _DEAD_SUBGROUP
         ints.append(n)
     modulus = IntPoly(tuple(ints + [1]))
-    if not _is_squarefree_exact(modulus):
-        return _DEAD_WEIGHT
+    if modulus.gcd(modulus.derivative()).degree > 0:
+        return _DEAD_WEIGHT             # repeated values: not squarefree
 
     # trace certificate: were H the Galois group, t_{i,k} = sum_w
     # r_{w(i)} gamma_w^k = Tr(r_i x^k) would be a rational integer
@@ -486,7 +479,7 @@ def _try_candidate(h_perms: List[Perm], weight: Tuple[int, ...],
     # sums is integral (the modulus is monic) and nonsingular (it is
     # squarefree), so one integer solve H X = det T^T gives every coords_i
     psums = power_sums(modulus, 2 * n - 2)
-    x, det = bareiss_solve([[int(psums[j + k]) for j in range(n)]
+    x, det = bareiss_solve([[psums[j + k] for j in range(n)]
                             for k in range(n)], list(zip(*traces)))
     coords = [[Fraction(v, det) for v in col] for col in zip(*x)]
 
@@ -668,7 +661,7 @@ def galois_group(field: SplittingField, data: WeilData) -> GaloisData:
     # exactly on the verified root coordinates
     ring = field.ring()
     coords = field.root_coords
-    images: Dict[Perm, Tuple[Fraction, ...]] = {}
+    images = set()
     for w in members:
         image = ring.const(0)
         for c, rep in zip(field.weight, field.orbit_reps):
@@ -682,13 +675,11 @@ def galois_group(field: SplittingField, data: WeilData) -> GaloisData:
             if ring.eval_poly(coords[rep], image) != list(coords[w[rep]]):
                 raise InternalInconsistency(
                     "automorphism does not act as its permutation")
-        images[w] = tuple(image)
-    if len(set(images.values())) < len(images):
+        images.add(tuple(image))
+    if len(images) < len(members):
         raise InternalInconsistency("automorphism images collide")
-    image_list = tuple(images.get(w) for w in perms)
     return GaloisData(perms=tuple(perms), order=order,
-                      generator_indices=gen_idx, images=image_list,
-                      fully_certified=fully)
+                      generator_indices=gen_idx, fully_certified=fully)
 
 
 # --- multiplicative words and torsion tests ---

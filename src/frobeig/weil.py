@@ -279,14 +279,14 @@ def base_change(poly: IntPoly, k: int) -> IntPoly:
 
     The roots become k-th powers, whose power sums are every k-th power
     sum of the input; Newton's identities rebuild the polynomial from
-    them, exactly over Q, and the result must be integral.
+    them on the integers, and each of their divisions must be exact.
     """
     if k < 1:
         raise MalformedInput("extension degree must be positive")
     n = poly.degree
     if n < 1 or not poly.is_monic():
         raise MalformedInput("base change needs a monic nonconstant polynomial")
-    out = from_power_sums(power_sums(poly, n * k)[::k])
-    if any(c.denominator != 1 for c in out):
-        raise InternalInconsistency("base change is not integral")
-    return IntPoly(out)
+    try:
+        return IntPoly(from_power_sums(power_sums(poly, n * k)[::k]))
+    except ValueError:
+        raise InternalInconsistency("base change is not integral") from None

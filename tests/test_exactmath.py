@@ -18,12 +18,9 @@ from frobeig.exactmath import (ComplexBall, IntPoly, hermite_column_form,
                                isolate_roots, kernel_lattice, lll_reduce,
                                relation_candidates, smith_normal_form)
 from frobeig.exactmath.balls import isqrt_ub
-from frobeig.exactmath.intpoly import (from_power_sums, power_sums,
-                                      qpoly_clear_denominators,
-                                      yun_decomposition)
+from frobeig.exactmath.intpoly import from_power_sums, power_sums
 from frobeig.exactmath.latt import (identity_matrix, invariant_factors,
-                                    lattice_rank, lattice_saturation_index,
-                                    mat_mul)
+                                    lattice_saturation_index)
 from frobeig.exactmath.roots import (_match_permutation, _mpf_to_frac,
                                      refine_roots, two_pi_ball)
 
@@ -49,6 +46,46 @@ def det(mat):
     return out
 
 
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+# --- a Fraction Euclid oracle for the integer polynomial kernels ---
+
+def _q_divmod(num, den):
+    """Quotient and remainder over Q of ascending Fraction lists."""
+    r, q = list(num), [Fraction(0)] * max(0, len(num) - len(den) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = r[k + len(den) - 1] / den[-1]
+        for i, d in enumerate(den):
+            r[k + i] -= q[k] * d
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
+
+
+def _q_normalize(p):
+    """The primitive integer multiple of a Fraction list with a positive
+    leading coefficient, as an IntPoly."""
+    while p and p[-1] == 0:
+        p = p[:-1]
+    if not p:
+        return IntPoly(())
+    d = math.lcm(*(c.denominator for c in p))
+    ints = [int(c * d) for c in p]
+    g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return IntPoly([c // g for c in ints])
+
+
+def _q_gcd(a, b):
+    a = [Fraction(c) for c in a.coefficients]
+    b = [Fraction(c) for c in b.coefficients]
+    while b:
+        a, b = b, _q_divmod(a, b)[1]
+    return _q_normalize(a)
+
+
 # --- IntPoly ---
 
 def test_intpoly_basic_ops():
@@ -69,6 +106,19 @@ def test_intpoly_exact_division():
     assert IntPoly((3, 0, 1)).divides(p)
     with pytest.raises(ValueError):
         p.exact_div(IntPoly((1, 1)))
+    # divisibility is over Q; an exact division also needs an integral
+    # quotient, and each failure keeps its own message
+    x1 = IntPoly((1, 1))
+    assert IntPoly((2, 2)).divides(x1) and not IntPoly((1, 2)).divides(x1)
+    with pytest.raises(ValueError, match="quotient is not integral"):
+        x1.exact_div(IntPoly((2, 2)))
+    with pytest.raises(ValueError, match="division is not exact"):
+        x1.exact_div(IntPoly((1, 2)))
+    with pytest.raises(ValueError, match="division is not exact"):
+        x1.exact_div(IntPoly((1, 0, 1)))
+    with pytest.raises(ZeroDivisionError):
+        x1.exact_div(IntPoly(()))
+    assert IntPoly(()).exact_div(x1) == IntPoly(())
 
 
 def test_primitive_part_positive_leading():
@@ -77,34 +127,60 @@ def test_primitive_part_positive_leading():
     assert IntPoly((-2, -1)).primitive_part() == IntPoly((2, 1))
     assert IntPoly((3, -1)).primitive_part() == IntPoly((-3, 1))
     assert IntPoly(()).primitive_part() == IntPoly(())
-    assert qpoly_clear_denominators(
-        [Fraction(-2), Fraction(-1)]).coefficients == (2, 1)
-    assert qpoly_clear_denominators(
-        [Fraction(1, 2), Fraction(-1, 3)]).coefficients == (-3, 2)
 
 
-def test_squarefree_and_yun():
+def test_squarefree_part():
     # (X+3)^2 * (X^2+1)
     p = IntPoly((9, 6, 1)) * IntPoly((1, 0, 1))
-    sf = p.squarefree_part()
-    assert sf == IntPoly((3, 1)) * IntPoly((1, 0, 1))
-    parts = yun_decomposition(p)
-    assert (IntPoly((1, 0, 1)), 1) in parts
-    assert (IntPoly((3, 1)), 2) in parts
-    recon = IntPoly((1,))
-    for fac, mult in parts:
-        recon = recon * fac ** mult
-    assert recon == p
+    assert p.squarefree_part() == IntPoly((3, 1)) * IntPoly((1, 0, 1))
+    # non-monic: (225 X - 178)^2, and mixed multiplicities with a
+    # non-unit leading coefficient and a negative content
+    assert IntPoly((31684, -80100, 50625)).squarefree_part() \
+        == IntPoly((-178, 225))
+    q = IntPoly((-1, 2)) ** 2 * IntPoly((2, 3)) ** 3 * IntPoly((5, 1)) * -6
+    assert q.squarefree_part() \
+        == IntPoly((-1, 2)) * IntPoly((2, 3)) * IntPoly((5, 1))
+    assert IntPoly((-7,)).squarefree_part() == IntPoly((1,))
+    assert IntPoly(()).squarefree_part() == IntPoly((1,))
 
 
-def test_yun_non_monic_terminates():
-    # (225 X - 178)^2: the leftover cofactor is the content 50625, not 1
-    p = IntPoly((31684, -80100, 50625))
-    assert yun_decomposition(p) == [(IntPoly((-178, 225)), 2)]
-    # mixed multiplicities with a non-unit leading coefficient
-    q = IntPoly((-1, 2)) ** 2 * IntPoly((2, 3)) ** 3 * IntPoly((5, 1))
-    parts = sorted((f.coefficients, m) for f, m in yun_decomposition(q))
-    assert parts == [((-1, 2), 2), ((2, 3), 3), ((5, 1), 1)]
+def test_intpoly_gcd():
+    a = IntPoly((-1, 2)) ** 2 * IntPoly((1, 0, 1))
+    b = IntPoly((-1, 2)) * IntPoly((5, 1)) * -4
+    assert a.gcd(b) == IntPoly((-1, 2)) == b.gcd(a)
+    assert a.gcd(IntPoly(())) == a
+    assert (a * -3).gcd(IntPoly(())) == a
+    assert a.gcd(IntPoly((6,))) == IntPoly((1,))
+    assert IntPoly(()).gcd(IntPoly(())) == IntPoly(())
+
+
+_small_polys = st.lists(st.integers(-5, 5), max_size=4).map(
+    lambda c: IntPoly(tuple(c)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_polys, _small_polys, _small_polys, st.integers(1, 3))
+def test_polynomial_kernels_match_fraction_euclid(a, b, c, k):
+    # inputs share the factor c^k, so most gcds are not trivial
+    a, b = a * c ** k, b * c
+    assert a.gcd(b) == _q_gcd(a, b)
+    if a.degree > 0:
+        assert a.squarefree_part() == _q_normalize(_q_divmod(
+            [Fraction(x) for x in a.coefficients],
+            [Fraction(x) for x in _q_gcd(a, a.derivative()).coefficients])[0])
+    if b.is_zero():
+        return
+    q, r = _q_divmod([Fraction(x) for x in a.coefficients],
+                     [Fraction(x) for x in b.coefficients])
+    assert b.divides(a) == (not r)
+    if r:
+        with pytest.raises(ValueError, match="division is not exact"):
+            a.exact_div(b)
+    elif any(x.denominator != 1 for x in q):
+        with pytest.raises(ValueError, match="quotient is not integral"):
+            a.exact_div(b)
+    else:
+        assert a.exact_div(b) == IntPoly([int(x) for x in q])
 
 
 def test_power_sums_oracle():
@@ -115,7 +191,7 @@ def test_power_sums_oracle():
 
 def test_from_power_sums_round_trip():
     # power sums of the roots (with multiplicity) rebuild the monic
-    # polynomial; repeated roots and a non-monic input included
+    # polynomial; repeated roots included
     rng = random.Random(20261018)
     polys = [IntPoly((-2, 1)) ** 3 * IntPoly((1, 0, 1)) ** 2,
              IntPoly((3, 1)) ** 4, IntPoly((5, -1, 1)) ** 2 * IntPoly((7, 1))]
@@ -127,9 +203,12 @@ def test_from_power_sums_round_trip():
         polys.append(p)
     for p in polys:
         assert from_power_sums(power_sums(p, p.degree)) \
-            == [Fraction(c) for c in p.coefficients]
-    assert from_power_sums(power_sums(IntPoly((5, 3, 2)), 2)) \
-        == [Fraction(5, 2), Fraction(3, 2), Fraction(1)]
+            == list(p.coefficients)
+    # the sums of no integer polynomial, and a non-monic input, refuse
+    with pytest.raises(ValueError):
+        from_power_sums([2, 1, 0])
+    with pytest.raises(ValueError):
+        power_sums(IntPoly((5, 3, 2)), 2)
 
 
 @given(st.lists(st.integers(-9, 9), min_size=1, max_size=5),
@@ -287,7 +366,9 @@ def test_kernel_annihilates(rows):
         for row in rows:
             assert sum(a * x for a, x in zip(row, col)) == 0
     # kernel rank + row rank = number of columns
-    assert len(k[0]) + lattice_rank(rows) == len(rows[0])
+    _, s, _ = smith_normal_form(rows)
+    rank = sum(1 for i in range(min(len(s), len(s[0]))) if s[i][i])
+    assert len(k[0]) + rank == len(rows[0])
 
 
 def test_hnf_canonical():

@@ -350,15 +350,26 @@ def test_sturm_positivity_with_repeated_and_complex_roots(roots, pairs, c,
     assert spectrum_all_real_positive(p) == (
         not pairs and all(r > 0 for r in roots))
     assert count_real_roots(p) == len(distinct)
-    # the gcd-terminated chain counts (lo, hi] when neither end is a root
+    # the count runs on the squarefree part, so it is (lo, hi] also when
+    # an end is a (repeated) root
     for lo, hi in ((F(0), None), (F(-1, 2), F(5, 3)), (F(-7, 4), F(2, 5))):
-        if lo in distinct or hi in distinct:
-            continue
         assert count_real_roots(p, lo=lo, hi=hi) == sum(
             1 for r in distinct if lo < r and (hi is None or r <= hi))
     n_pairs = len(set(pairs))
     assert real_spectrum_summary(p) == (
         len(distinct), len(distinct) + 2 * n_pairs, n_pairs == 0)
+
+
+def test_count_real_roots_multiple_root_at_an_end():
+    # X^4 + X^2: the double root 0 made every element of the chain of p
+    # and p' vanish at lo = 0, and the count read -1
+    assert count_real_roots([F(0), F(0), F(1), F(0), F(1)], lo=F(0)) == 0
+    # (X + 1)^2 X (X - 1)^2: (-1, 1] holds 0 and the double root 1
+    p = _poly_from([F(-1), F(-1), F(0), F(1), F(1)], [])
+    assert count_real_roots(p, lo=F(-1), hi=F(1)) == 2
+    assert count_real_roots(p, lo=F(-1), hi=F(0)) == 1
+    assert count_real_roots(p, lo=F(0), hi=F(1)) == 1
+    assert count_real_roots(p) == 3
 
 
 def test_sturm_chain_is_integral_and_positive():

@@ -30,6 +30,35 @@ GROUP_LAYER_SHA256 = (
     "d2e4a913c590336dec462c8d53c2498afd16977aaecc5e5aafa1e9ce30946866")
 GENERIC_SEXTIC = (3, (27, 27, 6, -1, 2, 3, 1))        # G = W_3, order 48
 GENERIC_OCTIC = (2, (16, 16, 24, 18, 17, 9, 6, 2, 1))  # |W'| = 384
+# the accepted degree-48 modulus of GENERIC_SEXTIC's splitting field,
+# ascending coefficients
+GENERIC_SEXTIC_MODULUS = (
+    30870396654420065811660928166344311825,
+    70360170329668214181139695537499657800,
+    88447339733401714951808401312661643900,
+    83847499376201951287084371552542218200,
+    67348849069020226741032270527504900190,
+    47969026668127514308354605901398329880,
+    30913475203214816624612660598977008264,
+    18248788465766656803428868155693594528,
+    9950715271738101993843563760081992181,
+    5039487536229763068151764487381590152,
+    2379125315764994257444939341740876816,
+    1049688290190272980991034614214717840,
+    433572921898994891446261906032476170, 167821131259739103784814139947830560,
+    60895796277800000254764531779463924, 20715757133094714127465137662193992,
+    6605876276095600081818809537072650, 1974265623107406857079649839966120,
+    552939637556326085151860029357780, 145123252097056214543325669317608,
+    35695512341046342553203109747254, 8229404311794928447746665021800,
+    1778594654563262933220254117680, 360421949939201020798621275120,
+    68488887751540426268454174221, 12204251948390231032990658328,
+    2039073577837167930217438272, 319343436812355028442495344,
+    46856177645139635737494278, 6436218802963311510005088,
+    826787831027948112670124, 99186775572351086257400, 11092679152722215844810,
+    1153905328807134422360, 111339730820293149356, 9931062853510930488,
+    815446420489892730, 61324778086004440, 4197669670205760, 259525233676752,
+    14355368924981, 701957960760, 29881214440, 1085115360, 32693934, 784912,
+    14084, 168, 1,)
 
 
 class TestModRing:
@@ -146,6 +175,24 @@ class TestSplittingField:
                             list(sf.root_coords[i]))
             assert pair == qc
 
+    def test_degree_48_squarefree_gate(self):
+        # the integer pseudo-remainder gcd decides the gate on the
+        # threefold's modulus well within the guard; the Fraction Euclid
+        # it replaced took about 6 s
+        def too_slow(signum, frame):
+            raise TimeoutError("squarefree gate exceeded 1 s")
+
+        m = IntPoly(GENERIC_SEXTIC_MODULUS)
+        assert m.degree == 48 and m.is_monic()
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(1)
+        try:
+            g = m.gcd(m.derivative())
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert g == IntPoly((1,))
+
     def test_generic_sextic(self):
         d, sf = split_cached(2, (8, 0, 0, -1, 0, 0, 1))
         assert sf.degree == 12
@@ -163,9 +210,6 @@ class TestSplittingField:
         g = galois_group(sf, d)
         assert g.order == 2 and g.fully_certified
         assert set(g.perms) == {(0, 1), (1, 0)}
-        swap = g.perms.index((1, 0))
-        # conjugation sends x to 1 - x (the other root of X^2-X+5)
-        assert g.images[swap] == (Fraction(1), Fraction(-1))
 
     def test_low_precision_builds_degree_eight(self):
         # the integer traces resolve on the 16-bit root enclosures; the
@@ -217,23 +261,6 @@ class TestGaloisGroup:
         for data, field in fields:
             galois_group(field, data)
         assert calls == []
-
-    def test_images_are_root_combinations(self):
-        # the image of x under w is sum_j c_j * r_{w(rep_j)}
-        checked = 0
-        for data, field in corpus_fields():
-            gal = galois_group(field, data)
-            if gal.order > 16:
-                continue
-            assert gal.fully_certified
-            for w, image in zip(gal.perms, gal.images):
-                expected = [sum(c * field.root_coords[w[rep]][k]
-                                for c, rep in zip(field.weight,
-                                                  field.orbit_reps))
-                            for k in range(field.degree)]
-                assert list(image) == expected
-                checked += 1
-        assert checked == 135          # every element of every corpus group
 
     def test_forged_group_rejected(self):
         # G = {id, iota, (2,3,0,1), (3,2,1,0)}; every other order-4

@@ -9,9 +9,14 @@ from frobeig.errors import (FrobeigError, FunctionalEquationFailed,
                             MalformedInput, NotPrimePower, NotSimple,
                             RootModulusFailed)
 from frobeig.exactmath.intpoly import IntPoly
-from frobeig.exactmath.latt import identity_matrix, mat_mul
+from frobeig.exactmath.latt import identity_matrix
 from frobeig.quadforms import charpoly_exact
 from frobeig.weil import base_change, prime_power_decomposition, validate
+
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
 
 
 def _companion_base_change(poly, k):
