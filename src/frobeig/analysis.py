@@ -86,7 +86,7 @@ class Analysis:
         """(kernel lattice, torsion-relation rank, Frobenius rank r): the
         verified multiplicative relations among the eigenvalues and q."""
         rho = self.rho          # before the field: see rho
-        return _relation_engine(self.data, self.field, self.eig,
+        return _relation_engine(self.field, self.eig,
                                 self.settings.search_bound, rho)
 
     @property

@@ -45,7 +45,7 @@ from .errors import InternalInconsistency, MalformedInput, TorsionDetected
 from .exactmath.latt import (hermite_column_form, invariant_factors,
                              lattice_saturation_index, relation_candidates)
 from .exactmath.roots import arg_ball, two_pi_ball
-from .splitfield import (SplittingField, is_root_of_unity,
+from .splitfield import (Elem, SplittingField, is_root_of_unity,
                          orbit_representatives)
 from .weil import WeilData, base_change
 
@@ -319,24 +319,24 @@ class Realization:
         coords = field.root_coords
         # position -> [rho(b_j)^0, rho(b_j)^1, ...] and the same for the
         # inverse, grown on demand
-        self.up: Dict[int, List[List[Fraction]]] = {
-            j: [one, list(coords[br])]
+        self.up: Dict[int, List[Elem]] = {
+            j: [one, coords[br]]
             for j, br in enumerate(eig.basis_roots) if br is not None}
-        self.down: Dict[int, List[List[Fraction]]] = {
-            j: [one, [c / q for c in coords[eig.iota[br]]]]
+        self.down: Dict[int, List[Elem]] = {
+            j: [one, self.ring.scale(coords[eig.iota[br]], 1, q)]
             for j, br in enumerate(eig.basis_roots) if br is not None}
 
-    def power(self, j: int, e: int) -> List[Fraction]:
-        """rho(b_j)^e for the basis root position j (not a copy)."""
+    def power(self, j: int, e: int) -> Elem:
+        """rho(b_j)^e for the basis root position j."""
         table = self.up[j] if e >= 0 else self.down[j]
         while len(table) <= abs(e):
             table.append(self.ring.mul(table[-1], table[1]))
         return table[abs(e)]
 
 
-def realize_coords(rho: Realization, a: Sequence[int]) -> List[Fraction]:
+def realize_coords(rho: Realization, a: Sequence[int]) -> Elem:
     """Field element realizing the basis-coordinate vector a under rho."""
-    acc: Optional[List[Fraction]] = None
+    acc: Optional[Elem] = None
     for j in rho.up:
         if a[j]:
             p = rho.power(j, a[j])
@@ -344,9 +344,9 @@ def realize_coords(rho: Realization, a: Sequence[int]) -> List[Fraction]:
     if acc is None:
         acc = rho.ring.const(1)
     if rho.q_slot is not None and a[rho.q_slot]:
-        scale = Fraction(rho.q) ** a[rho.q_slot]
-        return [c * scale for c in acc]
-    return list(acc)
+        e = a[rho.q_slot]
+        return rho.ring.scale(acc, rho.q ** max(e, 0), rho.q ** max(-e, 0))
+    return acc
 
 
 def _to_root_coords(eig: EigGroup, a: Sequence[int]) -> Coords:
@@ -372,9 +372,8 @@ def _to_basis_coords(eig: EigGroup, a: Sequence[int]) -> Coords:
     return tuple(out)
 
 
-def _relation_engine(data: WeilData, field: SplittingField, eig: EigGroup,
-                     bound: int, rho: Realization
-                     ) -> Tuple[RelationLattice, int, int]:
+def _relation_engine(field: SplittingField, eig: EigGroup, bound: int,
+                     rho: Realization) -> Tuple[RelationLattice, int, int]:
     """Kernel lattice, torsion-relation rank, and Frobenius rank.
 
     Runs both bounded searches and cross-feeds their verified vectors,
@@ -511,7 +510,7 @@ def _relation_engine(data: WeilData, field: SplittingField, eig: EigGroup,
 def frobenius_rank(data: WeilData, field: SplittingField, eig: EigGroup,
                    settings: Settings = DEFAULT) -> int:
     """Rank of the multiplicative group of the eigenvalues, minus one."""
-    _, _, r = _relation_engine(data, field, eig, settings.search_bound,
+    _, _, r = _relation_engine(field, eig, settings.search_bound,
                                Realization(eig, field, data.q))
     return r
 

@@ -2,11 +2,11 @@
 integer lattices (Smith/Hermite forms, kernels, LLL) and certified root
 isolation.
 
-Rationals are `fractions.Fraction`: the stdlib type already guarantees
-the normalization this package needs (lowest terms, positive
-denominator).  Complex balls are the exception: they hold integer
-mantissas over a power-of-two exponent and round outward (see `balls`),
-and rational data enters them through one constructor.
+Polynomials are integer coefficient tuples, and complex balls hold
+integer mantissas over a power-of-two exponent and round outward (see
+`balls`).  `fractions.Fraction` remains at the edges: rational data
+enters the balls through one constructor, and the angle enclosures and
+LLL of `latt` run on it.
 """
 
 from .intpoly import IntPoly

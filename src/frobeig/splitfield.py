@@ -42,15 +42,18 @@ Evaluated on the enclosure of x, each coordinate vector must meet its own
 root enclosure and no other.  Enclosures only ever decide which exact
 checks to attempt; they are never the evidence.
 
-The enclosures are dyadic `ComplexBall`s: integer mantissas over one
-power-of-two exponent, so ball arithmetic is integer arithmetic.  The
-running products behind the resolvent coefficients, the powers of gamma_w
-and each Horner step of the coordinate evaluation are rounded outward
-onto the 2^-bits working grid (bits = precision + 64), which keeps every
-true value inside its ball and the mantissas proportional to the
-precision.  The coordinate evaluation runs on the integer numerators over
-the common denominator and divides it out last, through the balls' one
-rational constructor.
+Field elements are integer numerators over one positive denominator in
+lowest terms (`ModRing`), so the ring identities are integer products
+and tuple comparisons; the Bareiss solve hands over its integer solution
+and determinant unchanged.  The enclosures are dyadic `ComplexBall`s:
+integer mantissas over one power-of-two exponent, so ball arithmetic is
+integer arithmetic.  The running products behind the resolvent
+coefficients, the powers of gamma_w and each Horner step of the
+coordinate evaluation are rounded outward onto the 2^-bits working grid
+(bits = precision + 64), which keeps every true value inside its ball
+and the mantissas proportional to the precision.  The coordinate
+evaluation runs on an element's integer numerators and divides its
+denominator out last.
 
 The Galois group is then certified from those verified coordinates
 alone, with no enclosures and no precision: the image of x under each
@@ -78,8 +81,7 @@ witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .config import DEFAULT, Settings
@@ -88,7 +90,7 @@ from .errors import (Ambiguous, DegreeCapExceeded, InternalInconsistency,
 from .exactmath.balls import ComplexBall
 from .exactmath.intpoly import IntPoly, power_sums
 from .exactmath.roots import refine_roots
-from .quadforms import bareiss_solve
+from .quadforms import _charpoly, bareiss_solve
 from .weil import WeilData
 
 Perm = Tuple[int, ...]
@@ -112,12 +114,19 @@ _WEIGHT_PRIMES = _primes_below(1000)
 
 # --- arithmetic in Q[x]/(m) ---
 
+Elem = Tuple[Tuple[int, ...], int]      # (numerators, denominator): ModRing
+
+
 class ModRing:
     """Exact arithmetic in Q[x]/(m) for monic integer m.
 
-    Elements are coefficient lists of length deg(m) over Fraction.  The
-    ring is a field whenever m is irreducible, which the splitting field
-    construction guarantees for its modulus.
+    An element is a pair (nums, den): the integer numerators of its n =
+    deg(m) coordinates in the power basis 1, x, ..., x^(n-1) over one
+    positive denominator, in lowest terms, so equal elements are equal
+    tuples.  Every operation runs on Python ints: the reduction table of
+    a monic modulus is integral.  The ring is a field whenever m is
+    irreducible, which the splitting field construction guarantees for
+    its modulus.
     """
 
     def __init__(self, modulus: IntPoly):
@@ -125,58 +134,70 @@ class ModRing:
             raise ValueError("modulus must be monic nonconstant")
         self.modulus = modulus
         self.n = modulus.degree
-        m = [Fraction(c) for c in modulus.coefficients]
         # reduction table: x^(n+t) mod m for t = 0 .. n-2
-        self._table: List[List[Fraction]] = []
-        if self.n >= 1:
-            cur = [-c for c in m[:-1]]
+        cur = [-c for c in modulus.coefficients[:-1]]
+        self._table: List[List[int]] = [cur]
+        for _ in range(self.n - 2):
+            cur = self._times_x(cur)
             self._table.append(cur)
-            for _ in range(self.n - 2):
-                nxt = [Fraction(0)] + cur[:-1]
-                lead = cur[-1]
-                if lead:
-                    base = self._table[0]
-                    nxt = [a + lead * b for a, b in zip(nxt, base)]
-                self._table.append(nxt)
-                cur = nxt
         self._psums = power_sums(modulus, self.n - 1)
 
-    def const(self, c) -> List[Fraction]:
-        out = [Fraction(0)] * self.n
-        out[0] = Fraction(c)
-        return out
+    def _times_x(self, nums: Sequence[int]) -> List[int]:
+        lead = nums[-1]
+        return [s + lead * t for s, t in zip([0] + nums[:-1], self._table[0])]
 
-    def xbar(self) -> List[Fraction]:
+    def element(self, nums: Sequence[int], den: int = 1) -> Elem:
+        """The element sum_i nums[i] x^i / den for n integers nums and a
+        nonzero integer den."""
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g == 1:
+            return tuple(nums), den
+        return tuple(c // g for c in nums), den // g
+
+    def const(self, c: int) -> Elem:
+        return (c,) + (0,) * (self.n - 1), 1
+
+    def xbar(self) -> Elem:
         if self.n == 1:
-            return [Fraction(-self.modulus.coefficients[0])]
-        out = [Fraction(0)] * self.n
-        out[1] = Fraction(1)
-        return out
+            return (-self.modulus.coefficients[0],), 1
+        return (0, 1) + (0,) * (self.n - 2), 1
 
-    def reduce_list(self, coeffs: Sequence[Fraction]) -> List[Fraction]:
-        out = list(coeffs[:self.n]) + [Fraction(0)] * max(0, self.n - len(coeffs))
-        for t in range(len(coeffs) - 1, self.n - 1, -1):
-            c = coeffs[t]
+    def lincomb(self, coeffs: Sequence[int], elems: Sequence[Elem]) -> Elem:
+        """sum_i coeffs[i] * elems[i] for integers coeffs."""
+        den = lcm(*(d for _, d in elems))
+        out = [0] * self.n
+        for c, (nums, d) in zip(coeffs, elems):
             if c:
-                row = self._table[t - self.n]
-                for j in range(self.n):
-                    out[j] += c * row[j]
-        return out[:self.n]
+                f = c * (den // d)
+                out = [s + f * t for s, t in zip(out, nums)]
+        return self.element(out, den)
 
-    def mul(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
-        conv = [Fraction(0)] * (2 * self.n - 1)
-        for i, x in enumerate(a):
+    def scale(self, a: Elem, num: int, den: int = 1) -> Elem:
+        """a * num / den for integers num and den, den nonzero."""
+        return self.element([c * num for c in a[0]], a[1] * den)
+
+    def mul(self, a: Elem, b: Elem) -> Elem:
+        (an, ad), (bn, bd) = a, b
+        n = self.n
+        conv = [0] * (2 * n - 1)
+        for i, x in enumerate(an):
             if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        return self.reduce_list(conv)
+                for j, y in enumerate(bn, i):
+                    conv[j] += x * y
+        out = conv[:n]
+        for t in range(n, 2 * n - 1):
+            c = conv[t]
+            if c:
+                out = [s + c * r for s, r in zip(out, self._table[t - n])]
+        return self.element(out, ad * bd)
 
-    def pow(self, a: Sequence[Fraction], e: int) -> List[Fraction]:
+    def pow(self, a: Elem, e: int) -> Elem:
         if e < 0:
             return self.pow(self.inv(a), -e)
         result = self.const(1)
-        base = list(a)
+        base = a
         while e:
             if e & 1:
                 result = self.mul(result, base)
@@ -184,35 +205,49 @@ class ModRing:
             e >>= 1
         return result
 
-    def inv(self, a: Sequence[Fraction]) -> List[Fraction]:
-        """Inverse read off the minimal polynomial mu of a: mu(a) = 0
-        gives a^-1 = -(mu_1 + mu_2 a + ... + a^(d-1)) / mu_0.  A zero
-        mu_0 means a is zero or a zero divisor: ZeroDivisionError."""
-        mu = _minimal_polynomial(self, a)
-        if not mu[0]:
-            raise ZeroDivisionError("element is zero or a zero divisor")
-        scale = -1 / mu[0]
-        return [c * scale for c in self.eval_poly(mu[1:], a)]
+    def charpoly(self, nums: Sequence[int]) -> List[int]:
+        """Characteristic polynomial (low to high) of multiplication by
+        sum_i nums[i] x^i: the integer matrix whose row j is x^j times
+        it, fraction-free."""
+        rows = [list(nums)]
+        for _ in range(self.n - 1):
+            rows.append(self._times_x(rows[-1]))
+        return _charpoly(rows)
 
-    def eval_poly(self, coeffs: Sequence, elem: Sequence[Fraction]) -> List[Fraction]:
-        """Value at elem of the polynomial with coefficients coeffs (low to
-        high), by Horner's rule."""
+    def inv(self, a: Elem) -> Elem:
+        """Inverse by Cayley-Hamilton.  b = den * a has integer numerators
+        and the integer charpoly X^n + ... + c_1 X + c_0, which vanishes
+        at b, so 1/a = den / b = -den (b^(n-1) + ... + c_1) / c_0.  c_0 =
+        +-N(b) is zero exactly when a is zero or a zero divisor:
+        ZeroDivisionError."""
+        nums, den = a
+        chi = self.charpoly(nums)
+        if not chi[0]:
+            raise ZeroDivisionError("element is zero or a zero divisor")
+        return self.scale(self.eval_poly(chi[1:], (nums, 1)), -den, chi[0])
+
+    def eval_poly(self, coeffs: Sequence[int], elem: Elem) -> Elem:
+        """Value at elem of the integer polynomial with coefficients
+        coeffs (low to high), by Horner's rule.  Adding an integer to a
+        reduced element keeps it reduced."""
         acc = self.const(0)
         for c in reversed(coeffs):
-            acc = self.mul(acc, elem)
-            acc[0] += c
+            nums, den = self.mul(acc, elem)
+            acc = (nums[0] + c * den,) + nums[1:], den
         return acc
 
-    def eval_intpoly(self, p: IntPoly, elem: Sequence[Fraction]) -> List[Fraction]:
-        return self.eval_poly(p.coefficients, elem)
+    def compose(self, a: Elem, b: Elem) -> Elem:
+        """a(b): the polynomial in x that a is, evaluated at b."""
+        nums, den = a
+        return self.scale(self.eval_poly(nums, b), 1, den)
 
-    def trace(self, a: Sequence[Fraction]) -> Fraction:
-        return sum(x * p for x, p in zip(a, self._psums))
-
-    def is_rational(self, a: Sequence[Fraction]) -> Optional[Fraction]:
-        if any(a[1:]):
-            return None
-        return a[0]
+    def trace(self, a: Elem) -> Tuple[int, int]:
+        """Trace over Q as (numerator, positive denominator) in lowest
+        terms."""
+        nums, den = a
+        t = sum(x * p for x, p in zip(nums, self._psums))
+        g = gcd(t, den)
+        return t // g, den // g
 
 
 # --- permutation helpers ---
@@ -331,7 +366,7 @@ class SplittingField:
     degree: int
     weight: Tuple[int, ...]                 # c_j over the orbit representatives
     orbit_reps: Tuple[int, ...]
-    root_coords: Tuple[Tuple[Fraction, ...], ...]
+    root_coords: Tuple[Elem, ...]
     group_perms: Tuple[Perm, ...]           # Galois action on root indices
     root_balls: Tuple[ComplexBall, ...]
     arithmetic: ModRing = dataclass_field(compare=False, repr=False)
@@ -386,17 +421,15 @@ _DEAD_SUBGROUP = "dead-subgroup"      # certificate refutes the subgroup itself
 _UNRESOLVED = "unresolved"
 
 
-def _eval_on_ball(vec: Sequence[Fraction], point: ComplexBall,
-                  bits: int) -> ComplexBall:
-    """Enclosure on the 2^-bits grid of the polynomial with rational
-    coefficients vec (low to high) at the ball point.  Horner runs on the
-    integer numerators over the common denominator, rounding each step
-    onto the grid; the denominator is divided out at the end."""
-    den = lcm(*(c.denominator for c in vec))
+def _eval_on_ball(vec: Elem, point: ComplexBall, bits: int) -> ComplexBall:
+    """Enclosure on the 2^-bits grid of the field element vec, as a
+    polynomial in x, at the ball point.  Horner runs on the integer
+    numerators, rounding each step onto the grid; the denominator is
+    divided out at the end."""
+    nums, den = vec
     acc = ComplexBall.exact(0)
-    for c in reversed(vec):
-        term = ComplexBall.exact(c.numerator * (den // c.denominator))
-        acc = (acc * point + term).round_bits(bits)
+    for c in reversed(nums):
+        acc = (acc * point + ComplexBall.exact(c)).round_bits(bits)
     return acc.div_int(den, bits)
 
 
@@ -481,25 +514,19 @@ def _try_candidate(h_perms: List[Perm], weight: Tuple[int, ...],
     psums = power_sums(modulus, 2 * n - 2)
     x, det = bareiss_solve([[psums[j + k] for j in range(n)]
                             for k in range(n)], list(zip(*traces)))
-    coords = [[Fraction(v, det) for v in col] for col in zip(*x)]
-
     ring = ModRing(modulus)
+    coords = [ring.element(col, det) for col in zip(*x)]
+
     # prod (X - r_i) must equal the squarefree part over the ring
     prod = [ring.const(1)]
     for vec in coords:
-        nxt = [ring.const(0) for _ in range(len(prod) + 1)]
+        nxt = [ring.const(0)] + prod
         for t, c in enumerate(prod):
-            nxt[t + 1] = [x + y for x, y in zip(nxt[t + 1], c)]
-            term = ring.mul(c, vec)
-            nxt[t] = [x - y for x, y in zip(nxt[t], term)]
+            nxt[t] = ring.lincomb((1, -1), (nxt[t], ring.mul(c, vec)))
         prod = nxt
-    expected = [ring.const(c) for c in sf_poly.coefficients]
-    if prod != expected:
+    if prod != [ring.const(c) for c in sf_poly.coefficients]:
         return _DEAD_SUBGROUP
-    combo = ring.const(0)
-    for c, rep in zip(weight, reps):
-        combo = [x + c * y for x, y in zip(combo, coords[rep])]
-    if combo != ring.xbar():
+    if ring.lincomb(weight, [coords[rep] for rep in reps]) != ring.xbar():
         return _DEAD_SUBGROUP
     qconst = ring.const(q)
     for i in range(len(coords)):
@@ -516,7 +543,7 @@ def _try_candidate(h_perms: List[Perm], weight: Tuple[int, ...],
         for j in range(len(balls)):
             if j != i and not enc.disjoint(balls[j]):
                 return _UNRESOLVED
-    return modulus, tuple(tuple(v) for v in coords), ring
+    return modulus, tuple(coords), ring
 
 
 def splitting_field(data: WeilData, settings: Settings = DEFAULT) -> SplittingField:
@@ -661,21 +688,21 @@ def galois_group(field: SplittingField, data: WeilData) -> GaloisData:
     # exactly on the verified root coordinates
     ring = field.ring()
     coords = field.root_coords
+    zero = ring.const(0)
     images = set()
     for w in members:
-        image = ring.const(0)
-        for c, rep in zip(field.weight, field.orbit_reps):
-            image = [a + c * b for a, b in zip(image, coords[w[rep]])]
-        if any(ring.eval_intpoly(field.modulus, image)):
+        image = ring.lincomb(field.weight,
+                             [coords[w[rep]] for rep in field.orbit_reps])
+        if ring.eval_poly(field.modulus.coefficients, image) != zero:
             raise InternalInconsistency(
                 "claimed automorphism image is not a modulus root")
         # x -> image is then an automorphism; it must move every
         # representative as w does (conjugates follow from r rbar = q)
         for rep in field.orbit_reps:
-            if ring.eval_poly(coords[rep], image) != list(coords[w[rep]]):
+            if ring.compose(coords[rep], image) != coords[w[rep]]:
                 raise InternalInconsistency(
                     "automorphism does not act as its permutation")
-        images.add(tuple(image))
+        images.add(image)
     if len(images) < len(members):
         raise InternalInconsistency("automorphism images collide")
     return GaloisData(perms=tuple(perms), order=order,
@@ -684,9 +711,9 @@ def galois_group(field: SplittingField, data: WeilData) -> GaloisData:
 
 # --- multiplicative words and torsion tests ---
 
-def word_value(ring: ModRing, coords: Sequence[Sequence[Fraction]],
+def word_value(ring: ModRing, coords: Sequence[Elem],
                exponents: Sequence[int], q: int = 0,
-               q_exponent: int = 0) -> List[Fraction]:
+               q_exponent: int = 0) -> Elem:
     """Exact value of prod_i coords[i]^exponents[i] * q^q_exponent.
 
     Negative exponents invert in the quotient ring; the q part is a
@@ -695,71 +722,42 @@ def word_value(ring: ModRing, coords: Sequence[Sequence[Fraction]],
     """
     acc = ring.const(1)
     for vec, e in zip(coords, exponents):
-        if e == 0:
-            continue
-        p = ring.pow(list(vec), abs(e))
-        if e < 0:
-            p = ring.inv(p)
-        acc = ring.mul(acc, p)
-    if q_exponent:
-        scale = Fraction(q) ** q_exponent
-        acc = [c * scale for c in acc]
-    return acc
+        if e:
+            acc = ring.mul(acc, ring.pow(vec, e))
+    return ring.scale(acc, q ** max(q_exponent, 0), q ** max(-q_exponent, 0))
 
 
-def _minimal_polynomial(ring: ModRing, elem: Sequence[Fraction]) -> List[Fraction]:
-    """Monic minimal polynomial of an element over Q (coefficient list,
-    low to high), found as the first linear dependency among its powers."""
-    n = ring.n
-    rows: List[Tuple[List[Fraction], List[Fraction], int]] = []
-    power = ring.const(1)
-    for d in range(n + 1):
-        vec = list(power)
-        combo = [Fraction(0)] * (n + 1)
-        combo[d] = Fraction(1)
-        for pvec, pcombo, pivot in rows:
-            c = vec[pivot]
-            if c:
-                f = c / pvec[pivot]
-                vec = [a - f * b for a, b in zip(vec, pvec)]
-                combo = [a - f * b for a, b in zip(combo, pcombo)]
-        piv = next((i for i, a in enumerate(vec) if a), None)
-        if piv is None:
-            lead = combo[d]
-            return [c / lead for c in combo[:d + 1]]
-        rows.append((vec, combo, piv))
-        if d < n:
-            power = ring.mul(power, list(elem))
-    raise InternalInconsistency("element has no minimal polynomial")
-
-
-def is_root_of_unity(ring: ModRing, elem: Sequence[Fraction]) -> Optional[int]:
+def is_root_of_unity(ring: ModRing, elem: Elem) -> Optional[int]:
     """Exact order of elem if it is a root of unity, else None.
 
     An element of a degree-N field that is a root of unity is an algebraic
-    integer whose minimal polynomial has degree phi(order), so order <=
-    2 deg^2.  The trace gate rejects most non-integral elements before the
-    minimal polynomial is computed; the order itself comes from exact
-    powering, never from numerics.
+    integer whose minimal polynomial mu has degree phi(order), so order <=
+    2 deg^2.  The trace gate rejects most non-integral elements first.
+    The charpoly of elem is then integral exactly when elem is an
+    algebraic integer, and, K being a field, it is a power of mu, so mu is
+    its squarefree part.  The order itself comes from exact powering,
+    never from numerics.
     """
-    elem = ring.reduce_list(list(elem))
     if elem == ring.const(1):
         return 1
     if elem == ring.const(-1):
         return 2
-    if ring.is_rational(elem) is not None:
+    tr, tr_den = ring.trace(elem)
+    if tr_den != 1 or abs(tr) > ring.n:
         return None
-    tr = ring.trace(elem)
-    if tr.denominator != 1 or abs(tr) > ring.n:
-        return None
-    mu = _minimal_polynomial(ring, elem)
-    if any(c.denominator != 1 for c in mu):
-        return None
-    d = len(mu) - 1
-    small = ModRing(IntPoly([int(c) for c in mu]))
-    value = small.xbar()
+    # the integer charpoly of den * elem; coefficient i of the charpoly of
+    # elem is its coefficient i over den^(n-i)
+    nums, den = elem
+    chi = []
+    for i, c in enumerate(ring.charpoly(nums)):
+        c, rest = divmod(c, den ** (ring.n - i))
+        if rest:
+            return None
+        chi.append(c)
+    small = ModRing(IntPoly(chi).squarefree_part())
+    d = small.n
     one = small.const(1)
-    x = small.xbar()
+    x = value = small.xbar()
     for t in range(1, 2 * d * d + 1):
         if value == one:
             return t

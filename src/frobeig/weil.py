@@ -112,12 +112,12 @@ def _modulus_permutation(q: int, roots: Sequence[ComplexBall]) -> Optional[List[
     return _match_permutation(images, roots)
 
 
-def _factor_search(sf: IntPoly, balls: Sequence[ComplexBall]) -> Optional[List[Tuple[IntPoly, Tuple[int, ...]]]]:
+def _factor_search(sf: IntPoly, balls: Sequence[ComplexBall]) -> List[Tuple[IntPoly, Tuple[int, ...]]]:
     """Irreducible factors of the squarefree polynomial sf by recombining
     root subsets, smallest subsets first.
 
-    Returns None when some coefficient enclosure is too wide to round to a
-    unique integer (caller escalates precision).  A returned factorization
+    Raises Ambiguous when some coefficient enclosure is too wide to round
+    to a unique integer (the caller escalates precision).  A factorization
     is exact and complete: candidate polynomials are accepted only after
     exact division, and minimality of the subsets gives irreducibility.
     """
@@ -162,10 +162,10 @@ def _factor_search(sf: IntPoly, balls: Sequence[ComplexBall]) -> Optional[List[T
     return found
 
 
-def q_factorization(poly: IntPoly, settings: Settings = DEFAULT,
-                    balls: Optional[Sequence[ComplexBall]] = None,
-                    prec: Optional[int] = None) -> Tuple[Tuple[Factor, ...], Tuple[ComplexBall, ...], int]:
-    """Factor a monic integer polynomial into Q-irreducibles.
+def q_factorization(poly: IntPoly, balls: Sequence[ComplexBall], prec: int,
+                    settings: Settings = DEFAULT) -> Tuple[Tuple[Factor, ...], Tuple[ComplexBall, ...], int]:
+    """Factor a monic integer polynomial into Q-irreducibles, starting
+    from its distinct root enclosures balls at precision prec.
 
     Returns (factors, distinct root enclosures, achieved precision).  The
     root subsets behind each factor are recorded so multiplicity data per
@@ -178,10 +178,6 @@ def q_factorization(poly: IntPoly, settings: Settings = DEFAULT,
             f"degree {poly.degree} exceeds the factorization cap "
             f"{FACTOR_DEGREE_CAP}")
     sf = poly.squarefree_part()
-    if prec is None:
-        prec = settings.precision_start
-    if balls is None:
-        balls = isolate_roots(poly, prec)
     while True:
         try:
             flat = _factor_search(sf, balls)
@@ -262,8 +258,7 @@ def validate(q: int, coefficients: Sequence[int],
                          "abs_sq_midpoint": str(b.abs_sq_mid()),
                          "expected": str(q)})
 
-    factors, balls_t, prec = q_factorization(poly, settings,
-                                             balls=balls, prec=prec)
+    factors, balls_t, prec = q_factorization(poly, balls, prec, settings)
     mult_by_root = {}
     for f in factors:
         for idx in f.root_indices:

@@ -91,7 +91,7 @@ def _q_gcd(a, b):
 def test_intpoly_basic_ops():
     p = IntPoly((5, -1, 1))          # X^2 - X + 5
     q = IntPoly((1, 1))              # X + 1
-    assert p.degree == 2 and p.is_monic
+    assert p.degree == 2 and p.is_monic()
     assert p(2) == 7
     assert (p * q).coefficients == (5, 4, 0, 1)
     assert (p + q).coefficients == (6, 0, 1)

@@ -4,7 +4,7 @@ import random
 import signal
 from dataclasses import replace
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 
@@ -61,49 +61,134 @@ GENERIC_SEXTIC_MODULUS = (
     14084, 168, 1,)
 
 
+def to_elem(fracs):
+    """A ring element from its rational coordinates: the numerators over
+    their least common denominator, which leaves them in lowest terms."""
+    den = lcm(*(f.denominator for f in fracs))
+    return tuple(f.numerator * (den // f.denominator) for f in fracs), den
+
+
+def to_fracs(elem):
+    nums, den = elem
+    return [Fraction(c, den) for c in nums]
+
+
+# --- a Fraction reference for Q[x]/(m), sharing no code with the ring ---
+
+def ref_mul(a, b, m):
+    """Schoolbook product of coordinate lists, then long division by the
+    monic m (ascending integers)."""
+    n = len(m) - 1
+    prod = [Fraction(0)] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for t in range(len(prod) - 1, n - 1, -1):
+        c = prod[t]
+        for i in range(n + 1):
+            prod[t - n + i] -= c * m[i]
+    return prod[:n]
+
+
+def ref_basis(n, j):
+    return [Fraction(int(i == j)) for i in range(n)]
+
+
+def ref_inv(a, m):
+    """Solve a * y = 1 by Gauss-Jordan elimination on the matrix whose
+    column j holds the coordinates of a * x^j."""
+    n = len(m) - 1
+    cols = [ref_mul(a, ref_basis(n, j), m) for j in range(n)]
+    rows = [[cols[j][i] for j in range(n)] + [Fraction(int(i == 0))]
+            for i in range(n)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+    return [row[n] for row in rows]
+
+
+def ref_pow(a, e, m):
+    base = a if e >= 0 else ref_inv(a, m)
+    out = ref_basis(len(m) - 1, 0)
+    for _ in range(abs(e)):
+        out = ref_mul(out, base, m)
+    return out
+
+
+def ref_trace(a, m):
+    """Trace of the multiplication matrix: coordinate j of a * x^j."""
+    n = len(m) - 1
+    return sum(ref_mul(a, ref_basis(n, j), m)[j] for j in range(n))
+
+
 class TestModRing:
     def test_quadratic_field(self):
         ring = ModRing(IntPoly((5, -1, 1)))
         x = ring.xbar()
         # x^2 = x - 5
-        assert ring.mul(x, x) == [Fraction(-5), Fraction(1)]
+        assert ring.mul(x, x) == ((-5, 1), 1)
         inv = ring.inv(x)
         assert ring.mul(x, inv) == ring.const(1)
-        assert ring.trace(x) == 1
-        assert ring.trace(ring.const(1)) == 2
-        assert ring.is_rational(ring.const(7)) == 7
-        assert ring.is_rational(x) is None
-        assert ring.eval_intpoly(IntPoly((5, -1, 1)), x) == ring.const(0)
+        assert ring.trace(x) == (1, 1)
+        assert ring.trace(ring.const(1)) == (2, 1)
+        assert ring.const(7) == ((7, 0), 1)
+        assert any(x[0][1:])
+        assert ring.eval_poly((5, -1, 1), x) == ring.const(0)
 
     def test_linear_modulus(self):
         ring = ModRing(IntPoly((-3, 1)))  # Q[x]/(x-3)
-        assert ring.xbar() == [Fraction(3)]
-        assert ring.mul([Fraction(2)], [Fraction(5)]) == [Fraction(10)]
-        assert ring.trace([Fraction(4)]) == 4
-        assert ring.inv([Fraction(2)]) == [Fraction(1, 2)]
+        assert ring.xbar() == ((3,), 1)
+        assert ring.mul(((2,), 1), ((5,), 1)) == ((10,), 1)
+        assert ring.trace(((4,), 1)) == (4, 1)
+        assert ring.inv(((2,), 1)) == ((1,), 2)
 
     def test_ring_axioms_seeded(self):
         ring = ModRing(IntPoly((8, 0, 0, -1, 0, 0, 1)))
         rng = random.Random(99)
 
         def rand_elem():
-            return [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                    for _ in range(ring.n)]
+            return to_elem([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                            for _ in range(ring.n)])
 
         for _ in range(25):
             a, b, c = rand_elem(), rand_elem(), rand_elem()
             assert ring.mul(ring.mul(a, b), c) == ring.mul(a, ring.mul(b, c))
             assert ring.mul(a, b) == ring.mul(b, a)
-            if any(a):
+            if any(a[0]):
                 assert ring.mul(a, ring.inv(a)) == ring.const(1)
             assert ring.pow(a, 3) == ring.mul(a, ring.mul(a, a))
+
+    def test_side_by_side_with_fraction_reference(self):
+        # every corpus field, on its root coordinates and on seeded
+        # random elements with small nonzero rational coordinates; equal
+        # tuples also check that every result is in lowest terms
+        rng = random.Random(20261018)
+        for entry in CORPUS:
+            field = analysis_cached(entry.q, tuple(entry.coefficients)).field
+            ring, m = field.ring(), field.modulus.coefficients
+            elems = list(field.root_coords[:2]) + [
+                to_elem([Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                  rng.randint(1, 6))
+                         for _ in range(ring.n)]) for _ in range(3)]
+            for a, b in zip(elems, elems[1:] + elems[:1]):
+                fa, fb = to_fracs(a), to_fracs(b)
+                assert ring.mul(a, b) == to_elem(ref_mul(fa, fb, m))
+                e = rng.choice((-2, -1, 2, 3))
+                assert ring.pow(a, e) == to_elem(ref_pow(fa, e, m))
+                assert ring.inv(a) == to_elem(ref_inv(fa, m))
+                t = ref_trace(fa, m)
+                assert ring.trace(a) == (t.numerator, t.denominator)
 
     def test_inverse_from_minimal_polynomial(self):
         # Q[x]/(x^2 - 1) is no field: x - 1 is a zero divisor
         ring = ModRing(IntPoly((-1, 0, 1)))
-        assert ring.inv([Fraction(2), Fraction(1)]) \
-            == [Fraction(2, 3), Fraction(-1, 3)]
-        for bad in ([Fraction(-1), Fraction(1)], ring.const(0)):
+        assert ring.inv(((2, 1), 1)) == ((2, -1), 3)
+        for bad in (((-1, 1), 1), ring.const(0)):
             with pytest.raises(ZeroDivisionError):
                 ring.inv(bad)
 
@@ -133,20 +218,18 @@ class TestSplittingField:
         d, sf = split_cached(5, (5, -1, 1))
         assert sf.modulus == IntPoly((5, -1, 1))
         assert sf.degree == 2
-        assert sf.root_coords[1] == (Fraction(0), Fraction(1))
-        assert sf.root_coords[0] == (Fraction(1), Fraction(-1))
+        assert sf.root_coords[1] == ((0, 1), 1)
+        assert sf.root_coords[0] == ((1, -1), 1)
         ring = sf.ring()
-        pi = list(sf.root_coords[1])
-        pibar = list(sf.root_coords[0])
+        pi, pibar = sf.root_coords[1], sf.root_coords[0]
         val = ring.mul(pi, ring.inv(pibar))
-        assert val == [Fraction(-1), Fraction(1, 5)]
-        assert ring.trace(val) == Fraction(-9, 5)
+        assert val == ((-5, 1), 5)
+        assert ring.trace(val) == (-9, 5)
 
     def test_totally_real(self):
         d, sf = split_cached(2, (4, 0, -4, 0, 1))
         assert sf.modulus == IntPoly((-2, 0, 1))
-        assert sf.root_coords == ((Fraction(0), Fraction(1)),
-                                  (Fraction(0), Fraction(-1)))
+        assert sf.root_coords == (((0, 1), 1), ((0, -1), 1))
 
     def test_sextic_collapse(self):
         # X^6+27 splits already over the imaginary quadratic field
@@ -155,8 +238,8 @@ class TestSplittingField:
         ring = sf.ring()
         sfp = d.poly.squarefree_part()
         for vec in sf.root_coords:
-            assert not any(ring.eval_intpoly(sfp, list(vec)))
-            assert ring.is_rational(ring.pow(list(vec), 6)) == Fraction(-27)
+            assert ring.eval_poly(sfp.coefficients, vec) == ring.const(0)
+            assert ring.pow(vec, 6) == ring.const(-27)
 
     def test_klein_four(self):
         d, sf = split_cached(5, (25, -15, 12, -3, 1))
@@ -171,8 +254,7 @@ class TestSplittingField:
         ring = sf.ring()
         qc = ring.const(5)
         for i in range(len(sf.root_coords)):
-            pair = ring.mul(list(sf.root_coords[d.iota[i]]),
-                            list(sf.root_coords[i]))
+            pair = ring.mul(sf.root_coords[d.iota[i]], sf.root_coords[i])
             assert pair == qc
 
     def test_degree_48_squarefree_gate(self):
@@ -199,10 +281,9 @@ class TestSplittingField:
         ring = sf.ring()
         # eigenvalue cubes satisfy Y^2 - Y + 8
         for vec in sf.root_coords:
-            cube = ring.pow(list(vec), 3)
-            chk = ring.mul(cube, cube)
-            chk = [a - b for a, b in zip(chk, cube)]
-            chk[0] += 8
+            cube = ring.pow(vec, 3)
+            chk = ring.lincomb((1, -1, 8),
+                               (ring.mul(cube, cube), cube, ring.const(1)))
             assert chk == ring.const(0)
 
     def test_galois_group_quadratic(self):
@@ -393,14 +474,14 @@ class TestWords:
         ring = sf.ring()
         got = word_value(ring, sf.root_coords, [2, 0])
         got = ring.mul(got, word_value(ring, sf.root_coords, [-1, 0]))
-        assert got == list(sf.root_coords[0])
+        assert got == sf.root_coords[0]
 
     def test_trace_of_word(self):
         # tr(pi^2 / q) = ((pi+pibar)^2 - 2q)/q = (1 - 10)/5
         d, sf = split_cached(5, (5, -1, 1))
         ring = sf.ring()
         val = word_value(ring, sf.root_coords, [2, 0], 5, -1)
-        assert ring.trace(val) == Fraction(-9, 5)
+        assert ring.trace(val) == (-9, 5)
 
     def test_unity_orders(self):
         d, sf = split_cached(3, (3, 0, 1))
@@ -413,7 +494,7 @@ class TestWords:
         assert is_root_of_unity(ring, ratio) == 2
         # (1 + pi)/2 is a primitive 6th root of unity when pi^2 = -3
         one = ring.const(1)
-        zeta = [(a + b) / 2 for a, b in zip(one, sf.root_coords[0])]
+        zeta = ring.scale(ring.lincomb((1, 1), (one, sf.root_coords[0])), 1, 2)
         assert is_root_of_unity(ring, zeta) == 6
 
     def test_ordinary_ratio_has_infinite_order(self):
@@ -458,7 +539,8 @@ class TestBallCertificates:
             field = splitting_field(validate(q, coeffs))
             digest.update(repr((
                 q, coeffs, field.modulus.coefficients, field.weight,
-                tuple(tuple(str(c) for c in v) for v in field.root_coords),
+                tuple(tuple(str(Fraction(c, den)) for c in nums)
+                      for nums, den in field.root_coords),
                 field.group_perms)).encode())
         assert digest.hexdigest() == SEEDED_FIELDS_SHA256
 
@@ -467,7 +549,7 @@ class TestBallCertificates:
         # coordinates on the enclosure of x; the result lies on the
         # working grid instead of carrying the coordinates' denominators
         d, sf = split_cached(5, (25, -5, 6, -1, 1))       # degree 8
-        assert any(c.denominator > 1 for v in sf.root_coords for c in v)
+        assert any(den > 1 for _, den in sf.root_coords)
         bits = DEFAULT.precision_start + 64
         ident = tuple(range(len(sf.root_balls)))
         gamma = splitfield._gamma_ball(sf.weight, sf.orbit_reps, ident,
