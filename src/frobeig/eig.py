@@ -37,7 +37,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .config import DEFAULT, Settings
@@ -262,10 +261,6 @@ _KERNEL_MARGIN = 1e-2
 _TORSION_TOL = 1e-7
 
 
-def _root_args(field: SplittingField) -> List[float]:
-    return [float(arg_ball(ball, 96)[0]) for ball in field.root_balls]
-
-
 def _weight_zero_box(bound: int, weights: Sequence[int]):
     """All nonzero vectors with max-norm <= bound and weights . a = 0."""
     span = range(-bound, bound + 1)
@@ -385,7 +380,10 @@ def _relation_engine(field: SplittingField, eig: EigGroup, bound: int,
     ring = field.ring()
     s = eig.n_roots
     one = ring.const(1)
-    args = _root_args(field)
+    prec = 128
+    root_arg_balls = [arg_ball(ball, prec) for ball in field.root_balls]
+    two_pi = two_pi_ball(prec)
+    args = [float(mid) for mid, _rad in root_arg_balls]
 
     basis_args = [0.0 if br is None else args[br] for br in eig.basis_roots]
 
@@ -415,12 +413,10 @@ def _relation_engine(field: SplittingField, eig: EigGroup, bound: int,
         if abs(drift) < _KERNEL_MARGIN:
             add_kernel(a)
 
-    prec = 128
-    angle_balls = [(Fraction(0), Fraction(0)) if br is None
-                   else arg_ball(field.root_balls[br], prec)
+    angle_balls = [(0, 0) if br is None else root_arg_balls[br]
                    for br in eig.basis_roots]
     lll_cap = max(16, 4 * bound)
-    for cand in relation_candidates(angle_balls, two_pi_ball(prec), lll_cap):
+    for cand in relation_candidates(angle_balls, two_pi, lll_cap):
         if _dot(eig.weight_vector, cand) == 0:
             add_kernel(cand)
 
@@ -447,7 +443,6 @@ def _relation_engine(field: SplittingField, eig: EigGroup, bound: int,
         return order
 
     max_torsion_order = 2 * ring.n * ring.n
-    root_arg_balls = [arg_ball(ball, prec) for ball in field.root_balls]
 
     def torsion_prefilter(a: Sequence[int]) -> bool:
         drift = math.remainder(sum(c * t for c, t in zip(a, args)), _TWO_PI)
@@ -462,8 +457,7 @@ def _relation_engine(field: SplittingField, eig: EigGroup, bound: int,
         if torsion_prefilter(a):
             add_torsion(a)
 
-    for cand in relation_candidates(root_arg_balls, two_pi_ball(prec),
-                                    lll_cap):
+    for cand in relation_candidates(root_arg_balls, two_pi, lll_cap):
         add_torsion(cand)
         g = math.gcd(*[abs(c) for c in cand])
         if g > 1:

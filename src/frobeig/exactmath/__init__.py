@@ -2,11 +2,11 @@
 integer lattices (Smith/Hermite forms, kernels, LLL) and certified root
 isolation.
 
-Polynomials are integer coefficient tuples, and complex balls hold
-integer mantissas over a power-of-two exponent and round outward (see
-`balls`).  `fractions.Fraction` remains at the edges: rational data
-enters the balls through one constructor, and the angle enclosures and
-LLL of `latt` run on it.
+Polynomials are integer coefficient tuples, complex balls hold integer
+mantissas over a power-of-two exponent and round outward (see `balls`),
+and the LLL is integral.  `fractions.Fraction` remains at the edges:
+rational data enters the balls through one constructor, and the angle
+enclosures handed to `latt.relation_candidates` are Fractions.
 """
 
 from .intpoly import IntPoly

@@ -1,9 +1,10 @@
 """Integer lattice algorithms: Smith and Hermite forms, kernels, LLL.
 
-Everything runs over Python ints / Fractions.  Matrices are lists of lists,
-row-major.  The matrices that arise here are small (dimension bounded by the
-degree of the input polynomial plus one), so asymptotics are irrelevant and
-clarity wins; entries are kept in check by the usual pivoting strategies.
+Everything runs over Python ints; only the angle enclosures handed to
+`relation_candidates` are Fractions.  Matrices are lists of lists,
+row-major.  The matrices that arise here are small (dimension bounded by
+the degree of the input polynomial plus one); entries are kept in check
+by the usual pivoting strategies.
 """
 
 from __future__ import annotations
@@ -185,50 +186,61 @@ def lattice_saturation_index(mat: Sequence[Sequence[int]]) -> int:
     return idx
 
 
-def lll_reduce(basis: Sequence[Sequence[Fraction]], delta: Fraction = Fraction(3, 4)) -> List[List[Fraction]]:
-    """LLL-reduce the given basis rows (exact rational arithmetic).
+def lll_reduce(basis: Sequence[Sequence[int]]) -> Matrix:
+    """LLL-reduce integer basis rows with delta = 3/4, on integers only.
 
-    Suitable for the small dimensions used here (<= ~10).  Returns a new
-    list of rows.
+    Integral LLL (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.6.7): the Gram determinants d_i and the integers
+    lam[k][j] = d_(j+1) * mu_kj are updated in place on each size
+    reduction and swap, and every division is exact.  Row k is
+    size-reduced against j = k-1 down to 0 before the Lovasz test, with
+    mu rounded half to even.  Raises ValueError on linearly dependent
+    rows.  Returns a new list of rows.
     """
-    b = [[Fraction(x) for x in row] for row in basis]
+    b = [list(map(int, row)) for row in basis]
     n = len(b)
-    if n == 0:
-        return []
-
-    def dot(u, v):
-        return sum(x * y for x, y in zip(u, v))
-
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    bstar_sq = [Fraction(0)] * n
-
-    def gram_schmidt():
-        bstar = []
-        for i in range(n):
-            v = list(b[i])
-            for j in range(i):
-                if bstar_sq[j] == 0:
-                    mu[i][j] = Fraction(0)
-                    continue
-                mu[i][j] = dot(b[i], bstar[j]) / bstar_sq[j]
-                v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
-            bstar.append(v)
-            bstar_sq[i] = dot(v, v)
-
-    gram_schmidt()
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = sum(x * y for x, y in zip(b[k], b[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            elif u == 0:
+                raise ValueError("lll_reduce: linearly dependent rows")
+            else:
+                d[k + 1] = u
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            if abs(mu[k][j]) > Fraction(1, 2):
-                r = round(mu[k][j])
+            dj = d[j + 1]
+            if 2 * abs(lam[k][j]) > dj:
+                r, rem = divmod(lam[k][j], dj)
+                if 2 * rem > dj or (2 * rem == dj and r % 2):
+                    r += 1
                 b[k] = [x - r * y for x, y in zip(b[k], b[j])]
-                gram_schmidt()
-        if bstar_sq[k] >= (delta - mu[k][k - 1] ** 2) * bstar_sq[k - 1]:
+                lam[k][j] -= r * dj
+                for i in range(j):
+                    lam[k][i] -= r * lam[j][i]
+        lk = lam[k][k - 1]
+        # Lovasz: B_k >= (3/4 - mu^2) B_(k-1), times 4 d_k d_(k-1)
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] * d[k] - 4 * lk * lk:
             k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            gram_schmidt()
-            k = max(k - 1, 1)
+            continue
+        # swap rows k-1 and k: lam[k][k-1] stays, d_k and the columns
+        # k-1 and k of the rows below change
+        b[k - 1], b[k] = b[k], b[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        dk = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (dk * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = dk
+        k = max(k - 1, 1)
     return b
 
 
@@ -252,24 +264,16 @@ def relation_candidates(angles: Sequence[Tuple[Fraction, Fraction]],
     if k == 0:
         return []
     scale = 1 << scale_bits
-    rows: List[List[Fraction]] = []
-    for i, (mid, _rad) in enumerate(angles):
-        row = [Fraction(1 if j == i else 0) for j in range(k)]
-        row.append(Fraction(round(mid * scale)))
-        rows.append(row)
-    closure = [Fraction(0)] * k
-    closure.append(Fraction(round(two_pi[0] * scale)))
-    rows.append(closure)
-
-    reduced = lll_reduce(rows)
+    rows = [[int(j == i) for j in range(k)] + [round(mid * scale)]
+            for i, (mid, _rad) in enumerate(angles)]
+    rows.append([0] * k + [round(two_pi[0] * scale)])
     seen = set()
     out: List[Tuple[int, ...]] = []
-    for row in reduced:
-        vec = tuple(int(x) for x in row[:k])
-        if all(x == int(x) for x in row[:k]) and any(vec):
-            if max(abs(x) for x in vec) <= bound:
-                for cand in (vec, tuple(-x for x in vec)):
-                    if cand not in seen:
-                        seen.add(cand)
-                        out.append(cand)
+    for row in lll_reduce(rows):
+        vec = tuple(row[:k])
+        if any(vec) and max(abs(x) for x in vec) <= bound:
+            for cand in (vec, tuple(-x for x in vec)):
+                if cand not in seen:
+                    seen.add(cand)
+                    out.append(cand)
     return sorted(out)

@@ -13,16 +13,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frobeig.analysis import Analysis
+from frobeig.corpus import CORPUS
 from frobeig.errors import Ambiguous
 from frobeig.exactmath import (ComplexBall, IntPoly, hermite_column_form,
-                               isolate_roots, kernel_lattice, lll_reduce,
-                               relation_candidates, smith_normal_form)
+                               isolate_roots, kernel_lattice, latt,
+                               lll_reduce, relation_candidates,
+                               smith_normal_form)
 from frobeig.exactmath.balls import isqrt_ub
 from frobeig.exactmath.intpoly import from_power_sums, power_sums
 from frobeig.exactmath.latt import (identity_matrix, invariant_factors,
                                     lattice_saturation_index)
 from frobeig.exactmath.roots import (_match_permutation, _mpf_to_frac,
                                      refine_roots, two_pi_ball)
+from frobeig.weil import validate
 
 
 def det(mat):
@@ -385,10 +389,122 @@ def test_saturation_index():
 
 
 def test_lll_finds_short_vector():
-    red = lll_reduce([[Fraction(1), Fraction(0)],
-                      [Fraction(10 ** 8 + 1), Fraction(1)]])
+    red = lll_reduce([[1, 0], [10 ** 8 + 1, 1]])
+    assert all(type(x) is int for row in red for x in row)
     norms = sorted(sum(x * x for x in row) for row in red)
     assert norms[0] <= 2
+
+
+# --- LLL against a textbook Fraction oracle ---
+
+def _fraction_lll(basis):
+    """Textbook LLL with delta = 3/4 on Fractions: the whole Gram-Schmidt
+    basis is recomputed after every size reduction and every swap, and mu
+    is rounded by round(Fraction), half to even."""
+    b = [[Fraction(x) for x in row] for row in basis]
+    n = len(b)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    norms = [Fraction(0)] * n
+
+    def gram_schmidt():
+        star = []
+        for i in range(n):
+            v = list(b[i])
+            for j in range(i):
+                mu[i][j] = sum(x * y for x, y in zip(b[i], star[j])) / norms[j]
+                v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
+            star.append(v)
+            norms[i] = sum(x * x for x in v)
+
+    gram_schmidt()
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            if abs(mu[k][j]) > Fraction(1, 2):
+                r = round(mu[k][j])
+                b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+                gram_schmidt()
+        if norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            gram_schmidt()
+            k = max(k - 1, 1)
+    return [[int(x) for x in row] for row in b]
+
+
+def test_lll_matches_fraction_oracle_on_corpus(monkeypatch):
+    inputs = []
+    reduce = latt.lll_reduce
+
+    def capture(basis):
+        inputs.append([list(row) for row in basis])
+        return reduce(basis)
+
+    monkeypatch.setattr(latt, "lll_reduce", capture)
+    for e in CORPUS:
+        Analysis(validate(e.q, list(e.coefficients))).relations
+    # one kernel and one torsion lattice per record
+    assert len(inputs) == 2 * len(CORPUS) == 114
+    for basis in inputs:
+        assert reduce(basis) == _fraction_lll(basis)
+
+
+def _relation_lattice(rng, k):
+    """Rows of the relation-finding lattice: an identity block beside a
+    column of angles scaled by 2^64, and a closure row for 2*pi.  Some
+    angles are small combinations of earlier ones, off by at most one
+    unit, so the lattice holds short vectors to find."""
+    tau = round(Fraction(math.tau) * 2 ** 64)
+    col = []
+    for i in range(k):
+        if i >= 2 and rng.random() < 0.5:
+            col.append(sum(rng.randint(-3, 3) * c for c in col)
+                       + rng.randint(-2, 2) * tau + rng.randint(-1, 1))
+        else:
+            col.append(rng.randint(-tau // 2, tau // 2))
+    rows = [[int(j == i) for j in range(k)] + [col[i]] for i in range(k)]
+    return rows + [[0] * k + [tau]]
+
+
+def test_lll_matches_fraction_oracle_on_relation_lattices():
+    # the corpus covers k up to 6; the Fraction oracle's cost grows fast
+    # with k, so the seeded lattices stay at k <= 4
+    rng = random.Random(20261018)
+    for _ in range(30):
+        basis = _relation_lattice(rng, rng.randint(1, 4))
+        assert lll_reduce(basis) == _fraction_lll(basis)
+
+
+def test_lll_matches_fraction_oracle_on_full_rank_bases():
+    # small entries make ties (|mu| exactly 1/2) and swaps common
+    rng = random.Random(20261019)
+    checked = 0
+    while checked < 300:
+        n = rng.randint(1, 5)
+        m = rng.randint(n, 6)
+        basis = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)]
+        if det(mat_mul(basis, list(map(list, zip(*basis))))) == 0:
+            continue
+        checked += 1
+        assert lll_reduce(basis) == _fraction_lll(basis)
+
+
+def test_lll_rounds_ties_half_to_even():
+    # mu = 5/2 rounds to 2; floor(mu + 1/2) = 3 would give [[-1, 1], [1, 1]]
+    assert lll_reduce([[2, 0], [5, 1]]) == [[1, 1], [1, -1]]
+    assert _fraction_lll([[2, 0], [5, 1]]) == [[1, 1], [1, -1]]
+
+
+@pytest.mark.parametrize("basis", [
+    [[0, 0]],
+    [[1, 2], [2, 4]],
+    [[1, 0, 0], [0, 1, 0], [3, -2, 0]],
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 0], [0, 0, 0, 1]],
+])
+def test_lll_rejects_dependent_rows(basis):
+    with pytest.raises(ValueError):
+        lll_reduce(basis)
 
 
 # --- root isolation ---
