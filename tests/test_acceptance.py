@@ -352,3 +352,32 @@ def test_criterion_12_batch_determinism(tmp_path):
     elapsed = time.perf_counter() - t0
     report_pass(12, f"batch determinism over {len(CORPUS)} records x 3 runs",
                 elapsed)
+
+
+# the deep-grid store: every non-quadratic corpus record at max_power 6,
+# the cap, except the two g=3 triple products, which a record option caps
+# at 3; like the corpus store, it is an output contract
+
+_DEEP_GRID_CAPPED = {(3, (27, 0, 24, 0, 8, 0, 1)), (2, (8, 0, 10, 0, 5, 0, 1))}
+
+
+def test_deep_grid_store_digest(tmp_path):
+    records = []
+    for e in CORPUS:
+        if len(e.coefficients) == 3:
+            continue
+        record = {"label": e.tag, "q": e.q, "coeffs": list(e.coefficients)}
+        if (e.q, e.coefficients) in _DEEP_GRID_CAPPED:
+            record["options"] = {"max_power": 3}
+        records.append(canonical_json(record))
+    assert len(records) == 14
+    in_path = tmp_path / "deep.ndjson"
+    in_path.write_text("\n".join(records) + "\n")
+    out = tmp_path / "store.ndjson"
+    summary = run_batch(in_path, out, jobs=1,
+                        global_options={"max_power": 6})
+    assert (summary["written"], summary["errors"]) == (14, 0)
+    lines = _store_lines(out)
+    digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+    assert digest == ("66f45b5a6d6a918e24c3cb54d44ac34c"
+                      "2fb1196567e752fd1ec488dcd86bb2e6")

@@ -2,15 +2,20 @@ import random
 from fractions import Fraction
 from math import isqrt
 
+from dataclasses import replace
+
 import pytest
 
+from frobeig import weil
+from frobeig.config import DEFAULT
 from frobeig.corpus import CORPUS
-from frobeig.errors import (FrobeigError, FunctionalEquationFailed,
+from frobeig.errors import (Ambiguous, FrobeigError, FunctionalEquationFailed,
                             MalformedInput, NotPrimePower, NotSimple,
-                            RootModulusFailed)
+                            PrecisionExhausted, RootModulusFailed)
 from frobeig.exactmath.intpoly import IntPoly
 from frobeig.exactmath.latt import identity_matrix
 from frobeig.quadforms import charpoly_exact
+from frobeig.splitfield import splitting_field
 from frobeig.weil import base_change, prime_power_decomposition, validate
 
 
@@ -139,6 +144,60 @@ class TestValidate:
             validate(5, [5, -2, 2])      # not monic
         with pytest.raises(NotPrimePower):
             validate(6, [6, -1, 1])
+
+
+def _undecided_once(real, fail):
+    """real, except that its first call fails as fail() does."""
+    calls = []
+
+    def stub(*args):
+        calls.append(None)
+        return fail() if len(calls) == 1 else real(*args)
+    return stub
+
+
+def _ambiguous():
+    raise Ambiguous("forced")
+
+
+# (stage, the module function made undecided once, how it fails)
+_ESCALATIONS = [
+    ("root matching", "_conjugation_permutation", lambda: None),
+    ("factorization", "_factor_search", _ambiguous),
+]
+
+
+class TestEscalation:
+    QUARTIC = (5, (25, -5, 6, -1, 1))
+
+    @pytest.mark.parametrize("stage, name, fail", _ESCALATIONS,
+                             ids=[e[0] for e in _ESCALATIONS])
+    def test_undecided_stage_doubles_precision(self, monkeypatch, stage,
+                                               name, fail):
+        q, coeffs = self.QUARTIC
+        default = validate(q, coeffs)
+        monkeypatch.setattr(weil, name,
+                            _undecided_once(getattr(weil, name), fail))
+        data = validate(q, coeffs)
+        assert default.prec == DEFAULT.precision_start
+        assert data.prec == 2 * default.prec
+        assert data.factors == default.factors
+        assert data.iota == default.iota
+        assert all(a.intersects(b) for a, b in zip(data.roots, default.roots))
+        assert (splitting_field(data).group_perms
+                == splitting_field(default).group_perms)
+
+    @pytest.mark.parametrize("stage, name, fail", _ESCALATIONS,
+                             ids=[e[0] for e in _ESCALATIONS])
+    def test_undecided_stage_at_the_ceiling(self, monkeypatch, stage, name,
+                                            fail):
+        q, coeffs = self.QUARTIC
+        st = replace(DEFAULT, precision_ceiling=DEFAULT.precision_start)
+        monkeypatch.setattr(weil, name,
+                            _undecided_once(getattr(weil, name), fail))
+        with pytest.raises(PrecisionExhausted) as exc:
+            validate(q, coeffs, st)
+        assert str(exc.value) == f"{stage} undecided at the precision ceiling"
 
 
 class TestBaseChange:
