@@ -7,9 +7,12 @@ from dataclasses import dataclass
 class Settings:
     """Knobs for certified numerics and bounded searches.
 
-    precision_start / precision_ceiling are in bits.  Library code never
-    reads the environment: only cli.main reads FROBEIG_MAX_PRECISION, so
-    the variable sits below flags and record options.
+    precision_start / precision_ceiling are in bits.  Only weil.validate
+    starts at precision_start; the splitting field goes on from the
+    precision validation reached, and both stop at precision_ceiling.
+    Library code never reads the environment: only cli.main reads
+    FROBEIG_MAX_PRECISION, so the variable sits below flags and record
+    options.
     """
 
     precision_start: int = 192

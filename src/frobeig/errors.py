@@ -60,10 +60,6 @@ class NotSimple(FrobeigError):
 class DegreeCapExceeded(FrobeigError):
     """The splitting field degree would exceed the configured cap."""
 
-    def __init__(self, message, partial_degree=None):
-        super().__init__(message)
-        self.partial_degree = partial_degree
-
 
 class TorsionDetected(FrobeigError):
     """The presented eigenvalue group has torsion.

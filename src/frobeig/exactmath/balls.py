@@ -19,6 +19,10 @@ Code that builds a ball from mantissas directly (root isolation) rounds
 its radius up itself.  The read-only views `re`, `im` and `rad` give the
 exact rational values of the mantissas, for witness strings and tests.
 
+`poly_from_roots` expands prod (X - v) over balls on one working grid;
+validation's factor search and the splitting field's resolvents both
+use it.
+
 Comparisons that a ball cannot decide raise `Ambiguous` instead of guessing;
 callers escalate precision and retry.
 """
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import List, Sequence
 
 from ..errors import Ambiguous
 
@@ -236,3 +241,20 @@ class ComplexBall:
 
     def __str__(self) -> str:
         return f"({float(self.re):.6g} {float(self.im):+.6g}i) +- {float(self.rad):.3g}"
+
+
+def poly_from_roots(values: Sequence[ComplexBall],
+                    bits: int) -> List[ComplexBall]:
+    """Coefficient enclosures of prod (X - v) over the balls values, low
+    to high; the leading coefficient is exactly one.  Each step's
+    coefficients below the leading one are rounded onto the 2^-bits
+    grid, so their mantissas stay bounded and every true coefficient
+    stays inside its ball."""
+    coeffs = [ComplexBall.exact(1)]
+    for v in values:
+        nxt = [ComplexBall.exact(0)] * (len(coeffs) + 1)
+        for t, c in enumerate(coeffs):
+            nxt[t + 1] = nxt[t + 1] + c
+            nxt[t] = nxt[t] + c * (-v)
+        coeffs = [c.round_bits(bits) for c in nxt[:-1]] + [nxt[-1]]
+    return coeffs

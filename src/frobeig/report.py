@@ -466,7 +466,8 @@ def run_batch(in_path, out_path, jobs: int = 1,
         results = [worker(raw) for raw in pending]
     else:
         results = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
             for future in [pool.submit(worker, raw) for raw in pending]:
                 try:
                     results.append(future.result())

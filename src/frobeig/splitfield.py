@@ -47,11 +47,15 @@ lowest terms (`ModRing`), so the ring identities are integer products
 and tuple comparisons; the Bareiss solve hands over its integer solution
 and determinant unchanged.  The enclosures are dyadic `ComplexBall`s:
 integer mantissas over one power-of-two exponent, so ball arithmetic is
-integer arithmetic.  The running products behind the resolvent
-coefficients, the powers of gamma_w and each Horner step of the
-coordinate evaluation are rounded outward onto the 2^-bits working grid
-(bits = precision + 64), which keeps every true value inside its ball
-and the mantissas proportional to the precision.  The coordinate
+integer arithmetic.  The construction starts from the root enclosures
+and the precision that `weil.validate` certified, and refines the roots
+itself only when some candidate stays undecided.  The resolvent
+coefficients are expanded by `balls.poly_from_roots`, the routine behind
+validation's factor search; its running products, the powers of gamma_w
+and each Horner step of the coordinate evaluation are rounded outward
+onto the 2^-bits working grid (bits = precision + 64), which keeps every
+true value inside its ball and the mantissas proportional to the
+precision.  The coordinate
 evaluation runs on an element's integer numerators and divides its
 denominator out last.
 
@@ -87,7 +91,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from .config import DEFAULT, Settings
 from .errors import (Ambiguous, DegreeCapExceeded, InternalInconsistency,
                      PrecisionExhausted)
-from .exactmath.balls import ComplexBall
+from .exactmath.balls import ComplexBall, poly_from_roots
 from .exactmath.intpoly import IntPoly, power_sums
 from .exactmath.roots import refine_roots
 from .quadforms import _charpoly, bareiss_solve
@@ -334,22 +338,6 @@ def _subgroup_candidates(wprime: List[Perm], iota: Perm, blocks: Sequence[Tuple[
 
 # --- ball-side helpers ---
 
-def _ball_poly_from_roots(values: Sequence[ComplexBall],
-                          bits: int) -> List[ComplexBall]:
-    """Coefficient enclosures of prod (X - v), monic, low to high; the
-    leading coefficient is exactly one by construction.  Midpoints are
-    rounded to the working grid after every step, folding the rounding
-    error into the radius, so coefficient sizes stay bounded."""
-    coeffs = [ComplexBall.exact(1)]
-    for v in values:
-        nxt = [ComplexBall.exact(0)] * (len(coeffs) + 1)
-        for t, c in enumerate(coeffs):
-            nxt[t + 1] = nxt[t + 1] + c
-            nxt[t] = nxt[t] + c * (-v)
-        coeffs = [c.round_bits(bits) for c in nxt[:-1]] + [nxt[-1]]
-    return coeffs
-
-
 def _ball_product(values: Sequence[ComplexBall], bits: int) -> ComplexBall:
     acc = ComplexBall.exact(1)
     for v in values:
@@ -452,23 +440,16 @@ def _try_candidate(h_perms: List[Perm], weight: Tuple[int, ...],
     (_DEAD_WEIGHT).
     """
     values = [gammas[w] for w in h_perms]
-    # cheap gates first: the trace and norm coefficients must round to
-    # integers; each needs only a linear number of enclosure operations
-    tr = values[0]
-    for v in values[1:]:
-        tr = tr + v
-    try:
-        if tr.unique_integer() is None:
-            return _DEAD_SUBGROUP
-    except Ambiguous:
-        return _UNRESOLVED
+    # cheap gate first: the norm, the constant coefficient up to sign,
+    # must round to an integer; it needs a linear number of ball products
+    # where the full expansion needs a quadratic one
     try:
         if _ball_product(values, bits).unique_integer() is None:
             return _DEAD_SUBGROUP
     except Ambiguous:
         return _UNRESOLVED
 
-    coeff_balls = _ball_poly_from_roots(values, bits)
+    coeff_balls = poly_from_roots(values, bits)
     ints = []
     for c in coeff_balls[:-1]:
         try:
@@ -562,16 +543,12 @@ def splitting_field(data: WeilData, settings: Settings = DEFAULT) -> SplittingFi
     wprime = _block_permutations(n, blocks, iota)
     candidates = _subgroup_candidates(wprime, iota, blocks, settings.degree_cap)
     if not candidates:
-        raise DegreeCapExceeded(
-            "no admissible subgroup within the degree cap",
-            partial_degree=settings.degree_cap)
+        raise DegreeCapExceeded("no admissible subgroup within the degree cap")
     weights = _weight_list(len(reps))
 
-    prec = max(data.prec, settings.precision_start)
+    # the roots start as validation certified them
+    prec = data.prec
     balls = list(data.roots)
-    if prec > data.prec:
-        balls = refine_roots(data.poly, balls, prec)
-    largest_dead = 0
     while True:
         bits = prec + 64
         gamma_cache: Dict[Tuple[int, ...], Dict[Perm, ComplexBall]] = {}
@@ -604,11 +581,10 @@ def splitting_field(data: WeilData, settings: Settings = DEFAULT) -> SplittingFi
                 break
             if accepted:
                 break
-            if subgroup_dead or unresolved_here == 0:
-                # conclusively excluded, either by a subgroup certificate or
-                # by exhausting every weight on exact per-weight rejections
-                largest_dead = max(largest_dead, len(h_perms))
-            elif unresolved_size is None:
+            # a subgroup certificate or exact rejections of every weight
+            # exclude the candidate conclusively; otherwise it is open
+            if (not subgroup_dead and unresolved_here
+                    and unresolved_size is None):
                 unresolved_size = len(h_perms)
         if accepted:
             h_perms, weight, (modulus, coords, ring) = accepted
@@ -619,9 +595,8 @@ def splitting_field(data: WeilData, settings: Settings = DEFAULT) -> SplittingFi
                                   root_balls=tuple(balls), arithmetic=ring)
         if unresolved_size is None:
             # every candidate died on an exact certificate
-            raise DegreeCapExceeded(
-                "splitting field degree exceeds the cap "
-                f"{settings.degree_cap}", partial_degree=largest_dead)
+            raise DegreeCapExceeded("splitting field degree exceeds the "
+                                    f"cap {settings.degree_cap}")
         prec *= 2
         if prec > settings.precision_ceiling:
             raise PrecisionExhausted(

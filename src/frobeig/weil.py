@@ -9,8 +9,13 @@ exactly the enclosure of root_i itself, that root provably has modulus
 sqrt(q), and if it meets a different enclosure the input is provably not
 a Weil polynomial.
 
-The module also factors the polynomial into Q-irreducibles by recombining
-certified root subsets, and computes base change along finite field
+`validate` is the one place where root enclosures are certified and
+escalated.  One precision loop matches the roots under conjugation and
+z -> q / conj(z), checks the modulus identity, and factors the polynomial
+into Q-irreducibles by recombining certified root subsets; a stage the
+enclosures cannot decide doubles the precision and refines the roots.
+The splitting field starts from the enclosures and the precision it
+returns.  The module also computes base change along finite field
 extensions from power sums: the k-th powers of the roots have every k-th
 power sum of the input, and Newton's identities rebuild the polynomial.
 """
@@ -25,7 +30,7 @@ from .config import DEFAULT, FACTOR_DEGREE_CAP, Settings
 from .errors import (Ambiguous, FunctionalEquationFailed,
                      InternalInconsistency, MalformedInput, NotPrimePower,
                      NotSimple, PrecisionExhausted, RootModulusFailed)
-from .exactmath.balls import ComplexBall
+from .exactmath.balls import ComplexBall, poly_from_roots
 from .exactmath.intpoly import IntPoly, from_power_sums, power_sums
 from .exactmath.roots import _match_permutation, isolate_roots, refine_roots
 
@@ -112,16 +117,17 @@ def _modulus_permutation(q: int, roots: Sequence[ComplexBall]) -> Optional[List[
     return _match_permutation(images, roots)
 
 
-def _factor_search(sf: IntPoly, balls: Sequence[ComplexBall]) -> List[Tuple[IntPoly, Tuple[int, ...]]]:
-    """Irreducible factors of the squarefree polynomial sf by recombining
-    root subsets, smallest subsets first.
+def _factor_search(sf: IntPoly, balls: Sequence[ComplexBall],
+                   bits: int) -> List[Tuple[IntPoly, Tuple[int, ...]]]:
+    """Irreducible factors of the monic squarefree polynomial sf by
+    recombining root subsets, smallest subsets first; each subset's
+    product is expanded on the 2^-bits grid.
 
     Raises Ambiguous when some coefficient enclosure is too wide to round
     to a unique integer (the caller escalates precision).  A factorization
     is exact and complete: candidate polynomials are accepted only after
     exact division, and minimality of the subsets gives irreducibility.
     """
-    lead = sf.leading
     remaining = list(range(len(balls)))
     found: List[Tuple[IntPoly, Tuple[int, ...]]] = []
     quotient = sf
@@ -129,17 +135,8 @@ def _factor_search(sf: IntPoly, balls: Sequence[ComplexBall]) -> List[Tuple[IntP
     while remaining and size <= len(remaining) // 2:
         hit = None
         for subset in combinations(remaining, size):
-            # expand lead * prod (X - root_i) with ball arithmetic
-            coeffs = [ComplexBall.exact(lead)]
-            for i in subset:
-                b = balls[i]
-                nxt = [ComplexBall.exact(0)] * (len(coeffs) + 1)
-                for t, c in enumerate(coeffs):
-                    nxt[t + 1] = nxt[t + 1] + c
-                    nxt[t] = nxt[t] + c * (-b)
-                coeffs = nxt
             ints = []
-            for c in coeffs:
+            for c in poly_from_roots([balls[i] for i in subset], bits):
                 n = c.unique_integer()      # Ambiguous propagates up
                 if n is None:
                     break                   # provably non-integer: skip subset
@@ -153,56 +150,13 @@ def _factor_search(sf: IntPoly, balls: Sequence[ComplexBall]) -> List[Tuple[IntP
             size += 1
             continue
         cand, subset = hit
-        found.append((cand.primitive_part(), tuple(subset)))
+        found.append((cand, tuple(subset)))
         quotient = quotient.exact_div(cand)
         remaining = [i for i in remaining if i not in subset]
         # factors below the current size are exhausted; stay at this size
     if remaining:
-        found.append((quotient.primitive_part(), tuple(remaining)))
+        found.append((quotient, tuple(remaining)))
     return found
-
-
-def q_factorization(poly: IntPoly, balls: Sequence[ComplexBall], prec: int,
-                    settings: Settings = DEFAULT) -> Tuple[Tuple[Factor, ...], Tuple[ComplexBall, ...], int]:
-    """Factor a monic integer polynomial into Q-irreducibles, starting
-    from its distinct root enclosures balls at precision prec.
-
-    Returns (factors, distinct root enclosures, achieved precision).  The
-    root subsets behind each factor are recorded so multiplicity data per
-    root is exact rather than re-derived numerically.
-    """
-    if poly.degree < 1:
-        raise MalformedInput("cannot factor a constant polynomial")
-    if poly.degree > FACTOR_DEGREE_CAP:
-        raise MalformedInput(
-            f"degree {poly.degree} exceeds the factorization cap "
-            f"{FACTOR_DEGREE_CAP}")
-    sf = poly.squarefree_part()
-    while True:
-        try:
-            flat = _factor_search(sf, balls)
-            break
-        except Ambiguous:
-            prec *= 2
-            if prec > settings.precision_ceiling:
-                raise PrecisionExhausted(
-                    "factorization undecided at the precision ceiling")
-            balls = refine_roots(poly, balls, prec)
-    factors = []
-    for fpoly, idxs in flat:
-        mult = 0
-        probe = poly
-        while fpoly.divides(probe):
-            probe = probe.exact_div(fpoly)
-            mult += 1
-        factors.append(Factor(poly=fpoly, multiplicity=mult,
-                              root_indices=idxs))
-    recon = IntPoly((1,))
-    for f in factors:
-        recon = recon * f.poly ** f.multiplicity
-    if recon != poly:
-        raise InternalInconsistency("factor product does not rebuild input")
-    return tuple(factors), tuple(balls), prec
 
 
 def validate(q: int, coefficients: Sequence[int],
@@ -211,7 +165,11 @@ def validate(q: int, coefficients: Sequence[int],
 
     Checks, in order: q is a prime power; the polynomial is monic of even
     degree over Z; the functional equation holds; every root has modulus
-    sqrt(q) (certified, with a witness root on failure).
+    sqrt(q) (certified, with a witness root on failure); the degree is
+    within FACTOR_DEGREE_CAP.  Then factors the polynomial.  The root
+    checks and the factorization share one precision loop, from
+    settings.precision_start up to settings.precision_ceiling, and
+    PrecisionExhausted names the stage left undecided at the ceiling.
     """
     p, e = prime_power_decomposition(q)
     try:
@@ -235,37 +193,60 @@ def validate(q: int, coefficients: Sequence[int],
                 f"= {q ** (g - i) * a[2 * g - i]}, found {a[i]}")
 
     prec = settings.precision_start
-    balls = list(isolate_roots(poly, prec))
+    balls = isolate_roots(poly, prec)
     while True:
         perm = _modulus_permutation(q, balls)
         conj = _conjugation_permutation(balls)
+        stage = "root matching"
         if perm is not None and conj is not None:
-            break
+            # q / conj(root) is always some root; it is the root itself
+            # exactly when |root|^2 = q, so the matching must be the identity
+            for i, j in enumerate(perm):
+                if i != j:
+                    b = balls[i]
+                    raise RootModulusFailed(
+                        f"root near {complex(float(b.re), float(b.im)):.6g} "
+                        f"has modulus^2 != {q}",
+                        witness={"root_re": str(b.re), "root_im": str(b.im),
+                                 "abs_sq_midpoint": str(b.abs_sq_mid()),
+                                 "expected": str(q)})
+            if poly.degree > FACTOR_DEGREE_CAP:
+                raise MalformedInput(
+                    f"degree {poly.degree} exceeds the factorization cap "
+                    f"{FACTOR_DEGREE_CAP}")
+            try:
+                flat = _factor_search(poly.squarefree_part(), balls,
+                                      prec + 64)
+                break
+            except Ambiguous:
+                stage = "factorization"
         prec *= 2
         if prec > settings.precision_ceiling:
             raise PrecisionExhausted(
-                "root matching undecided at the precision ceiling")
+                f"{stage} undecided at the precision ceiling")
         balls = refine_roots(poly, balls, prec)
-    # q / conj(root) is always some root; it is the root itself exactly
-    # when |root|^2 = q, so the matching must be the identity
-    for i, j in enumerate(perm):
-        if i != j:
-            b = balls[i]
-            raise RootModulusFailed(
-                f"root near {complex(float(b.re), float(b.im)):.6g} has "
-                f"modulus^2 != {q}",
-                witness={"root_re": str(b.re), "root_im": str(b.im),
-                         "abs_sq_midpoint": str(b.abs_sq_mid()),
-                         "expected": str(q)})
 
-    factors, balls_t, prec = q_factorization(poly, balls, prec, settings)
+    factors = []
+    for fpoly, idxs in flat:
+        mult = 0
+        probe = poly
+        while fpoly.divides(probe):
+            probe = probe.exact_div(fpoly)
+            mult += 1
+        factors.append(Factor(poly=fpoly, multiplicity=mult,
+                              root_indices=idxs))
+    recon = IntPoly((1,))
+    for f in factors:
+        recon = recon * f.poly ** f.multiplicity
+    if recon != poly:
+        raise InternalInconsistency("factor product does not rebuild input")
     mult_by_root = {}
     for f in factors:
         for idx in f.root_indices:
             mult_by_root[idx] = f.multiplicity
-    root_mult = tuple(mult_by_root[i] for i in range(len(balls_t)))
-    return WeilData(q=q, p=p, e=e, g=g, poly=poly, factors=factors,
-                    roots=balls_t, root_mult=root_mult,
+    root_mult = tuple(mult_by_root[i] for i in range(len(balls)))
+    return WeilData(q=q, p=p, e=e, g=g, poly=poly, factors=tuple(factors),
+                    roots=tuple(balls), root_mult=root_mult,
                     iota=tuple(conj), prec=prec)
 
 

@@ -658,6 +658,27 @@ class TestBatch:
         _, manifests = store_records(out)
         assert len(manifests) == 1
 
+    def test_pool_no_wider_than_the_pending_lines(self, monkeypatch,
+                                                  tmp_path):
+        # a fork pool starts every worker at the first submit, so a pool
+        # wider than the pending lines forks processes that get no work
+        real = report.ProcessPoolExecutor
+
+        def bounded(max_workers):
+            assert max_workers <= 2
+            return real(max_workers=max_workers)
+
+        inp = write_batch_input(tmp_path, BATCH_LINES[:2])
+        serial, wide = tmp_path / "s1.ndjson", tmp_path / "s64.ndjson"
+        run_batch(inp, serial, global_options={"max_power": 1})
+        monkeypatch.setattr(report, "ProcessPoolExecutor", bounded)
+        summary = run_batch(inp, wide, jobs=64,
+                            global_options={"max_power": 1})
+        assert summary["written"] == 2
+        strip = lambda p: [ln for ln in p.read_text().splitlines()
+                           if '"record_type":"manifest"' not in ln]
+        assert strip(wide) == strip(serial)
+
     def test_run_batch_api_options_change_keys(self, tmp_path):
         inp = write_batch_input(tmp_path, [BATCH_LINES[0]])
         out = tmp_path / "store.ndjson"
