@@ -19,6 +19,15 @@ relations -- exponent vectors over the eigenvalues whose realization is
 a root of unity -- live in root coordinates, are evaluated through the
 same rho, and drive the Frobenius rank.
 
+Both box searches are certified.  A weight-0 word has modulus 1, so it
+realizes to 1 exactly when its angle sum is a whole number of turns, and
+to a root of unity exactly when _orders_lcm(deg K) times that sum is.
+Each root angle is a fixed-point integer with a certified error bound,
+and a meet-in-the-middle scan yields every box vector whose integer sum
+lies within the summed error of a whole turn, in lexicographic order:
+no true relation in the box is ever skipped, and exact verification
+rejects the rest.
+
 One round of cross-feeding turns a torsion relation of order t into the
 kernel vector t*a and a kernel vector into a torsion relation of order
 1; with the injected conjugation relations this makes torsion rank =
@@ -28,15 +37,16 @@ a violation guards the cross-feed code only.  It cannot detect a
 relation that both searches miss: q=4 [4,2,1] passes it while the
 kernel misses (6, -3), which realizes to 1.
 
-Floating-point angle data only ever selects which exact verifications to
-attempt; acceptance and rejection both rest on exact arithmetic.
+The lattice-reduction candidates come from rounded angle midpoints;
+acceptance and rejection everywhere rest on exact arithmetic.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .config import DEFAULT, Settings
@@ -104,10 +114,10 @@ class EigGroup:
 class RelationLattice:
     """Verified multiplicative relations, HNF rows in basis coordinates.
 
-    Exhaustive within the max-norm search bound; lattice-reduction
-    candidates may add longer vectors.  The lattice is not saturated:
-    realizing to a root of unity other than 1 does not qualify, so the
-    saturation index is reported rather than divided out.
+    Exhaustive within the max-norm search bound, by a certified scan;
+    lattice-reduction candidates may add longer vectors.  The lattice is
+    not saturated: realizing to a root of unity other than 1 does not
+    qualify, so the saturation index is reported rather than divided out.
     """
     basis: Tuple[Coords, ...]
     rank: int
@@ -225,72 +235,117 @@ def _hnf_rows(vectors: Sequence[Coords], dim: int) -> Tuple[Coords, ...]:
 
 
 def _in_row_lattice(rows: Sequence[Coords], vec: Sequence[int]) -> bool:
-    """Exact membership of vec in the row lattice (rows in echelon form)."""
+    """Exact membership of vec in the row lattice (rows in echelon form).
+
+    Rejects at the first nonzero entry left of a pivot or the first pivot
+    entry the pivot does not divide; no later row can mend either.
+    """
     v = list(vec)
+    start = 0
     for row in rows:
-        piv = next(i for i, c in enumerate(row) if c)
-        if v[piv] % row[piv] == 0:
-            f = v[piv] // row[piv]
-            if f:
-                v = [a - f * b for a, b in zip(v, row)]
-    return not any(v)
+        piv = start
+        while not row[piv]:
+            if v[piv]:
+                return False
+            piv += 1
+        f, rest = divmod(v[piv], row[piv])
+        if rest:
+            return False
+        if f:
+            for t in range(piv + 1, len(v)):
+                if row[t]:
+                    v[t] -= f * row[t]
+        start = piv + 1
+    return not any(v[start:])
 
 
-def _near_rational(x: float, max_den: int, tol: float) -> bool:
-    """Is x within tol of a rational with denominator <= max_den?"""
-    a0 = math.floor(x)
-    frac = x - a0
-    p_prev, q_prev, p_cur, q_cur = 1, 0, a0, 1
-    while q_cur <= max_den:
-        if abs(x - p_cur / q_cur) <= tol:
-            return True
-        if frac < 1e-12:
-            break
-        inv = 1.0 / frac
-        a = math.floor(inv)
-        frac = inv - a
-        p_prev, q_prev, p_cur, q_cur = (
-            p_cur, q_cur, a * p_cur + p_prev, a * q_cur + q_prev)
-    return False
+# B: angle sums are fixed-point fractions of a full turn, taken mod 2^B
+_FIX_BITS = 64
 
 
-_TWO_PI = 2.0 * math.pi
-# prefilter slack: float angle sums are accurate to ~1e-12 here, true
-# relations sit exactly on the lattice, so these margins cannot drop one
-_KERNEL_MARGIN = 1e-2
-_TORSION_TOL = 1e-7
+@functools.lru_cache(maxsize=None)
+def _orders_lcm(n: int) -> int:
+    """lcm of every m with phi(m) | n.
+
+    A root of unity of order m in a degree-n field K puts Q(zeta_m) inside
+    K, so phi(m) | n: every such order divides this lcm.  phi(m) >=
+    sqrt(m / 2) bounds the candidates by 2 n^2.
+    """
+    top = 2 * n * n
+    phi = list(range(top + 1))
+    for p in range(2, top + 1):
+        if phi[p] == p:                      # untouched, so p is prime
+            for m in range(p, top + 1, p):
+                phi[m] -= phi[m] // p
+    out = 1
+    for m in range(1, top + 1):
+        if n % phi[m] == 0:
+            out = math.lcm(out, m)
+    return out
 
 
-def _weight_zero_box(bound: int, weights: Sequence[int]):
-    """All nonzero vectors with max-norm <= bound and weights . a = 0."""
+def _turns(arg_balls: Sequence[Tuple[Fraction, Fraction]],
+           two_pi: Tuple[Fraction, Fraction]) -> Tuple[List[int], List[int]]:
+    """Fixed-point turns: F_i and E_i with |F_i - theta_i/(2 pi) * 2^B| <=
+    E_i for every theta_i in the i-th argument enclosure.
+
+    With mid_i, P the midpoints and rad_i, rho the radii of the enclosures
+    of theta_i and 2 pi, theta_i / 2pi and mid_i / P differ by at most
+    rad_i / 2pi + |mid_i| rho / (2pi P) < rad_i + rho, as |mid_i| < 4 <
+    2pi P; the floor below adds less than one unit.
+    """
+    pm, pr = two_pi
+    slack = -((-pr.numerator << _FIX_BITS) // pr.denominator) + 1
+    fix, err = [], []
+    for mid, rad in arg_balls:
+        fix.append((mid.numerator * pm.denominator << _FIX_BITS)
+                   // (mid.denominator * pm.numerator))
+        err.append(-((-rad.numerator << _FIX_BITS) // rad.denominator) + slack)
+    return fix, err
+
+
+def _partials(span: range, weights: Sequence[int], fix: Sequence[int]):
+    """(weight, fixed-point sum, vector) for every vector of the box over
+    these coordinates, in lexicographic order."""
+    out = [(0, 0, ())]
+    for w, f in zip(weights, fix):
+        out = [(pw + c * w, pf + c * f, vec + (c,))
+               for pw, pf, vec in out for c in span]
+    return out
+
+
+def _box_hits(bound: int, weights: Sequence[int], fix: Sequence[int],
+              err: int):
+    """Nonzero vectors a with max-norm <= bound, weights . a = 0 and
+    fix . a within err of 0 mod 2^B, in lexicographic order.
+
+    Meet in the middle: the last ceil(dim/2) coordinates go into a table
+    keyed by (weight, high bits of the sum mod 2^B), with buckets 2^shift
+    > err wide, so each prefix finds its matches in the bucket of the
+    wanted sum and its two neighbours (wrapping at 0 and 2^B).
+    """
+    cut = len(weights) // 2
     span = range(-bound, bound + 1)
-    for a in itertools.product(span, repeat=len(weights)):
-        if any(a) and _dot(weights, a) == 0:
-            yield a
-
-
-def _balanced_box(bound: int, dim: int):
-    """Nonzero vectors with max-norm <= bound and coordinate sum 0,
-    enumerated with partial-sum pruning (all weights equal 1)."""
-    if dim == 0:
-        return
-    vec = [0] * dim
-
-    def rec(pos: int, total: int):
-        if pos == dim - 1:
-            last = -total
-            # the zero vector is excluded at the leaf
-            if abs(last) <= bound and (last or any(vec[:dim - 1])):
-                vec[dim - 1] = last
-                yield tuple(vec)
-            return
-        remaining = dim - 1 - pos
-        for c in range(-bound, bound + 1):
-            if abs(total + c) <= bound * remaining:
-                vec[pos] = c
-                yield from rec(pos + 1, total + c)
-
-    yield from rec(0, 0)
+    mask = (1 << _FIX_BITS) - 1
+    shift = err.bit_length()
+    buckets = 1 << max(_FIX_BITS - shift, 0)
+    table: Dict[Tuple[int, int], List[Tuple[int, Coords]]] = {}
+    for w, t, tail in _partials(span, weights[cut:], fix[cut:]):
+        t &= mask
+        table.setdefault((w, t >> shift), []).append((t, tail))
+    for w, want, head in _partials(span, weights[:cut], fix[:cut]):
+        want = -want & mask
+        centre = want >> shift
+        tails = [tail
+                 for b in {(centre - 1) % buckets, centre,
+                           (centre + 1) % buckets}
+                 for t, tail in table.get((-w, b), ())
+                 if (t - want + err) & mask <= 2 * err]
+        tails.sort()
+        nonzero = any(head)
+        for tail in tails:
+            if nonzero or any(tail):
+                yield head + tail
 
 
 class Realization:
@@ -374,8 +429,12 @@ def _relation_engine(field: SplittingField, eig: EigGroup, bound: int,
     Runs both bounded searches and cross-feeds their verified vectors,
     which makes the rank bookkeeping hold by construction; the check
     before returning guards the cross-feed, not the searches' reach.
-    Kernel and torsion vectors are both evaluated through rho, the
-    realization map of eig in field.
+    Each box search visits exactly the box vectors whose certified
+    fixed-point angle sum passes its relation test, a superset of the
+    relations in the box, in lexicographic order; as add_kernel and
+    add_torsion keep nothing from a non-relation, the result depends only
+    on the relations.  Kernel and torsion vectors are both evaluated
+    through rho, the realization map of eig in field.
     """
     ring = field.ring()
     s = eig.n_roots
@@ -383,9 +442,6 @@ def _relation_engine(field: SplittingField, eig: EigGroup, bound: int,
     prec = 128
     root_arg_balls = [arg_ball(ball, prec) for ball in field.root_balls]
     two_pi = two_pi_ball(prec)
-    args = [float(mid) for mid, _rad in root_arg_balls]
-
-    basis_args = [0.0 if br is None else args[br] for br in eig.basis_roots]
 
     def verify_kernel(a: Sequence[int]) -> bool:
         return realize_coords(rho, a) == one
@@ -407,11 +463,14 @@ def _relation_engine(field: SplittingField, eig: EigGroup, bound: int,
             kernel_vecs.append(vec)
             kernel_rows = _hnf_rows(kernel_vecs, eig.rank)
 
-    for a in _weight_zero_box(bound, eig.weight_vector):
-        drift = math.remainder(sum(c * t for c, t in zip(a, basis_args)),
-                               _TWO_PI)
-        if abs(drift) < _KERNEL_MARGIN:
-            add_kernel(a)
+    # a weight-0 word has modulus 1, so it realizes to 1 exactly when its
+    # angle sum is a whole number of turns; the [q] slot has angle 0
+    turns, turn_err = _turns(root_arg_balls, two_pi)
+    fix = [0 if br is None else turns[br] for br in eig.basis_roots]
+    err = bound * sum(0 if br is None else turn_err[br]
+                      for br in eig.basis_roots)
+    for a in _box_hits(bound, eig.weight_vector, fix, err):
+        add_kernel(a)
 
     angle_balls = [(0, 0) if br is None else root_arg_balls[br]
                    for br in eig.basis_roots]
@@ -442,19 +501,19 @@ def _relation_engine(field: SplittingField, eig: EigGroup, bound: int,
             torsion_rows = _hnf_rows([v for v, _ in torsion_vecs], s)
         return order
 
-    max_torsion_order = 2 * ring.n * ring.n
-
-    def torsion_prefilter(a: Sequence[int]) -> bool:
-        drift = math.remainder(sum(c * t for c, t in zip(a, args)), _TWO_PI)
-        return _near_rational(abs(drift) / _TWO_PI, max_torsion_order,
-                              _TORSION_TOL)
-
-    # the weight-0 subspace has dimension s - 1, so the scan can stop as
-    # soon as the torsion lattice reaches it: only the rank is consumed
-    for a in _balanced_box(bound, s):
-        if len(torsion_rows) >= s - 1:
+    # a sum-zero word has modulus 1 and lies in the field, so it is a root
+    # of unity exactly when _orders_lcm(deg K) times its angle sum is a
+    # whole number of turns.  The weight-0 subspace has dimension s - 1,
+    # so the scan can stop as soon as the torsion lattice reaches it: only
+    # the rank is consumed.  Hits already in the lattice are skipped here.
+    lcm = _orders_lcm(ring.n)
+    fix = [lcm * f for f in turns]
+    hits = _box_hits(bound, (1,) * s, fix, lcm * bound * sum(turn_err))
+    while len(torsion_rows) < s - 1:
+        a = next(hits, None)
+        if a is None:
             break
-        if torsion_prefilter(a):
+        if not (torsion_rows and _in_row_lattice(torsion_rows, a)):
             add_torsion(a)
 
     for cand in relation_candidates(root_arg_balls, two_pi, lll_cap):

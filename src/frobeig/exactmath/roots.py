@@ -257,14 +257,17 @@ def refine_roots(poly: IntPoly, prev: Sequence[ComplexBall], prec: int) -> List[
     raise PrecisionExhausted("root refinement failed to re-match enclosures")
 
 
-# --- argument enclosures (candidate generation only) ---
+# --- argument enclosures ---
 
 def arg_ball(ball: ComplexBall, prec: int) -> Tuple[Fraction, Fraction]:
-    """(midpoint, radius) enclosure of arg(z) over the disk.
+    """(midpoint, radius) enclosure of arg(z) over the disk, up to a
+    multiple of 2 pi.
 
     The radius uses arcsin(r/|m|) <= 2 r/|m| plus the evaluation error of
-    atan2 at the midpoint.  Used only to seed lattice-based relation
-    candidates, which are verified exactly downstream.
+    atan2 at the midpoint, so the enclosure is certified.  The relation
+    engine's box searches turn it into fixed-point angles with a proven
+    error bound; the lattice-reduction candidates use the midpoint alone.
+    Either way every relation is verified exactly downstream.
     """
     # the mantissas share the exponent, which cancels from r / |m|
     lb = math.isqrt(ball.mre * ball.mre + ball.mim * ball.mim) - ball.mrad

@@ -1,20 +1,24 @@
 """Eigenvalue group presentation, realization kernel, Frobenius rank."""
 
+import itertools
 import random
+import signal
 from dataclasses import replace
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 
+from frobeig import eig as eig_module
 from frobeig.analysis import Analysis
 from frobeig.config import DEFAULT
 from frobeig.corpus import CORPUS
-from frobeig.eig import (EigElement, _in_row_lattice, build_eig_group,
-                         frobenius_rank, galois_action, invariants_report,
-                         realize_coords)
+from frobeig.eig import (_FIX_BITS, EigElement, _box_hits, _hnf_rows,
+                         _in_row_lattice, _orders_lcm, _relation_engine,
+                         _to_basis_coords, build_eig_group, frobenius_rank,
+                         galois_action, invariants_report, realize_coords)
 from frobeig.errors import FrobeigError, MalformedInput, TorsionDetected
-from frobeig.splitfield import (ModRing, galois_group, splitting_field,
-                                word_value)
+from frobeig.splitfield import (ModRing, galois_group, is_root_of_unity,
+                                splitting_field, word_value)
 from frobeig.weil import base_change, validate
 
 from conftest import analysis_cached, split_cached
@@ -386,3 +390,189 @@ def test_kernel_holds_every_relation_realizing_to_one():
     # pi = 2 zeta_3, so pi^6 = 64 = q^3
     assert realize_coords(an.rho, (6, -3)) == an.field.ring().const(1)
     assert _in_row_lattice(an.relations[0].basis, (6, -3))
+
+
+def _det(m):
+    """Integer determinant by Laplace expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:]
+                                           for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def _minors_gcd(rows, k):
+    """gcd of the k x k minors: the k-th determinantal divisor."""
+    g = 0
+    for cols in itertools.combinations(range(len(rows[0])), k):
+        for sel in itertools.combinations(rows, k):
+            g = gcd(g, _det([[row[c] for c in cols] for row in sel]))
+    return g
+
+
+def _lattice_oracle(rows, vec):
+    """vec lies in the row lattice exactly when appending it keeps the
+    rank and the gcd of the maximal minors (the index of the lattice in
+    its saturation)."""
+    k, ext = len(rows), list(rows) + [tuple(vec)]
+    if k < len(vec) and _minors_gcd(ext, k + 1):
+        return False
+    return _minors_gcd(ext, k) == _minors_gcd(rows, k) if k else not any(vec)
+
+
+def _brute_hits(bound, weights, fix, err):
+    """Box vectors passing the scan test, straight from the definition."""
+    top = 1 << _FIX_BITS
+    out = []
+    for a in itertools.product(range(-bound, bound + 1), repeat=len(weights)):
+        if any(a) and sum(w * c for w, c in zip(weights, a)) == 0:
+            r = sum(f * c for f, c in zip(fix, a)) % top
+            if min(r, top - r) <= err:
+                out.append(a)
+    return out
+
+
+def _brute_phi(m):
+    """Euler's phi by trial division."""
+    out, rest, p = m, m, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            out -= out // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return out - out // rest if rest > 1 else out
+
+
+class TestCertifiedScan:
+    """The exact relation scans against oracles computed here."""
+
+    def test_in_row_lattice_matches_minors_oracle(self):
+        rng = random.Random(20261019)
+        for _ in range(60):
+            dim = rng.randint(1, 6)
+            gens = [tuple(rng.randint(-3, 3) * rng.choice([1, 1, 2, 3])
+                          for _ in range(dim))
+                    for _ in range(rng.randint(1, min(dim, 4)))]
+            rows = _hnf_rows(gens, dim)
+            for _ in range(8):
+                coeffs = [rng.randint(-2, 2) for _ in rows]
+                member = [sum(c * row[t] for c, row in zip(coeffs, rows))
+                          for t in range(dim)]
+                nudged = list(member)
+                nudged[rng.randrange(dim)] += rng.choice([-1, 1])
+                free = [rng.randint(-4, 4) for _ in range(dim)]
+                for vec in (member, nudged, free):
+                    assert _in_row_lattice(rows, vec) \
+                        == _lattice_oracle(rows, vec), (rows, vec)
+                assert _in_row_lattice(rows, member)
+
+    def test_box_hits_match_brute_force_with_planted_sums(self):
+        rng = random.Random(4711)
+        top = 1 << _FIX_BITS
+        for case in range(60):
+            dim = 1 + case % 5
+            bound = 1 + case % 3
+            weights = tuple(rng.choice([1, 1, 2]) for _ in range(dim))
+            err = rng.choice([0, 1, rng.randrange(1 << 40),
+                              rng.randrange(top >> 4), top >> 1])
+            fix = [rng.randrange(top) for _ in range(dim)]
+            cut = dim // 2
+            planted = None
+            box = [a for a in itertools.product(range(-bound, bound + 1),
+                                                repeat=dim)
+                   if a[0] == 1 and a[cut] == 1
+                   and sum(w * c for w, c in zip(weights, a)) == 0]
+            if box and cut:
+                planted = rng.choice(box)
+                # the tail sum sits on a bucket edge, the total at 0,
+                # 2^B - 1 or just inside or outside the tolerance
+                edge = rng.randrange(1, 64) << err.bit_length()
+                edge += rng.choice([-1, 0])
+                target = rng.choice([0, top - 1, err, -err, err + 1,
+                                     -err - 1])
+                tail = sum(f * c for f, c in zip(fix[cut:], planted[cut:]))
+                fix[cut] = (fix[cut] + edge - tail) % top
+                total = sum(f * c for f, c in zip(fix, planted))
+                fix[0] = (fix[0] + target - total) % top
+            got = list(_box_hits(bound, weights, fix, err))
+            assert got == _brute_hits(bound, weights, fix, err), case
+            if planted is not None:
+                r = target % top
+                assert (planted in got) == (min(r, top - r) <= err)
+
+    def test_orders_lcm_matches_brute_force(self):
+        phis = {m: _brute_phi(m) for m in range(1, 4 * 48 * 48 + 1)}
+        for n in range(1, 49):
+            want = 1
+            for m, phi in phis.items():
+                if n % phi == 0:
+                    want = lcm(want, m)
+            assert _orders_lcm(n) == want, n
+        assert _orders_lcm(48).bit_length() <= 22
+
+    def test_scans_keep_every_relation_on_the_corpus(self, monkeypatch):
+        # run the engine at bound 2, record what it hands each scan, and
+        # realize every box vector: each one realizing to 1 (kernel box)
+        # or to a root of unity (sum-zero torsion box) must be a hit
+        calls = []
+        real_box_hits = eig_module._box_hits
+
+        def spy(*args):
+            calls.append(args)
+            return real_box_hits(*args)
+
+        monkeypatch.setattr(eig_module, "_box_hits", spy)
+        bound = 2
+        for entry in CORPUS:
+            an = analysis_cached(entry.q, tuple(entry.coefficients))
+            if an.undetermined("field") is not None:
+                continue
+            e, ring = an.eig, an.field.ring()
+            one = ring.const(1)
+            calls.clear()
+            _relation_engine(an.field, e, bound, an.rho)
+            (_, kweights, *kscan), (_, tweights, *tscan) = calls
+            assert kweights == e.weight_vector
+            assert tweights == (1,) * e.n_roots
+            kernel_hits = set(real_box_hits(bound, kweights, *kscan))
+            torsion_hits = set(real_box_hits(bound, tweights, *tscan))
+            span = range(-bound, bound + 1)
+            for a in _brute_hits(bound, kweights, [0] * e.rank, 0):
+                if realize_coords(an.rho, a) == one:
+                    assert a in kernel_hits, (entry, a)
+            order_lcm = _orders_lcm(ring.n)
+            for a in itertools.product(span, repeat=e.n_roots):
+                if any(a) and sum(a) == 0:
+                    value = realize_coords(an.rho, _to_basis_coords(e, a))
+                    order = is_root_of_unity(ring, value)
+                    if order is not None:
+                        assert a in torsion_hits, (entry, a)
+                        assert order_lcm % order == 0, (entry, a, order)
+
+    @pytest.mark.parametrize("q, coeffs, degree, basis, torsion_rank, r", [
+        # (x^2+x+2)(x^2-x+2)(x^2+2)(x^2+2x+2), eight roots; the float box
+        # scan of the torsion search needed about 17 s here
+        (2, (16, 16, 28, 20, 20, 10, 7, 2, 1), 8,
+         ((4, 0, 2, 0, -3), (0, 1, 2, 1, -2), (0, 0, 4, 0, -2)), 6, 1),
+        # the generic threefold, G = W_3: the float scan sent 24 920 box
+        # vectors to exact realization in the degree-48 field and had not
+        # returned after 60 s; the certified scan sends 60
+        (3, (27, 27, 6, -1, 2, 3, 1), 48, (), 2, 3),
+    ])
+    def test_large_inputs_within_guard(self, q, coeffs, degree, basis,
+                                       torsion_rank, r):
+        def too_slow(signum, frame):
+            raise TimeoutError("field and relation engine exceeded 10 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(10)
+        try:
+            an = Analysis(validate(q, list(coeffs)))
+            relations = an.relations
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert an.field.degree == degree
+        assert relations[0].basis == basis
+        assert relations[1:] == (torsion_rank, r)
