@@ -9,25 +9,32 @@ exactly from the field's root coordinates.  Both verdicts use the one
 Frobenius rank r.
 
 The orbit classification reads four per-record tables: one expansion of
-the eigenvalue multisets of every weight per power d, the validated
-action rows of every Galois element, the realization map rho (shared
-with the relation engine), and the Tate verdict rho(lam) = q^n of every
-orbit representative lam, decided once for all (d, n) and both
-ambients.  Full (d, n) decompositions keep only their dims, which rho
-tables reuse.
+the eigenvalue multisets of every weight of a power d, on packed integer
+keys (see lefmot.pack); the validated action rows of every Galois
+element, also packed for that d; the realization map rho (shared with
+the relation engine); and the Tate verdicts.  The expansion and the
+packed rows are kept for the power read last only, which is all the
+grid and the rho tables need, so memory stays bounded over a grid.  A
+representative lam of weight 2n is Tate when rho(lam) = q^n, that is
+when its weight-zero class mu = lam - n[q] realizes to 1 (rho([q]) = q
+is checked once); the verdict is kept per mu, so it is decided once for
+every (d, n) and both ambients.  Full (d, n) decompositions keep only
+their dims, which rho tables reuse.
 """
 
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from .config import DEFAULT, Settings
-from .eig import (Coords, EigGroup, Realization, RelationLattice,
-                  _relation_engine, action_rows, apply_rows, build_eig_group,
+from .eig import (Coords, EigGroup, Realization, RelationLattice, _dot,
+                  _relation_engine, action_rows, build_eig_group,
                   realize_coords)
-from .errors import DegreeCapExceeded, PrecisionExhausted
+from .errors import (DegreeCapExceeded, InternalInconsistency,
+                     PrecisionExhausted)
 from .lefmot import (ALL_PASS, DecompositionReport, HypothesisVerdict,
-                     classify_orbits, hypothesis_check, power_layers)
-from .splitfield import (GaloisData, SplittingField, galois_group,
+                     classify_orbits, hypothesis_check, pack, pack_width,
+                     power_layers)
+from .splitfield import (Elem, GaloisData, SplittingField, galois_group,
                          splitting_field)
 from .weil import WeilData
 
@@ -46,7 +53,11 @@ class Analysis:
         self.cm_assertion = cm_assertion
         self._field_failure: Optional[Exception] = None
         self._dims: Dict[Tuple[int, int], Tuple[int, int, int, int]] = {}
-        self._layers: Dict[int, Tuple[Dict[Coords, int], ...]] = {}
+        # one slot each, (d, value), for the power d read last
+        self._layers: Tuple[Optional[int], Tuple[Dict[int, int], ...]] = \
+            (None, ())
+        self._packed_action: Tuple[Optional[int],
+                                   Tuple[Tuple[int, ...], ...]] = (None, ())
         self._tate: Dict[Coords, bool] = {}
 
     def undetermined(self, part: str) -> Optional[str]:
@@ -110,27 +121,50 @@ class Analysis:
         eig = self.eig
         return tuple(action_rows(eig, p) for p in self.gal.perms)
 
-    def orbit(self, coords: Coords) -> FrozenSet[Coords]:
-        """Galois orbit of the basis-coordinate vector coords."""
-        return frozenset(apply_rows(rows, coords) for rows in self.action)
+    @cached_property
+    def _one(self) -> Elem:
+        """The field's 1, once rho([q]) = q is checked: that identity makes
+        rho(lam) = q^n equivalent to rho(lam - n[q]) = 1."""
+        rho = self.rho
+        if realize_coords(rho, self.eig.q_coords) != \
+                rho.ring.const(self.data.q):
+            raise InternalInconsistency("rho([q]) differs from q")
+        return rho.ring.const(1)
 
-    def layers(self, d: int) -> Tuple[Dict[Coords, int], ...]:
-        """Eigenvalue multisets of weights 0 .. 2gd on power d, by
-        coordinates, expanded once per d (see lefmot.power_layers)."""
-        if d not in self._layers:
-            self._layers[d] = power_layers(self.data, self.eig, d)
-        return self._layers[d]
+    def layers(self, d: int) -> Tuple[Dict[int, int], ...]:
+        """Eigenvalue multisets of weights 0 .. 2gd on power d, on packed
+        keys (see lefmot.power_layers).  Only the most recently expanded
+        power is kept: the grid and the rho tables read one d at a time."""
+        if self._layers[0] != d:
+            self._layers = (d, power_layers(self.data, self.eig, d))
+        return self._layers[1]
+
+    def packed_action(self, d: int) -> Tuple[Tuple[int, ...], ...]:
+        """The action rows packed at power d's width (see lefmot.pack),
+        by basis position: entry j lists the image of b_j under every
+        Galois element, in the order of gal.perms.  Kept for the most
+        recent d."""
+        if self._packed_action[0] != d:
+            w = pack_width(self.data.g, self.eig, d)
+            self._packed_action = (d, tuple(
+                tuple(pack(rows[j], w) for rows in self.action)
+                for j in range(self.eig.rank)))
+        return self._packed_action[1]
 
     def is_tate(self, coords: Coords) -> bool:
         """Does rho(lam) = q^n hold, 2n the weight of lam?  Decided exactly
-        once per coords; the weight fixes n."""
-        if coords not in self._tate:
-            weight = self.eig.element(coords).weight
-            rho = self.rho
-            self._tate[coords] = weight % 2 == 0 and \
-                realize_coords(rho, coords) == rho.ring.const(
-                    self.data.q ** (weight // 2))
-        return self._tate[coords]
+        once per weight-zero class mu = lam - n[q], as rho(mu) = 1, which
+        rho([q]) = q makes equivalent."""
+        eig = self.eig
+        weight = _dot(eig.weight_vector, coords)
+        if weight % 2:
+            return False
+        n = weight // 2
+        mu = tuple(a - n * b for a, b in zip(coords, eig.q_coords))
+        if mu not in self._tate:
+            one = self._one
+            self._tate[mu] = realize_coords(self.rho, mu) == one
+        return self._tate[mu]
 
     def grid(self, max_power: int) -> Iterator[DecompositionReport]:
         """Full decompositions for d = 1..max_power, n = 0..g*d, in order,

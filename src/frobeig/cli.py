@@ -18,7 +18,8 @@ import json
 import os
 import re
 import sys
-from concurrent.futures.process import BrokenProcessPool
+# the base class of BrokenProcessPool; importing it loads no process pool
+from concurrent.futures import BrokenExecutor
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -28,7 +29,7 @@ from . import __version__
 from .config import DEFAULT, MAX_POWER_CAP, Settings
 from .errors import FrobeigError, MalformedInput
 from .eig import invariants_report
-from .lefmot import classify_orbits
+from .lefmot import classify_orbits, motive_orbits
 from .quadforms import am_filter, signature, tannaka_transfer
 from .report import (OPTION_KEYS, InputRecord, analyse, build_report_record,
                      canonical_json, decomposition_fragment,
@@ -117,8 +118,9 @@ def cmd_motives(args, base: Settings) -> int:
             f"--codim must lie in 0..{an.data.g * args.power}")
     ambient = "primitive" if args.primitive else "full"
     rep = classify_orbits(an, args.power, args.codim, ambient)
+    orbits = motive_orbits(an, args.power, args.codim, ambient)
     _emit({"input": record.echo(),
-           "decomposition": decomposition_fragment(rep, include_orbits=True)})
+           "decomposition": decomposition_fragment(rep, orbits)})
     return 0
 
 
@@ -310,7 +312,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 3
-    except BrokenProcessPool as exc:
+    except BrokenExecutor as exc:       # a dead batch worker
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 4
 

@@ -11,20 +11,31 @@ algebra of a symplectic space, so a negative entry is a genuine internal
 error, not a data condition.
 
 power_layers expands this product once per power d, for every weight at
-once; an Analysis caches the layers, and the full and primitive
-multisets of each (d, n) are views of them.
+once, on packed keys: pack writes a coordinate vector as one int in
+balanced base-2^w digits, first coordinate most significant, with w from
+pack_width large enough for every label of the power and its Lefschetz
+shift.  The packing is linear and keeps tuple order, so adding a symbol
+is one int addition, the shift by [q] subtracts one int, and sorting
+keys sorts coordinate vectors.  An Analysis keeps the layers of the
+power it read last; the full and primitive multisets of each (d, n) are
+views of them, decoded only by eigen_multiset and primitive_multiset.
 
 Each Galois orbit of labels is one simple motive class and falls into a
 trichotomy: the orbit {n[q]} (Lefschetz classes), orbits realizing
 exactly to q^n without being n[q] (exotic Tate classes, possible only
 when the realization has a kernel), and everything else (no Tate classes
-at all).  Orbits come from the analysis's validated action rows.  The
-Tate test rho(lam) = q^n runs through one realization map per analysis,
-eig.Realization: it tabulates the powers rho(b_j)^e of every basis root
-with no field inversion (1/r = rbar/q) and treats [q] as the rational
-scalar q, so one test costs at most rank - 1 field products, and its
-verdict is kept per coordinate vector, so each orbit representative is
-tested once for all (d, n) and both ambients.
+at all).  One walk over the sorted packed keys (_orbit_walk) finds each
+orbit from its smallest member, the only member it decodes: the image
+of v under sigma is sum_j v_j * P_sigma[j], the P_sigma the analysis's
+validated action rows packed for d.  classify_orbits folds the walk into
+dims and orbit counts and decodes EXOTIC orbits for their details;
+motive_orbits builds a MotiveOrbit per orbit for `frobeig motives`.
+The Tate test rho(lam) = q^n runs through one realization map per
+analysis, eig.Realization: it tabulates the powers rho(b_j)^e of every
+basis root with no field inversion (1/r = rbar/q) and treats [q] as the
+rational scalar q, so one test costs at most rank - 1 field products.
+Analysis.is_tate keeps its verdict per weight-zero class lam - n[q], so
+each class is tested once for all (d, n) and both ambients.
 
 When the main positivity hypotheses all pass, exotic orbits must have
 size two and the antipodal coordinate shape predicted by the
@@ -42,7 +53,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterator, List,
+                    Optional, Sequence, Tuple)
 
 from .eig import Coords, EigElement, EigGroup
 from .errors import InternalInconsistency, MalformedInput, NotPrimePower
@@ -79,8 +91,8 @@ class DecompositionReport:
     d: int
     n: int
     ambient: str                       # "full" or "primitive"
-    orbits: Tuple[MotiveOrbit, ...]
     dims: Tuple[int, int, int, int]    # (dim_L, dim_E_total, dim_T, total)
+    orbit_counts: Tuple[int, int, int]  # orbits of class (L, E, T)
     exotic_details: Tuple[dict, ...]
 
 
@@ -100,35 +112,69 @@ class SignaturePrediction:
     source: Optional[str] = None
 
 
+def pack_width(g: int, eig: EigGroup, d: int) -> int:
+    """Digit width w of the packed keys of power d.  A coordinate of a
+    weight-k label sums at most 2gd symbol coordinates, and the Lefschetz
+    shift subtracts one [q]; both stay below 2^(w-1) in absolute value."""
+    bound = 2 * g * d * max(abs(c) for sym in eig.symbol_coords
+                            for c in sym) \
+        + max(abs(c) for c in eig.q_coords)
+    return bound.bit_length() + 1
+
+
+def pack(coords: Sequence[int], w: int) -> int:
+    """One int for a coordinate vector: balanced base-2^w digits, the
+    first coordinate most significant.  The map is linear, and on vectors
+    within the bound of pack_width int order is tuple order."""
+    key = 0
+    for c in coords:
+        key = (key << w) + c
+    return key
+
+
+def unpack(key: int, w: int, rank: int) -> Coords:
+    """The coordinate vector of a packed key (the inverse of pack)."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    out = [0] * rank
+    for t in range(rank - 1, -1, -1):
+        c = key & mask
+        if c >= half:
+            c -= mask + 1
+        out[t] = c
+        key = (key - c) >> w
+    return tuple(out)
+
+
 def power_layers(data: WeilData, eig: EigGroup,
-                 d: int) -> Tuple[Dict[Coords, int], ...]:
+                 d: int) -> Tuple[Dict[int, int], ...]:
     """Enriched eigenvalue multisets of every weight k = 0 .. 2gd on
     power d, one expansion: layer k is the coefficient of t^k in
     prod_i (1 + x_i t)^(d * mult_i) over the group algebra, keyed by
-    basis coordinates, of total mass C(2gd, k) exactly."""
+    basis coordinates packed at pack_width(g, eig, d), of total mass
+    C(2gd, k) exactly."""
     if d < 1:
         raise MalformedInput(f"power d={d} must be positive")
     top = 2 * data.g * d
+    w = pack_width(data.g, eig, d)
     # a monomial's degree equals its weight, so entries of different
     # degrees never share coordinates
-    layers: List[Dict[Coords, int]] = [{} for _ in range(top + 1)]
-    layers[0][(0,) * eig.rank] = 1
+    layers: List[Dict[int, int]] = [{} for _ in range(top + 1)]
+    layers[0][0] = 1
     reached = 0
     for i, mult in enumerate(data.root_mult):
         e = d * mult
-        sym = eig.symbol_coords[i]
-        binom = [math.comb(e, j) for j in range(e + 1)]
+        sym = pack(eig.symbol_coords[i], w)
+        binom = [math.comb(e, j) for j in range(1, e + 1)]
         reached += e
         # new terms land in degrees above deg, so walking down reads
         # every source layer before it is written
         for deg in range(reached - e, -1, -1):
-            src = layers[deg]
-            for coords, c in list(src.items()):
-                nc = coords
-                for j in range(1, e + 1):
-                    nc = tuple(a + b for a, b in zip(nc, sym))
-                    bucket = layers[deg + j]
-                    bucket[nc] = bucket.get(nc, 0) + c * binom[j]
+            targets = list(zip(layers[deg + 1:deg + e + 1], binom))
+            for key, c in list(layers[deg].items()):
+                nk = key
+                for bucket, b in targets:
+                    nk += sym
+                    bucket[nk] = bucket.get(nk, 0) + c * b
     for k, layer in enumerate(layers):
         mass = sum(layer.values())
         if mass != math.comb(top, k):
@@ -137,7 +183,7 @@ def power_layers(data: WeilData, eig: EigGroup,
     return tuple(layers)
 
 
-def _full_layer(an: Analysis, d: int, k: int) -> Dict[Coords, int]:
+def _full_layer(an: Analysis, d: int, k: int) -> Dict[int, int]:
     if d < 1:
         raise MalformedInput(f"power d={d} must be positive")
     top = 2 * an.data.g * d
@@ -146,8 +192,8 @@ def _full_layer(an: Analysis, d: int, k: int) -> Dict[Coords, int]:
     return an.layers(d)[k]
 
 
-def _primitive_layer(an: Analysis, d: int, n: int) -> Dict[Coords, int]:
-    """prim(lam) = mult_2n(lam) - mult_{2n-2}(lam - [q]), by coordinates."""
+def _primitive_layer(an: Analysis, d: int, n: int) -> Dict[int, int]:
+    """prim(lam) = mult_2n(lam) - mult_{2n-2}(lam - [q]), on packed keys."""
     data, eig = an.data, an.eig
     if n < 0:
         raise MalformedInput(f"codimension n={n} must be nonnegative")
@@ -158,15 +204,16 @@ def _primitive_layer(an: Analysis, d: int, n: int) -> Dict[Coords, int]:
     if n == 0:
         return full
     below = dict(_full_layer(an, d, 2 * n - 2))
-    prim: Dict[Coords, int] = {}
-    for coords, c in full.items():
-        shifted = tuple(a - b for a, b in zip(coords, eig.q_coords))
-        p = c - below.pop(shifted, 0)
+    w = pack_width(data.g, eig, d)
+    q_key = pack(eig.q_coords, w)
+    prim: Dict[int, int] = {}
+    for key, c in full.items():
+        p = c - below.pop(key - q_key, 0)
         if p < 0:
-            raise InternalInconsistency(
-                f"negative primitive multiplicity at {coords}")
+            raise InternalInconsistency("negative primitive multiplicity "
+                                        f"at {unpack(key, w, eig.rank)}")
         if p:
-            prim[coords] = p
+            prim[key] = p
     if below:
         raise InternalInconsistency(
             "Lefschetz image leaves the weight-2n support")
@@ -177,22 +224,27 @@ def _primitive_layer(an: Analysis, d: int, n: int) -> Dict[Coords, int]:
     return prim
 
 
+def _elements(an: Analysis, d: int,
+              layer: Dict[int, int]) -> Dict[EigElement, int]:
+    w, eig = pack_width(an.data.g, an.eig, d), an.eig
+    return {eig.element(unpack(key, w, eig.rank)): c
+            for key, c in layer.items()}
+
+
 def eigen_multiset(an: Analysis, d: int, k: int) -> Dict[EigElement, int]:
     """Multiset of enriched eigenvalues on the weight-k part of power d,
     read from the analysis's expansion of power d (see power_layers)."""
-    layer = _full_layer(an, d, k)
-    return {an.eig.element(coords): c for coords, c in layer.items()}
+    return _elements(an, d, _full_layer(an, d, k))
 
 
 def primitive_multiset(an: Analysis, d: int,
                        n: int) -> Dict[EigElement, int]:
     """Multiset on the primitive part of weight 2n: full minus the
     Lefschetz image, prim(lam) = mult_2n(lam) - mult_{2n-2}(lam - [q])."""
-    layer = _primitive_layer(an, d, n)
-    return {an.eig.element(coords): c for coords, c in layer.items()}
+    return _elements(an, d, _primitive_layer(an, d, n))
 
 
-def _exotic_shape_ok(eig: EigGroup, members: Sequence[EigElement]) -> bool:
+def _exotic_shape_ok(eig: EigGroup, members: Sequence[Coords]) -> bool:
     # size-2 orbit {x, xbar} with x = i[q] + j*mu, mu the sum of one root
     # of each conjugate pair: pibar = [q] - pi, so every representative
     # coordinate of x is +-j, and xbar negates them and adds their sum to
@@ -200,59 +252,89 @@ def _exotic_shape_ok(eig: EigGroup, members: Sequence[EigElement]) -> bool:
     if len(members) != 2 or eig.basis_roots[-1] is not None:
         return False
     s = eig.rank - 1
-    a, b = members[0].coords, members[1].coords
+    a, b = members
     j = abs(a[0])
     return j > 0 and all(abs(c) == j for c in a[:s]) \
         and all(y == -x for x, y in zip(a[:s], b[:s])) \
         and b[s] == a[s] + sum(a[:s])
 
 
-def classify_orbits(an: Analysis, d: int, n: int,
-                    ambient: str = "full") -> DecompositionReport:
-    """Group the weight-2n eigenvalue multiset into Galois orbits and
-    classify each as TATE_TRIVIAL, EXOTIC, or NON_TATE.
+def _orbit_walk(an: Analysis, d: int, n: int, ambient: str
+                ) -> Iterator[Tuple[FrozenSet[int], int, str]]:
+    """(packed orbit, multiplicity, class) of every Galois orbit of the
+    weight-2n multiset, in the order of the orbits' smallest members.
 
-    The Tate test rho(lam) = q^n is exact in the splitting field and is
-    decided once per analysis for each orbit representative (see
-    Analysis.is_tate), so an analysis without a field raises its stored
-    bound failure here.
-    """
-    eig = an.eig
+    Only the representative is decoded: the image of v under sigma is
+    sum_j v_j * P_sigma[j], P_sigma the packed action rows, summed for
+    all sigma at once along the columns P_*[j].  Its Tate verdict comes
+    from Analysis.is_tate, so an analysis without a field raises its
+    stored bound failure here."""
     if ambient == "full":
-        by_coords = _full_layer(an, d, 2 * n)
+        layer = _full_layer(an, d, 2 * n)
     elif ambient == "primitive":
-        by_coords = _primitive_layer(an, d, n)
+        layer = _primitive_layer(an, d, n)
     else:
         raise MalformedInput(f"unknown ambient {ambient!r}")
-    trivial = tuple(n * c for c in eig.q_coords)
-
-    orbits: List[MotiveOrbit] = []
-    exotic_details: List[dict] = []
-    seen = set()
-    for coords in sorted(by_coords):
-        if coords in seen:
+    eig = an.eig
+    w = pack_width(an.data.g, eig, d)
+    columns = an.packed_action(d)
+    zero = [0] * len(columns[0])
+    trivial = n * pack(eig.q_coords, w)
+    seen: set = set()
+    covered = 0
+    for key in sorted(layer):
+        if key in seen:
             continue
-        orbit_coords = an.orbit(coords)
-        seen |= orbit_coords
-        mults = {by_coords[c] for c in orbit_coords}
-        if len(mults) != 1:
+        coords = unpack(key, w, eig.rank)
+        images = zero
+        for c, column in zip(coords, columns):
+            if c:
+                images = [a + c * x for a, x in zip(images, column)]
+        orbit = frozenset(images)
+        seen |= orbit
+        mult = layer[key]
+        if any(layer.get(k) != mult for k in orbit):
             raise InternalInconsistency(
                 "Galois orbit with non-uniform multiplicity")
-        members = tuple(eig.element(c) for c in sorted(orbit_coords))
-        if orbit_coords == {trivial}:
+        covered += len(orbit) * mult
+        if orbit == {trivial}:
             cls = TATE_TRIVIAL
         elif an.is_tate(coords):
             cls = EXOTIC
         else:
             cls = NON_TATE
-        orbit = MotiveOrbit(elements=members, weight=2 * n,
-                            orbit_size=len(members), classification=cls,
-                            multiplicity_in_ambient=mults.pop())
-        orbits.append(orbit)
+        yield orbit, mult, cls
+    if covered != sum(layer.values()):
+        raise InternalInconsistency("orbit dimensions do not sum to mass")
+
+
+def _decode(an: Analysis, d: int, orbit: FrozenSet[int]) -> List[Coords]:
+    w, rank = pack_width(an.data.g, an.eig, d), an.eig.rank
+    return [unpack(key, w, rank) for key in sorted(orbit)]
+
+
+def classify_orbits(an: Analysis, d: int, n: int,
+                    ambient: str = "full") -> DecompositionReport:
+    """Group the weight-2n eigenvalue multiset into Galois orbits and
+    count the TATE_TRIVIAL, EXOTIC and NON_TATE ones and their dimensions.
+
+    The orbits come from one walk over packed keys; only EXOTIC orbits
+    are decoded, for their details.  The Tate test is exact in the
+    splitting field (see Analysis.is_tate).
+    """
+    eig = an.eig
+    index = {TATE_TRIVIAL: 0, EXOTIC: 1, NON_TATE: 2}
+    dims_ = [0, 0, 0]
+    counts = [0, 0, 0]
+    exotic_details: List[dict] = []
+    for orbit, mult, cls in _orbit_walk(an, d, n, ambient):
+        dims_[index[cls]] += len(orbit) * mult
+        counts[index[cls]] += 1
         if cls == EXOTIC:
-            detail = {"elements": [m.coords for m in members],
-                      "orbit_size": orbit.orbit_size,
-                      "multiplicity": orbit.multiplicity_in_ambient}
+            members = _decode(an, d, orbit)
+            detail = {"elements": members,
+                      "orbit_size": len(members),
+                      "multiplicity": mult}
             shape = _exotic_shape_ok(eig, members)
             if an.shape_certified:
                 if not shape:
@@ -267,19 +349,23 @@ def classify_orbits(an: Analysis, d: int, n: int,
                                          "shape; hypotheses do not all hold")
             exotic_details.append(detail)
 
-    dim_l = sum(o.dimension_in_ambient for o in orbits
-                if o.classification == TATE_TRIVIAL)
-    dim_e = sum(o.dimension_in_ambient for o in orbits
-                if o.classification == EXOTIC)
-    dim_t = sum(o.dimension_in_ambient for o in orbits
-                if o.classification == NON_TATE)
-    total = dim_l + dim_e + dim_t
-    if total != sum(by_coords.values()):
-        raise InternalInconsistency("orbit dimensions do not sum to mass")
     return DecompositionReport(d=d, n=n, ambient=ambient,
-                               orbits=tuple(orbits),
-                               dims=(dim_l, dim_e, dim_t, total),
+                               dims=(*dims_, sum(dims_)),
+                               orbit_counts=tuple(counts),
                                exotic_details=tuple(exotic_details))
+
+
+def motive_orbits(an: Analysis, d: int, n: int,
+                  ambient: str = "full") -> Tuple[MotiveOrbit, ...]:
+    """The Galois orbits of classify_orbits as MotiveOrbits, members
+    decoded and sorted, from the same walk."""
+    return tuple(
+        MotiveOrbit(elements=tuple(an.eig.element(c)
+                                   for c in _decode(an, d, orbit)),
+                    weight=2 * n,
+                    orbit_size=len(orbit), classification=cls,
+                    multiplicity_in_ambient=mult)
+        for orbit, mult, cls in _orbit_walk(an, d, n, ambient))
 
 
 def dims(an: Analysis, d: int, n: int) -> Tuple[int, int, int]:

@@ -22,12 +22,11 @@ import hashlib
 import json
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from fractions import Fraction
 from functools import partial
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -43,28 +42,33 @@ from . import lefmot
 
 # --- canonical serialization ---
 
-def _canonical(obj):
-    if obj is None or isinstance(obj, (bool, str)):
-        return obj
+def _encode(obj) -> str:
+    """The canonical JSON text of obj, written in one pass over it."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
     if isinstance(obj, (int, Fraction)):
-        # bools were caught above; Fraction prints "p/q", or "p" when whole
-        return str(obj)
+        # Fraction prints "p/q", or "p" when whole
+        return encode_basestring_ascii(str(obj))
+    if obj is None:
+        return "null"
     if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
+        return "[" + ",".join(map(_encode, obj)) + "]"
     if isinstance(obj, dict):
-        out = {}
-        for k, v in obj.items():
+        for k in obj:
             if not isinstance(k, str):
                 raise TypeError(f"non-string key {k!r} in report data")
-            out[k] = _canonical(v)
-        return out
+        return "{" + ",".join(
+            encode_basestring_ascii(k) + ":" + _encode(obj[k])
+            for k in sorted(obj)) + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__} in a report")
 
 
 def canonical_json(obj) -> str:
-    """Canonical single-line rendering; numerics as exact strings."""
-    return json.dumps(_canonical(obj), sort_keys=True,
-                      separators=(",", ":"), ensure_ascii=True)
+    """Canonical single-line rendering: keys sorted, compact separators,
+    ASCII only, numerics as exact strings."""
+    return _encode(obj)
 
 
 def content_key(input_echo: dict, options: Dict[str, int],
@@ -239,17 +243,18 @@ def galois_fragment(gal: GaloisData) -> dict:
             "permutations": [list(p) for p in gal.perms]}
 
 
-def decomposition_fragment(rep: lefmot.DecompositionReport,
-                           include_orbits: bool = False) -> dict:
-    counts = {lefmot.TATE_TRIVIAL: 0, lefmot.EXOTIC: 0, lefmot.NON_TATE: 0}
-    for orbit in rep.orbits:
-        counts[orbit.classification] += 1
+def decomposition_fragment(
+        rep: lefmot.DecompositionReport,
+        orbits: Optional[Sequence[lefmot.MotiveOrbit]] = None) -> dict:
+    """The report fragment of one decomposition, with its orbits listed
+    when they are given (see lefmot.motive_orbits)."""
     frag = {"d": rep.d, "n": rep.n, "ambient": rep.ambient,
             "dims": list(rep.dims[:3]),        # (L, E, T)
             "total": rep.dims[3],
-            "orbit_counts": counts,
+            "orbit_counts": dict(zip((lefmot.TATE_TRIVIAL, lefmot.EXOTIC,
+                                      lefmot.NON_TATE), rep.orbit_counts)),
             "exotic": [dict(det) for det in rep.exotic_details]}
-    if include_orbits:
+    if orbits is not None:
         frag["orbits"] = [
             {"elements": [list(m.coords) for m in orbit.elements],
              "weight": orbit.weight,
@@ -257,7 +262,7 @@ def decomposition_fragment(rep: lefmot.DecompositionReport,
              "classification": orbit.classification,
              "multiplicity": orbit.multiplicity_in_ambient,
              "dimension": orbit.dimension_in_ambient}
-            for orbit in rep.orbits]
+            for orbit in orbits]
     return frag
 
 
@@ -461,10 +466,14 @@ def run_batch(in_path, out_path, jobs: int = 1,
 
     worker = partial(process_line, global_options=global_options,
                      base=base, version=version)
-    broken: Optional[BrokenProcessPool] = None
+    broken = None
     if jobs == 1 or len(pending) <= 1:
         results = [worker(raw) for raw in pending]
     else:
+        # the pool module loads multiprocessing, which a serial run does
+        # not need
+        from concurrent.futures.process import (BrokenProcessPool,
+                                                ProcessPoolExecutor)
         results = []
         # a fork pool starts all its workers at the first submit
         with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:

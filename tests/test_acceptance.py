@@ -24,14 +24,15 @@ from frobeig.eig import build_eig_group, frobenius_rank
 from frobeig.errors import FrobeigError, RootModulusFailed
 from frobeig.lefmot import (ALL_PASS, EXOTIC, FAIL, build_rho_table,
                             classify_orbits, dims, eigen_multiset,
-                            hypothesis_check, predicted_signature)
+                            hypothesis_check, motive_orbits,
+                            predicted_signature)
 from frobeig.quadforms import (am_filter, charpoly_exact,
                                constant_signature_certify, count_real_roots,
                                mat_inverse, mat_mul_q, tannaka_transfer)
 from frobeig.report import canonical_json, run_batch
 from frobeig.weil import base_change, validate
 
-from conftest import analysis_cached, split_cached
+from conftest import analysis_cached, deep_grid_records, split_cached
 
 F = Fraction
 
@@ -112,7 +113,9 @@ def test_criterion_03_supersingular_worked_example():
     elapsed = time.perf_counter() - t0
     assert rep.dims == (36, 2, 32, 70)
     assert 70 == math.comb(8, 4)
-    exotic = [o for o in rep.orbits if o.classification == EXOTIC]
+    assert rep.orbit_counts == (1, 1, 1)
+    exotic = [o for o in motive_orbits(an, 4, 2)
+              if o.classification == EXOTIC]
     assert len(exotic) == 1
     orbit = exotic[0]
     assert orbit.orbit_size == 2
@@ -354,21 +357,15 @@ def test_criterion_12_batch_determinism(tmp_path):
                 elapsed)
 
 
-# the deep-grid store: every non-quadratic corpus record at max_power 6,
-# the cap, except the two g=3 triple products, which a record option caps
-# at 3; like the corpus store, it is an output contract
-
-_DEEP_GRID_CAPPED = {(3, (27, 0, 24, 0, 8, 0, 1)), (2, (8, 0, 10, 0, 5, 0, 1))}
-
+# the deep-grid store (see conftest.deep_grid_records): like the corpus
+# store, it is an output contract
 
 def test_deep_grid_store_digest(tmp_path):
     records = []
-    for e in CORPUS:
-        if len(e.coefficients) == 3:
-            continue
+    for e, max_power in deep_grid_records():
         record = {"label": e.tag, "q": e.q, "coeffs": list(e.coefficients)}
-        if (e.q, e.coefficients) in _DEEP_GRID_CAPPED:
-            record["options"] = {"max_power": 3}
+        if max_power != 6:
+            record["options"] = {"max_power": max_power}
         records.append(canonical_json(record))
     assert len(records) == 14
     in_path = tmp_path / "deep.ndjson"

@@ -4,7 +4,7 @@ import sys
 
 from frobeig import eig, lefmot, splitfield, weil
 from frobeig.analysis import Analysis
-from frobeig.lefmot import classify_orbits
+from frobeig.lefmot import motive_orbits
 from frobeig.report import build_report_record, parse_record
 from frobeig.splitfield import ModRing
 from frobeig.weil import validate
@@ -56,15 +56,20 @@ def test_each_tate_verdict_decided_once(monkeypatch):
         x) or real_inv(ring, x))
     an.relations                  # the kernel search reads rho too
     tate = record_calls(monkeypatch, eig, "realize_coords")
-    reps = set()
+    q = an.eig.q_coords
+    classes = set()
     for d in (1, 2):
         for n in range(3 * d + 1):
-            decs = [classify_orbits(an, d, n)]
+            orbits = list(motive_orbits(an, d, n))
             if 2 * n <= 3 * d:
-                decs.append(classify_orbits(an, d, n, "primitive"))
-            reps |= {o.elements[0].coords for dec in decs
-                     for o in dec.orbits
-                     if o.classification != lefmot.TATE_TRIVIAL}
-    assert len(tate) == len(reps) > 0
+                orbits += motive_orbits(an, d, n, "primitive")
+            # each verdict is keyed by the weight-zero class lam - n[q]
+            classes |= {tuple(a - n * b for a, b in
+                              zip(o.elements[0].coords, q))
+                        for o in orbits
+                        if o.classification != lefmot.TATE_TRIVIAL}
+    # one field test per class, and one of rho([q]) = q
+    assert len(tate) == len(classes) + 1 > 1
+    assert tate[0] == an.rho.ring.const(2)
     # negative powers start from 1/r = rbar/q, never from a field inverse
     assert inverses == []

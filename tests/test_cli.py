@@ -1,22 +1,31 @@
 """CLI surface: record parsing, canonical output, exit codes, batch store."""
 
+import concurrent.futures.process as pool_module
 import io
 import json
 import os
+import subprocess
 import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import frobeig
 from frobeig import report
 from frobeig.cli import main
 from frobeig.config import DEFAULT, MAX_POWER_CAP
+from frobeig.corpus import CORPUS
 from frobeig.errors import MalformedInput
 from frobeig.report import (InputRecord, build_report_record, canonical_json,
                             content_key, effective_options, existing_keys,
                             parse_record, run_batch, settings_for)
+
+from conftest import deep_grid_records
 
 
 def run_cli(capsys, *argv):
@@ -26,6 +35,38 @@ def run_cli(capsys, *argv):
 
 
 # --- canonical serialization ---
+
+def _canonical(obj):
+    if obj is None or isinstance(obj, (bool, str)):
+        return obj
+    if isinstance(obj, (int, Fraction)):
+        return str(obj)
+    if isinstance(obj, (list, tuple)):
+        return [_canonical(v) for v in obj]
+    if isinstance(obj, dict):
+        out = {}
+        for k, v in obj.items():
+            if not isinstance(k, str):
+                raise TypeError(f"non-string key {k!r} in report data")
+            out[k] = _canonical(v)
+        return out
+    raise TypeError(f"cannot serialize {type(obj).__name__} in a report")
+
+
+def _oracle_json(obj):
+    """canonical_json by way of a copy of obj with every number a string."""
+    return json.dumps(_canonical(obj), sort_keys=True,
+                      separators=(",", ":"), ensure_ascii=True)
+
+
+_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.fractions(),
+              st.text()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.tuples(inner, inner),
+                            st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=25)
+
 
 class TestCanonicalJson:
     def test_numbers_become_strings(self):
@@ -46,6 +87,46 @@ class TestCanonicalJson:
             canonical_json({1: "x"})
         with pytest.raises(TypeError):
             canonical_json({"x": object()})
+
+    @settings(deadline=None, max_examples=300)
+    @given(_values)
+    def test_matches_the_oracle(self, value):
+        assert canonical_json(value) == _oracle_json(value)
+        assert canonical_json(value).isascii()
+
+    @settings(deadline=None, max_examples=100)
+    @given(_values, st.one_of(st.integers(), st.none(), st.booleans()),
+           st.one_of(st.floats(), st.binary(), st.just(object())))
+    def test_type_errors_match_the_oracle(self, value, key, unknown):
+        for bad in ({"ok": value, key: 1}, [value, {"x": [unknown]}]):
+            for encode in (canonical_json, _oracle_json):
+                with pytest.raises(TypeError):
+                    encode(bad)
+
+    def test_reports_match_the_oracle(self):
+        for e in CORPUS:
+            rep = build_report_record(InputRecord(q=e.q,
+                                                  coeffs=e.coefficients,
+                                                  label=e.tag))
+            assert canonical_json(rep) == _oracle_json(rep), e.tag
+        for e, max_power in deep_grid_records():
+            rep = build_report_record(InputRecord(q=e.q,
+                                                  coeffs=e.coefficients,
+                                                  label=e.tag),
+                                      {"max_power": max_power})
+            assert canonical_json(rep) == _oracle_json(rep), e.tag
+
+    def test_importing_the_cli_loads_no_process_pool(self):
+        # a serial batch never needs multiprocessing; only jobs > 1
+        # imports the pool
+        code = ("import sys, frobeig.report, frobeig.cli; "
+                "print([m for m in ('multiprocessing', "
+                "'concurrent.futures.process') if m in sys.modules])")
+        src = str(Path(frobeig.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
 
 
 # --- input records ---
@@ -662,7 +743,7 @@ class TestBatch:
                                                   tmp_path):
         # a fork pool starts every worker at the first submit, so a pool
         # wider than the pending lines forks processes that get no work
-        real = report.ProcessPoolExecutor
+        real = pool_module.ProcessPoolExecutor
 
         def bounded(max_workers):
             assert max_workers <= 2
@@ -671,7 +752,7 @@ class TestBatch:
         inp = write_batch_input(tmp_path, BATCH_LINES[:2])
         serial, wide = tmp_path / "s1.ndjson", tmp_path / "s64.ndjson"
         run_batch(inp, serial, global_options={"max_power": 1})
-        monkeypatch.setattr(report, "ProcessPoolExecutor", bounded)
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", bounded)
         summary = run_batch(inp, wide, jobs=64,
                             global_options={"max_power": 1})
         assert summary["written"] == 2

@@ -8,17 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frobeig.corpus import CORPUS
 from frobeig.errors import InternalInconsistency, MalformedInput, NotSimple
 from frobeig.lefmot import (ALL_PASS, EXOTIC, FAIL, NON_TATE,
                             PASS_CONDITIONAL_ON_CM, TATE_TRIVIAL,
-                            _exotic_shape_ok, build_rho_table,
+                            MotiveOrbit, _exotic_shape_ok, build_rho_table,
                             classify_orbits, dims, eigen_multiset,
-                            hypothesis_check, power_layers,
-                            predicted_signature, primitive_multiset)
-from frobeig.eig import build_eig_group
+                            hypothesis_check, motive_orbits, pack,
+                            pack_width, power_layers, predicted_signature,
+                            primitive_multiset, unpack)
+from frobeig.eig import apply_rows, build_eig_group, realize_coords
 from frobeig.weil import base_change, validate
 
-from conftest import analysis_cached, split_cached
+from conftest import analysis_cached, deep_grid_records, split_cached
 
 
 def full_setup(q, coeffs):
@@ -113,9 +115,13 @@ class TestPowerLayers:
         eig = build_eig_group(data)
         for d in range(1, max_d + 1):
             layers = power_layers(data, eig, d)
+            w = pack_width(data.g, eig, d)
             assert len(layers) == 2 * data.g * d + 1
             for k, layer in enumerate(layers):
-                assert layer == _expand_degree(data, eig, d, k)
+                decoded = {unpack(key, w, eig.rank): c
+                           for key, c in layer.items()}
+                assert len(decoded) == len(layer)
+                assert decoded == _expand_degree(data, eig, d, k)
 
     def test_analysis_expands_each_power_once(self, monkeypatch):
         import frobeig.analysis as analysis_module
@@ -132,6 +138,46 @@ class TestPowerLayers:
             classify_orbits(an, 4, n, "primitive")
         eigen_multiset(an, 3, 1)
         assert calls == [4, 3]
+
+
+class TestPacking:
+    # a rank and a digit width, and vectors within the width's bound
+    shapes = st.tuples(st.integers(1, 6), st.integers(2, 12))
+
+    @staticmethod
+    def vectors(rank, w, size=None):
+        bound = (1 << (w - 1)) - 1
+        vec = st.tuples(*[st.integers(-bound, bound)] * rank)
+        return vec if size is None else st.lists(vec, min_size=size,
+                                                 max_size=size)
+
+    @settings(deadline=None, max_examples=200)
+    @given(shapes, st.data())
+    def test_round_trip(self, shape, datax):
+        rank, w = shape
+        bound = (1 << (w - 1)) - 1
+        edge = st.tuples(*[st.sampled_from([-bound, bound, 0])] * rank)
+        for vec in (datax.draw(self.vectors(rank, w)), datax.draw(edge)):
+            assert unpack(pack(vec, w), w, rank) == vec
+
+    @settings(deadline=None, max_examples=200)
+    @given(shapes, st.data())
+    def test_int_order_is_tuple_order(self, shape, datax):
+        rank, w = shape
+        a, b = datax.draw(self.vectors(rank, w, size=2))
+        assert (pack(a, w) < pack(b, w)) == (a < b)
+        assert (pack(a, w) == pack(b, w)) == (a == b)
+
+    @settings(deadline=None, max_examples=200)
+    @given(shapes, st.data())
+    def test_linear(self, shape, datax):
+        rank, w = shape
+        rows = datax.draw(self.vectors(rank, w, size=rank))
+        v = datax.draw(st.tuples(*[st.integers(-9, 9)] * rank))
+        image = [sum(c * row[t] for c, row in zip(v, rows))
+                 for t in range(rank)]
+        assert pack(image, w) == sum(c * pack(row, w)
+                                     for c, row in zip(v, rows))
 
 
 class TestPrimitiveMultiset:
@@ -179,7 +225,9 @@ class TestClassifyOrbits:
         an = analysis_cached(3, (3, 0, 1))
         rep = classify_orbits(an, 4, 2)
         assert rep.dims == (36, 2, 32, 70)
-        exo = [o for o in rep.orbits if o.classification == EXOTIC]
+        assert rep.orbit_counts == (1, 1, 1)
+        exo = [o for o in motive_orbits(an, 4, 2)
+               if o.classification == EXOTIC]
         assert len(exo) == 1 and exo[0].orbit_size == 2
         assert exo[0].dimension_in_ambient == 2
         assert rep.exotic_details[0]["shape"] == "certified"
@@ -194,14 +242,15 @@ class TestClassifyOrbits:
         rep = classify_orbits(an, 2, 1)
         assert rep.dims == (4, 0, 2, 6)
         assert rep.exotic_details == ()
-        kinds = sorted(o.classification for o in rep.orbits)
+        kinds = sorted(o.classification for o in motive_orbits(an, 2, 1))
         assert kinds == [NON_TATE, TATE_TRIVIAL]
 
     def test_point_class(self):
         an = analysis_cached(5, (5, -1, 1))
         rep = classify_orbits(an, 1, 0)
         assert rep.dims == (1, 0, 0, 1)
-        assert rep.orbits[0].classification == TATE_TRIVIAL
+        orbit, = motive_orbits(an, 1, 0)
+        assert orbit.classification == TATE_TRIVIAL
 
     def test_squared_factor_shape_not_certified(self):
         # m = 2 fails the hypotheses, so the (correct) shape is reported
@@ -232,12 +281,11 @@ class TestClassifyOrbits:
         detail, = rep.exotic_details
         assert detail["elements"] == [(-6, 6, 6), (6, -6, 6)]
         assert detail["shape"] == "certified"
-        elements = lambda *cs: [an.eig.element(c) for c in cs]
-        assert _exotic_shape_ok(an.eig, elements((6, -6, 6), (-6, 6, 6)))
-        assert _exotic_shape_ok(an.eig, elements((6, 6, 0), (-6, -6, 12)))
+        assert _exotic_shape_ok(an.eig, [(6, -6, 6), (-6, 6, 6)])
+        assert _exotic_shape_ok(an.eig, [(6, 6, 0), (-6, -6, 12)])
         # unequal magnitudes, or a [q] part that is not conjugate
-        assert not _exotic_shape_ok(an.eig, elements((-6, 4, 7), (6, -4, 5)))
-        assert not _exotic_shape_ok(an.eig, elements((-6, 6, 6), (6, -6, 7)))
+        assert not _exotic_shape_ok(an.eig, [(-6, 4, 7), (6, -4, 5)])
+        assert not _exotic_shape_ok(an.eig, [(-6, 6, 6), (6, -6, 7)])
 
     def test_partition_properties(self):
         from frobeig.eig import galois_action
@@ -245,9 +293,11 @@ class TestClassifyOrbits:
                  (2, (8, 0, 4, 0, 2, 0, 1), 2, 2)]
         for q, coeffs, d, n in cases:
             data, field, eig, gal = full_setup(q, coeffs)
-            rep = classify_orbits(analysis_cached(q, coeffs), d, n)
+            an = analysis_cached(q, coeffs)
+            rep = classify_orbits(an, d, n)
+            orbits = motive_orbits(an, d, n)
             seen = set()
-            for orbit in rep.orbits:
+            for orbit in orbits:
                 coords = {el.coords for el in orbit.elements}
                 assert not (coords & seen)
                 seen |= coords
@@ -255,7 +305,7 @@ class TestClassifyOrbits:
                 for sigma in gal.perms:
                     assert {galois_action(eig, sigma, el).coords
                             for el in orbit.elements} == coords
-            total = sum(o.dimension_in_ambient for o in rep.orbits)
+            total = sum(o.dimension_in_ambient for o in orbits)
             assert total == rep.dims[3] == math.comb(2 * data.g * d, 2 * n)
 
     def test_rejects_unknown_ambient(self):
@@ -392,3 +442,106 @@ class TestPredictedSignature:
             build_rho_table(an, 1)
         with pytest.raises(MalformedInput):
             build_rho_table(an, 2, source="hodge")
+
+
+# --- the tuple-keyed classification, kept as a test-only oracle ---
+
+def _tuple_layers(data, eig, d):
+    """power_layers on coordinate tuples."""
+    top = 2 * data.g * d
+    layers = [{} for _ in range(top + 1)]
+    layers[0][(0,) * eig.rank] = 1
+    reached = 0
+    for i, mult in enumerate(data.root_mult):
+        e = d * mult
+        sym = eig.symbol_coords[i]
+        reached += e
+        for deg in range(reached - e, -1, -1):
+            for coords, c in list(layers[deg].items()):
+                nc = coords
+                for j in range(1, e + 1):
+                    nc = tuple(a + b for a, b in zip(nc, sym))
+                    bucket = layers[deg + j]
+                    bucket[nc] = bucket.get(nc, 0) + c * math.comb(e, j)
+    return layers
+
+
+def _tuple_decomposition(an, layers, n, ambient, tate):
+    """(dims, orbit counts, exotic details, orbits) of the weight-2n
+    part: orbits by applying every action row to tuples, the Tate test
+    rho(lam) = q^n per coordinate vector, memoized in tate."""
+    eig = an.eig
+    by_coords = layers[2 * n]
+    if ambient == "primitive" and n > 0:
+        below = layers[2 * n - 2]
+        by_coords = {}
+        for coords, c in layers[2 * n].items():
+            shifted = tuple(a - b for a, b in zip(coords, eig.q_coords))
+            if c - below.get(shifted, 0):
+                by_coords[coords] = c - below.get(shifted, 0)
+    trivial = tuple(n * c for c in eig.q_coords)
+    kinds = (TATE_TRIVIAL, EXOTIC, NON_TATE)
+    dims_, counts, details, orbits = [0, 0, 0], [0, 0, 0], [], []
+    seen = set()
+    for coords in sorted(by_coords):
+        if coords in seen:
+            continue
+        orbit = frozenset(apply_rows(rows, coords) for rows in an.action)
+        seen |= orbit
+        mult, = {by_coords[c] for c in orbit}
+        members = tuple(eig.element(c) for c in sorted(orbit))
+        if orbit == {trivial}:
+            cls = TATE_TRIVIAL
+        else:
+            if coords not in tate:
+                rho = an.rho
+                tate[coords] = realize_coords(rho, coords) == \
+                    rho.ring.const(an.data.q ** n)
+            cls = EXOTIC if tate[coords] else NON_TATE
+        dims_[kinds.index(cls)] += len(orbit) * mult
+        counts[kinds.index(cls)] += 1
+        orbits.append(MotiveOrbit(elements=members, weight=2 * n,
+                                  orbit_size=len(orbit), classification=cls,
+                                  multiplicity_in_ambient=mult))
+        if cls == EXOTIC:
+            shape = _exotic_shape_ok(eig, sorted(orbit))
+            detail = {"elements": sorted(orbit),
+                      "orbit_size": len(orbit), "multiplicity": mult}
+            if an.shape_certified:
+                assert shape
+                detail["shape"] = "certified"
+            else:
+                detail["shape"] = "as_predicted" if shape else "unexpected"
+                if not shape:
+                    detail["warning"] = ("exotic orbit outside the rank-2 "
+                                         "shape; hypotheses do not all hold")
+            details.append(detail)
+    assert sum(dims_) == sum(by_coords.values())
+    return (tuple(dims_) + (sum(dims_),), tuple(counts), tuple(details),
+            tuple(orbits))
+
+
+def _check_against_oracle(an, max_power):
+    g, tate = an.data.g, {}
+    for d in range(1, max_power + 1):
+        layers = _tuple_layers(an.data, an.eig, d)
+        for n in range(g * d + 1):
+            for ambient in ("full", "primitive")[:1 + (2 * n <= g * d)]:
+                rep = classify_orbits(an, d, n, ambient)
+                got = (rep.dims, rep.orbit_counts, rep.exotic_details,
+                       motive_orbits(an, d, n, ambient))
+                want = _tuple_decomposition(an, layers, n, ambient, tate)
+                assert got == want, (an.data.q, d, n, ambient)
+
+
+class TestClassificationOracle:
+    """The packed-key walk against the tuple-keyed classification."""
+
+    def test_corpus_to_power_2(self):
+        for e in CORPUS:
+            _check_against_oracle(analysis_cached(e.q, e.coefficients), 2)
+
+    def test_deep_grid(self):
+        for e, max_power in deep_grid_records():
+            _check_against_oracle(analysis_cached(e.q, e.coefficients),
+                                  max_power)
