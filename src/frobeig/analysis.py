@@ -8,32 +8,30 @@ everything built on it, the Galois group included, which is certified
 exactly from the field's root coordinates.  Both verdicts use the one
 Frobenius rank r.
 
-The orbit classification reads four per-record tables: one expansion of
-the eigenvalue multisets of every weight of a power d, on packed integer
-keys (see lefmot.pack); the validated action rows of every Galois
-element, also packed for that d; the realization map rho (shared with
-the relation engine); and the Tate verdicts.  The expansion and the
-packed rows are kept for the power read last only, which is all the
-grid and the rho tables need, so memory stays bounded over a grid.  A
-representative lam of weight 2n is Tate when rho(lam) = q^n, that is
-when its weight-zero class mu = lam - n[q] realizes to 1 (rho([q]) = q
-is checked once); the verdict is kept per mu, so it is decided once for
-every (d, n) and both ambients.  Full (d, n) decompositions keep only
-their dims, which rho tables reuse.
+The orbit classification reads four per-record tables on packed integer
+keys of one width (see lefmot.pack_width): one expansion of the
+eigenvalue multisets of every weight of a power d, kept for the power
+read last only, so memory stays bounded over a grid; the validated
+action rows of every Galois element; the realization map rho (shared
+with the relation engine); and the Tate verdicts.  A representative lam
+of weight 2n is Tate when its weight-zero class mu = lam - n[q]
+realizes to 1, rho([q]) = q being checked once; the verdict is kept per
+packed mu, so it is decided once for every (d, n) and both ambients.
+Full (d, n) decompositions keep only their dims, which rho tables reuse.
 """
 
 from functools import cached_property
 from typing import Dict, Iterator, Optional, Tuple
 
-from .config import DEFAULT, Settings
-from .eig import (Coords, EigGroup, Realization, RelationLattice, _dot,
+from .config import DEFAULT, MAX_POWER_CAP, Settings
+from .eig import (Coords, EigGroup, Realization, RelationLattice,
                   _relation_engine, action_rows, build_eig_group,
                   realize_coords)
 from .errors import (DegreeCapExceeded, InternalInconsistency,
-                     PrecisionExhausted)
+                     MalformedInput, PrecisionExhausted)
 from .lefmot import (ALL_PASS, DecompositionReport, HypothesisVerdict,
                      classify_orbits, hypothesis_check, pack, pack_width,
-                     power_layers)
+                     power_layers, unpack)
 from .splitfield import (Elem, GaloisData, SplittingField, galois_group,
                          splitting_field)
 from .weil import WeilData
@@ -53,12 +51,10 @@ class Analysis:
         self.cm_assertion = cm_assertion
         self._field_failure: Optional[Exception] = None
         self._dims: Dict[Tuple[int, int], Tuple[int, int, int, int]] = {}
-        # one slot each, (d, value), for the power d read last
+        # one slot, (d, layers), for the power d read last
         self._layers: Tuple[Optional[int], Tuple[Dict[int, int], ...]] = \
             (None, ())
-        self._packed_action: Tuple[Optional[int],
-                                   Tuple[Tuple[int, ...], ...]] = (None, ())
-        self._tate: Dict[Coords, bool] = {}
+        self._tate: Dict[int, bool] = {}
 
     def undetermined(self, part: str) -> Optional[str]:
         """Name of the field's bound failure if it leaves part ("field",
@@ -131,39 +127,39 @@ class Analysis:
             raise InternalInconsistency("rho([q]) differs from q")
         return rho.ring.const(1)
 
+    @cached_property
+    def width(self) -> int:
+        """Digit width of every packed key of the record (pack_width)."""
+        return pack_width(self.data.g, self.eig)
+
     def layers(self, d: int) -> Tuple[Dict[int, int], ...]:
-        """Eigenvalue multisets of weights 0 .. 2gd on power d, on packed
-        keys (see lefmot.power_layers).  Only the most recently expanded
-        power is kept: the grid and the rho tables read one d at a time."""
+        """Eigenvalue multisets of weights 0 .. 2gd on power d <=
+        MAX_POWER_CAP, on packed keys (see lefmot.power_layers).  Only the
+        power read last is kept: the grid and rho tables read one d at a
+        time."""
+        if not 1 <= d <= MAX_POWER_CAP:
+            raise MalformedInput(f"power d={d} outside 1..{MAX_POWER_CAP}")
         if self._layers[0] != d:
-            self._layers = (d, power_layers(self.data, self.eig, d))
+            self._layers = (d, power_layers(self.data, self.eig, d,
+                                            self.width))
         return self._layers[1]
 
-    def packed_action(self, d: int) -> Tuple[Tuple[int, ...], ...]:
-        """The action rows packed at power d's width (see lefmot.pack),
-        by basis position: entry j lists the image of b_j under every
-        Galois element, in the order of gal.perms.  Kept for the most
-        recent d."""
-        if self._packed_action[0] != d:
-            w = pack_width(self.data.g, self.eig, d)
-            self._packed_action = (d, tuple(
-                tuple(pack(rows[j], w) for rows in self.action)
-                for j in range(self.eig.rank)))
-        return self._packed_action[1]
+    @cached_property
+    def packed_action(self) -> Tuple[Tuple[int, ...], ...]:
+        """The action rows packed at `width` (see lefmot.pack), by basis
+        position: entry j lists the image of b_j under every Galois
+        element, in the order of gal.perms."""
+        w = self.width
+        return tuple(tuple(pack(rows[j], w) for rows in self.action)
+                     for j in range(self.eig.rank))
 
-    def is_tate(self, coords: Coords) -> bool:
-        """Does rho(lam) = q^n hold, 2n the weight of lam?  Decided exactly
-        once per weight-zero class mu = lam - n[q], as rho(mu) = 1, which
-        rho([q]) = q makes equivalent."""
-        eig = self.eig
-        weight = _dot(eig.weight_vector, coords)
-        if weight % 2:
-            return False
-        n = weight // 2
-        mu = tuple(a - n * b for a, b in zip(coords, eig.q_coords))
+    def is_tate(self, mu: int) -> bool:
+        """Does the packed weight-zero class mu = lam - n[q] realize to 1,
+        that is rho(lam) = q^n?  Decided, and unpacked, once per class."""
         if mu not in self._tate:
             one = self._one
-            self._tate[mu] = realize_coords(self.rho, mu) == one
+            self._tate[mu] = realize_coords(
+                self.rho, unpack(mu, self.width, self.eig.rank)) == one
         return self._tate[mu]
 
     def grid(self, max_power: int) -> Iterator[DecompositionReport]:

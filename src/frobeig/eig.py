@@ -103,12 +103,6 @@ class EigGroup:
             raise MalformedInput("coordinate length does not match rank")
         return EigElement(vec, _dot(self.weight_vector, vec))
 
-    def q_element(self, n: int = 1) -> EigElement:
-        return self.element(tuple(n * c for c in self.q_coords))
-
-    def root_element(self, i: int) -> EigElement:
-        return self.element(self.symbol_coords[i])
-
 
 @dataclass(frozen=True)
 class RelationLattice:
@@ -213,12 +207,6 @@ def apply_rows(rows: Sequence[Coords], coords: Sequence[int]) -> Coords:
                 if x:
                     out[t] += c * x
     return tuple(out)
-
-
-def galois_action(eig: EigGroup, sigma: Sequence[int],
-                  elem: EigElement) -> EigElement:
-    """Image of elem under the root permutation sigma ([q] stays fixed)."""
-    return eig.element(apply_rows(action_rows(eig, sigma), elem.coords))
 
 
 # --- relation searches ---

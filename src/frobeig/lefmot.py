@@ -12,13 +12,13 @@ error, not a data condition.
 
 power_layers expands this product once per power d, for every weight at
 once, on packed keys: pack writes a coordinate vector as one int in
-balanced base-2^w digits, first coordinate most significant, with w from
-pack_width large enough for every label of the power and its Lefschetz
-shift.  The packing is linear and keeps tuple order, so adding a symbol
-is one int addition, the shift by [q] subtracts one int, and sorting
-keys sorts coordinate vectors.  An Analysis keeps the layers of the
-power it read last; the full and primitive multisets of each (d, n) are
-views of them, decoded only by eigen_multiset and primitive_multiset.
+balanced base-2^w digits, first coordinate most significant, with the
+one width w of pack_width large enough for every label of every power up
+to MAX_POWER_CAP and for its weight-zero class.  The packing is linear
+and keeps tuple order, so adding a symbol is one int addition, the shift
+by [q] subtracts one int, and sorting keys sorts coordinate vectors.  An
+Analysis keeps the layers of the power it read last; eigen_multiset
+decodes one of them.
 
 Each Galois orbit of labels is one simple motive class and falls into a
 trichotomy: the orbit {n[q]} (Lefschetz classes), orbits realizing
@@ -27,15 +27,17 @@ when the realization has a kernel), and everything else (no Tate classes
 at all).  One walk over the sorted packed keys (_orbit_walk) finds each
 orbit from its smallest member, the only member it decodes: the image
 of v under sigma is sum_j v_j * P_sigma[j], the P_sigma the analysis's
-validated action rows packed for d.  classify_orbits folds the walk into
+validated action rows, packed once.  classify_orbits folds the walk into
 dims and orbit counts and decodes EXOTIC orbits for their details;
 motive_orbits builds a MotiveOrbit per orbit for `frobeig motives`.
-The Tate test rho(lam) = q^n runs through one realization map per
-analysis, eig.Realization: it tabulates the powers rho(b_j)^e of every
-basis root with no field inversion (1/r = rbar/q) and treats [q] as the
-rational scalar q, so one test costs at most rank - 1 field products.
-Analysis.is_tate keeps its verdict per weight-zero class lam - n[q], so
-each class is tested once for all (d, n) and both ambients.
+The Tate test rho(lam) = q^n is rho(mu) = 1 on the weight-zero class
+mu = lam - n[q], which the walk hands to Analysis.is_tate as the packed
+key key - n*pack([q]); the verdict is kept per mu, so each class is
+tested once for all (d, n) and both ambients.  The test runs through one
+realization map per analysis, eig.Realization: it tabulates the powers
+rho(b_j)^e of every basis root with no field inversion (1/r = rbar/q)
+and treats [q] as the rational scalar q, so one test costs at most
+rank - 1 field products.
 
 When the main positivity hypotheses all pass, exotic orbits must have
 size two and the antipodal coordinate shape predicted by the
@@ -56,6 +58,7 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterator, List,
                     Optional, Sequence, Tuple)
 
+from .config import MAX_POWER_CAP
 from .eig import Coords, EigElement, EigGroup
 from .errors import InternalInconsistency, MalformedInput, NotPrimePower
 from .weil import WeilData, prime_power_decomposition
@@ -112,13 +115,15 @@ class SignaturePrediction:
     source: Optional[str] = None
 
 
-def pack_width(g: int, eig: EigGroup, d: int) -> int:
-    """Digit width w of the packed keys of power d.  A coordinate of a
-    weight-k label sums at most 2gd symbol coordinates, and the Lefschetz
-    shift subtracts one [q]; both stay below 2^(w-1) in absolute value."""
-    bound = 2 * g * d * max(abs(c) for sym in eig.symbol_coords
-                            for c in sym) \
-        + max(abs(c) for c in eig.q_coords)
+def pack_width(g: int, eig: EigGroup) -> int:
+    """Digit width w of the packed keys of every power d <= MAX_POWER_CAP.
+    A coordinate of a weight-2n label of power d sums at most 2gd symbol
+    coordinates, and its weight-zero class lam - n[q] (n <= gd) subtracts
+    at most gd copies of [q]; w keeps the bound
+    2gd*max|sym| + gd*max|q| at d = MAX_POWER_CAP below 2^(w-1)."""
+    gd = g * MAX_POWER_CAP
+    bound = 2 * gd * max(abs(c) for sym in eig.symbol_coords for c in sym) \
+        + gd * max(abs(c) for c in eig.q_coords)
     return bound.bit_length() + 1
 
 
@@ -145,17 +150,14 @@ def unpack(key: int, w: int, rank: int) -> Coords:
     return tuple(out)
 
 
-def power_layers(data: WeilData, eig: EigGroup,
-                 d: int) -> Tuple[Dict[int, int], ...]:
+def power_layers(data: WeilData, eig: EigGroup, d: int,
+                 w: int) -> Tuple[Dict[int, int], ...]:
     """Enriched eigenvalue multisets of every weight k = 0 .. 2gd on
     power d, one expansion: layer k is the coefficient of t^k in
     prod_i (1 + x_i t)^(d * mult_i) over the group algebra, keyed by
-    basis coordinates packed at pack_width(g, eig, d), of total mass
+    basis coordinates packed at width w (see pack_width), of total mass
     C(2gd, k) exactly."""
-    if d < 1:
-        raise MalformedInput(f"power d={d} must be positive")
     top = 2 * data.g * d
-    w = pack_width(data.g, eig, d)
     # a monomial's degree equals its weight, so entries of different
     # degrees never share coordinates
     layers: List[Dict[int, int]] = [{} for _ in range(top + 1)]
@@ -184,12 +186,10 @@ def power_layers(data: WeilData, eig: EigGroup,
 
 
 def _full_layer(an: Analysis, d: int, k: int) -> Dict[int, int]:
-    if d < 1:
-        raise MalformedInput(f"power d={d} must be positive")
-    top = 2 * an.data.g * d
-    if k < 0 or k > top:
-        raise MalformedInput(f"degree k={k} outside 0..{top}")
-    return an.layers(d)[k]
+    layers = an.layers(d)
+    if not 0 <= k < len(layers):
+        raise MalformedInput(f"degree k={k} outside 0..{len(layers) - 1}")
+    return layers[k]
 
 
 def _primitive_layer(an: Analysis, d: int, n: int) -> Dict[int, int]:
@@ -204,14 +204,14 @@ def _primitive_layer(an: Analysis, d: int, n: int) -> Dict[int, int]:
     if n == 0:
         return full
     below = dict(_full_layer(an, d, 2 * n - 2))
-    w = pack_width(data.g, eig, d)
-    q_key = pack(eig.q_coords, w)
+    q_key = pack(eig.q_coords, an.width)
     prim: Dict[int, int] = {}
     for key, c in full.items():
         p = c - below.pop(key - q_key, 0)
         if p < 0:
-            raise InternalInconsistency("negative primitive multiplicity "
-                                        f"at {unpack(key, w, eig.rank)}")
+            raise InternalInconsistency(
+                "negative primitive multiplicity at "
+                f"{unpack(key, an.width, eig.rank)}")
         if p:
             prim[key] = p
     if below:
@@ -224,24 +224,12 @@ def _primitive_layer(an: Analysis, d: int, n: int) -> Dict[int, int]:
     return prim
 
 
-def _elements(an: Analysis, d: int,
-              layer: Dict[int, int]) -> Dict[EigElement, int]:
-    w, eig = pack_width(an.data.g, an.eig, d), an.eig
-    return {eig.element(unpack(key, w, eig.rank)): c
-            for key, c in layer.items()}
-
-
 def eigen_multiset(an: Analysis, d: int, k: int) -> Dict[EigElement, int]:
     """Multiset of enriched eigenvalues on the weight-k part of power d,
     read from the analysis's expansion of power d (see power_layers)."""
-    return _elements(an, d, _full_layer(an, d, k))
-
-
-def primitive_multiset(an: Analysis, d: int,
-                       n: int) -> Dict[EigElement, int]:
-    """Multiset on the primitive part of weight 2n: full minus the
-    Lefschetz image, prim(lam) = mult_2n(lam) - mult_{2n-2}(lam - [q])."""
-    return _elements(an, d, _primitive_layer(an, d, n))
+    w, eig = an.width, an.eig
+    return {eig.element(unpack(key, w, eig.rank)): c
+            for key, c in _full_layer(an, d, k).items()}
 
 
 def _exotic_shape_ok(eig: EigGroup, members: Sequence[Coords]) -> bool:
@@ -267,17 +255,16 @@ def _orbit_walk(an: Analysis, d: int, n: int, ambient: str
     Only the representative is decoded: the image of v under sigma is
     sum_j v_j * P_sigma[j], P_sigma the packed action rows, summed for
     all sigma at once along the columns P_*[j].  Its Tate verdict comes
-    from Analysis.is_tate, so an analysis without a field raises its
-    stored bound failure here."""
+    from Analysis.is_tate on the packed class key - n[q], so an analysis
+    without a field raises its stored bound failure here."""
     if ambient == "full":
         layer = _full_layer(an, d, 2 * n)
     elif ambient == "primitive":
         layer = _primitive_layer(an, d, n)
     else:
         raise MalformedInput(f"unknown ambient {ambient!r}")
-    eig = an.eig
-    w = pack_width(an.data.g, eig, d)
-    columns = an.packed_action(d)
+    eig, w = an.eig, an.width
+    columns = an.packed_action
     zero = [0] * len(columns[0])
     trivial = n * pack(eig.q_coords, w)
     seen: set = set()
@@ -299,7 +286,7 @@ def _orbit_walk(an: Analysis, d: int, n: int, ambient: str
         covered += len(orbit) * mult
         if orbit == {trivial}:
             cls = TATE_TRIVIAL
-        elif an.is_tate(coords):
+        elif an.is_tate(key - trivial):
             cls = EXOTIC
         else:
             cls = NON_TATE
@@ -308,9 +295,8 @@ def _orbit_walk(an: Analysis, d: int, n: int, ambient: str
         raise InternalInconsistency("orbit dimensions do not sum to mass")
 
 
-def _decode(an: Analysis, d: int, orbit: FrozenSet[int]) -> List[Coords]:
-    w, rank = pack_width(an.data.g, an.eig, d), an.eig.rank
-    return [unpack(key, w, rank) for key in sorted(orbit)]
+def _decode(an: Analysis, orbit: FrozenSet[int]) -> List[Coords]:
+    return [unpack(key, an.width, an.eig.rank) for key in sorted(orbit)]
 
 
 def classify_orbits(an: Analysis, d: int, n: int,
@@ -331,7 +317,7 @@ def classify_orbits(an: Analysis, d: int, n: int,
         dims_[index[cls]] += len(orbit) * mult
         counts[index[cls]] += 1
         if cls == EXOTIC:
-            members = _decode(an, d, orbit)
+            members = _decode(an, orbit)
             detail = {"elements": members,
                       "orbit_size": len(members),
                       "multiplicity": mult}
@@ -361,7 +347,7 @@ def motive_orbits(an: Analysis, d: int, n: int,
     decoded and sorted, from the same walk."""
     return tuple(
         MotiveOrbit(elements=tuple(an.eig.element(c)
-                                   for c in _decode(an, d, orbit)),
+                                   for c in _decode(an, orbit)),
                     weight=2 * n,
                     orbit_size=len(orbit), classification=cls,
                     multiplicity_in_ambient=mult)

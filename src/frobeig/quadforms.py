@@ -185,14 +185,6 @@ def _signature(a: IMat) -> Tuple[int, int]:
     return pos, neg
 
 
-def is_positive_definite(gram) -> bool:
-    try:
-        p, q = signature(gram)
-    except NondegeneracyFailed:
-        return False
-    return q == 0
-
-
 def charpoly_exact(mat) -> List[Fraction]:
     """Characteristic polynomial det(X*I - mat), coefficients low to high,
     by the Faddeev-LeVerrier recurrence."""
@@ -257,13 +249,6 @@ def _chain(p: List[int]) -> List[List[int]]:
     return chain
 
 
-def sturm_chain(p: List[Fraction]) -> List[List[int]]:
-    """Sturm chain of a rational polynomial (low-to-high), on the integers:
-    each element is the primitive positive multiple of the rational
-    chain's element, so the sign variations are the same."""
-    return _chain(_int_poly(p))
-
-
 def _variations(signs: List[int]) -> int:
     signs = [s for s in signs if s]
     return sum(1 for x, y in zip(signs, signs[1:]) if x * y < 0)
@@ -311,15 +296,6 @@ def count_real_roots(p: List[Fraction], lo: Optional[Fraction] = None,
 def _distinct(chain: List[List[int]]) -> int:
     # deg p - deg gcd(p, p'), the chain's last element being that gcd
     return len(chain[0]) - len(chain[-1]) if chain else 0
-
-
-def real_spectrum_summary(p: List[Fraction]) -> Tuple[int, int, bool]:
-    """(distinct real roots, distinct roots, all real) for a rational
-    polynomial; the Sturm chain of p and p' counts each distinct root once
-    even when roots repeat."""
-    chain = sturm_chain(p)
-    distinct_real, distinct = _count(chain), _distinct(chain)
-    return distinct_real, distinct, distinct_real == distinct
 
 
 def spectrum_all_real_positive(p: List[Fraction]) -> bool:

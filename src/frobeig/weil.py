@@ -22,6 +22,7 @@ power sum of the input, and Newton's identities rebuild the polynomial.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
@@ -35,30 +36,73 @@ from .exactmath.intpoly import IntPoly, from_power_sums, power_sums
 from .exactmath.roots import _match_permutation, isolate_roots, refine_roots
 
 
+# the primes below 2^10, trial divisors of q
+_SMALL_PRIMES = tuple(p for p in range(2, 1 << 10)
+                      if all(p % t for t in range(2, math.isqrt(p) + 1)))
+# Miller-Rabin with the 13 prime bases up to 41 decides primality of every
+# n below this bound (Sorenson-Webster, psi_13)
+_MR_BASES = _SMALL_PRIMES[:13]
+_MR_BOUND = 3317044064679887385961981
+
+
+def _iroot(n: int, e: int) -> int:
+    """floor(n^(1/e)) for n >= 1, by integer Newton from above."""
+    r = 1 << -(-n.bit_length() // e)
+    while True:
+        s = ((e - 1) * r + n // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Does odd n > 41 pass Miller-Rabin to every base of _MR_BASES?  A
+    failure proves n composite; a pass proves n prime below _MR_BOUND."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def prime_power_decomposition(q: int) -> Tuple[int, int]:
-    """(p, e) with q = p^e and p prime; NotPrimePower otherwise."""
+    """(p, e) with q = p^e and p prime; NotPrimePower otherwise.
+
+    Trial division by the primes below 2^10 settles every q with such a
+    factor.  Otherwise q = r^e for the largest e with an exact integer
+    root r, and q is a prime power exactly when r is prime, which
+    Miller-Rabin decides below _MR_BOUND.  A larger r that passes it is
+    refused with MalformedInput rather than guessed either way."""
     if q < 2:
         raise NotPrimePower(f"{q} is not a prime power")
-    n = q
-    p = None
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            p = d
-            while n % d == 0:
-                n //= d
-            break
-        d += 1
-    if p is None:
-        return q, 1          # q itself prime
-    if n != 1:
-        raise NotPrimePower(f"{q} has at least two prime divisors")
-    e = 0
-    m = q
-    while m > 1:
-        m //= p
-        e += 1
-    return p, e
+    for p in _SMALL_PRIMES:
+        if q % p == 0:
+            m, e = q, 0
+            while m % p == 0:
+                m, e = m // p, e + 1
+            if m != 1:
+                raise NotPrimePower(f"{q} has at least two prime divisors")
+            return p, e
+    # every prime factor now exceeds 2^10, so q = r^e has q > 2^(10e)
+    e = (q.bit_length() - 1) // 10
+    while (r := _iroot(q, e)) ** e != q:
+        e -= 1
+    if not _strong_probable_prime(r):
+        raise NotPrimePower(f"{q} is not a prime power")
+    if r >= _MR_BOUND:
+        raise MalformedInput(
+            f"q={q}: primality of {r} is not certified above the "
+            f"Miller-Rabin bound {_MR_BOUND}")
+    return r, e
 
 
 @dataclass(frozen=True)

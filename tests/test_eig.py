@@ -12,10 +12,10 @@ from frobeig import eig as eig_module
 from frobeig.analysis import Analysis
 from frobeig.config import DEFAULT
 from frobeig.corpus import CORPUS
-from frobeig.eig import (_FIX_BITS, EigElement, _box_hits, _hnf_rows,
-                         _in_row_lattice, _orders_lcm, _relation_engine,
-                         _to_basis_coords, build_eig_group, frobenius_rank,
-                         galois_action, invariants_report, realize_coords)
+from frobeig.eig import (_FIX_BITS, _box_hits, _hnf_rows, _in_row_lattice,
+                         _orders_lcm, _relation_engine, _to_basis_coords,
+                         action_rows, apply_rows, build_eig_group,
+                         frobenius_rank, invariants_report, realize_coords)
 from frobeig.errors import FrobeigError, MalformedInput, TorsionDetected
 from frobeig.splitfield import (ModRing, galois_group, is_root_of_unity,
                                 splitting_field, word_value)
@@ -98,9 +98,14 @@ class TestEigGroup:
         _, _, e = eig_cached(5, (5, -1, 1))
         lam = e.element((3, -1))
         assert lam.weight == 3 - 2
-        assert e.q_element(2).weight == 4
+        assert e.element(tuple(2 * c for c in e.q_coords)).weight == 4
         with pytest.raises(MalformedInput):
             e.element((1, 2, 3))
+
+
+def galois_image(eig, sigma, coords):
+    """Basis coordinates of the image of coords under sigma."""
+    return apply_rows(action_rows(eig, sigma), coords)
 
 
 class TestGaloisAction:
@@ -108,25 +113,24 @@ class TestGaloisAction:
         data, field, e = eig_cached(3, (3, 0, 1))
         gal = galois_group(field, data)
         conj = next(p for p in gal.perms if p != (0, 1))
-        pi = e.root_element(e.orbit_reps[0])
-        image = galois_action(e, conj, pi)
-        assert image.coords == (-1, 1)
-        assert image.weight == 1
+        pi = e.symbol_coords[e.orbit_reps[0]]
+        image = galois_image(e, conj, pi)
+        assert image == (-1, 1)
+        assert e.element(image).weight == 1
         # and back
-        assert galois_action(e, conj, image).coords == pi.coords
+        assert galois_image(e, conj, image) == pi
 
     def test_q_is_fixed(self):
         data, field, e = eig_cached(3, (3, 0, 1))
         gal = galois_group(field, data)
+        q4 = tuple(4 * c for c in e.q_coords)
         for sigma in gal.perms:
-            assert galois_action(e, sigma, e.q_element(4)).coords \
-                == e.q_element(4).coords
+            assert galois_image(e, sigma, q4) == q4
 
     def test_identity_action(self):
         _, _, e = eig_cached(5, (25, -5, 10, -1, 1))
         ident = tuple(range(e.n_roots))
-        lam = e.element((2, -1, 1))
-        assert galois_action(e, ident, lam) == lam
+        assert galois_image(e, ident, (2, -1, 1)) == (2, -1, 1)
 
     def test_weight_preserved_randomized(self):
         data, field, e = eig_cached(5, (25, -5, 10, -1, 1))
@@ -134,9 +138,9 @@ class TestGaloisAction:
         rng = random.Random(20260819)
         for _ in range(200):
             coords = tuple(rng.randint(-5, 5) for _ in range(e.rank))
-            lam = e.element(coords)
             sigma = gal.perms[rng.randrange(len(gal.perms))]
-            assert galois_action(e, sigma, lam).weight == lam.weight
+            assert e.element(galois_image(e, sigma, coords)).weight \
+                == e.element(coords).weight
 
     def test_rejects_non_commuting_permutation(self):
         _, _, e = eig_cached(5, (25, -5, 10, -1, 1))
@@ -144,7 +148,7 @@ class TestGaloisAction:
         bad = (2, 1, 0, 3)
         if e.iota[2] != 1:
             with pytest.raises(MalformedInput):
-                galois_action(e, bad, e.q_element())
+                galois_image(e, bad, e.q_coords)
 
 
 class TestRealizationKernel:

@@ -12,12 +12,14 @@ from frobeig.corpus import CORPUS
 from frobeig.errors import InternalInconsistency, MalformedInput, NotSimple
 from frobeig.lefmot import (ALL_PASS, EXOTIC, FAIL, NON_TATE,
                             PASS_CONDITIONAL_ON_CM, TATE_TRIVIAL,
-                            MotiveOrbit, _exotic_shape_ok, build_rho_table,
-                            classify_orbits, dims, eigen_multiset,
-                            hypothesis_check, motive_orbits, pack,
-                            pack_width, power_layers, predicted_signature,
-                            primitive_multiset, unpack)
-from frobeig.eig import apply_rows, build_eig_group, realize_coords
+                            MotiveOrbit, _exotic_shape_ok, _primitive_layer,
+                            build_rho_table, classify_orbits, dims,
+                            eigen_multiset, hypothesis_check, motive_orbits,
+                            pack, pack_width, power_layers,
+                            predicted_signature, unpack)
+from frobeig.config import MAX_POWER_CAP
+from frobeig.eig import (action_rows, apply_rows, build_eig_group,
+                         realize_coords)
 from frobeig.weil import base_change, validate
 
 from conftest import analysis_cached, deep_grid_records, split_cached
@@ -113,15 +115,38 @@ class TestPowerLayers:
     def test_layers_match_per_degree_expansion(self, q, coeffs, max_d):
         data = validate(q, list(coeffs))
         eig = build_eig_group(data)
+        w = pack_width(data.g, eig)
         for d in range(1, max_d + 1):
-            layers = power_layers(data, eig, d)
-            w = pack_width(data.g, eig, d)
+            layers = power_layers(data, eig, d, w)
             assert len(layers) == 2 * data.g * d + 1
             for k, layer in enumerate(layers):
                 decoded = {unpack(key, w, eig.rank): c
                            for key, c in layer.items()}
                 assert len(decoded) == len(layer)
                 assert decoded == _expand_degree(data, eig, d, k)
+
+    def test_weight_zero_classes_fit_the_width(self):
+        # the one width holds every label of every power and its class
+        # lam - n[q], so the packed difference unpacks to the difference
+        for e, max_power in deep_grid_records():
+            an = analysis_cached(e.q, e.coefficients)
+            w, rank, q = an.width, an.eig.rank, an.eig.q_coords
+            q_key = pack(q, w)
+            for d in range(1, max_power + 1):
+                for n, layer in enumerate(an.layers(d)[::2]):
+                    for key in layer:
+                        lam = unpack(key, w, rank)
+                        assert unpack(key - n * q_key, w, rank) == tuple(
+                            a - n * b for a, b in zip(lam, q))
+
+    def test_power_outside_the_cap_rejected(self):
+        an = analysis_cached(5, (5, -1, 1))
+        with pytest.raises(MalformedInput, match="outside 1..6"):
+            an.layers(MAX_POWER_CAP + 1)
+        with pytest.raises(MalformedInput):
+            classify_orbits(an, MAX_POWER_CAP + 1, 0)
+        with pytest.raises(MalformedInput):
+            an.layers(0)
 
     def test_analysis_expands_each_power_once(self, monkeypatch):
         import frobeig.analysis as analysis_module
@@ -133,7 +158,7 @@ class TestPowerLayers:
         an = Analysis(validate(3, [3, 0, 1]))
         for n in range(3):
             eigen_multiset(an, 4, 2 * n)
-            primitive_multiset(an, 4, n)
+            _primitive_layer(an, 4, n)
             classify_orbits(an, 4, n)
             classify_orbits(an, 4, n, "primitive")
         eigen_multiset(an, 3, 1)
@@ -180,20 +205,24 @@ class TestPacking:
                                      for c, row in zip(v, rows))
 
 
+def primitive_multiset(an, d, n):
+    """The primitive layer of weight 2n, keys decoded to coordinates."""
+    return {unpack(key, an.width, an.eig.rank): c
+            for key, c in _primitive_layer(an, d, n).items()}
+
+
 class TestPrimitiveMultiset:
     def test_ordinary_middle(self):
         an = analysis_cached(5, (5, -1, 1))
         eig = an.eig
-        prim = {el.coords: c
-                for el, c in primitive_multiset(an, 2, 1).items()}
+        prim = primitive_multiset(an, 2, 1)
         assert prim[eig.q_coords] == 3
         assert sum(prim.values()) == 5
 
     def test_supersingular_exotic_survives(self):
         an = analysis_cached(3, (3, 0, 1))
         eig = an.eig
-        prim = {el.coords: c
-                for el, c in primitive_multiset(an, 4, 2).items()}
+        prim = primitive_multiset(an, 4, 2)
         four_pi = tuple(4 * c for c in eig.symbol_coords[eig.orbit_reps[0]])
         assert prim[four_pi] == 1
         assert sum(prim.values()) == math.comb(8, 4) - math.comb(8, 2)
@@ -288,7 +317,6 @@ class TestClassifyOrbits:
         assert not _exotic_shape_ok(an.eig, [(-6, 6, 6), (6, -6, 7)])
 
     def test_partition_properties(self):
-        from frobeig.eig import galois_action
         cases = [(5, (5, -1, 1), 2, 1), (3, (3, 0, 1), 4, 2),
                  (2, (8, 0, 4, 0, 2, 0, 1), 2, 2)]
         for q, coeffs, d, n in cases:
@@ -303,7 +331,8 @@ class TestClassifyOrbits:
                 seen |= coords
                 # G-stability
                 for sigma in gal.perms:
-                    assert {galois_action(eig, sigma, el).coords
+                    rows = action_rows(eig, sigma)
+                    assert {apply_rows(rows, el.coords)
                             for el in orbit.elements} == coords
             total = sum(o.dimension_in_ambient for o in orbits)
             assert total == rep.dims[3] == math.comb(2 * data.g * d, 2 * n)

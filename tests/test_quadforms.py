@@ -11,11 +11,10 @@ from frobeig import quadforms
 from frobeig.errors import (CharpolyMismatch, MalformedInput,
                             NondegeneracyFailed, NotPositiveDefinite,
                             NotPositiveSpectrum, NotSelfAdjoint, NotSymmetric)
-from frobeig.quadforms import (am_filter, bareiss_solve, charpoly_exact,
-                               constant_signature_certify, count_real_roots,
-                               is_positive_definite, mat_inverse, mat_mul_q,
-                               real_spectrum_summary, signature,
-                               spectrum_all_real_positive, sturm_chain,
+from frobeig.quadforms import (_chain, _int_poly, am_filter, bareiss_solve,
+                               charpoly_exact, constant_signature_certify,
+                               count_real_roots, mat_inverse, mat_mul_q,
+                               signature, spectrum_all_real_positive,
                                tannaka_transfer, to_qmat)
 
 F = Fraction
@@ -97,6 +96,16 @@ def test_charpoly_similarity_invariance():
 
 
 # --- Sturm ---
+
+def real_spectrum_summary(p):
+    """(distinct real roots, distinct roots, all real) of a rational
+    polynomial: count_real_roots, and deg p - deg gcd(p, p') from the
+    last element of its Sturm chain."""
+    chain = _chain(_int_poly(p))
+    distinct = len(chain[0]) - len(chain[-1]) if chain else 0
+    real = count_real_roots(p)
+    return real, distinct, real == distinct
+
 
 def test_sturm_oracle():
     # X^2 - 5X + 6: two distinct real roots, both positive
@@ -210,10 +219,11 @@ def test_transfer_randomized_consistency():
 
 
 def test_positive_definite_helper():
-    assert is_positive_definite(diag(2, 5))
-    assert not is_positive_definite(diag(2, -5))
-    assert not is_positive_definite(diag(2, 0))
-    assert is_positive_definite([[F(2), F(1)], [F(1), F(2)]])
+    assert signature(diag(2, 5)) == (2, 0)
+    assert signature(diag(2, -5)) == (1, 1)
+    with pytest.raises(NondegeneracyFailed):
+        signature(diag(2, 0))
+    assert signature([[F(2), F(1)], [F(1), F(2)]]) == (2, 0)
 
 
 # --- independent oracles for the integer kernels ---
@@ -376,11 +386,11 @@ def test_sturm_chain_is_integral_and_positive():
     # (X - 1/2)^2 (X^2 + 1): the chain ends in a positive multiple of the
     # Euclidean chain's last element, 100/49 - 200/49 X
     p = _poly_from([F(1, 2), F(1, 2)], [(0, 1)])
-    chain = sturm_chain(p)
+    chain = _chain(_int_poly(p))
     assert all(type(c) is int for poly in chain for c in poly)
     assert chain[0] == [1, -4, 5, -4, 4]
     assert chain[-1] == [1, -2]
-    assert sturm_chain([]) == []
+    assert _chain(_int_poly([])) == []
     assert count_real_roots([]) == 0
     assert real_spectrum_summary([]) == (0, 0, True)
     assert spectrum_all_real_positive([F(3)])

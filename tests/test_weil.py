@@ -1,4 +1,6 @@
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from math import isqrt
 
@@ -54,6 +56,55 @@ class TestPrimePower:
     def test_rejects(self, bad):
         with pytest.raises(NotPrimePower):
             prime_power_decomposition(bad)
+
+    @staticmethod
+    @contextmanager
+    def within_2s():
+        def too_slow(signum, frame):
+            raise TimeoutError("prime-power test exceeded 2 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(2)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_large_primes_and_powers(self):
+        # trial division to sqrt(q) gave no result within 10 s on 2^61 - 1
+        m31, m61 = 2 ** 31 - 1, 2 ** 61 - 1
+        with self.within_2s():
+            assert prime_power_decomposition(m61) == (m61, 1)
+            assert prime_power_decomposition(m31 ** 2) == (m31, 2)
+            for bad in (3 * m61, m31 * m61):
+                with pytest.raises(NotPrimePower):
+                    prime_power_decomposition(bad)
+
+    def test_refuses_beyond_the_miller_rabin_bound(self):
+        # 2^89 - 1 is prime, but above 3.317e24 thirteen bases prove nothing
+        with self.within_2s():
+            with pytest.raises(MalformedInput,
+                               match="Miller-Rabin bound 3317044064679887"):
+                prime_power_decomposition(2 ** 89 - 1)
+
+    def test_matches_trial_division_below_1e5(self):
+        n = 10 ** 5
+        least = list(range(n))          # least prime factor, by sieve
+        for p in range(2, isqrt(n) + 1):
+            if least[p] == p:
+                for m in range(p * p, n, p):
+                    least[m] = min(least[m], p)
+        with self.within_2s():
+            for q in range(2, n):
+                p, e, m = least[q], 0, q
+                while m % p == 0:
+                    m, e = m // p, e + 1
+                try:
+                    got = prime_power_decomposition(q)
+                except NotPrimePower:
+                    got = None
+                assert got == ((p, e) if m == 1 else None), q
 
 
 class TestValidate:
