@@ -5,8 +5,9 @@ check-hypotheses, signature {sig,transfer,am-filter}, batch.  Single
 results print one canonical JSON line to stdout; batch appends
 newline-delimited records to its output store (see report.py for the
 format).  Exit codes: 0 success, 1 domain rejection or certificate
-failure, 2 malformed input, 3 I/O failure, 4 a batch worker process died
-(the lines finished before it are stored).
+failure, 2 malformed input, 3 I/O failure (silently when stdout was
+closed early), 4 a batch worker process died (the lines finished before
+it are stored).
 
 Option precedence, lowest to highest: built-in defaults, the
 FROBEIG_MAX_PRECISION environment variable, command-line flags,
@@ -39,7 +40,8 @@ from .report import (OPTION_KEYS, InputRecord, analyse, build_report_record,
 
 
 def _emit(obj) -> None:
-    print(canonical_json(obj))
+    # flushed here, so a closed stdout fails inside main, not at exit
+    print(canonical_json(obj), flush=True)
 
 
 def _flag_options(args) -> Dict[str, int]:
@@ -301,6 +303,17 @@ def _env_settings() -> Settings:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except BrokenPipeError:
+        # stdout was closed early (`frobeig report ... | head`): nothing
+        # more can reach it, and pointing it at devnull keeps the final
+        # flush at exit from failing too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 3
+
+
+def _run(args) -> int:
     try:
         return args.func(args, _env_settings())
     except MalformedInput as exc:

@@ -17,7 +17,9 @@ lattice-reduction candidates; every vector entering the lattice is
 verified to realize to exactly 1 in the splitting field.  Torsion
 relations -- exponent vectors over the eigenvalues whose realization is
 a root of unity -- live in root coordinates, are evaluated through the
-same rho, and drive the Frobenius rank.
+same rho, and drive the Frobenius rank.  One accumulator, _Relations,
+holds each lattice: it skips every vector already in its HNF lattice and
+keeps the rest exactly when their relation test passes.
 
 Both box searches are certified.  A weight-0 word has modulus 1, so it
 realizes to 1 exactly when its angle sum is a whole number of turns, and
@@ -47,7 +49,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
+                    Sequence, Tuple)
 
 from .config import DEFAULT, Settings
 from .errors import InternalInconsistency, MalformedInput, TorsionDetected
@@ -410,6 +413,31 @@ def _to_basis_coords(eig: EigGroup, a: Sequence[int]) -> Coords:
     return tuple(out)
 
 
+class _Relations:
+    """Verified relations spanning one lattice, with their HNF rows.
+
+    add(a) skips a when it already lies in the row lattice (the zero
+    vector always does), and otherwise keeps it exactly when test(a)
+    returns its order; test is never asked about a lattice vector.  A
+    vector test rejects can never enter the lattice later, as every
+    lattice vector passes test, so asking again changes nothing.
+    """
+
+    def __init__(self, dim: int, test: Callable[[Coords], Optional[int]]):
+        self.dim = dim
+        self.test = test
+        self.found: List[Tuple[Coords, int]] = []      # (vector, order)
+        self.rows: Tuple[Coords, ...] = ()
+
+    def add(self, a: Coords) -> None:
+        if _in_row_lattice(self.rows, a):
+            return
+        order = self.test(a)
+        if order is not None:
+            self.found.append((tuple(a), order))
+            self.rows = _hnf_rows([v for v, _ in self.found], self.dim)
+
+
 def _relation_engine(field: SplittingField, eig: EigGroup, bound: int,
                      rho: Realization) -> Tuple[RelationLattice, int, int]:
     """Kernel lattice, torsion-relation rank, and Frobenius rank.
@@ -419,10 +447,10 @@ def _relation_engine(field: SplittingField, eig: EigGroup, bound: int,
     before returning guards the cross-feed, not the searches' reach.
     Each box search visits exactly the box vectors whose certified
     fixed-point angle sum passes its relation test, a superset of the
-    relations in the box, in lexicographic order; as add_kernel and
-    add_torsion keep nothing from a non-relation, the result depends only
-    on the relations.  Kernel and torsion vectors are both evaluated
-    through rho, the realization map of eig in field.
+    relations in the box, in lexicographic order; as a _Relations keeps
+    nothing from a non-relation, the result depends only on the
+    relations.  Kernel and torsion vectors are both evaluated through
+    rho, the realization map of eig in field.
     """
     ring = field.ring()
     s = eig.n_roots
@@ -431,25 +459,21 @@ def _relation_engine(field: SplittingField, eig: EigGroup, bound: int,
     root_arg_balls = [arg_ball(ball, prec) for ball in field.root_balls]
     two_pi = two_pi_ball(prec)
 
-    def verify_kernel(a: Sequence[int]) -> bool:
-        return realize_coords(rho, a) == one
+    def kernel_test(a: Coords) -> Optional[int]:
+        # a word realizing to 1 has modulus 1, so weight 0
+        if _dot(eig.weight_vector, a) == 0 and realize_coords(rho, a) == one:
+            return 1
+        return None
 
-    kernel_vecs: List[Coords] = []
-    kernel_rows: Tuple[Coords, ...] = ()
-    seen_k: set = set()
+    def torsion_test(a: Coords) -> Optional[int]:
+        # a root of unity has modulus 1, so the exponents sum to 0
+        if sum(a) != 0:
+            return None
+        return is_root_of_unity(
+            ring, realize_coords(rho, _to_basis_coords(eig, a)))
 
-    def add_kernel(a: Sequence[int]) -> None:
-        nonlocal kernel_rows
-        vec = tuple(int(c) for c in a)
-        if not any(vec) or vec in seen_k:
-            return
-        seen_k.add(vec)
-        # anything in the verified lattice already realizes to 1
-        if kernel_rows and _in_row_lattice(kernel_rows, vec):
-            return
-        if verify_kernel(vec):
-            kernel_vecs.append(vec)
-            kernel_rows = _hnf_rows(kernel_vecs, eig.rank)
+    kernel = _Relations(eig.rank, kernel_test)
+    torsion = _Relations(s, torsion_test)
 
     # a weight-0 word has modulus 1, so it realizes to 1 exactly when its
     # angle sum is a whole number of turns; the [q] slot has angle 0
@@ -458,57 +482,33 @@ def _relation_engine(field: SplittingField, eig: EigGroup, bound: int,
     err = bound * sum(0 if br is None else turn_err[br]
                       for br in eig.basis_roots)
     for a in _box_hits(bound, eig.weight_vector, fix, err):
-        add_kernel(a)
+        kernel.add(a)
 
     angle_balls = [(0, 0) if br is None else root_arg_balls[br]
                    for br in eig.basis_roots]
     lll_cap = max(16, 4 * bound)
     for cand in relation_candidates(angle_balls, two_pi, lll_cap):
-        if _dot(eig.weight_vector, cand) == 0:
-            add_kernel(cand)
-
-    torsion_vecs: List[Tuple[Coords, int]] = []
-    torsion_rows: Tuple[Coords, ...] = ()
-    seen_t: set = set()
-
-    def add_torsion(a: Sequence[int]) -> Optional[int]:
-        nonlocal torsion_rows
-        vec = tuple(int(c) for c in a)
-        if not any(vec) or vec in seen_t:
-            return None
-        seen_t.add(vec)
-        if sum(vec) != 0:
-            return None
-        # products of verified torsion relations are torsion; skip them
-        if torsion_rows and _in_row_lattice(torsion_rows, vec):
-            return None
-        value = realize_coords(rho, _to_basis_coords(eig, vec))
-        order = is_root_of_unity(ring, value)
-        if order is not None:
-            torsion_vecs.append((vec, order))
-            torsion_rows = _hnf_rows([v for v, _ in torsion_vecs], s)
-        return order
+        kernel.add(cand)
 
     # a sum-zero word has modulus 1 and lies in the field, so it is a root
     # of unity exactly when _orders_lcm(deg K) times its angle sum is a
     # whole number of turns.  The weight-0 subspace has dimension s - 1,
     # so the scan can stop as soon as the torsion lattice reaches it: only
-    # the rank is consumed.  Hits already in the lattice are skipped here.
+    # the rank is consumed.
     lcm = _orders_lcm(ring.n)
     fix = [lcm * f for f in turns]
     hits = _box_hits(bound, (1,) * s, fix, lcm * bound * sum(turn_err))
-    while len(torsion_rows) < s - 1:
+    while len(torsion.rows) < s - 1:
         a = next(hits, None)
         if a is None:
             break
-        if not (torsion_rows and _in_row_lattice(torsion_rows, a)):
-            add_torsion(a)
+        torsion.add(a)
 
     for cand in relation_candidates(root_arg_balls, two_pi, lll_cap):
-        add_torsion(cand)
+        torsion.add(cand)
         g = math.gcd(*[abs(c) for c in cand])
         if g > 1:
-            add_torsion(tuple(c // g for c in cand))
+            torsion.add(tuple(c // g for c in cand))
 
     # conjugation relations realize to q/q = 1; inject them regardless of
     # the bound so the rank bookkeeping never depends on box size
@@ -521,18 +521,18 @@ def _relation_engine(field: SplittingField, eig: EigGroup, bound: int,
         rel = [-c for c in base]
         rel[i] += 1
         rel[eig.iota[i]] += 1
-        add_torsion(rel)
+        torsion.add(tuple(rel))
 
     # cross-feed: a torsion relation of order t yields the kernel vector
     # t * a; a kernel vector re-expressed over the roots is torsion of
     # order 1.  One round makes the two lattices agree on ranks.
-    for vec, order in list(torsion_vecs):
-        add_kernel(tuple(order * c for c in _to_basis_coords(eig, vec)))
-    for vec in list(kernel_vecs):
-        add_torsion(_to_root_coords(eig, vec))
+    for vec, order in torsion.found:
+        kernel.add(tuple(order * c for c in _to_basis_coords(eig, vec)))
+    for vec, _ in kernel.found:
+        torsion.add(_to_root_coords(eig, vec))
 
-    kernel_rank = len(kernel_rows)
-    torsion_rank = len(torsion_rows)
+    kernel_rank = len(kernel.rows)
+    torsion_rank = len(torsion.rows)
     r = (s - torsion_rank) - 1
 
     if r + 1 + kernel_rank != eig.rank:
@@ -541,10 +541,10 @@ def _relation_engine(field: SplittingField, eig: EigGroup, bound: int,
             "(the cross-feed lost a relation)" % (r, kernel_rank, eig.rank))
 
     lattice = RelationLattice(
-        basis=kernel_rows, rank=kernel_rank, search_bound=bound,
+        basis=kernel.rows, rank=kernel_rank, search_bound=bound,
         complete_within_bound=True,
         saturation_index=lattice_saturation_index(
-            [list(row) for row in kernel_rows]))
+            [list(row) for row in kernel.rows]))
     return lattice, torsion_rank, r
 
 

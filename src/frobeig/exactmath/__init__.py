@@ -1,5 +1,5 @@
 """Exact arithmetic substrate: integer polynomials, certified complex balls,
-integer lattices (Smith/Hermite forms, kernels, LLL) and certified root
+integer lattices (Smith/Hermite forms, LLL) and certified root
 isolation.
 
 Polynomials are integer coefficient tuples, complex balls hold integer
@@ -14,7 +14,6 @@ from .balls import ComplexBall
 from .latt import (
     smith_normal_form,
     hermite_column_form,
-    kernel_lattice,
     lattice_saturation_index,
     lll_reduce,
     relation_candidates,
@@ -26,7 +25,6 @@ __all__ = [
     "ComplexBall",
     "smith_normal_form",
     "hermite_column_form",
-    "kernel_lattice",
     "lattice_saturation_index",
     "lll_reduce",
     "relation_candidates",

@@ -19,9 +19,9 @@ Code that builds a ball from mantissas directly (root isolation) rounds
 its radius up itself.  The read-only views `re`, `im` and `rad` give the
 exact rational values of the mantissas, for witness strings and tests.
 
-`poly_from_roots` expands prod (X - v) over balls on one working grid;
-validation's factor search and the splitting field's resolvents both
-use it.
+`poly_from_roots` expands prod (X - v) over balls on one working grid
+and reads its integer coefficients; validation's factor search and the
+splitting field's resolvents both use it.
 
 Comparisons that a ball cannot decide raise `Ambiguous` instead of guessing;
 callers escalate precision and retry.
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from ..errors import Ambiguous
 
@@ -244,12 +244,15 @@ class ComplexBall:
 
 
 def poly_from_roots(values: Sequence[ComplexBall],
-                    bits: int) -> List[ComplexBall]:
-    """Coefficient enclosures of prod (X - v) over the balls values, low
-    to high; the leading coefficient is exactly one.  Each step's
-    coefficients below the leading one are rounded onto the 2^-bits
-    grid, so their mantissas stay bounded and every true coefficient
-    stays inside its ball."""
+                    bits: int) -> Optional[List[int]]:
+    """The integer coefficients of prod (X - v) over the balls values, low
+    to high, or None when the product provably is not in Z[X].
+
+    Each expansion step rounds the coefficients below the leading one
+    onto the 2^-bits grid, so their mantissas stay bounded and every true
+    coefficient stays inside its ball.  The coefficients are read low to
+    high, and the first that holds no integer (None) or several
+    (Ambiguous, raised) decides."""
     coeffs = [ComplexBall.exact(1)]
     for v in values:
         nxt = [ComplexBall.exact(0)] * (len(coeffs) + 1)
@@ -257,4 +260,10 @@ def poly_from_roots(values: Sequence[ComplexBall],
             nxt[t + 1] = nxt[t + 1] + c
             nxt[t] = nxt[t] + c * (-v)
         coeffs = [c.round_bits(bits) for c in nxt[:-1]] + [nxt[-1]]
-    return coeffs
+    ints = []
+    for c in coeffs:
+        n = c.unique_integer()
+        if n is None:
+            return None
+        ints.append(n)
+    return ints

@@ -1,4 +1,4 @@
-"""Integer lattice algorithms: Smith and Hermite forms, kernels, LLL.
+"""Integer lattice algorithms: Smith and Hermite forms, LLL.
 
 Everything runs over Python ints; only the angle enclosures handed to
 `relation_candidates` are Fractions.  Matrices are lists of lists,
@@ -157,24 +157,6 @@ def hermite_column_form(mat: Sequence[Sequence[int]]) -> Matrix:
         if any(column):
             cols.append(column)
     return [[c[r] for c in cols] for r in range(n)] if cols else [[] for _ in range(n)]
-
-
-def kernel_lattice(mat: Sequence[Sequence[int]]) -> Matrix:
-    """Basis (as columns, HNF-canonical) of {x in Z^m : mat x = 0}."""
-    n = len(mat)
-    m = len(mat[0]) if n else 0
-    if m == 0:
-        return []
-    u, s, v = smith_normal_form(mat)
-    rank = 0
-    for i in range(min(n, m)):
-        if s[i][i]:
-            rank += 1
-    # kernel = span of the last m - rank columns of v
-    if rank == m:
-        return [[] for _ in range(m)]
-    gens = [[v[r][j] for j in range(rank, m)] for r in range(m)]
-    return hermite_column_form(gens)
 
 
 def lattice_saturation_index(mat: Sequence[Sequence[int]]) -> int:

@@ -12,6 +12,10 @@ up onto a grid _GUARD bits finer than the midpoints, so the returned
 `ComplexBall`s share one exponent and enclose at least those disks.
 Disjointness and radii are checked with exact squared comparisons of
 integers, so a returned isolation is a proof, not a heuristic.
+
+`isolate_roots` is the one precision loop (Aberth, `_certify`, double
+the working precision); `refine_roots` runs it warm from earlier
+enclosures and keeps their order.
 """
 
 from __future__ import annotations
@@ -186,36 +190,6 @@ def _round_points(zs, bits: int) -> List[Tuple[int, int]]:
             for z in zs]
 
 
-def isolate_roots(poly: IntPoly, prec: int) -> List[ComplexBall]:
-    """Certified pairwise-disjoint enclosures of the distinct roots of poly.
-
-    Each ball has radius at most 2^-prec relative to max(1, |midpoint|).
-    The list is sorted by exact (real, imaginary) midpoint order, which is
-    deterministic for a fixed input and precision.  Multiple roots are
-    handled by isolating the squarefree part.
-    """
-    if poly.degree < 0:
-        raise ValueError("zero polynomial has no isolated roots")
-    sf = poly.squarefree_part()
-    if sf.degree == 0:
-        return []
-    coeff_bits = max(abs(c).bit_length() for c in sf.coefficients)
-    wp = max(64, 2 * prec + 32, coeff_bits + 48)
-    warm: Optional[List[complex]] = None
-    for attempt in range(12):
-        offset = _OFFSETS[min(attempt, len(_OFFSETS) - 1)]
-        zs = _aberth(sf, wp, warm=warm, offset=offset)
-        pts = _round_points(zs, wp)
-        balls = _certify(sf, pts, wp)
-        if balls is not None and _small_enough(balls, prec):
-            # the balls share one exponent, so mantissas order the midpoints
-            return sorted(balls, key=lambda b: (b.mre, b.mim))
-        warm = [complex(z.real, z.imag) for z in zs] if balls is not None else None
-        wp *= 2
-    raise PrecisionExhausted(
-        f"root isolation failed for degree {sf.degree} at {wp} bits")
-
-
 def _match_permutation(images: Sequence[ComplexBall],
                        targets: Sequence[ComplexBall]) -> Optional[List[int]]:
     """For each image ball, the unique target it intersects; None when any
@@ -232,29 +206,54 @@ def _match_permutation(images: Sequence[ComplexBall],
     return perm
 
 
-def refine_roots(poly: IntPoly, prev: Sequence[ComplexBall], prec: int) -> List[ComplexBall]:
-    """Re-isolate at higher precision, preserving the order of prev.
+def isolate_roots(poly: IntPoly, prec: int,
+                  prev: Optional[Sequence[ComplexBall]] = None
+                  ) -> List[ComplexBall]:
+    """Certified pairwise-disjoint enclosures of the distinct roots of poly
+    (of its squarefree part), each of radius at most 2^-prec relative to
+    max(1, |midpoint|).
 
-    Each refined ball is matched to the unique previous ball it meets; both
-    enclose the same true root, so the matching must be a bijection and any
-    failure triggers escalation.
+    Without prev the balls are sorted by exact (real, imaginary) midpoint.
+    With prev, earlier enclosures of the same roots, Aberth starts warm
+    from their midpoints and each ball takes the place of the unique
+    earlier ball it meets; a matching that is no bijection fails the
+    attempt.  A failed attempt doubles the working precision and restarts
+    warm from its approximations, or cold on the next circle offset when
+    a cold start's disks collided.
     """
+    if poly.degree < 0:
+        raise ValueError("zero polynomial has no isolated roots")
     sf = poly.squarefree_part()
+    if sf.degree == 0:
+        return []
     coeff_bits = max(abs(c).bit_length() for c in sf.coefficients)
     wp = max(64, 2 * prec + 32, coeff_bits + 48)
-    warm = [complex(float(b.re), float(b.im)) for b in prev]
-    for _ in range(12):
-        zs = _aberth(sf, wp, warm=warm)
-        pts = _round_points(zs, wp)
-        balls = _certify(sf, pts, wp)
+    warm = None if prev is None else [complex(float(b.re), float(b.im))
+                                      for b in prev]
+    for attempt in range(12):
+        offset = _OFFSETS[min(attempt, len(_OFFSETS) - 1)]
+        zs = _aberth(sf, wp, warm=warm, offset=offset)
+        balls = _certify(sf, _round_points(zs, wp), wp)
         if balls is not None and _small_enough(balls, prec):
+            if prev is None:
+                # the balls share one exponent, so mantissas order them
+                return sorted(balls, key=lambda b: (b.mre, b.mim))
             perm = _match_permutation(balls, prev)
             if perm is not None:
                 # perm is a bijection, so its values order the balls
                 return [b for _, b in sorted(zip(perm, balls))]
-        warm = [complex(z.real, z.imag) for z in zs]
+        warm = None if balls is None and prev is None else [
+            complex(z.real, z.imag) for z in zs]
         wp *= 2
-    raise PrecisionExhausted("root refinement failed to re-match enclosures")
+    raise PrecisionExhausted(
+        f"root isolation failed for degree {sf.degree} at {wp} bits"
+        if prev is None else "root refinement failed to re-match enclosures")
+
+
+def refine_roots(poly: IntPoly, prev: Sequence[ComplexBall],
+                 prec: int) -> List[ComplexBall]:
+    """Re-isolate at precision prec, in the order of prev."""
+    return isolate_roots(poly, prec, prev)
 
 
 # --- argument enclosures ---

@@ -50,14 +50,15 @@ integer mantissas over one power-of-two exponent, so ball arithmetic is
 integer arithmetic.  The construction starts from the root enclosures
 and the precision that `weil.validate` certified, and refines the roots
 itself only when some candidate stays undecided.  The resolvent
-coefficients are expanded by `balls.poly_from_roots`, the routine behind
-validation's factor search; its running products, the powers of gamma_w
-and each Horner step of the coordinate evaluation are rounded outward
-onto the 2^-bits working grid (bits = precision + 64), which keeps every
-true value inside its ball and the mantissas proportional to the
-precision.  The coordinate
-evaluation runs on an element's integer numerators and divides its
-denominator out last.
+coefficients are expanded and read as integers by
+`balls.poly_from_roots`, the same reader as validation's factor search,
+so both decide on the first coefficient that holds no integer or
+several.  Its running products, the powers of gamma_w and each Horner
+step of the coordinate evaluation are rounded outward onto the 2^-bits
+working grid (bits = precision + 64), which keeps every true value
+inside its ball and the mantissas proportional to the precision.  The
+coordinate evaluation runs on an element's integer numerators and
+divides its denominator out last.
 
 The Galois group is then certified from those verified coordinates
 alone, with no enclosures and no precision: the image of x under each
@@ -85,7 +86,7 @@ witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .config import DEFAULT, Settings
@@ -95,25 +96,16 @@ from .exactmath.balls import ComplexBall, poly_from_roots
 from .exactmath.intpoly import IntPoly, power_sums
 from .exactmath.roots import refine_roots
 from .quadforms import _charpoly, bareiss_solve
-from .weil import WeilData
+from .weil import _SMALL_PRIMES, WeilData
 
 Perm = Tuple[int, ...]
-
-
-def _primes_below(limit: int) -> Tuple[int, ...]:
-    sieve = bytearray([1]) * limit
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, isqrt(limit) + 1):
-        if sieve[i]:
-            sieve[i * i::i] = b"\x00" * len(sieve[i * i::i])
-    return tuple(i for i in range(limit) if sieve[i])
 
 
 # long enough that a non-degenerate weight provably exists for every
 # supported input: the degenerate geometric ratios for one subgroup
 # element number at most (reps - 1), and there are fewer than 168
 # candidate elements times that across the supported degree range
-_WEIGHT_PRIMES = _primes_below(1000)
+_WEIGHT_PRIMES = tuple(p for p in _SMALL_PRIMES if p < 1000)
 
 
 # --- arithmetic in Q[x]/(m) ---
@@ -394,14 +386,11 @@ def orbit_representatives(data: WeilData) -> Tuple[int, ...]:
 
 
 def _weight_list(r: int) -> List[Tuple[int, ...]]:
-    out = []
-    for j in range(r):
-        out.append(tuple(1 if t == j else 0 for t in range(r)))
-    for k in _WEIGHT_PRIMES:
-        w = tuple(k ** t for t in range(r))
-        if w not in out:
-            out.append(w)
-    return out
+    """The indicator weights, then (1, k, k^2, ...) for each k in
+    _WEIGHT_PRIMES, each once: for r = 1 every geometric weight is (1,)."""
+    units = [tuple(int(t == j) for t in range(r)) for j in range(r)]
+    geometric = [tuple(k ** t for t in range(r)) for k in _WEIGHT_PRIMES]
+    return list(dict.fromkeys(units + geometric))
 
 
 _DEAD_WEIGHT = "dead-weight"          # this weight refuted, subgroup still open
@@ -446,20 +435,12 @@ def _try_candidate(h_perms: List[Perm], weight: Tuple[int, ...],
     try:
         if _ball_product(values, bits).unique_integer() is None:
             return _DEAD_SUBGROUP
+        ints = poly_from_roots(values, bits)
     except Ambiguous:
         return _UNRESOLVED
-
-    coeff_balls = poly_from_roots(values, bits)
-    ints = []
-    for c in coeff_balls[:-1]:
-        try:
-            n = c.unique_integer()
-        except Ambiguous:
-            return _UNRESOLVED
-        if n is None:
-            return _DEAD_SUBGROUP
-        ints.append(n)
-    modulus = IntPoly(tuple(ints + [1]))
+    if ints is None:
+        return _DEAD_SUBGROUP
+    modulus = IntPoly(ints)
     if modulus.gcd(modulus.derivative()).degree > 0:
         return _DEAD_WEIGHT             # repeated values: not squarefree
 

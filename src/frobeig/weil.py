@@ -179,17 +179,15 @@ def _factor_search(sf: IntPoly, balls: Sequence[ComplexBall],
     while remaining and size <= len(remaining) // 2:
         hit = None
         for subset in combinations(remaining, size):
-            ints = []
-            for c in poly_from_roots([balls[i] for i in subset], bits):
-                n = c.unique_integer()      # Ambiguous propagates up
-                if n is None:
-                    break                   # provably non-integer: skip subset
-                ints.append(n)
-            else:
-                cand = IntPoly(tuple(ints))
-                if cand.divides(quotient):
-                    hit = (cand, subset)
-                    break
+            # Ambiguous propagates up; None skips a provably non-integer
+            # product
+            ints = poly_from_roots([balls[i] for i in subset], bits)
+            if ints is None:
+                continue
+            cand = IntPoly(ints)
+            if cand.divides(quotient):
+                hit = (cand, subset)
+                break
         if hit is None:
             size += 1
             continue

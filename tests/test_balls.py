@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from frobeig.errors import Ambiguous
-from frobeig.exactmath.balls import ComplexBall
+from frobeig.exactmath.balls import ComplexBall, poly_from_roots
 
 _DIRECTIONS = ((1, 0), (0, 1), (-1, 0), (0, -1),
                (Fraction(3, 5), Fraction(4, 5)),
@@ -189,3 +189,31 @@ def test_unique_integer_matches_exact(b):
         assert inside == []
     else:
         assert set(inside) <= {expected}
+
+
+# --- the integer reader ---
+
+def test_poly_from_roots_reads_integer_coefficients():
+    assert poly_from_roots([ComplexBall.exact(2), ComplexBall.exact(-3)],
+                           64) == [-6, 1, 1]
+    assert poly_from_roots([], 64) == [1]
+
+
+def test_poly_from_roots_first_deciding_coefficient_wins():
+    # (X - a)(X - b) = ab - (a + b) X + X^2, read low to high
+    a = ComplexBall.enclose(0, Fraction(1, 8), 0, 8)        # i/8
+    b = ComplexBall.enclose(4, 0, 1, 8)                     # 4 +- 1
+    assert (a * b).unique_integer() is None
+    with pytest.raises(Ambiguous):
+        (-(a + b)).unique_integer()
+    assert poly_from_roots([a, b], 64) is None
+    # the other order: the constant holds several integers, the linear
+    # coefficient none
+    a = ComplexBall.exact(8, -8)                            # 8 - 8i
+    b = ComplexBall.enclose(Fraction(1, 2), Fraction(1, 2),
+                            Fraction(1, 4), 8)              # (1+i)/2 +- 1/4
+    with pytest.raises(Ambiguous):
+        (a * b).unique_integer()
+    assert (-(a + b)).unique_integer() is None
+    with pytest.raises(Ambiguous):
+        poly_from_roots([a, b], 64)

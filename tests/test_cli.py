@@ -331,6 +331,23 @@ class TestSingleCommands:
         assert rc == 1
         assert out["error"]["type"] == "NotSimple"
 
+    def test_closed_stdout_exits_3_silently(self):
+        # the reader is gone before the first write: the report's write
+        # fails with EPIPE, and neither it nor the exit flush may print
+        src = str(Path(frobeig.__file__).resolve().parents[1])
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "frobeig.cli", "report", "--q", "3",
+                 "--coeffs", "27,0,0,0,0,0,1", "--max-power", "4"],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+                env={**os.environ, "PYTHONPATH": src})
+        finally:
+            os.close(write_end)
+        assert out.returncode == 3
+        assert out.stderr == b""
+
 
 # --- full report records ---
 

@@ -13,7 +13,8 @@ from frobeig.analysis import Analysis
 from frobeig.config import DEFAULT
 from frobeig.corpus import CORPUS
 from frobeig.eig import (_FIX_BITS, _box_hits, _hnf_rows, _in_row_lattice,
-                         _orders_lcm, _relation_engine, _to_basis_coords,
+                         _orders_lcm, _relation_engine, _Relations,
+                         _to_basis_coords,
                          action_rows, apply_rows, build_eig_group,
                          frobenius_rank, invariants_report, realize_coords)
 from frobeig.errors import FrobeigError, MalformedInput, TorsionDetected
@@ -470,6 +471,40 @@ class TestCertifiedScan:
                     assert _in_row_lattice(rows, vec) \
                         == _lattice_oracle(rows, vec), (rows, vec)
                 assert _in_row_lattice(rows, member)
+
+    def test_relations_skip_lattice_vectors_and_keep_hnf_rows(self):
+        # the test accepts the sublattice sum(a) = 0 mod 3, with an order
+        # read off the vector, and records what it is asked
+        rng = random.Random(18)
+        for _ in range(40):
+            dim = rng.randint(1, 5)
+            asked = []
+
+            def test(a):
+                assert not _in_row_lattice(acc.rows, a), (acc.rows, a)
+                asked.append(tuple(a))
+                return 1 + abs(a[0]) % 2 if sum(a) % 3 == 0 else None
+
+            acc = _Relations(dim, test)
+            fed = []
+            for _ in range(12):
+                vec = tuple(rng.randint(-3, 3) for _ in range(dim))
+                if acc.found and rng.random() < 0.4:
+                    # a multiple or sum of kept vectors, or the zero vector
+                    u, v = rng.choice(acc.found)[0], rng.choice(acc.found)[0]
+                    vec = rng.choice([tuple(2 * c for c in u),
+                                      tuple(x + y for x, y in zip(u, v)),
+                                      (0,) * dim])
+                fed.append(vec)
+                acc.add(vec)
+                acc.add(vec)
+            # only a rejected vector is asked again
+            assert all(sum(v) % 3 for v in asked if asked.count(v) > 1)
+            kept = [v for v, _ in acc.found]
+            assert acc.rows == _hnf_rows(kept, dim)
+            assert all(order == 1 + abs(v[0]) % 2 for v, order in acc.found)
+            for vec in fed:
+                assert _in_row_lattice(acc.rows, vec) == (sum(vec) % 3 == 0)
 
     def test_box_hits_match_brute_force_with_planted_sums(self):
         rng = random.Random(4711)

@@ -17,7 +17,7 @@ from frobeig.analysis import Analysis
 from frobeig.corpus import CORPUS
 from frobeig.errors import Ambiguous
 from frobeig.exactmath import (ComplexBall, IntPoly, hermite_column_form,
-                               isolate_roots, kernel_lattice, latt,
+                               isolate_roots, latt,
                                lll_reduce, relation_candidates,
                                smith_normal_form)
 from frobeig.exactmath.balls import isqrt_ub
@@ -348,33 +348,6 @@ def test_snf_seeded_bulk():
         _check_snf(mat)
 
 
-def test_kernel_oracle():
-    # kernel of (1 1 -2) over Z^3 is spanned by (1,1,1) and (2,0,1)
-    k = kernel_lattice([[1, 1, -2]])
-    expected = hermite_column_form([[1, 2], [1, 0], [1, 1]])
-    assert k == expected
-    # sanity: both claimed generators satisfy the relation
-    cols = list(zip(*k))
-    for col in cols:
-        assert col[0] + col[1] - 2 * col[2] == 0
-
-
-@given(st.lists(st.lists(st.integers(-10, 10), min_size=2, max_size=4),
-                min_size=1, max_size=3).filter(
-                    lambda rows: len({len(r) for r in rows}) == 1))
-def test_kernel_annihilates(rows):
-    k = kernel_lattice(rows)
-    if not k or not k[0]:
-        return
-    for col in zip(*k):
-        for row in rows:
-            assert sum(a * x for a, x in zip(row, col)) == 0
-    # kernel rank + row rank = number of columns
-    _, s, _ = smith_normal_form(rows)
-    rank = sum(1 for i in range(min(len(s), len(s[0]))) if s[i][i])
-    assert len(k[0]) + rank == len(rows[0])
-
-
 def test_hnf_canonical():
     h = hermite_column_form([[2, 4], [6, 8]])
     assert hermite_column_form(h) == h
@@ -594,6 +567,9 @@ def test_refine_preserves_matching():
     for f, c in zip(fine, coarse):
         assert f.intersects(c)
         assert f.rad < c.rad
+    # the order of prev, not the sorted order
+    back = refine_roots(p, list(reversed(coarse)), 200)
+    assert _match_permutation(back, coarse) == [1, 0]
 
 
 def test_match_permutation_requires_a_bijection():
