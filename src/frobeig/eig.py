@@ -54,7 +54,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
 
 from .config import DEFAULT, Settings
 from .errors import InternalInconsistency, MalformedInput, TorsionDetected
-from .exactmath.latt import (hermite_column_form, invariant_factors,
+from .exactmath.latt import (hnf_rows, in_row_lattice, invariant_factors,
                              lattice_saturation_index, relation_candidates)
 from .exactmath.roots import arg_ball, two_pi_ball
 from .splitfield import (Elem, SplittingField, is_root_of_unity,
@@ -213,42 +213,6 @@ def apply_rows(rows: Sequence[Coords], coords: Sequence[int]) -> Coords:
 
 
 # --- relation searches ---
-
-def _hnf_rows(vectors: Sequence[Coords], dim: int) -> Tuple[Coords, ...]:
-    if not vectors:
-        return ()
-    mat = [[vec[r] for vec in vectors] for r in range(dim)]
-    h = hermite_column_form(mat)
-    if not h or not h[0]:
-        return ()
-    return tuple(tuple(h[r][c] for r in range(dim))
-                 for c in range(len(h[0])))
-
-
-def _in_row_lattice(rows: Sequence[Coords], vec: Sequence[int]) -> bool:
-    """Exact membership of vec in the row lattice (rows in echelon form).
-
-    Rejects at the first nonzero entry left of a pivot or the first pivot
-    entry the pivot does not divide; no later row can mend either.
-    """
-    v = list(vec)
-    start = 0
-    for row in rows:
-        piv = start
-        while not row[piv]:
-            if v[piv]:
-                return False
-            piv += 1
-        f, rest = divmod(v[piv], row[piv])
-        if rest:
-            return False
-        if f:
-            for t in range(piv + 1, len(v)):
-                if row[t]:
-                    v[t] -= f * row[t]
-        start = piv + 1
-    return not any(v[start:])
-
 
 # B: angle sums are fixed-point fractions of a full turn, taken mod 2^B
 _FIX_BITS = 64
@@ -423,19 +387,18 @@ class _Relations:
     lattice vector passes test, so asking again changes nothing.
     """
 
-    def __init__(self, dim: int, test: Callable[[Coords], Optional[int]]):
-        self.dim = dim
+    def __init__(self, test: Callable[[Coords], Optional[int]]):
         self.test = test
         self.found: List[Tuple[Coords, int]] = []      # (vector, order)
         self.rows: Tuple[Coords, ...] = ()
 
     def add(self, a: Coords) -> None:
-        if _in_row_lattice(self.rows, a):
+        if in_row_lattice(self.rows, a):
             return
         order = self.test(a)
         if order is not None:
             self.found.append((tuple(a), order))
-            self.rows = _hnf_rows([v for v, _ in self.found], self.dim)
+            self.rows = hnf_rows(self.rows + (tuple(a),))
 
 
 def _relation_engine(field: SplittingField, eig: EigGroup, bound: int,
@@ -472,8 +435,8 @@ def _relation_engine(field: SplittingField, eig: EigGroup, bound: int,
         return is_root_of_unity(
             ring, realize_coords(rho, _to_basis_coords(eig, a)))
 
-    kernel = _Relations(eig.rank, kernel_test)
-    torsion = _Relations(s, torsion_test)
+    kernel = _Relations(kernel_test)
+    torsion = _Relations(torsion_test)
 
     # a weight-0 word has modulus 1, so it realizes to 1 exactly when its
     # angle sum is a whole number of turns; the [q] slot has angle 0

@@ -1,19 +1,22 @@
 """Exact arithmetic substrate: integer polynomials, certified complex balls,
-integer lattices (Smith/Hermite forms, LLL) and certified root
+integer lattices (Smith invariants, Hermite rows, LLL) and certified root
 isolation.
 
 Polynomials are integer coefficient tuples, complex balls hold integer
-mantissas over a power-of-two exponent and round outward (see `balls`),
-and the LLL is integral.  `fractions.Fraction` remains at the edges:
-rational data enters the balls through one constructor, and the angle
-enclosures handed to `latt.relation_candidates` are Fractions.
+mantissas over a power-of-two exponent and round outward in one place,
+`round_bits` (see `balls`), and the lattice algorithms are integral.
+No rational data enters the balls: they are built from integers, and
+their certificates multiply rather than divide.  `fractions.Fraction`
+remains at the edges: the exact views of a ball, and the angle
+enclosures handed to `latt.relation_candidates`.
 """
 
 from .intpoly import IntPoly
 from .balls import ComplexBall
 from .latt import (
-    smith_normal_form,
-    hermite_column_form,
+    hnf_rows,
+    in_row_lattice,
+    invariant_factors,
     lattice_saturation_index,
     lll_reduce,
     relation_candidates,
@@ -23,8 +26,9 @@ from .roots import isolate_roots, refine_roots
 __all__ = [
     "IntPoly",
     "ComplexBall",
-    "smith_normal_form",
-    "hermite_column_form",
+    "hnf_rows",
+    "in_row_lattice",
+    "invariant_factors",
     "lattice_saturation_index",
     "lll_reduce",
     "relation_candidates",

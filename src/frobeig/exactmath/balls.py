@@ -8,16 +8,15 @@ integer midpoints: sums, products, scaling and negation are exact
 integer operations on the mantissas, and the product radius takes its
 midpoint moduli from `math.isqrt`, rounded up.
 
-Within the class rounding happens in exactly two places, and both round
-outward, so a ball always contains every value it stands for:
-  - `round_bits` moves the midpoint to the nearest point of the 2^-bits
-    grid, adds the displacement to the radius and rounds the radius up;
-  - `enclose` is the single entry point for rational data (`inverse` and
-    `div_int` go through it): it does the same for a rational midpoint
-    and radius.
-Code that builds a ball from mantissas directly (root isolation) rounds
-its radius up itself.  The read-only views `re`, `im` and `rad` give the
-exact rational values of the mantissas, for witness strings and tests.
+Rounding happens in one place, `round_bits`, and it rounds outward: it
+moves the midpoint to the nearest point of the 2^-bits grid, adds the
+displacement to the radius and rounds the radius up, so a ball always
+contains every value it stands for.  Nothing divides: a certificate
+that would compare a quotient z/d compares z with the product d*w
+instead.  Code that builds a ball from mantissas directly (root
+isolation) rounds its radius up itself.  The read-only views `re`, `im`
+and `rad` give the exact rational values of the mantissas, for witness
+strings and tests.
 
 `poly_from_roots` expands prod (X - v) over balls on one working grid
 and reads its integer coefficients; validation's factor search and the
@@ -34,9 +33,6 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from ..errors import Ambiguous
-
-# extra bits of relative precision `inverse` keeps beyond its input's
-_INVERSE_GUARD = 32
 
 
 def isqrt_ub(n: int) -> int:
@@ -71,23 +67,6 @@ class ComplexBall:
     def exact(re: int, im: int = 0) -> "ComplexBall":
         """The point ball at the Gaussian integer re + i*im."""
         return ComplexBall(re, im, 0, 0)
-
-    @staticmethod
-    def enclose(re, im, rad, bits: int) -> "ComplexBall":
-        """The ball on the 2^-bits grid that contains the disk with
-        rational midpoint (re, im) and rational radius rad >= 0.
-
-        The midpoint goes to the nearest grid point (ties upward); the
-        displacement is added to the radius, which is rounded up."""
-        scale = _dyadic(1, bits)
-        re, im = Fraction(re) * scale, Fraction(im) * scale
-        rad = Fraction(rad) * scale
-        if rad < 0:
-            raise ValueError("negative radius")
-        mre = math.floor(re + Fraction(1, 2))
-        mim = math.floor(im + Fraction(1, 2))
-        mrad = math.ceil(rad + abs(re - mre) + abs(im - mim))
-        return ComplexBall(mre, mim, mrad, -bits)
 
     # --- exact rational views ---
 
@@ -145,27 +124,6 @@ class ComplexBall:
     def scale(self, c: int) -> "ComplexBall":
         return ComplexBall(self.mre * c, self.mim * c, self.mrad * abs(c),
                            self.exp)
-
-    def inverse(self) -> "ComplexBall":
-        """Enclosure of 1/z over the disk, on a grid that keeps
-        _INVERSE_GUARD more bits than the midpoint mantissas hold."""
-        a, b, r = self.mre, self.mim, self.mrad
-        norm = a * a + b * b
-        lb = math.isqrt(norm)
-        if lb <= r:
-            raise Ambiguous("ball may contain zero; cannot invert")
-        # 1/mid = conj(mid)/|mid|^2, and over the disk
-        # |1/z - 1/mid| <= r / (|mid| (|mid| - r)); all in units 2^-exp
-        unit = _dyadic(1, -self.exp)
-        bits = 2 * max(abs(a), abs(b)).bit_length() + self.exp + _INVERSE_GUARD
-        return ComplexBall.enclose(Fraction(a, norm) * unit,
-                                   Fraction(-b, norm) * unit,
-                                   Fraction(r, lb * (lb - r)) * unit, bits)
-
-    def div_int(self, d: int, bits: int) -> "ComplexBall":
-        """Enclosure of z/d, for a nonzero integer d, on the 2^-bits grid."""
-        return ComplexBall.enclose(self.re / d, self.im / d,
-                                   self.rad / abs(d), bits)
 
     def round_bits(self, bits: int) -> "ComplexBall":
         """The ball moved onto the 2^-bits grid, enlarged to keep every

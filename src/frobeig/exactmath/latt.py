@@ -1,166 +1,127 @@
-"""Integer lattice algorithms: Smith and Hermite forms, LLL.
+"""Integer lattice algorithms: Smith invariants, Hermite rows, LLL.
 
 Everything runs over Python ints; only the angle enclosures handed to
 `relation_candidates` are Fractions.  Matrices are lists of lists,
-row-major.  The matrices that arise here are small (dimension bounded by
-the degree of the input polynomial plus one); entries are kept in check
-by the usual pivoting strategies.
+row-major, and a lattice is the span of the rows.  There is one echelon
+form: `hnf_rows` gives the unique Hermite normal form basis (Cohen, A
+Course in Computational Algebraic Number Theory, Sec. 2.4), and
+`in_row_lattice` decides membership against it.  `invariant_factors`
+runs the Smith pivot loop and keeps only the diagonal.  The matrices
+that arise here are small (dimension bounded by the degree of the input
+polynomial plus one); entries are kept in check by the usual pivoting
+strategies.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 Matrix = List[List[int]]
 
 
-def identity_matrix(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def invariant_factors(mat: Sequence[Sequence[int]]) -> List[int]:
+    """The nonzero diagonal of the Smith normal form of mat, s_1 | s_2 | ...
 
-
-def _swap_rows(m: Matrix, i: int, j: int) -> None:
-    m[i], m[j] = m[j], m[i]
-
-
-def _swap_cols(m: Matrix, i: int, j: int) -> None:
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def smith_normal_form(mat: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix, Matrix]:
-    """Return (U, S, V) with U*mat*V = S in Smith normal form.
-
-    U and V are unimodular; S is diagonal with non-negative entries
-    satisfying the divisibility chain s_1 | s_2 | ... .  The chain is
-    enforced in the one pivot loop: once row t and column t are clear, a
-    lower row holding an entry the pivot does not divide is added to row
-    t and the pivot is chosen again, so the pivot that stays divides every
-    entry left below and to the right of it.
+    One pivot loop of row and column operations, none of them recorded.
+    The least nonzero entry moves to the corner and clears its row and
+    column, and a nonzero remainder becomes the next, smaller pivot.  Once
+    both are clear, a lower row holding an entry the pivot does not
+    divide is added to the pivot row and the pivot is chosen again (ties
+    keep the corner), so the pivot that stays divides every entry left;
+    it is recorded and its row and column are dropped.
     """
     s = [list(map(int, row)) for row in mat]
-    n = len(s)
-    m = len(s[0]) if n else 0
-    u = identity_matrix(n)
-    v = identity_matrix(m)
-
-    def row_op(i, j, c):
-        # row i -= c * row j, mirrored in u
-        s[i] = [a - c * b for a, b in zip(s[i], s[j])]
-        u[i] = [a - c * b for a, b in zip(u[i], u[j])]
-
-    def col_op(i, j, c):
-        # col i -= c * col j, mirrored in v
-        for row in s:
-            row[i] -= c * row[j]
-        for row in v:
-            row[i] -= c * row[j]
-
-    t = 0
-    while t < min(n, m):
-        # locate a nonzero pivot with smallest absolute value
-        pivot = None
-        for i in range(t, n):
-            for j in range(t, m):
-                if s[i][j] and (pivot is None
-                                or abs(s[i][j]) < abs(s[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+    out: List[int] = []
+    while s and s[0]:
+        nonzero = [(abs(x), i, j) for i, row in enumerate(s)
+                   for j, x in enumerate(row) if x]
+        if not nonzero:
             break
-        _swap_rows(s, t, pivot[0])
-        _swap_rows(u, t, pivot[0])
-        _swap_cols(s, t, pivot[1])
-        _swap_cols(v, t, pivot[1])
-        p = s[t][t]
-        for i in range(t + 1, n):
-            if s[i][t]:
-                row_op(i, t, s[i][t] // p)
-        for j in range(t + 1, m):
-            if s[t][j]:
-                col_op(j, t, s[t][j] // p)
-        if (any(s[i][t] for i in range(t + 1, n))
-                or any(s[t][j] for j in range(t + 1, m))):
-            continue            # a nonzero remainder is a smaller pivot
-        # row t and column t are clear; fold in a row the pivot does not
-        # divide, and the next pivot is smaller again
-        bad = next((i for i in range(t + 1, n)
-                    if any(x % p for x in s[i][t + 1:])), None)
-        if bad is not None:
-            row_op(t, bad, -1)
+        _, i, j = min(nonzero)
+        s[0], s[i] = s[i], s[0]
+        for row in s:
+            row[0], row[j] = row[j], row[0]
+        p = s[0][0]
+        for i in range(1, len(s)):
+            f = s[i][0] // p
+            if f:
+                s[i] = [a - f * b for a, b in zip(s[i], s[0])]
+        for j in range(1, len(s[0])):
+            f = s[0][j] // p
+            if f:
+                for row in s:
+                    row[j] -= f * row[0]
+        if any(row[0] for row in s[1:]) or any(s[0][1:]):
             continue
-        if p < 0:
-            s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return u, s, v
-
-
-def invariant_factors(mat: Sequence[Sequence[int]]) -> List[int]:
-    _, s, _ = smith_normal_form(mat)
-    out = []
-    for i in range(min(len(s), len(s[0]) if s else 0)):
-        if s[i][i]:
-            out.append(s[i][i])
+        bad = next((row for row in s[1:] if any(x % p for x in row)), None)
+        if bad is not None:
+            s[0] = [a + b for a, b in zip(s[0], bad)]
+            continue
+        out.append(abs(p))
+        s = [row[1:] for row in s[1:]]
     return out
 
 
-def hermite_column_form(mat: Sequence[Sequence[int]]) -> Matrix:
-    """Column-style Hermite normal form of the column span of mat.
+def hnf_rows(vectors: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
+    """The Hermite normal form basis of the row lattice the vectors span.
 
-    Returns a matrix whose nonzero columns are the canonical basis:
-    lower triangular profile, positive pivots, entries right of a pivot
-    reduced into [0, pivot).  Zero columns are dropped.
+    Rows in echelon form with positive pivots, each entry above a pivot
+    reduced into [0, pivot); the basis is unique, so it names the
+    lattice.  Column by column, Euclid on the rows not yet pivoted
+    (the least entry pivots until it divides the rest), then the rows
+    above are reduced by the pivot row.
     """
-    a = [list(map(int, row)) for row in mat]
-    if not a:
-        return []
-    n, m = len(a), len(a[0])
-    col = 0
-    for row_i in range(n):
-        if col >= m:
-            break
-        # pick the column (>= col) minimizing |entry| in this row, nonzero
-        piv = None
-        for j in range(col, m):
-            if a[row_i][j] and (piv is None or abs(a[row_i][j]) < abs(a[row_i][piv])):
-                piv = j
-        if piv is None:
+    a = [list(map(int, v)) for v in vectors]
+    k = 0
+    for c in range(len(a[0]) if a else 0):
+        while any(row[c] for row in a[k + 1:]):
+            i = min((i for i in range(k, len(a)) if a[i][c]),
+                    key=lambda i: abs(a[i][c]))
+            a[k], a[i] = a[i], a[k]
+            for i in range(k + 1, len(a)):
+                f = a[i][c] // a[k][c]
+                if f:
+                    a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+        if k == len(a) or not a[k][c]:
             continue
-        _swap_cols(a, col, piv)
-        # clear the rest of the row by column gcd elimination
-        while True:
-            done = True
-            for j in range(col + 1, m):
-                if a[row_i][j]:
-                    q = a[row_i][j] // a[row_i][col]
-                    for r in range(n):
-                        a[r][j] -= q * a[r][col]
-                    if a[row_i][j]:
-                        _swap_cols(a, col, j)
-                        done = False
-            if done:
-                break
-        if a[row_i][col] < 0:
-            for r in range(n):
-                a[r][col] = -a[r][col]
-        # reduce columns left of the pivot column at this row
-        for j in range(col):
-            q = a[row_i][j] // a[row_i][col]
-            if q:
-                for r in range(n):
-                    a[r][j] -= q * a[r][col]
-        col += 1
-    # drop zero columns, keep order (already echelon by construction)
-    cols = []
-    for j in range(m):
-        column = [a[r][j] for r in range(n)]
-        if any(column):
-            cols.append(column)
-    return [[c[r] for c in cols] for r in range(n)] if cols else [[] for _ in range(n)]
+        if a[k][c] < 0:
+            a[k] = [-x for x in a[k]]
+        for i in range(k):
+            f = a[i][c] // a[k][c]
+            if f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+        k += 1
+    return tuple(tuple(row) for row in a[:k])
+
+
+def in_row_lattice(rows: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
+    """Exact membership of vec in the row lattice (rows in echelon form).
+
+    Rejects at the first nonzero entry left of a pivot or the first pivot
+    entry the pivot does not divide; no later row can mend either.
+    """
+    v = list(vec)
+    start = 0
+    for row in rows:
+        piv = start
+        while not row[piv]:
+            if v[piv]:
+                return False
+            piv += 1
+        f, rest = divmod(v[piv], row[piv])
+        if rest:
+            return False
+        if f:
+            for t in range(piv + 1, len(v)):
+                if row[t]:
+                    v[t] -= f * row[t]
+        start = piv + 1
+    return not any(v[start:])
 
 
 def lattice_saturation_index(mat: Sequence[Sequence[int]]) -> int:
-    """Index of the column lattice inside its saturation (product of
+    """Index of the row lattice of mat inside its saturation (product of
     invariant factors)."""
     idx = 1
     for d in invariant_factors(mat):

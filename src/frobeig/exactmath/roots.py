@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import mpmath
 
@@ -190,18 +190,18 @@ def _round_points(zs, bits: int) -> List[Tuple[int, int]]:
             for z in zs]
 
 
-def _match_permutation(images: Sequence[ComplexBall],
-                       targets: Sequence[ComplexBall]) -> Optional[List[int]]:
-    """For each image ball, the unique target it intersects; None when any
-    image meets zero or several targets or the matching is not a
-    bijection (insufficient precision)."""
+def _match_permutation(n: int, meets: Callable[[int, int], bool]
+                       ) -> Optional[List[int]]:
+    """For each i < n, the unique j < n with meets(i, j); None when some i
+    meets zero or several j or the matching is not a bijection
+    (insufficient precision)."""
     perm = []
-    for img in images:
-        hits = [j for j, t in enumerate(targets) if img.intersects(t)]
+    for i in range(n):
+        hits = [j for j in range(n) if meets(i, j)]
         if len(hits) != 1:
             return None
         perm.append(hits[0])
-    if sorted(perm) != list(range(len(targets))):
+    if sorted(perm) != list(range(n)):
         return None
     return perm
 
@@ -226,6 +226,8 @@ def isolate_roots(poly: IntPoly, prec: int,
     sf = poly.squarefree_part()
     if sf.degree == 0:
         return []
+    if prev is not None and len(prev) != sf.degree:
+        raise ValueError("prev must enclose each distinct root once")
     coeff_bits = max(abs(c).bit_length() for c in sf.coefficients)
     wp = max(64, 2 * prec + 32, coeff_bits + 48)
     warm = None if prev is None else [complex(float(b.re), float(b.im))
@@ -238,7 +240,8 @@ def isolate_roots(poly: IntPoly, prec: int,
             if prev is None:
                 # the balls share one exponent, so mantissas order them
                 return sorted(balls, key=lambda b: (b.mre, b.mim))
-            perm = _match_permutation(balls, prev)
+            perm = _match_permutation(
+                len(balls), lambda i, j: balls[i].intersects(prev[j]))
             if perm is not None:
                 # perm is a bijection, so its values order the balls
                 return [b for _, b in sorted(zip(perm, balls))]

@@ -57,8 +57,9 @@ several.  Its running products, the powers of gamma_w and each Horner
 step of the coordinate evaluation are rounded outward onto the 2^-bits
 working grid (bits = precision + 64), which keeps every true value
 inside its ball and the mantissas proportional to the precision.  The
-coordinate evaluation runs on an element's integer numerators and
-divides its denominator out last.
+coordinate evaluation runs on an element's integer numerators and is
+compared with the root enclosures scaled by its denominator, so no
+enclosure is ever divided.
 
 The Galois group is then certified from those verified coordinates
 alone, with no enclosures and no precision: the image of x under each
@@ -298,10 +299,10 @@ def _block_permutations(n: int, blocks: Sequence[Tuple[int, ...]],
 
 
 def _subgroup_candidates(wprime: List[Perm], iota: Perm, blocks: Sequence[Tuple[int, ...]],
-                         cap: int) -> List[List[int]]:
+                         cap: int) -> List[List[Perm]]:
     """Subgroups of W' containing iota, transitive on every block, with
-    order at most cap; each is a list of indices into wprime, and the list
-    of subgroups is sorted by (order, element tuple) for determinism.
+    order at most cap; each is the sorted list of its permutations, and
+    the list of subgroups is sorted by (order, elements) for determinism.
 
     From <iota>, each H is extended by one e per right coset H e, since
     <H, e> = <H, h e>, and spans past the cap are dropped: every subgroup
@@ -321,10 +322,9 @@ def _subgroup_candidates(wprime: List[Perm], iota: Perm, blocks: Sequence[Tuple[
             if e not in covered:
                 covered.update(_compose(x, e) for x in h)
                 frontier.append(gens + [e])
-    index = {p: i for i, p in enumerate(wprime)}
-    good = [sorted(index[p] for p in h) for h in found
+    good = [sorted(h) for h in found
             if all({p[b[0]] for p in h} == set(b) for b in blocks)]
-    good.sort(key=lambda h: (len(h), [wprime[i] for i in h]))
+    good.sort(key=lambda h: (len(h), h))
     return good
 
 
@@ -398,16 +398,15 @@ _DEAD_SUBGROUP = "dead-subgroup"      # certificate refutes the subgroup itself
 _UNRESOLVED = "unresolved"
 
 
-def _eval_on_ball(vec: Elem, point: ComplexBall, bits: int) -> ComplexBall:
-    """Enclosure on the 2^-bits grid of the field element vec, as a
-    polynomial in x, at the ball point.  Horner runs on the integer
-    numerators, rounding each step onto the grid; the denominator is
-    divided out at the end."""
-    nums, den = vec
+def _eval_on_ball(nums: Sequence[int], point: ComplexBall,
+                  bits: int) -> ComplexBall:
+    """Enclosure on the 2^-bits grid of the integer polynomial nums, low
+    to high, at the ball point: Horner, rounding each step onto the
+    grid."""
     acc = ComplexBall.exact(0)
     for c in reversed(nums):
         acc = (acc * point + ComplexBall.exact(c)).round_bits(bits)
-    return acc.div_int(den, bits)
+    return acc
 
 
 def _try_candidate(h_perms: List[Perm], weight: Tuple[int, ...],
@@ -496,14 +495,15 @@ def _try_candidate(h_perms: List[Perm], weight: Tuple[int, ...],
             return _DEAD_SUBGROUP
 
     # assignment certificate: each coordinate vector, evaluated on the
-    # generator enclosure, must isolate its own root enclosure
+    # generator enclosure, must isolate its own root enclosure; the
+    # numerators' value is compared with den * root, never divided
     gamma_id = gammas[tuple(range(len(balls)))]
-    for i, vec in enumerate(coords):
-        enc = _eval_on_ball(vec, gamma_id, bits)
-        if enc.disjoint(balls[i]):
+    for i, (nums, den) in enumerate(coords):
+        enc = _eval_on_ball(nums, gamma_id, bits)
+        if enc.disjoint(balls[i].scale(den)):
             return _DEAD_SUBGROUP
         for j in range(len(balls)):
-            if j != i and not enc.disjoint(balls[j]):
+            if j != i and not enc.disjoint(balls[j].scale(den)):
                 return _UNRESOLVED
     return modulus, tuple(coords), ring
 
@@ -535,8 +535,7 @@ def splitting_field(data: WeilData, settings: Settings = DEFAULT) -> SplittingFi
         gamma_cache: Dict[Tuple[int, ...], Dict[Perm, ComplexBall]] = {}
         unresolved_size: Optional[int] = None
         accepted = None
-        for h_idx in candidates:
-            h_perms = [wprime[i] for i in h_idx]
+        for h_perms in candidates:
             if unresolved_size is not None and len(h_perms) > unresolved_size:
                 break
             subgroup_dead = False

@@ -4,10 +4,12 @@ A q-Weil polynomial is monic of even degree 2g over Z, satisfies the
 functional equation a_i = q^(g-i) * a_(2g-i), and has all roots of modulus
 sqrt(q).  The functional equation is a finite integer check; the modulus
 condition is certified through root enclosures: the map z -> q / conj(z)
-permutes the true roots, so if the enclosure of q / conj(root_i) meets
-exactly the enclosure of root_i itself, that root provably has modulus
-sqrt(q), and if it meets a different enclosure the input is provably not
-a Weil polynomial.
+permutes the true roots, and q / conj(z_i) = z_j exactly when
+z_i * conj(z_j) = q.  So if the product ball of root_i and the conjugate
+of root_j holds q for j = i alone, that root provably has modulus
+sqrt(q), and if it holds q for a single other j instead, the input is
+provably not a Weil polynomial.  The certificate multiplies balls and
+never divides.
 
 `validate` is the one place where root enclosures are certified and
 escalated.  One precision loop matches the roots under conjugation and
@@ -153,12 +155,16 @@ class WeilData:
 
 
 def _conjugation_permutation(roots: Sequence[ComplexBall]) -> Optional[List[int]]:
-    return _match_permutation([b.conjugate() for b in roots], roots)
+    return _match_permutation(
+        len(roots), lambda i, j: roots[i].conjugate().intersects(roots[j]))
 
 
 def _modulus_permutation(q: int, roots: Sequence[ComplexBall]) -> Optional[List[int]]:
-    images = [b.conjugate().inverse().scale(q) for b in roots]
-    return _match_permutation(images, roots)
+    # q / conj(z_i) = z_j exactly when z_i * conj(z_j) = q
+    point = ComplexBall.exact(q)
+    return _match_permutation(
+        len(roots),
+        lambda i, j: (roots[i] * roots[j].conjugate()).intersects(point))
 
 
 def _factor_search(sf: IntPoly, balls: Sequence[ComplexBall],

@@ -17,6 +17,8 @@ from hypothesis import assume, given, settings, strategies as st
 from frobeig.errors import Ambiguous
 from frobeig.exactmath.balls import ComplexBall, poly_from_roots
 
+from conftest import enclose
+
 _DIRECTIONS = ((1, 0), (0, 1), (-1, 0), (0, -1),
                (Fraction(3, 5), Fraction(4, 5)),
                (Fraction(-4, 5), Fraction(-3, 5)))
@@ -73,24 +75,10 @@ def test_round_bits_encloses(x, bits):
 
 
 @common
-@given(balls)
-def test_inverse_encloses(x):
-    try:
-        inv = x.inverse()
-    except Ambiguous:
-        # refused only when the disk reaches within one grid unit of 0
-        assert math.isqrt(x.mre ** 2 + x.mim ** 2) <= x.mrad
-        return
-    for xr, xi in points(x):
-        norm = xr * xr + xi * xi
-        assert inv.contains_exact(xr / norm, -xi / norm)
-
-
-@common
 @given(rationals, rationals, rationals, st.integers(-4, 100))
 def test_enclose_contains_the_rational_disk(re, im, rad, bits):
     rad = abs(rad)
-    b = ComplexBall.enclose(re, im, rad, bits)
+    b = enclose(re, im, rad, bits)
     assert b.exp == -bits
     assert all(isinstance(v, int) for v in (b.mre, b.mim, b.mrad))
     disk = [(re, im)] + [(re + rad * ux, im + rad * uy)
@@ -99,19 +87,8 @@ def test_enclose_contains_the_rational_disk(re, im, rad, bits):
         assert b.contains_exact(pr, pi)
 
 
-@common
-@given(balls, st.integers(-10 ** 9, 10 ** 9), st.integers(0, 150))
-def test_div_int_encloses(x, d, bits):
-    assume(d != 0)
-    q = x.div_int(d, bits)
-    assert q.exp == -bits
-    for xr, xi in points(x):
-        assert q.contains_exact(xr / d, xi / d)
-
-
 def test_enclose_of_dyadic_data_is_exact():
-    b = ComplexBall.enclose(Fraction(5, 4), Fraction(-3, 8), Fraction(1, 16),
-                            8)
+    b = enclose(Fraction(5, 4), Fraction(-3, 8), Fraction(1, 16), 8)
     assert (b.re, b.im, b.rad) == (Fraction(5, 4), Fraction(-3, 8),
                                    Fraction(1, 16))
 
@@ -120,7 +97,7 @@ def test_rejects_negative_radius():
     with pytest.raises(ValueError):
         ComplexBall(0, 0, -1, 0)
     with pytest.raises(ValueError):
-        ComplexBall.enclose(0, 0, Fraction(-1, 3), 8)
+        enclose(0, 0, Fraction(-1, 3), 8)
 
 
 # --- decision predicates against their exact rational forms ---
@@ -201,8 +178,8 @@ def test_poly_from_roots_reads_integer_coefficients():
 
 def test_poly_from_roots_first_deciding_coefficient_wins():
     # (X - a)(X - b) = ab - (a + b) X + X^2, read low to high
-    a = ComplexBall.enclose(0, Fraction(1, 8), 0, 8)        # i/8
-    b = ComplexBall.enclose(4, 0, 1, 8)                     # 4 +- 1
+    a = enclose(0, Fraction(1, 8), 0, 8)                    # i/8
+    b = enclose(4, 0, 1, 8)                                 # 4 +- 1
     assert (a * b).unique_integer() is None
     with pytest.raises(Ambiguous):
         (-(a + b)).unique_integer()
@@ -210,8 +187,8 @@ def test_poly_from_roots_first_deciding_coefficient_wins():
     # the other order: the constant holds several integers, the linear
     # coefficient none
     a = ComplexBall.exact(8, -8)                            # 8 - 8i
-    b = ComplexBall.enclose(Fraction(1, 2), Fraction(1, 2),
-                            Fraction(1, 4), 8)              # (1+i)/2 +- 1/4
+    b = enclose(Fraction(1, 2), Fraction(1, 2),
+                Fraction(1, 4), 8)                          # (1+i)/2 +- 1/4
     with pytest.raises(Ambiguous):
         (a * b).unique_integer()
     assert (-(a + b)).unique_integer() is None

@@ -4,7 +4,7 @@ import itertools
 import random
 import signal
 from dataclasses import replace
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 
 import pytest
 
@@ -12,17 +12,17 @@ from frobeig import eig as eig_module
 from frobeig.analysis import Analysis
 from frobeig.config import DEFAULT
 from frobeig.corpus import CORPUS
-from frobeig.eig import (_FIX_BITS, _box_hits, _hnf_rows, _in_row_lattice,
-                         _orders_lcm, _relation_engine, _Relations,
-                         _to_basis_coords,
+from frobeig.eig import (_FIX_BITS, _box_hits, _orders_lcm, _relation_engine,
+                         _Relations, _to_basis_coords,
                          action_rows, apply_rows, build_eig_group,
                          frobenius_rank, invariants_report, realize_coords)
 from frobeig.errors import FrobeigError, MalformedInput, TorsionDetected
+from frobeig.exactmath.latt import hnf_rows, in_row_lattice
 from frobeig.splitfield import (ModRing, galois_group, is_root_of_unity,
                                 splitting_field, word_value)
 from frobeig.weil import base_change, validate
 
-from conftest import analysis_cached, split_cached
+from conftest import analysis_cached, minors_gcd, split_cached
 
 
 def eig_cached(q, coeffs):
@@ -394,25 +394,7 @@ def test_kernel_holds_every_relation_realizing_to_one():
     an = analysis_cached(4, (4, 2, 1))
     # pi = 2 zeta_3, so pi^6 = 64 = q^3
     assert realize_coords(an.rho, (6, -3)) == an.field.ring().const(1)
-    assert _in_row_lattice(an.relations[0].basis, (6, -3))
-
-
-def _det(m):
-    """Integer determinant by Laplace expansion along the first row."""
-    if not m:
-        return 1
-    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:]
-                                           for row in m[1:]])
-               for j in range(len(m)) if m[0][j])
-
-
-def _minors_gcd(rows, k):
-    """gcd of the k x k minors: the k-th determinantal divisor."""
-    g = 0
-    for cols in itertools.combinations(range(len(rows[0])), k):
-        for sel in itertools.combinations(rows, k):
-            g = gcd(g, _det([[row[c] for c in cols] for row in sel]))
-    return g
+    assert in_row_lattice(an.relations[0].basis, (6, -3))
 
 
 def _lattice_oracle(rows, vec):
@@ -420,9 +402,9 @@ def _lattice_oracle(rows, vec):
     rank and the gcd of the maximal minors (the index of the lattice in
     its saturation)."""
     k, ext = len(rows), list(rows) + [tuple(vec)]
-    if k < len(vec) and _minors_gcd(ext, k + 1):
+    if k < len(vec) and minors_gcd(ext, k + 1):
         return False
-    return _minors_gcd(ext, k) == _minors_gcd(rows, k) if k else not any(vec)
+    return minors_gcd(ext, k) == minors_gcd(rows, k) if k else not any(vec)
 
 
 def _brute_hits(bound, weights, fix, err):
@@ -459,7 +441,7 @@ class TestCertifiedScan:
             gens = [tuple(rng.randint(-3, 3) * rng.choice([1, 1, 2, 3])
                           for _ in range(dim))
                     for _ in range(rng.randint(1, min(dim, 4)))]
-            rows = _hnf_rows(gens, dim)
+            rows = hnf_rows(gens)
             for _ in range(8):
                 coeffs = [rng.randint(-2, 2) for _ in rows]
                 member = [sum(c * row[t] for c, row in zip(coeffs, rows))
@@ -468,9 +450,9 @@ class TestCertifiedScan:
                 nudged[rng.randrange(dim)] += rng.choice([-1, 1])
                 free = [rng.randint(-4, 4) for _ in range(dim)]
                 for vec in (member, nudged, free):
-                    assert _in_row_lattice(rows, vec) \
+                    assert in_row_lattice(rows, vec) \
                         == _lattice_oracle(rows, vec), (rows, vec)
-                assert _in_row_lattice(rows, member)
+                assert in_row_lattice(rows, member)
 
     def test_relations_skip_lattice_vectors_and_keep_hnf_rows(self):
         # the test accepts the sublattice sum(a) = 0 mod 3, with an order
@@ -481,11 +463,11 @@ class TestCertifiedScan:
             asked = []
 
             def test(a):
-                assert not _in_row_lattice(acc.rows, a), (acc.rows, a)
+                assert not in_row_lattice(acc.rows, a), (acc.rows, a)
                 asked.append(tuple(a))
                 return 1 + abs(a[0]) % 2 if sum(a) % 3 == 0 else None
 
-            acc = _Relations(dim, test)
+            acc = _Relations(test)
             fed = []
             for _ in range(12):
                 vec = tuple(rng.randint(-3, 3) for _ in range(dim))
@@ -501,10 +483,10 @@ class TestCertifiedScan:
             # only a rejected vector is asked again
             assert all(sum(v) % 3 for v in asked if asked.count(v) > 1)
             kept = [v for v, _ in acc.found]
-            assert acc.rows == _hnf_rows(kept, dim)
+            assert acc.rows == hnf_rows(kept)
             assert all(order == 1 + abs(v[0]) % 2 for v, order in acc.found)
             for vec in fed:
-                assert _in_row_lattice(acc.rows, vec) == (sum(vec) % 3 == 0)
+                assert in_row_lattice(acc.rows, vec) == (sum(vec) % 3 == 0)
 
     def test_box_hits_match_brute_force_with_planted_sums(self):
         rng = random.Random(4711)

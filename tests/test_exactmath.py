@@ -15,18 +15,18 @@ from hypothesis import given, settings, strategies as st
 
 from frobeig.analysis import Analysis
 from frobeig.corpus import CORPUS
-from frobeig.errors import Ambiguous
-from frobeig.exactmath import (ComplexBall, IntPoly, hermite_column_form,
-                               isolate_roots, latt,
-                               lll_reduce, relation_candidates,
-                               smith_normal_form)
+from frobeig.errors import Ambiguous, TorsionDetected
+from frobeig.exactmath import (ComplexBall, IntPoly, hnf_rows,
+                               in_row_lattice, invariant_factors,
+                               isolate_roots, latt, lattice_saturation_index,
+                               lll_reduce, relation_candidates)
 from frobeig.exactmath.balls import isqrt_ub
 from frobeig.exactmath.intpoly import from_power_sums, power_sums
-from frobeig.exactmath.latt import (identity_matrix, invariant_factors,
-                                    lattice_saturation_index)
 from frobeig.exactmath.roots import (_match_permutation, _mpf_to_frac,
                                      refine_roots, two_pi_ball)
 from frobeig.weil import validate
+
+from conftest import enclose, minors_gcd
 
 
 def det(mat):
@@ -231,27 +231,23 @@ def test_intpoly_ring_axioms(a, b):
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 40),
        st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 40))
 def test_ball_arithmetic_encloses_exact_points(ar, ai, an, br, bi, bn):
-    za = ComplexBall.enclose(Fraction(ar, an), Fraction(ai, an),
-                             Fraction(1, 100), 64)
-    zb = ComplexBall.enclose(Fraction(br, bn), Fraction(bi, bn),
-                             Fraction(1, 100), 64)
+    za = enclose(Fraction(ar, an), Fraction(ai, an), Fraction(1, 100), 64)
+    zb = enclose(Fraction(br, bn), Fraction(bi, bn), Fraction(1, 100), 64)
     # the exact midpoints must land inside every operation's output ball
     sr, si = za.re + zb.re, za.im + zb.im
     assert (za + zb).contains_exact(sr, si)
     mr = za.re * zb.re - za.im * zb.im
     mi = za.re * zb.im + za.im * zb.re
     assert (za * zb).contains_exact(mr, mi)
-    if not zb.contains_exact(0, 0):
-        quot = za * zb.inverse()
-        # (za/zb) * zb should enclose za's midpoint
-        back = quot * ComplexBall(zb.mre, zb.mim, 0, zb.exp)
-        assert back.contains_exact(za.re, za.im)
+    # the modulus certificate multiplies by a conjugate
+    assert (za * zb.conjugate()).contains_exact(
+        za.re * zb.re + za.im * zb.im, za.im * zb.re - za.re * zb.im)
 
 
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**4), st.integers(4, 64))
 def test_round_bits_keeps_enclosure(num, den, bits):
-    b = ComplexBall.enclose(Fraction(num, den), Fraction(-num, 3 * den),
-                            Fraction(1, den), 128)
+    b = enclose(Fraction(num, den), Fraction(-num, 3 * den),
+                Fraction(1, den), 128)
     r = b.round_bits(bits)
     assert r.contains_ball(b) or r.rad >= b.rad
     assert r.contains_exact(b.re, b.im)
@@ -267,28 +263,26 @@ def test_sqrt_bounds(p, q):
 
 
 def test_ball_power_and_inverse():
-    z = ComplexBall.enclose(Fraction(1, 2), Fraction(3, 2), 0, 1)
+    z = enclose(Fraction(1, 2), Fraction(3, 2), 0, 1)
     w = z * z * z
     # (1/2 + 3i/2)^3 = 1/8 + 3*(1/4)*(3i/2) + 3*(1/2)*(9 i^2/4) + 27 i^3 / 8
     ex_re = Fraction(1, 8) - Fraction(27, 8)
     ex_im = Fraction(9, 8) * 1 - Fraction(27, 8)
     assert w.contains_exact(ex_re, ex_im)
-    inv = z.inverse()
-    prod = inv * z
-    assert prod.contains_exact(1, 0)
-    with pytest.raises(Ambiguous):
-        ComplexBall.enclose(0, 0, Fraction(1, 10), 64).inverse()
+    # 1/z = conj(z) / |z|^2: the product with the conjugate is exact
+    prod = z * z.conjugate()
+    assert (prod.re, prod.im, prod.rad) == (Fraction(5, 2), 0, 0)
 
 
 def test_disjoint():
-    a = ComplexBall.enclose(0, 1, Fraction(1, 4), 2)
-    b = ComplexBall.enclose(0, -1, Fraction(1, 4), 2)
+    a = enclose(0, 1, Fraction(1, 4), 2)
+    b = enclose(0, -1, Fraction(1, 4), 2)
     assert a.disjoint(b)
 
 
 def test_unique_integer():
     def ball(re, im, rad):
-        return ComplexBall.enclose(re, im, rad, 8)
+        return enclose(re, im, rad, 8)
 
     assert ball(3, 0, Fraction(1, 4)).unique_integer() == 3
     assert ball(Fraction(5, 2), 0, Fraction(1, 8)).unique_integer() is None
@@ -299,65 +293,134 @@ def test_unique_integer():
 
 # --- lattices ---
 
+def _determinantal_factors(mat):
+    """Oracle: the invariant factors s_k = d_k / d_(k-1), where d_k is the
+    gcd of the k x k minors, up to the rank (the first d_k = 0)."""
+    out, prev = [], 1
+    for k in range(1, min(len(mat), len(mat[0])) + 1):
+        d = minors_gcd(mat, k)
+        if d == 0:
+            break
+        out.append(d // prev)
+        prev = d
+    return out
+
+
+def _check_invariant_factors(mat):
+    got = invariant_factors(mat)
+    assert got == _determinantal_factors(mat), mat
+    assert all(b % a == 0 for a, b in zip(got, got[1:]))
+
+
 def test_snf_oracle():
-    u, s, v = smith_normal_form([[2, 4], [6, 8]])
-    assert [s[0][0], s[1][1]] == [2, 4]
-    assert s[0][1] == 0 and s[1][0] == 0
-    assert mat_mul(mat_mul(u, [[2, 4], [6, 8]]), v) == s
-    assert abs(det(u)) == 1 and abs(det(v)) == 1
-
-
-def _check_snf(mat):
-    u, s, v = smith_normal_form(mat)
-    assert mat_mul(mat_mul(u, [list(r) for r in mat]), v) == s
-    assert abs(det(u)) == 1
-    assert abs(det(v)) == 1
-    n, m = len(s), len(s[0])
-    for i in range(n):
-        for j in range(m):
-            if i != j:
-                assert s[i][j] == 0
-    diag = [s[i][i] for i in range(min(n, m))]
-    assert all(d >= 0 for d in diag)
-    nz = [d for d in diag if d]
-    assert diag[:len(nz)] == nz, "zero invariant factor before a nonzero one"
-    for a, b in zip(nz, nz[1:]):
-        assert b % a == 0
+    assert invariant_factors([[2, 4], [6, 8]]) == [2, 4]
+    assert invariant_factors([[0, 0], [0, 0]]) == []
+    assert invariant_factors([[]]) == invariant_factors([]) == []
 
 
 @given(st.lists(st.lists(st.integers(-20, 20), min_size=1, max_size=4),
                 min_size=1, max_size=4).filter(
                     lambda rows: len({len(r) for r in rows}) == 1))
 def test_snf_properties(rows):
-    _check_snf(rows)
+    _check_invariant_factors(rows)
 
 
 def test_snf_seeded_bulk():
     rng = random.Random(20260819)
-    for _ in range(1000):
-        n = rng.randint(1, 4)
-        m = rng.randint(1, 4)
-        mat = [[rng.randint(-30, 30) for _ in range(m)] for _ in range(n)]
-        _check_snf(mat)
-    # up to 6 x 6, where unchecked entry growth can keep the pivot loop
-    # from ending
-    for _ in range(500):
-        n = rng.randint(1, 6)
+    for _ in range(600):
+        n = rng.randint(1, 5)
         m = rng.randint(1, 6)
-        mat = [[rng.randint(-30, 30) for _ in range(m)] for _ in range(n)]
-        _check_snf(mat)
+        # scaled columns and repeated rows force nontrivial factors and
+        # rank defects
+        mat = [[rng.randint(-30, 30) * rng.choice((1, 1, 2, 6))
+                for _ in range(m)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            mat[-1] = [3 * x for x in mat[0]]
+        _check_invariant_factors(mat)
+    # 6 x 6, where unchecked entry growth can keep the pivot loop from
+    # ending
+    for _ in range(100):
+        mat = [[rng.randint(-30, 30) for _ in range(6)] for _ in range(6)]
+        _check_invariant_factors(mat)
+
+
+def test_invariant_factors_of_corpus_relation_matrices():
+    checked = 0
+    for e in CORPUS:
+        try:
+            eig = Analysis(validate(e.q, e.coefficients)).eig
+        except TorsionDetected:
+            continue
+        _check_invariant_factors([list(r) for r in eig.relation_matrix])
+        checked += 1
+    assert checked > 40
+
+
+def _hermite_column_form(mat):
+    """The column Hermite normal form that the row form replaced: the
+    nonzero columns of the canonical basis of the column span, lower
+    triangular, positive pivots, entries left of a pivot in [0, pivot)."""
+    a = [list(row) for row in mat]
+    n, m = len(a), len(a[0])
+
+    def swap(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+
+    col = 0
+    for r in range(n):
+        if col >= m:
+            break
+        nz = [j for j in range(col, m) if a[r][j]]
+        if not nz:
+            continue
+        swap(col, min(nz, key=lambda j: abs(a[r][j])))
+        done = False
+        while not done:
+            done = True
+            for j in range(col + 1, m):
+                if a[r][j]:
+                    f = a[r][j] // a[r][col]
+                    for row in a:
+                        row[j] -= f * row[col]
+                    if a[r][j]:
+                        swap(col, j)
+                        done = False
+        if a[r][col] < 0:
+            for row in a:
+                row[col] = -row[col]
+        for j in range(col):
+            f = a[r][j] // a[r][col]
+            for row in a:
+                row[j] -= f * row[col]
+        col += 1
+    return [c for c in zip(*a) if any(c)]
+
+
+def test_hnf_rows_match_the_column_form_transposed():
+    rng = random.Random(20261019)
+    for _ in range(1500):
+        dim = rng.randint(1, 6)
+        vecs = [tuple(rng.randint(-5, 5) * rng.choice((0, 1, 1, 2, 4))
+                      for _ in range(dim))
+                for _ in range(rng.randint(1, 7))]
+        rows = hnf_rows(vecs)
+        assert rows == tuple(_hermite_column_form(list(zip(*vecs)))), vecs
+        assert hnf_rows(rows) == rows
+        assert all(in_row_lattice(rows, v) for v in vecs)
 
 
 def test_hnf_canonical():
-    h = hermite_column_form([[2, 4], [6, 8]])
-    assert hermite_column_form(h) == h
-    # span check: original columns lie in the HNF column lattice and back
-    assert hermite_column_form([[2, 4, 2], [6, 8, 6]]) == h
+    h = hnf_rows([[2, 6], [4, 8]])
+    assert h == ((2, 2), (0, 4))
+    assert hnf_rows(h) == h
+    assert hnf_rows([[2, 6], [4, 8], [2, 6], [0, 0]]) == h
+    assert hnf_rows([]) == hnf_rows([[0, 0]]) == ()
 
 
 def test_saturation_index():
     assert lattice_saturation_index([[2], [4]]) == 2
-    assert lattice_saturation_index(identity_matrix(3)) == 1
+    assert lattice_saturation_index([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
     assert invariant_factors([[2, 0], [0, 3]]) == [1, 6]
 
 
@@ -569,19 +632,27 @@ def test_refine_preserves_matching():
         assert f.rad < c.rad
     # the order of prev, not the sorted order
     back = refine_roots(p, list(reversed(coarse)), 200)
-    assert _match_permutation(back, coarse) == [1, 0]
+    with pytest.raises(ValueError):
+        refine_roots(p, coarse[:1], 200)
+    assert _match_permutation(
+        2, lambda i, j: back[i].intersects(coarse[j])) == [1, 0]
 
 
 def test_match_permutation_requires_a_bijection():
     balls = isolate_roots(IntPoly((25, 0, 9, 0, 1)), 48)
+
+    def match(images):
+        return _match_permutation(
+            len(images), lambda i, j: images[i].intersects(balls[j]))
+
     perm = [2, 0, 3, 1]
-    assert _match_permutation([balls[i] for i in perm], balls) == perm
-    # two images on one target, or an image missing every target
-    assert _match_permutation([balls[0], balls[0], balls[2], balls[3]],
-                              balls) is None
-    assert _match_permutation(balls[:3], balls) is None
+    assert match([balls[i] for i in perm]) == perm
+    # two images on one target, an image meeting every target, or one
+    # missing every target
+    assert match([balls[0], balls[0], balls[2], balls[3]]) is None
+    assert _match_permutation(4, lambda i, j: True) is None
     far = ComplexBall.exact(100)
-    assert _match_permutation([far] + balls[1:], balls) is None
+    assert match([far] + balls[1:]) is None
 
 
 # --- relation candidates ---

@@ -414,9 +414,7 @@ class TestGroupLayer:
             wprime = _block_permutations(n, blocks, iota)
             cands = _subgroup_candidates(wprime, iota, blocks,
                                          DEFAULT.degree_cap)
-            digest.update(repr((q, coeffs, wprime,
-                                [[wprime[i] for i in c] for c in cands]))
-                          .encode())
+            digest.update(repr((q, coeffs, wprime, cands)).encode())
         assert digest.hexdigest() == GROUP_LAYER_SHA256
 
     def test_wprime_matches_brute_force(self):
@@ -545,19 +543,21 @@ class TestBallCertificates:
         assert digest.hexdigest() == SEEDED_FIELDS_SHA256
 
     def test_assignment_enclosure_on_working_grid(self):
-        # the assignment certificate evaluates each root's rational
-        # coordinates on the enclosure of x; the result lies on the
-        # working grid instead of carrying the coordinates' denominators
+        # the assignment certificate evaluates each root's integer
+        # numerators on the enclosure of x, on the working grid, and
+        # compares the result with the root enclosures scaled by the
+        # denominator instead of dividing
         d, sf = split_cached(5, (25, -5, 6, -1, 1))       # degree 8
         assert any(den > 1 for _, den in sf.root_coords)
         bits = DEFAULT.precision_start + 64
         ident = tuple(range(len(sf.root_balls)))
         gamma = splitfield._gamma_ball(sf.weight, sf.orbit_reps, ident,
                                        sf.root_balls)
-        for i, vec in enumerate(sf.root_coords):
-            enc = splitfield._eval_on_ball(vec, gamma, bits)
+        for i, (nums, den) in enumerate(sf.root_coords):
+            enc = splitfield._eval_on_ball(nums, gamma, bits)
             for value in (enc.re, enc.im, enc.rad):
                 assert (value * 2 ** bits).denominator == 1
-            assert enc.intersects(sf.root_balls[i])
-            assert all(enc.disjoint(b) for j, b in enumerate(sf.root_balls)
+            targets = [b.scale(den) for b in sf.root_balls]
+            assert enc.intersects(targets[i])
+            assert all(enc.disjoint(t) for j, t in enumerate(targets)
                        if j != i)

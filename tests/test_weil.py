@@ -15,10 +15,12 @@ from frobeig.errors import (Ambiguous, FrobeigError, FunctionalEquationFailed,
                             MalformedInput, NotPrimePower, NotSimple,
                             PrecisionExhausted, RootModulusFailed)
 from frobeig.exactmath.intpoly import IntPoly
-from frobeig.exactmath.latt import identity_matrix
+from frobeig.exactmath.roots import isolate_roots
 from frobeig.quadforms import charpoly_exact
 from frobeig.splitfield import splitting_field
 from frobeig.weil import base_change, prime_power_decomposition, validate
+
+from conftest import enclose
 
 
 def mat_mul(a, b):
@@ -35,7 +37,7 @@ def _companion_base_change(poly, k):
         comp[i][i - 1] = 1
     for i in range(n):
         comp[i][n - 1] = -poly.coefficients[i]
-    power = identity_matrix(n)
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(k):
         power = mat_mul(power, comp)
     cp = charpoly_exact([[Fraction(x) for x in row] for row in power])
@@ -195,6 +197,58 @@ class TestValidate:
             validate(5, [5, -2, 2])      # not monic
         with pytest.raises(NotPrimePower):
             validate(6, [6, -1, 1])
+
+
+def _modulus_permutation_by_division(q, roots):
+    """Oracle: the matching by Fraction division that the product
+    certificate replaced.  Over the disk of root_i, q / conj(z) lies
+    within q r / (|m| (|m| - r)) of q m / |m|^2, and that enclosure must
+    meet the enclosure of root_j alone."""
+    images = []
+    for b in roots:
+        lb = isqrt(b.mre ** 2 + b.mim ** 2) * Fraction(2) ** b.exp
+        assert lb > b.rad
+        norm = b.abs_sq_mid()
+        images.append(enclose(q * b.re / norm, q * b.im / norm,
+                              q * b.rad / (lb * (lb - b.rad)), 32 - b.exp))
+    hits = [[j for j, t in enumerate(roots) if img.intersects(t)]
+            for img in images]
+    perm = [h[0] for h in hits if len(h) == 1]
+    return perm if sorted(perm) == list(range(len(roots))) else None
+
+
+def _off_circle_inputs(seed, count):
+    """Seeded quartics and sextics that satisfy the functional equation
+    and fail validation with a root off the circle |z|^2 = q."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        q = rng.choice((2, 3, 4, 5, 7))
+        a, b, c = (rng.randint(-8 * q, 8 * q) for _ in range(3))
+        coeffs = ((q * q, q * a, b, a, 1) if rng.random() < 0.5
+                  else (q ** 3, q * q * a, q * b, c, b, a, 1))
+        try:
+            validate(q, coeffs)
+        except RootModulusFailed:
+            out.append((q, coeffs))
+        except FrobeigError:
+            pass
+    return out
+
+
+class TestModulusCertificate:
+    def test_product_certificate_matches_division_oracle(self):
+        on = [(e.q, tuple(e.coefficients)) for e in CORPUS]
+        off = _off_circle_inputs(19, 40)
+        for q, coeffs in on + off:
+            balls = None
+            for prec in (192, 384):
+                balls = isolate_roots(IntPoly(coeffs), prec, balls)
+                perm = weil._modulus_permutation(q, balls)
+                assert perm is not None
+                assert perm == _modulus_permutation_by_division(q, balls)
+                assert (perm == list(range(len(balls)))) \
+                    == ((q, coeffs) in on), (q, coeffs, prec)
 
 
 def _undecided_once(real, fail):
