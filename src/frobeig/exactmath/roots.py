@@ -15,7 +15,8 @@ integers, so a returned isolation is a proof, not a heuristic.
 
 `isolate_roots` is the one precision loop (Aberth, `_certify`, double
 the working precision); `refine_roots` runs it warm from earlier
-enclosures and keeps their order.
+enclosures and keeps their order.  mpmath is imported only inside the
+three functions that call it, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
-
-import mpmath
 
 from ..errors import Ambiguous, PrecisionExhausted
 from .balls import ComplexBall, isqrt_ub
@@ -54,13 +53,14 @@ def _mpf_to_frac(x) -> Fraction:
 
 
 def _aberth(poly: IntPoly, wp: int, warm: Optional[List[complex]] = None,
-            offset: float = 0.0) -> List[mpmath.mpc]:
+            offset: float = 0.0) -> list:
     """Aberth-Ehrlich simultaneous iteration at wp bits of working precision.
 
     Deterministic: fixed initial circle (plus ladder offset) or warm-start
-    points.  Returns approximations in iteration order; no certification
-    happens here.
+    points.  Returns mpmath.mpc approximations in iteration order; no
+    certification happens here.
     """
+    import mpmath
     n = poly.degree
 
     def ev(cs, z):
@@ -275,6 +275,7 @@ def arg_ball(ball: ComplexBall, prec: int) -> Tuple[Fraction, Fraction]:
     lb = math.isqrt(ball.mre * ball.mre + ball.mim * ball.mim) - ball.mrad
     if lb <= 0:
         raise Ambiguous("disk too close to the origin for an argument bound")
+    import mpmath
     with mpmath.workprec(prec + 16):
         a = mpmath.atan2(mpmath.mpf((ball.mim, ball.exp)),
                          mpmath.mpf((ball.mre, ball.exp)))
@@ -285,6 +286,7 @@ def arg_ball(ball: ComplexBall, prec: int) -> Tuple[Fraction, Fraction]:
 
 def two_pi_ball(prec: int) -> Tuple[Fraction, Fraction]:
     """(midpoint, radius) enclosure of 2*pi at roughly prec bits."""
+    import mpmath
     with mpmath.workprec(prec + 16):
         mid = _mpf_to_frac(2 * mpmath.pi)
     return mid, Fraction(1, 1 << prec)

@@ -4,7 +4,8 @@ Matrices come in as rational rows (anything Fraction accepts).  Each is
 cleared once to an integer matrix A and a denominator d > 0 with
 mat = A/d, and every kernel runs on Python ints:
 
-- characteristic polynomials by Faddeev-LeVerrier on A, rescaled once;
+- characteristic polynomials from the power sums tr(A^k) by Newton's
+  identities (`intpoly.from_power_sums`), rescaled once;
 - signatures by Bareiss fraction-free symmetric elimination;
 - inverses and the comparison endomorphisms base^-1 * moved by one
   Bareiss solve A*X = det*B;
@@ -24,36 +25,42 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (CharpolyMismatch, InternalInconsistency, MalformedInput,
                      NondegeneracyFailed, NotPositiveDefinite,
                      NotPositiveSpectrum, NotSelfAdjoint, NotSymmetric)
-from .exactmath.intpoly import IntPoly, prem, primitive
+from .exactmath.intpoly import IntPoly, from_power_sums, prem, primitive
 
 QMat = List[List[Fraction]]
 IMat = List[List[int]]
 
 
-def to_qmat(rows: Sequence[Sequence]) -> QMat:
+def _clear(rows: Sequence[Sequence]) -> Tuple[IMat, int]:
+    """(A, d) with rows = A/d, A integral and d > 0 the least common
+    denominator.  Entries are anything Fraction accepts; ints and Fractions
+    are read directly.  MalformedInput when rows are empty or not square."""
     if not rows:
         raise MalformedInput("empty matrix")
     n = len(rows)
-    out = []
+    nums, dens = [], []
     for row in rows:
         if len(row) != n:
             raise MalformedInput("matrix is not square")
-        out.append([Fraction(x) for x in row])
-    return out
-
-
-def _clear(mat: QMat) -> Tuple[IMat, int]:
-    """(A, d) with mat = A/d, A integral and d > 0 the least common
-    denominator of the entries."""
-    d = math.lcm(*(x.denominator for row in mat for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row]
-            for row in mat], d
+        out = []
+        for x in row:
+            if not isinstance(x, (int, Fraction)):
+                x = Fraction(x)
+            out.append(x.numerator)
+            dens.append(x.denominator)
+        nums.append(out)
+    d = math.lcm(*dens)
+    if d == 1:
+        return nums, 1
+    den = iter(dens)
+    return [[x * (d // next(den)) for x in row] for row in nums], d
 
 
 def check_symmetric(mat: QMat, what: str = "matrix") -> None:
@@ -94,17 +101,20 @@ def bareiss_solve(a: IMat, b: IMat) -> Tuple[IMat, int]:
             rr[c:] = [(p * x - f * y) // prev
                       for x, y in zip(rr[c:], rc[c:])]
         prev = p
-    x: IMat = [[]] * n
+    # cols[t] holds column t of x for the rows solved so far, last row
+    # first, so row i's coefficients ri[n-1], ..., ri[i+1] meet it in order
+    cols: IMat = [[] for _ in range(len(w[0]) - n)] if n else []
     for i in range(n - 1, -1, -1):
         ri = w[i]
-        x[i] = [(prev * bt - sum(ri[j] * x[j][t] for j in range(i + 1, n)))
-                // ri[i] for t, bt in enumerate(ri[n:])]
-    return x, prev
+        coef, p = ri[n - 1:i:-1], ri[i]
+        for col, bt in zip(cols, ri[n:]):
+            col.append((prev * bt - sum(map(mul, coef, col))) // p)
+    return [[col[n - 1 - i] for col in cols] for i in range(n)], prev
 
 
 def mat_inverse(a: QMat) -> QMat:
     """Exact inverse by one Bareiss solve; NondegeneracyFailed when singular."""
-    ai, d = _clear([[Fraction(x) for x in row] for row in a])
+    ai, d = _clear(a)
     n = len(ai)
     x, det = bareiss_solve(ai, [[int(i == j) for j in range(n)]
                                 for i in range(n)])
@@ -129,7 +139,7 @@ def signature(gram) -> Tuple[int, int]:
 
     Raises NotSymmetric or, for a singular form, NondegeneracyFailed.
     """
-    a, _ = _clear(to_qmat(gram))
+    a, _ = _clear(gram)
     check_symmetric(a)
     return _signature(a)
 
@@ -187,26 +197,26 @@ def _signature(a: IMat) -> Tuple[int, int]:
 
 def charpoly_exact(mat) -> List[Fraction]:
     """Characteristic polynomial det(X*I - mat), coefficients low to high,
-    by the Faddeev-LeVerrier recurrence."""
-    a, d = _clear(to_qmat(mat))
+    from the power sums of the cleared integer matrix by Newton's
+    identities."""
+    a, d = _clear(mat)
     return _rescale(_charpoly(a), d)
 
 
 def _charpoly(a: IMat) -> List[int]:
-    """det(X*I - a) of an integer matrix, low to high: M_1 = I,
-    c_(n-k) = -tr(a M_k) / k, M_(k+1) = a M_k + c_(n-k) I.  Every M_k is
-    integral and each division by k is exact."""
+    """det(X*I - a) of an integer matrix, low to high, from the power sums
+    s_k = tr(a^k) by Newton's identities.  Only a^1 .. a^h, h = ceil(n/2),
+    are formed; for k > h, s_k = tr(a^h a^(k-h)) is one dot product of
+    a^h's rows with the columns of a^(k-h), without the product."""
     n = len(a)
-    coeffs = [0] * n + [1]
-    am = [list(row) for row in a]      # a M_k, starting at a M_1 = a
-    for k in range(1, n + 1):
-        ck = -sum(am[i][i] for i in range(n)) // k
-        coeffs[n - k] = ck
-        if k < n:
-            for i in range(n):
-                am[i][i] += ck
-            am = mat_mul_q(am, a)      # M_(k+1) commutes with a
-    return coeffs
+    powers = [a]
+    for _ in range((n - 1) // 2):
+        powers.append(mat_mul_q(powers[-1], a))
+    sums = [n] + [sum(p[i][i] for i in range(n)) for p in powers]
+    top = list(chain.from_iterable(powers[-1]))
+    sums += [sum(map(mul, top, chain.from_iterable(zip(*p))))
+             for p in powers[:n - len(powers)]]
+    return from_power_sums(sums)
 
 
 def _rescale(coeffs: List[int], d: int) -> List[Fraction]:
@@ -369,11 +379,9 @@ def constant_signature_certify(gram, u) -> SignatureCertificate:
     symmetric matrices, so the signature cannot jump; both signatures are
     still computed independently and compared.
     """
-    g = to_qmat(gram)
-    uu = to_qmat(u)
+    (g, _), (uu, du) = _clear(gram), _clear(u)
     if len(g) != len(uu):
         raise MalformedInput("matrix dimensions differ")
-    (g, _), (uu, du) = _clear(g), _clear(uu)
     check_symmetric(g, "base form")
     moved = mat_mul_q(g, uu)           # a positive multiple of gram*u
     try:
@@ -399,11 +407,11 @@ def tannaka_transfer(side_a_base, side_a_moved, side_b_base, side_b_moved) -> Tr
     the signature there.  Side B's moved form is base * v itself, so the
     certification reads it directly.
     """
-    mats = [to_qmat(m) for m in (side_a_base, side_a_moved,
-                                 side_b_base, side_b_moved)]
-    if len({len(m) for m in mats}) != 1:
+    cleared = [_clear(m) for m in (side_a_base, side_a_moved,
+                                   side_b_base, side_b_moved)]
+    if len({len(m) for m, _ in cleared}) != 1:
         raise MalformedInput("the four matrices must share one dimension")
-    (a0, da0), (a1, da1), (b0, db0), (b1, db1) = [_clear(m) for m in mats]
+    (a0, da0), (a1, da1), (b0, db0), (b1, db1) = cleared
     for m, name in ((a0, "side A base"), (a1, "side A moved"),
                     (b0, "side B base"), (b1, "side B moved")):
         check_symmetric(m, name)

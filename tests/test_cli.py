@@ -28,6 +28,15 @@ from frobeig.report import (InputRecord, build_report_record, canonical_json,
 from conftest import deep_grid_records
 
 
+def subprocess_env():
+    """os.environ with this checkout's src directory put in front of any
+    PYTHONPATH already set, for a child interpreter."""
+    src = str(Path(frobeig.__file__).resolve().parents[1])
+    old = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": src + os.pathsep + old if old else src}
+
+
 def run_cli(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr().out.strip()
@@ -122,11 +131,22 @@ class TestCanonicalJson:
         code = ("import sys, frobeig.report, frobeig.cli; "
                 "print([m for m in ('multiprocessing', "
                 "'concurrent.futures.process') if m in sys.modules])")
-        src = str(Path(frobeig.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src})
+                             env=subprocess_env())
         assert out.stdout.strip() == "[]"
+
+    def test_mpmath_loads_only_for_root_isolation(self):
+        # the quadforms kernels and the report layer run without mpmath;
+        # the first validate isolates roots and imports it
+        code = ("import sys, frobeig.report, frobeig.cli, frobeig.quadforms; "
+                "before = 'mpmath' in sys.modules; "
+                "from frobeig.weil import validate; validate(5, [5, -1, 1]); "
+                "print(before, 'mpmath' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=subprocess_env())
+        assert out.stdout.split() == ["False", "True"]
 
 
 # --- input records ---
@@ -334,7 +354,6 @@ class TestSingleCommands:
     def test_closed_stdout_exits_3_silently(self):
         # the reader is gone before the first write: the report's write
         # fails with EPIPE, and neither it nor the exit flush may print
-        src = str(Path(frobeig.__file__).resolve().parents[1])
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -342,7 +361,7 @@ class TestSingleCommands:
                 [sys.executable, "-m", "frobeig.cli", "report", "--q", "3",
                  "--coeffs", "27,0,0,0,0,0,1", "--max-power", "4"],
                 stdout=write_end, stderr=subprocess.PIPE, timeout=120,
-                env={**os.environ, "PYTHONPATH": src})
+                env=subprocess_env())
         finally:
             os.close(write_end)
         assert out.returncode == 3

@@ -386,9 +386,9 @@ class TestRealization:
 
 
 # the box search and LLL miss a kernel generator here, so the reported
-# lattice has index 4 in ker rho; the fix for ROADMAP item 1 removes the
+# lattice has index 4 in ker rho; the fix for ROADMAP item 7 removes the
 # marker
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the kernel search "
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: the kernel search "
                    "misses (6, -3) for q=4 [4,2,1]")
 def test_kernel_holds_every_relation_realizing_to_one():
     an = analysis_cached(4, (4, 2, 1))

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -11,11 +12,11 @@ from frobeig import quadforms
 from frobeig.errors import (CharpolyMismatch, MalformedInput,
                             NondegeneracyFailed, NotPositiveDefinite,
                             NotPositiveSpectrum, NotSelfAdjoint, NotSymmetric)
-from frobeig.quadforms import (_chain, _int_poly, am_filter, bareiss_solve,
-                               charpoly_exact, constant_signature_certify,
-                               count_real_roots, mat_inverse, mat_mul_q,
-                               signature, spectrum_all_real_positive,
-                               tannaka_transfer, to_qmat)
+from frobeig.quadforms import (_chain, _charpoly, _int_poly, am_filter,
+                               bareiss_solve, charpoly_exact,
+                               constant_signature_certify, count_real_roots,
+                               mat_inverse, mat_mul_q, signature,
+                               spectrum_all_real_positive, tannaka_transfer)
 
 F = Fraction
 
@@ -231,7 +232,7 @@ def test_positive_definite_helper():
 def fraction_charpoly(mat):
     """Faddeev-LeVerrier over Fraction, entry by entry: the oracle for the
     integer kernel."""
-    a = to_qmat(mat)
+    a = [[F(x) for x in row] for row in mat]
     n = len(a)
     coeffs = [F(0)] * (n + 1)
     coeffs[n] = F(1)
@@ -289,6 +290,37 @@ def test_charpoly_matches_fraction_oracle_at_8():
         assert charpoly_exact(m) == fraction_charpoly(m)
 
 
+def _int_matrix(rng, n, bits, cols=None):
+    return [[rng.randint(-(1 << bits), 1 << bits)
+             for _ in range(n if cols is None else cols)] for _ in range(n)]
+
+
+def test_entries_of_any_rational_type_clear_alike():
+    # ints and Fractions are read directly and anything else goes through
+    # Fraction(x); every entry point also rejects a malformed shape
+    exact = [[F(1, 2), F(3)], [F(3), F(-7, 4)]]
+    mixed = [["1/2", 3], [Decimal("3"), -1.75]]
+    assert charpoly_exact(mixed) == charpoly_exact(exact)
+    assert signature(mixed) == signature(exact) == (1, 1)
+    assert mat_inverse(mixed) == mat_inverse(exact)
+    for bad, msg in (([], "empty matrix"), ([[1, 2]], "not square"),
+                     ([[1, 2], [3]], "not square")):
+        for fn in (signature, charpoly_exact, mat_inverse):
+            with pytest.raises(MalformedInput, match=msg):
+                fn(bad)
+
+
+def test_charpoly_kernel_matches_fraction_oracle_to_16():
+    # the power sums reach tr(a^16) on entries up to 2^200, far past the
+    # hypothesis strategy's small matrices; bits 0 gives zero, singular
+    # and repeated-eigenvalue cases
+    rng = random.Random(1616)
+    for n in range(1, 17):
+        for bits in (0, 3, 200):
+            m = _int_matrix(rng, n, bits)
+            assert _charpoly(m) == fraction_charpoly(m), (n, bits)
+
+
 @kernel
 @given(symmetric_matrices())
 def test_signature_against_descartes(s):
@@ -333,6 +365,46 @@ def test_bareiss_solve_scales_by_determinant(ab):
     x, det = bareiss_solve(a, b)
     assert abs(det) == abs(charpoly_exact(a)[0])
     assert mat_mul_q(a, x) == [[det * v for v in row] for row in b]
+
+
+def _fraction_det(a):
+    """Determinant by Gaussian elimination over Fraction: the oracle for
+    the last Bareiss pivot."""
+    m = [[F(x) for x in row] for row in a]
+    n, det = len(m), F(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c]), None)
+        if piv is None:
+            return F(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, n):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+def test_bareiss_solve_seeded_systems():
+    # a*x = det*b with det = +-det(a), up to n = 12 and 100-bit entries;
+    # a zero corner forces a row swap at the first pivot
+    rng = random.Random(4242)
+    solved = 0
+    for n in range(1, 13):
+        for bits in (1, 100):
+            a = _int_matrix(rng, n, bits)
+            if n > 1 and bits == 1:
+                a[0][0] = 0
+            det = _fraction_det(a)
+            if det == 0:
+                continue
+            b = _int_matrix(rng, n, bits, cols=rng.randint(1, 4))
+            x, d = bareiss_solve(a, b)
+            assert abs(d) == abs(det)
+            assert mat_mul_q(a, x) == [[d * v for v in row] for row in b]
+            solved += 1
+    assert solved >= 20
 
 
 def _poly_from(real_roots, complex_pairs):

@@ -184,6 +184,22 @@ class TestModRing:
                 t = ref_trace(fa, m)
                 assert ring.trace(a) == (t.numerator, t.denominator)
 
+    def test_charpoly_by_cayley_hamilton(self):
+        # chi(b) = 0 in the ring for the charpoly chi of multiplication by
+        # b, on every corpus field: root coordinates' numerators, x and
+        # seeded integer elements of up to 64 bits
+        rng = random.Random(4848)
+        for _, field in corpus_fields():
+            ring = field.ring()
+            elems = [nums for nums, _ in field.root_coords[:3]]
+            elems.append(ring.xbar()[0])
+            elems += [[rng.randint(-(1 << bits), 1 << bits)
+                       for _ in range(ring.n)] for bits in (2, 64)]
+            for nums in elems:
+                chi = ring.charpoly(nums)
+                assert len(chi) == ring.n + 1 and chi[-1] == 1
+                assert ring.eval_poly(chi, (tuple(nums), 1)) == ring.const(0)
+
     def test_inverse_from_minimal_polynomial(self):
         # Q[x]/(x^2 - 1) is no field: x - 1 is a zero divisor
         ring = ModRing(IntPoly((-1, 0, 1)))
