@@ -202,8 +202,9 @@ def action_rows(eig: EigGroup, sigma: Sequence[int]) -> Tuple[Coords, ...]:
 
 
 def apply_rows(rows: Sequence[Coords], coords: Sequence[int]) -> Coords:
-    """Basis coordinates of the image of coords under action rows."""
-    out = [0] * len(coords)
+    """Basis coordinates of the image of coords under action rows, or of
+    the word coords in the roots under rows = eig.symbol_coords."""
+    out = [0] * len(rows[0])
     for c, row in zip(coords, rows):
         if c:
             for t, x in enumerate(row):
@@ -368,15 +369,6 @@ def _to_root_coords(eig: EigGroup, a: Sequence[int]) -> Coords:
     return tuple(exps)
 
 
-def _to_basis_coords(eig: EigGroup, a: Sequence[int]) -> Coords:
-    out = [0] * eig.rank
-    for i, c in enumerate(a):
-        if c:
-            for t in range(eig.rank):
-                out[t] += c * eig.symbol_coords[i][t]
-    return tuple(out)
-
-
 class _Relations:
     """Verified relations spanning one lattice, with their HNF rows.
 
@@ -433,7 +425,7 @@ def _relation_engine(field: SplittingField, eig: EigGroup, bound: int,
         if sum(a) != 0:
             return None
         return is_root_of_unity(
-            ring, realize_coords(rho, _to_basis_coords(eig, a)))
+            ring, realize_coords(rho, apply_rows(eig.symbol_coords, a)))
 
     kernel = _Relations(kernel_test)
     torsion = _Relations(torsion_test)
@@ -490,7 +482,7 @@ def _relation_engine(field: SplittingField, eig: EigGroup, bound: int,
     # t * a; a kernel vector re-expressed over the roots is torsion of
     # order 1.  One round makes the two lattices agree on ranks.
     for vec, order in torsion.found:
-        kernel.add(tuple(order * c for c in _to_basis_coords(eig, vec)))
+        kernel.add(apply_rows(eig.symbol_coords, [order * c for c in vec]))
     for vec, _ in kernel.found:
         torsion.add(_to_root_coords(eig, vec))
 

@@ -18,9 +18,9 @@ isolation) rounds its radius up itself.  The read-only views `re`, `im`
 and `rad` give the exact rational values of the mantissas, for witness
 strings and tests.
 
-`poly_from_roots` expands prod (X - v) over balls on one working grid
-and reads its integer coefficients; validation's factor search and the
-splitting field's resolvents both use it.
+Validation's factors and the field's resolvents are read by power sums
+only: `integer_power_sums` reads the sums off a `power_rows` table, and
+`intpoly.from_power_sums` turns them into integer coefficients.
 
 Comparisons that a ball cannot decide raise `Ambiguous` instead of guessing;
 callers escalate precision and retry.
@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from ..errors import Ambiguous
 
@@ -201,27 +202,43 @@ class ComplexBall:
         return f"({float(self.re):.6g} {float(self.im):+.6g}i) +- {float(self.rad):.3g}"
 
 
-def poly_from_roots(values: Sequence[ComplexBall],
-                    bits: int) -> Optional[List[int]]:
-    """The integer coefficients of prod (X - v) over the balls values, low
-    to high, or None when the product provably is not in Z[X].
+def lincomb(coeffs: Sequence[int],
+            values: Sequence[ComplexBall]) -> ComplexBall:
+    """The ball sum of c * v over coeffs and values, exact: no rounding."""
+    acc = ComplexBall.exact(0)
+    for c, v in zip(coeffs, values):
+        if c:
+            acc = acc + v.scale(c)
+    return acc
 
-    Each expansion step rounds the coefficients below the leading one
-    onto the 2^-bits grid, so their mantissas stay bounded and every true
-    coefficient stays inside its ball.  The coefficients are read low to
-    high, and the first that holds no integer (None) or several
-    (Ambiguous, raised) decides."""
-    coeffs = [ComplexBall.exact(1)]
-    for v in values:
-        nxt = [ComplexBall.exact(0)] * (len(coeffs) + 1)
-        for t, c in enumerate(coeffs):
-            nxt[t + 1] = nxt[t + 1] + c
-            nxt[t] = nxt[t] + c * (-v)
-        coeffs = [c.round_bits(bits) for c in nxt[:-1]] + [nxt[-1]]
-    ints = []
-    for c in coeffs:
-        n = c.unique_integer()
-        if n is None:
+
+def power_rows(values: Sequence[ComplexBall],
+               bits: int) -> Iterator[List[ComplexBall]]:
+    """Rows 0, 1, 2, ... of the power table of the balls values: row k
+    holds every values[i]^k.  Row 0 is exact ones and row 1 the values
+    themselves; each later row is the one before times the values, each
+    product rounded outward onto the 2^-bits grid."""
+    yield [ComplexBall.exact(1)] * len(values)
+    row = list(values)
+    while True:
+        yield row
+        row = [(p * v).round_bits(bits) for p, v in zip(row, values)]
+
+
+def integer_power_sums(rows: Iterable[Sequence[ComplexBall]],
+                       subset: Sequence[int]) -> Optional[List[int]]:
+    """[n, s_1, ..., s_n], s_k the integer in the sum of rows[k][i] over
+    the n indices i in subset.  rows is a `power_rows` table, or its
+    generator, which then builds row k only when s_k is read.  The sums
+    are read low to high, and the first that holds no integer (None) or
+    several (Ambiguous, raised) decides."""
+    sums = [len(subset)]
+    for row in islice(rows, 1, len(subset) + 1):
+        acc = ComplexBall.exact(0)
+        for i in subset:
+            acc = acc + row[i]
+        s = acc.unique_integer()
+        if s is None:
             return None
-        ints.append(n)
-    return ints
+        sums.append(s)
+    return sums

@@ -20,7 +20,8 @@ once the values are distinct; distinctness is equivalent to M_H being
 squarefree, checked by an integer gcd.  Candidates are scanned in order of
 increasing |H|, so the first fully verified candidate satisfies H = G and
 its M_H is irreducible: smaller subgroups die on a certified non-integer
-coefficient or a repeated factor, and both certificates are exact.
+power sum, an inexact Newton division or a repeated factor, and all three
+certificates are exact.
 W', the candidates and the Galois group's closure check are spans of
 generator lists under one routine, `_span`, and the candidate search
 drops every span past the degree cap.
@@ -49,14 +50,14 @@ and determinant unchanged.  The enclosures are dyadic `ComplexBall`s:
 integer mantissas over one power-of-two exponent, so ball arithmetic is
 integer arithmetic.  The construction starts from the root enclosures
 and the precision that `weil.validate` certified, and refines the roots
-itself only when some candidate stays undecided.  The resolvent
-coefficients are expanded and read as integers by
-`balls.poly_from_roots`, the same reader as validation's factor search,
-so both decide on the first coefficient that holds no integer or
-several.  Its running products, the powers of gamma_w and each Horner
-step of the coordinate evaluation are rounded outward onto the 2^-bits
-working grid (bits = precision + 64), which keeps every true value
-inside its ball and the mantissas proportional to the precision.  The
+itself only when some candidate stays undecided.  M_H is read by power
+sums, like validation's factors: one table of the powers gamma_w^k
+(`balls.power_rows`) gives each Tr(x^k) as the integer its enclosure
+holds, and Newton's identities give the coefficients.  The traces
+t_{i,k} and the evaluation sum_k nums_k * x^k of a coordinate vector
+read the same table, whose products are rounded outward onto the 2^-bits
+working grid (bits = precision + 64); that keeps every true value inside
+its ball and the mantissas proportional to the precision.  The
 coordinate evaluation runs on an element's integer numerators and is
 compared with the root enclosures scaled by its denominator, so no
 enclosure is ever divided.
@@ -68,16 +69,17 @@ map x -> image must be an automorphism that permutes the roots as the
 element claims.
 
 Rejection is equally certified.  When H is the Galois group, every
-trace t_{i,k} is an integer for every weight past the squarefree gate,
-and the true coordinates pass every identity above.  So an enclosure of
-a trace that holds no integer, a failed ring identity, or a coordinate
-vector that evaluates away from its own root enclosure is an exact proof
-that the candidate subgroup is not the Galois group.  Any fully verified
-candidate presents a ring in which the polynomial splits and which is
-generated by a combination of the roots, so its degree is a multiple of
-the true splitting degree; scanning subgroups by increasing order and
-accepting only when every smaller candidate holds a rejection
-certificate pins the degree exactly and forces m irreducible.
+power sum Tr(x^k) and, past the squarefree gate, every trace t_{i,k} is
+an integer for every weight, and the true coordinates pass every
+identity above.  So an enclosure of a power sum or a trace that holds no
+integer, a failed ring identity, or a coordinate vector that evaluates
+away from its own root enclosure is an exact proof that the candidate
+subgroup is not the Galois group.  Any fully verified candidate
+presents a ring in which the polynomial splits and which is generated by
+a combination of the roots, so its degree is a multiple of the true
+splitting degree; scanning subgroups by increasing order and accepting
+only when every smaller candidate holds a rejection certificate pins the
+degree exactly and forces m irreducible.
 The weight ladder (indicator vectors, then geometric vectors over a long
 prime list) provably contains a non-degenerate weight for every input in
 the supported degree range, so the true group is never starved of a
@@ -87,14 +89,16 @@ witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from itertools import islice, tee
 from math import gcd, lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .config import DEFAULT, Settings
 from .errors import (Ambiguous, DegreeCapExceeded, InternalInconsistency,
                      PrecisionExhausted)
-from .exactmath.balls import ComplexBall, poly_from_roots
-from .exactmath.intpoly import IntPoly, power_sums
+from .exactmath.balls import (ComplexBall, integer_power_sums, lincomb,
+                              power_rows)
+from .exactmath.intpoly import IntPoly, from_power_sums, power_sums
 from .exactmath.roots import refine_roots
 from .quadforms import _charpoly, bareiss_solve
 from .weil import _SMALL_PRIMES, WeilData
@@ -328,15 +332,6 @@ def _subgroup_candidates(wprime: List[Perm], iota: Perm, blocks: Sequence[Tuple[
     return good
 
 
-# --- ball-side helpers ---
-
-def _ball_product(values: Sequence[ComplexBall], bits: int) -> ComplexBall:
-    acc = ComplexBall.exact(1)
-    for v in values:
-        acc = (acc * v).round_bits(bits)
-    return acc
-
-
 # --- results ---
 
 @dataclass(frozen=True)
@@ -398,17 +393,6 @@ _DEAD_SUBGROUP = "dead-subgroup"      # certificate refutes the subgroup itself
 _UNRESOLVED = "unresolved"
 
 
-def _eval_on_ball(nums: Sequence[int], point: ComplexBall,
-                  bits: int) -> ComplexBall:
-    """Enclosure on the 2^-bits grid of the integer polynomial nums, low
-    to high, at the ball point: Horner, rounding each step onto the
-    grid."""
-    acc = ComplexBall.exact(0)
-    for c in reversed(nums):
-        acc = (acc * point + ComplexBall.exact(c)).round_bits(bits)
-    return acc
-
-
 def _try_candidate(h_perms: List[Perm], weight: Tuple[int, ...],
                    reps: Tuple[int, ...], gammas: Dict[Perm, ComplexBall],
                    balls: Sequence[ComplexBall], sf_poly: IntPoly,
@@ -417,41 +401,37 @@ def _try_candidate(h_perms: List[Perm], weight: Tuple[int, ...],
 
     Returns a payload tuple on success, _UNRESOLVED when the precision
     cannot decide, or one of two exact rejection certificates.  Key
-    asymmetry: were the subgroup the Galois group, the resolvent would
-    have integer coefficients for EVERY integer weight (a degenerate
-    weight only repeats roots), and past the squarefree gate every trace
+    asymmetry: were the subgroup the Galois group, every power sum
+    Tr(x^k) = sum_w gamma_w^k would be an integer and Newton's identities
+    would divide exactly, for EVERY integer weight (a degenerate weight
+    only repeats roots), and past the squarefree gate every trace
     t_{i,k} = Tr(r_i x^k) would be an integer whose exact Hankel solve
     gives coordinates that verify, for ANY weight.  So a certified
-    non-integer coefficient or trace, a failed ring identity, or a
-    misplaced root enclosure refutes the subgroup outright
-    (_DEAD_SUBGROUP); only a squarefree failure is specific to the weight
-    (_DEAD_WEIGHT).
+    non-integer power sum or trace, an inexact Newton division, a failed
+    ring identity, or a misplaced root enclosure refutes the subgroup
+    outright (_DEAD_SUBGROUP); only a squarefree failure is specific to
+    the weight (_DEAD_WEIGHT).
     """
     values = [gammas[w] for w in h_perms]
-    # cheap gate first: the norm, the constant coefficient up to sign,
-    # must round to an integer; it needs a linear number of ball products
-    # where the full expansion needs a quadratic one
+    n = len(values)
+    # the reader builds row k of the power table only when it reads
+    # Tr(x^k), so a wrong subgroup usually dies on Tr(x), with no product
+    lazy, table = tee(power_rows(values, bits))
     try:
-        if _ball_product(values, bits).unique_integer() is None:
+        sums = integer_power_sums(lazy, range(n))
+        if sums is None:
             return _DEAD_SUBGROUP
-        ints = poly_from_roots(values, bits)
+        modulus = IntPoly(from_power_sums(sums))
     except Ambiguous:
         return _UNRESOLVED
-    if ints is None:
-        return _DEAD_SUBGROUP
-    modulus = IntPoly(ints)
+    except ValueError:
+        return _DEAD_SUBGROUP           # Newton's identities do not divide
     if modulus.gcd(modulus.derivative()).degree > 0:
         return _DEAD_WEIGHT             # repeated values: not squarefree
 
     # trace certificate: were H the Galois group, t_{i,k} = sum_w
     # r_{w(i)} gamma_w^k = Tr(r_i x^k) would be a rational integer
-    n = modulus.degree
-    powers = []
-    for v in values:
-        row = [ComplexBall.exact(1)]
-        for _ in range(n - 1):
-            row.append((row[-1] * v).round_bits(bits))
-        powers.append(row)
+    rows = list(islice(table, n))
     traces = []
     try:
         for i in range(len(balls)):
@@ -459,8 +439,8 @@ def _try_candidate(h_perms: List[Perm], weight: Tuple[int, ...],
             row = []
             for k in range(n):
                 acc = ComplexBall.exact(0)
-                for r, pw in zip(node_vals, powers):
-                    acc = acc + r * pw[k]
+                for r, pw in zip(node_vals, rows[k]):
+                    acc = acc + r * pw
                 t = acc.unique_integer()
                 if t is None:
                     return _DEAD_SUBGROUP
@@ -495,11 +475,13 @@ def _try_candidate(h_perms: List[Perm], weight: Tuple[int, ...],
             return _DEAD_SUBGROUP
 
     # assignment certificate: each coordinate vector, evaluated on the
-    # generator enclosure, must isolate its own root enclosure; the
+    # generator enclosure as sum_k nums_k gamma_id^k from the identity's
+    # column of the power table, must isolate its own root enclosure; the
     # numerators' value is compared with den * root, never divided
-    gamma_id = gammas[tuple(range(len(balls)))]
+    ident = h_perms.index(tuple(range(len(balls))))
+    column = [row[ident] for row in rows]
     for i, (nums, den) in enumerate(coords):
-        enc = _eval_on_ball(nums, gamma_id, bits)
+        enc = lincomb(nums, column)
         if enc.disjoint(balls[i].scale(den)):
             return _DEAD_SUBGROUP
         for j in range(len(balls)):
@@ -543,7 +525,8 @@ def splitting_field(data: WeilData, settings: Settings = DEFAULT) -> SplittingFi
             for weight in weights:
                 if weight not in gamma_cache:
                     gamma_cache[weight] = {
-                        w: _gamma_ball(weight, reps, w, balls) for w in wprime}
+                        w: lincomb(weight, [balls[w[rep]] for rep in reps])
+                        for w in wprime}
                 out = _try_candidate(h_perms, weight, reps,
                                      gamma_cache[weight], balls, sf_poly,
                                      iota, data.q, bits)
@@ -582,15 +565,6 @@ def splitting_field(data: WeilData, settings: Settings = DEFAULT) -> SplittingFi
             raise PrecisionExhausted(
                 f"splitting field undecided at {settings.precision_ceiling} bits")
         balls = refine_roots(data.poly, balls, prec)
-
-
-def _gamma_ball(weight: Tuple[int, ...], reps: Tuple[int, ...], perm: Perm,
-                balls: Sequence[ComplexBall]) -> ComplexBall:
-    acc = ComplexBall.exact(0)
-    for c, rep in zip(weight, reps):
-        if c:
-            acc = acc + balls[perm[rep]].scale(c)
-    return acc
 
 
 def galois_group(field: SplittingField, data: WeilData) -> GaloisData:

@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import List, Optional, Sequence, Tuple
 
 from .config import DEFAULT, FACTOR_DEGREE_CAP, Settings
 from .errors import (Ambiguous, FunctionalEquationFailed,
                      InternalInconsistency, MalformedInput, NotPrimePower,
                      NotSimple, PrecisionExhausted, RootModulusFailed)
-from .exactmath.balls import ComplexBall, poly_from_roots
+from .exactmath.balls import ComplexBall, integer_power_sums, power_rows
 from .exactmath.intpoly import IntPoly, from_power_sums, power_sums
 from .exactmath.roots import _match_permutation, isolate_roots, refine_roots
 
@@ -171,14 +171,16 @@ def _modulus_permutation(q: int, roots: Sequence[ComplexBall]) -> Optional[List[
 def _factor_search(sf: IntPoly, balls: Sequence[ComplexBall],
                    bits: int) -> List[Tuple[IntPoly, Tuple[int, ...]]]:
     """Irreducible factors of the monic squarefree polynomial sf by
-    recombining root subsets, smallest subsets first; each subset's
-    product is expanded on the 2^-bits grid.
+    recombining root subsets, smallest subsets first; one power table of
+    the balls on the 2^-bits grid gives each subset's power sums by
+    additions, and Newton's identities give its product.
 
-    Raises Ambiguous when some coefficient enclosure is too wide to round
+    Raises Ambiguous when some power sum enclosure is too wide to round
     to a unique integer (the caller escalates precision).  A factorization
     is exact and complete: candidate polynomials are accepted only after
     exact division, and minimality of the subsets gives irreducibility.
     """
+    rows = list(islice(power_rows(balls, bits), len(balls) // 2 + 1))
     remaining = list(range(len(balls)))
     found: List[Tuple[IntPoly, Tuple[int, ...]]] = []
     quotient = sf
@@ -186,12 +188,15 @@ def _factor_search(sf: IntPoly, balls: Sequence[ComplexBall],
     while remaining and size <= len(remaining) // 2:
         hit = None
         for subset in combinations(remaining, size):
-            # Ambiguous propagates up; None skips a provably non-integer
-            # product
-            ints = poly_from_roots([balls[i] for i in subset], bits)
-            if ints is None:
+            # Ambiguous propagates up; None and ValueError skip a subset
+            # whose product provably is not in Z[X]
+            sums = integer_power_sums(rows, subset)
+            if sums is None:
                 continue
-            cand = IntPoly(ints)
+            try:
+                cand = IntPoly(from_power_sums(sums))
+            except ValueError:
+                continue
             if cand.divides(quotient):
                 hit = (cand, subset)
                 break
@@ -241,6 +246,7 @@ def validate(q: int, coefficients: Sequence[int],
                 f"coefficient {i}: expected q^{g - i} * a_{2 * g - i} "
                 f"= {q ** (g - i) * a[2 * g - i]}, found {a[i]}")
 
+    sf = poly.squarefree_part()
     prec = settings.precision_start
     balls = isolate_roots(poly, prec)
     while True:
@@ -264,8 +270,7 @@ def validate(q: int, coefficients: Sequence[int],
                     f"degree {poly.degree} exceeds the factorization cap "
                     f"{FACTOR_DEGREE_CAP}")
             try:
-                flat = _factor_search(poly.squarefree_part(), balls,
-                                      prec + 64)
+                flat = _factor_search(sf, balls, prec + 64)
                 break
             except Ambiguous:
                 stage = "factorization"

@@ -123,6 +123,32 @@ def enclose(re, im, rad, bits):
     return ComplexBall(mre, mim, mrad, -bits)
 
 
+def poly_from_roots(values, bits):
+    """The integer coefficients of prod (X - v) over the balls values, low
+    to high, or None when the product provably is not in Z[X]: the
+    product-expansion reader that the power-sum reader replaced, kept as
+    its oracle.
+
+    Each expansion step rounds the coefficients below the leading one
+    onto the 2^-bits grid, so every true coefficient stays inside its
+    ball.  The coefficients are read low to high, and the first that
+    holds no integer (None) or several (Ambiguous, raised) decides."""
+    coeffs = [ComplexBall.exact(1)]
+    for v in values:
+        nxt = [ComplexBall.exact(0)] * (len(coeffs) + 1)
+        for t, c in enumerate(coeffs):
+            nxt[t + 1] = nxt[t + 1] + c
+            nxt[t] = nxt[t] + c * (-v)
+        coeffs = [c.round_bits(bits) for c in nxt[:-1]] + [nxt[-1]]
+    ints = []
+    for c in coeffs:
+        n = c.unique_integer()
+        if n is None:
+            return None
+        ints.append(n)
+    return ints
+
+
 def int_det(mat):
     """Integer determinant by fraction-free (Bareiss) elimination."""
     a = [list(row) for row in mat]

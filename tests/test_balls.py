@@ -10,14 +10,18 @@ evaluated exactly on the rational views.
 
 import math
 from fractions import Fraction
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from frobeig.corpus import CORPUS
 from frobeig.errors import Ambiguous
-from frobeig.exactmath.balls import ComplexBall, poly_from_roots
+from frobeig.exactmath.balls import ComplexBall, integer_power_sums, power_rows
+from frobeig.exactmath.intpoly import IntPoly, from_power_sums
+from frobeig.exactmath.roots import isolate_roots
 
-from conftest import enclose
+from conftest import enclose, poly_from_roots
 
 _DIRECTIONS = ((1, 0), (0, 1), (-1, 0), (0, -1),
                (Fraction(3, 5), Fraction(4, 5)),
@@ -170,27 +174,74 @@ def test_unique_integer_matches_exact(b):
 
 # --- the integer reader ---
 
-def test_poly_from_roots_reads_integer_coefficients():
-    assert poly_from_roots([ComplexBall.exact(2), ComplexBall.exact(-3)],
-                           64) == [-6, 1, 1]
-    assert poly_from_roots([], 64) == [1]
+def test_power_sums_of_exact_points_are_exact():
+    # Gaussian-integer point balls: every power is exact, so every sum is
+    values = [ComplexBall.exact(2), ComplexBall.exact(-3),
+              ComplexBall.exact(1, 1), ComplexBall.exact(1, -1)]
+    rows = list(islice(power_rows(values, 64), 4))
+    assert all(p is v for p, v in zip(rows[1], values))
+    for k, row in enumerate(rows):
+        for v, p in zip(values, row):
+            z = complex(v.mre, v.mim) ** k
+            assert (p.re, p.im, p.rad) == (z.real, z.imag, 0)
+    assert integer_power_sums(rows, [0, 1]) == [2, -1, 13]
+    assert from_power_sums([2, -1, 13]) == [-6, 1, 1]
+    # 1 + i and 1 - i: X^2 - 2X + 2
+    assert integer_power_sums(rows, [2, 3]) == [2, 2, 0]
+    assert from_power_sums([2, 2, 0]) == [2, -2, 1]
+    assert integer_power_sums(rows, [0, 2, 3]) == [3, 4, 4, 4]
+    assert integer_power_sums(rows, [2]) is None
+    assert integer_power_sums(rows, []) == [0]
 
 
-def test_poly_from_roots_first_deciding_coefficient_wins():
-    # (X - a)(X - b) = ab - (a + b) X + X^2, read low to high
-    a = enclose(0, Fraction(1, 8), 0, 8)                    # i/8
-    b = enclose(4, 0, 1, 8)                                 # 4 +- 1
-    assert (a * b).unique_integer() is None
+def test_first_deciding_power_sum_wins():
+    # s_1 = a + b holds no integer, s_2 = a^2 + b^2 several
+    a = enclose(Fraction(1, 2), 0, 0, 8)                    # 1/2
+    b = enclose(3, 0, Fraction(1, 4), 8)                    # 3 +- 1/4
+    rows = list(islice(power_rows([a, b], 64), 3))
+    assert (rows[1][0] + rows[1][1]).unique_integer() is None
     with pytest.raises(Ambiguous):
-        (-(a + b)).unique_integer()
-    assert poly_from_roots([a, b], 64) is None
-    # the other order: the constant holds several integers, the linear
-    # coefficient none
-    a = ComplexBall.exact(8, -8)                            # 8 - 8i
-    b = enclose(Fraction(1, 2), Fraction(1, 2),
-                Fraction(1, 4), 8)                          # (1+i)/2 +- 1/4
+        (rows[2][0] + rows[2][1]).unique_integer()
+    assert integer_power_sums(rows, [0, 1]) is None
+    # the other order: s_1 holds several integers, s_2 none
+    a = ComplexBall.exact(4, 4)                             # 4 + 4i
+    b = enclose(0, -4, 1, 8)                                # -4i +- 1
+    rows = list(islice(power_rows([a, b], 64), 3))
     with pytest.raises(Ambiguous):
-        (a * b).unique_integer()
-    assert (-(a + b)).unique_integer() is None
+        (rows[1][0] + rows[1][1]).unique_integer()
+    assert (rows[2][0] + rows[2][1]).unique_integer() is None
     with pytest.raises(Ambiguous):
-        poly_from_roots([a, b], 64)
+        integer_power_sums(rows, [0, 1])
+    # read from the generator, a decided sum stops the table
+    built = []
+    lazy = (built.append(k) or row
+            for k, row in enumerate(power_rows([a, b], 64)))
+    with pytest.raises(Ambiguous):
+        integer_power_sums(lazy, [0, 1])
+    assert built == [0, 1]
+
+
+@pytest.mark.parametrize("prec", [192, 384])
+def test_power_sums_agree_with_the_product_expansion(prec):
+    # every subset the factor search can visit, for every corpus record:
+    # where both readers decide, they give the same polynomial or both
+    # reject
+    bits = prec + 64
+    decided = 0
+    for entry in CORPUS:
+        balls = isolate_roots(IntPoly(entry.coefficients), prec)
+        rows = list(islice(power_rows(balls, bits), len(balls) // 2 + 1))
+        for size in range(1, len(balls) // 2 + 1):
+            for subset in combinations(range(len(balls)), size):
+                try:
+                    old = poly_from_roots([balls[i] for i in subset], bits)
+                    sums = integer_power_sums(rows, subset)
+                except Ambiguous:
+                    continue
+                try:
+                    new = None if sums is None else from_power_sums(sums)
+                except ValueError:
+                    new = None
+                assert new == old, (entry.tag, subset)
+                decided += 1
+    assert decided > 100

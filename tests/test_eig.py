@@ -13,8 +13,7 @@ from frobeig.analysis import Analysis
 from frobeig.config import DEFAULT
 from frobeig.corpus import CORPUS
 from frobeig.eig import (_FIX_BITS, _box_hits, _orders_lcm, _relation_engine,
-                         _Relations, _to_basis_coords,
-                         action_rows, apply_rows, build_eig_group,
+                         _Relations, action_rows, apply_rows, build_eig_group,
                          frobenius_rank, invariants_report, realize_coords)
 from frobeig.errors import FrobeigError, MalformedInput, TorsionDetected
 from frobeig.exactmath.latt import hnf_rows, in_row_lattice
@@ -565,7 +564,8 @@ class TestCertifiedScan:
             order_lcm = _orders_lcm(ring.n)
             for a in itertools.product(span, repeat=e.n_roots):
                 if any(a) and sum(a) == 0:
-                    value = realize_coords(an.rho, _to_basis_coords(e, a))
+                    value = realize_coords(an.rho,
+                                           apply_rows(e.symbol_coords, a))
                     order = is_root_of_unity(ring, value)
                     if order is not None:
                         assert a in torsion_hits, (entry, a)

@@ -8,10 +8,12 @@ from math import isqrt, lcm
 
 import pytest
 
-from frobeig import splitfield
+from frobeig import splitfield, weil
 from frobeig.config import DEFAULT
 from frobeig.corpus import CORPUS
+from frobeig.exactmath.balls import lincomb, power_rows
 from frobeig.exactmath.intpoly import IntPoly
+from frobeig.exactmath.roots import refine_roots
 from frobeig.errors import (FrobeigError, InternalInconsistency,
                             PrecisionExhausted)
 from frobeig.splitfield import (ModRing, _block_permutations, _compose,
@@ -560,20 +562,41 @@ class TestBallCertificates:
 
     def test_assignment_enclosure_on_working_grid(self):
         # the assignment certificate evaluates each root's integer
-        # numerators on the enclosure of x, on the working grid, and
+        # numerators as sum_k nums_k x^k on the identity's column of the
+        # power table, whose products lie on the working grid, and
         # compares the result with the root enclosures scaled by the
         # denominator instead of dividing
         d, sf = split_cached(5, (25, -5, 6, -1, 1))       # degree 8
         assert any(den > 1 for _, den in sf.root_coords)
         bits = DEFAULT.precision_start + 64
-        ident = tuple(range(len(sf.root_balls)))
-        gamma = splitfield._gamma_ball(sf.weight, sf.orbit_reps, ident,
-                                       sf.root_balls)
-        for i, (nums, den) in enumerate(sf.root_coords):
-            enc = splitfield._eval_on_ball(nums, gamma, bits)
-            for value in (enc.re, enc.im, enc.rad):
+        gamma = lincomb(sf.weight, [sf.root_balls[r] for r in sf.orbit_reps])
+        column = [row[0] for row in
+                  itertools.islice(power_rows([gamma], bits), sf.degree)]
+        assert column[1] is gamma
+        for p in column[2:]:
+            for value in (p.re, p.im, p.rad):
                 assert (value * 2 ** bits).denominator == 1
+        grid = 2 ** -gamma.exp
+        for i, (nums, den) in enumerate(sf.root_coords):
+            enc = lincomb(nums, column)
+            for value in (enc.re, enc.im, enc.rad):
+                assert (value * grid).denominator == 1
             targets = [b.scale(den) for b in sf.root_balls]
             assert enc.intersects(targets[i])
             assert all(enc.disjoint(t) for j, t in enumerate(targets)
                        if j != i)
+
+    def test_corpus_needs_no_refinement(self, monkeypatch):
+        # validation and the splitting field decide every corpus record at
+        # the starting precision; a reader that needs more bits shows here
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return refine_roots(*args)
+        monkeypatch.setattr(weil, "refine_roots", counted)
+        monkeypatch.setattr(splitfield, "refine_roots", counted)
+        for entry in CORPUS:
+            data = validate(entry.q, entry.coefficients)
+            splitting_field(data)
+        assert calls == []
