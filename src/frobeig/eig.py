@@ -59,7 +59,7 @@ from .exactmath.latt import (hnf_rows, in_row_lattice, invariant_factors,
 from .exactmath.roots import arg_ball, two_pi_ball
 from .splitfield import (Elem, SplittingField, is_root_of_unity,
                          orbit_representatives)
-from .weil import WeilData, base_change
+from .weil import WeilData, base_changes
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -521,8 +521,9 @@ def _multiplicity_growth_at(data: WeilData) -> Optional[int]:
     """First k in _GROWTH_RANGE where the multiplicity of a simple input
     grows under base change, or None."""
     degree = data.factors[0].poly.degree
-    for k in _GROWTH_RANGE:
-        if base_change(data.poly, k).squarefree_part().degree < degree:
+    for k, changed in zip(_GROWTH_RANGE,
+                          base_changes(data.poly, _GROWTH_RANGE)):
+        if changed.squarefree_part().degree < degree:
             return k
     return None
 

@@ -4,9 +4,9 @@ A `ComplexBall` is a closed disk {z : |z - mid| <= rad} stored as three
 integer mantissas over one power-of-two exponent: the midpoint is
 (mre + i*mim) * 2^exp and the radius mrad * 2^exp.  This is the
 midpoint-radius design of Arb (Johansson, arXiv:1611.02831) with exact
-integer midpoints: sums, products, scaling and negation are exact
-integer operations on the mantissas, and the product radius takes its
-midpoint moduli from `math.isqrt`, rounded up.
+integer midpoints: sums, products and scaling (negation is
+`scale(-1)`) are exact integer operations on the mantissas, and the
+product radius takes its midpoint moduli from `math.isqrt`, rounded up.
 
 Rounding happens in one place, `round_bits`, and it rounds outward: it
 moves the midpoint to the nearest point of the 2^-bits grid, adds the
@@ -104,9 +104,6 @@ class ComplexBall:
                            self.mim + (other.mim << s),
                            self.mrad + (other.mrad << s), e)
 
-    def __neg__(self) -> "ComplexBall":
-        return ComplexBall(-self.mre, -self.mim, self.mrad, self.exp)
-
     def conjugate(self) -> "ComplexBall":
         return ComplexBall(self.mre, -self.mim, self.mrad, self.exp)
 
@@ -152,11 +149,6 @@ class ComplexBall:
             c, d, s = c << (f - e), d << (f - e), s << (f - e)
         return a, b, r, c, d, s
 
-    def contains_exact(self, re, im=0) -> bool:
-        dx = self.re - Fraction(re)
-        dy = self.im - Fraction(im)
-        return dx * dx + dy * dy <= self.rad * self.rad
-
     def disjoint(self, other: "ComplexBall") -> bool:
         a, b, r, c, d, s = self._aligned(other)
         dx, dy, rr = a - c, b - d, r + s
@@ -164,14 +156,6 @@ class ComplexBall:
 
     def intersects(self, other: "ComplexBall") -> bool:
         return not self.disjoint(other)
-
-    def contains_ball(self, other: "ComplexBall") -> bool:
-        a, b, r, c, d, s = self._aligned(other)
-        gap = r - s
-        if gap < 0:
-            return False
-        dx, dy = a - c, b - d
-        return dx * dx + dy * dy <= gap * gap
 
     def unique_integer(self):
         """The single integer in the real interval, when imag covers 0.

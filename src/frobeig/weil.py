@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .config import DEFAULT, FACTOR_DEGREE_CAP, Settings
 from .errors import (Ambiguous, FunctionalEquationFailed,
@@ -123,8 +123,9 @@ class WeilData:
     roots are pairwise-disjoint enclosures of the distinct roots, sorted
     by exact midpoint, real part then imaginary part.  That order is not
     canonical: a conjugate pair shares its real part, so which of the two
-    comes first follows the rounding of the real midpoints.  iota is the involution z -> q/z = conj(z) as a permutation of
-    root indices; its fixed points are exactly the real roots +-sqrt(q).
+    comes first follows the rounding of the real midpoints.  iota is the
+    involution z -> q/z = conj(z) as a permutation of root indices; its
+    fixed points are exactly the real roots +-sqrt(q).
     """
     q: int
     p: int
@@ -305,18 +306,26 @@ def validate(q: int, coefficients: Sequence[int],
 
 
 def base_change(poly: IntPoly, k: int) -> IntPoly:
-    """Weil polynomial after extending the base field by degree k.
+    """Weil polynomial after extending the base field by degree k."""
+    return next(base_changes(poly, (k,)))
+
+
+def base_changes(poly: IntPoly, ks: Sequence[int]) -> Iterator[IntPoly]:
+    """`base_change(poly, k)` for each k of ks in turn, from one table.
 
     The roots become k-th powers, whose power sums are every k-th power
     sum of the input; Newton's identities rebuild the polynomial from
     them on the integers, and each of their divisions must be exact.
     """
-    if k < 1:
+    if min(ks) < 1:
         raise MalformedInput("extension degree must be positive")
     n = poly.degree
     if n < 1 or not poly.is_monic():
         raise MalformedInput("base change needs a monic nonconstant polynomial")
-    try:
-        return IntPoly(from_power_sums(power_sums(poly, n * k)[::k]))
-    except ValueError:
-        raise InternalInconsistency("base change is not integral") from None
+    sums = power_sums(poly, n * max(ks))
+    for k in ks:
+        try:
+            yield IntPoly(from_power_sums(sums[:n * k + 1:k]))
+        except ValueError:
+            raise InternalInconsistency(
+                "base change is not integral") from None

@@ -105,6 +105,23 @@ def aberth_reference(poly, wp, warm=None, offset=0.0):
         return zs
 
 
+def contains_exact(ball, re, im=0):
+    """Whether the closed disk of ball holds the point re + i*im, decided
+    on the exact rational views."""
+    dx = ball.re - Fraction(re)
+    dy = ball.im - Fraction(im)
+    return dx * dx + dy * dy <= ball.rad * ball.rad
+
+
+def contains_ball(ball, other):
+    """Whether the closed disk of ball holds the whole disk of other."""
+    gap = ball.rad - other.rad
+    if gap < 0:
+        return False
+    dx, dy = ball.re - other.re, ball.im - other.im
+    return dx * dx + dy * dy <= gap * gap
+
+
 def enclose(re, im, rad, bits):
     """The ball on the 2^-bits grid that contains the disk with rational
     midpoint (re, im) and rational radius rad >= 0: rational test data
@@ -138,7 +155,7 @@ def poly_from_roots(values, bits):
         nxt = [ComplexBall.exact(0)] * (len(coeffs) + 1)
         for t, c in enumerate(coeffs):
             nxt[t + 1] = nxt[t + 1] + c
-            nxt[t] = nxt[t] + c * (-v)
+            nxt[t] = nxt[t] + c * v.scale(-1)
         coeffs = [c.round_bits(bits) for c in nxt[:-1]] + [nxt[-1]]
     ints = []
     for c in coeffs:

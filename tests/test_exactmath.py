@@ -22,12 +22,16 @@ from frobeig.exactmath import (ComplexBall, IntPoly, hnf_rows,
                                lll_reduce, relation_candidates)
 from frobeig.exactmath.balls import isqrt_ub
 from frobeig.exactmath.intpoly import from_power_sums, power_sums
-from frobeig.exactmath.roots import (_OFFSETS, _aberth, _match_permutation,
-                                     _mpf_to_frac, _step_small, refine_roots,
+from frobeig.exactmath.roots import (_OFFSETS, _ONE, _ZERO, _aberth, _add,
+                                     _cadd, _cadd_real, _cdiv, _cinv, _cmul,
+                                     _csub, _div, _from_mpc, _horner,
+                                     _match_permutation, _mpf_to_frac,
+                                     _round, _step_small, refine_roots,
                                      two_pi_ball)
 from frobeig.weil import validate
 
-from conftest import aberth_reference, enclose, minors_gcd
+from conftest import (aberth_reference, contains_ball, contains_exact, enclose,
+                      minors_gcd)
 
 
 def det(mat):
@@ -236,13 +240,13 @@ def test_ball_arithmetic_encloses_exact_points(ar, ai, an, br, bi, bn):
     zb = enclose(Fraction(br, bn), Fraction(bi, bn), Fraction(1, 100), 64)
     # the exact midpoints must land inside every operation's output ball
     sr, si = za.re + zb.re, za.im + zb.im
-    assert (za + zb).contains_exact(sr, si)
+    assert contains_exact(za + zb, sr, si)
     mr = za.re * zb.re - za.im * zb.im
     mi = za.re * zb.im + za.im * zb.re
-    assert (za * zb).contains_exact(mr, mi)
+    assert contains_exact(za * zb, mr, mi)
     # the modulus certificate multiplies by a conjugate
-    assert (za * zb.conjugate()).contains_exact(
-        za.re * zb.re + za.im * zb.im, za.im * zb.re - za.re * zb.im)
+    assert contains_exact(za * zb.conjugate(), za.re * zb.re + za.im * zb.im,
+                          za.im * zb.re - za.re * zb.im)
 
 
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**4), st.integers(4, 64))
@@ -250,8 +254,8 @@ def test_round_bits_keeps_enclosure(num, den, bits):
     b = enclose(Fraction(num, den), Fraction(-num, 3 * den),
                 Fraction(1, den), 128)
     r = b.round_bits(bits)
-    assert r.contains_ball(b) or r.rad >= b.rad
-    assert r.contains_exact(b.re, b.im)
+    assert contains_ball(r, b) or r.rad >= b.rad
+    assert contains_exact(r, b.re, b.im)
     assert r.re.denominator <= (1 << bits)
 
 
@@ -269,7 +273,7 @@ def test_ball_power_and_inverse():
     # (1/2 + 3i/2)^3 = 1/8 + 3*(1/4)*(3i/2) + 3*(1/2)*(9 i^2/4) + 27 i^3 / 8
     ex_re = Fraction(1, 8) - Fraction(27, 8)
     ex_im = Fraction(9, 8) * 1 - Fraction(27, 8)
-    assert w.contains_exact(ex_re, ex_im)
+    assert contains_exact(w, ex_re, ex_im)
     # 1/z = conj(z) / |z|^2: the product with the conjugate is exact
     prod = z * z.conjugate()
     assert (prod.re, prod.im, prod.rad) == (Fraction(5, 2), 0, 0)
@@ -549,8 +553,8 @@ def test_lll_rejects_dependent_rows(basis):
 def test_isolate_quadratic_oracle():
     roots = isolate_roots(IntPoly((1, 0, 1)), 64)
     assert len(roots) == 2
-    assert roots[0].contains_exact(0, -1)
-    assert roots[1].contains_exact(0, 1)
+    assert contains_exact(roots[0], 0, -1)
+    assert contains_exact(roots[1], 0, 1)
 
 
 def test_isolate_weil_quadratic():
@@ -558,7 +562,7 @@ def test_isolate_weil_quadratic():
     assert len(roots) == 2
     assert roots[0].re == roots[1].re == Fraction(1, 2)
     prod = roots[0] * roots[1]
-    assert prod.contains_exact(5)
+    assert contains_exact(prod, 5)
     # canonical order: negative imaginary part first
     assert roots[0].im < 0 < roots[1].im
 
@@ -566,7 +570,7 @@ def test_isolate_weil_quadratic():
 def test_isolate_handles_multiplicities():
     roots = isolate_roots(IntPoly((9, 6, 1)), 64)   # (X+3)^2
     assert len(roots) == 1
-    assert roots[0].contains_exact(-3)
+    assert contains_exact(roots[0], -3)
 
 
 def test_isolate_sextic_modulus():
@@ -575,7 +579,7 @@ def test_isolate_sextic_modulus():
     for b in roots:
         sq = (b * b) * (b * b).conjugate()
         # |z|^2 must be 3 for every root, so |z|^4 = 9
-        assert sq.contains_exact(9)
+        assert contains_exact(sq, 9)
 
 
 def test_isolate_large_q_sextic():
@@ -591,7 +595,7 @@ def test_isolate_large_q_sextic():
     assert len(roots) == 6
     for b in roots:
         # |z|^2 = 4096^2 for every root
-        assert (b * b.conjugate()).contains_exact(4096 ** 2)
+        assert contains_exact(b * b.conjugate(), 4096 ** 2)
 
 
 def _too_slow(signum, frame):
@@ -642,6 +646,33 @@ def test_aberth_matches_the_reference_loop():
     assert calls > 200
 
 
+def test_aberth_special_branches_match_the_reference_loop(monkeypatch):
+    # warm starts for P = x^2 + 2 that reach the two special branches:
+    # P'(0) = 0 at the point 0, and two coincident points, which get the
+    # same (tol, -tol) shift in every sweep and so never separate
+    from frobeig.exactmath import roots
+    hits = {roots._horner: 0, roots._csub: 0}
+
+    def counting(f):
+        def g(*args):
+            value = f(*args)
+            hits[f] += value == _ZERO
+            return value
+        return g
+
+    for f in list(hits):
+        monkeypatch.setattr(roots, f.__name__, counting(f))
+    p = IntPoly((2, 0, 1))
+    for warm in ([0j, 1 + 1j], [1 + 1j, 1 + 1j]):
+        before = dict(hits)
+        for wp in (64, 128):
+            got = [z._mpc_ for z in _aberth(p, wp, warm=warm)]
+            assert got == [z._mpc_ for z in aberth_reference(p, wp, warm=warm)]
+            assert (got[0] == got[1]) == (warm[0] == warm[1])
+        assert [hits[f] > before[f] for f in hits] == [
+            warm[0] == 0, warm[0] == warm[1]]
+
+
 def test_step_small_matches_the_rounded_stop_rule(monkeypatch):
     # steps at tol * max(1, |z|) * (1 + k 2^-wp), for |z| below, near and
     # above 1, reach both the exact decision and the rounded fallback,
@@ -675,12 +706,126 @@ def test_step_small_matches_the_rounded_stop_rule(monkeypatch):
             step = size * mpmath.expjpi(mpmath.mpf(rng.random()))
             expected = abs(step) / max(mpmath.mpf(1), abs(z)) < tol
             before = abs_calls[0]
-            got = _step_small(step, z, tol, wp)
+            got = _step_small(_from_mpc(step), _from_mpc(z), wp)
             assert got == expected, (wp, step, z)
             branch = "exact" if abs_calls[0] == before else "rounded"
             runs[branch, got] = runs.get((branch, got), 0) + 1
     assert {("exact", True), ("exact", False)} <= set(runs)
     assert any(branch == "rounded" for branch, _ in runs)
+
+
+def _raw(x):
+    """mpmath's canonical tuple of the kernel real x = (m, e)."""
+    m, e = x
+    return int(m < 0), abs(m), e, abs(m).bit_length()
+
+
+def _raw_c(z):
+    return _raw(z[:2]), _raw(z[2:])
+
+
+def _kernel_real(rng, prec):
+    """A seeded kernel real: zero, or a signed odd mantissa of 1 to
+    3 * prec bits with an exponent near 0 or up to 400 bits away, so that
+    sums meet both the near and the far-offset paths of mpf_add."""
+    if rng.random() < 0.05:
+        return 0, 0
+    bits = rng.randint(1, 3 * prec)
+    m = rng.getrandbits(bits) | 1 | 1 << (bits - 1)
+    spread = rng.choice((8, 8, 400))
+    return (-m if rng.random() < 0.5 else m), rng.randint(-spread, spread)
+
+
+def test_kernel_reals_match_libmp():
+    # _round, _add (to nearest and toward zero) and _div return libmp's
+    # tuples: on seeded operands, on ties, on far-offset sums whose large
+    # operand has more than prec + 4 bits, and on exact cancellation
+    from mpmath.libmp import mpf_add, mpf_div, normalize
+    rng = random.Random(24)
+    for trial in range(3000):
+        prec = (53, 64, 128, 416)[trial % 4]
+        x, y = _kernel_real(rng, prec), _kernel_real(rng, prec)
+        if x[0]:
+            assert _raw(_round(*x, prec)) == normalize(*_raw(x), prec, "n")
+            assert _raw(_round(*x, prec, True)) == normalize(
+                *_raw(x), prec, "d")
+        assert _raw(_add(*x, *y, prec)) == mpf_add(_raw(x), _raw(y), prec,
+                                                   "n"), (x, y, prec)
+        assert _raw(_add(*x, *y, prec, True)) == mpf_add(
+            _raw(x), _raw(y), prec, "d"), (x, y, prec)
+        if y[0]:
+            assert _raw(_div(*x, *y, prec)) == mpf_div(
+                _raw(x), _raw(y), prec, "n"), (x, y, prec)
+    for k in (0b1011, 0b1001):
+        # exact ties: K + 1/2 rounds to the even neighbour, both signs
+        for sign in (1, -1):
+            x, half = (sign * k, 5), (sign, 4)
+            got = _add(*x, *half, 4)
+            assert _raw(got) == mpf_add(_raw(x), _raw(half), 4, "n")
+            assert _round(sign * (2 * k + 1), 4, 4) == got
+            assert got[0] << got[1] == sign * (k + (k & 1)) << 5
+    far = 0
+    for sign_x in (1, -1):
+        for sign_y in (1, -1):
+            # x = K + (1/2 - 2^-200) in units of its last kept bit: the far
+            # offset adds one unit with y's sign 68 bits below, so x + y
+            # rounds down, though y carries into the half: not correctly
+            # rounded, and the kernel agrees with libmp on it
+            k = (1 << 63) + 12345
+            x = (sign_x * ((k << 200) + (1 << 199) - 1), -500)
+            y = (sign_y * ((1 << 150) - 1), -601)
+            got = _add(*x, *y, 64)
+            assert _raw(got) == mpf_add(_raw(x), _raw(y), 64, "n")
+            assert _raw(_add(*y, *x, 64)) == mpf_add(_raw(y), _raw(x), 64,
+                                                     "n")
+            exact = x[0] * Fraction(2) ** x[1] + y[0] * Fraction(2) ** y[1]
+            nearest = round(exact * 2 ** 300)
+            far += got[0] * Fraction(2) ** (got[1] + 300) != nearest
+    assert far == 2   # y's carry reaches the half bit when signs agree
+    # exact cancellation gives the canonical zero
+    assert _add(12345, -7, -12345, -7, 64) == (0, 0) == _add(0, 0, 0, 3, 64)
+    # division by a power of two is exact before rounding; an exact
+    # quotient has no sticky bit; a remainder sets one
+    for x, y in (((3 ** 40, 2), (-1, -9)), ((3 ** 40, 2), (3, 5)),
+                 ((3 ** 5 * 7, 0), (7, 0)), ((1, 0), (3, 0))):
+        assert _raw(_div(*x, *y, 53)) == mpf_div(_raw(x), _raw(y), 53, "n")
+    assert _div(3 ** 5 * 7, 0, 7, 0, 53) == (3 ** 5, 0)
+
+
+def test_kernel_complex_routines_match_libmp():
+    # each complex routine of the sweep against the libmp routine the
+    # plain mpmath loop calls, with mpmath's default rounding to nearest
+    from mpmath.libmp import (fone, fzero, mpc_add, mpc_add_mpf, mpc_div,
+                              mpc_mpf_div, mpc_mul, mpc_sub, mpf_add)
+    rng = random.Random(24)
+    truncated = 0
+    for trial in range(1500):
+        prec = (53, 64, 128, 416)[trial % 4]
+        z = _kernel_real(rng, prec) + _kernel_real(rng, prec)
+        w = _kernel_real(rng, prec) + _kernel_real(rng, prec)
+        rz, rw = _raw_c(z), _raw_c(w)
+        assert _raw_c(_cadd(z, w, prec)) == mpc_add(rz, rw, prec, "n")
+        assert _raw_c(_csub(z, w, prec)) == mpc_sub(rz, rw, prec, "n")
+        assert _raw_c(_cadd_real(z, w[:2], prec)) == mpc_add_mpf(
+            rz, rw[0], prec, "n")
+        assert _raw_c(_cmul(z, w, prec)) == mpc_mul(rz, rw, prec, "n")
+        assert _raw_c(_csub(_ONE, w, prec)) == mpc_sub((fone, fzero), rw,
+                                                       prec, "n")
+        if w != _ZERO:
+            # mpc_div rounds its inner sums toward zero at prec + 10 bits
+            assert _raw_c(_cdiv(z, w, prec)) == mpc_div(rz, rw, prec, "n")
+            assert _raw_c(_cinv(w, prec)) == mpc_mpf_div(fone, rw, prec, "n")
+            sq = (w[0] * w[0], 2 * w[1], w[2] * w[2], 2 * w[3])
+            assert _raw(_add(*sq, prec + 10, True)) == mpf_add(
+                _raw(sq[:2]), _raw(sq[2:]), prec + 10, "d")
+            truncated += _add(*sq, prec + 10, True) != _add(*sq, prec + 10)
+        cs = [_kernel_real(rng, prec) for _ in range(trial % 4)]
+        acc = rz
+        for c in cs:
+            acc = mpc_add_mpf(mpc_mul(acc, rw, prec, "n"), _raw(c), prec,
+                              "n")
+        assert _raw_c(_horner(z, cs, w, prec)) == acc
+    assert truncated > 100
 
 
 def _reexpand(balls):
@@ -689,7 +834,7 @@ def _reexpand(balls):
         nxt = [ComplexBall.exact(0)] * (len(coeffs) + 1)
         for i, c in enumerate(coeffs):
             nxt[i + 1] = nxt[i + 1] + c
-            nxt[i] = nxt[i] + c * (-b)
+            nxt[i] = nxt[i] + c * b.scale(-1)
         coeffs = nxt
     return coeffs
 
@@ -705,7 +850,7 @@ def test_isolated_roots_reexpand(tail):
     assert len(balls) == sf.degree
     coeffs = _reexpand(balls)
     for ball, exact in zip(coeffs, sf.coefficients):
-        assert ball.contains_exact(exact), (p, sf, exact)
+        assert contains_exact(ball, exact), (p, sf, exact)
 
 
 def test_refine_preserves_matching():
