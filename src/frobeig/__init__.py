@@ -8,11 +8,11 @@ the positivity-theorem hypothesis checks, and provides a certified engine
 for transferring quadratic-form signatures along Tannakian functors.
 
 Every reported value is exact: arbitrary-precision integers and rationals
-throughout, with floating point confined to root-finding *iterations* whose
-results are always certified a posteriori by exact arithmetic.
+throughout, with no floating point at all.  Even the root enclosures are
+certified integer brackets of the real Weil polynomial's roots.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .config import Settings
 from . import errors

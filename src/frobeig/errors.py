@@ -43,7 +43,9 @@ class FunctionalEquationFailed(FrobeigError):
 class RootModulusFailed(FrobeigError):
     """Some root provably does not have modulus sqrt(q).
 
-    Carries a witness: the midpoint of the offending root ball.
+    Carries a witness, every value a string: the real Weil polynomial's
+    coefficients, how many of its distinct roots lie in [-2 sqrt(q),
+    2 sqrt(q)] by an exact Sturm count, how many it has, and q.
     """
 
     def __init__(self, message, witness=None):

@@ -182,9 +182,6 @@ class ComplexBall:
         return (f"ComplexBall({self.mre}, {self.mim}, {self.mrad}, "
                 f"{self.exp})")
 
-    def __str__(self) -> str:
-        return f"({float(self.re):.6g} {float(self.im):+.6g}i) +- {float(self.rad):.3g}"
-
 
 def lincomb(coeffs: Sequence[int],
             values: Sequence[ComplexBall]) -> ComplexBall:

@@ -5,7 +5,8 @@ is the coefficient of X^i) with no trailing zeros.  All arithmetic runs on
 Python ints.  One pseudo-remainder routine, `prem`, sits at the centre:
 the gcd is a primitive pseudo-remainder sequence, divisibility is a zero
 pseudo-remainder, and the squarefree part divides by that gcd exactly.
-`quadforms` builds its Sturm chains on the same routine.  Power sums and
+The one Sturm chain, `_chain`, is built on the same routine; `quadforms`
+counts spectra with it and `roots` isolates real roots.  Power sums and
 Newton's identities work on monic polynomials, where they stay integral.
 """
 
@@ -13,7 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from fractions import Fraction
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 
 def _strip(coeffs: Sequence) -> tuple:
@@ -241,3 +243,59 @@ def from_power_sums(sums: Sequence[int]) -> List[int]:
             raise ValueError("power sums are not those of an integer "
                              "polynomial")
     return c
+
+
+# --- Sturm chains ---
+
+def _chain(p: List[int]) -> List[List[int]]:
+    """p, p', then negated signed pseudo-remainders, each a positive
+    multiple of the Euclidean chain's element; the last is a multiple of
+    gcd(p, p').  Empty for the zero polynomial."""
+    if not p:
+        return []
+    chain = [p]
+    dp = primitive([i * c for i, c in enumerate(p)][1:])
+    if dp:
+        chain.append(dp)
+    while len(chain) > 1 and len(chain[-1]) > 1:
+        rem = prem(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    return chain
+
+
+def _variations(signs: List[int]) -> int:
+    signs = [s for s in signs if s]
+    return sum(1 for x, y in zip(signs, signs[1:]) if x * y < 0)
+
+
+def _scaled_value(poly: Sequence[int], num: int, den: int) -> int:
+    """den^deg * poly(num / den), by homogeneous Horner."""
+    acc, dpow = 0, 1
+    for c in reversed(poly):
+        acc = acc * num + c * dpow
+        dpow *= den
+    return acc
+
+
+def _sign_at(poly: List[int], x: Fraction) -> int:
+    v = _scaled_value(poly, x.numerator, x.denominator)
+    return (v > 0) - (v < 0)
+
+
+def _sign_at_inf(poly: List[int], positive: bool) -> int:
+    lead = poly[-1]
+    s = (lead > 0) - (lead < 0)
+    if positive:
+        return s
+    return s if (len(poly) - 1) % 2 == 0 else -s
+
+
+def _count(chain: List[List[int]], lo: Optional[Fraction] = None,
+           hi: Optional[Fraction] = None) -> int:
+    at_lo = [_sign_at(c, lo) if lo is not None else _sign_at_inf(c, False)
+             for c in chain]
+    at_hi = [_sign_at(c, hi) if hi is not None else _sign_at_inf(c, True)
+             for c in chain]
+    return _variations(at_lo) - _variations(at_hi)

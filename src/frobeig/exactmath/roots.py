@@ -1,493 +1,333 @@
-"""Certified complex root isolation.
+"""Exact root isolation of q-Weil polynomials from the real Weil polynomial.
 
-Floating point appears only inside the Aberth iteration that produces
-approximations; everything after that is exact.  Each approximation is
-rounded to a point z_i of the 2^-wp grid, so it is a dyadic rational held
-as an integer mantissa.  A Weierstrass-type a posteriori bound turns the
-points into certified disks: with W_i = P(z_i) / (lc(P) * prod_{j != i}
-(z_i - z_j)) computed exactly in integers, every root of P lies in the
-union of the disks D(z_i, n*|W_i|), and when those disks are pairwise
-disjoint each contains exactly one root.  The radius n*|W_i| is rounded
-up onto a grid _GUARD bits finer than the midpoints, so the returned
-`ComplexBall`s share one exponent and enclose at least those disks.
-Disjointness and radii are checked with exact squared comparisons of
-integers, so a returned isolation is a proof, not a heuristic.
+A monic P of degree 2g whose coefficients satisfy a_i = q^(g-i) a_(2g-i)
+is P(x) = x^g h(x + q/x) for the monic integer polynomial h of degree g
+that `real_weil_poly` builds by the Dickson recurrence.  The roots of P
+are pi = y/2 -+ i sqrt(q - y^2/4) for the roots y of h, so every root of
+P has |pi|^2 = q exactly when every root of s = sqfree(h) is real and lies
+in [-2 sqrt(q), 2 sqrt(q)].  `roots_in_interval` counts those roots with
+one Sturm chain of s, whose signs at the irrational end points are decided
+exactly as a + b sqrt(q) with integers a and b.
 
-`isolate_roots` is the one precision loop (Aberth, `_certify`, double
-the working precision); `refine_roots` runs it warm from earlier
-enclosures and keeps their order.  The Aberth iterates' last bits order
-each conjugate pair, so `_aberth` makes the plain mpmath iteration's
-rounded operations, minus those with exact results (0*z + c = c,
-1*z = z, 0 + r = r), and decides its stop rule in integers outside a
-band of 2^-(wp - 8) around the tolerance.  Its sweep runs on Python
-ints: a small kernel of odd mantissas with exponents that copies
-mpmath.libmp's rounding bit for bit.  mpmath is left with the start
-circle, the stop rule's fallback inside that band, `arg_ball` and
-`two_pi_ball`; it is imported only inside the functions that call it,
-so importing the package does not load it.
+`isolate_roots` isolates the real roots of s by Sturm bisection on dyadic
+rationals, refines each by fixed-point Newton with doubling precision and
+certifies each final bracket by an exact sign change of s.  No evaluation
+point is an integer and a monic integer polynomial has no other rational
+roots, so no point lands on a root; each bracket is tested once for an
+integer root, which then stays exact, as y = +-2r does when q = r^2.  For
+a non-square q the real roots +-sqrt(q) of P come from the exact factor
+y^2 - 4q of s.  Each y gives its pair of roots as two `ComplexBall`s on
+one exponent, from `math.isqrt`, with the radius from the bracket width.
+No float takes part, and the order is canonical: by y, with the root of
+negative imaginary part first in each pair.  So conjugation swaps
+adjacent roots and fixes the real ones, and `refine_roots`, which
+re-isolates at a higher precision, keeps the order of every isolation.
+
+`arg_ball` and `two_pi_ball` evaluate arctangents as fixed-point integer
+series, with pi from Machin's formula.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple
 
 from ..errors import Ambiguous, PrecisionExhausted
 from .balls import ComplexBall, isqrt_ub
-from .intpoly import IntPoly
-
-_OFFSETS = (0.0, 0.25, 0.37, 0.51, 0.63, 0.79)
-# the radius grid is this many bits finer than the 2^-wp midpoint grid
-_GUARD = 16
+from .intpoly import IntPoly, _chain, _scaled_value, _variations
 
 
-def _mantissa_exponent(x) -> Tuple[int, int]:
-    """(m, e) with the finite mpf x = m * 2^e exactly."""
-    # read the mantissa directly; mpmath.mpf(x) would re-round to the
-    # ambient precision and silently discard accuracy.  The int() calls
-    # matter: with the gmpy2 backend the mantissa is a gmpy2.mpz, which
-    # must not leak into Fraction or ball internals.
-    sign, man, exp, _ = x._mpf_
-    man, exp = int(man), int(exp)
-    if man == 0 and exp != 0:
-        raise ValueError("non-finite float in root iteration")
-    return (-man if sign else man), exp
+def real_weil_poly(poly: IntPoly, q: int) -> IntPoly:
+    """h with poly(x) = x^g h(x + q/x), for poly of degree 2g whose
+    coefficients satisfy a_i = q^(g-i) a_(2g-i).  As x^k + (q/x)^k =
+    D_k(x + q/x) with D_0 = 2, D_1 = y and D_k = y D_(k-1) - q D_(k-2),
+    h = a_g + sum over k >= 1 of a_(g+k) D_k."""
+    a = poly.coefficients
+    g = poly.degree // 2
+    h = [a[g]] + [0] * g
+    prev, cur = [2], [0, 1]
+    for k in range(1, g + 1):
+        for i, c in enumerate(cur):
+            h[i] += a[g + k] * c
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= q * c
+        prev, cur = cur, nxt
+    return IntPoly(h)
 
 
-def _mpf_to_frac(x) -> Fraction:
-    man, exp = _mantissa_exponent(x)
-    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
 
 
-# --- the sweep's arithmetic: mpmath's rounding on Python ints ---
-#
-# A real is (m, e), the value m * 2^e with m odd, or (0, 0) for zero:
-# mpmath's canonical (sign, |m|, e, bit length) with the sign carried by
-# m.  A complex is the 4-tuple (re m, re e, im m, im e).  Each routine
-# below is the mpmath.libmp routine it names, step for step, at the same
-# precision and rounding mode, so it returns the same tuples; that
-# includes mpf_add's far-offset shortcut, which is not correctly rounded
-# when the larger operand has more than prec + 4 bits (as the exact
-# products inside mpc_mul have).
-
-_ZERO, _ONE = (0, 0, 0, 0), (1, 0, 0, 0)
-
-
-def _round(m: int, e: int, prec: int, down: bool = False) -> Tuple[int, int]:
-    """normalize: m * 2^e at prec bits, to nearest with ties to even or,
-    with down, toward zero.  On the signed m, the floor shift by n after
-    adding 2^(n-1) - 1 plus the kept last bit rounds to nearest, ties to
-    even, as libmp does on the magnitude."""
-    n = m.bit_length() - prec
-    if n > 0:
-        if down:
-            m = m >> n if m > 0 else -(-m >> n)
+def _edge_sign(p: Sequence[int], q: int, side: int) -> int:
+    """The sign of p(side * 2 sqrt(q)), which is a + b sqrt(q) for
+    integers a and b, decided exactly."""
+    a = b = 0
+    for i, c in enumerate(p):
+        t = (c << i) * q ** (i // 2)
+        if i % 2:
+            b += side * t
         else:
-            m = (m + (1 << (n - 1)) - 1 + (m >> n & 1)) >> n
-        e += n
-    if not m & 1:
-        if not m:
-            return 0, 0
-        z = (m & -m).bit_length() - 1
-        m >>= z
-        e += z
-    return m, e
+            a += t
+    sa, sb = _sign(a), _sign(b)
+    if sa * sb >= 0:
+        return sa or sb
+    return sa * _sign(a * a - q * b * b)
 
 
-def _add(xm: int, xe: int, ym: int, ye: int, prec: int,
-         down: bool = False) -> Tuple[int, int]:
-    """mpf_add: x + y at prec bits; x and y need not be rounded."""
-    if xm and ym:
-        off = xe - ye
-        if off > 0:
-            # far offset: y's top bit lies more than prec + 4 bits below
-            # x's, so y counts only as one unit with its sign, prec + 4
-            # bits below x's last bit
-            if off > 100 and (xm.bit_length() + off - ym.bit_length()
-                              > prec + 4):
-                return _round((xm << prec + 4) + (1 if ym > 0 else -1),
-                              xe - prec - 4, prec, down)
-            m, e = (xm << off) + ym, ye
-        elif off < 0:
-            if off < -100 and (ym.bit_length() - off - xm.bit_length()
-                               > prec + 4):
-                return _round((ym << prec + 4) + (1 if xm > 0 else -1),
-                              ye - prec - 4, prec, down)
-            m, e = xm + (ym << -off), xe
+def roots_in_interval(s: IntPoly, q: int) -> int:
+    """The distinct real roots of the squarefree s in [-2 sqrt(q),
+    2 sqrt(q)]: the Sturm count on (-2 sqrt(q), 2 sqrt(q)], plus one when
+    -2 sqrt(q) is a root."""
+    chain = _chain(list(s.coefficients))
+    lo = [_edge_sign(c, q, -1) for c in chain]
+    hi = [_edge_sign(c, q, 1) for c in chain]
+    return _variations(lo) - _variations(hi) + (lo[0] == 0)
+
+
+def _value(p: Sequence[int], m: int, b: int) -> int:
+    """p(m / 2^b) * 2^(b deg p)."""
+    return _scaled_value(p, m, 1 << b)
+
+
+def _brackets(s: IntPoly, q: int) -> List[Tuple[int, int, int]]:
+    """(lo, hi, b) for each root of s, ascending: the open interval
+    (lo / 2^b, hi / 2^b) holds that root alone, by Sturm bisection from
+    (-L - 1/2, L + 1/4), L = isqrt(4q) + 1 > 2 sqrt(q).  The two ends have
+    different powers of 2 in their denominators, so every midpoint has a
+    larger one than both and no point is an integer.  Every root of s
+    must be real and lie in [-2 sqrt(q), 2 sqrt(q)]."""
+    chain = _chain(list(s.coefficients))
+
+    def variations(m: int, b: int) -> int:
+        return _variations([_sign(_value(c, m, b)) for c in chain])
+
+    big = 4 * (math.isqrt(4 * q) + 1)
+    lo, hi = -big - 2, big + 1
+    vl, vh = variations(lo, 2), variations(hi, 2)
+    out = []
+    stack = [(lo, vl, hi, vh, 2)]
+    while stack:
+        lo, vl, hi, vh, b = stack.pop()
+        if vl - vh == 1:
+            out.append((lo, hi, b))
+        elif vl - vh > 1:
+            mid = lo + hi
+            vm = variations(mid, b + 1)
+            # the lower half is popped first, so roots come out ascending
+            stack.append((mid, vm, 2 * hi, vh, b + 1))
+            stack.append((2 * lo, vl, mid, vm, b + 1))
+    return out
+
+
+def _refine(s: Sequence[int], ds: Sequence[int], lo: int, hi: int, b: int,
+            bits: int) -> Tuple[int, int]:
+    """(m, w) with the one root y of s in (lo / 2^b, hi / 2^b) in
+    [m - w, m + w] / 2^(bits + 1), and w = 0 when y is an integer.
+
+    The bracket is halved to width 1/2, so that it holds at most one
+    integer, which is tested once.  Then each Newton step on the 2^-nb
+    grid, nb the bracket's bits doubled, is kept when s changes sign
+    between the grid points next to it and both lie in the bracket;
+    otherwise the bracket is halved.  A kept step holds the one root of
+    the bracket, so every bracket is certified exactly."""
+    side = _sign(_value(s, lo, b))
+
+    def halve(lo, hi, b):
+        mid = lo + hi
+        if _sign(_value(s, mid, b + 1)) == side:
+            return mid, 2 * hi, b + 1
+        return 2 * lo, mid, b + 1
+
+    while (hi - lo) << 1 > 1 << b:
+        lo, hi, b = halve(lo, hi, b)
+    n = (lo >> b) + 1
+    if n << b < hi:
+        sn = _sign(_value(s, n, 0))
+        if sn == 0:
+            return n << (bits + 1), 0
+        if sn == side:
+            lo = n << b
         else:
-            m, e = xm + ym, xe
-    elif xm:
-        m, e = xm, xe
-    else:
-        m, e = ym, ye
-    return _round(m, e, prec, down)
-
-
-def _div(xm: int, xe: int, ym: int, ye: int, prec: int) -> Tuple[int, int]:
-    """mpf_div: x / y to nearest at prec bits, for y != 0.  An inexact
-    quotient gets a sticky low bit before the rounding."""
-    if not xm:
-        return 0, 0
-    if ym == 1 or ym == -1:
-        return _round(xm * ym, xe - ye, prec)
-    extra = prec - xm.bit_length() + ym.bit_length() + 5
-    if extra < 5:
-        extra = 5
-    quot, rem = divmod(abs(xm) << extra, abs(ym))
-    if rem:
-        quot = (quot << 1) + 1
-        extra += 1
-    neg = (xm < 0) != (ym < 0)
-    return _round(-quot if neg else quot, xe - ye - extra, prec)
-
-
-def _cadd(z, w, prec: int):
-    """mpc_add."""
-    return (_add(z[0], z[1], w[0], w[1], prec)
-            + _add(z[2], z[3], w[2], w[3], prec))
-
-
-def _csub(z, w, prec: int):
-    """mpc_sub."""
-    return (_add(z[0], z[1], -w[0], w[1], prec)
-            + _add(z[2], z[3], -w[2], w[3], prec))
-
-
-def _cadd_real(z, x, prec: int):
-    """mpc_add_mpf: z + x for a real x; the imaginary part is kept as
-    it is, not rounded."""
-    return _add(z[0], z[1], x[0], x[1], prec) + z[2:]
-
-
-def _cmul(z, w, prec: int):
-    """mpc_mul: each part is one rounded sum of two exact products."""
-    a, ea, b, eb = z
-    c, ec, d, ed = w
-    return (_add(a * c, ea + ec, -b * d, eb + ed, prec)
-            + _add(a * d, ea + ed, b * c, eb + ec, prec))
-
-
-def _cdiv(z, w, prec: int):
-    """mpc_div: the sums of products are rounded toward zero at prec + 10
-    bits, then divided by |w|^2 to nearest."""
-    a, ea, b, eb = z
-    c, ec, d, ed = w
-    mm, me = _add(c * c, 2 * ec, d * d, 2 * ed, prec + 10, True)
-    tm, te = _add(a * c, ea + ec, b * d, eb + ed, prec + 10, True)
-    um, ue = _add(b * c, eb + ec, -a * d, ea + ed, prec + 10, True)
-    return _div(tm, te, mm, me, prec) + _div(um, ue, mm, me, prec)
-
-
-def _cinv(z, prec: int):
-    """mpc_mpf_div(1, z): 1 / z."""
-    a, ea, b, eb = z
-    mm, me = _add(a * a, 2 * ea, b * b, 2 * eb, prec + 10, True)
-    return _div(a, ea, mm, me, prec) + _div(-b, eb, mm, me, prec)
-
-
-def _horner(acc, cs, z, prec: int):
-    """acc * z + c for each (m, e) = c in cs in turn, as mpc_mul and then
-    mpc_add_mpf, which rounds only the real part."""
-    a, ea, b, eb = acc
-    c, ec, d, ed = z
-    for m, e in cs:
-        ra, rea = _add(a * c, ea + ec, -b * d, eb + ed, prec)
-        b, eb = _add(a * d, ea + ed, b * c, eb + ec, prec)
-        a, ea = _add(ra, rea, m, e, prec)
-    return a, ea, b, eb
-
-
-def _from_mpc(z):
-    """The kernel value of the finite mpmath.mpc z."""
-    return _mantissa_exponent(z.real) + _mantissa_exponent(z.imag)
-
-
-def _to_mpc(z):
-    """The mpmath.mpc of the kernel value z, bit for bit."""
-    import mpmath
-
-    def raw(m, e):
-        return int(m < 0), abs(m), e, abs(m).bit_length()
-
-    return mpmath.mp.make_mpc((raw(*z[:2]), raw(*z[2:])))
-
-
-def _step_small(step, z, wp: int) -> bool:
-    """abs(step) / max(1, abs(z)) < tol as mpmath rounds it at wp bits,
-    for tol = 2^(8 - wp) and kernel values step and z.  The rounding
-    moves the quotient by a few units of 2^-wp, so exact integers decide
-    outside a relative band of 2^-(wp - 8) around tol: with
-    X = |step|^2 / tol^2 and T = max(1, |z|^2), yes when
-    X <= T (1 - 2^(9 - wp)), no when X >= T (1 + 2^(9 - wp)); inside it
-    mpmath decides."""
-    (xm, xe), (tm, te) = _norm_sq(step), _norm_sq(z)
-    if tm.bit_length() + te <= 0:   # |z| < 1
-        tm, te = 1, 0
-    xe, k = xe + 2 * wp - 16, wp - 9
-    e = min(xe, te)
-    x, t = xm << (xe - e + k), tm << (te - e)
-    if x <= t * ((1 << k) - 1) or x >= t * ((1 << k) + 1):
-        return x < t << k
-    import mpmath
-    with mpmath.workprec(wp):
-        return (abs(_to_mpc(step)) / max(mpmath.mpf(1), abs(_to_mpc(z)))
-                < mpmath.mpf(2) ** (8 - wp))
-
-
-def _norm_sq(v) -> Tuple[int, int]:
-    """(m, e) with |v|^2 = m * 2^e exactly, for a kernel value v."""
-    a, ea, b, eb = v
-    e = min(ea, eb)
-    return (a * a << 2 * (ea - e)) + (b * b << 2 * (eb - e)), 2 * e
-
-
-def _aberth(poly: IntPoly, wp: int, warm: Optional[List[complex]] = None,
-            offset: float = 0.0) -> list:
-    """Aberth-Ehrlich simultaneous iteration at wp bits of working precision.
-
-    Deterministic: fixed initial circle (plus ladder offset) or warm-start
-    points.  Returns mpmath.mpc approximations in iteration order; no
-    certification happens here.
-
-    mpmath makes the start points; the sweep runs on the integer kernel
-    above, which makes the plain mpmath iteration's rounded operations,
-    minus those with exact results: c, z and r below carry at most wp
-    bits, so rounding them to wp bits is the identity.  Horner starts at
-    c_m (0*z + c_m), or at z + c_(m-1) when c_m = 1 (1*z = z); the
-    reciprocal sum starts at its first term r (0 + r), and each pair's
-    reciprocal is made once per sweep; a zero test compares with the zero
-    tuple, as mpc == 0 does; `_step_small` decides the stop rule.
-    """
-    import mpmath
-    n = poly.degree
-    with mpmath.workprec(wp):
-        if warm is not None:
-            zs = [mpmath.mpc(z) for z in warm]
+            hi = n << b
+    while b < bits:
+        nb = min(2 * b, bits)
+        k = nb - b
+        m = (lo + hi) << (k - 1)
+        d = _value(ds, m, nb)
+        if d:
+            m -= _value(s, m, nb) // d
+        if ((lo << k) <= m - 1 and m + 1 <= (hi << k)
+                and _sign(_value(s, m - 1, nb)) == side
+                and _sign(_value(s, m + 1, nb)) == -side):
+            lo, hi, b = m - 1, m + 1, nb
         else:
-            # Fujiwara's bound: every root has modulus at most
-            # 2 max_k |c_{n-k} / c_n|^(1/k); the Cauchy bound 1 + max|c_i|
-            # starts a circle far outside roots of modulus sqrt(q)
-            cs = [mpmath.mpf(c) for c in poly.coefficients]
-            lead = abs(cs[-1])
-            radius = 2 * max(abs(cs[n - k] / lead) ** (mpmath.mpf(1) / k)
-                             for k in range(1, n + 1))
-            zs = [radius * mpmath.expjpi(mpmath.mpf(2 * k + 1) / n
-                                         + mpmath.mpf(0.401) + offset)
-                  for k in range(n)]
-    zs = [_from_mpc(z) for z in zs]
-    # mpf(c) at wp bits: big integer coefficients are rounded, not cut
-    coeffs = [_round(c, 0, wp) for c in poly.coefficients]
-    dcoeffs = [_round(c, 0, wp) for c in poly.derivative().coefficients]
-    monic = poly.leading == 1
-    p0, d0 = coeffs[-1] + (0, 0), dcoeffs[-1] + (0, 0)
-    ptail, dtail = coeffs[-3 if monic else -2::-1], dcoeffs[-2::-1]
-    tol_exp = 8 - wp   # the stop tolerance is 2^tol_exp
-    for _ in range(60 + 10 * n):
-        # 1/(z_i - z_j) for every pair, each made once: every rounding
-        # is symmetric about 0, so 1/(z_j - z_i) is exactly its negative;
-        # None marks coincident points
-        recips = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                diff = _csub(zs[i], zs[j], wp)
-                if diff != _ZERO:
-                    r = _cinv(diff, wp)
-                    recips[i][j] = r
-                    recips[j][i] = (-r[0], r[1], -r[2], r[3])
-        done = True
-        new = list(zs)
-        for i in range(n):
-            zi = zs[i]
-            pv = _horner(_cadd_real(zi, coeffs[-2], wp) if monic else p0,
-                         ptail, zi, wp)
-            dv = _horner(d0, dtail, zi, wp)
-            if dv == _ZERO:
-                new[i] = _cadd(zi, (1, tol_exp, 1, tol_exp), wp)
-                done = False
-                continue
-            w = _cdiv(pv, dv, wp)
-            terms = recips[i][:i] + recips[i][i + 1:]
-            if None in terms:
-                new[i] = _cadd(zi, (1, tol_exp, -1, tol_exp), wp)
-                done = False
-                continue
-            s = terms[0] if terms else _ZERO
-            for r in terms[1:]:
-                s = _cadd(s, r, wp)
-            denom = _csub(_ONE, _cmul(w, s, wp), wp)
-            step = w if denom == _ZERO else _cdiv(w, denom, wp)
-            new[i] = _csub(zi, step, wp)
-            done = done and _step_small(step, zi, wp)
-        zs = new
-        if done:
-            break
-    return [_to_mpc(z) for z in zs]
+            lo, hi, b = halve(lo, hi, b)
+    return lo + hi, hi - lo
 
 
-def _grid_point(x, bits: int) -> int:
-    """The mpf x rounded to the nearest multiple of 2^-bits (ties upward),
-    as the integer multiple."""
-    man, exp = _mantissa_exponent(x)
-    shift = -exp - bits
-    if shift <= 0:
-        return man << -shift
-    return (man + (1 << (shift - 1))) >> shift
+def _balls(ys: Sequence[Tuple[int, int]], edge: bool, q: int,
+           scale: int) -> Optional[List[ComplexBall]]:
+    """The roots of P from the roots y of s in [m - w, m + w] / 2^scale, in
+    canonical order, on the exponent -(scale + 2); with edge, also
+    -+sqrt(q) at the two ends.  None when some bracket reaches past
+    y^2 = 4q.
 
-
-def _certify(poly: IntPoly, approx: List[Tuple[int, int]],
-             wp: int) -> Optional[List[ComplexBall]]:
-    """Exact Weierstrass bound: disks of radius n*|W_i| around each point
-    (re + i*im) * 2^-wp of approx.
-
-    Returns certified pairwise-disjoint balls with exponent -(wp +
-    _GUARD), or None when disjointness fails at this precision.
-    """
-    n = poly.degree
-    coeffs = poly.coefficients
-    balls = []
-    for i, (xr, xi) in enumerate(approx):
-        # Horner on the grid integers: pr + i*pi = P(z_i) * 2^(wp*n)
-        pr, pi = coeffs[n], 0
-        for k in range(n - 1, -1, -1):
-            pr, pi = (pr * xr - pi * xi + (coeffs[k] << (wp * (n - k))),
-                      pr * xi + pi * xr)
-        # dr + i*di = lc(P) * prod_{j != i} (z_i - z_j) * 2^(wp*(n-1))
-        dr, di = poly.leading, 0
-        for j, (yr, yi) in enumerate(approx):
-            if j == i:
-                continue
-            br, bi = xr - yr, xi - yi
-            dr, di = dr * br - di * bi, dr * bi + di * br
-        nsq = dr * dr + di * di
-        if nsq == 0:
+    With t = 2^scale y, 2^(scale + 1) sqrt(q - y^2/4) = sqrt(N - t^2) for
+    N = 4q 4^scale, which isqrt bounds from below at the largest |t| of
+    the bracket and from above at the smallest."""
+    n = 4 * q << 2 * scale
+    out = []
+    for m, w in ys:
+        tops = (abs(m - w), abs(m + w))
+        low = n - max(tops) ** 2
+        if low < 0:
             return None
-        # |W_i| = |p| / (|d| * 2^wp); the radius n*|W_i| in units of
-        # 2^-(wp + _GUARD) is n * |p| * 2^_GUARD / |d|, rounded up
-        num = n * n * (pr * pr + pi * pi) << (2 * _GUARD)
-        rad = isqrt_ub(-(-num // nsq))
-        balls.append(ComplexBall(xr << _GUARD, xi << _GUARD, rad,
-                                 -(wp + _GUARD)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not balls[i].disjoint(balls[j]):
-                return None
-    return balls
+        high = n if m - w <= 0 <= m + w else n - min(tops) ** 2
+        il, ih = math.isqrt(low), isqrt_ub(high)
+        rad = 2 * w + ih - il
+        out.append(ComplexBall(2 * m, -(il + ih), rad, -(scale + 2)))
+        if ih:
+            out.append(ComplexBall(2 * m, il + ih, rad, -(scale + 2)))
+    if edge:
+        # sqrt(q) 2^(scale + 2) lies in [r, r + 1)
+        r = math.isqrt(q << 2 * (scale + 2))
+        out = ([ComplexBall(-r, 0, 1, -(scale + 2))] + out
+               + [ComplexBall(r, 0, 1, -(scale + 2))])
+    return out
 
 
-def _small_enough(balls: Sequence[ComplexBall], prec: int) -> bool:
-    # rad <= 2^-prec * max(1, |re| + |im|), for balls with exponent <= 0
+def _certified(balls: Sequence[ComplexBall], prec: int) -> bool:
+    """Pairwise disjoint, each radius at most 2^-prec max(1, |re| + |im|)
+    (the balls have exponents <= 0)."""
     for b in balls:
-        scale = max(1 << -b.exp, abs(b.mre) + abs(b.mim))
-        if b.mrad << prec > scale:
+        if b.mrad << prec > max(1 << -b.exp, abs(b.mre) + abs(b.mim)):
             return False
-    return True
+    return all(balls[i].disjoint(balls[j])
+               for i in range(len(balls)) for j in range(i))
 
 
-def _round_points(zs, bits: int) -> List[Tuple[int, int]]:
-    return [(_grid_point(z.real, bits), _grid_point(z.imag, bits))
-            for z in zs]
+def isolate_roots(poly: IntPoly, q: int, prec: int) -> List[ComplexBall]:
+    """Certified pairwise-disjoint enclosures of the distinct roots of the
+    q-Weil polynomial poly, each of radius at most 2^-prec relative to
+    max(1, |midpoint|), in the canonical order: by real part, and the root
+    of negative imaginary part first in each conjugate pair, so the
+    real roots -sqrt(q) and sqrt(q) come first and last.
 
-
-def _match_permutation(n: int, meets: Callable[[int, int], bool]
-                       ) -> Optional[List[int]]:
-    """For each i < n, the unique j < n with meets(i, j); None when some i
-    meets zero or several j or the matching is not a bijection
-    (insufficient precision)."""
-    perm = []
-    for i in range(n):
-        hits = [j for j in range(n) if meets(i, j)]
-        if len(hits) != 1:
-            return None
-        perm.append(hits[0])
-    if sorted(perm) != list(range(n)):
-        return None
-    return perm
-
-
-def isolate_roots(poly: IntPoly, prec: int,
-                  prev: Optional[Sequence[ComplexBall]] = None
-                  ) -> List[ComplexBall]:
-    """Certified pairwise-disjoint enclosures of the distinct roots of poly
-    (of its squarefree part), each of radius at most 2^-prec relative to
-    max(1, |midpoint|).
-
-    Without prev the balls are sorted by exact (real, imaginary) midpoint;
-    a conjugate pair is thereby ordered by the rounding of its real
-    midpoints, which the Aberth iterates fix.
-    With prev, earlier enclosures of the same roots, Aberth starts warm
-    from their midpoints and each ball takes the place of the unique
-    earlier ball it meets; a matching that is no bijection fails the
-    attempt.  A failed attempt doubles the working precision and restarts
-    warm from its approximations, or cold on the next circle offset when
-    a cold start's disks collided.
+    poly must satisfy the functional equation and have every root on
+    |x|^2 = q (`roots_in_interval` decides it); ValueError when some root
+    of its real Weil polynomial misses [-2 sqrt(q), 2 sqrt(q)].  The roots
+    y are refined to twice prec plus 32 bits; a ball that misses the
+    radius bound or meets another doubles that.
     """
-    if poly.degree < 0:
-        raise ValueError("zero polynomial has no isolated roots")
-    sf = poly.squarefree_part()
-    if sf.degree == 0:
-        return []
-    if prev is not None and len(prev) != sf.degree:
-        raise ValueError("prev must enclose each distinct root once")
-    coeff_bits = max(abs(c).bit_length() for c in sf.coefficients)
-    wp = max(64, 2 * prec + 32, coeff_bits + 48)
-    warm = None if prev is None else [complex(float(b.re), float(b.im))
-                                      for b in prev]
-    for attempt in range(12):
-        offset = _OFFSETS[min(attempt, len(_OFFSETS) - 1)]
-        zs = _aberth(sf, wp, warm=warm, offset=offset)
-        balls = _certify(sf, _round_points(zs, wp), wp)
-        if balls is not None and _small_enough(balls, prec):
-            if prev is None:
-                # the balls share one exponent, so mantissas order them
-                return sorted(balls, key=lambda b: (b.mre, b.mim))
-            perm = _match_permutation(
-                len(balls), lambda i, j: balls[i].intersects(prev[j]))
-            if perm is not None:
-                # perm is a bijection, so its values order the balls
-                return [b for _, b in sorted(zip(perm, balls))]
-        warm = None if balls is None and prev is None else [
-            complex(z.real, z.imag) for z in zs]
-        wp *= 2
-    raise PrecisionExhausted(
-        f"root isolation failed for degree {sf.degree} at {wp} bits"
-        if prev is None else "root refinement failed to re-match enclosures")
+    s = real_weil_poly(poly, q).squarefree_part()
+    if roots_in_interval(s, q) != s.degree:
+        raise ValueError("a root of the real Weil polynomial lies off "
+                         "[-2 sqrt(q), 2 sqrt(q)]")
+    edge_factor = IntPoly((-4 * q, 0, 1))
+    edge = math.isqrt(q) ** 2 != q and edge_factor.divides(s)
+    if edge:
+        s = s.exact_div(edge_factor)
+    brackets = _brackets(s, q)
+    cs, ds = s.coefficients, s.derivative().coefficients
+    bits = 2 * prec + 32
+    for _ in range(8):
+        ys = [_refine(cs, ds, lo, hi, b, bits) for lo, hi, b in brackets]
+        balls = _balls(ys, edge, q, bits + 1)
+        if balls is not None and _certified(balls, prec):
+            return balls
+        bits *= 2
+    raise PrecisionExhausted(f"root isolation failed at {bits} bits")
 
 
-def refine_roots(poly: IntPoly, prev: Sequence[ComplexBall],
-                 prec: int) -> List[ComplexBall]:
-    """Re-isolate at precision prec, in the order of prev."""
-    return isolate_roots(poly, prec, prev)
+def refine_roots(poly: IntPoly, q: int, prec: int) -> List[ComplexBall]:
+    """`isolate_roots` at the higher precision prec: the canonical order
+    is that of every earlier isolation of poly."""
+    return isolate_roots(poly, q, prec)
 
 
 # --- argument enclosures ---
+
+# arctan(t) = 2 arctan(t / (1 + sqrt(1 + t^2))), applied this many times
+# before the series; the guard bits absorb the 2^_HALVINGS growth of the
+# floor errors
+_HALVINGS = 4
+_GUARD = 16
+
+
+def _atan_fixed(num: int, den: int, bits: int) -> int:
+    """arctan(num / den) * 2^bits for 0 <= num <= den, den > 0, within
+    one unit."""
+    w = bits + _GUARD
+    one = 1 << w
+    t = (num << w) // den
+    for _ in range(_HALVINGS):
+        t = (t << w) // (one + math.isqrt(one * one + t * t))
+    t2 = t * t >> w
+    total, term, k = 0, t, 1
+    while term:
+        total += term // k if k % 4 == 1 else -(term // k)
+        term = term * t2 >> w
+        k += 2
+    return (total << _HALVINGS) >> _GUARD
+
+
+@lru_cache(maxsize=8)
+def _quarter_pi(bits: int) -> int:
+    """pi/4 * 2^bits within one unit, by Machin's formula
+    pi/4 = 4 arctan(1/5) - arctan(1/239)."""
+    w = bits + _GUARD
+
+    def acot(n: int) -> int:
+        total, term, k = 0, (1 << w) // n, 1
+        while term:
+            total += term // k if k % 4 == 1 else -(term // k)
+            term //= n * n
+            k += 2
+        return total
+
+    return (4 * acot(5) - acot(239) + (1 << (_GUARD - 1))) >> _GUARD
+
 
 def arg_ball(ball: ComplexBall, prec: int) -> Tuple[Fraction, Fraction]:
     """(midpoint, radius) enclosure of arg(z) over the disk, up to a
     multiple of 2 pi.
 
-    The radius uses arcsin(r/|m|) <= 2 r/|m| plus the evaluation error of
-    atan2 at the midpoint, so the enclosure is certified.  The relation
-    engine's box searches turn it into fixed-point angles with a proven
-    error bound; the lattice-reduction candidates use the midpoint alone.
-    Either way every relation is verified exactly downstream.
+    The radius uses arcsin(r/|m|) <= 2 r/|m| plus 2^-prec, which bounds
+    the few units of 2^-(prec + 16) that the fixed-point arctan of the
+    midpoint is off by, so the enclosure is certified.  An angle on an
+    axis or a diagonal is a whole multiple of the one pi/4 that
+    `two_pi_ball` uses too.  The relation engine's box searches turn the
+    enclosure into fixed-point angles with a proven error bound; the
+    lattice-reduction candidates use the midpoint alone.  Either way every
+    relation is verified exactly downstream.
     """
     # the mantissas share the exponent, which cancels from r / |m|
-    lb = math.isqrt(ball.mre * ball.mre + ball.mim * ball.mim) - ball.mrad
+    a, b = ball.mre, ball.mim
+    lb = math.isqrt(a * a + b * b) - ball.mrad
     if lb <= 0:
         raise Ambiguous("disk too close to the origin for an argument bound")
-    import mpmath
-    with mpmath.workprec(prec + 16):
-        a = mpmath.atan2(mpmath.mpf((ball.mim, ball.exp)),
-                         mpmath.mpf((ball.mre, ball.exp)))
-        mid = _mpf_to_frac(a)
-    rad = Fraction(2 * ball.mrad, lb) + Fraction(1, 1 << prec)
-    return mid, rad
+    bits = prec + 16
+    quarter = _quarter_pi(bits)
+    x, y = abs(a), abs(b)
+    if y == x:
+        angle = quarter
+    elif y < x:
+        angle = _atan_fixed(y, x, bits) if y else 0
+    else:
+        angle = 2 * quarter - (_atan_fixed(x, y, bits) if x else 0)
+    if a < 0:
+        angle = 4 * quarter - angle
+    if b < 0:
+        angle = -angle
+    return (Fraction(angle, 1 << bits),
+            Fraction(2 * ball.mrad, lb) + Fraction(1, 1 << prec))
 
 
 def two_pi_ball(prec: int) -> Tuple[Fraction, Fraction]:
     """(midpoint, radius) enclosure of 2*pi at roughly prec bits."""
-    import mpmath
-    with mpmath.workprec(prec + 16):
-        mid = _mpf_to_frac(2 * mpmath.pi)
-    return mid, Fraction(1, 1 << prec)
+    return (Fraction(8 * _quarter_pi(prec + 16), 1 << (prec + 16)),
+            Fraction(1, 1 << prec))

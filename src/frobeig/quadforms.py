@@ -9,9 +9,9 @@ mat = A/d, and every kernel runs on Python ints:
 - signatures by Bareiss fraction-free symmetric elimination;
 - inverses and the comparison endomorphisms base^-1 * moved by one
   Bareiss solve A*X = det*B;
-- spectra by one signed Sturm chain of p and p', built on the
-  pseudo-remainder `exactmath.intpoly.prem` that also backs every
-  polynomial gcd.
+- spectra by one signed Sturm chain of p and p' from
+  `exactmath.intpoly`, built on the pseudo-remainder that also backs
+  every polynomial gcd.
 
 Fractions appear only in results (charpolys, inverses) and messages.  The
 transfer engine moves a signature from a side where the form is positive
@@ -32,7 +32,8 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import (CharpolyMismatch, InternalInconsistency, MalformedInput,
                      NondegeneracyFailed, NotPositiveDefinite,
                      NotPositiveSpectrum, NotSelfAdjoint, NotSymmetric)
-from .exactmath.intpoly import IntPoly, from_power_sums, prem, primitive
+from .exactmath.intpoly import (IntPoly, _chain, _count, from_power_sums,
+                                primitive)
 
 QMat = List[List[Fraction]]
 IMat = List[List[int]]
@@ -239,56 +240,6 @@ def _int_poly(p: Sequence) -> List[int]:
     p = [Fraction(c) for c in p]
     d = math.lcm(*(c.denominator for c in p))
     return primitive([c.numerator * (d // c.denominator) for c in p])
-
-
-def _chain(p: List[int]) -> List[List[int]]:
-    """p, p', then negated signed pseudo-remainders, each a positive
-    multiple of the Euclidean chain's element; the last is a multiple of
-    gcd(p, p').  Empty for the zero polynomial."""
-    if not p:
-        return []
-    chain = [p]
-    dp = primitive([i * c for i, c in enumerate(p)][1:])
-    if dp:
-        chain.append(dp)
-    while len(chain) > 1 and len(chain[-1]) > 1:
-        rem = prem(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    return chain
-
-
-def _variations(signs: List[int]) -> int:
-    signs = [s for s in signs if s]
-    return sum(1 for x, y in zip(signs, signs[1:]) if x * y < 0)
-
-
-def _sign_at(poly: List[int], x: Fraction) -> int:
-    # sign of den^deg * poly(num/den), den > 0, by homogeneous Horner
-    num, den = x.numerator, x.denominator
-    acc, dpow = 0, 1
-    for c in reversed(poly):
-        acc = acc * num + c * dpow
-        dpow *= den
-    return (acc > 0) - (acc < 0)
-
-
-def _sign_at_inf(poly: List[int], positive: bool) -> int:
-    lead = poly[-1]
-    s = (lead > 0) - (lead < 0)
-    if positive:
-        return s
-    return s if (len(poly) - 1) % 2 == 0 else -s
-
-
-def _count(chain: List[List[int]], lo: Optional[Fraction] = None,
-           hi: Optional[Fraction] = None) -> int:
-    at_lo = [_sign_at(c, lo) if lo is not None else _sign_at_inf(c, False)
-             for c in chain]
-    at_hi = [_sign_at(c, hi) if hi is not None else _sign_at_inf(c, True)
-             for c in chain]
-    return _variations(at_lo) - _variations(at_hi)
 
 
 def count_real_roots(p: List[Fraction], lo: Optional[Fraction] = None,

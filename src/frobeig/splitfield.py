@@ -26,8 +26,8 @@ W', the candidates and the Galois group's closure check are spans of
 generator lists under one routine, `_span`, and the candidate search
 drops every span past the degree cap.
 
-Verification of an accepted candidate never trusts the floating point
-layer.  Were H the Galois group, x would generate K, and the trace
+Verification of an accepted candidate never trusts the enclosures alone.
+Were H the Galois group, x would generate K, and the trace
 t_{i,k} = sum_{w in H} root_{w(i)} * gamma_w^k = Tr(root_i * x^k) would be
 a rational integer, since roots and x are algebraic integers.  Each t_{i,k}
 is read off its enclosure as the unique integer it holds, and the
@@ -564,7 +564,7 @@ def splitting_field(data: WeilData, settings: Settings = DEFAULT) -> SplittingFi
         if prec > settings.precision_ceiling:
             raise PrecisionExhausted(
                 f"splitting field undecided at {settings.precision_ceiling} bits")
-        balls = refine_roots(data.poly, balls, prec)
+        balls = refine_roots(data.poly, data.q, prec)
 
 
 def galois_group(field: SplittingField, data: WeilData) -> GaloisData:

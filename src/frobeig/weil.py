@@ -2,24 +2,24 @@
 
 A q-Weil polynomial is monic of even degree 2g over Z, satisfies the
 functional equation a_i = q^(g-i) * a_(2g-i), and has all roots of modulus
-sqrt(q).  The functional equation is a finite integer check; the modulus
-condition is certified through root enclosures: the map z -> q / conj(z)
-permutes the true roots, and q / conj(z_i) = z_j exactly when
-z_i * conj(z_j) = q.  So if the product ball of root_i and the conjugate
-of root_j holds q for j = i alone, that root provably has modulus
-sqrt(q), and if it holds q for a single other j instead, the input is
-provably not a Weil polynomial.  The certificate multiplies balls and
-never divides.
+sqrt(q).  The functional equation is a finite integer check.  It makes
+P(x) = x^g h(x + q/x) for the real Weil polynomial h, and the modulus
+condition is then exact too: every root of P has modulus sqrt(q) exactly
+when every root of sqfree(h) is real and lies in [-2 sqrt(q), 2 sqrt(q)],
+which one Sturm count decides (`exactmath.roots.roots_in_interval`).  An
+input that fails it gets that count as its witness.
 
-`validate` is the one place where root enclosures are certified and
-escalated.  One precision loop matches the roots under conjugation and
-z -> q / conj(z), checks the modulus identity, and factors the polynomial
-into Q-irreducibles by recombining certified root subsets; a stage the
-enclosures cannot decide doubles the precision and refines the roots.
-The splitting field starts from the enclosures and the precision it
-returns.  The module also computes base change along finite field
-extensions from power sums: the k-th powers of the roots have every k-th
-power sum of the input, and Newton's identities rebuild the polynomial.
+`validate` checks the input in that order, applies FACTOR_DEGREE_CAP,
+and only then isolates the roots, in the canonical order of
+`exactmath.roots`: conjugation swaps each adjacent pair and fixes the
+real roots, by construction.  One precision loop factors the polynomial
+into Q-irreducibles by recombining certified root subsets; a
+factorization the enclosures cannot decide doubles the precision and
+refines the roots.  The splitting field starts from the enclosures and
+the precision it returns.  The module also computes base change along
+finite field extensions from power sums: the k-th powers of the roots
+have every k-th power sum of the input, and Newton's identities rebuild
+the polynomial.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .config import DEFAULT, FACTOR_DEGREE_CAP, Settings
 from .errors import (Ambiguous, FunctionalEquationFailed,
@@ -35,7 +35,8 @@ from .errors import (Ambiguous, FunctionalEquationFailed,
                      NotSimple, PrecisionExhausted, RootModulusFailed)
 from .exactmath.balls import ComplexBall, integer_power_sums, power_rows
 from .exactmath.intpoly import IntPoly, from_power_sums, power_sums
-from .exactmath.roots import _match_permutation, isolate_roots, refine_roots
+from .exactmath.roots import (isolate_roots, real_weil_poly, refine_roots,
+                              roots_in_interval)
 
 
 # the primes below 2^10, trial divisors of q
@@ -120,12 +121,12 @@ class Factor:
 class WeilData:
     """Validated Weil polynomial with certified root data.
 
-    roots are pairwise-disjoint enclosures of the distinct roots, sorted
-    by exact midpoint, real part then imaginary part.  That order is not
-    canonical: a conjugate pair shares its real part, so which of the two
-    comes first follows the rounding of the real midpoints.  iota is the
-    involution z -> q/z = conj(z) as a permutation of root indices; its
-    fixed points are exactly the real roots +-sqrt(q).
+    roots are pairwise-disjoint enclosures of the distinct roots in the
+    canonical order: by real part, and the root with negative imaginary
+    part first in each conjugate pair.  iota is the involution z -> q/z =
+    conj(z) as a permutation of root indices: it swaps each such adjacent
+    pair, and its fixed points are exactly the real roots -sqrt(q) and
+    sqrt(q), which come first and last.
     """
     q: int
     p: int
@@ -154,19 +155,6 @@ class WeilData:
     @property
     def real_root_indices(self) -> Tuple[int, ...]:
         return tuple(i for i, j in enumerate(self.iota) if i == j)
-
-
-def _conjugation_permutation(roots: Sequence[ComplexBall]) -> Optional[List[int]]:
-    return _match_permutation(
-        len(roots), lambda i, j: roots[i].conjugate().intersects(roots[j]))
-
-
-def _modulus_permutation(q: int, roots: Sequence[ComplexBall]) -> Optional[List[int]]:
-    # q / conj(z_i) = z_j exactly when z_i * conj(z_j) = q
-    point = ComplexBall.exact(q)
-    return _match_permutation(
-        len(roots),
-        lambda i, j: (roots[i] * roots[j].conjugate()).intersects(point))
 
 
 def _factor_search(sf: IntPoly, balls: Sequence[ComplexBall],
@@ -218,13 +206,14 @@ def validate(q: int, coefficients: Sequence[int],
              settings: Settings = DEFAULT) -> WeilData:
     """Validate a q-Weil polynomial and assemble its certified root data.
 
-    Checks, in order: q is a prime power; the polynomial is monic of even
-    degree over Z; the functional equation holds; every root has modulus
-    sqrt(q) (certified, with a witness root on failure); the degree is
-    within FACTOR_DEGREE_CAP.  Then factors the polynomial.  The root
-    checks and the factorization share one precision loop, from
-    settings.precision_start up to settings.precision_ceiling, and
-    PrecisionExhausted names the stage left undecided at the ceiling.
+    Checks, in order: q is a prime power; the coefficients are integers;
+    the polynomial is monic of even degree; the functional equation
+    holds; every root has modulus sqrt(q) (an exact Sturm count, which is
+    the witness on failure); the degree is within FACTOR_DEGREE_CAP.
+    Then isolates the roots and factors the polynomial, in one precision
+    loop from settings.precision_start up to settings.precision_ceiling;
+    PrecisionExhausted says that the factorization was left undecided at
+    the ceiling.
     """
     p, e = prime_power_decomposition(q)
     try:
@@ -247,39 +236,36 @@ def validate(q: int, coefficients: Sequence[int],
                 f"coefficient {i}: expected q^{g - i} * a_{2 * g - i} "
                 f"= {q ** (g - i) * a[2 * g - i]}, found {a[i]}")
 
+    h = real_weil_poly(poly, q)
+    s = h.squarefree_part()
+    inside = roots_in_interval(s, q)
+    if inside != s.degree:
+        raise RootModulusFailed(
+            f"{inside} of the {s.degree} distinct roots of the real Weil "
+            f"polynomial lie in [-2 sqrt({q}), 2 sqrt({q})]: some root has "
+            f"modulus^2 != {q}",
+            witness={"real_weil_poly": [str(c) for c in h.coefficients],
+                     "roots_in_interval": str(inside),
+                     "distinct_roots": str(s.degree), "expected": str(q)})
+    if poly.degree > FACTOR_DEGREE_CAP:
+        raise MalformedInput(
+            f"degree {poly.degree} exceeds the factorization cap "
+            f"{FACTOR_DEGREE_CAP}")
+
     sf = poly.squarefree_part()
     prec = settings.precision_start
-    balls = isolate_roots(poly, prec)
+    balls = isolate_roots(poly, q, prec)
     while True:
-        perm = _modulus_permutation(q, balls)
-        conj = _conjugation_permutation(balls)
-        stage = "root matching"
-        if perm is not None and conj is not None:
-            # q / conj(root) is always some root; it is the root itself
-            # exactly when |root|^2 = q, so the matching must be the identity
-            for i, j in enumerate(perm):
-                if i != j:
-                    b = balls[i]
-                    raise RootModulusFailed(
-                        f"root near {complex(float(b.re), float(b.im)):.6g} "
-                        f"has modulus^2 != {q}",
-                        witness={"root_re": str(b.re), "root_im": str(b.im),
-                                 "abs_sq_midpoint": str(b.abs_sq_mid()),
-                                 "expected": str(q)})
-            if poly.degree > FACTOR_DEGREE_CAP:
-                raise MalformedInput(
-                    f"degree {poly.degree} exceeds the factorization cap "
-                    f"{FACTOR_DEGREE_CAP}")
-            try:
-                flat = _factor_search(sf, balls, prec + 64)
-                break
-            except Ambiguous:
-                stage = "factorization"
+        try:
+            flat = _factor_search(sf, balls, prec + 64)
+            break
+        except Ambiguous:
+            pass
         prec *= 2
         if prec > settings.precision_ceiling:
             raise PrecisionExhausted(
-                f"{stage} undecided at the precision ceiling")
-        balls = refine_roots(poly, balls, prec)
+                "factorization undecided at the precision ceiling")
+        balls = refine_roots(poly, q, prec)
 
     factors = []
     for fpoly, idxs in flat:
@@ -300,9 +286,13 @@ def validate(q: int, coefficients: Sequence[int],
         for idx in f.root_indices:
             mult_by_root[idx] = f.multiplicity
     root_mult = tuple(mult_by_root[i] for i in range(len(balls)))
+    # a root with negative imaginary part pairs with the next root, one
+    # with positive imaginary part with the root before
+    iota = tuple(i + 1 if b.mim < 0 else i - 1 if b.mim > 0 else i
+                 for i, b in enumerate(balls))
     return WeilData(q=q, p=p, e=e, g=g, poly=poly, factors=tuple(factors),
-                    roots=tuple(balls), root_mult=root_mult,
-                    iota=tuple(conj), prec=prec)
+                    roots=tuple(balls), root_mult=root_mult, iota=iota,
+                    prec=prec)
 
 
 def base_change(poly: IntPoly, k: int) -> IntPoly:

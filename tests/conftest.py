@@ -34,77 +34,6 @@ def deep_grid_records():
             for e in CORPUS if len(e.coefficients) > 3]
 
 
-def aberth_reference(poly, wp, warm=None, offset=0.0):
-    """The plain Aberth-Ehrlich iteration that
-    exactmath.roots._aberth must reproduce bit for bit: Horner and the
-    reciprocal sum from mpc(0), zero tests by mpc == 0, and the stop rule
-    on the rounded max of abs(step) / max(1, abs(z))."""
-    import mpmath
-    n = poly.degree
-
-    def ev(cs, z):
-        acc = mpmath.mpc(0)
-        for c in reversed(cs):
-            acc = acc * z + c
-        return acc
-
-    with mpmath.workprec(wp):
-        # conversion must happen at working precision or big integer
-        # coefficients get truncated
-        coeffs = [mpmath.mpf(c) for c in poly.coefficients]
-        dcoeffs = [mpmath.mpf(c) for c in poly.derivative().coefficients]
-        if warm is not None:
-            zs = [mpmath.mpc(z) for z in warm]
-        else:
-            # Fujiwara's bound: every root has modulus at most
-            # 2 max_k |c_{n-k} / c_n|^(1/k); the Cauchy bound 1 + max|c_i|
-            # starts a circle far outside roots of modulus sqrt(q)
-            lead = abs(coeffs[-1])
-            radius = 2 * max(abs(coeffs[n - k] / lead) ** (mpmath.mpf(1) / k)
-                             for k in range(1, n + 1))
-            zs = [radius * mpmath.expjpi(mpmath.mpf(2 * k + 1) / n
-                                         + mpmath.mpf(0.401) + offset)
-                  for k in range(n)]
-        tol = mpmath.mpf(2) ** (-wp + 8)
-        for _ in range(60 + 10 * n):
-            max_step = mpmath.mpf(0)
-            new = list(zs)
-            for i in range(n):
-                zi = zs[i]
-                pv = ev(coeffs, zi)
-                dv = ev(dcoeffs, zi)
-                if dv == 0:
-                    new[i] = zi + mpmath.mpc(tol, tol)
-                    max_step = mpmath.mpf(1)
-                    continue
-                w = pv / dv
-                s = mpmath.mpc(0)
-                collision = False
-                for j in range(n):
-                    if j == i:
-                        continue
-                    diff = zi - zs[j]
-                    if diff == 0:
-                        collision = True
-                        break
-                    s += 1 / diff
-                if collision:
-                    new[i] = zi + mpmath.mpc(tol, -tol)
-                    max_step = mpmath.mpf(1)
-                    continue
-                denom = 1 - w * s
-                step = w if denom == 0 else w / denom
-                new[i] = zi - step
-                scale = max(mpmath.mpf(1), abs(zi))
-                rel = abs(step) / scale
-                if rel > max_step:
-                    max_step = rel
-            zs = new
-            if max_step < tol:
-                break
-        return zs
-
-
 def contains_exact(ball, re, im=0):
     """Whether the closed disk of ball holds the point re + i*im, decided
     on the exact rational views."""

@@ -230,7 +230,7 @@ def test_power_sums_agree_with_the_product_expansion(prec):
     bits = prec + 64
     decided = 0
     for entry in CORPUS:
-        balls = isolate_roots(IntPoly(entry.coefficients), prec)
+        balls = isolate_roots(IntPoly(entry.coefficients), entry.q, prec)
         rows = list(islice(power_rows(balls, bits), len(balls) // 2 + 1))
         for size in range(1, len(balls) // 2 + 1):
             for subset in combinations(range(len(balls)), size):

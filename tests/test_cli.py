@@ -136,17 +136,26 @@ class TestCanonicalJson:
                              env=subprocess_env())
         assert out.stdout.strip() == "[]"
 
-    def test_mpmath_loads_only_for_root_isolation(self):
-        # the quadforms kernels and the report layer run without mpmath;
-        # the first validate isolates roots and imports it
-        code = ("import sys, frobeig.report, frobeig.cli, frobeig.quadforms; "
-                "before = 'mpmath' in sys.modules; "
-                "from frobeig.weil import validate; validate(5, [5, -1, 1]); "
-                "print(before, 'mpmath' in sys.modules)")
+    def test_mpmath_loads_only_for_root_isolation(self, tmp_path):
+        # root isolation and argument enclosures run on integers, so no
+        # command loads mpmath: a report on a corpus sextic and a batch
+        # run leave it out of sys.modules, and both succeed
+        inp = tmp_path / "in.ndjson"
+        inp.write_text('{"q": 3, "coeffs": [27, 0, 24, 0, 8, 0, 1]}\n'
+                       '{"q": 5, "coeffs": [5, -1, 1]}\n')
+        code = "\n".join([
+            "import contextlib, io, sys",
+            "from frobeig import cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    rcs = [cli.main(['report', '--q', '3', '--coeffs',",
+            "                     '27,0,24,0,8,0,1']),",
+            f"           cli.main(['batch', '--in', {str(inp)!r},",
+            f"                     '--out', {str(tmp_path / 'out.ndjson')!r}])]",
+            "print(rcs, 'mpmath' in sys.modules)"])
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True,
                              env=subprocess_env())
-        assert out.stdout.split() == ["False", "True"]
+        assert out.stdout.strip() == "[0, 0] False"
 
 
 # --- input records ---

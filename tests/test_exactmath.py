@@ -20,18 +20,14 @@ from frobeig.exactmath import (ComplexBall, IntPoly, hnf_rows,
                                in_row_lattice, invariant_factors,
                                isolate_roots, latt, lattice_saturation_index,
                                lll_reduce, relation_candidates)
-from frobeig.exactmath.balls import isqrt_ub
+from frobeig.exactmath.balls import integer_power_sums, isqrt_ub, power_rows
 from frobeig.exactmath.intpoly import from_power_sums, power_sums
-from frobeig.exactmath.roots import (_OFFSETS, _ONE, _ZERO, _aberth, _add,
-                                     _cadd, _cadd_real, _cdiv, _cinv, _cmul,
-                                     _csub, _div, _from_mpc, _horner,
-                                     _match_permutation, _mpf_to_frac,
-                                     _round, _step_small, refine_roots,
+from frobeig.exactmath.roots import (_certified, arg_ball, real_weil_poly,
+                                     refine_roots, roots_in_interval,
                                      two_pi_ball)
-from frobeig.weil import validate
+from frobeig.weil import base_change, validate
 
-from conftest import (aberth_reference, contains_ball, contains_exact, enclose,
-                      minors_gcd)
+from conftest import contains_ball, contains_exact, enclose, minors_gcd
 
 
 def det(mat):
@@ -551,14 +547,14 @@ def test_lll_rejects_dependent_rows(basis):
 # --- root isolation ---
 
 def test_isolate_quadratic_oracle():
-    roots = isolate_roots(IntPoly((1, 0, 1)), 64)
+    roots = isolate_roots(IntPoly((1, 0, 1)), 1, 64)
     assert len(roots) == 2
     assert contains_exact(roots[0], 0, -1)
     assert contains_exact(roots[1], 0, 1)
 
 
 def test_isolate_weil_quadratic():
-    roots = isolate_roots(IntPoly((5, -1, 1)), 64)
+    roots = isolate_roots(IntPoly((5, -1, 1)), 5, 64)
     assert len(roots) == 2
     assert roots[0].re == roots[1].re == Fraction(1, 2)
     prod = roots[0] * roots[1]
@@ -568,13 +564,13 @@ def test_isolate_weil_quadratic():
 
 
 def test_isolate_handles_multiplicities():
-    roots = isolate_roots(IntPoly((9, 6, 1)), 64)   # (X+3)^2
+    roots = isolate_roots(IntPoly((9, 6, 1)), 9, 64)   # (X+3)^2
     assert len(roots) == 1
     assert contains_exact(roots[0], -3)
 
 
 def test_isolate_sextic_modulus():
-    roots = isolate_roots(IntPoly((27, 0, 0, 0, 0, 0, 1)), 96)  # X^6 + 27
+    roots = isolate_roots(IntPoly((27, 0, 0, 0, 0, 0, 1)), 3, 96)  # X^6 + 27
     assert len(roots) == 6
     for b in roots:
         sq = (b * b) * (b * b).conjugate()
@@ -583,252 +579,162 @@ def test_isolate_sextic_modulus():
 
 
 def test_isolate_large_q_sextic():
-    # roots 4096 * zeta_7^j, q = 4^12: the starting circle must scale with
-    # the roots (the Cauchy radius here is about 2^72)
+    # roots 4096 * zeta_7^j for j = 1..6, q = 4^12: the real Weil
+    # polynomial's roots 8192 cos(2 pi j / 7) are about 2^13 and must be
+    # found to 2^-13 of a unit relative to them
     coeffs = tuple(4096 ** k for k in range(6, -1, -1))
     signal.signal(signal.SIGALRM, _too_slow)
-    signal.alarm(30)
+    signal.alarm(5)
     try:
-        roots = isolate_roots(IntPoly(coeffs), 64)
+        roots = isolate_roots(IntPoly(coeffs), 4 ** 12, 64)
     finally:
         signal.alarm(0)
     assert len(roots) == 6
     for b in roots:
-        # |z|^2 = 4096^2 for every root
+        # |z|^2 = 4096^2 and z^7 = 4096^7 for every root
         assert contains_exact(b * b.conjugate(), 4096 ** 2)
+        power = b
+        for _ in range(6):
+            power = power * b
+        assert contains_exact(power, 4096 ** 7)
+    assert [b.mre for b in roots] == sorted(b.mre for b in roots)
+    assert [b.mim < 0 for b in roots] == [True, False] * 3
 
 
 def _too_slow(signum, frame):
-    raise AssertionError("root isolation did not return within 30 s")
+    raise AssertionError("root isolation did not return within the limit")
 
 
-def _aberth_cases():
-    """(poly, wp, offset) cold starts: the distinct corpus squarefree parts
-    at their isolation precision and under every ladder offset, seeded
-    squarefree polynomials of degree 1-9 with leading coefficient 1, 2 or
-    3 across wp in {64, 128, 416, 832}, and the 4096 * zeta_7 sextic."""
-    parts = {IntPoly(e.coefficients).squarefree_part() for e in CORPUS}
-    for k, sf in enumerate(sorted(parts, key=lambda p: p.coefficients)):
-        bits = max(abs(c).bit_length() for c in sf.coefficients)
-        yield sf, max(416, bits + 48), _OFFSETS[k % len(_OFFSETS)]
-    rng = random.Random(22)
-    for k in range(72):
-        h = rng.choice((3, 30, 3000))
-        tail = [rng.randint(-h, h) for _ in range(k % 9 + 1)]
-        sf = IntPoly(tuple(tail + [k % 3 + 1])).squarefree_part()
-        if sf.degree >= 1:
-            yield sf, (64, 128, 416, 832)[k % 4], _OFFSETS[k % len(_OFFSETS)]
-    sextic = IntPoly(tuple(4096 ** k for k in range(6, -1, -1)))
-    for i, offset in enumerate(_OFFSETS):
-        yield sextic, (64, 160)[i % 2], offset
+def test_real_weil_poly_oracles():
+    # x^2 - a x + q has h = y - a; a product of such factors has the
+    # product of the h; x^6 + 27 over q = 3 has h = D_3 = y^3 - 9 y
+    assert real_weil_poly(IntPoly((5, -1, 1)), 5) == IntPoly((-1, 1))
+    quartic = IntPoly((5, -1, 1)) * IntPoly((5, 3, 1))
+    assert real_weil_poly(quartic, 5) == IntPoly((-1, 1)) * IntPoly((3, 1))
+    assert real_weil_poly(IntPoly((27, 0, 0, 0, 0, 0, 1)), 3) == IntPoly(
+        (0, -9, 0, 1))
 
 
-def test_aberth_matches_the_reference_loop():
-    # _aberth skips only operations with exactly known results, so every
-    # iterate, and with it each ball and the root order, is unchanged
-    signal.signal(signal.SIGALRM, _too_slow)
-    signal.alarm(30)
-    try:
-        calls = 0
-        for poly, wp, offset in _aberth_cases():
-            cold = _aberth(poly, wp, offset=offset)
-            assert [z._mpc_ for z in cold] == [
-                z._mpc_ for z in aberth_reference(poly, wp, offset=offset)
-            ], (poly, wp, offset)
-            # the ladder's warm restart at twice the precision
-            warm = [complex(z.real, z.imag) for z in cold]
-            assert [z._mpc_ for z in _aberth(poly, 2 * wp, warm=warm)] == [
-                z._mpc_ for z in aberth_reference(poly, 2 * wp, warm=warm)
-            ], (poly, wp, "warm")
-            calls += 2
-    finally:
-        signal.alarm(0)
-    assert calls > 200
+def test_roots_in_interval_at_irrational_ends():
+    # s = y^2 - 8 has its roots at the ends +-2 sqrt(2) for q = 2; moving
+    # q or the polynomial by one moves them out or in
+    assert roots_in_interval(IntPoly((-8, 0, 1)), 2) == 2
+    assert roots_in_interval(IntPoly((-9, 0, 1)), 2) == 0
+    assert roots_in_interval(IntPoly((-8, 0, 1)), 3) == 2
+    assert roots_in_interval(IntPoly((-8, 1)), 16) == 1       # 8 = 2 sqrt(16)
+    assert roots_in_interval(IntPoly((-8, 1)), 15) == 0
+    assert roots_in_interval(IntPoly((8, 1)), 16) == 1
+    assert roots_in_interval(IntPoly((1, 0, 1)), 5) == 0      # y = +-i
 
 
-def test_aberth_special_branches_match_the_reference_loop(monkeypatch):
-    # warm starts for P = x^2 + 2 that reach the two special branches:
-    # P'(0) = 0 at the point 0, and two coincident points, which get the
-    # same (tol, -tol) shift in every sweep and so never separate
-    from frobeig.exactmath import roots
-    hits = {roots._horner: 0, roots._csub: 0}
-
-    def counting(f):
-        def g(*args):
-            value = f(*args)
-            hits[f] += value == _ZERO
-            return value
-        return g
-
-    for f in list(hits):
-        monkeypatch.setattr(roots, f.__name__, counting(f))
-    p = IntPoly((2, 0, 1))
-    for warm in ([0j, 1 + 1j], [1 + 1j, 1 + 1j]):
-        before = dict(hits)
-        for wp in (64, 128):
-            got = [z._mpc_ for z in _aberth(p, wp, warm=warm)]
-            assert got == [z._mpc_ for z in aberth_reference(p, wp, warm=warm)]
-            assert (got[0] == got[1]) == (warm[0] == warm[1])
-        assert [hits[f] > before[f] for f in hits] == [
-            warm[0] == 0, warm[0] == warm[1]]
+def _weil_product(rng, q, count):
+    """A product of count factors x^2 - a x + q with a^2 <= 4q, and
+    (x^2 - q)^2 for a non-square q, with the real Weil roots y of its
+    distinct roots: ('a', a) for x^2 - a x + q and ('edge', +-1) for
+    +-2 sqrt(q)."""
+    r = math.isqrt(4 * q)
+    p, ys = IntPoly((1,)), set()
+    for _ in range(count):
+        if r * r != 4 * q and rng.random() < 0.15:
+            p = p * IntPoly((-q, 0, 1)) ** 2
+            ys |= {("edge", -1), ("edge", 1)}
+            continue
+        a = rng.choice((r, -r)) if rng.random() < 0.2 else rng.randint(-r, r)
+        p = p * IntPoly((q, -a, 1))
+        ys.add(("a", a))
+    return p, ys
 
 
-def test_step_small_matches_the_rounded_stop_rule(monkeypatch):
-    # steps at tol * max(1, |z|) * (1 + k 2^-wp), for |z| below, near and
-    # above 1, reach both the exact decision and the rounded fallback,
-    # which alone calls abs
-    import mpmath
-    rng = random.Random(22)
-    abs_calls = [0]
-    rounded_abs = mpmath.mpc.__abs__
+def _base_change_ys(q, ys, k):
+    """The roots y of the base change by k: pi^k + conj(pi)^k by the
+    Dickson recurrence, and +-sqrt(q)^k for the real roots."""
+    out = set()
+    for kind, v in ys:
+        if kind == "a":
+            prev, cur = 2, v
+            for _ in range(k - 1):
+                prev, cur = cur, v * cur - q * prev
+            out.add(("a", cur))
+        elif k % 2:
+            out.add(("edge", v))
+        else:
+            out.add(("a", 2 * q ** (k // 2)))
+    return out
 
-    def counting_abs(z):
-        abs_calls[0] += 1
-        return rounded_abs(z)
 
-    monkeypatch.setattr(mpmath.mpc, "__abs__", counting_abs)
-    runs = {}
-    for trial in range(600):
-        wp = (64, 128, 416, 832)[trial % 4]
-        with mpmath.workprec(wp):
-            tol = mpmath.mpf(2) ** (8 - wp)
-            ulp = mpmath.mpf(2) ** -wp
-            if trial % 3 == 0:   # |z| within a few ulps of 1
-                z = mpmath.expjpi(mpmath.mpf(rng.random())) * (
-                    1 + rng.randint(-4, 4) * ulp)
+def _seeded_weil_products():
+    rng = random.Random(25)
+    cases = []
+    for q in (2, 3, 4, 5, 9, 16, 25, 27, 49, 65537):
+        for _ in range(4):
+            p, ys = _weil_product(rng, q, rng.randint(1, 5))
+            cases.append((q, p, ys))
+    # a pair with y^2 just below 4q: 16 +- i over q = 257, and
+    # 256 +- i over q = 65537
+    for q, a in ((257, 32), (65537, 512)):
+        cases.append((q, IntPoly((q, -a, 1)), {("a", a)}))
+        cases.append((q, IntPoly((q, a, 1)) * IntPoly((q, 1 - a, 1)),
+                      {("a", -a), ("a", a - 1)}))
+    for q, p, ys in list(cases):
+        for k in (2, 3):
+            if p.degree <= 12 and q ** k < 2 ** 40:
+                cases.append((q ** k, base_change(p, k), _base_change_ys(q, ys, k)))
+    return cases
+
+
+def test_isolation_property_seeded():
+    # canonical order, the conjugation layout, the real parts of the
+    # known factors, and the power sums of the balls rebuild sqfree(P)
+    checked = 0
+    for q, p, ys in _seeded_weil_products():
+        # -2 sqrt(q) first, then the integer roots ascending, 2 sqrt(q) last
+        expected = []
+        for kind, v in sorted(ys, key=lambda t: (t[1], 0) if t[0] == "edge"
+                              else (0, t[1])):
+            expected += [(kind, v)] * (1 if kind == "edge" or v * v == 4 * q
+                                       else 2)
+        balls = isolate_roots(p, q, 128)
+        assert len(balls) == len(expected), (q, p)
+        for i, (b, (kind, v)) in enumerate(zip(balls, expected)):
+            if kind == "edge":
+                assert b.mim == 0 and (b.mre > 0) == (v > 0)
+                assert contains_exact(b * b, q)
             else:
-                z = mpmath.mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            k = rng.choice((rng.randint(-600, 600), rng.randint(-4, 4),
-                            rng.randint(-10 ** 6, 10 ** 6)))
-            with mpmath.workprec(3 * wp):
-                size = tol * max(1, abs(z)) * (1 + k * ulp) * mpmath.mpf(
-                    2) ** rng.choice((0, 0, 0, -30, 30))
-            step = size * mpmath.expjpi(mpmath.mpf(rng.random()))
-            expected = abs(step) / max(mpmath.mpf(1), abs(z)) < tol
-            before = abs_calls[0]
-            got = _step_small(_from_mpc(step), _from_mpc(z), wp)
-            assert got == expected, (wp, step, z)
-            branch = "exact" if abs_calls[0] == before else "rounded"
-            runs[branch, got] = runs.get((branch, got), 0) + 1
-    assert {("exact", True), ("exact", False)} <= set(runs)
-    assert any(branch == "rounded" for branch, _ in runs)
+                assert abs(b.re - Fraction(v, 2)) <= b.rad, (q, p, i)
+                if v * v == 4 * q:
+                    assert b.mim == 0
+        for i, b in enumerate(balls):
+            if b.mim < 0:
+                assert balls[i + 1].mim == -b.mim
+                assert balls[i + 1].mre == b.mre
+            elif b.mim > 0:
+                assert balls[i - 1].mim == -b.mim
+        sf = p.squarefree_part()
+        sums = integer_power_sums(power_rows(balls, 192), range(len(balls)))
+        assert IntPoly(from_power_sums(sums)) == sf, (q, p)
+        if p.degree <= 12:
+            iota = validate(q, p.coefficients).iota
+            assert iota == tuple(i + 1 if b.mim < 0 else i - 1 if b.mim > 0
+                                 else i for i, b in enumerate(balls))
+        checked += 1
+    assert checked > 60
 
 
-def _raw(x):
-    """mpmath's canonical tuple of the kernel real x = (m, e)."""
-    m, e = x
-    return int(m < 0), abs(m), e, abs(m).bit_length()
-
-
-def _raw_c(z):
-    return _raw(z[:2]), _raw(z[2:])
-
-
-def _kernel_real(rng, prec):
-    """A seeded kernel real: zero, or a signed odd mantissa of 1 to
-    3 * prec bits with an exponent near 0 or up to 400 bits away, so that
-    sums meet both the near and the far-offset paths of mpf_add."""
-    if rng.random() < 0.05:
-        return 0, 0
-    bits = rng.randint(1, 3 * prec)
-    m = rng.getrandbits(bits) | 1 | 1 << (bits - 1)
-    spread = rng.choice((8, 8, 400))
-    return (-m if rng.random() < 0.5 else m), rng.randint(-spread, spread)
-
-
-def test_kernel_reals_match_libmp():
-    # _round, _add (to nearest and toward zero) and _div return libmp's
-    # tuples: on seeded operands, on ties, on far-offset sums whose large
-    # operand has more than prec + 4 bits, and on exact cancellation
-    from mpmath.libmp import mpf_add, mpf_div, normalize
-    rng = random.Random(24)
-    for trial in range(3000):
-        prec = (53, 64, 128, 416)[trial % 4]
-        x, y = _kernel_real(rng, prec), _kernel_real(rng, prec)
-        if x[0]:
-            assert _raw(_round(*x, prec)) == normalize(*_raw(x), prec, "n")
-            assert _raw(_round(*x, prec, True)) == normalize(
-                *_raw(x), prec, "d")
-        assert _raw(_add(*x, *y, prec)) == mpf_add(_raw(x), _raw(y), prec,
-                                                   "n"), (x, y, prec)
-        assert _raw(_add(*x, *y, prec, True)) == mpf_add(
-            _raw(x), _raw(y), prec, "d"), (x, y, prec)
-        if y[0]:
-            assert _raw(_div(*x, *y, prec)) == mpf_div(
-                _raw(x), _raw(y), prec, "n"), (x, y, prec)
-    for k in (0b1011, 0b1001):
-        # exact ties: K + 1/2 rounds to the even neighbour, both signs
-        for sign in (1, -1):
-            x, half = (sign * k, 5), (sign, 4)
-            got = _add(*x, *half, 4)
-            assert _raw(got) == mpf_add(_raw(x), _raw(half), 4, "n")
-            assert _round(sign * (2 * k + 1), 4, 4) == got
-            assert got[0] << got[1] == sign * (k + (k & 1)) << 5
-    far = 0
-    for sign_x in (1, -1):
-        for sign_y in (1, -1):
-            # x = K + (1/2 - 2^-200) in units of its last kept bit: the far
-            # offset adds one unit with y's sign 68 bits below, so x + y
-            # rounds down, though y carries into the half: not correctly
-            # rounded, and the kernel agrees with libmp on it
-            k = (1 << 63) + 12345
-            x = (sign_x * ((k << 200) + (1 << 199) - 1), -500)
-            y = (sign_y * ((1 << 150) - 1), -601)
-            got = _add(*x, *y, 64)
-            assert _raw(got) == mpf_add(_raw(x), _raw(y), 64, "n")
-            assert _raw(_add(*y, *x, 64)) == mpf_add(_raw(y), _raw(x), 64,
-                                                     "n")
-            exact = x[0] * Fraction(2) ** x[1] + y[0] * Fraction(2) ** y[1]
-            nearest = round(exact * 2 ** 300)
-            far += got[0] * Fraction(2) ** (got[1] + 300) != nearest
-    assert far == 2   # y's carry reaches the half bit when signs agree
-    # exact cancellation gives the canonical zero
-    assert _add(12345, -7, -12345, -7, 64) == (0, 0) == _add(0, 0, 0, 3, 64)
-    # division by a power of two is exact before rounding; an exact
-    # quotient has no sticky bit; a remainder sets one
-    for x, y in (((3 ** 40, 2), (-1, -9)), ((3 ** 40, 2), (3, 5)),
-                 ((3 ** 5 * 7, 0), (7, 0)), ((1, 0), (3, 0))):
-        assert _raw(_div(*x, *y, 53)) == mpf_div(_raw(x), _raw(y), 53, "n")
-    assert _div(3 ** 5 * 7, 0, 7, 0, 53) == (3 ** 5, 0)
-
-
-def test_kernel_complex_routines_match_libmp():
-    # each complex routine of the sweep against the libmp routine the
-    # plain mpmath loop calls, with mpmath's default rounding to nearest
-    from mpmath.libmp import (fone, fzero, mpc_add, mpc_add_mpf, mpc_div,
-                              mpc_mpf_div, mpc_mul, mpc_sub, mpf_add)
-    rng = random.Random(24)
-    truncated = 0
-    for trial in range(1500):
-        prec = (53, 64, 128, 416)[trial % 4]
-        z = _kernel_real(rng, prec) + _kernel_real(rng, prec)
-        w = _kernel_real(rng, prec) + _kernel_real(rng, prec)
-        rz, rw = _raw_c(z), _raw_c(w)
-        assert _raw_c(_cadd(z, w, prec)) == mpc_add(rz, rw, prec, "n")
-        assert _raw_c(_csub(z, w, prec)) == mpc_sub(rz, rw, prec, "n")
-        assert _raw_c(_cadd_real(z, w[:2], prec)) == mpc_add_mpf(
-            rz, rw[0], prec, "n")
-        assert _raw_c(_cmul(z, w, prec)) == mpc_mul(rz, rw, prec, "n")
-        assert _raw_c(_csub(_ONE, w, prec)) == mpc_sub((fone, fzero), rw,
-                                                       prec, "n")
-        if w != _ZERO:
-            # mpc_div rounds its inner sums toward zero at prec + 10 bits
-            assert _raw_c(_cdiv(z, w, prec)) == mpc_div(rz, rw, prec, "n")
-            assert _raw_c(_cinv(w, prec)) == mpc_mpf_div(fone, rw, prec, "n")
-            sq = (w[0] * w[0], 2 * w[1], w[2] * w[2], 2 * w[3])
-            assert _raw(_add(*sq, prec + 10, True)) == mpf_add(
-                _raw(sq[:2]), _raw(sq[2:]), prec + 10, "d")
-            truncated += _add(*sq, prec + 10, True) != _add(*sq, prec + 10)
-        cs = [_kernel_real(rng, prec) for _ in range(trial % 4)]
-        acc = rz
-        for c in cs:
-            acc = mpc_add_mpf(mpc_mul(acc, rw, prec, "n"), _raw(c), prec,
-                              "n")
-        assert _raw_c(_horner(z, cs, w, prec)) == acc
-    assert truncated > 100
-
-
-def _reexpand(balls):
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from((2, 3, 4, 9)), st.lists(st.integers(-6, 6),
+                                                min_size=1, max_size=3))
+def test_isolated_roots_reexpand(q, tail):
+    # products of x^2 - a x + q with a^2 <= 4q: the balls multiply back
+    # to the squarefree part
+    p = IntPoly((1,))
+    for a in tail:
+        if a * a <= 4 * q:
+            p = p * IntPoly((q, -a, 1))
+    if p.degree < 1:
+        return
+    sf = p.squarefree_part()
+    balls = isolate_roots(p, q, 80)
+    assert len(balls) == sf.degree
     coeffs = [ComplexBall.exact(1)]
     for b in balls:
         nxt = [ComplexBall.exact(0)] * (len(coeffs) + 1)
@@ -836,62 +742,89 @@ def _reexpand(balls):
             nxt[i + 1] = nxt[i + 1] + c
             nxt[i] = nxt[i] + c * b.scale(-1)
         coeffs = nxt
-    return coeffs
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.integers(-6, 6), min_size=2, max_size=4))
-def test_isolated_roots_reexpand(tail):
-    p = IntPoly(tuple(tail + [1]))
-    if p.degree < 1:
-        return
-    sf = p.squarefree_part()
-    balls = isolate_roots(p, 80)
-    assert len(balls) == sf.degree
-    coeffs = _reexpand(balls)
     for ball, exact in zip(coeffs, sf.coefficients):
         assert contains_exact(ball, exact), (p, sf, exact)
 
 
+def test_certified_balls_are_disjoint_and_small():
+    b = ComplexBall(3 << 20, 1 << 20, 1, -20)
+    assert _certified([b, b.conjugate()], 16)
+    assert not _certified([b, b], 16)
+    # radius 2^-12 is more than 2^-16 (|re| + |im|) = 3 * 2^-16
+    assert not _certified([ComplexBall(3 << 20, 0, 1 << 8, -20)], 16)
+
+
 def test_refine_preserves_matching():
     p = IntPoly((7, -3, 1))
-    coarse = isolate_roots(p, 48)
-    fine = refine_roots(p, coarse, 200)
+    coarse = isolate_roots(p, 7, 48)
+    fine = refine_roots(p, 7, 200)
     assert len(fine) == len(coarse)
     for f, c in zip(fine, coarse):
         assert f.intersects(c)
         assert f.rad < c.rad
-    # the order of prev, not the sorted order
-    back = refine_roots(p, list(reversed(coarse)), 200)
+    # the order is canonical, so it needs no earlier enclosures
+    assert [b.mim < 0 for b in fine] == [True, False]
+    # roots 1 and 4 of x^2 - 5x + 4 are off |x|^2 = 4
     with pytest.raises(ValueError):
-        refine_roots(p, coarse[:1], 200)
-    assert _match_permutation(
-        2, lambda i, j: back[i].intersects(coarse[j])) == [1, 0]
+        isolate_roots(IntPoly((4, -5, 1)), 4, 64)
 
 
-def test_match_permutation_requires_a_bijection():
-    balls = isolate_roots(IntPoly((25, 0, 9, 0, 1)), 48)
+# --- argument enclosures ---
 
-    def match(images):
-        return _match_permutation(
-            len(images), lambda i, j: images[i].intersects(balls[j]))
+# 60 significant digits of pi, and of arctangents, frozen from a throwaway
+# multiprecision script
+PI = Fraction("3.14159265358979323846264338327950288419716939937510582097494")
+ATAN2 = {
+    (3, 4): "0.927295218001612232428512462922428804057074108572240527621866",
+    (5, -12): "-1.17600520709513510249122216125017085520341449211184870745209",
+    (-7, 2): "2.86329299458468188713441311304683312668389878379955475053594",
+    (-1, -1000): "-1.5717963264615634858978455012746719861102056342418209235789",
+    (1000, 1): "0.000999999666666866666523809634920544011620934554268013091431048",
+    (2 ** 70 + 1, 3 ** 44):
+        "0.695210260730808578066145337064662768601475506675772191495073",
+}
 
-    perm = [2, 0, 3, 1]
-    assert match([balls[i] for i in perm]) == perm
-    # two images on one target, an image meeting every target, or one
-    # missing every target
-    assert match([balls[0], balls[0], balls[2], balls[3]]) is None
-    assert _match_permutation(4, lambda i, j: True) is None
-    far = ComplexBall.exact(100)
-    assert match([far] + balls[1:]) is None
+
+def test_two_pi_ball_matches_digits():
+    for prec in (64, 128, 300):
+        mid, rad = two_pi_ball(prec)
+        assert rad == Fraction(1, 2 ** prec)
+        assert abs(mid - 2 * PI) < Fraction(1, 2 ** min(prec + 12, 190))
+
+
+def test_arg_ball_matches_digits():
+    for prec in (48, 64, 128):
+        tol = Fraction(1, 2 ** (prec + 12))
+        for (a, b), digits in ATAN2.items():
+            mid, rad = arg_ball(ComplexBall.exact(a, b), prec)
+            assert abs(mid - Fraction(digits)) < tol, (a, b, prec)
+            assert rad == Fraction(1, 2 ** prec)
+        # axes and diagonals are exact multiples of two_pi_ball's pi/4
+        eighth = two_pi_ball(prec)[0] / 8
+        for (a, b), k in (((1, 0), 0), ((1, 1), 1), ((0, 7), 2), ((-2, 2), 3),
+                          ((-5, 0), 4), ((-3, -3), -3), ((0, -1), -2),
+                          ((9, -9), -1)):
+            assert arg_ball(ComplexBall.exact(a, b), prec)[0] == k * eighth
+
+
+def test_arg_ball_radius_covers_the_disk():
+    # a disk of radius r at distance |m| spans arcsin(r / |m|) <= 2 r / |m|
+    # either side; 3 + 4i with radius 1/2 on the exponent -1
+    mid, rad = arg_ball(ComplexBall(6, 8, 1, -1), 64)
+    assert abs(mid - Fraction(ATAN2[3, 4])) < Fraction(1, 2 ** 70)
+    assert rad == Fraction(2, 10 - 1) + Fraction(1, 2 ** 64)
+    with pytest.raises(Ambiguous):
+        arg_ball(ComplexBall(3, 4, 5, 0), 64)
 
 
 # --- relation candidates ---
 
+LOG2 = Fraction("0.69314718055994530941723212145817656807550013436025525412068")
+LOG3 = Fraction("1.09861228866810969139524523692252570464749055782274945173469")
+
+
 def test_relation_candidates_orthogonal_pair():
-    import mpmath
-    with mpmath.workprec(200):
-        hp = _mpf_to_frac(mpmath.pi / 2)
+    hp = PI / 2
     eps = Fraction(1, 2 ** 150)
     tp = two_pi_ball(160)
     cands = relation_candidates([(hp, eps), (-hp, eps)], tp, 4)
@@ -900,9 +833,6 @@ def test_relation_candidates_orthogonal_pair():
 
 
 def test_relation_candidates_generic_angles_empty():
-    import mpmath
-    with mpmath.workprec(200):
-        a1 = _mpf_to_frac(mpmath.log(2))
-        a2 = _mpf_to_frac(mpmath.log(3))
     eps = Fraction(1, 2 ** 150)
-    assert relation_candidates([(a1, eps), (a2, eps)], two_pi_ball(160), 1) == []
+    assert relation_candidates([(LOG2, eps), (LOG3, eps)], two_pi_ball(160),
+                               1) == []

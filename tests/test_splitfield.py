@@ -23,9 +23,10 @@ from frobeig.weil import validate
 
 from conftest import analysis_cached, split_cached
 
-# sha256 of the seeded splitting fields in TestBallCertificates
+# sha256 of the seeded splitting fields in TestBallCertificates, with the
+# roots in the canonical order
 SEEDED_FIELDS_SHA256 = (
-    "1443fbb251a70bdde84fa64c76dfbbb7a1f6ed3743de655aa9c46d9b4d373771")
+    "4a3b3b971e34b95bdfcdd784298eae38b35ffb2db7257b0d2c269a216aff6910")
 # sha256 of (q, coeffs, W', candidate subgroups) in TestGroupLayer, taken
 # from the product-table subgroup enumeration that the span search replaced
 GROUP_LAYER_SHA256 = (
@@ -547,9 +548,9 @@ def seeded_weil_inputs(seed, quartics, sextics):
 
 class TestBallCertificates:
     def test_seeded_fields_pinned(self):
-        # the splitting fields of 12 seeded inputs, digested; the digest
-        # was taken from the exact Fraction ball arithmetic that the dyadic
-        # balls replaced, so a rounding that changes a decision shows here
+        # the splitting fields of 12 seeded inputs, digested, so a
+        # rounding that changes a decision, or a change of the root
+        # order, shows here
         digest = hashlib.sha256()
         for q, coeffs in seeded_weil_inputs(2026, 8, 4):
             field = splitting_field(validate(q, coeffs))

@@ -15,12 +15,10 @@ from frobeig.errors import (Ambiguous, FrobeigError, FunctionalEquationFailed,
                             MalformedInput, NotPrimePower, NotSimple,
                             PrecisionExhausted, RootModulusFailed)
 from frobeig.exactmath.intpoly import IntPoly
-from frobeig.exactmath.roots import isolate_roots
+from frobeig.exactmath.roots import real_weil_poly, roots_in_interval
 from frobeig.quadforms import charpoly_exact
 from frobeig.splitfield import splitting_field
 from frobeig.weil import base_change, prime_power_decomposition, validate
-
-from conftest import enclose
 
 
 def mat_mul(a, b):
@@ -181,12 +179,28 @@ class TestValidate:
             validate(2, [-2, 0, 1])  # X^2-2 alone is not self-reciprocal
 
     def test_root_modulus_failure_with_witness(self):
-        # passes the functional equation with roots 1 and 4 off the circle
+        # passes the functional equation with roots 1 and 4 off the circle:
+        # h = y - 5 has its one root outside [-4, 4]
         with pytest.raises(RootModulusFailed) as exc:
             validate(4, [4, -5, 1])
         w = exc.value.witness
-        assert w == {"root_re": "1", "root_im": "0",
-                     "abs_sq_midpoint": "1", "expected": "4"}
+        assert w == {"real_weil_poly": ["-5", "1"], "roots_in_interval": "0",
+                     "distinct_roots": "1", "expected": "4"}
+        # a non-real root y of h: x^4 + 5x^2 + 4 over q = 2 has h = y^2 + 1
+        with pytest.raises(RootModulusFailed) as exc:
+            validate(2, [4, 0, 5, 0, 1])
+        assert exc.value.witness == {
+            "real_weil_poly": ["1", "0", "1"], "roots_in_interval": "0",
+            "distinct_roots": "2", "expected": "2"}
+
+    def test_gate_before_the_degree_cap(self):
+        # x^80 + 2^40 and x^160 + 2^80 over q = 2 have h = D_40 and D_80,
+        # every root on the circle; the exact gate passes them at once and
+        # the degree cap must refuse them before any root is isolated
+        for g in (40, 80):
+            with TestPrimePower.within_2s():
+                with pytest.raises(MalformedInput, match="factorization cap"):
+                    validate(2, [2 ** g] + [0] * (2 * g - 1) + [1])
 
     def test_malformed(self):
         with pytest.raises(MalformedInput):
@@ -197,24 +211,6 @@ class TestValidate:
             validate(5, [5, -2, 2])      # not monic
         with pytest.raises(NotPrimePower):
             validate(6, [6, -1, 1])
-
-
-def _modulus_permutation_by_division(q, roots):
-    """Oracle: the matching by Fraction division that the product
-    certificate replaced.  Over the disk of root_i, q / conj(z) lies
-    within q r / (|m| (|m| - r)) of q m / |m|^2, and that enclosure must
-    meet the enclosure of root_j alone."""
-    images = []
-    for b in roots:
-        lb = isqrt(b.mre ** 2 + b.mim ** 2) * Fraction(2) ** b.exp
-        assert lb > b.rad
-        norm = b.abs_sq_mid()
-        images.append(enclose(q * b.re / norm, q * b.im / norm,
-                              q * b.rad / (lb * (lb - b.rad)), 32 - b.exp))
-    hits = [[j for j, t in enumerate(roots) if img.intersects(t)]
-            for img in images]
-    perm = [h[0] for h in hits if len(h) == 1]
-    return perm if sorted(perm) == list(range(len(roots))) else None
 
 
 def _off_circle_inputs(seed, count):
@@ -236,19 +232,49 @@ def _off_circle_inputs(seed, count):
     return out
 
 
+def _built_off_circle():
+    """x^2 - a x + q with a^2 > 4q (real roots off the circle), and
+    (x - z)(x - conj z)(x - q/z)(x - q/conj z) for Gaussian integers z with
+    |z|^2 != q and integer coefficients: with n = |z|^2 and t = 2 re z,
+    x^4 - (t + qt/n) x^3 + (n + q^2/n + qt^2/n) x^2 - q (t + qt/n) x + q^2."""
+    out = [(q, (q, -a, 1)) for q in (2, 3, 4, 5, 9, 25)
+           for a in range(-5 * q, 5 * q + 1) if a * a > 4 * q]
+    for q in (2, 3, 4, 5, 8, 9, 16, 25):
+        for x in range(-6, 7):
+            for y in range(1, 7):
+                n, t = x * x + y * y, 2 * x
+                if n == q or (q * t) % n or (q * q + q * t * t) % n:
+                    continue
+                c3 = t + q * t // n
+                out.append((q, (q * q, -q * c3, n + (q * q + q * t * t) // n,
+                                -c3, 1)))
+    return out
+
+
 class TestModulusCertificate:
     def test_product_certificate_matches_division_oracle(self):
+        # the exact gate against inputs built on or off the circle: the
+        # corpus and products of x^2 - a x + q with a^2 <= 4q are on it,
+        # and _built_off_circle() and _off_circle_inputs() are off it
+        rng = random.Random(2510)
         on = [(e.q, tuple(e.coefficients)) for e in CORPUS]
-        off = _off_circle_inputs(19, 40)
-        for q, coeffs in on + off:
-            balls = None
-            for prec in (192, 384):
-                balls = isolate_roots(IntPoly(coeffs), prec, balls)
-                perm = weil._modulus_permutation(q, balls)
-                assert perm is not None
-                assert perm == _modulus_permutation_by_division(q, balls)
-                assert (perm == list(range(len(balls)))) \
-                    == ((q, coeffs) in on), (q, coeffs, prec)
+        for _ in range(60):
+            q = rng.choice((2, 3, 4, 5, 7, 9, 16, 25))
+            p = IntPoly((1,))
+            for _ in range(rng.randint(1, 6)):
+                a = rng.randint(-isqrt(4 * q), isqrt(4 * q))
+                p = p * IntPoly((q, -a, 1))
+            on.append((q, p.coefficients))
+        off = _built_off_circle()
+        assert len(off) > 100
+        for q, coeffs in on:
+            s = real_weil_poly(IntPoly(coeffs), q).squarefree_part()
+            assert roots_in_interval(s, q) == s.degree, (q, coeffs)
+        for q, coeffs in off + _off_circle_inputs(19, 40):
+            s = real_weil_poly(IntPoly(coeffs), q).squarefree_part()
+            assert roots_in_interval(s, q) < s.degree, (q, coeffs)
+            with pytest.raises(RootModulusFailed):
+                validate(q, coeffs)
 
 
 def _undecided_once(real, fail):
@@ -267,7 +293,6 @@ def _ambiguous():
 
 # (stage, the module function made undecided once, how it fails)
 _ESCALATIONS = [
-    ("root matching", "_conjugation_permutation", lambda: None),
     ("factorization", "_factor_search", _ambiguous),
 ]
 
