@@ -83,10 +83,6 @@ class ComplexBall:
     def rad(self) -> Fraction:
         return _dyadic(self.mrad, self.exp)
 
-    def abs_sq_mid(self) -> Fraction:
-        return _dyadic(self.mre * self.mre + self.mim * self.mim,
-                       2 * self.exp)
-
     # --- arithmetic ---
 
     def __add__(self, other: "ComplexBall") -> "ComplexBall":

@@ -21,7 +21,8 @@ one exponent, from `math.isqrt`, with the radius from the bracket width.
 No float takes part, and the order is canonical: by y, with the root of
 negative imaginary part first in each pair.  So conjugation swaps
 adjacent roots and fixes the real ones, and `refine_roots`, which
-re-isolates at a higher precision, keeps the order of every isolation.
+re-isolates from the same cached brackets at a higher precision, keeps
+the order of every isolation.  Validation shares the cached `real_roots`.
 
 `arg_ball` and `two_pi_ball` evaluate arctangents as fixed-point integer
 series, with pi from Machin's formula.
@@ -133,7 +134,8 @@ def _refine(s: Sequence[int], ds: Sequence[int], lo: int, hi: int, b: int,
     grid, nb the bracket's bits doubled, is kept when s changes sign
     between the grid points next to it and both lie in the bracket;
     otherwise the bracket is halved.  A kept step holds the one root of
-    the bracket, so every bracket is certified exactly."""
+    the bracket, so every bracket is certified exactly.  A bracket already
+    finer than bits (a large q, or close roots) is rounded outward."""
     side = _sign(_value(s, lo, b))
 
     def halve(lo, hi, b):
@@ -166,6 +168,9 @@ def _refine(s: Sequence[int], ds: Sequence[int], lo: int, hi: int, b: int,
             lo, hi, b = m - 1, m + 1, nb
         else:
             lo, hi, b = halve(lo, hi, b)
+    d = b - bits
+    if d > 0:
+        return (lo + hi) >> d, ((hi - lo) >> d) + 2
     return lo + hi, hi - lo
 
 
@@ -201,13 +206,38 @@ def _balls(ys: Sequence[Tuple[int, int]], edge: bool, q: int,
 
 
 def _certified(balls: Sequence[ComplexBall], prec: int) -> bool:
-    """Pairwise disjoint, each radius at most 2^-prec max(1, |re| + |im|)
+    """Pairwise disjoint, each radius at most 2^-prec max(1, |midpoint|)
     (the balls have exponents <= 0)."""
     for b in balls:
-        if b.mrad << prec > max(1 << -b.exp, abs(b.mre) + abs(b.mim)):
+        if b.mrad << prec > max(1 << -b.exp,
+                                math.isqrt(b.mre * b.mre + b.mim * b.mim)):
             return False
     return all(balls[i].disjoint(balls[j])
                for i in range(len(balls)) for j in range(i))
+
+
+@lru_cache(maxsize=4)
+def real_roots(poly: IntPoly, q: int) -> Tuple[IntPoly, IntPoly, int]:
+    """h, s = sqfree(h) and `roots_in_interval(s, q)`, which is deg s
+    exactly when every root of poly has modulus sqrt(q)."""
+    h = real_weil_poly(poly, q)
+    s = h.squarefree_part()
+    return h, s, roots_in_interval(s, q)
+
+
+@lru_cache(maxsize=4)
+def _isolation(poly: IntPoly, q: int):
+    """(s, edge, brackets): edge when q is not a square and s has the
+    factor y^2 - 4q of the real roots -+sqrt(q), which s then drops."""
+    _, s, inside = real_roots(poly, q)
+    if inside != s.degree:
+        raise ValueError("a root of the real Weil polynomial lies off "
+                         "[-2 sqrt(q), 2 sqrt(q)]")
+    edge_factor = IntPoly((-4 * q, 0, 1))
+    edge = math.isqrt(q) ** 2 != q and edge_factor.divides(s)
+    if edge:
+        s = s.exact_div(edge_factor)
+    return s, edge, _brackets(s, q)
 
 
 def isolate_roots(poly: IntPoly, q: int, prec: int) -> List[ComplexBall]:
@@ -217,21 +247,12 @@ def isolate_roots(poly: IntPoly, q: int, prec: int) -> List[ComplexBall]:
     of negative imaginary part first in each conjugate pair, so the
     real roots -sqrt(q) and sqrt(q) come first and last.
 
-    poly must satisfy the functional equation and have every root on
-    |x|^2 = q (`roots_in_interval` decides it); ValueError when some root
+    poly must satisfy the functional equation; ValueError when some root
     of its real Weil polynomial misses [-2 sqrt(q), 2 sqrt(q)].  The roots
     y are refined to twice prec plus 32 bits; a ball that misses the
     radius bound or meets another doubles that.
     """
-    s = real_weil_poly(poly, q).squarefree_part()
-    if roots_in_interval(s, q) != s.degree:
-        raise ValueError("a root of the real Weil polynomial lies off "
-                         "[-2 sqrt(q), 2 sqrt(q)]")
-    edge_factor = IntPoly((-4 * q, 0, 1))
-    edge = math.isqrt(q) ** 2 != q and edge_factor.divides(s)
-    if edge:
-        s = s.exact_div(edge_factor)
-    brackets = _brackets(s, q)
+    s, edge, brackets = _isolation(poly, q)
     cs, ds = s.coefficients, s.derivative().coefficients
     bits = 2 * prec + 32
     for _ in range(8):
@@ -244,8 +265,7 @@ def isolate_roots(poly: IntPoly, q: int, prec: int) -> List[ComplexBall]:
 
 
 def refine_roots(poly: IntPoly, q: int, prec: int) -> List[ComplexBall]:
-    """`isolate_roots` at the higher precision prec: the canonical order
-    is that of every earlier isolation of poly."""
+    """`isolate_roots` at a higher prec, in the same canonical order."""
     return isolate_roots(poly, q, prec)
 
 

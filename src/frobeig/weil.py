@@ -6,7 +6,7 @@ sqrt(q).  The functional equation is a finite integer check.  It makes
 P(x) = x^g h(x + q/x) for the real Weil polynomial h, and the modulus
 condition is then exact too: every root of P has modulus sqrt(q) exactly
 when every root of sqfree(h) is real and lies in [-2 sqrt(q), 2 sqrt(q)],
-which one Sturm count decides (`exactmath.roots.roots_in_interval`).  An
+which one Sturm count decides (`exactmath.roots.real_roots`).  An
 input that fails it gets that count as its witness.
 
 `validate` checks the input in that order, applies FACTOR_DEGREE_CAP,
@@ -35,8 +35,7 @@ from .errors import (Ambiguous, FunctionalEquationFailed,
                      NotSimple, PrecisionExhausted, RootModulusFailed)
 from .exactmath.balls import ComplexBall, integer_power_sums, power_rows
 from .exactmath.intpoly import IntPoly, from_power_sums, power_sums
-from .exactmath.roots import (isolate_roots, real_weil_poly, refine_roots,
-                              roots_in_interval)
+from .exactmath.roots import isolate_roots, real_roots, refine_roots
 
 
 # the primes below 2^10, trial divisors of q
@@ -236,9 +235,7 @@ def validate(q: int, coefficients: Sequence[int],
                 f"coefficient {i}: expected q^{g - i} * a_{2 * g - i} "
                 f"= {q ** (g - i) * a[2 * g - i]}, found {a[i]}")
 
-    h = real_weil_poly(poly, q)
-    s = h.squarefree_part()
-    inside = roots_in_interval(s, q)
+    h, s, inside = real_roots(poly, q)
     if inside != s.degree:
         raise RootModulusFailed(
             f"{inside} of the {s.degree} distinct roots of the real Weil "
@@ -269,8 +266,7 @@ def validate(q: int, coefficients: Sequence[int],
 
     factors = []
     for fpoly, idxs in flat:
-        mult = 0
-        probe = poly
+        mult, probe = 0, poly
         while fpoly.divides(probe):
             probe = probe.exact_div(fpoly)
             mult += 1
@@ -281,10 +277,8 @@ def validate(q: int, coefficients: Sequence[int],
         recon = recon * f.poly ** f.multiplicity
     if recon != poly:
         raise InternalInconsistency("factor product does not rebuild input")
-    mult_by_root = {}
-    for f in factors:
-        for idx in f.root_indices:
-            mult_by_root[idx] = f.multiplicity
+    mult_by_root = {i: f.multiplicity for f in factors
+                    for i in f.root_indices}
     root_mult = tuple(mult_by_root[i] for i in range(len(balls)))
     # a root with negative imaginary part pairs with the next root, one
     # with positive imaginary part with the root before

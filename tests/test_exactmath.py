@@ -750,7 +750,7 @@ def test_certified_balls_are_disjoint_and_small():
     b = ComplexBall(3 << 20, 1 << 20, 1, -20)
     assert _certified([b, b.conjugate()], 16)
     assert not _certified([b, b], 16)
-    # radius 2^-12 is more than 2^-16 (|re| + |im|) = 3 * 2^-16
+    # radius 2^-12 is more than 2^-16 |midpoint| = 3 * 2^-16
     assert not _certified([ComplexBall(3 << 20, 0, 1 << 8, -20)], 16)
 
 
@@ -767,6 +767,52 @@ def test_refine_preserves_matching():
     # roots 1 and 4 of x^2 - 5x + 4 are off |x|^2 = 4
     with pytest.raises(ValueError):
         isolate_roots(IntPoly((4, -5, 1)), 4, 64)
+
+
+def _from_real_weil(h, q):
+    """x^g h(x + q/x) for h of degree g: sum of c_k x^(g-k) (x^2 + q)^k."""
+    g = h.degree
+    out = IntPoly((0,))
+    for k, c in enumerate(h.coefficients):
+        out = out + IntPoly((0,) * (g - k) + (c,)) * IntPoly((q, 0, 1)) ** k
+    return out
+
+
+def _holds_a_root(ball, h, q):
+    """h changes sign over twice the real part of ball, and |z|^2 = q
+    meets the disk."""
+    y_lo, y_hi = 2 * (ball.re - ball.rad), 2 * (ball.re + ball.rad)
+    return h(y_lo) * h(y_hi) <= 0 and contains_exact(ball * ball.conjugate(), q)
+
+
+def test_isolate_brackets_past_the_working_bits():
+    # q = 2^831: halving a bracket to width 1/2 takes about 420 bits of
+    # scale, more than 2 * 192 + 32; h = y^2 - 2, real parts +-sqrt(2)/2
+    q = 2 ** 831
+    p = IntPoly((q * q, 0, 2 * q - 2, 0, 1))
+    h = IntPoly((-2, 0, 1))
+    assert real_weil_poly(p, q) == h
+    balls = isolate_roots(p, q, 192)
+    assert len(balls) == 4
+    assert all(_holds_a_root(b, h, q) for b in balls)
+    assert [b.re < 0 for b in balls] == [True, True, False, False]
+    # roots k and about k - 2^-395 of a degree-12 input over q = 2^200:
+    # the bracket that separates them is finer than 2^-416
+    q, k = 2 ** 200, 12345
+    inner = IntPoly((-k, 1))
+    for r in (-3 << 98, -1 << 98, 1 << 98, 3 << 98):
+        inner = inner * IntPoly((-r, 1))
+    h = IntPoly((-k, 1)) * (inner + IntPoly((1,)))
+    p = _from_real_weil(h, q)
+    assert real_weil_poly(p, q) == h
+    balls = isolate_roots(p, q, 192)
+    assert len(balls) == 12
+    assert all(_holds_a_root(b, h, q) for b in balls)
+    close, exact = balls[4], balls[6]
+    assert exact.re == Fraction(k, 2)
+    assert close.re + close.rad < Fraction(k, 2)
+    data = validate(q, p.coefficients)
+    assert all(_holds_a_root(b, h, q) for b in data.roots)
 
 
 # --- argument enclosures ---
