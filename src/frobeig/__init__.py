@@ -12,7 +12,7 @@ throughout, with no floating point at all.  Even the root enclosures are
 certified integer brackets of the real Weil polynomial's roots.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.3.1"
 
 from .config import Settings
 from . import errors

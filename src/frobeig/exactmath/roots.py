@@ -130,12 +130,14 @@ def _refine(s: Sequence[int], ds: Sequence[int], lo: int, hi: int, b: int,
     [m - w, m + w] / 2^(bits + 1), and w = 0 when y is an integer.
 
     The bracket is halved to width 1/2, so that it holds at most one
-    integer, which is tested once.  Then each Newton step on the 2^-nb
-    grid, nb the bracket's bits doubled, is kept when s changes sign
-    between the grid points next to it and both lie in the bracket;
-    otherwise the bracket is halved.  A kept step holds the one root of
-    the bracket, so every bracket is certified exactly.  A bracket already
-    finer than bits (a large q, or close roots) is rounded outward."""
+    integer, which is tested once.  Then each Newton step aims at the
+    2^-nb grid, nb twice the bits of the bracket's width (not of its
+    scale 2^-b, which at a large q is already far finer than the width),
+    and at least b + 1.  A step is kept when s changes sign between the
+    grid points next to it and both lie in the bracket; otherwise the
+    bracket is halved.  A kept step holds the one root of the bracket, so
+    every bracket is certified exactly.  A bracket already finer than bits
+    (a large q, or close roots) is rounded outward."""
     side = _sign(_value(s, lo, b))
 
     def halve(lo, hi, b):
@@ -156,7 +158,9 @@ def _refine(s: Sequence[int], ds: Sequence[int], lo: int, hi: int, b: int,
         else:
             hi = n << b
     while b < bits:
-        nb = min(2 * b, bits)
+        # the bracket is narrower than 2^(1 - c): aim for twice that
+        c = b - (hi - lo).bit_length() + 1
+        nb = min(max(2 * c, b + 1), bits)
         k = nb - b
         m = (lo + hi) << (k - 1)
         d = _value(ds, m, nb)

@@ -39,9 +39,17 @@ over the common denominator det [p_{j+k}].  The coordinates are
 then checked exactly in Q[x]/(m): they multiply out to the squarefree
 part of P (so each is a root of it), the weight combination of the
 representatives reproduces x, and conjugate coordinates multiply to q.
-Evaluated on the enclosure of x, each coordinate vector must meet its own
-root enclosure and no other.  Enclosures only ever decide which exact
-checks to attempt; they are never the evidence.
+Those are exact identities.  The remaining facts are rigorous ball
+certificates: each power sum and trace is the one integer its enclosure
+holds, and the assignment certificate places every root under every
+element of H.  K is a field (m is irreducible, see below), and
+m = prod_{w in H} (X - gamma_w) is squarefree, so the embeddings of K
+into C are x -> gamma_w, one for each w.  Evaluated on the enclosure of
+gamma_w, the coordinate vector of root i must meet the enclosure of root
+w(i) and no other; then that embedding sends root i to root w(i), and
+when this holds for every w and every i, the Galois action on the roots
+is exactly H.  No float decides anything, and no enclosure stands in for
+an exact identity.
 
 Field elements are integer numerators over one positive denominator in
 lowest terms (`ModRing`), so the ring identities are integer products
@@ -62,24 +70,22 @@ coordinate evaluation runs on an element's integer numerators and is
 compared with the root enclosures scaled by its denominator, so no
 enclosure is ever divided.
 
-The Galois group is then certified from those verified coordinates
-alone, with no enclosures and no precision: the image of x under each
-element is the same weight combination of the permuted roots, and the
-map x -> image must be an automorphism that permutes the roots as the
-element claims.
+`galois_group` then only checks exactly that the certified
+permutations form a group of the field's degree that centralizes the
+conjugation involution; it reads no enclosure and no field element.
 
-Rejection is equally certified.  When H is the Galois group, every
-power sum Tr(x^k) and, past the squarefree gate, every trace t_{i,k} is
-an integer for every weight, and the true coordinates pass every
-identity above.  So an enclosure of a power sum or a trace that holds no
-integer, a failed ring identity, or a coordinate vector that evaluates
-away from its own root enclosure is an exact proof that the candidate
-subgroup is not the Galois group.  Any fully verified candidate
-presents a ring in which the polynomial splits and which is generated by
-a combination of the roots, so its degree is a multiple of the true
-splitting degree; scanning subgroups by increasing order and accepting
-only when every smaller candidate holds a rejection certificate pins the
-degree exactly and forces m irreducible.
+Rejection is equally certified.  When H is the Galois group, every power
+sum Tr(x^k) and, past the squarefree gate, every trace t_{i,k} is an
+integer for every weight, and the true coordinates pass every identity
+above.  So an enclosure of a power sum or a trace that holds no integer, a
+failed ring identity, or a coordinate vector that evaluates on some gamma_w
+away from the enclosure of root w(i) is an exact proof that the candidate
+subgroup is not the Galois group.  Any fully verified candidate presents a
+ring in which the polynomial splits and which is generated by a combination
+of the roots, so its degree is a multiple of the true splitting degree;
+scanning subgroups by increasing order and accepting only when every
+smaller candidate holds a rejection certificate pins the degree exactly and
+forces m irreducible.
 The weight ladder (indicator vectors, then geometric vectors over a long
 prime list) provably contains a non-degenerate weight for every input in
 the supported degree range, so the true group is never starved of a
@@ -237,11 +243,6 @@ class ModRing:
             acc = (nums[0] + c * den,) + nums[1:], den
         return acc
 
-    def compose(self, a: Elem, b: Elem) -> Elem:
-        """a(b): the polynomial in x that a is, evaluated at b."""
-        nums, den = a
-        return self.scale(self.eval_poly(nums, b), 1, den)
-
     def trace(self, a: Elem) -> Tuple[int, int]:
         """Trace over Q as (numerator, positive denominator) in lowest
         terms."""
@@ -354,11 +355,11 @@ class SplittingField:
 
 @dataclass(frozen=True)
 class GaloisData:
-    """Galois group with an exact homomorphism certificate."""
+    """Galois group: the action on the root indices, every element of it
+    certified by the splitting field construction."""
     perms: Tuple[Perm, ...]
     order: int
     generator_indices: Tuple[int, ...]
-    fully_certified: bool
 
 
 # --- the construction ---
@@ -399,18 +400,19 @@ def _try_candidate(h_perms: List[Perm], weight: Tuple[int, ...],
                    iota: Perm, q: int, bits: int):
     """One (subgroup, weight) attempt at the current precision.
 
-    Returns a payload tuple on success, _UNRESOLVED when the precision
-    cannot decide, or one of two exact rejection certificates.  Key
-    asymmetry: were the subgroup the Galois group, every power sum
-    Tr(x^k) = sum_w gamma_w^k would be an integer and Newton's identities
-    would divide exactly, for EVERY integer weight (a degenerate weight
-    only repeats roots), and past the squarefree gate every trace
-    t_{i,k} = Tr(r_i x^k) would be an integer whose exact Hankel solve
-    gives coordinates that verify, for ANY weight.  So a certified
-    non-integer power sum or trace, an inexact Newton division, a failed
-    ring identity, or a misplaced root enclosure refutes the subgroup
-    outright (_DEAD_SUBGROUP); only a squarefree failure is specific to
-    the weight (_DEAD_WEIGHT).
+    Returns a payload tuple on success, which also certifies that every
+    element of the subgroup acts on the roots as a field automorphism,
+    _UNRESOLVED when the precision cannot decide, or one of two exact
+    rejection certificates.  Key asymmetry: were the subgroup the Galois
+    group, every power sum Tr(x^k) = sum_w gamma_w^k would be an integer
+    and Newton's identities would divide exactly, for EVERY integer weight
+    (a degenerate weight only repeats roots), and past the squarefree gate
+    every trace t_{i,k} = Tr(r_i x^k) would be an integer whose exact
+    Hankel solve gives coordinates that verify, for ANY weight.  So a
+    certified non-integer power sum or trace, an inexact Newton division, a
+    failed ring identity, or a misplaced root enclosure refutes the
+    subgroup outright (_DEAD_SUBGROUP); only a squarefree failure is
+    specific to the weight (_DEAD_WEIGHT).
     """
     values = [gammas[w] for w in h_perms]
     n = len(values)
@@ -474,18 +476,20 @@ def _try_candidate(h_perms: List[Perm], weight: Tuple[int, ...],
         if ring.mul(coords[iota[i]], coords[i]) != qconst:
             return _DEAD_SUBGROUP
 
-    # assignment certificate: each coordinate vector, evaluated on the
-    # generator enclosure as sum_k nums_k gamma_id^k from the identity's
-    # column of the power table, must isolate its own root enclosure; the
-    # numerators' value is compared with den * root, never divided
-    ident = h_perms.index(tuple(range(len(balls))))
-    column = [row[ident] for row in rows]
-    for i, (nums, den) in enumerate(coords):
-        enc = lincomb(nums, column)
-        if enc.disjoint(balls[i].scale(den)):
-            return _DEAD_SUBGROUP
-        for j in range(len(balls)):
-            if j != i and not enc.disjoint(balls[j].scale(den)):
+    # assignment certificate: the embedding x -> gamma_w sends root i to
+    # root w(i), so each coordinate vector, evaluated as sum_k nums_k
+    # gamma_w^k on column w of the power table, must isolate the enclosure
+    # of root w(i), for every w; the numerators' value is compared with
+    # den * root, never divided.  The identity, the least permutation,
+    # comes first.
+    targets = [[b.scale(den) for b in balls] for _, den in coords]
+    for w, column in zip(h_perms, zip(*rows)):
+        for i, (nums, _) in enumerate(coords):
+            enc = lincomb(nums, column)
+            if enc.disjoint(targets[i][w[i]]):
+                return _DEAD_SUBGROUP
+            if any(j != w[i] and not enc.disjoint(t)
+                   for j, t in enumerate(targets[i])):
                 return _UNRESOLVED
     return modulus, tuple(coords), ring
 
@@ -568,19 +572,14 @@ def splitting_field(data: WeilData, settings: Settings = DEFAULT) -> SplittingFi
 
 
 def galois_group(field: SplittingField, data: WeilData) -> GaloisData:
-    """Galois group of the splitting field with exact certification.
+    """Galois group of the splitting field with exact group checks.
 
-    The permutations come from the accepted construction, and the field's
-    root coordinates are already verified; this operation re-certifies
-    the permutations as field automorphisms with exact arithmetic alone.
-    The image of x under the element w is the combination sum_j c_j *
-    root_coords[w(rep_j)].  For each certified element (every one when
-    the order is at most 16, the generators and the identity otherwise)
-    the image must be a root of the modulus, and x -> image must send
-    every orbit representative's coordinates to those of its w-image.
-    The images must be pairwise distinct, and the permutations must form
-    a group of the right order centralizing the conjugation involution;
-    closure holds when their greedy generators span exactly the set.
+    The construction already certified every permutation as the action of
+    a field automorphism on the roots (see `_try_candidate`), so this
+    operation checks only that the permutations form a group of the
+    field's degree that contains the identity and centralizes the
+    conjugation involution; closure holds when their greedy generators
+    span exactly the set.
     """
     perms = list(field.group_perms)
     n_roots = len(field.root_coords)
@@ -607,35 +606,8 @@ def galois_group(field: SplittingField, data: WeilData) -> GaloisData:
                 break
     if span != perm_set:
         raise InternalInconsistency("group is not closed")
-    gen_idx = tuple(perms.index(g) for g in gens)
-
-    members = perms if order <= 16 else [perms[i] for i in gen_idx] + [ident]
-    fully = order <= 16
-
-    # the automorphism acting as w sends x = sum_j c_j r_{rep_j} to the
-    # same combination of the roots r_{w(rep_j)}; each claim is checked
-    # exactly on the verified root coordinates
-    ring = field.ring()
-    coords = field.root_coords
-    zero = ring.const(0)
-    images = set()
-    for w in members:
-        image = ring.lincomb(field.weight,
-                             [coords[w[rep]] for rep in field.orbit_reps])
-        if ring.eval_poly(field.modulus.coefficients, image) != zero:
-            raise InternalInconsistency(
-                "claimed automorphism image is not a modulus root")
-        # x -> image is then an automorphism; it must move every
-        # representative as w does (conjugates follow from r rbar = q)
-        for rep in field.orbit_reps:
-            if ring.compose(coords[rep], image) != coords[w[rep]]:
-                raise InternalInconsistency(
-                    "automorphism does not act as its permutation")
-        images.add(image)
-    if len(images) < len(members):
-        raise InternalInconsistency("automorphism images collide")
     return GaloisData(perms=tuple(perms), order=order,
-                      generator_indices=gen_idx, fully_certified=fully)
+                      generator_indices=tuple(perms.index(g) for g in gens))
 
 
 # --- multiplicative words and torsion tests ---

@@ -350,8 +350,8 @@ def test_criterion_12_batch_determinism(tmp_path):
     # the store is the output contract: a deliberate output change bumps
     # __version__ and this digest together
     digest = hashlib.sha256(("\n".join(lines1) + "\n").encode()).hexdigest()
-    assert digest == ("5d24f607cec40b9a5cf186d22fabb651"
-                      "2cda5ad8a7420c055af93dd536870bcf")
+    assert digest == ("5e754f6ef11a12d11c4af588e7f13ae2"
+                      "6edf5888e9eeb53660a5a7338f05be19")
     elapsed = time.perf_counter() - t0
     report_pass(12, f"batch determinism over {len(CORPUS)} records x 3 runs",
                 elapsed)
@@ -376,5 +376,5 @@ def test_deep_grid_store_digest(tmp_path):
     assert (summary["written"], summary["errors"]) == (14, 0)
     lines = _store_lines(out)
     digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
-    assert digest == ("52bc5a0e6341d133339135e75d458f1e"
-                      "6831939deb623f36d1e06f155a840bbf")
+    assert digest == ("7c02ff80d1511f2e5e18be3181dd6016"
+                      "6f08eabbdd781b94322bca095cc537a9")

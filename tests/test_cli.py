@@ -4,6 +4,7 @@ import concurrent.futures.process as pool_module
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -231,6 +232,18 @@ class TestOptions:
 # --- single-record commands ---
 
 class TestSingleCommands:
+    def test_version_matches_pyproject(self, capsys):
+        # the package and the installed metadata declare one version;
+        # Python 3.10 has no tomllib, so the line is read by a regex
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml"
+                ).read_text()
+        declared = re.search(r'^version = "([^"]+)"$', text, re.M).group(1)
+        assert declared == frobeig.__version__
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"frobeig {declared}\n"
+
     def test_validate_accepts(self, capsys):
         rc, out = run_cli(capsys, "validate", "--q", "5",
                           "--coeffs", "5,-1,1")

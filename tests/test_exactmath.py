@@ -601,6 +601,33 @@ def test_isolate_large_q_sextic():
     assert [b.mim < 0 for b in roots] == [True, False] * 3
 
 
+def test_isolate_large_q_degree_24_at_3072_bits():
+    # six quartics x^4 + (2q - c) x^2 + q^2 over q = 2^60, each with the
+    # real Weil roots y = +-sqrt(c): Newton aimed from the bracket's scale
+    # instead of its width fell back to bisection here and took minutes
+    q = 2 ** 60
+    cs = [k * (q // 32) + 1 for k in (3, 5, 7, 11, 13, 17)]
+    p = IntPoly((1,))
+    for c in cs:
+        p = p * IntPoly((q * q, 0, 2 * q - c, 0, 1))
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.alarm(10)
+    try:
+        roots = isolate_roots(p, q, 3072)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(roots) == 24
+    # ascending y: -sqrt(c) for c descending, then +sqrt(c) ascending
+    for pair, c in zip(range(0, 24, 2), cs[::-1] + cs):
+        b, bbar = roots[pair], roots[pair + 1]
+        assert b.mim < 0 and (bbar.mre, bbar.mim) == (b.mre, -b.mim)
+        y = b + b.conjugate()
+        assert contains_exact(y * y, c)
+        assert contains_exact(b * b.conjugate(), q)
+    assert [b.mre < 0 for b in roots[::2]] == [True] * 6 + [False] * 6
+
+
 def _too_slow(signum, frame):
     raise AssertionError("root isolation did not return within the limit")
 

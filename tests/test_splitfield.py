@@ -129,6 +129,34 @@ def ref_trace(a, m):
     return sum(ref_mul(a, ref_basis(n, j), m)[j] for j in range(n))
 
 
+# --- the exact image oracle, sharing no code with the construction's
+# ball certificate ---
+
+def automorphisms_act(field, perms):
+    """Whether every w in perms acts on the roots as an automorphism of
+    the field, by exact arithmetic in its ring alone: the image of x,
+    sum_j c_j r_{w(rep_j)}, is a root of the modulus, x -> image sends
+    each orbit representative's coordinates to those of its w-image
+    (conjugates follow from r rbar = q), and the images are pairwise
+    distinct."""
+    ring = field.ring()
+    coords = field.root_coords
+    zero = ring.const(0)
+    images = set()
+    for w in perms:
+        image = ring.lincomb(field.weight,
+                             [coords[w[rep]] for rep in field.orbit_reps])
+        if ring.eval_poly(field.modulus.coefficients, image) != zero:
+            return False
+        for rep in field.orbit_reps:
+            nums, den = coords[rep]
+            if ring.scale(ring.eval_poly(nums, image), 1, den) \
+                    != coords[w[rep]]:
+                return False
+        images.add(image)
+    return len(images) == len(perms)
+
+
 class TestModRing:
     def test_quadratic_field(self):
         ring = ModRing(IntPoly((5, -1, 1)))
@@ -264,7 +292,7 @@ class TestSplittingField:
         d, sf = split_cached(5, (25, -15, 12, -3, 1))
         assert sf.degree == 4
         g = galois_group(sf, d)
-        assert g.order == 4 and g.fully_certified
+        assert g.order == 4 and automorphisms_act(sf, g.perms)
         for p in g.perms:
             assert tuple(p[p[i]] for i in range(4)) == (0, 1, 2, 3)
 
@@ -308,7 +336,7 @@ class TestSplittingField:
     def test_galois_group_quadratic(self):
         d, sf = split_cached(5, (5, -1, 1))
         g = galois_group(sf, d)
-        assert g.order == 2 and g.fully_certified
+        assert g.order == 2 and automorphisms_act(sf, g.perms)
         assert set(g.perms) == {(0, 1), (1, 0)}
 
     def test_low_precision_builds_degree_eight(self):
@@ -344,8 +372,9 @@ def corpus_fields():
 
 class TestGaloisGroup:
     def test_no_numerics(self, monkeypatch):
-        # the group is certified from the field's exact root coordinates:
-        # no candidate attempt, enclosure or precision work
+        # the construction certified every element; the group checks are
+        # permutation arithmetic alone: no candidate attempt, enclosure,
+        # precision work or field arithmetic
         fields = corpus_fields()
         calls = []
 
@@ -355,17 +384,30 @@ class TestGaloisGroup:
                 return real(*args, **kwargs)
             return call
 
-        for name in ("_try_candidate", "refine_roots"):
+        for name in ("_try_candidate", "refine_roots", "lincomb"):
             monkeypatch.setattr(splitfield, name,
                                 counted(name, getattr(splitfield, name)))
+        monkeypatch.setattr(ModRing, "mul", counted("mul", ModRing.mul))
         for data, field in fields:
             galois_group(field, data)
         assert calls == []
 
+    def test_image_oracle_accepts_every_certified_group(self):
+        # every element of every corpus group and seeded group passes the
+        # exact image and action checks that the construction's column
+        # certificates replaced
+        fields = corpus_fields() + [
+            split_cached(q, coeffs)
+            for q, coeffs in seeded_weil_inputs(2026, 8, 4)]
+        assert len(fields) == 57 + 12
+        for data, field in fields:
+            assert automorphisms_act(field, field.group_perms), data.poly
+            galois_group(field, data)
+
     def test_forged_group_rejected(self):
         # G = {id, iota, (2,3,0,1), (3,2,1,0)}; every other order-4
-        # subgroup of W' through iota passes the group checks, so only
-        # the exact image and action checks can refuse it
+        # subgroup of W' through iota passes the group checks, so the
+        # construction must refuse it, and so must the exact image oracle
         d, sf = split_cached(2, (4, -6, 5, -3, 1))
         iota = d.iota
         assert iota == (1, 0, 3, 2)
@@ -382,9 +424,24 @@ class TestGaloisGroup:
                 subgroups.add(tuple(sorted(h)))
         forged = subgroups - {sf.group_perms}
         assert len(forged) == 2
+        gammas = {w: lincomb(sf.weight, [sf.root_balls[w[r]]
+                                         for r in sf.orbit_reps])
+                  for w in wprime}
+
+        def attempt(perms):
+            return splitfield._try_candidate(
+                list(perms), sf.weight, sf.orbit_reps, gammas,
+                sf.root_balls, d.poly.squarefree_part(), iota, d.q,
+                d.prec + 64)
+
+        modulus, coords, _ = attempt(sf.group_perms)
+        assert (modulus, coords) == (sf.modulus, sf.root_coords)
+        assert automorphisms_act(sf, sf.group_perms)
         for perms in sorted(forged):
-            with pytest.raises(InternalInconsistency):
-                galois_group(replace(sf, group_perms=perms), d)
+            assert not isinstance(attempt(perms), tuple)
+            assert not automorphisms_act(sf, perms)
+            # the group checks alone cannot tell it from G
+            galois_group(replace(sf, group_perms=perms), d)
 
     def test_non_closed_set_rejected(self):
         # the right size, the identity and iota, every element central:
@@ -563,29 +620,58 @@ class TestBallCertificates:
 
     def test_assignment_enclosure_on_working_grid(self):
         # the assignment certificate evaluates each root's integer
-        # numerators as sum_k nums_k x^k on the identity's column of the
-        # power table, whose products lie on the working grid, and
-        # compares the result with the root enclosures scaled by the
-        # denominator instead of dividing
+        # numerators as sum_k nums_k gamma_w^k on column w of the power
+        # table, for every element w, whose products lie on the working
+        # grid, and compares the result with the root enclosures scaled
+        # by the denominator instead of dividing: root i lands on root
+        # w(i) and on no other
         d, sf = split_cached(5, (25, -5, 6, -1, 1))       # degree 8
         assert any(den > 1 for _, den in sf.root_coords)
         bits = DEFAULT.precision_start + 64
-        gamma = lincomb(sf.weight, [sf.root_balls[r] for r in sf.orbit_reps])
-        column = [row[0] for row in
-                  itertools.islice(power_rows([gamma], bits), sf.degree)]
-        assert column[1] is gamma
-        for p in column[2:]:
-            for value in (p.re, p.im, p.rad):
-                assert (value * 2 ** bits).denominator == 1
-        grid = 2 ** -gamma.exp
-        for i, (nums, den) in enumerate(sf.root_coords):
-            enc = lincomb(nums, column)
-            for value in (enc.re, enc.im, enc.rad):
-                assert (value * grid).denominator == 1
-            targets = [b.scale(den) for b in sf.root_balls]
-            assert enc.intersects(targets[i])
-            assert all(enc.disjoint(t) for j, t in enumerate(targets)
-                       if j != i)
+        gammas = [lincomb(sf.weight, [sf.root_balls[w[r]]
+                                      for r in sf.orbit_reps])
+                  for w in sf.group_perms]
+        rows = list(itertools.islice(power_rows(gammas, bits), sf.degree))
+        assert all(p is g for p, g in zip(rows[1], gammas))
+        for row in rows[2:]:
+            for p in row:
+                for value in (p.re, p.im, p.rad):
+                    assert (value * 2 ** bits).denominator == 1
+        for w, column in zip(sf.group_perms, zip(*rows)):
+            grid = 2 ** -column[1].exp
+            for i, (nums, den) in enumerate(sf.root_coords):
+                enc = lincomb(nums, column)
+                for value in (enc.re, enc.im, enc.rad):
+                    assert (value * grid).denominator == 1
+                targets = [b.scale(den) for b in sf.root_balls]
+                assert enc.intersects(targets[w[i]])
+                assert all(enc.disjoint(t) for j, t in enumerate(targets)
+                           if j != w[i])
+
+    def test_assignment_certificate_reads_every_column(self, monkeypatch):
+        # an accepted candidate has evaluated every root's coordinates on
+        # the column of every element, not only on the identity's
+        d, sf = split_cached(5, (25, -5, 6, -1, 1))       # order 8
+        gammas = {w: lincomb(sf.weight, [sf.root_balls[w[r]]
+                                         for r in sf.orbit_reps])
+                  for w in sf.group_perms}
+        element_of = {id(g): w for w, g in gammas.items()}
+        root_of = {nums: i for i, (nums, _) in enumerate(sf.root_coords)}
+        seen = set()
+
+        def spy(coeffs, values):
+            if tuple(coeffs) in root_of and len(values) > 1:
+                seen.add((root_of[tuple(coeffs)], element_of[id(values[1])]))
+            return lincomb(coeffs, values)
+
+        monkeypatch.setattr(splitfield, "lincomb", spy)
+        out = splitfield._try_candidate(
+            list(sf.group_perms), sf.weight, sf.orbit_reps, gammas,
+            sf.root_balls, d.poly.squarefree_part(), d.iota, d.q,
+            d.prec + 64)
+        assert out[0] == sf.modulus
+        assert seen == set(itertools.product(range(len(sf.root_coords)),
+                                             sf.group_perms))
 
     def test_corpus_needs_no_refinement(self, monkeypatch):
         # validation and the splitting field decide every corpus record at
