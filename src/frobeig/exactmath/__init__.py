@@ -23,7 +23,7 @@ from .latt import (
     lll_reduce,
     relation_candidates,
 )
-from .roots import isolate_roots, refine_roots
+from .roots import RealRoots, isolate_roots, real_roots, refine_roots
 
 __all__ = [
     "IntPoly",
@@ -34,6 +34,8 @@ __all__ = [
     "lattice_saturation_index",
     "lll_reduce",
     "relation_candidates",
+    "RealRoots",
+    "real_roots",
     "isolate_roots",
     "refine_roots",
 ]

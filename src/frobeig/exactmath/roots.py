@@ -20,9 +20,10 @@ y^2 - 4q of s.  Each y gives its pair of roots as two `ComplexBall`s on
 one exponent, from `math.isqrt`, with the radius from the bracket width.
 No float takes part, and the order is canonical: by y, with the root of
 negative imaginary part first in each pair.  So conjugation swaps
-adjacent roots and fixes the real ones, and `refine_roots`, which
-re-isolates from the same cached brackets at a higher precision, keeps
-the order of every isolation.  Validation shares the cached `real_roots`.
+adjacent roots and fixes the real ones.  `isolate_roots` and
+`refine_roots` take the one `RealRoots` of a polynomial, which keeps the
+brackets of its first isolation, so a refinement re-runs neither the
+Sturm chain nor the bisection and keeps the order of every isolation.
 
 `arg_ball` and `two_pi_ball` evaluate arctangents as fixed-point integer
 series, with pi from Machin's formula.
@@ -31,8 +32,9 @@ series, with pi from Machin's formula.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import Ambiguous, PrecisionExhausted
@@ -220,57 +222,69 @@ def _certified(balls: Sequence[ComplexBall], prec: int) -> bool:
                for i in range(len(balls)) for j in range(i))
 
 
-@lru_cache(maxsize=4)
-def real_roots(poly: IntPoly, q: int) -> Tuple[IntPoly, IntPoly, int]:
-    """h, s = sqfree(h) and `roots_in_interval(s, q)`, which is deg s
-    exactly when every root of poly has modulus sqrt(q)."""
+@dataclass(frozen=True)
+class RealRoots:
+    """The real Weil polynomial h of a q-Weil polynomial, s = sqfree(h)
+    and inside = `roots_in_interval(s, q)`, which is deg s exactly when
+    every root of the polynomial has modulus sqrt(q).  `isolation` adds
+    the brackets of the roots of s on its first read."""
+    q: int
+    h: IntPoly
+    s: IntPoly
+    inside: int
+
+    @cached_property
+    def isolation(self) -> Tuple[bool, Tuple[int, ...], Tuple[int, ...],
+                                 Tuple[Tuple[int, int, int], ...]]:
+        """(edge, core, core', brackets), core and core' as coefficients:
+        edge when q is not a square and s has the factor y^2 - 4q of the
+        real roots -+sqrt(q), which core then drops; core is s otherwise.
+        ValueError when some root of h lies off [-2 sqrt(q), 2 sqrt(q)]."""
+        if self.inside != self.s.degree:
+            raise ValueError("a root of the real Weil polynomial lies off "
+                             "[-2 sqrt(q), 2 sqrt(q)]")
+        q, core = self.q, self.s
+        edge_factor = IntPoly((-4 * q, 0, 1))
+        edge = math.isqrt(q) ** 2 != q and edge_factor.divides(core)
+        if edge:
+            core = core.exact_div(edge_factor)
+        return (edge, core.coefficients, core.derivative().coefficients,
+                tuple(_brackets(core, q)))
+
+
+def real_roots(poly: IntPoly, q: int) -> RealRoots:
+    """The `RealRoots` of the q-Weil polynomial poly."""
     h = real_weil_poly(poly, q)
     s = h.squarefree_part()
-    return h, s, roots_in_interval(s, q)
+    return RealRoots(q, h, s, roots_in_interval(s, q))
 
 
-@lru_cache(maxsize=4)
-def _isolation(poly: IntPoly, q: int):
-    """(s, edge, brackets): edge when q is not a square and s has the
-    factor y^2 - 4q of the real roots -+sqrt(q), which s then drops."""
-    _, s, inside = real_roots(poly, q)
-    if inside != s.degree:
-        raise ValueError("a root of the real Weil polynomial lies off "
-                         "[-2 sqrt(q), 2 sqrt(q)]")
-    edge_factor = IntPoly((-4 * q, 0, 1))
-    edge = math.isqrt(q) ** 2 != q and edge_factor.divides(s)
-    if edge:
-        s = s.exact_div(edge_factor)
-    return s, edge, _brackets(s, q)
-
-
-def isolate_roots(poly: IntPoly, q: int, prec: int) -> List[ComplexBall]:
+def isolate_roots(real: RealRoots, prec: int) -> List[ComplexBall]:
     """Certified pairwise-disjoint enclosures of the distinct roots of the
-    q-Weil polynomial poly, each of radius at most 2^-prec relative to
-    max(1, |midpoint|), in the canonical order: by real part, and the root
-    of negative imaginary part first in each conjugate pair, so the
-    real roots -sqrt(q) and sqrt(q) come first and last.
+    q-Weil polynomial whose `RealRoots` is real, each of radius at most
+    2^-prec relative to max(1, |midpoint|), in the canonical order: by
+    real part, and the root of negative imaginary part first in each
+    conjugate pair, so the real roots -sqrt(q) and sqrt(q) come first
+    and last.
 
-    poly must satisfy the functional equation; ValueError when some root
-    of its real Weil polynomial misses [-2 sqrt(q), 2 sqrt(q)].  The roots
-    y are refined to twice prec plus 32 bits; a ball that misses the
-    radius bound or meets another doubles that.
+    ValueError when some root of the real Weil polynomial misses
+    [-2 sqrt(q), 2 sqrt(q)].  The roots y are refined to twice prec plus
+    32 bits; a ball that misses the radius bound or meets another
+    doubles that, at most seven times.
     """
-    s, edge, brackets = _isolation(poly, q)
-    cs, ds = s.coefficients, s.derivative().coefficients
-    bits = 2 * prec + 32
-    for _ in range(8):
+    edge, cs, ds, brackets = real.isolation
+    for bits in ((2 * prec + 32) << k for k in range(8)):
         ys = [_refine(cs, ds, lo, hi, b, bits) for lo, hi, b in brackets]
-        balls = _balls(ys, edge, q, bits + 1)
+        balls = _balls(ys, edge, real.q, bits + 1)
         if balls is not None and _certified(balls, prec):
             return balls
-        bits *= 2
     raise PrecisionExhausted(f"root isolation failed at {bits} bits")
 
 
-def refine_roots(poly: IntPoly, q: int, prec: int) -> List[ComplexBall]:
-    """`isolate_roots` at a higher prec, in the same canonical order."""
-    return isolate_roots(poly, q, prec)
+def refine_roots(real: RealRoots, prec: int) -> List[ComplexBall]:
+    """`isolate_roots` at a higher prec, in the same canonical order,
+    from the brackets real already holds."""
+    return isolate_roots(real, prec)
 
 
 # --- argument enclosures ---

@@ -58,10 +58,11 @@ and determinant unchanged.  The enclosures are dyadic `ComplexBall`s:
 integer mantissas over one power-of-two exponent, so ball arithmetic is
 integer arithmetic.  The construction starts from the root enclosures
 and the precision that `weil.validate` certified, and refines the roots
-itself only when some candidate stays undecided.  M_H is read by power
-sums, like validation's factors: one table of the powers gamma_w^k
-(`balls.power_rows`) gives each Tr(x^k) as the integer its enclosure
-holds, and Newton's identities give the coefficients.  The traces
+itself, from the brackets in `WeilData.real`, only when some candidate
+stays undecided.  M_H is read by power sums, like validation's factors:
+one table of the powers gamma_w^k (`balls.power_rows`) gives each Tr(x^k)
+as the integer its enclosure holds, and Newton's identities give the
+coefficients.  The traces
 t_{i,k} and the evaluation sum_k nums_k * x^k of a coordinate vector
 read the same table, whose products are rounded outward onto the 2^-bits
 working grid (bits = precision + 64); that keeps every true value inside
@@ -568,7 +569,7 @@ def splitting_field(data: WeilData, settings: Settings = DEFAULT) -> SplittingFi
         if prec > settings.precision_ceiling:
             raise PrecisionExhausted(
                 f"splitting field undecided at {settings.precision_ceiling} bits")
-        balls = refine_roots(data.poly, data.q, prec)
+        balls = refine_roots(data.real, prec)
 
 
 def galois_group(field: SplittingField, data: WeilData) -> GaloisData:

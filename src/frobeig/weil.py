@@ -15,17 +15,18 @@ and only then isolates the roots, in the canonical order of
 real roots, by construction.  One precision loop factors the polynomial
 into Q-irreducibles by recombining certified root subsets; a
 factorization the enclosures cannot decide doubles the precision and
-refines the roots.  The splitting field starts from the enclosures and
-the precision it returns.  The module also computes base change along
-finite field extensions from power sums: the k-th powers of the roots
-have every k-th power sum of the input, and Newton's identities rebuild
-the polynomial.
+refines the roots.  One `RealRoots` serves the gate, its witness, the
+isolation and every refinement, and the splitting field starts from the
+enclosures, the precision and that value (`WeilData.real`).  The module
+also computes base change along finite field extensions from power sums:
+the k-th powers of the roots have every k-th power sum of the input, and
+Newton's identities rebuild the polynomial.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, islice
 from typing import Iterator, List, Sequence, Tuple
 
@@ -35,7 +36,8 @@ from .errors import (Ambiguous, FunctionalEquationFailed,
                      NotSimple, PrecisionExhausted, RootModulusFailed)
 from .exactmath.balls import ComplexBall, integer_power_sums, power_rows
 from .exactmath.intpoly import IntPoly, from_power_sums, power_sums
-from .exactmath.roots import isolate_roots, real_roots, refine_roots
+from .exactmath.roots import (RealRoots, isolate_roots, real_roots,
+                              refine_roots)
 
 
 # the primes below 2^10, trial divisors of q
@@ -125,7 +127,9 @@ class WeilData:
     part first in each conjugate pair.  iota is the involution z -> q/z =
     conj(z) as a permutation of root indices: it swaps each such adjacent
     pair, and its fixed points are exactly the real roots -sqrt(q) and
-    sqrt(q), which come first and last.
+    sqrt(q), which come first and last.  real, outside equality and
+    repr, is the `exactmath.roots.RealRoots` they were isolated from, so
+    the splitting field refines them without a second bisection.
     """
     q: int
     p: int
@@ -137,6 +141,7 @@ class WeilData:
     root_mult: Tuple[int, ...]
     iota: Tuple[int, ...]
     prec: int
+    real: RealRoots = field(compare=False, repr=False)
 
     @property
     def is_simple(self) -> bool:
@@ -235,7 +240,8 @@ def validate(q: int, coefficients: Sequence[int],
                 f"coefficient {i}: expected q^{g - i} * a_{2 * g - i} "
                 f"= {q ** (g - i) * a[2 * g - i]}, found {a[i]}")
 
-    h, s, inside = real_roots(poly, q)
+    real = real_roots(poly, q)
+    h, s, inside = real.h, real.s, real.inside
     if inside != s.degree:
         raise RootModulusFailed(
             f"{inside} of the {s.degree} distinct roots of the real Weil "
@@ -251,7 +257,7 @@ def validate(q: int, coefficients: Sequence[int],
 
     sf = poly.squarefree_part()
     prec = settings.precision_start
-    balls = isolate_roots(poly, q, prec)
+    balls = isolate_roots(real, prec)
     while True:
         try:
             flat = _factor_search(sf, balls, prec + 64)
@@ -262,7 +268,7 @@ def validate(q: int, coefficients: Sequence[int],
         if prec > settings.precision_ceiling:
             raise PrecisionExhausted(
                 "factorization undecided at the precision ceiling")
-        balls = refine_roots(poly, q, prec)
+        balls = refine_roots(real, prec)
 
     factors = []
     for fpoly, idxs in flat:
@@ -286,7 +292,7 @@ def validate(q: int, coefficients: Sequence[int],
                  for i, b in enumerate(balls))
     return WeilData(q=q, p=p, e=e, g=g, poly=poly, factors=tuple(factors),
                     roots=tuple(balls), root_mult=root_mult, iota=iota,
-                    prec=prec)
+                    prec=prec, real=real)
 
 
 def base_change(poly: IntPoly, k: int) -> IntPoly:

@@ -19,7 +19,7 @@ from frobeig.corpus import CORPUS
 from frobeig.errors import Ambiguous
 from frobeig.exactmath.balls import ComplexBall, integer_power_sums, power_rows
 from frobeig.exactmath.intpoly import IntPoly, from_power_sums
-from frobeig.exactmath.roots import isolate_roots
+from frobeig.exactmath.roots import isolate_roots, real_roots
 
 from conftest import contains_exact, enclose, poly_from_roots
 
@@ -230,7 +230,8 @@ def test_power_sums_agree_with_the_product_expansion(prec):
     bits = prec + 64
     decided = 0
     for entry in CORPUS:
-        balls = isolate_roots(IntPoly(entry.coefficients), entry.q, prec)
+        balls = isolate_roots(
+            real_roots(IntPoly(entry.coefficients), entry.q), prec)
         rows = list(islice(power_rows(balls, bits), len(balls) // 2 + 1))
         for size in range(1, len(balls) // 2 + 1):
             for subset in combinations(range(len(balls)), size):

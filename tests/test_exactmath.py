@@ -8,6 +8,7 @@ on randomized inputs.
 import math
 import random
 import signal
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,16 +16,17 @@ from hypothesis import given, settings, strategies as st
 
 from frobeig.analysis import Analysis
 from frobeig.corpus import CORPUS
-from frobeig.errors import Ambiguous, TorsionDetected
+from frobeig.errors import Ambiguous, PrecisionExhausted, TorsionDetected
 from frobeig.exactmath import (ComplexBall, IntPoly, hnf_rows,
                                in_row_lattice, invariant_factors,
                                isolate_roots, latt, lattice_saturation_index,
                                lll_reduce, relation_candidates)
+from frobeig.exactmath import roots as exact_roots
 from frobeig.exactmath.balls import integer_power_sums, isqrt_ub, power_rows
 from frobeig.exactmath.intpoly import from_power_sums, power_sums
-from frobeig.exactmath.roots import (_certified, arg_ball, real_weil_poly,
-                                     refine_roots, roots_in_interval,
-                                     two_pi_ball)
+from frobeig.exactmath.roots import (_certified, arg_ball, real_roots,
+                                     real_weil_poly, refine_roots,
+                                     roots_in_interval, two_pi_ball)
 from frobeig.weil import base_change, validate
 
 from conftest import contains_ball, contains_exact, enclose, minors_gcd
@@ -547,14 +549,14 @@ def test_lll_rejects_dependent_rows(basis):
 # --- root isolation ---
 
 def test_isolate_quadratic_oracle():
-    roots = isolate_roots(IntPoly((1, 0, 1)), 1, 64)
+    roots = isolate_roots(real_roots(IntPoly((1, 0, 1)), 1), 64)
     assert len(roots) == 2
     assert contains_exact(roots[0], 0, -1)
     assert contains_exact(roots[1], 0, 1)
 
 
 def test_isolate_weil_quadratic():
-    roots = isolate_roots(IntPoly((5, -1, 1)), 5, 64)
+    roots = isolate_roots(real_roots(IntPoly((5, -1, 1)), 5), 64)
     assert len(roots) == 2
     assert roots[0].re == roots[1].re == Fraction(1, 2)
     prod = roots[0] * roots[1]
@@ -564,13 +566,14 @@ def test_isolate_weil_quadratic():
 
 
 def test_isolate_handles_multiplicities():
-    roots = isolate_roots(IntPoly((9, 6, 1)), 9, 64)   # (X+3)^2
+    roots = isolate_roots(real_roots(IntPoly((9, 6, 1)), 9), 64)  # (X+3)^2
     assert len(roots) == 1
     assert contains_exact(roots[0], -3)
 
 
 def test_isolate_sextic_modulus():
-    roots = isolate_roots(IntPoly((27, 0, 0, 0, 0, 0, 1)), 3, 96)  # X^6 + 27
+    roots = isolate_roots(
+        real_roots(IntPoly((27, 0, 0, 0, 0, 0, 1)), 3), 96)  # X^6 + 27
     assert len(roots) == 6
     for b in roots:
         sq = (b * b) * (b * b).conjugate()
@@ -586,7 +589,7 @@ def test_isolate_large_q_sextic():
     signal.signal(signal.SIGALRM, _too_slow)
     signal.alarm(5)
     try:
-        roots = isolate_roots(IntPoly(coeffs), 4 ** 12, 64)
+        roots = isolate_roots(real_roots(IntPoly(coeffs), 4 ** 12), 64)
     finally:
         signal.alarm(0)
     assert len(roots) == 6
@@ -613,7 +616,7 @@ def test_isolate_large_q_degree_24_at_3072_bits():
     previous = signal.signal(signal.SIGALRM, _too_slow)
     signal.alarm(10)
     try:
-        roots = isolate_roots(p, q, 3072)
+        roots = isolate_roots(real_roots(p, q), 3072)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -720,7 +723,7 @@ def test_isolation_property_seeded():
                               else (0, t[1])):
             expected += [(kind, v)] * (1 if kind == "edge" or v * v == 4 * q
                                        else 2)
-        balls = isolate_roots(p, q, 128)
+        balls = isolate_roots(real_roots(p, q), 128)
         assert len(balls) == len(expected), (q, p)
         for i, (b, (kind, v)) in enumerate(zip(balls, expected)):
             if kind == "edge":
@@ -760,7 +763,7 @@ def test_isolated_roots_reexpand(q, tail):
     if p.degree < 1:
         return
     sf = p.squarefree_part()
-    balls = isolate_roots(p, q, 80)
+    balls = isolate_roots(real_roots(p, q), 80)
     assert len(balls) == sf.degree
     coeffs = [ComplexBall.exact(1)]
     for b in balls:
@@ -783,8 +786,9 @@ def test_certified_balls_are_disjoint_and_small():
 
 def test_refine_preserves_matching():
     p = IntPoly((7, -3, 1))
-    coarse = isolate_roots(p, 7, 48)
-    fine = refine_roots(p, 7, 200)
+    real = real_roots(p, 7)
+    coarse = isolate_roots(real, 48)
+    fine = refine_roots(real, 200)
     assert len(fine) == len(coarse)
     for f, c in zip(fine, coarse):
         assert f.intersects(c)
@@ -793,7 +797,39 @@ def test_refine_preserves_matching():
     assert [b.mim < 0 for b in fine] == [True, False]
     # roots 1 and 4 of x^2 - 5x + 4 are off |x|^2 = 4
     with pytest.raises(ValueError):
-        isolate_roots(IntPoly((4, -5, 1)), 4, 64)
+        isolate_roots(real_roots(IntPoly((4, -5, 1)), 4), 64)
+
+
+def test_isolation_failure_names_the_last_bits_tried(monkeypatch):
+    # eight attempts from 2 * 64 + 32 = 160 bits, the last at 160 * 2^7
+    monkeypatch.setattr(exact_roots, "_certified", lambda balls, prec: False)
+    with pytest.raises(PrecisionExhausted, match=r"at 20480 bits$"):
+        isolate_roots(real_roots(IntPoly((5, -1, 1)), 5), 64)
+
+
+def test_refinement_reuses_the_records_brackets(monkeypatch):
+    # each validation bisects once, and a refinement of its record long
+    # after, with other records validated in between, bisects no more
+    counted = []
+    real_brackets = exact_roots._brackets
+
+    def brackets(s, q):
+        counted.append(q)
+        return real_brackets(s, q)
+
+    monkeypatch.setattr(exact_roots, "_brackets", brackets)
+    quartics = list({(e.q, tuple(e.coefficients)) for e in CORPUS
+                     if len(e.coefficients) == 5})
+    assert len(quartics) >= 5
+    records = [validate(q, c) for q, c in sorted(quartics)[:5]]
+    first = records[0]
+    fine = refine_roots(first.real, 2 * first.prec)
+    assert len(counted) == 5
+    assert len(fine) == len(first.roots)
+    assert all(f.intersects(b) for f, b in zip(fine, first.roots))
+    # the carried value stays out of equality and repr
+    assert "real=" not in repr(first)
+    assert replace(first, real=None) == first
 
 
 def _from_real_weil(h, q):
@@ -819,7 +855,7 @@ def test_isolate_brackets_past_the_working_bits():
     p = IntPoly((q * q, 0, 2 * q - 2, 0, 1))
     h = IntPoly((-2, 0, 1))
     assert real_weil_poly(p, q) == h
-    balls = isolate_roots(p, q, 192)
+    balls = isolate_roots(real_roots(p, q), 192)
     assert len(balls) == 4
     assert all(_holds_a_root(b, h, q) for b in balls)
     assert [b.re < 0 for b in balls] == [True, True, False, False]
@@ -832,7 +868,7 @@ def test_isolate_brackets_past_the_working_bits():
     h = IntPoly((-k, 1)) * (inner + IntPoly((1,)))
     p = _from_real_weil(h, q)
     assert real_weil_poly(p, q) == h
-    balls = isolate_roots(p, q, 192)
+    balls = isolate_roots(real_roots(p, q), 192)
     assert len(balls) == 12
     assert all(_holds_a_root(b, h, q) for b in balls)
     close, exact = balls[4], balls[6]
