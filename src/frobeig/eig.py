@@ -2,12 +2,17 @@
 
 The group is presented on one symbol per distinct eigenvalue plus [q],
 modulo [pi] + [pibar] = [q] for every conjugate pair and 2[pi] = [q] for a
-real eigenvalue +-sqrt(q).  Smith reduction of the relation matrix
-certifies freeness (all invariant factors 1) and fixes the canonical
-basis: one symbol per conjugation orbit, plus [q] unless a real eigenvalue
-already forces [q] = 2[pi].  Two distinct real eigenvalues force a
-2-torsion class, which is reported as TorsionDetected rather than silently
-quotiented away.
+real eigenvalue +-sqrt(q).  Its invariant factors follow from the
+canonical root layout and are stated, not computed.  Each pair's row
+e_i + e_ibar - e_q is the only row with an entry in the column of its
+representative i.  With at most one real row 2e_i - e_q, those columns
+and the [q] column hold a triangular maximal minor with diagonal +-1, so
+every factor is 1: the group is free, with one basis symbol per
+conjugation orbit, plus [q] unless a real eigenvalue already forces
+[q] = 2[pi].  When both +sqrt(q) and -sqrt(q) occur, the difference of
+their symbols is a 2-torsion class and the factors are (1, ..., 1, 2);
+that is reported as TorsionDetected rather than silently quotiented
+away.
 
 The realization map rho sends symbols to the actual field elements;
 Realization tabulates it on the canonical basis, and realize_coords
@@ -54,7 +59,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
 
 from .config import DEFAULT, Settings
 from .errors import InternalInconsistency, MalformedInput, TorsionDetected
-from .exactmath.latt import (hnf_rows, in_row_lattice, invariant_factors,
+from .exactmath.latt import (hnf_rows, in_row_lattice,
                              lattice_saturation_index, relation_candidates)
 from .exactmath.roots import arg_ball, two_pi_ball
 from .splitfield import (Elem, SplittingField, is_root_of_unity,
@@ -124,7 +129,8 @@ class RelationLattice:
 
 
 def build_eig_group(data: WeilData) -> EigGroup:
-    """Present the eigenvalue group and certify freeness by Smith reduction."""
+    """Present the eigenvalue group; its invariant factors are read off
+    the root layout (see the module docstring)."""
     s = len(data.roots)
     iota = data.iota
     reps = orbit_representatives(data)
@@ -138,20 +144,14 @@ def build_eig_group(data: WeilData) -> EigGroup:
             row[iota[i]] = 1
         row[s] = -1
         rows.append(tuple(row))
-    factors = tuple(invariant_factors([list(r) for r in rows]))
-    if any(f != 1 for f in factors):
+    real = [i for i in reps if iota[i] == i]
+    if len(real) > 1:
         raise TorsionDetected(
             "eigenvalue group presentation has torsion (two real "
             "eigenvalues force a 2-torsion class)",
-            invariant_factors=factors)
-
-    real = [i for i in reps if iota[i] == i]
-    if len(real) > 1:
-        raise InternalInconsistency(
-            "two real eigenvalues escaped the Smith certificate")
+            invariant_factors=(1,) * (len(rows) - 1) + (2,))
     symbols = tuple("pi_%d" % i for i in range(s)) + ("q",)
 
-    rank = (s + 1) - len(rows)
     basis_roots: List[Optional[int]]
     if real:
         basis_roots = list(reps)
@@ -160,8 +160,8 @@ def build_eig_group(data: WeilData) -> EigGroup:
     else:
         basis_roots = list(reps) + [None]
         q_coords = tuple(0 for _ in reps) + (1,)
-    if rank != len(basis_roots):
-        raise InternalInconsistency("basis size disagrees with Smith rank")
+    # one generator per symbol and one relation per orbit, all factors 1
+    rank = (s + 1) - len(rows)
 
     pos_of = {r: j for j, r in enumerate(reps)}
     unit = lambda j: tuple(1 if t == j else 0 for t in range(rank))
@@ -177,7 +177,8 @@ def build_eig_group(data: WeilData) -> EigGroup:
     labels = tuple(symbols[br] if br is not None else "q"
                    for br in basis_roots)
     return EigGroup(n_roots=s, iota=iota, orbit_reps=reps, symbols=symbols,
-                    relation_matrix=tuple(rows), invariant_factors=factors,
+                    relation_matrix=tuple(rows),
+                    invariant_factors=(1,) * len(rows),
                     basis_labels=labels, basis_roots=tuple(basis_roots),
                     rank=rank, weight_vector=weight_vector,
                     symbol_coords=tuple(symbol_coords), q_coords=q_coords)

@@ -68,7 +68,8 @@ class TorsionDetected(FrobeigError):
 
     Reachable only when both sqrt(q) and -sqrt(q) occur among the roots;
     the relations 2[pi] = [q] for the two fixed roots force a 2-torsion
-    class.  Carries the offending invariant factors as diagnostics.
+    class.  Carries the invariant factors of the presentation, read off
+    the root layout: (1, ..., 1, 2), one per conjugation orbit.
     """
 
     def __init__(self, message, invariant_factors=None):

@@ -1,6 +1,6 @@
 """Exact arithmetic substrate: integer polynomials and Sturm chains,
-certified complex balls, integer lattices (Smith invariants, Hermite rows,
-LLL) and exact root isolation of Weil polynomials.
+certified complex balls, integer lattices (Hermite rows, saturation
+index, LLL) and exact root isolation of Weil polynomials.
 
 Polynomials are integer coefficient tuples, complex balls hold integer
 mantissas over a power-of-two exponent and round outward in one place,
@@ -18,7 +18,6 @@ from .balls import ComplexBall
 from .latt import (
     hnf_rows,
     in_row_lattice,
-    invariant_factors,
     lattice_saturation_index,
     lll_reduce,
     relation_candidates,
@@ -30,7 +29,6 @@ __all__ = [
     "ComplexBall",
     "hnf_rows",
     "in_row_lattice",
-    "invariant_factors",
     "lattice_saturation_index",
     "lll_reduce",
     "relation_candidates",

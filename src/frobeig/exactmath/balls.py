@@ -62,6 +62,19 @@ class ComplexBall:
         self.mrad = mrad
         self.exp = exp
 
+    def _key(self):
+        return self.mre, self.mim, self.mrad, self.exp
+
+    def __eq__(self, other) -> bool:
+        """Equal mantissas and exponent; one disk written on two grids
+        gives two different balls."""
+        if not isinstance(other, ComplexBall):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     # --- constructors ---
 
     @staticmethod

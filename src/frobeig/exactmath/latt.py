@@ -1,15 +1,15 @@
-"""Integer lattice algorithms: Smith invariants, Hermite rows, LLL.
+"""Integer lattice algorithms: Hermite rows, saturation index, LLL.
 
 Everything runs over Python ints; only the angle enclosures handed to
 `relation_candidates` are Fractions.  Matrices are lists of lists,
-row-major, and a lattice is the span of the rows.  There is one echelon
+row-major, and a lattice is the span of the rows.  There is one normal
 form: `hnf_rows` gives the unique Hermite normal form basis (Cohen, A
-Course in Computational Algebraic Number Theory, Sec. 2.4), and
-`in_row_lattice` decides membership against it.  `invariant_factors`
-runs the Smith pivot loop and keeps only the diagonal.  The matrices
-that arise here are small (dimension bounded by the degree of the input
-polynomial plus one); entries are kept in check by the usual pivoting
-strategies.
+Course in Computational Algebraic Number Theory, Sec. 2.4),
+`in_row_lattice` decides membership against it, and
+`lattice_saturation_index` reads the index off the Hermite form of an
+independent basis turned on its side.  The matrices that arise here are
+small (dimension bounded by the degree of the input polynomial plus
+one); entries are kept in check by the usual pivoting strategies.
 """
 
 from __future__ import annotations
@@ -18,49 +18,6 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 Matrix = List[List[int]]
-
-
-def invariant_factors(mat: Sequence[Sequence[int]]) -> List[int]:
-    """The nonzero diagonal of the Smith normal form of mat, s_1 | s_2 | ...
-
-    One pivot loop of row and column operations, none of them recorded.
-    The least nonzero entry moves to the corner and clears its row and
-    column, and a nonzero remainder becomes the next, smaller pivot.  Once
-    both are clear, a lower row holding an entry the pivot does not
-    divide is added to the pivot row and the pivot is chosen again (ties
-    keep the corner), so the pivot that stays divides every entry left;
-    it is recorded and its row and column are dropped.
-    """
-    s = [list(map(int, row)) for row in mat]
-    out: List[int] = []
-    while s and s[0]:
-        nonzero = [(abs(x), i, j) for i, row in enumerate(s)
-                   for j, x in enumerate(row) if x]
-        if not nonzero:
-            break
-        _, i, j = min(nonzero)
-        s[0], s[i] = s[i], s[0]
-        for row in s:
-            row[0], row[j] = row[j], row[0]
-        p = s[0][0]
-        for i in range(1, len(s)):
-            f = s[i][0] // p
-            if f:
-                s[i] = [a - f * b for a, b in zip(s[i], s[0])]
-        for j in range(1, len(s[0])):
-            f = s[0][j] // p
-            if f:
-                for row in s:
-                    row[j] -= f * row[0]
-        if any(row[0] for row in s[1:]) or any(s[0][1:]):
-            continue
-        bad = next((row for row in s[1:] if any(x % p for x in row)), None)
-        if bad is not None:
-            s[0] = [a + b for a, b in zip(s[0], bad)]
-            continue
-        out.append(abs(p))
-        s = [row[1:] for row in s[1:]]
-    return out
 
 
 def hnf_rows(vectors: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
@@ -121,11 +78,18 @@ def in_row_lattice(rows: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
 
 
 def lattice_saturation_index(mat: Sequence[Sequence[int]]) -> int:
-    """Index of the row lattice of mat inside its saturation (product of
-    invariant factors)."""
+    """Index of the row lattice L of mat inside its saturation, the
+    integer points of the rational span of L.
+
+    For an independent basis B of L, of rank r, the index is
+    [Z^r : B Z^n], the product of the pivots of the Hermite form of the
+    columns of B.  The columns of dependent rows span a lattice of lower
+    rank than their length, whose pivots measure nothing ([[2], [1]]
+    would read 2, not 1), so B is the Hermite basis of L.
+    """
     idx = 1
-    for d in invariant_factors(mat):
-        idx *= d
+    for row in hnf_rows(list(zip(*hnf_rows(mat)))):
+        idx *= next(x for x in row if x)
     return idx
 
 

@@ -22,6 +22,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -105,16 +106,18 @@ class InputRecord:
         return dict(self.options)
 
 
+# ASCII decimal digits only: int() would also take "1_000", " 7 " and
+# other scripts' digits, so two input texts would make one record
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
 def _as_int(value, what: str) -> int:
     if isinstance(value, bool):
         raise MalformedInput(f"{what} must be an integer, got a boolean")
     if isinstance(value, int):
         return value
-    if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError:
-            pass
+    if isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return int(value)
     raise MalformedInput(f"{what} must be an integer, got {value!r}")
 
 

@@ -366,20 +366,10 @@ class GaloisData:
 # --- the construction ---
 
 def orbit_representatives(data: WeilData) -> Tuple[int, ...]:
-    reps = []
-    seen = set()
-    for i in range(len(data.roots)):
-        if i in seen:
-            continue
-        j = data.iota[i]
-        seen.add(i)
-        seen.add(j)
-        if i == j:
-            reps.append(i)
-        else:
-            # prefer the representative in the upper half plane
-            reps.append(i if data.roots[i].mim > 0 else j)
-    return tuple(sorted(reps))
+    """One root index per conjugation orbit, ascending: each real root,
+    and the second root of each canonical pair, the one with positive
+    imaginary part."""
+    return tuple(i for i, j in enumerate(data.iota) if j <= i)
 
 
 def _weight_list(r: int) -> List[Tuple[int, ...]]:

@@ -105,6 +105,15 @@ def test_rejects_negative_radius():
         enclose(0, 0, Fraction(-1, 3), 8)
 
 
+def test_equality_is_on_mantissas_and_exponent():
+    a = ComplexBall(5, -3, 1, -4)
+    assert a == ComplexBall(5, -3, 1, -4)
+    assert hash(a) == hash(ComplexBall(5, -3, 1, -4))
+    # the same disk on a finer grid is another ball
+    assert a != ComplexBall(10, -6, 2, -5)
+    assert a != (5, -3, 1, -4)
+
+
 # --- decision predicates against their exact rational forms ---
 
 def exact_disjoint(x, y):

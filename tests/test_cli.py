@@ -176,6 +176,34 @@ class TestParseRecord:
         rec = parse_record({"q": "9", "coeffs": ["9", "-6", "1"]})
         assert rec.q == 9
         assert rec.coeffs == (9, -6, 1)
+        rec = parse_record({"q": "+5", "coeffs": ["+5", "-3", "1"]})
+        assert rec.q == 5
+        assert rec.coeffs == (5, -3, 1)
+
+    @pytest.mark.parametrize("text", [
+        "1_000", " 7 ", "7\n", "\u0663", "\uff17", "+-3", "", "0x10",
+        "3.0"])
+    def test_only_ascii_decimal_strings(self, text, monkeypatch, capsys):
+        # int() would take the first four, so two texts would make one
+        # record with one content key
+        with pytest.raises(MalformedInput):
+            parse_record({"q": text, "coeffs": [5, -1, 1]})
+        with pytest.raises(MalformedInput):
+            parse_record({"q": 5, "coeffs": [5, text, 1]})
+        with pytest.raises(MalformedInput):
+            parse_record({"q": 5, "coeffs": [5, -1, 1],
+                          "options": {"search_bound": text}})
+        monkeypatch.setenv("FROBEIG_MAX_PRECISION", text)
+        rc, out = run_cli(capsys, "validate", "--q", "5", "--coeffs",
+                          "5,-1,1")
+        # an empty variable means unset
+        assert rc == (0 if text == "" else 2), text
+
+    def test_coefficient_token_with_underscore_rejected(self, capsys):
+        rc, out = run_cli(capsys, "validate", "--q", "3", "--coeffs",
+                          "3,0_0,1")
+        assert rc == 2
+        assert out["error"]["type"] == "MalformedInput"
 
     @pytest.mark.parametrize("obj", [
         42,

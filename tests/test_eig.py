@@ -19,7 +19,8 @@ from frobeig.errors import FrobeigError, MalformedInput, TorsionDetected
 from frobeig.exactmath.latt import hnf_rows, in_row_lattice
 from frobeig.report import galois_fragment
 from frobeig.splitfield import (ModRing, galois_group, is_root_of_unity,
-                                splitting_field, word_value)
+                                orbit_representatives, splitting_field,
+                                word_value)
 from frobeig.weil import base_change, validate
 
 from conftest import analysis_cached, minors_gcd, split_cached
@@ -73,10 +74,26 @@ class TestEigGroup:
             assert e.rank == g // m + 1
 
     def test_two_real_roots_detected_as_torsion(self):
-        data = validate(2, [4, 0, -4, 0, 1])
-        with pytest.raises(TorsionDetected) as exc:
-            build_eig_group(data)
-        assert 2 in exc.value.invariant_factors
+        # the factors are stated, not computed: check them against the
+        # determinantal divisors of the presentation
+        for q, coeffs, factors in [(2, [4, 0, -4, 0, 1], (1, 2)),
+                                   (4, [16, 0, -8, 0, 1], (1, 2)),
+                                   (4, [64, 0, -16, 0, -4, 0, 1], (1, 1, 2))]:
+            data = validate(q, coeffs)
+            with pytest.raises(TorsionDetected) as exc:
+                build_eig_group(data)
+            assert exc.value.invariant_factors == factors
+            s = len(data.roots)
+            rows = []
+            for i in orbit_representatives(data):
+                row = [0] * (s + 1)
+                row[i] += 1
+                row[data.iota[i]] += 1
+                row[s] = -1
+                rows.append(row)
+            divisors = [minors_gcd(rows, k) for k in range(1, len(rows) + 1)]
+            assert factors == tuple(
+                d // p for d, p in zip(divisors, [1] + divisors))
 
     def test_symbols_realize_consistently(self):
         # the basis-coordinate expression of every symbol realizes to the

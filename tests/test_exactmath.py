@@ -18,9 +18,9 @@ from frobeig.analysis import Analysis
 from frobeig.corpus import CORPUS
 from frobeig.errors import Ambiguous, PrecisionExhausted, TorsionDetected
 from frobeig.exactmath import (ComplexBall, IntPoly, hnf_rows,
-                               in_row_lattice, invariant_factors,
-                               isolate_roots, latt, lattice_saturation_index,
-                               lll_reduce, relation_candidates)
+                               in_row_lattice, isolate_roots, latt,
+                               lattice_saturation_index, lll_reduce,
+                               relation_candidates)
 from frobeig.exactmath import roots as exact_roots
 from frobeig.exactmath.balls import integer_power_sums, isqrt_ub, power_rows
 from frobeig.exactmath.intpoly import from_power_sums, power_sums
@@ -29,7 +29,8 @@ from frobeig.exactmath.roots import (_certified, arg_ball, real_roots,
                                      roots_in_interval, two_pi_ball)
 from frobeig.weil import base_change, validate
 
-from conftest import contains_ball, contains_exact, enclose, minors_gcd
+from conftest import (analysis_cached, contains_ball, contains_exact, enclose,
+                      minors_gcd)
 
 
 def det(mat):
@@ -300,7 +301,7 @@ def _determinantal_factors(mat):
     """Oracle: the invariant factors s_k = d_k / d_(k-1), where d_k is the
     gcd of the k x k minors, up to the rank (the first d_k = 0)."""
     out, prev = [], 1
-    for k in range(1, min(len(mat), len(mat[0])) + 1):
+    for k in range(1, min(len(mat), len(mat[0]) if mat else 0) + 1):
         d = minors_gcd(mat, k)
         if d == 0:
             break
@@ -309,23 +310,28 @@ def _determinantal_factors(mat):
     return out
 
 
-def _check_invariant_factors(mat):
-    got = invariant_factors(mat)
-    assert got == _determinantal_factors(mat), mat
-    assert all(b % a == 0 for a, b in zip(got, got[1:]))
+def _check_saturation_index(mat):
+    """The index is d_rank, the gcd of the maximal nonzero minors: the
+    product of the determinantal oracle's factors."""
+    assert lattice_saturation_index(mat) == math.prod(
+        _determinantal_factors(mat)), mat
 
 
 def test_snf_oracle():
-    assert invariant_factors([[2, 4], [6, 8]]) == [2, 4]
-    assert invariant_factors([[0, 0], [0, 0]]) == []
-    assert invariant_factors([[]]) == invariant_factors([]) == []
+    assert lattice_saturation_index([[2, 4], [6, 8]]) == 8
+    assert lattice_saturation_index([[0, 0], [0, 0]]) == 1
+    assert lattice_saturation_index([[]]) == 1
+    assert lattice_saturation_index([]) == 1
+    # dependent rows: the index of Z in Z, not of the columns (2, 1)
+    assert lattice_saturation_index([[2], [1]]) == 1
+    assert lattice_saturation_index([[2, 6], [4, 8], [2, 6]]) == 8
 
 
 @given(st.lists(st.lists(st.integers(-20, 20), min_size=1, max_size=4),
                 min_size=1, max_size=4).filter(
                     lambda rows: len({len(r) for r in rows}) == 1))
 def test_snf_properties(rows):
-    _check_invariant_factors(rows)
+    _check_saturation_index(rows)
 
 
 def test_snf_seeded_bulk():
@@ -339,24 +345,30 @@ def test_snf_seeded_bulk():
                 for _ in range(m)] for _ in range(n)]
         if n > 1 and rng.random() < 0.3:
             mat[-1] = [3 * x for x in mat[0]]
-        _check_invariant_factors(mat)
-    # 6 x 6, where unchecked entry growth can keep the pivot loop from
-    # ending
+        _check_saturation_index(mat)
+    # 6 x 6, where unchecked entry growth in an elimination shows
     for _ in range(100):
         mat = [[rng.randint(-30, 30) for _ in range(6)] for _ in range(6)]
-        _check_invariant_factors(mat)
+        _check_saturation_index(mat)
 
 
 def test_invariant_factors_of_corpus_relation_matrices():
+    """The factors build_eig_group states equal the determinantal ones
+    of its relation matrix, on the corpus and its k = 2, 3 base
+    changes."""
     checked = 0
     for e in CORPUS:
-        try:
-            eig = Analysis(validate(e.q, e.coefficients)).eig
-        except TorsionDetected:
-            continue
-        _check_invariant_factors([list(r) for r in eig.relation_matrix])
-        checked += 1
-    assert checked > 40
+        for k in (1, 2, 3):
+            poly = base_change(IntPoly(e.coefficients), k)
+            try:
+                eig = analysis_cached(e.q ** k, poly.coefficients).eig
+            except TorsionDetected:
+                continue
+            mat = [list(r) for r in eig.relation_matrix]
+            assert list(eig.invariant_factors) == \
+                _determinantal_factors(mat), (e.q, e.coefficients, k)
+            checked += 1
+    assert checked > 120
 
 
 def _hermite_column_form(mat):
@@ -424,7 +436,7 @@ def test_hnf_canonical():
 def test_saturation_index():
     assert lattice_saturation_index([[2], [4]]) == 2
     assert lattice_saturation_index([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
-    assert invariant_factors([[2, 0], [0, 3]]) == [1, 6]
+    assert lattice_saturation_index([[2, 0], [0, 3]]) == 6
 
 
 def test_lll_finds_short_vector():

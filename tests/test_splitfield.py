@@ -603,6 +603,25 @@ def seeded_weil_inputs(seed, quartics, sextics):
     return found[4] + found[6]
 
 
+def _upper_half_plane_reps(data):
+    """The ball-sign rule that the layout rule replaced, kept as its
+    oracle: per conjugation orbit, the root whose ball lies above the
+    real axis, or the real root itself."""
+    return tuple(sorted({i if i == j or data.roots[i].mim > 0 else j
+                         for i, j in enumerate(data.iota)}))
+
+
+def test_orbit_representatives_match_the_ball_signs():
+    inputs = [(e.q, e.coefficients) for e in CORPUS]
+    inputs += [(q ** k, weil.base_change(IntPoly(c), k).coefficients)
+               for q, c in inputs for k in (2, 3)]
+    inputs += seeded_weil_inputs(2026, 8, 4)
+    for q, coeffs in inputs:
+        data = analysis_cached(q, tuple(coeffs)).data
+        assert splitfield.orbit_representatives(data) == \
+            _upper_half_plane_reps(data), (q, coeffs)
+
+
 class TestBallCertificates:
     def test_seeded_fields_pinned(self):
         # the splitting fields of 12 seeded inputs, digested, so a

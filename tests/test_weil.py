@@ -121,6 +121,16 @@ class TestValidate:
         assert d.roots[0].im < 0 < d.roots[1].im
         assert d.roots[0].re == d.roots[1].re == Fraction(1, 2)
 
+    @pytest.mark.parametrize("q, coeffs", [
+        (2, [4, -6, 5, -3, 1]), (3, [27, 0, 0, 0, 0, 0, 1])])
+    def test_two_validations_are_equal(self, q, coeffs):
+        # the root balls compare by value, so a record validated twice
+        # gives equal data with equal hashes
+        a, b = validate(q, coeffs), validate(q, coeffs)
+        assert a.roots[0] is not b.roots[0]
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
     def test_supersingular_quadratic(self):
         d = validate(3, [3, 0, 1])
         assert d.iota == (1, 0)
