@@ -207,16 +207,19 @@ def cmd_batch(args, base: Settings) -> int:
 
 # --- parser wiring ---
 
+# the integer flags stay strings here: parse_record and parse_options
+# check them as they check a record's fields
+
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     grp = common.add_argument_group("analysis options")
-    grp.add_argument("--search-bound", dest="search_bound", type=int,
+    grp.add_argument("--search-bound", dest="search_bound",
                      help="sup-norm box for kernel searches")
-    grp.add_argument("--degree-cap", dest="degree_cap", type=int,
+    grp.add_argument("--degree-cap", dest="degree_cap",
                      help="largest splitting-field degree attempted")
     grp.add_argument("--precision-ceiling", dest="precision_ceiling",
-                     type=int, help="certified-numerics precision cap, bits")
-    grp.add_argument("--max-power", dest="max_power", type=int,
+                     help="certified-numerics precision cap, bits")
+    grp.add_argument("--max-power", dest="max_power",
                      help="largest power of the variety in grid reports")
     return common
 
@@ -224,7 +227,7 @@ def _common_flags() -> argparse.ArgumentParser:
 def _input_flags() -> argparse.ArgumentParser:
     inp = argparse.ArgumentParser(add_help=False)
     grp = inp.add_argument_group("input record")
-    grp.add_argument("--q", type=int, help="base field size, a prime power")
+    grp.add_argument("--q", help="base field size, a prime power")
     grp.add_argument("--coeffs",
                      help="comma-separated coefficients, ascending degree")
     grp.add_argument("--label", help="free-form label echoed in reports")

@@ -117,7 +117,13 @@ def _as_int(value, what: str) -> int:
     if isinstance(value, int):
         return value
     if isinstance(value, str) and _DECIMAL.fullmatch(value):
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:
+            # longer than int()'s digit limit (sys.set_int_max_str_digits)
+            raise MalformedInput(
+                f"{what} has more digits than int() accepts "
+                f"({len(value)} characters)") from None
     raise MalformedInput(f"{what} must be an integer, got {value!r}")
 
 

@@ -193,11 +193,47 @@ class TestParseRecord:
         with pytest.raises(MalformedInput):
             parse_record({"q": 5, "coeffs": [5, -1, 1],
                           "options": {"search_bound": text}})
+        # the integer flags take the same strings as a record
+        for flag in ("--q", "--search-bound", "--max-power"):
+            argv = {"--q": "5", "--coeffs": "5,-1,1", flag: text}
+            rc, out = run_cli(capsys, "validate",
+                              *[t for kv in argv.items() for t in kv])
+            assert rc == 2 and out["error"]["type"] == "MalformedInput"
         monkeypatch.setenv("FROBEIG_MAX_PRECISION", text)
         rc, out = run_cli(capsys, "validate", "--q", "5", "--coeffs",
                           "5,-1,1")
         # an empty variable means unset
         assert rc == (0 if text == "" else 2), text
+
+    def test_integer_flags_parse_as_record_fields(self, capsys):
+        rc, out = run_cli(capsys, "validate", "--q", "+5", "--coeffs",
+                          "5,-1,1", "--search-bound", "+4")
+        assert rc == 0 and out["input"]["q"] == "5"
+        rc, out = run_cli(capsys, "validate", "--q", "0_3", "--coeffs",
+                          "3,0,1")
+        assert rc == 2 and out["error"]["type"] == "MalformedInput"
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="int() has no digit limit before 3.10.7")
+    def test_decimal_string_past_the_digit_limit_rejected(self, tmp_path):
+        # int() refuses decimal strings longer than its digit limit (4300
+        # by default) with a ValueError; a record must get MalformedInput
+        # and a batch must keep going
+        long = "1" * (sys.get_int_max_str_digits() + 700)
+        with pytest.raises(MalformedInput):
+            parse_record({"q": 5, "coeffs": [5, long, 1]})
+        with pytest.raises(MalformedInput):
+            parse_record({"q": long, "coeffs": [5, -1, 1]})
+        inp = write_batch_input(tmp_path, [
+            json.dumps({"q": 5, "coeffs": [5, long, 1], "label": "long"}),
+            BATCH_LINES[0]])
+        out = tmp_path / "store.ndjson"
+        run_batch(inp, out, jobs=1, global_options={}, base=DEFAULT,
+                  version=frobeig.__version__)
+        keyed, _ = store_records(out)
+        kinds = sorted((r["record_type"], r.get("error", {}).get("type"))
+                       for r in keyed)
+        assert kinds == [("error", "MalformedInput"), ("report", None)]
 
     def test_coefficient_token_with_underscore_rejected(self, capsys):
         rc, out = run_cli(capsys, "validate", "--q", "3", "--coeffs",
