@@ -89,16 +89,17 @@ class Analysis:
         return Realization(eig, self.field, self.data.q)
 
     @cached_property
-    def relations(self) -> Tuple[RelationLattice, int, int]:
-        """(kernel lattice, torsion-relation rank, Frobenius rank r): the
-        verified multiplicative relations among the eigenvalues and q."""
+    def relations(self) -> Tuple[RelationLattice, int]:
+        """(kernel lattice, Frobenius rank r): the verified multiplicative
+        relations among the eigenvalues and q, and r = rank(Eig) - 1 -
+        rank(kernel)."""
         rho = self.rho          # before the field: see rho
         return _relation_engine(self.field, self.eig,
                                 self.settings.search_bound, rho)
 
     @property
     def r(self) -> int:
-        return self.relations[2]
+        return self.relations[1]
 
     @cached_property
     def verdict(self) -> HypothesisVerdict:

@@ -32,11 +32,11 @@ from .errors import FrobeigError, MalformedInput
 from .eig import invariants_report
 from .lefmot import classify_orbits, motive_orbits
 from .quadforms import am_filter, signature, tannaka_transfer
-from .report import (OPTION_KEYS, InputRecord, analyse, build_report_record,
-                     canonical_json, decomposition_fragment,
-                     effective_options, eig_fragment, galois_fragment,
-                     hypothesis_fragment, parse_options, parse_record,
-                     run_batch)
+from .report import (OPTION_KEYS, InputRecord, _as_int, analyse,
+                     build_report_record, canonical_json,
+                     decomposition_fragment, effective_options,
+                     eig_fragment, galois_fragment, hypothesis_fragment,
+                     parse_options, parse_record, run_batch)
 
 
 def _emit(obj) -> None:
@@ -49,12 +49,19 @@ def _flag_options(args) -> Dict[str, int]:
                           if getattr(args, key, None) is not None})
 
 
+def _read_utf8(path: str, what: str) -> str:
+    """Text of the file at path, or of stdin for '-', read as UTF-8 (not
+    the locale's encoding): bytes that do not decode are malformed."""
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{what} is not valid UTF-8: {exc}") from None
+
+
 def _record_from_args(args) -> InputRecord:
     if getattr(args, "record", None):
-        if args.record == "-":
-            text = sys.stdin.read()
-        else:
-            text = Path(args.record).read_text()
+        text = _read_utf8(args.record, "record file")
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -134,18 +141,23 @@ def cmd_report(args, base: Settings) -> int:
     return 0
 
 
+# a matrix entry is an integer or p/q with ASCII digits; Fraction() would
+# also take "1.5", "1_000", other scripts' digits and exponents, and
+# "1e100000000" builds a hundred-million-digit integer
+_ENTRY = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_DIMENSION = re.compile(r"[0-9]+")
+
+
 def _read_matrices(path: str) -> List[List[List[Fraction]]]:
     """Matrix text format: dimension header, then row-major p/q tokens."""
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    tokens = text.split()
+    tokens = _read_utf8(path, "matrix file").split()
     mats = []
     i = 0
     while i < len(tokens):
-        try:
-            dim = int(tokens[i], 10)
-        except ValueError:
+        if not _DIMENSION.fullmatch(tokens[i]):
             raise MalformedInput(
                 f"expected a dimension header, got {tokens[i]!r}")
+        dim = _as_int(tokens[i], "matrix dimension")
         if dim < 1:
             raise MalformedInput("matrix dimension must be positive")
         i += 1
@@ -156,10 +168,11 @@ def _read_matrices(path: str) -> List[List[List[Fraction]]]:
                 f"{len(tokens) - i} tokens remain")
         entries = []
         for tok in tokens[i:i + need]:
-            try:
-                entries.append(Fraction(tok))
-            except (ValueError, ZeroDivisionError):
+            match = _ENTRY.fullmatch(tok)
+            den = match and _as_int(match[2] or "1", "matrix entry")
+            if not den:
                 raise MalformedInput(f"bad rational entry {tok!r}")
+            entries.append(Fraction(_as_int(match[1], "matrix entry"), den))
         i += need
         mats.append([entries[r * dim:(r + 1) * dim] for r in range(dim)])
     if not mats:

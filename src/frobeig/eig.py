@@ -22,7 +22,7 @@ lattice-reduction candidates; every vector entering the lattice is
 verified to realize to exactly 1 in the splitting field.  Torsion
 relations -- exponent vectors over the eigenvalues whose realization is
 a root of unity -- live in root coordinates, are evaluated through the
-same rho, and drive the Frobenius rank.  One accumulator, _Relations,
+same rho, and feed the kernel.  One accumulator, _Relations,
 holds each lattice: it skips every vector already in its HNF lattice and
 keeps the rest exactly when their relation test passes.
 
@@ -35,14 +35,13 @@ lies within the summed error of a whole turn, in lexicographic order:
 no true relation in the box is ever skipped, and exact verification
 rejects the rest.
 
-One round of cross-feeding turns a torsion relation of order t into the
-kernel vector t*a and a kernel vector into a torsion relation of order
-1; with the injected conjugation relations this makes torsion rank =
-kernel rank + #reps - 1 hold by construction, and with it the identity
-rank(ker rho) + r + 1 = rank(Eig).  The InternalInconsistency raised on
-a violation guards the cross-feed code only.  It cannot detect a
-relation that both searches miss: q=4 [4,2,1] passes it while the
-kernel misses (6, -3), which realizes to 1.
+A torsion relation a of order t yields the kernel vector t*a; that is
+all the torsion lattice is used for.  The Frobenius rank is read off the
+kernel: [q] = [pi] + [pibar] puts [q] in the span of the eigenvalue
+symbols, so r = rank<pi_1, ..., pi_s> - 1 = rank(Eig) - 1 -
+rank(ker rho).  A relation that both searches miss costs kernel rank or
+index: q=4 [4,2,1] misses (6, -3), which realizes to 1, and keeps
+(24, -12), an index-4 sublattice of the same rank, so r stays correct.
 
 The lattice-reduction candidates come from rounded angle midpoints;
 acceptance and rejection everywhere rest on exact arithmetic.
@@ -356,20 +355,6 @@ def realize_coords(rho: Realization, a: Sequence[int]) -> Elem:
     return acc
 
 
-def _to_root_coords(eig: EigGroup, a: Sequence[int]) -> Coords:
-    """Substitute [q] = [pi_0][pibar_0] (or the square of the real root)
-    to re-express a basis-coordinate vector over the root symbols."""
-    exps = [0] * eig.n_roots
-    for j, br in enumerate(eig.basis_roots):
-        if br is None:
-            i0 = eig.orbit_reps[0]
-            exps[i0] += a[j]
-            exps[eig.iota[i0]] += a[j]
-        else:
-            exps[br] += a[j]
-    return tuple(exps)
-
-
 class _Relations:
     """Verified relations spanning one lattice, with their HNF rows.
 
@@ -395,12 +380,13 @@ class _Relations:
 
 
 def _relation_engine(field: SplittingField, eig: EigGroup, bound: int,
-                     rho: Realization) -> Tuple[RelationLattice, int, int]:
-    """Kernel lattice, torsion-relation rank, and Frobenius rank.
+                     rho: Realization) -> Tuple[RelationLattice, int]:
+    """Kernel lattice and Frobenius rank r = rank(Eig) - 1 - rank(kernel).
 
-    Runs both bounded searches and cross-feeds their verified vectors,
-    which makes the rank bookkeeping hold by construction; the check
-    before returning guards the cross-feed, not the searches' reach.
+    Runs both bounded searches; each verified torsion relation a of
+    order t adds t*a to the kernel, and the torsion lattice serves no
+    other purpose.  A relation both searches miss lowers the kernel's
+    rank or raises its index (see the module docstring).
     Each box search visits exactly the box vectors whose certified
     fixed-point angle sum passes its relation test, a superset of the
     relations in the box, in lexicographic order; as a _Relations keeps
@@ -449,8 +435,8 @@ def _relation_engine(field: SplittingField, eig: EigGroup, bound: int,
     # a sum-zero word has modulus 1 and lies in the field, so it is a root
     # of unity exactly when _orders_lcm(deg K) times its angle sum is a
     # whole number of turns.  The weight-0 subspace has dimension s - 1,
-    # so the scan can stop as soon as the torsion lattice reaches it: only
-    # the rank is consumed.
+    # so the scan can stop as soon as the torsion lattice reaches it: a
+    # further relation could change only the kernel's index, not r.
     lcm = _orders_lcm(ring.n)
     fix = [lcm * f for f in turns]
     hits = _box_hits(bound, (1,) * s, fix, lcm * bound * sum(turn_err))
@@ -466,49 +452,25 @@ def _relation_engine(field: SplittingField, eig: EigGroup, bound: int,
         if g > 1:
             torsion.add(tuple(c // g for c in cand))
 
-    # conjugation relations realize to q/q = 1; inject them regardless of
-    # the bound so the rank bookkeeping never depends on box size
-    reps = eig.orbit_reps
-    i0 = reps[0]
-    base = [0] * s
-    base[i0] += 1
-    base[eig.iota[i0]] += 1
-    for i in reps[1:]:
-        rel = [-c for c in base]
-        rel[i] += 1
-        rel[eig.iota[i]] += 1
-        torsion.add(tuple(rel))
-
-    # cross-feed: a torsion relation of order t yields the kernel vector
-    # t * a; a kernel vector re-expressed over the roots is torsion of
-    # order 1.  One round makes the two lattices agree on ranks.
+    # a torsion relation of order t yields the kernel vector t * a
     for vec, order in torsion.found:
         kernel.add(apply_rows(eig.symbol_coords, [order * c for c in vec]))
-    for vec, _ in kernel.found:
-        torsion.add(_to_root_coords(eig, vec))
 
-    kernel_rank = len(kernel.rows)
-    torsion_rank = len(torsion.rows)
-    r = (s - torsion_rank) - 1
-
-    if r + 1 + kernel_rank != eig.rank:
-        raise InternalInconsistency(
-            "rank bookkeeping failed: r=%d kernel=%d eig=%d "
-            "(the cross-feed lost a relation)" % (r, kernel_rank, eig.rank))
-
+    # [q] = [pi] + [pibar], so rank<pi_1, ..., pi_s> = rank(Eig) - rank(ker)
+    r = eig.rank - 1 - len(kernel.rows)
     lattice = RelationLattice(
-        basis=kernel.rows, rank=kernel_rank, search_bound=bound,
+        basis=kernel.rows, rank=len(kernel.rows), search_bound=bound,
         complete_within_bound=True,
         saturation_index=lattice_saturation_index(
             [list(row) for row in kernel.rows]))
-    return lattice, torsion_rank, r
+    return lattice, r
 
 
 def frobenius_rank(data: WeilData, field: SplittingField, eig: EigGroup,
                    settings: Settings = DEFAULT) -> int:
     """Rank of the multiplicative group of the eigenvalues, minus one."""
-    _, _, r = _relation_engine(field, eig, settings.search_bound,
-                               Realization(eig, field, data.q))
+    _, r = _relation_engine(field, eig, settings.search_bound,
+                            Realization(eig, field, data.q))
     return r
 
 
@@ -568,7 +530,7 @@ def invariants_report(an: Analysis) -> Dict[str, object]:
         report["undetermined_reason"] = reason
         return report
 
-    lattice, _, r = an.relations
+    lattice, r = an.relations
     report["splitting_degree"] = an.field.degree
     report["frobenius_rank"] = r
     report["kernel_rank"] = lattice.rank

@@ -423,8 +423,15 @@ def existing_keys(out_path) -> set:
     path = Path(out_path)
     if not path.exists():
         return set()
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise OSError(f"output store {path} line {lineno} is not valid "
+                      "UTF-8; refusing to append") from None
     keys = set()
-    for i, line in enumerate(path.read_text().splitlines(), start=1):
+    for i, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -460,8 +467,10 @@ def run_batch(in_path, out_path, jobs: int = 1,
     if jobs < 1:
         raise MalformedInput("jobs must be positive")
     gopts = effective_options(base, global_options or {})
-    lines = [ln for ln in Path(in_path).read_text().splitlines()
-             if ln.strip()]
+    # an undecodable byte becomes \xNN, never valid JSON, so its line is
+    # an error record and the other lines are kept
+    text = Path(in_path).read_bytes().decode("utf-8", "backslashreplace")
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     seen = existing_keys(out_path)
 
     pending: List[str] = []

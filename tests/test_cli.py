@@ -38,6 +38,12 @@ def subprocess_env():
             "PYTHONPATH": src + os.pathsep + old if old else src}
 
 
+def stdin_bytes(data, encoding="utf-8"):
+    """A stand-in for sys.stdin that holds data, decoded as encoding by
+    text reads."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding=encoding)
+
+
 def run_cli(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr().out.strip()
@@ -343,9 +349,22 @@ class TestSingleCommands:
         assert rc == 0
         assert out["input"]["label"] == "E"
         assert out["invariants"]["frobenius_rank"] == "1"
-        monkeypatch.setattr(sys, "stdin", io.StringIO(path.read_text()))
+        monkeypatch.setattr(sys, "stdin", stdin_bytes(path.read_bytes()))
         rc, out = run_cli(capsys, "validate", "--record", "-")
         assert rc == 0 and out["accepted"] is True
+
+    def test_record_not_utf8_exit_2(self, capsys, tmp_path, monkeypatch):
+        # read as UTF-8 whatever the locale: a stdin decoded as Latin-1
+        # would otherwise take \xff as a valid label
+        text = b'{"q": 5, "coeffs": [5, -1, 1], "label": "\xff"}'
+        path = tmp_path / "rec.json"
+        path.write_bytes(text)
+        rc, out = run_cli(capsys, "validate", "--record", str(path))
+        assert rc == 2 and out["error"]["type"] == "MalformedInput"
+        assert "UTF-8" in out["error"]["message"]
+        monkeypatch.setattr(sys, "stdin", stdin_bytes(text, "latin-1"))
+        rc, out = run_cli(capsys, "validate", "--record", "-")
+        assert rc == 2 and out["error"]["type"] == "MalformedInput"
 
     def test_record_file_missing_exit_3(self, capsys, tmp_path):
         rc, out = run_cli(capsys, "validate", "--record",
@@ -547,10 +566,10 @@ class TestSignatureCli:
         assert out["signature"] == ["2", "1", "0"]
 
     def test_sig_fraction_entries(self, capsys, tmp_path):
-        path = write_matrices(tmp_path, "2\n1/2 0\n0 -3/4\n")
+        path = write_matrices(tmp_path, "3\n1/2 0 0\n0 -3/4 0\n0 0 +5\n")
         rc, out = run_cli(capsys, "signature", "sig", path)
         assert rc == 0
-        assert out["signature"] == ["1", "1", "0"]
+        assert out["signature"] == ["2", "1", "0"]
 
     def test_sig_singular_exit_1(self, capsys, tmp_path):
         path = write_matrices(tmp_path, "2\n1 0\n0 0\n")
@@ -572,11 +591,31 @@ class TestSignatureCli:
         "1\nfoo\n",                      # bad token
         "1\n1/0\n",                      # zero denominator
         "0\n",                           # nonpositive dimension
+        # Fraction() and int() take these; an entry is an ASCII integer
+        # or p/q, and a dimension header is ASCII digits
+        "1\n1.5\n", "1\n.5\n", "1\n1_000\n", "1\n\u0663\n", "1\n1e5\n",
+        "+1\n1\n", "0_1\n1\n", "\u0661\n1\n",
     ])
     def test_sig_parse_errors_exit_2(self, capsys, tmp_path, text):
         path = write_matrices(tmp_path, text)
         rc, _ = run_cli(capsys, "signature", "sig", path)
         assert rc == 2
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="int() has no digit limit before 3.10.7")
+    def test_sig_tokens_past_the_digit_limit_rejected(self, capsys,
+                                                      tmp_path):
+        long = "1" * (sys.get_int_max_str_digits() + 1)
+        for text in (f"1\n{long}\n", f"1\n1/{long}\n", f"{long}\n1\n"):
+            path = write_matrices(tmp_path, text)
+            rc, out = run_cli(capsys, "signature", "sig", path)
+            assert rc == 2 and out["error"]["type"] == "MalformedInput"
+
+    def test_sig_not_utf8_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "mats.txt"
+        path.write_bytes(b"1\n1 \xff\n")
+        rc, out = run_cli(capsys, "signature", "sig", str(path))
+        assert rc == 2 and out["error"]["type"] == "MalformedInput"
 
     def test_transfer_certificate(self, capsys, tmp_path):
         path = write_matrices(
@@ -754,6 +793,31 @@ class TestBatch:
                           "--out", str(out))
         assert rc == 3
         assert "refusing to append" in msg["error"]["message"]
+
+    def test_store_not_utf8_exit_3(self, capsys, tmp_path):
+        inp = write_batch_input(tmp_path)
+        out = tmp_path / "store.ndjson"
+        out.write_bytes(b'{"content_key": "k", "record_type": "error"}\n'
+                        b'\xff\n')
+        rc, msg = run_cli(capsys, "batch", "--in", str(inp),
+                          "--out", str(out))
+        assert rc == 3
+        assert msg["error"]["message"] == (
+            f"output store {out} line 2 is not valid UTF-8; refusing to "
+            "append")
+
+    def test_input_line_not_utf8_is_an_error_record(self, capsys,
+                                                     tmp_path):
+        inp = tmp_path / "in.ndjson"
+        inp.write_bytes(b'{"q": 3, "coeffs": [3, 0, 1]}\n\xff\n')
+        out = tmp_path / "store.ndjson"
+        rc, summary = run_cli(capsys, "batch", "--in", str(inp),
+                              "--out", str(out))
+        assert rc == 0
+        assert summary["written"] == "2" and summary["errors"] == "1"
+        keyed, _ = store_records(out)
+        kinds = sorted((r["record_type"], r.get("raw")) for r in keyed)
+        assert kinds == [("error", "\\xff"), ("report", None)]
 
     def test_failed_write_leaves_store_intact(self, monkeypatch, tmp_path):
         out = tmp_path / "store.ndjson"

@@ -1,5 +1,6 @@
 """Eigenvalue multisets, orbit classification, hypotheses, signatures."""
 
+import itertools
 import math
 import random
 from types import SimpleNamespace
@@ -379,6 +380,33 @@ class TestDims:
         bc3 = base_change(data0.poly, 3)
         an3 = analysis_cached(27, tuple(bc3.coefficients))
         assert dims(an3, 2, 1)[1] == 4
+
+    def test_generic_tate_count(self):
+        # kernel rank 0 and r = g: 2g distinct roots, multiplicatively
+        # independent modulo q, so a class of weight 2n is Tate exactly
+        # when it takes a_i of the d copies of pi_i and a_i of the d
+        # copies of pibar_i for every pair i, and nothing is exotic
+        pairs = 0
+        for entry in CORPUS:
+            an = analysis_cached(entry.q, entry.coefficients)
+            g = an.data.g
+            lattice, r = an.relations
+            if lattice.rank or r != g:
+                continue
+            for d in (1, 2, 3):
+                for n in range(g * d + 1):
+                    tate = sum(
+                        math.prod(math.comb(d, a) ** 2 for a in split)
+                        for split in itertools.product(range(d + 1),
+                                                       repeat=g)
+                        if sum(split) == n)
+                    lef, exo, _, total = an.full_dims(d, n)
+                    assert (lef + exo, exo, total) == \
+                        (tate, 0, math.comb(2 * g * d, 2 * n)), \
+                        (entry.tag, d, n)
+                    pairs += 1
+        # 31 corpus records qualify
+        assert pairs == 291
 
 
 class TestHypothesisCheck:
