@@ -44,9 +44,11 @@ def _emit(obj) -> None:
     print(canonical_json(obj), flush=True)
 
 
-def _flag_options(args) -> Dict[str, int]:
-    return parse_options({key: getattr(args, key) for key in OPTION_KEYS
-                          if getattr(args, key, None) is not None})
+def _flag_options(args) -> Dict[str, str]:
+    """The option flags given, as strings: effective_options checks them
+    as it checks a record's options."""
+    return {key: getattr(args, key) for key in OPTION_KEYS
+            if getattr(args, key, None) is not None}
 
 
 def _read_utf8(path: str, what: str) -> str:

@@ -10,15 +10,19 @@ class Settings:
     precision_start / precision_ceiling are in bits.  Only weil.validate
     starts at precision_start; the splitting field goes on from the
     precision validation reached, and both stop at precision_ceiling.
-    Library code never reads the environment: only cli.main reads
-    FROBEIG_MAX_PRECISION, so the variable sits below flags and record
-    options.
+    A ceiling at or below precision_start permits no escalation.  The
+    four fields named in report.OPTION_KEYS supply the defaults of the
+    per-run options, which every report echoes and its content_key
+    covers.  Library code never reads the environment: only cli.main
+    reads FROBEIG_MAX_PRECISION, so the variable sits below flags and
+    record options.
     """
 
     precision_start: int = 192
     precision_ceiling: int = 4096
     degree_cap: int = 48          # splitting-field degree cap
     search_bound: int = 4         # sup-norm box for kernel / torsion searches
+    max_power: int = 2            # decomposition grid top in reports
 
 
 DEFAULT = Settings()

@@ -82,7 +82,6 @@ def content_key(input_echo: dict, options: Dict[str, int],
 
 OPTION_KEYS = ("degree_cap", "max_power", "precision_ceiling",
                "search_bound")
-REPORT_POWER_DEFAULT = 2   # decomposition grid top in batch reports
 
 
 @dataclass(frozen=True)
@@ -176,17 +175,14 @@ def parse_record(obj) -> InputRecord:
                        options=tuple(sorted(options.items())))
 
 
-def effective_options(base: Settings, *layers: Dict[str, int]) -> Dict[str, int]:
-    """Resolve the option stack; later layers win (record over flags)."""
-    out = {"degree_cap": base.degree_cap,
-           "max_power": REPORT_POWER_DEFAULT,
-           "precision_ceiling": base.precision_ceiling,
-           "search_bound": base.search_bound}
+def effective_options(base: Settings,
+                      *layers: Optional[dict]) -> Dict[str, int]:
+    """Resolve the option stack over the defaults in base; later layers
+    win (record over flags).  Every layer (a dict or None) passes
+    parse_options, as a record's options do."""
+    out = {key: getattr(base, key) for key in OPTION_KEYS}
     for layer in layers:
-        for key, value in (layer or {}).items():
-            if key not in OPTION_KEYS:
-                raise MalformedInput(f"unknown option {key!r}")
-            out[key] = value
+        out.update(parse_options(layer))
     if out["max_power"] > MAX_POWER_CAP:
         raise MalformedInput(
             f"max_power {out['max_power']} exceeds the configured "
@@ -194,18 +190,10 @@ def effective_options(base: Settings, *layers: Dict[str, int]) -> Dict[str, int]
     return out
 
 
-def settings_for(options: Dict[str, int], base: Settings) -> Settings:
-    # a ceiling below the starting precision would never be reachable
-    ceiling = max(options["precision_ceiling"], base.precision_start)
-    return replace(base, degree_cap=options["degree_cap"],
-                   search_bound=options["search_bound"],
-                   precision_ceiling=ceiling)
-
-
 def _resolve(record: InputRecord, global_options: Optional[Dict[str, int]],
              base: Settings, version: str) -> Tuple[Dict[str, int], str]:
     """Effective options and content_key of one record."""
-    opts = effective_options(base, global_options or {}, record.option_dict)
+    opts = effective_options(base, global_options, record.option_dict)
     return opts, content_key(record.echo(), opts, version)
 
 
@@ -219,7 +207,7 @@ def _parse_line(raw: str, global_options: Optional[Dict[str, int]],
         return (record, *_resolve(record, global_options, base, version),
                 None)
     except (json.JSONDecodeError, MalformedInput) as exc:
-        gopts = effective_options(base, global_options or {})
+        gopts = effective_options(base, global_options)
         return None, gopts, content_key({"raw": raw}, gopts, version), exc
 
 
@@ -227,7 +215,7 @@ def analyse(record: InputRecord, options: Dict[str, int],
             base: Settings) -> Analysis:
     """Validate a record under its resolved options and open its
     Analysis, which the report and every CLI command read from."""
-    st = settings_for(options, base)
+    st = replace(base, **options)
     return Analysis(validate(record.q, record.coeffs, st), st,
                     record.cm_assertion)
 
@@ -412,10 +400,10 @@ def process_line(raw: str, global_options: Optional[Dict[str, int]],
     return key, canonical_json(rep), "report"
 
 
-def plan_keys(raw: str, global_options: Optional[Dict[str, int]],
-              base: Settings, version: str) -> str:
-    """content_key a batch line will carry, without computing the report."""
-    return _parse_line(raw, global_options, base, version)[2]
+# a line ends at \r\n, \r or \n only: str.splitlines() also breaks at
+# U+2028, U+2029, U+0085, \v, \f and \x1c-\x1e, which a JSON string may
+# hold raw
+_NEWLINE = re.compile(r"\r\n?|\n")
 
 
 def existing_keys(out_path) -> set:
@@ -431,7 +419,7 @@ def existing_keys(out_path) -> set:
         raise OSError(f"output store {path} line {lineno} is not valid "
                       "UTF-8; refusing to append") from None
     keys = set()
-    for i, line in enumerate(text.splitlines(), start=1):
+    for i, line in enumerate(_NEWLINE.split(text), start=1):
         if not line.strip():
             continue
         try:
@@ -466,17 +454,17 @@ def run_batch(in_path, out_path, jobs: int = 1,
     """
     if jobs < 1:
         raise MalformedInput("jobs must be positive")
-    gopts = effective_options(base, global_options or {})
+    gopts = effective_options(base, global_options)
     # an undecodable byte becomes \xNN, never valid JSON, so its line is
     # an error record and the other lines are kept
     text = Path(in_path).read_bytes().decode("utf-8", "backslashreplace")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in _NEWLINE.split(text) if ln.strip()]
     seen = existing_keys(out_path)
 
     pending: List[str] = []
     skipped = 0
     for raw in lines:
-        key = plan_keys(raw, global_options, base, version)
+        key = _parse_line(raw, global_options, base, version)[2]
         if key in seen:
             skipped += 1
             continue

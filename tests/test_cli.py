@@ -21,10 +21,11 @@ from frobeig import report
 from frobeig.cli import main
 from frobeig.config import DEFAULT, MAX_POWER_CAP
 from frobeig.corpus import CORPUS
-from frobeig.errors import MalformedInput
-from frobeig.report import (InputRecord, build_report_record, canonical_json,
-                            content_key, effective_options, existing_keys,
-                            parse_record, run_batch, settings_for)
+from frobeig import splitfield, weil
+from frobeig.errors import MalformedInput, PrecisionExhausted
+from frobeig.report import (InputRecord, analyse, build_report_record,
+                            canonical_json, content_key, effective_options,
+                            existing_keys, parse_record, run_batch)
 
 from conftest import deep_grid_records
 
@@ -279,10 +280,31 @@ class TestOptions:
         with pytest.raises(MalformedInput):
             effective_options(DEFAULT, {"max_power": MAX_POWER_CAP + 1})
 
-    def test_settings_for_clamps_low_ceiling(self):
-        opts = effective_options(DEFAULT, {"precision_ceiling": 8})
-        st = settings_for(opts, DEFAULT)
-        assert st.precision_ceiling == DEFAULT.precision_start
+    def test_ceiling_below_precision_start_changes_nothing(
+            self, monkeypatch):
+        # validation always tries precision_start first, and both
+        # escalation loops compare only a doubled precision with the
+        # ceiling: a ceiling of 8 bits computes what one of 192 does
+        obj = {"q": 5, "coeffs": [25, -5, 6, -1, 1]}
+        records = [parse_record(dict(obj, options={"precision_ceiling": c}))
+                   for c in (8, DEFAULT.precision_start)]
+        low, start = (build_report_record(rec) for rec in records)
+        assert low["galois"] is not None
+        for part in ("invariants", "galois", "decompositions"):
+            assert low[part] == start[part], part
+        # with the field left undecided, neither ceiling escalates
+        refined = []
+        monkeypatch.setattr(splitfield, "_try_candidate",
+                            lambda *args: splitfield._UNRESOLVED)
+        for module in (splitfield, weil):
+            monkeypatch.setattr(module, "refine_roots",
+                                lambda *args: refined.append(args))
+        for rec in records:
+            an = analyse(rec, effective_options(DEFAULT, rec.option_dict),
+                         DEFAULT)
+            with pytest.raises(PrecisionExhausted):
+                an.field
+        assert refined == []
 
     def test_content_key_sensitivity(self):
         rec = parse_record({"q": 5, "coeffs": [5, -1, 1]})
@@ -843,8 +865,10 @@ class TestBatch:
         assert run_batch(inp, out, global_options=opts)["written"] == 3
 
     def test_each_line_resolved_once_per_pass(self, monkeypatch, tmp_path):
-        # plan_keys resolves a line to skip stored keys; process_line
-        # resolves it once more and hands the result to the report
+        # two passes, one resolution each: run_batch's key pass reads a
+        # line's key through _parse_line to skip stored keys, and
+        # process_line resolves the line once more for its report; each
+        # resolution checks both option layers with parse_options
         real = report._resolve
         calls = []
 
@@ -956,3 +980,136 @@ class TestBatch:
         assert s2["written"] == 1 and s2["skipped"] == 0
         s3 = run_batch(inp, out, global_options={"max_power": 1})
         assert s3["skipped"] == 1
+
+
+class TestGlobalOptions:
+    """Global options given to run_batch and build_report_record pass the
+    checks that record options and flags pass."""
+
+    LINE = '{"q":3,"coeffs":[3,0,1]}'
+
+    @pytest.mark.parametrize("key, value", [("search_bound", "4"),
+                                            ("max_power", "2")])
+    def test_integer_strings_read_as_in_a_record(self, tmp_path, key,
+                                                 value):
+        inp = write_batch_input(tmp_path, [self.LINE])
+        stores = []
+        for form in (value, int(value)):
+            out = tmp_path / f"{type(form).__name__}.ndjson"
+            summary = run_batch(inp, out, global_options={key: form})
+            assert summary["written"] == 1 and summary["errors"] == 0
+            stores.append(store_records(out)[0])
+        assert stores[0][0]["record_type"] == "report"
+        assert stores[0] == stores[1]
+        record = parse_record(json.loads(self.LINE))
+        assert build_report_record(record, {key: value}) == \
+            build_report_record(record, {key: int(value)})
+
+    @pytest.mark.parametrize("options", [{"max_power": 0},
+                                         {"search_bound": -1},
+                                         {"degree_cap": True}])
+    def test_bad_values_rejected_before_any_line(self, tmp_path, options):
+        out = tmp_path / "store.ndjson"
+        with pytest.raises(MalformedInput):
+            run_batch(write_batch_input(tmp_path, [self.LINE]), out,
+                      global_options=options)
+        assert not out.exists()
+        with pytest.raises(MalformedInput):
+            build_report_record(parse_record(json.loads(self.LINE)),
+                                options)
+
+
+class TestLineSplitting:
+    """A batch line ends at \\r\\n, \\r or \\n only."""
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\u0085"])
+    def test_separator_inside_a_label(self, tmp_path, sep, ending):
+        line = '{"q":3,"coeffs":[3,0,1],"label":"a' + sep + 'b"}'
+        inp = tmp_path / "in.ndjson"
+        inp.write_bytes((line + ending + BATCH_LINES[0] + ending)
+                        .encode("utf-8"))
+        out = tmp_path / "store.ndjson"
+        summary = run_batch(inp, out, global_options={"max_power": 1})
+        assert summary["processed"] == 2 and summary["errors"] == 0
+        keyed, _ = store_records(out)
+        assert sorted(r["input"].get("label") for r in keyed) == \
+            ["a" + sep + "b", "ordinary"]
+        # the store writes the label escaped, so existing_keys reads it
+        # back; a rerun skips both lines
+        assert run_batch(inp, out,
+                         global_options={"max_power": 1})["skipped"] == 2
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("control", ["\f", "\v", "\x1c"])
+    def test_raw_control_character_is_one_error_line(self, tmp_path,
+                                                     control, ending):
+        bad = '{"q":3,' + control + '"coeffs":[3,0,1]}'
+        inp = tmp_path / "in.ndjson"
+        inp.write_bytes((bad + ending + BATCH_LINES[3] + ending)
+                        .encode("utf-8"))
+        out = tmp_path / "store.ndjson"
+        summary = run_batch(inp, out, global_options={"max_power": 1})
+        assert summary["processed"] == 2 and summary["errors"] == 2
+        keyed, _ = store_records(out)
+        assert sorted(r["raw"] for r in keyed) == \
+            sorted([bad, BATCH_LINES[3]])
+        assert {r["error"]["type"] for r in keyed} == {"JSONDecodeError"}
+
+    def test_line_endings_keep_raw_text_and_key(self, tmp_path):
+        keys = set()
+        for i, ending in enumerate(["\n", "\r\n", "\r"]):
+            inp = tmp_path / f"in{i}.ndjson"
+            inp.write_bytes((BATCH_LINES[3] + ending).encode())
+            out = tmp_path / f"store{i}.ndjson"
+            run_batch(inp, out, global_options={"max_power": 1})
+            keyed, _ = store_records(out)
+            assert [r["raw"] for r in keyed] == [BATCH_LINES[3]]
+            keys.add(keyed[0]["content_key"])
+        assert len(keys) == 1
+
+    def test_store_line_holding_a_separator(self, tmp_path):
+        # a store line may hold U+2028 raw (a store written by another
+        # JSON writer); it is one record with one key
+        inp = write_batch_input(tmp_path, [BATCH_LINES[0]])
+        out = tmp_path / "store.ndjson"
+        run_batch(inp, out, global_options={"max_power": 1})
+        keys = existing_keys(out)
+        rec = json.loads(out.read_text().splitlines()[0])
+        rec["input"]["label"] = "a\u2028b"
+        out.write_bytes((json.dumps(rec, ensure_ascii=False) + "\n")
+                        .encode("utf-8"))
+        assert existing_keys(out) == keys
+
+
+class TestCorpusScript:
+    """scripts/run_corpus.py runs `frobeig batch`: its checks, its exit
+    codes and its summary line."""
+
+    SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_corpus.py"
+
+    def run(self, *argv):
+        return subprocess.run([sys.executable, str(self.SCRIPT), *argv],
+                              capture_output=True, text=True,
+                              env=subprocess_env(), timeout=300)
+
+    @pytest.mark.parametrize("power", ["7", "0", "0_3"])
+    def test_bad_max_power_exits_2(self, tmp_path, power):
+        proc = self.run("--dir", str(tmp_path), "--max-power", power)
+        assert proc.returncode == 2, proc.stderr
+        assert json.loads(proc.stdout)["error"]["type"] == "MalformedInput"
+        assert proc.stderr == ""
+        assert not (tmp_path / "reports.ndjson").exists()
+
+    def test_run_and_rerun(self, tmp_path):
+        proc = self.run("--dir", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["written"] == str(len(CORPUS))
+        store = tmp_path / "reports.ndjson"
+        direct = tmp_path / "direct.ndjson"
+        run_batch(tmp_path / "corpus.ndjson", direct)
+        assert store_records(store)[0] == store_records(direct)[0]
+        proc = self.run("--dir", str(tmp_path))
+        summary = json.loads(proc.stdout)
+        assert (summary["skipped"], summary["written"]) == \
+            (str(len(CORPUS)), "0")

@@ -408,6 +408,40 @@ class TestDims:
         # 31 corpus records qualify
         assert pairs == 291
 
+    def test_poincare_duality(self):
+        # cup product pairs weight 2n with weight 2(gd - n) on A^d, and
+        # lam pairs with gd[q] - lam: Galois-equivariant, Tate to Tate,
+        # Lefschetz to Lefschetz, so both classifications must agree
+        # orbit for orbit once the exotic elements are mapped across
+        def exotic(details, mirror):
+            return sorted(
+                (sorted(tuple(mirror(lam)) for lam in det["elements"]),
+                 det["orbit_size"], det["multiplicity"], det["shape"])
+                for det in details)
+
+        pairs = 0
+        for entry in CORPUS:
+            an = analysis_cached(entry.q, entry.coefficients)
+            if an.undetermined("gal"):
+                continue
+            q_coords = an.eig.q_coords
+            for d in (1, 2, 3):
+                gd = an.data.g * d
+                top = [gd * c for c in q_coords]
+                for n in range(gd + 1):
+                    low = classify_orbits(an, d, n)
+                    high = classify_orbits(an, d, gd - n)
+                    assert low.dims == high.dims, (entry.tag, d, n)
+                    assert low.orbit_counts == high.orbit_counts, \
+                        (entry.tag, d, n)
+                    assert exotic(low.exotic_details,
+                                  lambda lam: [t - x for t, x in
+                                               zip(top, lam)]) == \
+                        exotic(high.exotic_details, lambda lam: lam), \
+                        (entry.tag, d, n)
+                    pairs += 1
+        assert pairs == 621
+
 
 class TestHypothesisCheck:
     def test_supersingular_all_pass(self):
