@@ -1,7 +1,9 @@
 """One analysis per validated record, each certified object built once.
 
 Objects are built on first read, in the order eigenvalue group,
-splitting field, Galois group, relation engine, verdicts.  Only the
+splitting field, Galois group, relation engine, verdicts; the relation
+engine reads the Galois group, whose conjugates of one prime above p
+certify the torsion rank where its scan stops.  Only the
 field can fail on a bound (degree cap or precision ceiling); that
 failure is kept and raised again on every read of the field and of
 everything built on it, the Galois group included, which is certified
@@ -25,8 +27,8 @@ from typing import Dict, Iterator, Optional, Tuple
 
 from .config import DEFAULT, MAX_POWER_CAP, Settings
 from .eig import (Coords, EigGroup, Realization, RelationLattice,
-                  _relation_engine, action_rows, build_eig_group,
-                  realize_coords)
+                  _relation_engine, _torsion_rank, action_rows,
+                  build_eig_group, realize_coords)
 from .errors import (DegreeCapExceeded, InternalInconsistency,
                      MalformedInput, PrecisionExhausted)
 from .lefmot import (ALL_PASS, DecompositionReport, HypothesisVerdict,
@@ -92,10 +94,12 @@ class Analysis:
     def relations(self) -> Tuple[RelationLattice, int]:
         """(kernel lattice, Frobenius rank r): the verified multiplicative
         relations among the eigenvalues and q, and r = rank(Eig) - 1 -
-        rank(kernel)."""
+        rank(kernel).  Reads the Galois group: the torsion scan stops at
+        the rank that the slopes certify (eig._torsion_rank)."""
         rho = self.rho          # before the field: see rho
+        rank = _torsion_rank(self.data, self.gal.perms, self.eig, rho)
         return _relation_engine(self.field, self.eig,
-                                self.settings.search_bound, rho)
+                                self.settings.search_bound, rho, rank)
 
     @property
     def r(self) -> int:

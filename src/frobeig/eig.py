@@ -35,6 +35,17 @@ lies within the summed error of a whole turn, in lexicographic order:
 no true relation in the box is ever skipped, and exact verification
 rejects the rest.
 
+The torsion scan stops at rank T, the rank of the torsion lattice,
+which p-adic slopes certify before it starts.  Each eigenvalue has
+modulus sqrt(q) at every complex place and is a unit away from p, so by
+Kronecker a sum-zero word is a root of unity exactly when its valuation
+vanishes at every prime above p.  With s(i) = v_P(pi_i) at one prime P
+above p, those primes being sigma P for sigma in G, T is the integer
+kernel of the rows (1, ..., 1) and s o sigma.  The Newton polygon of each
+factor leaves few valuations s; the true one is among them, so when all
+their kernel ranks agree that rank is rank T, and otherwise it is the
+largest rank whose kernel basis realizes to roots of unity.
+
 A torsion relation a of order t yields the kernel vector t*a; that is
 all the torsion lattice is used for.  The Frobenius rank is read off the
 kernel: [q] = [pi] + [pibar] puts [q] in the span of the eigenvalue
@@ -53,6 +64,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations, product
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
                     Sequence, Tuple)
 
@@ -61,8 +73,8 @@ from .errors import InternalInconsistency, MalformedInput, TorsionDetected
 from .exactmath.latt import (hnf_rows, in_row_lattice,
                              lattice_saturation_index, relation_candidates)
 from .exactmath.roots import arg_ball, two_pi_ball
-from .splitfield import (Elem, SplittingField, is_root_of_unity,
-                         orbit_representatives)
+from .splitfield import (Elem, Perm, SplittingField, galois_group,
+                         is_root_of_unity, orbit_representatives)
 from .weil import WeilData, base_changes
 
 if TYPE_CHECKING:
@@ -355,6 +367,97 @@ def realize_coords(rho: Realization, a: Sequence[int]) -> Elem:
     return acc
 
 
+def _newton_valuations(coeffs: Sequence[int], p: int) -> List[Fraction]:
+    """v_p of every root of the polynomial with these coefficients (low to
+    high, constant term nonzero) over Q_p, with multiplicity: minus the
+    slope of each segment of the lower hull of the points (i, v_p(a_i)),
+    once per unit of its length."""
+    def v(c: int) -> int:
+        t = 0
+        while c % p == 0:
+            c, t = c // p, t + 1
+        return t
+
+    hull: List[Tuple[int, int]] = []
+    for x, y in ((i, v(c)) for i, c in enumerate(coeffs) if c):
+        # drop the last point while it lies on or above the chord
+        while len(hull) > 1:
+            (x0, y0), (x1, y1) = hull[-2:]
+            if (x1 - x0) * (y - y0) > (y1 - y0) * (x - x0):
+                break
+            hull.pop()
+        hull.append((x, y))
+    return [Fraction(y0 - y1, x1 - x0)
+            for (x0, y0), (x1, y1) in zip(hull, hull[1:])
+            for _ in range(x1 - x0)]
+
+
+def _factor_firsts(vals: Sequence[int], n_pairs: int,
+                   ed: int) -> List[Tuple[int, ...]]:
+    """Every way to give the factor's n_pairs conjugate pairs their first
+    values, the second being ed minus the first: the pair types {v, ed -
+    v} of the scaled valuations vals, distributed over the pairs and each
+    pair oriented both ways."""
+    lows = [v for v in vals if 2 * v < ed]
+    types = lows + [ed // 2] * (n_pairs - len(lows))
+    return sorted({t for dist in set(permutations(types))
+                   for t in product(*[(v, ed - v) for v in dist])})
+
+
+def _slope_rows(data: WeilData,
+                perms: Sequence[Perm]) -> List[Tuple[Coords, ...]]:
+    """The row sets {s o sigma : sigma in G}, sorted, of every valuation s
+    on the roots that the Newton polygons allow: scaled by the lcm D of
+    the slope denominators, s takes each factor's valuations, s(i) +
+    s(iota i) = eD and a real root gets eD/2.  The true s = D v_P, for
+    one prime P above p, is among them."""
+    iota = data.iota
+    vals = [_newton_valuations(f.poly.coefficients, data.p)
+            for f in data.factors]
+    scale = math.lcm(*(v.denominator for vs in vals for v in vs))
+    ed = data.e * scale
+    pairs = [[i for i in f.root_indices if i < iota[i]] for f in data.factors]
+    choices = [_factor_firsts([int(v * scale) for v in vs], len(ps), ed)
+               for vs, ps in zip(vals, pairs)]
+    row_sets = set()
+    for choice in product(*choices):
+        s = [ed // 2] * len(iota)
+        for ps, firsts in zip(pairs, choice):
+            for i, v in zip(ps, firsts):
+                s[i], s[iota[i]] = v, ed - v
+        row_sets.add(tuple(sorted({tuple(s[j] for j in sigma)
+                                   for sigma in perms})))
+    return sorted(row_sets)
+
+
+def _torsion_rank(data: WeilData, perms: Sequence[Perm], eig: EigGroup,
+                  rho: Realization) -> int:
+    """rank T of the sum-zero words in the roots that realize to roots of
+    unity, from the candidate row sets of _slope_rows.
+
+    T is the integer kernel of (1, ..., 1) and the true row set.  When
+    every candidate's kernel has one rank, that is rank T.  Otherwise
+    the candidates are tried by decreasing rank: a kernel whose basis
+    realizes to roots of unity lies in T, so no candidate of rank above
+    rank T passes, and the true one does.
+    """
+    ones = (1,) * eig.n_roots
+    ranked = sorted(((eig.n_roots - len(hnf_rows((ones,) + rows)), rows)
+                     for rows in _slope_rows(data, perms)), reverse=True)
+    if ranked[0][0] == ranked[-1][0]:
+        return ranked[0][0]
+    for k, rows in ranked:
+        m = len(rows) + 1
+        # the zero-prefix rows of the HNF of [M^T | I] span ker M
+        lattice = hnf_rows([col + tuple(int(t == i) for t in range(len(ones)))
+                            for i, col in enumerate(zip(ones, *rows))])
+        if all(is_root_of_unity(rho.ring, realize_coords(
+                rho, apply_rows(eig.symbol_coords, row[m:])))
+               for row in lattice if not any(row[:m])):
+            return k
+    raise InternalInconsistency("no slope candidate's kernel is torsion")
+
+
 class _Relations:
     """Verified relations spanning one lattice, with their HNF rows.
 
@@ -380,13 +483,16 @@ class _Relations:
 
 
 def _relation_engine(field: SplittingField, eig: EigGroup, bound: int,
-                     rho: Realization) -> Tuple[RelationLattice, int]:
+                     rho: Realization,
+                     torsion_rank: int) -> Tuple[RelationLattice, int]:
     """Kernel lattice and Frobenius rank r = rank(Eig) - 1 - rank(kernel).
 
-    Runs both bounded searches; each verified torsion relation a of
-    order t adds t*a to the kernel, and the torsion lattice serves no
-    other purpose.  A relation both searches miss lowers the kernel's
-    rank or raises its index (see the module docstring).
+    Runs both bounded searches, the torsion box scan only until the
+    torsion lattice reaches torsion_rank (see _torsion_rank); each
+    verified torsion relation a of order t adds t*a to the kernel, and
+    the torsion lattice serves no other purpose.  A relation both
+    searches miss lowers the kernel's rank or raises its index (see the
+    module docstring).
     Each box search visits exactly the box vectors whose certified
     fixed-point angle sum passes its relation test, a superset of the
     relations in the box, in lexicographic order; as a _Relations keeps
@@ -434,13 +540,14 @@ def _relation_engine(field: SplittingField, eig: EigGroup, bound: int,
 
     # a sum-zero word has modulus 1 and lies in the field, so it is a root
     # of unity exactly when _orders_lcm(deg K) times its angle sum is a
-    # whole number of turns.  The weight-0 subspace has dimension s - 1,
-    # so the scan can stop as soon as the torsion lattice reaches it: a
-    # further relation could change only the kernel's index, not r.
+    # whole number of turns.  The slopes certify the torsion lattice's
+    # rank (Kronecker: valuation 0 at every prime above p), and verified
+    # torsion never exceeds it, so the scan stops there: a further
+    # relation could change only the kernel's index, not r.
     lcm = _orders_lcm(ring.n)
     fix = [lcm * f for f in turns]
     hits = _box_hits(bound, (1,) * s, fix, lcm * bound * sum(turn_err))
-    while len(torsion.rows) < s - 1:
+    while len(torsion.rows) < torsion_rank:
         a = next(hits, None)
         if a is None:
             break
@@ -469,8 +576,10 @@ def _relation_engine(field: SplittingField, eig: EigGroup, bound: int,
 def frobenius_rank(data: WeilData, field: SplittingField, eig: EigGroup,
                    settings: Settings = DEFAULT) -> int:
     """Rank of the multiplicative group of the eigenvalues, minus one."""
-    _, r = _relation_engine(field, eig, settings.search_bound,
-                            Realization(eig, field, data.q))
+    rho = Realization(eig, field, data.q)
+    perms = galois_group(field, data).perms
+    _, r = _relation_engine(field, eig, settings.search_bound, rho,
+                            _torsion_rank(data, perms, eig, rho))
     return r
 
 

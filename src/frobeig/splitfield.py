@@ -96,6 +96,7 @@ witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 from itertools import islice, tee
 from math import gcd, lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -372,12 +373,14 @@ def orbit_representatives(data: WeilData) -> Tuple[int, ...]:
     return tuple(i for i, j in enumerate(data.iota) if j <= i)
 
 
-def _weight_list(r: int) -> List[Tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def _weight_list(r: int) -> Tuple[Tuple[int, ...], ...]:
     """The indicator weights, then (1, k, k^2, ...) for each k in
-    _WEIGHT_PRIMES, each once: for r = 1 every geometric weight is (1,)."""
+    _WEIGHT_PRIMES, each once: for r = 1 every geometric weight is (1,).
+    Built once per r."""
     units = [tuple(int(t == j) for t in range(r)) for j in range(r)]
     geometric = [tuple(k ** t for t in range(r)) for k in _WEIGHT_PRIMES]
-    return list(dict.fromkeys(units + geometric))
+    return tuple(dict.fromkeys(units + geometric))
 
 
 _DEAD_WEIGHT = "dead-weight"          # this weight refuted, subgroup still open

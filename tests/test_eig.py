@@ -4,6 +4,7 @@ import itertools
 import random
 import signal
 from dataclasses import replace
+from fractions import Fraction
 from math import isqrt, lcm
 
 import pytest
@@ -12,10 +13,14 @@ from frobeig import eig as eig_module
 from frobeig.analysis import Analysis
 from frobeig.config import DEFAULT
 from frobeig.corpus import CORPUS
-from frobeig.eig import (_FIX_BITS, _box_hits, _orders_lcm, _relation_engine,
-                         _Relations, action_rows, apply_rows, build_eig_group,
-                         frobenius_rank, invariants_report, realize_coords)
-from frobeig.errors import FrobeigError, MalformedInput, TorsionDetected
+from frobeig.eig import (_FIX_BITS, _box_hits, _factor_firsts,
+                         _newton_valuations, _orders_lcm, _relation_engine,
+                         _Relations, _slope_rows, _torsion_rank, action_rows,
+                         apply_rows, build_eig_group, frobenius_rank,
+                         invariants_report, realize_coords)
+from frobeig.errors import (FrobeigError, InternalInconsistency,
+                            MalformedInput, TorsionDetected)
+from frobeig.exactmath.intpoly import IntPoly
 from frobeig.exactmath.latt import hnf_rows, in_row_lattice
 from frobeig.report import galois_fragment
 from frobeig.splitfield import (ModRing, galois_group, is_root_of_unity,
@@ -23,7 +28,8 @@ from frobeig.splitfield import (ModRing, galois_group, is_root_of_unity,
                                 word_value)
 from frobeig.weil import base_change, validate
 
-from conftest import analysis_cached, minors_gcd, split_cached
+from conftest import (analysis_cached, minors_gcd, seeded_weil_inputs,
+                      split_cached)
 
 
 def eig_cached(q, coeffs):
@@ -582,7 +588,8 @@ class TestCertifiedScan:
             e, ring = an.eig, an.field.ring()
             one = ring.const(1)
             calls.clear()
-            _relation_engine(an.field, e, bound, an.rho)
+            _relation_engine(an.field, e, bound, an.rho,
+                             _torsion_rank(an.data, an.gal.perms, e, an.rho))
             (_, kweights, *kscan), (_, tweights, *tscan) = calls
             assert kweights == e.weight_vector
             assert tweights == (1,) * e.n_roots
@@ -613,6 +620,13 @@ class TestCertifiedScan:
         # order 48 took 20-35 s when re-checked by exact image arithmetic,
         # and then only on its generators
         (3, (27, 27, 6, -1, 2, 3, 1), 48, (), 3),
+        # (x^2-2x+2)(x^2-x+2)(x^2+2)(x^2+x+2)(x^2+2x+2), ten roots: a
+        # torsion scan that stops only at rank s - 1 = 9 visits all
+        # 12 104 054 hits of its box (about 50 s); the slopes certify
+        # rank 8, and the scan stops there
+        (2, (32, 0, 40, 0, 28, 0, 14, 0, 5, 0, 1), 8,
+         ((1, 0, 0, 0, 5, -3), (0, 1, 0, 1, 4, -3), (0, 0, 2, 0, 4, -3),
+          (0, 0, 0, 0, 8, -4)), 1),
     ])
     def test_large_inputs_within_guard(self, q, coeffs, degree, basis, r):
         def too_slow(signum, frame):
@@ -632,3 +646,107 @@ class TestCertifiedScan:
         assert relations[1] == r
         assert gal.order == degree
         assert galois_fragment(gal)["fully_certified"] is True
+
+
+def _full_scan(an):
+    """The relation engine with the torsion scan's old stop, s - 1, which
+    it reaches only when r = 0: (kernel lattice, r, torsion rank)."""
+    made = []
+
+    class Kept(_Relations):
+        def __init__(self, test):
+            super().__init__(test)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eig_module, "_Relations", Kept)
+        lattice, r = _relation_engine(an.field, an.eig, DEFAULT.search_bound,
+                                      an.rho, an.eig.n_roots - 1)
+    _, torsion = made
+    return lattice, r, len(torsion.rows)
+
+
+def _candidate_ranks(an):
+    """The kernel ranks of the slope candidates' row sets."""
+    ones = (1,) * an.eig.n_roots
+    return {len(ones) - len(hnf_rows((ones,) + rows))
+            for rows in _slope_rows(an.data, an.gal.perms)}
+
+
+class TestSlopeCertificate:
+    """The torsion rank that the Newton-polygon slopes certify."""
+
+    @pytest.mark.parametrize("coeffs, p, want", [
+        # ordinary: x^2 + x + 3 over Q_3
+        ((3, 1, 1), 3, (1, 0)),
+        # supersingular sextic x^6 + 9x^3 + 27
+        ((27, 0, 0, 9, 0, 0, 1), 3, (Fraction(1, 2),) * 6),
+        # mixed slopes 0, 1/2, 1/2, 1: x^4 + x^3 + 2x + 4 over Q_2
+        ((4, 2, 0, 1, 1), 2, (1, Fraction(1, 2), Fraction(1, 2), 0)),
+        # the real-root factors x - 2 of q = 4 and x^2 - 3 of q = 3
+        ((-2, 1), 2, (1,)),
+        ((-3, 0, 1), 3, (Fraction(1, 2),) * 2),
+    ])
+    def test_newton_valuations(self, coeffs, p, want):
+        assert tuple(_newton_valuations(coeffs, p)) == want
+
+    @pytest.mark.parametrize("coeffs, count", [
+        # ordinary g=3: three pairs {0, 1}, each oriented both ways
+        ((27, 27, 6, -1, 2, 3, 1), 8),
+        ((27, 0, 0, 9, 0, 0, 1), 1),
+    ])
+    def test_candidates_per_factor(self, coeffs, count):
+        data = validate(3, list(coeffs))
+        assert len(data.factors) == 1
+        vals = _newton_valuations(coeffs, 3)
+        scale = lcm(*(v.denominator for v in vals))
+        firsts = _factor_firsts([int(v * scale) for v in vals], 3, scale)
+        assert len(firsts) == count
+        assert all(len(t) == 3 for t in firsts)
+
+    def test_matches_the_full_scan(self):
+        inputs = [(e.q, tuple(e.coefficients)) for e in CORPUS]
+        inputs += [(q ** k, base_change(IntPoly(c), k).coefficients)
+                   for q, c in inputs for k in (2, 3, 6)]
+        inputs += seeded_weil_inputs(2026, 8, 4)
+        inputs += seeded_weil_inputs(11, 30, 15)
+        checked = disagreeing = 0
+        for q, coeffs in inputs:
+            try:
+                an = Analysis(validate(q, list(coeffs)))
+                lattice, r = an.relations
+            except FrobeigError:
+                continue
+            old, old_r, reached = _full_scan(an)
+            assert _torsion_rank(an.data, an.gal.perms, an.eig, an.rho) \
+                == reached, (q, coeffs)
+            assert (lattice.basis, lattice.saturation_index, r) == \
+                (old.basis, old.saturation_index, old_r), (q, coeffs)
+            checked += 1
+            disagreeing += len(_candidate_ranks(an)) > 1
+        assert checked > 200
+        # the sextics x^6 + a x^3 + q^3 take the verification path
+        assert disagreeing > 0
+
+    def test_verification_rejects_higher_ranks(self, monkeypatch):
+        # x^6 - 15x^3 + 125: the candidates' kernels have ranks 2 and 4,
+        # and the rank-4 one realizes to roots of unity
+        an = Analysis(validate(5, [125, 0, 0, -15, 0, 0, 1]))
+        assert _candidate_ranks(an) == {2, 4}
+        assert _torsion_rank(an.data, an.gal.perms, an.eig, an.rho) == 4
+        # a generic ordinary quartic, r = 2: its torsion is pi_0 pi_1 /
+        # (pi_2 pi_3) = 1 alone; a planted constant valuation has kernel
+        # rank 3 and a planted (0, 1, 0, 1) rank 2, and neither kernel is
+        # torsion
+        an = Analysis(validate(2, [4, 2, 3, 1, 1]))
+        true_rows = _slope_rows(an.data, an.gal.perms)
+        assert _candidate_ranks(an) == {1}
+        planted = [((1, 1, 1, 1),), ((0, 1, 0, 1),)]
+        args = (an.data, an.gal.perms, an.eig, an.rho)
+        monkeypatch.setattr(eig_module, "_slope_rows",
+                            lambda data, perms: planted + true_rows)
+        assert _torsion_rank(*args) == 1
+        monkeypatch.setattr(eig_module, "_slope_rows",
+                            lambda data, perms: planted)
+        with pytest.raises(InternalInconsistency):
+            _torsion_rank(*args)

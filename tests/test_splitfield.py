@@ -4,7 +4,7 @@ import random
 import signal
 from dataclasses import replace
 from fractions import Fraction
-from math import isqrt, lcm
+from math import lcm
 
 import pytest
 
@@ -14,14 +14,13 @@ from frobeig.corpus import CORPUS
 from frobeig.exactmath.balls import lincomb, power_rows
 from frobeig.exactmath.intpoly import IntPoly
 from frobeig.exactmath.roots import refine_roots
-from frobeig.errors import (FrobeigError, InternalInconsistency,
-                            PrecisionExhausted)
+from frobeig.errors import InternalInconsistency, PrecisionExhausted
 from frobeig.splitfield import (ModRing, _block_permutations, _compose,
                                 _subgroup_candidates, galois_group,
                                 is_root_of_unity, splitting_field, word_value)
 from frobeig.weil import validate
 
-from conftest import analysis_cached, split_cached
+from conftest import analysis_cached, seeded_weil_inputs, split_cached
 
 # sha256 of the seeded splitting fields in TestBallCertificates, with the
 # roots in the canonical order
@@ -576,31 +575,6 @@ class TestWords:
         ring = sf.ring()
         ratio = word_value(ring, sf.root_coords, [1, -1])
         assert is_root_of_unity(ring, ratio) is None
-
-
-def seeded_weil_inputs(seed, quartics, sextics):
-    """Validated quartics X^4+aX^3+bX^2+qaX+q^2 and sextics X^6+aX^3+q^3
-    drawn from a seeded generator (ascending coefficients)."""
-    rng = random.Random(seed)
-    wanted = {4: quartics, 6: sextics}
-    found = {4: [], 6: []}
-    while any(len(found[k]) < wanted[k] for k in found):
-        q = rng.choice((2, 3, 4, 5, 7, 8, 9))
-        if rng.random() < 0.5:
-            a = rng.randint(-4 * isqrt(q), 4 * isqrt(q))
-            coeffs = (q * q, q * a, rng.randint(-2 * q, 6 * q), a, 1)
-        else:
-            amax = 2 * isqrt(q ** 3)
-            coeffs = (q ** 3, 0, 0, rng.randint(-amax, amax), 0, 0, 1)
-        bucket = found[len(coeffs) - 1]
-        if len(bucket) == wanted[len(coeffs) - 1] or (q, coeffs) in bucket:
-            continue
-        try:
-            validate(q, coeffs)
-        except FrobeigError:
-            continue
-        bucket.append((q, coeffs))
-    return found[4] + found[6]
 
 
 def _upper_half_plane_reps(data):
