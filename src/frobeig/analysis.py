@@ -1,14 +1,14 @@
 """One analysis per validated record, each certified object built once.
 
 Objects are built on first read, in the order eigenvalue group,
-splitting field, Galois group, relation engine, verdicts; the relation
-engine reads the Galois group, whose conjugates of one prime above p
-certify the torsion rank where its scan stops.  Only the
+splitting field, Galois group, torsion rank, relation engine, verdicts.
+The Galois group's conjugates of one prime above p certify the torsion
+rank T, which alone gives the Frobenius rank r = s - 1 - T of both
+verdicts; the relation engine reads T only as its scan stop.  Only the
 field can fail on a bound (degree cap or precision ceiling); that
 failure is kept and raised again on every read of the field and of
 everything built on it, the Galois group included, which is certified
-exactly from the field's root coordinates.  Both verdicts use the one
-Frobenius rank r.
+exactly from the field's root coordinates.
 
 The orbit classification reads four per-record tables on packed integer
 keys of one width (see lefmot.pack_width): one expansion of the
@@ -58,11 +58,11 @@ class Analysis:
             (None, ())
         self._tate: Dict[int, bool] = {}
 
-    def undetermined(self, part: str) -> Optional[str]:
-        """Name of the field's bound failure if it leaves part ("field",
-        or "gal", which needs the field) undetermined, or None."""
+    def undetermined(self) -> Optional[str]:
+        """Name of the field's bound failure, which leaves everything
+        built on the field undetermined, or None."""
         try:
-            getattr(self, part)
+            self.field
         except _BOUNDS as exc:
             return type(exc).__name__
         return None
@@ -91,19 +91,23 @@ class Analysis:
         return Realization(eig, self.field, self.data.q)
 
     @cached_property
-    def relations(self) -> Tuple[RelationLattice, int]:
-        """(kernel lattice, Frobenius rank r): the verified multiplicative
-        relations among the eigenvalues and q, and r = rank(Eig) - 1 -
-        rank(kernel).  Reads the Galois group: the torsion scan stops at
-        the rank that the slopes certify (eig._torsion_rank)."""
+    def torsion_rank(self) -> int:
+        """rank T of the eigenvalue words that are roots of unity."""
         rho = self.rho          # before the field: see rho
-        rank = _torsion_rank(self.data, self.gal.perms, self.eig, rho)
+        return _torsion_rank(self.data, self.gal.perms, self.eig, rho)
+
+    @cached_property
+    def relations(self) -> RelationLattice:
+        """The kernel lattice of verified relations among the eigenvalues
+        and q; its torsion scan stops at torsion_rank."""
+        rank = self.torsion_rank        # before the field: see rho
         return _relation_engine(self.field, self.eig,
-                                self.settings.search_bound, rho, rank)
+                                self.settings.search_bound, self.rho, rank)
 
     @property
     def r(self) -> int:
-        return self.relations[1]
+        """The Frobenius rank s - 1 - rank T, for s distinct eigenvalues."""
+        return self.eig.n_roots - 1 - self.torsion_rank
 
     @cached_property
     def verdict(self) -> HypothesisVerdict:

@@ -17,14 +17,15 @@ away.
 The realization map rho sends symbols to the actual field elements;
 Realization tabulates it on the canonical basis, and realize_coords
 evaluates it exactly.  Its kernel is found by exhaustive box search in
-basis coordinates (complete within the bound) merged with
-lattice-reduction candidates; every vector entering the lattice is
-verified to realize to exactly 1 in the splitting field.  Torsion
-relations -- exponent vectors over the eigenvalues whose realization is
-a root of unity -- live in root coordinates, are evaluated through the
-same rho, and feed the kernel.  One accumulator, _Relations,
-holds each lattice: it skips every vector already in its HNF lattice and
-keeps the rest exactly when their relation test passes.
+basis coordinates (complete within the bound) merged with the torsion
+relations; every vector entering the lattice is verified to realize to
+exactly 1 in the splitting field.  Torsion relations -- exponent vectors
+over the eigenvalues whose realization is a root of unity -- live in
+root coordinates, come from a second box search and lattice-reduction
+candidates, are evaluated through the same rho, and feed the kernel.
+One accumulator, _Relations, holds each lattice: it skips every vector
+already in its HNF lattice and keeps the rest exactly when their
+relation test passes.
 
 Both box searches are certified.  A weight-0 word has modulus 1, so it
 realizes to 1 exactly when its angle sum is a whole number of turns, and
@@ -46,13 +47,17 @@ factor leaves few valuations s; the true one is among them, so when all
 their kernel ranks agree that rank is rank T, and otherwise it is the
 largest rank whose kernel basis realizes to roots of unity.
 
-A torsion relation a of order t yields the kernel vector t*a; that is
-all the torsion lattice is used for.  The Frobenius rank is read off the
-kernel: [q] = [pi] + [pibar] puts [q] in the span of the eigenvalue
-symbols, so r = rank<pi_1, ..., pi_s> - 1 = rank(Eig) - 1 -
-rank(ker rho).  A relation that both searches miss costs kernel rank or
-index: q=4 [4,2,1] misses (6, -3), which realizes to 1, and keeps
-(24, -12), an index-4 sublattice of the same rank, so r stays correct.
+The Frobenius rank comes from the certificate alone: [q] = [pi] +
+[pibar] puts [q] in the span of the eigenvalue symbols, so r =
+rank<pi_1, ..., pi_s> - 1 = s - 1 - rank T.  The kernel agrees once the
+torsion scan reaches rank T: a torsion relation a of order t feeds t*a
+to the kernel, every element of ker rho is a word of T after [q] = [pi]
++ [pibar], and the words of T that vanish in Eig (pi_i pibar_i / pi_j
+pibar_j) have rank #orbits - 1, so rank(Eig) - 1 - rank(kernel) = (s +
+1 - #orbits) - 1 - (rank T - #orbits + 1) = s - 1 - rank T.  A relation
+both searches miss costs the kernel only: its index (q=4 [4,2,1] misses
+(6, -3), which realizes to 1, and keeps (24, -12), of index 4), or its
+rank, shown as a false kernel_rank_identity_ok where that key is defined.
 
 The lattice-reduction candidates come from rounded angle midpoints;
 acceptance and rejection everywhere rest on exact arithmetic.
@@ -68,7 +73,6 @@ from itertools import permutations, product
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
                     Sequence, Tuple)
 
-from .config import DEFAULT, Settings
 from .errors import InternalInconsistency, MalformedInput, TorsionDetected
 from .exactmath.latt import (hnf_rows, in_row_lattice,
                              lattice_saturation_index, relation_candidates)
@@ -128,14 +132,12 @@ class RelationLattice:
     """Verified multiplicative relations, HNF rows in basis coordinates.
 
     Exhaustive within the max-norm search bound, by a certified scan;
-    lattice-reduction candidates may add longer vectors.  The lattice is
-    not saturated: realizing to a root of unity other than 1 does not
+    torsion relations may add longer vectors.  The lattice is not
+    saturated: realizing to a root of unity other than 1 does not
     qualify, so the saturation index is reported rather than divided out.
     """
     basis: Tuple[Coords, ...]
     rank: int
-    search_bound: int
-    complete_within_bound: bool
     saturation_index: int
 
 
@@ -483,29 +485,25 @@ class _Relations:
 
 
 def _relation_engine(field: SplittingField, eig: EigGroup, bound: int,
-                     rho: Realization,
-                     torsion_rank: int) -> Tuple[RelationLattice, int]:
-    """Kernel lattice and Frobenius rank r = rank(Eig) - 1 - rank(kernel).
+                     rho: Realization, torsion_rank: int) -> RelationLattice:
+    """The kernel lattice: verified relations among the eigenvalues and q.
 
-    Runs both bounded searches, the torsion box scan only until the
-    torsion lattice reaches torsion_rank (see _torsion_rank); each
-    verified torsion relation a of order t adds t*a to the kernel, and
-    the torsion lattice serves no other purpose.  A relation both
-    searches miss lowers the kernel's rank or raises its index (see the
-    module docstring).
-    Each box search visits exactly the box vectors whose certified
-    fixed-point angle sum passes its relation test, a superset of the
-    relations in the box, in lexicographic order; as a _Relations keeps
-    nothing from a non-relation, the result depends only on the
-    relations.  Kernel and torsion vectors are both evaluated through
-    rho, the realization map of eig in field.
+    Runs the kernel box scan, the torsion box scan until the torsion
+    lattice reaches torsion_rank (see _torsion_rank), and the torsion
+    lattice-reduction candidates; each verified torsion relation a of
+    order t adds t*a to the kernel, its only use.  Each box search visits
+    exactly the box vectors whose certified fixed-point angle sum passes
+    its relation test, a superset of the relations in the box, in
+    lexicographic order; as a _Relations keeps nothing from a
+    non-relation, the result depends only on the relations.  Both
+    lattices are evaluated through rho, the realization map of eig in
+    field.
     """
     ring = field.ring()
     s = eig.n_roots
     one = ring.const(1)
-    prec = 128
-    root_arg_balls = [arg_ball(ball, prec) for ball in field.root_balls]
-    two_pi = two_pi_ball(prec)
+    root_arg_balls = [arg_ball(ball, 128) for ball in field.root_balls]
+    two_pi = two_pi_ball(128)
 
     def kernel_test(a: Coords) -> Optional[int]:
         # a word realizing to 1 has modulus 1, so weight 0
@@ -532,18 +530,12 @@ def _relation_engine(field: SplittingField, eig: EigGroup, bound: int,
     for a in _box_hits(bound, eig.weight_vector, fix, err):
         kernel.add(a)
 
-    angle_balls = [(0, 0) if br is None else root_arg_balls[br]
-                   for br in eig.basis_roots]
-    lll_cap = max(16, 4 * bound)
-    for cand in relation_candidates(angle_balls, two_pi, lll_cap):
-        kernel.add(cand)
-
     # a sum-zero word has modulus 1 and lies in the field, so it is a root
     # of unity exactly when _orders_lcm(deg K) times its angle sum is a
     # whole number of turns.  The slopes certify the torsion lattice's
     # rank (Kronecker: valuation 0 at every prime above p), and verified
     # torsion never exceeds it, so the scan stops there: a further
-    # relation could change only the kernel's index, not r.
+    # relation could change only the kernel's index.
     lcm = _orders_lcm(ring.n)
     fix = [lcm * f for f in turns]
     hits = _box_hits(bound, (1,) * s, fix, lcm * bound * sum(turn_err))
@@ -553,34 +545,30 @@ def _relation_engine(field: SplittingField, eig: EigGroup, bound: int,
             break
         torsion.add(a)
 
-    for cand in relation_candidates(root_arg_balls, two_pi, lll_cap):
-        torsion.add(cand)
-        g = math.gcd(*[abs(c) for c in cand])
-        if g > 1:
-            torsion.add(tuple(c // g for c in cand))
+    # a word is torsion exactly when its primitive vector is, and the
+    # primitive vector spans the larger lattice
+    for cand in relation_candidates(root_arg_balls, two_pi,
+                                    max(16, 4 * bound)):
+        g = math.gcd(*cand)
+        torsion.add(tuple(c // g for c in cand))
 
     # a torsion relation of order t yields the kernel vector t * a
     for vec, order in torsion.found:
         kernel.add(apply_rows(eig.symbol_coords, [order * c for c in vec]))
 
-    # [q] = [pi] + [pibar], so rank<pi_1, ..., pi_s> = rank(Eig) - rank(ker)
-    r = eig.rank - 1 - len(kernel.rows)
-    lattice = RelationLattice(
-        basis=kernel.rows, rank=len(kernel.rows), search_bound=bound,
-        complete_within_bound=True,
+    return RelationLattice(
+        basis=kernel.rows, rank=len(kernel.rows),
         saturation_index=lattice_saturation_index(
             [list(row) for row in kernel.rows]))
-    return lattice, r
 
 
-def frobenius_rank(data: WeilData, field: SplittingField, eig: EigGroup,
-                   settings: Settings = DEFAULT) -> int:
-    """Rank of the multiplicative group of the eigenvalues, minus one."""
+def frobenius_rank(data: WeilData, field: SplittingField,
+                   eig: EigGroup) -> int:
+    """Rank of the multiplicative group of the eigenvalues, minus one:
+    s - 1 - rank T, from the slope certificate (see _torsion_rank)."""
     rho = Realization(eig, field, data.q)
     perms = galois_group(field, data).perms
-    _, r = _relation_engine(field, eig, settings.search_bound, rho,
-                            _torsion_rank(data, perms, eig, rho))
-    return r
+    return eig.n_roots - 1 - _torsion_rank(data, perms, eig, rho)
 
 
 # Base-change degrees k = 2..12 scanned for multiplicity growth.  The
@@ -629,7 +617,7 @@ def invariants_report(an: Analysis) -> Dict[str, object]:
     report["torsion_free"] = True
     report["basis_labels"] = list(an.eig.basis_labels)
 
-    reason = an.undetermined("field")
+    reason = an.undetermined()
     if reason:
         missing = ["frobenius_rank", "kernel_rank", "kernel_basis",
                    "saturation_index", "splitting_degree", "rank_bound_ok",
@@ -639,13 +627,14 @@ def invariants_report(an: Analysis) -> Dict[str, object]:
         report["undetermined_reason"] = reason
         return report
 
-    lattice, r = an.relations
+    lattice, r = an.relations, an.r
     report["splitting_degree"] = an.field.degree
     report["frobenius_rank"] = r
     report["kernel_rank"] = lattice.rank
     report["kernel_basis"] = [list(row) for row in lattice.basis]
-    report["kernel_complete_within_bound"] = lattice.complete_within_bound
-    report["search_bound"] = lattice.search_bound
+    # the certified scan is complete within the option's bound
+    report["kernel_complete_within_bound"] = True
+    report["search_bound"] = an.settings.search_bound
     report["saturation_index"] = lattice.saturation_index
 
     if data.is_simple:

@@ -317,7 +317,7 @@ def _report(record: InputRecord, opts: Dict[str, int], key: str,
 
     rep["eig"] = eig_fragment(an.eig)
 
-    reason = an.undetermined("gal")
+    reason = an.undetermined()
     if reason:
         for part in ("galois", "decompositions", "hypothesis",
                      "signature_predictions"):

@@ -5,7 +5,7 @@ import random
 import signal
 from dataclasses import replace
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 
@@ -15,13 +15,16 @@ from frobeig.config import DEFAULT
 from frobeig.corpus import CORPUS
 from frobeig.eig import (_FIX_BITS, _box_hits, _factor_firsts,
                          _newton_valuations, _orders_lcm, _relation_engine,
-                         _Relations, _slope_rows, _torsion_rank, action_rows,
-                         apply_rows, build_eig_group, frobenius_rank,
-                         invariants_report, realize_coords)
+                         _Relations, _slope_rows, _torsion_rank, _turns,
+                         action_rows, apply_rows, build_eig_group,
+                         frobenius_rank, invariants_report, realize_coords)
 from frobeig.errors import (FrobeigError, InternalInconsistency,
                             MalformedInput, TorsionDetected)
 from frobeig.exactmath.intpoly import IntPoly
-from frobeig.exactmath.latt import hnf_rows, in_row_lattice
+from frobeig.exactmath.latt import (hnf_rows, in_row_lattice,
+                                   lattice_saturation_index,
+                                   relation_candidates)
+from frobeig.exactmath.roots import arg_ball, two_pi_ball
 from frobeig.report import galois_fragment
 from frobeig.splitfield import (ModRing, galois_group, is_root_of_unity,
                                 orbit_representatives, splitting_field,
@@ -177,13 +180,12 @@ class TestGaloisAction:
 
 class TestRealizationKernel:
     def test_ordinary_injective(self):
-        k = analysis_cached(5, (5, -1, 1)).relations[0]
+        k = analysis_cached(5, (5, -1, 1)).relations
         assert k.rank == 0 and k.basis == ()
-        assert k.complete_within_bound
 
     def test_supersingular_index_two_sublattice(self):
         data, field, e = eig_cached(3, (3, 0, 1))
-        k = analysis_cached(3, (3, 0, 1)).relations[0]
+        k = analysis_cached(3, (3, 0, 1)).relations
         assert k.basis == ((4, -2),)
         assert k.saturation_index == 2
         # the half vector realizes to -1, not 1, so it must stay out
@@ -195,22 +197,22 @@ class TestRealizationKernel:
         assert value == ring.const(-1)
 
     def test_real_root_injective(self):
-        k = analysis_cached(9, (9, 6, 1)).relations[0]
+        k = analysis_cached(9, (9, 6, 1)).relations
         assert k.rank == 0
 
     def test_product_with_supersingular_factor(self):
-        k = analysis_cached(5, (25, -5, 10, -1, 1)).relations[0]
+        k = analysis_cached(5, (25, -5, 10, -1, 1)).relations
         assert k.rank == 1
         assert k.basis == ((4, 0, -2),)
         assert k.saturation_index == 2
 
     def test_generic_quartic_no_relations(self):
-        k = analysis_cached(5, (25, -5, 6, -1, 1)).relations[0]
+        k = analysis_cached(5, (25, -5, 6, -1, 1)).relations
         assert k.rank == 0
 
     def test_degenerate_sextic_rank_three(self):
         data, field, e = eig_cached(3, (27, 0, 0, 0, 0, 0, 1))
-        k = analysis_cached(3, (27, 0, 0, 0, 0, 0, 1)).relations[0]
+        k = analysis_cached(3, (27, 0, 0, 0, 0, 0, 1)).relations
         assert k.rank == 3
         # every basis vector realizes to exactly 1
         ring = field.ring()
@@ -261,9 +263,9 @@ class TestFrobeniusRank:
             twist = Analysis(validate(entry.q, [
                 c if i % 2 == 0 else -c
                 for i, c in enumerate(entry.coefficients)]))
-            assert (twist.relations[0].rank, twist.r, twist.field.degree,
+            assert (twist.relations.rank, twist.r, twist.field.degree,
                     twist.gal.order) == \
-                (an.relations[0].rank, an.r, an.field.degree,
+                (an.relations.rank, an.r, an.field.degree,
                  an.gal.order), entry.tag
 
     def test_random_quadratics_satisfy_rank_identity(self):
@@ -278,7 +280,7 @@ class TestFrobeniusRank:
             data = validate(q, [q, -a, 1])
             field = splitting_field(data)
             e = build_eig_group(data)
-            k = Analysis(data).relations[0]
+            k = Analysis(data).relations
             r = frobenius_rank(data, field, e)
             assert r + 1 + k.rank == e.rank
 
@@ -390,7 +392,7 @@ class TestRealization:
         rng = random.Random(20261018)
         for entry in CORPUS:
             an = analysis_cached(entry.q, tuple(entry.coefficients))
-            if an.undetermined("field") is None:
+            if an.undetermined() is None:
                 self._agree(an, rng)
 
     @pytest.mark.parametrize("degree", [4, 6])
@@ -430,7 +432,7 @@ def test_kernel_holds_every_relation_realizing_to_one():
     an = analysis_cached(4, (4, 2, 1))
     # pi = 2 zeta_3, so pi^6 = 64 = q^3
     assert realize_coords(an.rho, (6, -3)) == an.field.ring().const(1)
-    assert in_row_lattice(an.relations[0].basis, (6, -3))
+    assert in_row_lattice(an.relations.basis, (6, -3))
 
 
 def _lattice_oracle(rows, vec):
@@ -583,13 +585,13 @@ class TestCertifiedScan:
         bound = 2
         for entry in CORPUS:
             an = analysis_cached(entry.q, tuple(entry.coefficients))
-            if an.undetermined("field") is not None:
+            if an.undetermined() is not None:
                 continue
             e, ring = an.eig, an.field.ring()
             one = ring.const(1)
             calls.clear()
             _relation_engine(an.field, e, bound, an.rho,
-                             _torsion_rank(an.data, an.gal.perms, e, an.rho))
+                             an.torsion_rank)
             (_, kweights, *kscan), (_, tweights, *tscan) = calls
             assert kweights == e.weight_vector
             assert tweights == (1,) * e.n_roots
@@ -636,34 +638,73 @@ class TestCertifiedScan:
         signal.alarm(10)
         try:
             an = Analysis(validate(q, list(coeffs)))
-            relations = an.relations
+            lattice = an.relations
             gal = an.gal
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert an.field.degree == degree
-        assert relations[0].basis == basis
-        assert relations[1] == r
+        assert lattice.basis == basis
+        assert an.r == r == an.eig.rank - 1 - lattice.rank
         assert gal.order == degree
         assert galois_fragment(gal)["fully_certified"] is True
 
 
 def _full_scan(an):
-    """The relation engine with the torsion scan's old stop, s - 1, which
-    it reaches only when r = 0: (kernel lattice, r, torsion rank)."""
-    made = []
+    """The relation engine as it read r before the slope certificate: its
+    torsion scan stops only at s - 1, which it reaches only when r = 0,
+    lattice-reduction candidates feed both lattices, and each torsion
+    candidate is added as it is and then divided by its gcd.  Returns
+    (kernel basis, saturation index, r = rank(Eig) - 1 - rank(kernel),
+    torsion rank reached)."""
+    field, e, rho, bound = an.field, an.eig, an.rho, DEFAULT.search_bound
+    ring = field.ring()
+    one = ring.const(1)
+    root_arg_balls = [arg_ball(ball, 128) for ball in field.root_balls]
+    two_pi = two_pi_ball(128)
 
-    class Kept(_Relations):
-        def __init__(self, test):
-            super().__init__(test)
-            made.append(self)
+    def kernel_test(a):
+        if sum(w * c for w, c in zip(e.weight_vector, a)) == 0 and \
+                realize_coords(rho, a) == one:
+            return 1
+        return None
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eig_module, "_Relations", Kept)
-        lattice, r = _relation_engine(an.field, an.eig, DEFAULT.search_bound,
-                                      an.rho, an.eig.n_roots - 1)
-    _, torsion = made
-    return lattice, r, len(torsion.rows)
+    def torsion_test(a):
+        if sum(a) != 0:
+            return None
+        return is_root_of_unity(
+            ring, realize_coords(rho, apply_rows(e.symbol_coords, a)))
+
+    kernel, torsion = _Relations(kernel_test), _Relations(torsion_test)
+    turns, turn_err = _turns(root_arg_balls, two_pi)
+    fix = [0 if br is None else turns[br] for br in e.basis_roots]
+    err = bound * sum(0 if br is None else turn_err[br]
+                      for br in e.basis_roots)
+    for a in _box_hits(bound, e.weight_vector, fix, err):
+        kernel.add(a)
+    angle_balls = [(0, 0) if br is None else root_arg_balls[br]
+                   for br in e.basis_roots]
+    lll_cap = max(16, 4 * bound)
+    for cand in relation_candidates(angle_balls, two_pi, lll_cap):
+        kernel.add(cand)
+    order_lcm = _orders_lcm(ring.n)
+    hits = _box_hits(bound, (1,) * e.n_roots, [order_lcm * f for f in turns],
+                     order_lcm * bound * sum(turn_err))
+    while len(torsion.rows) < e.n_roots - 1:
+        a = next(hits, None)
+        if a is None:
+            break
+        torsion.add(a)
+    for cand in relation_candidates(root_arg_balls, two_pi, lll_cap):
+        torsion.add(cand)
+        g = gcd(*[abs(c) for c in cand])
+        if g > 1:
+            torsion.add(tuple(c // g for c in cand))
+    for vec, order in torsion.found:
+        kernel.add(apply_rows(e.symbol_coords, [order * c for c in vec]))
+    return (kernel.rows,
+            lattice_saturation_index([list(row) for row in kernel.rows]),
+            e.rank - 1 - len(kernel.rows), len(torsion.rows))
 
 
 def _candidate_ranks(an):
@@ -714,19 +755,50 @@ class TestSlopeCertificate:
         for q, coeffs in inputs:
             try:
                 an = Analysis(validate(q, list(coeffs)))
-                lattice, r = an.relations
+                lattice = an.relations
             except FrobeigError:
                 continue
-            old, old_r, reached = _full_scan(an)
-            assert _torsion_rank(an.data, an.gal.perms, an.eig, an.rho) \
-                == reached, (q, coeffs)
-            assert (lattice.basis, lattice.saturation_index, r) == \
-                (old.basis, old.saturation_index, old_r), (q, coeffs)
+            basis, index, old_r, reached = _full_scan(an)
+            assert an.torsion_rank == reached, (q, coeffs)
+            assert (lattice.basis, lattice.saturation_index) == \
+                (basis, index), (q, coeffs)
+            assert an.r == an.eig.n_roots - 1 - an.torsion_rank == \
+                an.eig.rank - 1 - lattice.rank == old_r, (q, coeffs)
             checked += 1
             disagreeing += len(_candidate_ranks(an)) > 1
-        assert checked > 200
+        # two of the 285 inputs end in FrobeigError
+        assert (len(inputs), checked) == (285, 283)
         # the sextics x^6 + a x^3 + q^3 take the verification path
         assert disagreeing > 0
+
+    def test_a_torsion_shortfall_leaves_r(self, monkeypatch):
+        # q=4 [4,2,1]: pi = 2 zeta_3, so pi / pibar is torsion, rank T = 1
+        # and r = 0.  With the torsion scan and the lattice-reduction
+        # candidates emptied, the kernel misses every multiple of (6, -3);
+        # r does not move, and the rank identity flags the shortfall
+        want = analysis_cached(4, (4, 2, 1)).r
+        an = Analysis(validate(4, [4, 2, 1]))
+        scans, lll = [], []
+        real_box_hits = eig_module._box_hits
+
+        def box_hits(bound, weights, fix, err):
+            scans.append(weights)
+            if weights == (1,) * an.eig.n_roots:
+                return iter(())
+            return real_box_hits(bound, weights, fix, err)
+
+        monkeypatch.setattr(eig_module, "_box_hits", box_hits)
+        monkeypatch.setattr(eig_module, "relation_candidates",
+                            lambda *args: lll.append(args) or [])
+        assert an.r == want == 0
+        an.verdict
+        # neither r nor the verdict waits on a search
+        assert scans == [] and lll == []
+        rep = invariants_report(an)
+        assert len(scans) == 2 and len(lll) == 1
+        assert an.relations.basis == () and rep["kernel_rank"] == 0
+        assert rep["frobenius_rank"] == 0 and rep["rank_bound_ok"] is True
+        assert rep["kernel_rank_identity_ok"] is False
 
     def test_verification_rejects_higher_ranks(self, monkeypatch):
         # x^6 - 15x^3 + 125: the candidates' kernels have ranks 2 and 4,

@@ -495,8 +495,8 @@ def test_lll_matches_fraction_oracle_on_corpus(monkeypatch):
     monkeypatch.setattr(latt, "lll_reduce", capture)
     for e in CORPUS:
         Analysis(validate(e.q, list(e.coefficients))).relations
-    # one kernel and one torsion lattice per record
-    assert len(inputs) == 2 * len(CORPUS) == 114
+    # one torsion lattice per record
+    assert len(inputs) == len(CORPUS) == 57
     for basis in inputs:
         assert reduce(basis) == _fraction_lll(basis)
 

@@ -357,7 +357,7 @@ class TestDims:
     def test_injective_realization_forces_no_exotic(self):
         for q, coeffs in [(5, (5, -1, 1)), (5, (25, -5, 6, -1, 1))]:
             an = analysis_cached(q, coeffs)
-            assert an.relations[0].rank == 0
+            assert an.relations.rank == 0
             for d in (1, 2, 3):
                 for n in range(d + 1):
                     lef, tate, exo = dims(an, d, n)
@@ -390,7 +390,7 @@ class TestDims:
         for entry in CORPUS:
             an = analysis_cached(entry.q, entry.coefficients)
             g = an.data.g
-            lattice, r = an.relations
+            lattice, r = an.relations, an.r
             if lattice.rank or r != g:
                 continue
             for d in (1, 2, 3):
@@ -422,7 +422,7 @@ class TestDims:
         pairs = 0
         for entry in CORPUS:
             an = analysis_cached(entry.q, entry.coefficients)
-            if an.undetermined("gal"):
+            if an.undetermined():
                 continue
             q_coords = an.eig.q_coords
             for d in (1, 2, 3):

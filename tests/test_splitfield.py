@@ -364,7 +364,7 @@ def corpus_fields():
     out = []
     for e in CORPUS:
         an = analysis_cached(e.q, e.coefficients)
-        if an.undetermined("field") is None:
+        if an.undetermined() is None:
             out.append((an.data, an.field))
     return out
 
