@@ -103,7 +103,7 @@ _VIEWS = {
     "eig": ("eigenvalue group presentation", lambda an, opts: {
         "eig": eig_fragment(an.eig)}),
     "galois": ("Galois group of the splitting field", lambda an, opts: {
-        "splitting_degree": an.field.degree,
+        "splitting_degree": an.gal.order,
         "galois": galois_fragment(an.gal)}),
     "decompose": ("decomposition grid over d and n", lambda an, opts: {
         "decompositions": [decomposition_fragment(dec)

@@ -628,7 +628,7 @@ def invariants_report(an: Analysis) -> Dict[str, object]:
         return report
 
     lattice, r = an.relations, an.r
-    report["splitting_degree"] = an.field.degree
+    report["splitting_degree"] = an.gal.order
     report["frobenius_rank"] = r
     report["kernel_rank"] = lattice.rank
     report["kernel_basis"] = [list(row) for row in lattice.basis]

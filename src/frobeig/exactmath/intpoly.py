@@ -8,6 +8,9 @@ pseudo-remainder, and the squarefree part divides by that gcd exactly.
 The one Sturm chain, `_chain`, is built on the same routine; `quadforms`
 counts spectra with it and `roots` isolates real roots.  Power sums and
 Newton's identities work on monic polynomials, where they stay integral.
+`factor_degrees_mod` reads the factor degrees of a polynomial modulo a
+prime by distinct-degree factorization, the Frobenius cycle types that
+`splitfield.generic_group` certifies Galois groups from.
 """
 
 from __future__ import annotations
@@ -299,3 +302,86 @@ def _count(chain: List[List[int]], lo: Optional[Fraction] = None,
     at_hi = [_sign_at(c, hi) if hi is not None else _sign_at_inf(c, True)
              for c in chain]
     return _variations(at_lo) - _variations(at_hi)
+
+
+# --- factor degrees modulo a prime ---
+
+def _rem_mod(a: List[int], f: Sequence[int], ell: int) -> List[int]:
+    """a mod f over F_ell for monic f, trailing zeros stripped."""
+    n = len(f) - 1
+    a = list(a)
+    for t in range(len(a) - 1, n - 1, -1):
+        c = a[t] % ell
+        if c:
+            for i in range(n):
+                a[t - n + i] -= c * f[i]
+    return list(_strip([c % ell for c in a[:n]]))
+
+
+def _mul_mod(a: Sequence[int], b: Sequence[int], f: Sequence[int],
+             ell: int) -> List[int]:
+    conv = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                conv[j] += x * y
+    return _rem_mod(conv, f, ell)
+
+
+def _monic_gcd_mod(a: List[int], b: List[int], ell: int) -> List[int]:
+    """The monic gcd over F_ell of a and b, not both zero, by Euclid."""
+    while b:
+        inv = pow(b[-1], -1, ell)
+        b = [c * inv % ell for c in b]
+        a, b = b, _rem_mod(a, b, ell)
+    inv = pow(a[-1], -1, ell)
+    return [c * inv % ell for c in a]
+
+
+def _div_mod(a: List[int], b: Sequence[int], ell: int) -> List[int]:
+    """a / b over F_ell for monic b dividing a."""
+    a, db = list(a), len(b) - 1
+    out = [0] * (len(a) - db)
+    for k in range(len(out) - 1, -1, -1):
+        c = out[k] = a[k + db] % ell
+        if c:
+            for i, bc in enumerate(b):
+                a[k + i] -= c * bc
+    return out
+
+
+def factor_degrees_mod(poly: IntPoly, ell: int) -> Tuple[int, ...]:
+    """Degrees, ascending, of the irreducible factors mod the prime ell of
+    the monic poly, which must be squarefree mod ell (ell does not
+    divide its discriminant).
+
+    Distinct-degree factorization: x^(ell^d) - x is the product of the
+    monic irreducibles of degree dividing d, so once the factors of
+    degree below d are divided out, gcd(f, x^(ell^d) - x) is the product
+    of the factors of degree d.  A remainder of degree below 2(d + 1) is
+    irreducible."""
+    f = [c % ell for c in poly.coefficients]
+    xp = _rem_mod([0, 1], f, ell)      # x^(ell^d) mod f
+    degrees: List[int] = []
+    d = 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        base, e, acc = xp, ell, [1]
+        while e:
+            if e & 1:
+                acc = _mul_mod(acc, base, f, ell)
+            e >>= 1
+            if e:
+                base = _mul_mod(base, base, f, ell)
+        xp = acc
+        diff = xp + [0] * (2 - len(xp))
+        diff[1] -= 1
+        common = _monic_gcd_mod(f, list(_strip([c % ell for c in diff])),
+                                ell)
+        if len(common) > 1:
+            degrees += [d] * ((len(common) - 1) // d)
+            f = _div_mod(f, common, ell)
+            xp = _rem_mod(xp, f, ell)
+    if len(f) > 1:
+        degrees.append(len(f) - 1)
+    return tuple(degrees)

@@ -75,6 +75,15 @@ enclosure is ever divided.
 permutations form a group of the field's degree that centralizes the
 conjugation involution; it reads no enclosure and no field element.
 
+Most records never get here.  `generic_group` certifies G = W' for a
+simple record with no real root and at least two conjugate pairs, the
+commonest Galois group, from three rational square tests and the
+Frobenius cycle types of h mod small primes (see its docstring), and
+`galois_data` runs the same group checks on those permutations.  Only
+when that certificate fails is the field built.  A cycle type also
+bounds |G| from below, so an input whose group provably exceeds the
+degree cap ends there without the subgroup search.
+
 Rejection is equally certified.  When H is the Galois group, every power
 sum Tr(x^k) and, past the squarefree gate, every trace t_{i,k} is an
 integer for every weight, and the true coordinates pass every identity
@@ -95,19 +104,21 @@ witness.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
-from itertools import islice, tee
-from math import gcd, lcm
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from itertools import islice, product, tee
+from math import factorial, gcd, isqrt, lcm
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .config import DEFAULT, Settings
 from .errors import (Ambiguous, DegreeCapExceeded, InternalInconsistency,
                      PrecisionExhausted)
 from .exactmath.balls import (ComplexBall, integer_power_sums, lincomb,
                               power_rows)
-from .exactmath.intpoly import IntPoly, from_power_sums, power_sums
-from .exactmath.roots import refine_roots
+from .exactmath.intpoly import (IntPoly, factor_degrees_mod, from_power_sums,
+                                power_sums)
+from .exactmath.roots import real_weil_poly, refine_roots
 from .quadforms import _charpoly, bareiss_solve
 from .weil import _SMALL_PRIMES, WeilData
 
@@ -571,15 +582,21 @@ def galois_group(field: SplittingField, data: WeilData) -> GaloisData:
     The construction already certified every permutation as the action of
     a field automorphism on the roots (see `_try_candidate`), so this
     operation checks only that the permutations form a group of the
-    field's degree that contains the identity and centralizes the
-    conjugation involution; closure holds when their greedy generators
-    span exactly the set.
+    field's degree (see `galois_data`).
     """
-    perms = list(field.group_perms)
-    n_roots = len(field.root_coords)
-    order = len(perms)
-    if order != field.degree:
+    if len(field.group_perms) != field.degree:
         raise InternalInconsistency("group order differs from field degree")
+    return galois_data(field.group_perms, data)
+
+
+def galois_data(perms: Sequence[Perm], data: WeilData) -> GaloisData:
+    """The group of the sorted permutations perms of the root indices,
+    after exact checks that it contains the identity and centralizes the
+    conjugation involution; closure holds when their greedy generators
+    span exactly the set."""
+    perms = list(perms)
+    n_roots = len(data.iota)
+    order = len(perms)
     ident = tuple(range(n_roots))
     perm_set = set(perms)
     if ident not in perm_set or data.iota not in perm_set:
@@ -602,6 +619,145 @@ def galois_group(field: SplittingField, data: WeilData) -> GaloisData:
         raise InternalInconsistency("group is not closed")
     return GaloisData(perms=tuple(perms), order=order,
                       generator_indices=tuple(perms.index(g) for g in gens))
+
+
+# --- G = W' from Frobenius data alone ---
+
+# generic_group reads the Frobenius cycle types of the first
+# _CYCLE_TYPE_BUDGET primes below 2^10 that divide neither q nor the two
+# discriminants: on g = 3, where the rarest classes of W' other than 1
+# and iota have density 1/16, the budget misses one with probability
+# about 2 (15/16)^128 < 10^-3
+_CYCLE_TYPE_BUDGET = 128
+
+# a signed cycle type: (k, positive k-cycles, negative k-cycles) for each
+# cycle length k of the pairs, ascending
+SignedType = Tuple[Tuple[int, int, int], ...]
+
+
+def _is_square(n: int) -> bool:
+    return n >= 0 and isqrt(n) ** 2 == n
+
+
+def _abs_discriminant(poly: IntPoly) -> int:
+    """|disc| of the monic poly: the Hankel determinant det [p_(i+j)] of
+    its power sums is det(V^T V) = det(V)^2 for the Vandermonde matrix V
+    of its roots."""
+    n = poly.degree
+    sums = power_sums(poly, 2 * n - 2)
+    return abs(bareiss_solve([[sums[i + j] for j in range(n)]
+                              for i in range(n)], [[0]] * n)[1])
+
+
+def _partitions(n: int, top: int) -> List[Tuple[int, ...]]:
+    """Partitions of n into parts at most top, parts descending."""
+    if n == 0:
+        return [()]
+    return [(k,) + rest for k in range(min(n, top), 0, -1)
+            for rest in _partitions(n - k, k)]
+
+
+def _signed_types(g: int) -> Set[SignedType]:
+    """Every signed cycle type of W' = (Z/2)^g x| S_g, one per conjugacy
+    class: a cycle type of the pairs, with each length's cycles split
+    into positive and negative ones."""
+    out = set()
+    for part in _partitions(g, g):
+        counts = Counter(part)
+        lengths = sorted(counts)
+        for negs in product(*(range(counts[k] + 1) for k in lengths)):
+            out.add(tuple((k, counts[k] - b, b)
+                          for k, b in zip(lengths, negs)))
+    return out
+
+
+def _signed_type(root_degrees: Sequence[int],
+                 pair_degrees: Sequence[int]) -> SignedType:
+    """The signed cycle type of an element of W' whose cycle lengths are
+    root_degrees on the roots and pair_degrees on the pairs.  A k-cycle of
+    pairs is positive when it lifts to two k-cycles of roots and negative
+    when it lifts to one 2k-cycle, so the root k-cycles number twice the
+    positive k-cycles plus the negative k/2-cycles; read by increasing
+    k."""
+    roots, pairs = Counter(root_degrees), Counter(pair_degrees)
+    out = []
+    neg: Dict[int, int] = {}
+    for k in range(1, max(pairs) + 1):
+        pos = (roots[k] - (neg.get(k // 2, 0) if k % 2 == 0 else 0)) // 2
+        neg[k] = pairs[k] - pos
+        if pairs[k]:
+            out.append((k, pos, neg[k]))
+    return tuple(out)
+
+
+def generic_group(data: WeilData, cap: int) -> Optional[Tuple[Perm, ...]]:
+    """W', sorted, when it is certified to be the Galois group G of a
+    simple record with no real root and g >= 2 conjugate pairs; None
+    when the certificate does not apply or fails, which leaves G to the
+    field construction.
+
+    For such a record W' is the signed permutation group (Z/2)^g x| S_g
+    of the roots pi_i, pibar_i of the factor h, and its abelianization is
+    (Z/2)^2: the sign of the permutation of the pairs and the parity of
+    the number of flips.  Those two characters and their product are
+    trivial on G exactly when, in turn, Delta = disc(h+) (of the real
+    Weil polynomial h+ with roots y_i = pi_i + pibar_i), delta^2 or
+    Delta delta^2 is a rational square, with delta = prod (pi_i -
+    pibar_i) and delta^2 = prod (y_i^2 - 4q) = N = A^2 - q B^2 for h+(2
+    sqrt(q)) = A + B sqrt(q).  Any square leaves G inside an index-2
+    subgroup; then None.  For g = 2, W' is dihedral of order 8, a 2-group
+    whose maximal subgroups all have index 2, so no square proves G = W'.
+
+    For g >= 3, Frobenius elements certify it.  For a prime ell that
+    divides neither q nor disc(h) nor disc(h+), Dedekind's theorem makes
+    the degrees of the factors of h and of h+ mod ell the cycle lengths,
+    on the roots and on the pairs, of an element of G; together they give
+    its signed cycle type (_signed_type), which names its conjugacy class
+    in W'.  G contains 1 and iota, which is central, so once the first
+    _CYCLE_TYPE_BUDGET such primes have shown every other class of W',
+    G meets every conjugacy class, and by Jordan's lemma (a proper
+    subgroup misses some class: the conjugates of H cover fewer than |W'|
+    elements) G = W'.  Otherwise None.  Each element's order, the lcm of
+    its cycle lengths, divides |G|, and so does the number 2g of roots, G
+    being transitive on them: as soon as their lcm exceeds cap,
+    DegreeCapExceeded, as the field construction would end.
+
+    A certified W' larger than cap raises DegreeCapExceeded too.
+    """
+    n = len(data.roots)
+    if len(data.factors) != 1 or data.real_root_indices or n < 4:
+        return None
+    q, g, h = data.q, n // 2, data.factors[0].poly
+    hplus = real_weil_poly(h, q)
+    disc = _abs_discriminant(hplus)         # positive: g real roots
+    # h+(2 sqrt(q)) = A + B sqrt(q), from the even and odd coefficients
+    coeffs = hplus.coefficients
+    a = sum(c * (4 * q) ** j for j, c in enumerate(coeffs[0::2]))
+    b = sum(2 * c * (4 * q) ** j for j, c in enumerate(coeffs[1::2]))
+    norm = a * a - q * b * b
+    if _is_square(disc) or _is_square(norm) or _is_square(disc * norm):
+        return None
+    if g > 2:
+        unseen = _signed_types(g) - {((1, g, 0),), ((1, 0, g),)}
+        bad = q * _abs_discriminant(h) * disc
+        order = n               # the lcm of the orders seen, with 2g
+        usable = (ell for ell in _SMALL_PRIMES if bad % ell)
+        for ell in islice(usable, _CYCLE_TYPE_BUDGET):
+            root_degrees = factor_degrees_mod(h, ell)
+            order = lcm(order, *root_degrees)
+            if order > cap:
+                raise DegreeCapExceeded(
+                    f"splitting field degree exceeds the cap {cap}")
+            unseen.discard(_signed_type(root_degrees,
+                                        factor_degrees_mod(hplus, ell)))
+            if not unseen:
+                break
+        else:
+            return None
+    if 2 ** g * factorial(g) > cap:
+        raise DegreeCapExceeded(f"splitting field degree exceeds the cap {cap}")
+    return tuple(_block_permutations(n, [data.factors[0].root_indices],
+                                     data.iota))
 
 
 # --- multiplicative words and torsion tests ---

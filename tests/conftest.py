@@ -1,12 +1,10 @@
 import itertools
 import math
-import random
 from fractions import Fraction
 from functools import lru_cache
 
 from frobeig.analysis import Analysis
 from frobeig.corpus import CORPUS
-from frobeig.errors import FrobeigError
 from frobeig.exactmath.balls import ComplexBall
 from frobeig.weil import validate
 
@@ -22,31 +20,6 @@ def split_cached(q, coeffs):
     """validate + splitting_field, cached across the whole test session."""
     an = analysis_cached(q, tuple(coeffs))
     return an.data, an.field
-
-
-def seeded_weil_inputs(seed, quartics, sextics):
-    """Validated quartics X^4+aX^3+bX^2+qaX+q^2 and sextics X^6+aX^3+q^3
-    drawn from a seeded generator (ascending coefficients)."""
-    rng = random.Random(seed)
-    wanted = {4: quartics, 6: sextics}
-    found = {4: [], 6: []}
-    while any(len(found[k]) < wanted[k] for k in found):
-        q = rng.choice((2, 3, 4, 5, 7, 8, 9))
-        if rng.random() < 0.5:
-            a = rng.randint(-4 * math.isqrt(q), 4 * math.isqrt(q))
-            coeffs = (q * q, q * a, rng.randint(-2 * q, 6 * q), a, 1)
-        else:
-            amax = 2 * math.isqrt(q ** 3)
-            coeffs = (q ** 3, 0, 0, rng.randint(-amax, amax), 0, 0, 1)
-        bucket = found[len(coeffs) - 1]
-        if len(bucket) == wanted[len(coeffs) - 1] or (q, coeffs) in bucket:
-            continue
-        try:
-            validate(q, coeffs)
-        except FrobeigError:
-            continue
-        bucket.append((q, coeffs))
-    return found[4] + found[6]
 
 
 # the deep-grid store: every non-quadratic corpus record at max_power 6,

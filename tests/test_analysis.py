@@ -1,13 +1,21 @@
 """One Analysis per record: every certified object is built once."""
 
+import json
+import signal
 import sys
 
-from frobeig import eig, lefmot, splitfield, weil
+from frobeig import __version__, analysis, eig, lefmot, splitfield, weil
 from frobeig.analysis import Analysis
-from frobeig.lefmot import motive_orbits
-from frobeig.report import build_report_record, parse_record
+from frobeig.config import DEFAULT
+from frobeig.corpus import CORPUS
+from frobeig.eig import invariants_report
+from frobeig.lefmot import motive_orbits, pack
+from frobeig.report import (build_report_record, galois_fragment,
+                            parse_record, process_line)
 from frobeig.splitfield import ModRing
 from frobeig.weil import validate
+
+from families import seeded_generic_inputs, seeded_weil_inputs
 
 
 def record_calls(monkeypatch, module, name):
@@ -73,3 +81,87 @@ def test_each_tate_verdict_decided_once(monkeypatch):
     assert tate[0] == an.rho.ring.const(2)
     # negative powers start from 1/r = rbar/q, never from a field inverse
     assert inverses == []
+
+
+def _bounded(seconds, fn):
+    """fn() under a SIGALRM guard of the given seconds."""
+    def too_slow(signum, frame):
+        raise TimeoutError(f"exceeded {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(seconds)
+    try:
+        return fn()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _facts(data):
+    """What the report reads of the group and the relations, from a fresh
+    Analysis, the Tate verdicts of 0 and of the weight-zero classes b_i -
+    b_j and 2 b_i - [q], and the record's process_line bytes at
+    max_power 2."""
+    an = Analysis(data)
+    lattice = an.relations
+    roots = [j for j, br in enumerate(an.eig.basis_roots) if br is not None]
+    unit = lambda j: [int(t == j) for t in range(an.eig.rank)]
+    mus = [[0] * an.eig.rank]
+    mus += [[a - b for a, b in zip(unit(i), unit(j))]
+            for i in roots for j in roots if i != j]
+    mus += [[2 * a - b for a, b in zip(unit(i), an.eig.q_coords)]
+            for i in roots]
+    raw = json.dumps({"q": data.q, "coeffs": list(data.poly.coefficients),
+                      "options": {"max_power": 2}})
+    return (an.generic is not None,
+            galois_fragment(an.gal), invariants_report(an)["splitting_degree"],
+            an.r, an.torsion_rank, lattice.basis, lattice.saturation_index,
+            [an.is_tate(pack(mu, an.width)) for mu in mus],
+            process_line(raw, None, DEFAULT, __version__))
+
+
+class TestGenericPath:
+    """A record certified G = W' reads the group, r, the kernel and the
+    Tate verdicts from G alone; the field path must agree."""
+
+    def test_matches_the_field_path(self, monkeypatch):
+        quartics = [(e.q, e.coefficients) for e in CORPUS
+                    if len(e.coefficients) == 5]
+        quartics += seeded_weil_inputs(2026, 8, 4)
+        quartics += seeded_weil_inputs(11, 30, 0)
+        quartics += seeded_weil_inputs(7, 40, 0)
+        inputs = quartics + seeded_generic_inputs(2026, 3, 2) \
+            + [(3, (27, 27, 6, -1, 2, 3, 1))]
+        generic = []
+        for q, coeffs in dict.fromkeys((q, tuple(c)) for q, c in inputs):
+            data = validate(q, coeffs)
+            if _bounded(5, lambda: Analysis(data).generic) is None:
+                continue
+            new = _bounded(10, lambda: _facts(data))
+            with monkeypatch.context() as m:
+                m.setattr(analysis, "generic_group", lambda data, cap: None)
+                old = _bounded(20, lambda: _facts(data))
+            assert new[0] and not old[0]
+            assert new[1:] == old[1:], (q, coeffs)
+            generic.append((q, coeffs))
+        assert {(5, (25, -5, 6, -1, 1)), (2, (4, -2, 3, -1, 1)),
+                (3, (27, 27, 6, -1, 2, 3, 1))} <= set(generic)
+        assert len(generic) == 29
+
+    def test_builds_no_field(self, monkeypatch):
+        fields = record_calls(monkeypatch, splitfield, "splitting_field")
+        engines = record_calls(monkeypatch, eig, "_relation_engine")
+        rep = build_report_record(parse_record(
+            {"q": 3, "coeffs": [27, 27, 6, -1, 2, 3, 1]}))
+        assert rep["invariants"]["splitting_degree"] == 48
+        assert rep["invariants"]["frobenius_rank"] == 3
+        assert rep["invariants"]["kernel_basis"] == []
+        assert (len(fields), len(engines)) == (0, 0)
+
+    def test_corpus_quartics_of_order_4_take_the_field(self, monkeypatch):
+        fields = record_calls(monkeypatch, splitfield, "splitting_field")
+        for coeffs in ((4, -4, 2, -2, 1), (4, -6, 5, -3, 1)):
+            an = Analysis(validate(2, coeffs))
+            assert an.generic is None
+            assert an.gal.order == 4
+        assert len(fields) == 2

@@ -31,8 +31,8 @@ from frobeig.splitfield import (ModRing, galois_group, is_root_of_unity,
                                 word_value)
 from frobeig.weil import base_change, validate
 
-from conftest import (analysis_cached, minors_gcd, seeded_weil_inputs,
-                      split_cached)
+from conftest import analysis_cached, minors_gcd, split_cached
+from families import seeded_weil_inputs
 
 
 def eig_cached(q, coeffs):

@@ -5,6 +5,7 @@ script) and are frozen here; property tests check the algebraic contracts
 on randomized inputs.
 """
 
+import itertools
 import math
 import random
 import signal
@@ -23,7 +24,8 @@ from frobeig.exactmath import (ComplexBall, IntPoly, hnf_rows,
                                relation_candidates)
 from frobeig.exactmath import roots as exact_roots
 from frobeig.exactmath.balls import integer_power_sums, isqrt_ub, power_rows
-from frobeig.exactmath.intpoly import from_power_sums, power_sums
+from frobeig.exactmath.intpoly import (factor_degrees_mod, from_power_sums,
+                                      power_sums)
 from frobeig.exactmath.roots import (_certified, arg_ball, real_roots,
                                      real_weil_poly, refine_roots,
                                      roots_in_interval, two_pi_ball)
@@ -217,6 +219,60 @@ def test_from_power_sums_round_trip():
         from_power_sums([2, 1, 0])
     with pytest.raises(ValueError):
         power_sums(IntPoly((5, 3, 2)), 2)
+
+
+def _trial_factor_degrees(coeffs, ell):
+    """Degrees of the monic irreducible factors of the monic coeffs mod
+    ell, by trial division with every monic polynomial of each degree up
+    to half the degree, or None when some factor repeats."""
+    def divide(f, d):
+        f = list(f)
+        out = [0] * (len(f) - len(d) + 1)
+        for k in range(len(out) - 1, -1, -1):
+            c = out[k] = f[k + len(d) - 1] % ell
+            for i, x in enumerate(d):
+                f[k + i] = (f[k + i] - c * x) % ell
+        return out if not any(f) else None
+
+    f = [c % ell for c in coeffs]
+    degrees = []
+    k = 1
+    while 2 * k <= len(f) - 1:
+        for tail in itertools.product(range(ell), repeat=k):
+            d = list(tail) + [1]
+            quotient = divide(f, d)
+            if quotient is not None:
+                if divide(quotient, d) is not None:
+                    return None
+                degrees.append(k)
+                f = quotient
+                break
+        else:
+            k += 1
+    if len(f) > 1:
+        degrees.append(len(f) - 1)
+    return tuple(sorted(degrees))
+
+
+def test_factor_degrees_mod_matches_trial_division():
+    rng = random.Random(20261021)
+    checked = 0
+    for _ in range(400):
+        ell = rng.choice((2, 3, 5, 7))
+        n = rng.randint(1, 7)
+        coeffs = [rng.randint(-30, 30) for _ in range(n)] + [1]
+        want = _trial_factor_degrees(coeffs, ell)
+        if want is None:
+            continue                    # not squarefree mod ell
+        assert factor_degrees_mod(IntPoly(coeffs), ell) == want, \
+            (coeffs, ell)
+        checked += 1
+    assert checked > 200
+    # x^4 + 1 splits into quadratics mod 3 and stays irreducible over Q;
+    # x^5 - x splits completely mod 5
+    assert factor_degrees_mod(IntPoly([1, 0, 0, 0, 1]), 3) == (2, 2)
+    assert factor_degrees_mod(IntPoly([0, -1, 0, 0, 0, 1]), 5) \
+        == (1, 1, 1, 1, 1)
 
 
 @given(st.lists(st.integers(-9, 9), min_size=1, max_size=5),
@@ -495,8 +551,10 @@ def test_lll_matches_fraction_oracle_on_corpus(monkeypatch):
     monkeypatch.setattr(latt, "lll_reduce", capture)
     for e in CORPUS:
         Analysis(validate(e.q, list(e.coefficients))).relations
-    # one torsion lattice per record
-    assert len(inputs) == len(CORPUS) == 57
+    # one torsion lattice per record on the field path; the two records
+    # with G = W_2 are certified generic and run no relation engine
+    assert len(CORPUS) == 57
+    assert len(inputs) == 55
     for basis in inputs:
         assert reduce(basis) == _fraction_lll(basis)
 

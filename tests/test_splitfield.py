@@ -8,19 +8,23 @@ from math import lcm
 
 import pytest
 
-from frobeig import splitfield, weil
+from frobeig import analysis, splitfield, weil
 from frobeig.config import DEFAULT
 from frobeig.corpus import CORPUS
 from frobeig.exactmath.balls import lincomb, power_rows
 from frobeig.exactmath.intpoly import IntPoly
 from frobeig.exactmath.roots import refine_roots
-from frobeig.errors import InternalInconsistency, PrecisionExhausted
+from frobeig.errors import (DegreeCapExceeded, InternalInconsistency,
+                            PrecisionExhausted)
 from frobeig.splitfield import (ModRing, _block_permutations, _compose,
+                                _signed_type, _signed_types,
                                 _subgroup_candidates, galois_group,
-                                is_root_of_unity, splitting_field, word_value)
+                                generic_group, is_root_of_unity,
+                                splitting_field, word_value)
 from frobeig.weil import validate
 
-from conftest import analysis_cached, seeded_weil_inputs, split_cached
+from conftest import analysis_cached, split_cached
+from families import seeded_generic_inputs, seeded_weil_inputs
 
 # sha256 of the seeded splitting fields in TestBallCertificates, with the
 # roots in the canonical order
@@ -680,3 +684,131 @@ class TestBallCertificates:
             data = validate(entry.q, entry.coefficients)
             splitting_field(data)
         assert calls == []
+
+
+def _cycle_lengths(perm):
+    seen, out = set(), []
+    for i in range(len(perm)):
+        if i not in seen:
+            k, j = 0, i
+            while j not in seen:
+                seen.add(j)
+                j, k = perm[j], k + 1
+            out.append(k)
+    return sorted(out)
+
+
+def _direct_signed_type(w, g):
+    """Signed cycle type of w on the pairs (2i, 2i + 1), read off the
+    permutation: a k-cycle of pairs is negative when w^k flips its pairs."""
+    counts, seen = {}, set()
+    for start in range(g):
+        if start in seen:
+            continue
+        k, x = 0, 2 * start
+        while k == 0 or x // 2 != start:
+            seen.add(x // 2)
+            x, k = w[x], k + 1
+        pos, neg = counts.get(k, (0, 0))
+        counts[k] = (pos + (x == 2 * start), neg + (x != 2 * start))
+    return tuple((k, p, n) for k, (p, n) in sorted(counts.items()))
+
+
+def _simple_quartics():
+    """Corpus and seeded quartics with one factor and no real root."""
+    inputs = [(e.q, e.coefficients) for e in CORPUS] \
+        + seeded_weil_inputs(2026, 8, 4) + seeded_weil_inputs(11, 30, 15) \
+        + seeded_weil_inputs(7, 40, 0)
+    out = []
+    for q, coeffs in dict.fromkeys((q, tuple(c)) for q, c in inputs):
+        data = analysis_cached(q, coeffs).data
+        if len(coeffs) == 5 and len(data.factors) == 1 \
+                and not data.real_root_indices and len(data.roots) == 4:
+            out.append((q, coeffs))
+    return out
+
+
+class TestGenericGroup:
+    def test_signed_types_name_the_conjugacy_classes(self):
+        # on W' for g = 2, 3, 4: the type read from the cycle lengths on
+        # the roots and on the pairs is the one read off the permutation,
+        # and the types are the conjugacy classes, found by conjugating
+        for g in (2, 3, 4):
+            n = 2 * g
+            iota = tuple(i ^ 1 for i in range(n))
+            wprime = _block_permutations(n, [tuple(range(n))], iota)
+            inverse = {w: tuple(sorted(range(n), key=w.__getitem__))
+                       for w in wprime}
+            types = {}
+            for w in wprime:
+                pair = tuple(w[2 * i] // 2 for i in range(g))
+                got = _signed_type(_cycle_lengths(w), _cycle_lengths(pair))
+                assert got == _direct_signed_type(w, g)
+                types.setdefault(got, set()).add(w)
+            assert set(types) == _signed_types(g)
+            if g < 4:
+                for cls in types.values():
+                    w = next(iter(cls))
+                    assert cls == {_compose(_compose(x, w), inverse[x])
+                                   for x in wprime}
+        assert [len(_signed_types(g)) for g in (2, 3, 4, 5, 6)] \
+            == [5, 10, 20, 36, 65]
+
+    def test_square_tests_match_the_field_on_quartics(self):
+        # for g = 2 the three square tests decide G = W' = D_4 alone
+        quartics = _simple_quartics()
+        generic = 0
+        for q, coeffs in quartics:
+            an = analysis_cached(q, coeffs)
+            perms = generic_group(an.data, DEFAULT.degree_cap)
+            assert (perms is not None) == (an.field.degree == 8), (q, coeffs)
+            if perms is not None:
+                assert perms == an.field.group_perms
+                generic += 1
+        assert (len(quartics), generic) == (48, 26)
+
+    def test_generic_sextics_certified_by_cycle_types(self):
+        inputs = [GENERIC_SEXTIC] + seeded_generic_inputs(2026, 3, 12)
+        certified = 0
+        for q, coeffs in inputs:
+            perms = generic_group(validate(q, coeffs), DEFAULT.degree_cap)
+            if perms is not None:
+                assert len(perms) == 48
+                certified += 1
+        assert certified == 13
+        data = validate(*GENERIC_SEXTIC)
+        with pytest.raises(DegreeCapExceeded):
+            generic_group(data, 47)
+
+    def test_ineligible_records_are_left_to_the_field(self):
+        for q, coeffs in ((3, (3, 0, 1)),                   # one pair
+                          (2, (4, 0, -4, 0, 1)),            # real roots
+                          (3, (9, 0, 6, 0, 1)),             # (X^2+3)^2
+                          (2, (8, 0, 10, 0, 5, 0, 1))):     # reducible
+            assert generic_group(validate(q, coeffs), 48) is None
+        with pytest.raises(DegreeCapExceeded):
+            generic_group(validate(5, (25, -5, 6, -1, 1)), 7)
+
+    def test_g5_cycle_type_order_exceeds_the_cap(self, monkeypatch):
+        # cycle lengths (4, 6) at the first usable prime give an element
+        # of order 12 in a group transitive on 10 roots, so 60 divides
+        # |G| > 48, before any subgroup of W' (order 3840) is listed
+        def too_slow(signum, frame):
+            raise TimeoutError("g=5 input exceeded 5 s")
+
+        def no_search(*args):
+            raise AssertionError("the subgroup search ran")
+
+        monkeypatch.setattr(splitfield, "_subgroup_candidates", no_search)
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(5)
+        try:
+            an = analysis.Analysis(
+                validate(2, (32, 16, 8, 4, 2, 1, 1, 1, 1, 1, 1)))
+            assert an.undetermined() == "DegreeCapExceeded"
+            with pytest.raises(DegreeCapExceeded):
+                an.gal
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
