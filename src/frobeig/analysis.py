@@ -1,43 +1,34 @@
 """One analysis per validated record, each certified object built once.
 
-Objects are built on first read, in the order eigenvalue group, generic
-certificate, then, only when that fails, splitting field, Galois group,
-torsion rank, relation engine; verdicts last.
+Objects are built on first read: eigenvalue group, Galois group (from
+the generic certificate, else from the splitting field), torsion rank,
+then the field and the relation engine only when rho is not injective;
+verdicts last.
 
-The generic certificate (splitfield.generic_group) proves G = W' for a
-simple record with no real root and g >= 2 conjugate pairs from
-quadratic characters and Frobenius cycle types, with no field.  Then
-everything the field would give follows from G alone.  A relation
-prod pi_i^(a_i) q^b that is a root of unity has modulus 1, so b = -sum
-a_i / 2, and the exponent vectors a of such relations on the pair
-representatives span a subspace of Q^g.  G permutes the pi_i up to pi_i
--> q/pi_i, so that subspace is stable under the signed permutations
-W_g, whose representation on Q^g is irreducible (the flips split it
-into coordinate lines and S_g permutes them transitively): it is 0 or
-Q^g.  Q^g would make every pi_i / sqrt(q) a root of unity, so K would
-lie in Q(sqrt(q), zeta_N) and G would be abelian, which W_g is not for
-g >= 2.  So the eigenvalues with q have rank g + 1 and no relation:
-ker rho = 0, T = g - 1, r = g, the kernel lattice is empty with
-saturation index 1, and a class mu is Tate exactly when mu = 0.  The
-Galois group is W', its greedy generators and checks the same as on
-the field path (splitfield.galois_data), so both paths give the same
-report bytes.
+The generic certificate (splitfield.generic_group) proves G = W' from
+quadratic characters and Frobenius cycle types, with no field.  From G
+the slope certificate (eig._torsion_rank) gives rank T, so r = s - 1 -
+T, and reads rho only when its candidates disagree, never for G = W'.
 
-Otherwise the Galois group's conjugates of one prime above p certify
-the torsion rank T, which alone gives the Frobenius rank r = s - 1 - T
-of both verdicts; the relation engine reads T only as its scan stop.
+rho is injective when T = #orbits - 1, the rank of the trivial words
+pi_i pibar_i / pi_j pibar_j in T: a word realizing to 1 lies in T, so a
+multiple of it is a sum of trivial words, which vanish in Eig, and Eig
+is torsion-free.  Then the kernel is empty with saturation index 1, mu
+is Tate exactly when mu = 0, and no field or relation engine is built.
+
 Only the certificate and the field can fail on a bound (degree cap or
-precision ceiling); that failure is kept and raised again on every read
-of them and of everything built on them, the Galois group included,
-which the field path certifies exactly from the field's root
-coordinates.
+precision ceiling); the record keeps one such failure and raises it
+again on every read of them and of everything built on them, the Galois
+group included, which the field path certifies exactly from the field's
+root coordinates.
 
 The orbit classification reads four per-record tables on packed integer
 keys of one width (see lefmot.pack_width): one expansion of the
 eigenvalue multisets of every weight of a power d, kept for the power
 read last only, so memory stays bounded over a grid; the validated
 action rows of every Galois element; the realization map rho (shared
-with the relation engine, and built on the field path only); and the
+with the relation engine, and built only when rho is not injective or
+the slope candidates disagree); and the
 Tate verdicts.  A representative lam of weight 2n is Tate when its
 weight-zero class mu = lam - n[q] realizes to 1, rho([q]) = q being
 checked once; the verdict is kept per packed mu, so it is decided once
@@ -75,8 +66,7 @@ class Analysis:
         self.data = data
         self.settings = settings
         self.cm_assertion = cm_assertion
-        self._field_failure: Optional[Exception] = None
-        self._generic_failure: Optional[Exception] = None
+        self._bound_failure: Optional[Exception] = None
         self._dims: Dict[Tuple[int, int], Tuple[int, int, int, int]] = {}
         # one slot, (d, layers), for the power d read last
         self._layers: Tuple[Optional[int], Tuple[Dict[int, int], ...]] = \
@@ -84,10 +74,12 @@ class Analysis:
         self._tate: Dict[int, bool] = {}
 
     def undetermined(self) -> Optional[str]:
-        """Name of the Galois group's bound failure, which leaves
-        everything built on the group undetermined, or None."""
+        """Name of the bound failure of the Galois group, or of the field
+        when rho is not injective, or None."""
         try:
             self.gal
+            if not self.injective:
+                self.field
         except _BOUNDS as exc:
             return type(exc).__name__
         return None
@@ -98,24 +90,23 @@ class Analysis:
 
     @cached_property
     def field(self) -> SplittingField:
-        if self._field_failure is None:
+        if self._bound_failure is None:
             try:
                 return splitting_field(self.data, self.settings)
             except _BOUNDS as exc:
-                self._field_failure = exc
-        raise self._field_failure
+                self._bound_failure = exc
+        raise self._bound_failure
 
     @cached_property
     def generic(self) -> Optional[Tuple[Perm, ...]]:
         """W', when splitfield.generic_group certifies G = W' with no
-        field; then ker rho = 0 (see the module docstring).  None sends
-        the record to the field."""
-        if self._generic_failure is None:
+        field; None sends the Galois group to the field."""
+        if self._bound_failure is None:
             try:
                 return generic_group(self.data, self.settings.degree_cap)
-            except DegreeCapExceeded as exc:
-                self._generic_failure = exc
-        raise self._generic_failure
+            except _BOUNDS as exc:
+                self._bound_failure = exc
+        raise self._bound_failure
 
     @cached_property
     def gal(self) -> GaloisData:
@@ -132,23 +123,27 @@ class Analysis:
 
     @cached_property
     def torsion_rank(self) -> int:
-        """rank T of the eigenvalue words that are roots of unity: g - 1
-        for G = W' on g pairs."""
-        if self.generic is not None:
-            return self.eig.n_roots // 2 - 1
-        rho = self.rho          # before the field: see rho
-        return _torsion_rank(self.data, self.gal.perms, self.eig, rho)
+        """rank T of the eigenvalue words that are roots of unity, from
+        the slope certificate."""
+        eig = self.eig          # before the field: see rho
+        return _torsion_rank(self.data, self.gal.perms, eig,
+                             lambda: self.rho)
+
+    @cached_property
+    def injective(self) -> bool:
+        """Is ker rho = 0?  (See the module docstring.)"""
+        return self.torsion_rank == len(self.eig.orbit_reps) - 1
 
     @cached_property
     def relations(self) -> RelationLattice:
         """The kernel lattice of verified relations among the eigenvalues
-        and q, empty for G = W'; the field's torsion scan stops at
-        torsion_rank."""
-        if self.generic is not None:
+        and q, empty when rho is injective; the engine's torsion scan
+        stops at torsion_rank."""
+        if self.injective:
             return RelationLattice(basis=(), rank=0, saturation_index=1)
-        rank = self.torsion_rank        # before the field: see rho
         return _relation_engine(self.field, self.eig,
-                                self.settings.search_bound, self.rho, rank)
+                                self.settings.search_bound, self.rho,
+                                self.torsion_rank)
 
     @property
     def r(self) -> int:
@@ -210,9 +205,9 @@ class Analysis:
 
     def is_tate(self, mu: int) -> bool:
         """Does the packed weight-zero class mu = lam - n[q] realize to 1,
-        that is rho(lam) = q^n?  For G = W' exactly when mu = 0, as ker
-        rho = 0; otherwise decided, and unpacked, once per class."""
-        if self.generic is not None:
+        that is rho(lam) = q^n?  Exactly when mu = 0 if rho is injective;
+        otherwise decided, and unpacked, once per class."""
+        if self.injective:
             return mu == 0
         if mu not in self._tate:
             one = self._one

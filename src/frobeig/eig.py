@@ -45,7 +45,7 @@ above p, those primes being sigma P for sigma in G, T is the integer
 kernel of the rows (1, ..., 1) and s o sigma.  The Newton polygon of each
 factor leaves few valuations s; the true one is among them, so when all
 their kernel ranks agree that rank is rank T, and otherwise it is the
-largest rank whose kernel basis realizes to roots of unity.
+largest rank whose kernel basis realizes to roots of unity under rho.
 
 The Frobenius rank comes from the certificate alone: [q] = [pi] +
 [pibar] puts [q] in the span of the eigenvalue symbols, so r =
@@ -54,10 +54,11 @@ torsion scan reaches rank T: a torsion relation a of order t feeds t*a
 to the kernel, every element of ker rho is a word of T after [q] = [pi]
 + [pibar], and the words of T that vanish in Eig (pi_i pibar_i / pi_j
 pibar_j) have rank #orbits - 1, so rank(Eig) - 1 - rank(kernel) = (s +
-1 - #orbits) - 1 - (rank T - #orbits + 1) = s - 1 - rank T.  A relation
-both searches miss costs the kernel only: its index (q=4 [4,2,1] misses
-(6, -3), which realizes to 1, and keeps (24, -12), of index 4), or its
-rank, shown as a false kernel_rank_identity_ok where that key is defined.
+1 - #orbits) - 1 - (rank T - #orbits + 1) = s - 1 - rank T, and ker rho
+= 0 exactly when rank T = #orbits - 1.  A relation both searches miss
+costs the kernel only: its index (q=4 [4,2,1] misses (6, -3), which
+realizes to 1, and keeps (24, -12), of index 4), or its rank, shown as
+a false kernel_rank_identity_ok where that key is defined.
 
 The lattice-reduction candidates come from rounded angle midpoints;
 acceptance and rejection everywhere rest on exact arithmetic.
@@ -433,28 +434,29 @@ def _slope_rows(data: WeilData,
 
 
 def _torsion_rank(data: WeilData, perms: Sequence[Perm], eig: EigGroup,
-                  rho: Realization) -> int:
+                  rho: Callable[[], Realization]) -> int:
     """rank T of the sum-zero words in the roots that realize to roots of
     unity, from the candidate row sets of _slope_rows.
 
     T is the integer kernel of (1, ..., 1) and the true row set.  When
     every candidate's kernel has one rank, that is rank T.  Otherwise
     the candidates are tried by decreasing rank: a kernel whose basis
-    realizes to roots of unity lies in T, so no candidate of rank above
-    rank T passes, and the true one does.
+    realizes to roots of unity under rho() lies in T, so no candidate of
+    rank above rank T passes, and the true one does.
     """
     ones = (1,) * eig.n_roots
     ranked = sorted(((eig.n_roots - len(hnf_rows((ones,) + rows)), rows)
                      for rows in _slope_rows(data, perms)), reverse=True)
     if ranked[0][0] == ranked[-1][0]:
         return ranked[0][0]
+    realization = rho()
     for k, rows in ranked:
         m = len(rows) + 1
         # the zero-prefix rows of the HNF of [M^T | I] span ker M
         lattice = hnf_rows([col + tuple(int(t == i) for t in range(len(ones)))
                             for i, col in enumerate(zip(ones, *rows))])
-        if all(is_root_of_unity(rho.ring, realize_coords(
-                rho, apply_rows(eig.symbol_coords, row[m:])))
+        if all(is_root_of_unity(realization.ring, realize_coords(
+                realization, apply_rows(eig.symbol_coords, row[m:])))
                for row in lattice if not any(row[:m])):
             return k
     raise InternalInconsistency("no slope candidate's kernel is torsion")
@@ -566,9 +568,9 @@ def frobenius_rank(data: WeilData, field: SplittingField,
                    eig: EigGroup) -> int:
     """Rank of the multiplicative group of the eigenvalues, minus one:
     s - 1 - rank T, from the slope certificate (see _torsion_rank)."""
-    rho = Realization(eig, field, data.q)
     perms = galois_group(field, data).perms
-    return eig.n_roots - 1 - _torsion_rank(data, perms, eig, rho)
+    return eig.n_roots - 1 - _torsion_rank(
+        data, perms, eig, lambda: Realization(eig, field, data.q))
 
 
 # Base-change degrees k = 2..12 scanned for multiplicity growth.  The

@@ -692,12 +692,13 @@ def _signed_type(root_degrees: Sequence[int],
 
 def generic_group(data: WeilData, cap: int) -> Optional[Tuple[Perm, ...]]:
     """W', sorted, when it is certified to be the Galois group G of a
-    simple record with no real root and g >= 2 conjugate pairs; None
+    simple record with no real root, or with the one root +-sqrt(q); None
     when the certificate does not apply or fails, which leaves G to the
     field construction.
 
     For such a record W' is the signed permutation group (Z/2)^g x| S_g
-    of the roots pi_i, pibar_i of the factor h, and its abelianization is
+    of the roots pi_i, pibar_i of the factor h.  For one conjugation
+    orbit, {1, iota} or {1}, it is G.  For g >= 2 its abelianization is
     (Z/2)^2: the sign of the permutation of the pairs and the parity of
     the number of flips.  Those two characters and their product are
     trivial on G exactly when, in turn, Delta = disc(h+) (of the real
@@ -725,35 +726,36 @@ def generic_group(data: WeilData, cap: int) -> Optional[Tuple[Perm, ...]]:
     A certified W' larger than cap raises DegreeCapExceeded too.
     """
     n = len(data.roots)
-    if len(data.factors) != 1 or data.real_root_indices or n < 4:
+    if len(data.factors) != 1 or (data.real_root_indices and n > 1):
         return None
     q, g, h = data.q, n // 2, data.factors[0].poly
-    hplus = real_weil_poly(h, q)
-    disc = _abs_discriminant(hplus)         # positive: g real roots
-    # h+(2 sqrt(q)) = A + B sqrt(q), from the even and odd coefficients
-    coeffs = hplus.coefficients
-    a = sum(c * (4 * q) ** j for j, c in enumerate(coeffs[0::2]))
-    b = sum(2 * c * (4 * q) ** j for j, c in enumerate(coeffs[1::2]))
-    norm = a * a - q * b * b
-    if _is_square(disc) or _is_square(norm) or _is_square(disc * norm):
-        return None
-    if g > 2:
-        unseen = _signed_types(g) - {((1, g, 0),), ((1, 0, g),)}
-        bad = q * _abs_discriminant(h) * disc
-        order = n               # the lcm of the orders seen, with 2g
-        usable = (ell for ell in _SMALL_PRIMES if bad % ell)
-        for ell in islice(usable, _CYCLE_TYPE_BUDGET):
-            root_degrees = factor_degrees_mod(h, ell)
-            order = lcm(order, *root_degrees)
-            if order > cap:
-                raise DegreeCapExceeded(
-                    f"splitting field degree exceeds the cap {cap}")
-            unseen.discard(_signed_type(root_degrees,
-                                        factor_degrees_mod(hplus, ell)))
-            if not unseen:
-                break
-        else:
+    if g > 1:
+        hplus = real_weil_poly(h, q)
+        disc = _abs_discriminant(hplus)         # positive: g real roots
+        # h+(2 sqrt(q)) = A + B sqrt(q), from the even and odd coefficients
+        coeffs = hplus.coefficients
+        a = sum(c * (4 * q) ** j for j, c in enumerate(coeffs[0::2]))
+        b = sum(2 * c * (4 * q) ** j for j, c in enumerate(coeffs[1::2]))
+        norm = a * a - q * b * b
+        if _is_square(disc) or _is_square(norm) or _is_square(disc * norm):
             return None
+        if g > 2:
+            unseen = _signed_types(g) - {((1, g, 0),), ((1, 0, g),)}
+            bad = q * _abs_discriminant(h) * disc
+            order = n               # the lcm of the orders seen, with 2g
+            usable = (ell for ell in _SMALL_PRIMES if bad % ell)
+            for ell in islice(usable, _CYCLE_TYPE_BUDGET):
+                root_degrees = factor_degrees_mod(h, ell)
+                order = lcm(order, *root_degrees)
+                if order > cap:
+                    raise DegreeCapExceeded(
+                        f"splitting field degree exceeds the cap {cap}")
+                unseen.discard(_signed_type(root_degrees,
+                                            factor_degrees_mod(hplus, ell)))
+                if not unseen:
+                    break
+            else:
+                return None
     if 2 ** g * factorial(g) > cap:
         raise DegreeCapExceeded(f"splitting field degree exceeds the cap {cap}")
     return tuple(_block_permutations(n, [data.factors[0].root_indices],

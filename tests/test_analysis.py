@@ -1,5 +1,6 @@
 """One Analysis per record: every certified object is built once."""
 
+import hashlib
 import json
 import signal
 import sys
@@ -9,11 +10,13 @@ from frobeig.analysis import Analysis
 from frobeig.config import DEFAULT
 from frobeig.corpus import CORPUS
 from frobeig.eig import invariants_report
+from frobeig.errors import PrecisionExhausted
+from frobeig.exactmath.intpoly import IntPoly
 from frobeig.lefmot import motive_orbits, pack
 from frobeig.report import (build_report_record, galois_fragment,
                             parse_record, process_line)
 from frobeig.splitfield import ModRing
-from frobeig.weil import validate
+from frobeig.weil import base_change, validate
 
 from families import seeded_generic_inputs, seeded_weil_inputs
 
@@ -121,8 +124,9 @@ def _facts(data):
 
 
 class TestGenericPath:
-    """A record certified G = W' reads the group, r, the kernel and the
-    Tate verdicts from G alone; the field path must agree."""
+    """A record certified G = W' reads the group from G alone, and an
+    injective rho gives the empty kernel and the Tate verdicts with no
+    field; the field path and the relation engine must agree."""
 
     def test_matches_the_field_path(self, monkeypatch):
         quartics = [(e.q, e.coefficients) for e in CORPUS
@@ -130,11 +134,29 @@ class TestGenericPath:
         quartics += seeded_weil_inputs(2026, 8, 4)
         quartics += seeded_weil_inputs(11, 30, 0)
         quartics += seeded_weil_inputs(7, 40, 0)
-        inputs = quartics + seeded_generic_inputs(2026, 3, 2) \
+        pairs = [(e.q, e.coefficients) for e in CORPUS
+                 if len(e.coefficients) == 3]
+        pairs += [(q ** k, base_change(IntPoly(c), k).coefficients)
+                  for q, c in pairs for k in (2, 3)]
+        inputs = pairs + [(3, (9, 0, 6, 0, 1))] + quartics \
+            + seeded_generic_inputs(2026, 3, 2) \
             + [(3, (27, 27, 6, -1, 2, 3, 1))]
-        generic = []
+        generic, injective = [], 0
         for q, coeffs in dict.fromkeys((q, tuple(c)) for q, c in inputs):
             data = validate(q, coeffs)
+            if len(data.real_root_indices) > 1:
+                continue                # TorsionDetected
+            with monkeypatch.context() as m:
+                m.setattr(analysis, "generic_group", lambda data, cap: None)
+                an = Analysis(data)
+                if _bounded(20, lambda: an.injective):
+                    # the relation engine, forced, finds no relation
+                    lattice = _bounded(20, lambda: eig._relation_engine(
+                        an.field, an.eig, an.settings.search_bound, an.rho,
+                        an.torsion_rank))
+                    assert (lattice.basis, lattice.saturation_index) \
+                        == ((), 1), (q, coeffs)
+                    injective += 1
             if _bounded(5, lambda: Analysis(data).generic) is None:
                 continue
             new = _bounded(10, lambda: _facts(data))
@@ -145,18 +167,49 @@ class TestGenericPath:
             assert new[1:] == old[1:], (q, coeffs)
             generic.append((q, coeffs))
         assert {(5, (25, -5, 6, -1, 1)), (2, (4, -2, 3, -1, 1)),
-                (3, (27, 27, 6, -1, 2, 3, 1))} <= set(generic)
-        assert len(generic) == 29
+                (3, (27, 27, 6, -1, 2, 3, 1)), (3, (3, 0, 1)),
+                (3, (9, 0, 6, 0, 1))} <= set(generic)
+        assert (len(generic), injective) == (135, 122)
 
     def test_builds_no_field(self, monkeypatch):
         fields = record_calls(monkeypatch, splitfield, "splitting_field")
         engines = record_calls(monkeypatch, eig, "_relation_engine")
-        rep = build_report_record(parse_record(
-            {"q": 3, "coeffs": [27, 27, 6, -1, 2, 3, 1]}))
-        assert rep["invariants"]["splitting_degree"] == 48
-        assert rep["invariants"]["frobenius_rank"] == 3
-        assert rep["invariants"]["kernel_basis"] == []
+        for q, coeffs, degree, rank in (
+                (3, [27, 27, 6, -1, 2, 3, 1], 48, 3),       # G = W_3
+                (5, [5, 1, 1], 2, 1)):                      # ordinary pair
+            rep = build_report_record(parse_record({"q": q, "coeffs": coeffs}))
+            assert rep["invariants"]["splitting_degree"] == degree
+            assert rep["invariants"]["frobenius_rank"] == rank
+            assert rep["invariants"]["kernel_basis"] == []
+            assert rep["status"]["undetermined"] == []
         assert (len(fields), len(engines)) == (0, 0)
+
+    def test_field_failure_of_a_torsion_pair(self, monkeypatch):
+        # q=3 [3,0,1]: G = W' = {1, iota} needs no field, but pi^2 = -q
+        # makes pi / pibar torsion, so rho is not injective and the kernel
+        # needs the field: its bound failure leaves the whole report
+        # undetermined, in the bytes it had when G came from the field
+        def exhausted(data, settings):
+            raise PrecisionExhausted("splitting field undecided at 16 bits")
+
+        monkeypatch.setattr(analysis, "splitting_field", exhausted)
+        _, line, kind = process_line(json.dumps({"q": 3, "coeffs": [3, 0, 1]}),
+                                     None, DEFAULT, __version__)
+        assert kind == "report"
+        assert '"galois":null' in line
+        assert '"undetermined_reason":"PrecisionExhausted"' in line
+        assert hashlib.sha256(line.encode()).hexdigest() == \
+            "89bf5938e7064a5308070bb27116b70df29ab0f27e8862c678d4e35fa20f53b0"
+
+    def test_corpus_fields_and_engines(self, monkeypatch):
+        # the field and the relation engine run only where rho is not
+        # injective
+        fields = record_calls(monkeypatch, splitfield, "splitting_field")
+        engines = record_calls(monkeypatch, eig, "_relation_engine")
+        for e in CORPUS:
+            raw = json.dumps({"q": e.q, "coeffs": list(e.coefficients)})
+            assert process_line(raw, None, DEFAULT, __version__)[2] == "report"
+        assert (len(CORPUS), len(fields), len(engines)) == (57, 23, 23)
 
     def test_corpus_quartics_of_order_4_take_the_field(self, monkeypatch):
         fields = record_calls(monkeypatch, splitfield, "splitting_field")

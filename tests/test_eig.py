@@ -26,13 +26,13 @@ from frobeig.exactmath.latt import (hnf_rows, in_row_lattice,
                                    relation_candidates)
 from frobeig.exactmath.roots import arg_ball, two_pi_ball
 from frobeig.report import galois_fragment
-from frobeig.splitfield import (ModRing, galois_group, is_root_of_unity,
-                                orbit_representatives, splitting_field,
-                                word_value)
+from frobeig.splitfield import (ModRing, galois_group, generic_group,
+                                is_root_of_unity, orbit_representatives,
+                                splitting_field, word_value)
 from frobeig.weil import base_change, validate
 
 from conftest import analysis_cached, minors_gcd, split_cached
-from families import seeded_weil_inputs
+from families import seeded_generic_inputs, seeded_weil_inputs
 
 
 def eig_cached(q, coeffs):
@@ -771,6 +771,36 @@ class TestSlopeCertificate:
         # the sextics x^6 + a x^3 + q^3 take the verification path
         assert disagreeing > 0
 
+    def test_w_prime_reads_no_field(self):
+        # for G = W' every candidate's kernel has one rank, so rho is never
+        # read: g - 1 on g pairs when the slopes are not all e/2, as the
+        # W'-orbit of a non-constant s spans the trivial and signed
+        # permutation parts of Q^2g; s - 1 on a supersingular orbit of s
+        # roots, where every sum-zero word is torsion
+        def no_rho():
+            raise AssertionError("rho was read")
+
+        inputs = [(e.q, tuple(e.coefficients)) for e in CORPUS]
+        inputs += [(q ** k, base_change(IntPoly(c), k).coefficients)
+                   for q, c in inputs for k in (2, 3)]
+        inputs += seeded_generic_inputs(2026, 3, 4) \
+            + [(3, (27, 27, 6, -1, 2, 3, 1))]
+        counts = [0, 0]
+        for q, coeffs in inputs:
+            data = validate(q, list(coeffs))
+            perms = generic_group(data, DEFAULT.degree_cap)
+            if perms is None:
+                continue
+            s = len(data.roots)
+            supersingular = set(_newton_valuations(
+                data.factors[0].poly.coefficients, data.p)) \
+                == {Fraction(data.e, 2)}
+            assert _torsion_rank(data, perms, build_eig_group(data), no_rho) \
+                == (s - 1 if supersingular else s // 2 - 1), (q, coeffs)
+            assert s <= 2 or not supersingular
+            counts[supersingular] += 1
+        assert counts == [100, 51]
+
     def test_a_torsion_shortfall_leaves_r(self, monkeypatch):
         # q=4 [4,2,1]: pi = 2 zeta_3, so pi / pibar is torsion, rank T = 1
         # and r = 0.  With the torsion scan and the lattice-reduction
@@ -805,7 +835,8 @@ class TestSlopeCertificate:
         # and the rank-4 one realizes to roots of unity
         an = Analysis(validate(5, [125, 0, 0, -15, 0, 0, 1]))
         assert _candidate_ranks(an) == {2, 4}
-        assert _torsion_rank(an.data, an.gal.perms, an.eig, an.rho) == 4
+        assert _torsion_rank(an.data, an.gal.perms, an.eig,
+                             lambda: an.rho) == 4
         # a generic ordinary quartic, r = 2: its torsion is pi_0 pi_1 /
         # (pi_2 pi_3) = 1 alone; a planted constant valuation has kernel
         # rank 3 and a planted (0, 1, 0, 1) rank 2, and neither kernel is
@@ -814,7 +845,7 @@ class TestSlopeCertificate:
         true_rows = _slope_rows(an.data, an.gal.perms)
         assert _candidate_ranks(an) == {1}
         planted = [((1, 1, 1, 1),), ((0, 1, 0, 1),)]
-        args = (an.data, an.gal.perms, an.eig, an.rho)
+        args = (an.data, an.gal.perms, an.eig, lambda: an.rho)
         monkeypatch.setattr(eig_module, "_slope_rows",
                             lambda data, perms: planted + true_rows)
         assert _torsion_rank(*args) == 1

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frobeig import eig
 from frobeig.analysis import Analysis
 from frobeig.corpus import CORPUS
 from frobeig.errors import Ambiguous, PrecisionExhausted, TorsionDetected
@@ -549,12 +550,13 @@ def test_lll_matches_fraction_oracle_on_corpus(monkeypatch):
         return reduce(basis)
 
     monkeypatch.setattr(latt, "lll_reduce", capture)
+    # the engine, forced on every record, reduces one torsion lattice
+    # each, the records whose rho is injective included
     for e in CORPUS:
-        Analysis(validate(e.q, list(e.coefficients))).relations
-    # one torsion lattice per record on the field path; the two records
-    # with G = W_2 are certified generic and run no relation engine
-    assert len(CORPUS) == 57
-    assert len(inputs) == 55
+        an = Analysis(validate(e.q, list(e.coefficients)))
+        eig._relation_engine(an.field, an.eig, an.settings.search_bound,
+                             an.rho, an.torsion_rank)
+    assert len(CORPUS) == len(inputs) == 57
     for basis in inputs:
         assert reduce(basis) == _fraction_lll(basis)
 

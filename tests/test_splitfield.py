@@ -780,10 +780,23 @@ class TestGenericGroup:
         with pytest.raises(DegreeCapExceeded):
             generic_group(data, 47)
 
+    def test_one_orbit_is_w_prime(self):
+        # W' = {1, iota} is G for an irreducible h on one pair,
+        # supersingular, ordinary or a power, and {1} for the root -2 of
+        # q = 4; the square tests do not apply to a linear h+, and a cap
+        # below |W'| ends as the field construction would
+        for q, coeffs, order in ((3, (3, 0, 1), 2), (5, (5, 1, 1), 2),
+                                 (3, (9, 0, 6, 0, 1), 2),   # (X^2+3)^2
+                                 (4, (4, 4, 1), 1)):        # (X+2)^2
+            perms = generic_group(validate(q, coeffs), order)
+            assert perms == analysis_cached(q, coeffs).field.group_perms
+            assert len(perms) == order
+            if order > 1:
+                with pytest.raises(DegreeCapExceeded):
+                    generic_group(validate(q, coeffs), 1)
+
     def test_ineligible_records_are_left_to_the_field(self):
-        for q, coeffs in ((3, (3, 0, 1)),                   # one pair
-                          (2, (4, 0, -4, 0, 1)),            # real roots
-                          (3, (9, 0, 6, 0, 1)),             # (X^2+3)^2
+        for q, coeffs in ((2, (4, 0, -4, 0, 1)),            # real roots
                           (2, (8, 0, 10, 0, 5, 0, 1))):     # reducible
             assert generic_group(validate(q, coeffs), 48) is None
         with pytest.raises(DegreeCapExceeded):
