@@ -17,10 +17,10 @@ is torsion-free.  Then the kernel is empty with saturation index 1, mu
 is Tate exactly when mu = 0, and no field or relation engine is built.
 
 Only the certificate and the field can fail on a bound (degree cap or
-precision ceiling); the record keeps one such failure and raises it
-again on every read of them and of everything built on them, the Galois
-group included, which the field path certifies exactly from the field's
-root coordinates.
+precision ceiling), each on its own, so read order changes no result.
+The certificate keeps no failure and is recomputed on each read.  The
+field keeps its failure for every read of it and of what is built on
+it, and reads the certificate first: a cap that it proves ends the field.
 
 The orbit classification reads four per-record tables on packed integer
 keys of one width (see lefmot.pack_width): one expansion of the
@@ -66,7 +66,7 @@ class Analysis:
         self.data = data
         self.settings = settings
         self.cm_assertion = cm_assertion
-        self._bound_failure: Optional[Exception] = None
+        self._field_failure: Optional[Exception] = None
         self._dims: Dict[Tuple[int, int], Tuple[int, int, int, int]] = {}
         # one slot, (d, layers), for the power d read last
         self._layers: Tuple[Optional[int], Tuple[Dict[int, int], ...]] = \
@@ -90,23 +90,20 @@ class Analysis:
 
     @cached_property
     def field(self) -> SplittingField:
-        if self._bound_failure is None:
+        self.generic            # raises a cap the certificate proves
+        if self._field_failure is None:
             try:
                 return splitting_field(self.data, self.settings)
             except _BOUNDS as exc:
-                self._bound_failure = exc
-        raise self._bound_failure
+                self._field_failure = exc
+        raise self._field_failure
 
     @cached_property
     def generic(self) -> Optional[Tuple[Perm, ...]]:
         """W', when splitfield.generic_group certifies G = W' with no
-        field; None sends the Galois group to the field."""
-        if self._bound_failure is None:
-            try:
-                return generic_group(self.data, self.settings.degree_cap)
-            except _BOUNDS as exc:
-                self._bound_failure = exc
-        raise self._bound_failure
+        field; None sends the Galois group to the field.  A bound failure
+        is not kept: each read recomputes it, in milliseconds."""
+        return generic_group(self.data, self.settings.degree_cap)
 
     @cached_property
     def gal(self) -> GaloisData:

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Dict, List
 
 from . import __version__
-from .config import DEFAULT, MAX_POWER_CAP, Settings
+from .config import DEFAULT, MAX_POWER_CAP, PRECISION_START, Settings
 from .errors import FrobeigError, MalformedInput
 from .eig import invariants_report
 from .lefmot import classify_orbits, motive_orbits
@@ -310,13 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _env_settings() -> Settings:
     """DEFAULT with the FROBEIG_MAX_PRECISION ceiling, validated as the
-    flag is; a ceiling below precision_start is raised to it."""
+    flag is; a ceiling below PRECISION_START is raised to it."""
     raw = os.environ.get("FROBEIG_MAX_PRECISION")
     if not raw:
         return DEFAULT
     ceiling = parse_options({"precision_ceiling": raw})["precision_ceiling"]
-    return replace(DEFAULT, precision_ceiling=max(ceiling,
-                                                  DEFAULT.precision_start))
+    return replace(DEFAULT, precision_ceiling=max(ceiling, PRECISION_START))
 
 
 def main(argv=None) -> int:

@@ -11,29 +11,7 @@ enters the balls: they are built from integers, and their certificates
 multiply rather than divide.  `fractions.Fraction` remains at the edges:
 the exact views of a ball, and the angle enclosures handed to
 `latt.relation_candidates`.
+
+The package itself exports nothing: callers import the submodules
+`intpoly`, `balls`, `latt` and `roots` directly.
 """
-
-from .intpoly import IntPoly
-from .balls import ComplexBall
-from .latt import (
-    hnf_rows,
-    in_row_lattice,
-    lattice_saturation_index,
-    lll_reduce,
-    relation_candidates,
-)
-from .roots import RealRoots, isolate_roots, real_roots, refine_roots
-
-__all__ = [
-    "IntPoly",
-    "ComplexBall",
-    "hnf_rows",
-    "in_row_lattice",
-    "lattice_saturation_index",
-    "lll_reduce",
-    "relation_candidates",
-    "RealRoots",
-    "real_roots",
-    "isolate_roots",
-    "refine_roots",
-]

@@ -163,9 +163,6 @@ class ComplexBall:
         dx, dy, rr = a - c, b - d, r + s
         return dx * dx + dy * dy > rr * rr
 
-    def intersects(self, other: "ComplexBall") -> bool:
-        return not self.disjoint(other)
-
     def unique_integer(self):
         """The single integer in the real interval, when imag covers 0.
 

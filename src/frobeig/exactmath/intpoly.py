@@ -6,8 +6,10 @@ Python ints.  One pseudo-remainder routine, `prem`, sits at the centre:
 the gcd is a primitive pseudo-remainder sequence, divisibility is a zero
 pseudo-remainder, and the squarefree part divides by that gcd exactly.
 The one Sturm chain, `_chain`, is built on the same routine; `quadforms`
-counts spectra with it and `roots` isolates real roots.  Power sums and
-Newton's identities work on monic polynomials, where they stay integral.
+reads its sign variations at 0 and at infinity to count spectra, and
+`roots` evaluates it at dyadic points to isolate real roots, so every
+value is an integer.  Power sums and Newton's identities work on monic
+polynomials, where they stay integral.
 `factor_degrees_mod` reads the factor degrees of a polynomial modulo a
 prime by distinct-degree factorization, the Frobenius cycle types that
 `splitfield.generic_group` certifies Galois groups from.
@@ -17,8 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 
 def _strip(coeffs: Sequence) -> tuple:
@@ -161,25 +162,6 @@ class IntPoly:
             return IntPoly([1])
         return self.exact_div(self.gcd(self.derivative())).primitive_part()
 
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                mon = "X" if i == 1 else f"X^{i}"
-                if c == 1:
-                    parts.append(mon)
-                elif c == -1:
-                    parts.append(f"-{mon}")
-                else:
-                    parts.append(f"{c}*{mon}")
-        return " + ".join(reversed(parts)).replace("+ -", "- ")
-
 
 # --- pseudo-remainders ---
 
@@ -280,28 +262,6 @@ def _scaled_value(poly: Sequence[int], num: int, den: int) -> int:
         acc = acc * num + c * dpow
         dpow *= den
     return acc
-
-
-def _sign_at(poly: List[int], x: Fraction) -> int:
-    v = _scaled_value(poly, x.numerator, x.denominator)
-    return (v > 0) - (v < 0)
-
-
-def _sign_at_inf(poly: List[int], positive: bool) -> int:
-    lead = poly[-1]
-    s = (lead > 0) - (lead < 0)
-    if positive:
-        return s
-    return s if (len(poly) - 1) % 2 == 0 else -s
-
-
-def _count(chain: List[List[int]], lo: Optional[Fraction] = None,
-           hi: Optional[Fraction] = None) -> int:
-    at_lo = [_sign_at(c, lo) if lo is not None else _sign_at_inf(c, False)
-             for c in chain]
-    at_hi = [_sign_at(c, hi) if hi is not None else _sign_at_inf(c, True)
-             for c in chain]
-    return _variations(at_lo) - _variations(at_hi)
 
 
 # --- factor degrees modulo a prime ---

@@ -112,7 +112,6 @@ class SignaturePrediction:
     s_plus: int
     s_minus: int
     negative_prediction: bool          # diagnostic, never an exception
-    source: Optional[str] = None
 
 
 def pack_width(g: int, eig: EigGroup) -> int:
@@ -428,8 +427,8 @@ def hypothesis_check(data: WeilData, r: int,
                              warnings=tuple(warnings))
 
 
-def predicted_signature(rho_table: Sequence[int], half_dim: int,
-                        source: Optional[str] = None) -> SignaturePrediction:
+def predicted_signature(rho_table: Sequence[int],
+                        half_dim: int) -> SignaturePrediction:
     """Alternating-sum signature prediction from a rho table.
 
     s_plus = rho_h - rho_{h-1} + rho_{h-2} - ..., s_minus = rho_h -
@@ -449,8 +448,7 @@ def predicted_signature(rho_table: Sequence[int], half_dim: int,
     s_minus = rho[half_dim] - s_plus
     return SignaturePrediction(s_plus=s_plus, s_minus=s_minus,
                                negative_prediction=(s_plus < 0
-                                                    or s_minus < 0),
-                               source=source)
+                                                    or s_minus < 0))
 
 
 def build_rho_table(an: Analysis, d: int,

@@ -9,9 +9,10 @@ mat = A/d, and every kernel runs on Python ints:
 - signatures by Bareiss fraction-free symmetric elimination;
 - inverses and the comparison endomorphisms base^-1 * moved by one
   Bareiss solve A*X = det*B;
-- spectra by one signed Sturm chain of p and p' from
+- positive spectra by one signed Sturm chain of p and p' from
   `exactmath.intpoly`, built on the pseudo-remainder that also backs
-  every polynomial gcd.
+  every polynomial gcd, and read at 0 and +inf only: its constant terms
+  and leading coefficients.
 
 Fractions appear only in results (charpolys, inverses) and messages.  The
 transfer engine moves a signature from a side where the form is positive
@@ -27,12 +28,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import (CharpolyMismatch, InternalInconsistency, MalformedInput,
                      NondegeneracyFailed, NotPositiveDefinite,
                      NotPositiveSpectrum, NotSelfAdjoint, NotSymmetric)
-from .exactmath.intpoly import (IntPoly, _chain, _count, from_power_sums,
+from .exactmath.intpoly import (_chain, _variations, from_power_sums,
                                 primitive)
 
 QMat = List[List[Fraction]]
@@ -242,23 +243,6 @@ def _int_poly(p: Sequence) -> List[int]:
     return primitive([c.numerator * (d // c.denominator) for c in p])
 
 
-def count_real_roots(p: List[Fraction], lo: Optional[Fraction] = None,
-                     hi: Optional[Fraction] = None) -> int:
-    """Distinct real roots of p in (lo, hi]; None means +-infinity.
-
-    The chain is that of the squarefree part p / gcd(p, p'), so a multiple
-    root at an end point cannot make every element vanish there."""
-    sf = IntPoly(_int_poly(p)).squarefree_part()
-    return _count(_chain(list(sf.coefficients)),
-                  None if lo is None else Fraction(lo),
-                  None if hi is None else Fraction(hi))
-
-
-def _distinct(chain: List[List[int]]) -> int:
-    # deg p - deg gcd(p, p'), the chain's last element being that gcd
-    return len(chain[0]) - len(chain[-1]) if chain else 0
-
-
 def spectrum_all_real_positive(p: List[Fraction]) -> bool:
     """True when every complex root of p is a (strictly) positive real."""
     ip = _int_poly(p)
@@ -269,11 +253,16 @@ def spectrum_all_real_positive(p: List[Fraction]) -> bool:
 
 def _positive_spectrum(p: List[int]) -> bool:
     """p(0) != 0 and all deg p - deg gcd(p, p') distinct roots of the
-    nonzero integer polynomial p lie in (0, inf)."""
+    nonzero integer polynomial p lie in (0, inf).  Sturm's count on
+    (0, inf) is the chain's sign variations at 0, read off its constant
+    terms, less those at +inf, read off its leading coefficients; the
+    chain's last element is gcd(p, p')."""
     if p[0] == 0:
         return False          # zero eigenvalue
     chain = _chain(p)
-    return _count(chain, lo=Fraction(0)) == _distinct(chain)
+    at_zero = _variations([c[0] for c in chain])
+    at_inf = _variations([c[-1] for c in chain])
+    return at_zero - at_inf == len(p) - len(chain[-1])
 
 
 # --- certified transfer ---

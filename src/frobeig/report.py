@@ -350,8 +350,7 @@ def _report(record: InputRecord, opts: Dict[str, int], key: str,
         if (data.g * d) % 2:
             continue
         rho = lefmot.build_rho_table(an, d, "tate")
-        pred = lefmot.predicted_signature(rho, data.g * d // 2,
-                                          source="tate")
+        pred = lefmot.predicted_signature(rho, data.g * d // 2)
         preds.append(prediction_fragment(d, "tate", rho, pred))
         if pred.negative_prediction:
             warnings.append(f"negative signature prediction at d={d}")

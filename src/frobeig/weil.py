@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, islice
 from typing import Iterator, List, Sequence, Tuple
 
-from .config import DEFAULT, FACTOR_DEGREE_CAP, Settings
+from .config import DEFAULT, FACTOR_DEGREE_CAP, PRECISION_START, Settings
 from .errors import (Ambiguous, FunctionalEquationFailed,
                      InternalInconsistency, MalformedInput, NotPrimePower,
                      NotSimple, PrecisionExhausted, RootModulusFailed)
@@ -215,7 +215,7 @@ def validate(q: int, coefficients: Sequence[int],
     holds; every root has modulus sqrt(q) (an exact Sturm count, which is
     the witness on failure); the degree is within FACTOR_DEGREE_CAP.
     Then isolates the roots and factors the polynomial, in one precision
-    loop from settings.precision_start up to settings.precision_ceiling;
+    loop from PRECISION_START bits up to settings.precision_ceiling;
     PrecisionExhausted says that the factorization was left undecided at
     the ceiling.
     """
@@ -256,7 +256,7 @@ def validate(q: int, coefficients: Sequence[int],
             f"{FACTOR_DEGREE_CAP}")
 
     sf = poly.squarefree_part()
-    prec = settings.precision_start
+    prec = PRECISION_START
     balls = isolate_roots(real, prec)
     while True:
         try:

@@ -6,6 +6,8 @@ from functools import lru_cache
 from frobeig.analysis import Analysis
 from frobeig.corpus import CORPUS
 from frobeig.exactmath.balls import ComplexBall
+from frobeig.exactmath.intpoly import IntPoly, _chain, _variations
+from frobeig.quadforms import _int_poly
 from frobeig.weil import validate
 
 
@@ -32,6 +34,16 @@ def deep_grid_records():
     """(corpus entry, max_power) of the 14 deep-grid records."""
     return [(e, 3 if (e.q, e.coefficients) in _DEEP_GRID_CAPPED else 6)
             for e in CORPUS if len(e.coefficients) > 3]
+
+
+def distinct_real_roots(p):
+    """Distinct real roots of a rational polynomial: Sturm's count over
+    the whole line, from the signs at -inf and +inf of the chain of its
+    squarefree part."""
+    sf = IntPoly(_int_poly(p)).squarefree_part()
+    chain = _chain(list(sf.coefficients))
+    at_minus = [c[-1] if len(c) % 2 else -c[-1] for c in chain]
+    return _variations(at_minus) - _variations([c[-1] for c in chain])
 
 
 def contains_exact(ball, re, im=0):

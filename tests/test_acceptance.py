@@ -27,12 +27,13 @@ from frobeig.lefmot import (ALL_PASS, EXOTIC, FAIL, build_rho_table,
                             hypothesis_check, motive_orbits,
                             predicted_signature)
 from frobeig.quadforms import (am_filter, charpoly_exact,
-                               constant_signature_certify, count_real_roots,
-                               mat_inverse, mat_mul_q, tannaka_transfer)
+                               constant_signature_certify, mat_inverse,
+                               mat_mul_q, tannaka_transfer)
 from frobeig.report import canonical_json, run_batch
 from frobeig.weil import base_change, validate
 
-from conftest import analysis_cached, deep_grid_records, split_cached
+from conftest import (analysis_cached, deep_grid_records,
+                      distinct_real_roots, split_cached)
 
 F = Fraction
 
@@ -256,7 +257,7 @@ def test_criterion_08_constant_signature_suite():
             for j in range(i, n):
                 s0[i][j] = s0[j][i] = F(rng.randint(-4, 4))
         u0 = mat_mul_q(mat_inverse(m), s0)
-        if count_real_roots(charpoly_exact(u0)) != n:
+        if distinct_real_roots(charpoly_exact(u0)) != n:
             redraws += 1
             continue
         eps = F(1, rng.randint(2, 9))
@@ -312,7 +313,7 @@ def test_criterion_11_predicted_signature_surface():
     t0 = time.perf_counter()
     rho = build_rho_table(analysis_cached(5, (5, -1, 1)), 2, source="tate")
     assert rho == [1, 4]
-    pred = predicted_signature(rho, 1, source="tate")
+    pred = predicted_signature(rho, 1)
     assert (pred.s_plus, pred.s_minus) == (3, 1)
     assert not pred.negative_prediction
     elapsed = time.perf_counter() - t0

@@ -5,12 +5,14 @@ import json
 import signal
 import sys
 
+import pytest
+
 from frobeig import __version__, analysis, eig, lefmot, splitfield, weil
 from frobeig.analysis import Analysis
 from frobeig.config import DEFAULT
 from frobeig.corpus import CORPUS
 from frobeig.eig import invariants_report
-from frobeig.errors import PrecisionExhausted
+from frobeig.errors import DegreeCapExceeded, PrecisionExhausted
 from frobeig.exactmath.intpoly import IntPoly
 from frobeig.lefmot import motive_orbits, pack
 from frobeig.report import (build_report_record, galois_fragment,
@@ -200,6 +202,37 @@ class TestGenericPath:
         assert '"undetermined_reason":"PrecisionExhausted"' in line
         assert hashlib.sha256(line.encode()).hexdigest() == \
             "89bf5938e7064a5308070bb27116b70df29ab0f27e8862c678d4e35fa20f53b0"
+
+    def test_read_order_changes_nothing(self, monkeypatch):
+        # the certificate and the field keep no shared failure: a field
+        # read first, and failing, leaves the group and the kernel of the
+        # injective pair q=5 [5,1,1] as a fresh Analysis gives them
+        def exhausted(data, settings):
+            raise PrecisionExhausted("splitting field undecided at 16 bits")
+
+        monkeypatch.setattr(analysis, "splitting_field", exhausted)
+        data = validate(5, [5, 1, 1])
+        an = Analysis(data)
+        with pytest.raises(PrecisionExhausted):
+            an.field
+        fresh = Analysis(data)
+        for a in (an, fresh):
+            assert a.gal.order == 2
+            assert a.undetermined() is None
+            assert (a.relations.basis, a.relations.saturation_index) \
+                == ((), 1)
+
+    def test_field_ends_at_the_certificates_cap(self, monkeypatch):
+        # g=5: the certificate proves the degree cap from one cycle type,
+        # and the field reads it first, so it enumerates no subgroup
+        def unreachable(*args):
+            raise AssertionError("the field enumerated subgroups")
+
+        monkeypatch.setattr(splitfield, "_subgroup_candidates", unreachable)
+        an = Analysis(validate(2, [32, 16, 8, 4, 2, 1, 1, 1, 1, 1, 1]))
+        with pytest.raises(DegreeCapExceeded):
+            an.field
+        assert an.undetermined() == "DegreeCapExceeded"
 
     def test_corpus_fields_and_engines(self, monkeypatch):
         # the field and the relation engine run only where rho is not

@@ -1,6 +1,7 @@
 """CLI surface: record parsing, canonical output, exit codes, batch store."""
 
 import concurrent.futures.process as pool_module
+import dataclasses
 import io
 import json
 import os
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 import frobeig
 from frobeig import report
 from frobeig.cli import main
-from frobeig.config import DEFAULT, MAX_POWER_CAP
+from frobeig.config import DEFAULT, MAX_POWER_CAP, PRECISION_START, Settings
 from frobeig.corpus import CORPUS
 from frobeig import splitfield, weil
 from frobeig.errors import MalformedInput, PrecisionExhausted
@@ -269,6 +270,12 @@ class TestParseRecord:
 
 
 class TestOptions:
+    def test_settings_fields_are_the_option_keys(self):
+        # every field of Settings is a per-run option that each report
+        # echoes, and every option has its default there
+        assert {f.name for f in dataclasses.fields(Settings)} == \
+            set(report.OPTION_KEYS)
+
     def test_layering_record_wins(self):
         opts = effective_options(DEFAULT, {"search_bound": 9},
                                  {"search_bound": 3, "max_power": 1})
@@ -282,12 +289,12 @@ class TestOptions:
 
     def test_ceiling_below_precision_start_changes_nothing(
             self, monkeypatch):
-        # validation always tries precision_start first, and both
+        # validation always tries PRECISION_START first, and both
         # escalation loops compare only a doubled precision with the
         # ceiling: a ceiling of 8 bits computes what one of 192 does
         obj = {"q": 5, "coeffs": [25, -5, 6, -1, 1]}
         records = [parse_record(dict(obj, options={"precision_ceiling": c}))
-                   for c in (8, DEFAULT.precision_start)]
+                   for c in (8, PRECISION_START)]
         low, start = (build_report_record(rec) for rec in records)
         assert low["galois"] is not None
         for part in ("invariants", "galois", "decompositions"):
@@ -568,8 +575,7 @@ class TestReportRecord:
         monkeypatch.setenv("FROBEIG_MAX_PRECISION", "100")
         rc, out = run_cli(capsys, *argv)
         assert rc == 0
-        assert out["options"]["precision_ceiling"] == \
-            str(DEFAULT.precision_start)
+        assert out["options"]["precision_ceiling"] == str(PRECISION_START)
 
 
 # --- signature subcommands ---

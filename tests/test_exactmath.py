@@ -19,17 +19,19 @@ from frobeig import eig
 from frobeig.analysis import Analysis
 from frobeig.corpus import CORPUS
 from frobeig.errors import Ambiguous, PrecisionExhausted, TorsionDetected
-from frobeig.exactmath import (ComplexBall, IntPoly, hnf_rows,
-                               in_row_lattice, isolate_roots, latt,
-                               lattice_saturation_index, lll_reduce,
-                               relation_candidates)
+from frobeig.exactmath import latt
 from frobeig.exactmath import roots as exact_roots
-from frobeig.exactmath.balls import integer_power_sums, isqrt_ub, power_rows
-from frobeig.exactmath.intpoly import (factor_degrees_mod, from_power_sums,
-                                      power_sums)
-from frobeig.exactmath.roots import (_certified, arg_ball, real_roots,
-                                     real_weil_poly, refine_roots,
-                                     roots_in_interval, two_pi_ball)
+from frobeig.exactmath.balls import (ComplexBall, integer_power_sums,
+                                     isqrt_ub, power_rows)
+from frobeig.exactmath.intpoly import (IntPoly, factor_degrees_mod,
+                                      from_power_sums, power_sums)
+from frobeig.exactmath.latt import (hnf_rows, in_row_lattice,
+                                    lattice_saturation_index, lll_reduce,
+                                    relation_candidates)
+from frobeig.exactmath.roots import (_certified, arg_ball, isolate_roots,
+                                     real_roots, real_weil_poly,
+                                     refine_roots, roots_in_interval,
+                                     two_pi_ball)
 from frobeig.weil import base_change, validate
 
 from conftest import (analysis_cached, contains_ball, contains_exact, enclose,
@@ -863,7 +865,7 @@ def test_refine_preserves_matching():
     fine = refine_roots(real, 200)
     assert len(fine) == len(coarse)
     for f, c in zip(fine, coarse):
-        assert f.intersects(c)
+        assert not f.disjoint(c)
         assert f.rad < c.rad
     # the order is canonical, so it needs no earlier enclosures
     assert [b.mim < 0 for b in fine] == [True, False]
@@ -898,7 +900,7 @@ def test_refinement_reuses_the_records_brackets(monkeypatch):
     fine = refine_roots(first.real, 2 * first.prec)
     assert len(counted) == 5
     assert len(fine) == len(first.roots)
-    assert all(f.intersects(b) for f, b in zip(fine, first.roots))
+    assert not any(f.disjoint(b) for f, b in zip(fine, first.roots))
     # the carried value stays out of equality and repr
     assert "real=" not in repr(first)
     assert replace(first, real=None) == first

@@ -520,8 +520,8 @@ class TestPredictedSignature:
     def test_rho_table_ordinary_square(self):
         tab = build_rho_table(analysis_cached(5, (5, -1, 1)), 2)
         assert tab == [1, 4]
-        s = predicted_signature(tab, len(tab) - 1, source="tate")
-        assert (s.s_plus, s.s_minus) == (3, 1) and s.source == "tate"
+        s = predicted_signature(tab, len(tab) - 1)
+        assert (s.s_plus, s.s_minus) == (3, 1)
 
     def test_rho_table_lefschetz_source(self):
         assert build_rho_table(analysis_cached(3, (3, 0, 1)), 2,

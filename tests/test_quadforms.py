@@ -14,9 +14,11 @@ from frobeig.errors import (CharpolyMismatch, MalformedInput,
                             NotPositiveSpectrum, NotSelfAdjoint, NotSymmetric)
 from frobeig.quadforms import (_chain, _charpoly, _int_poly, am_filter,
                                bareiss_solve, charpoly_exact,
-                               constant_signature_certify, count_real_roots,
-                               mat_inverse, mat_mul_q, signature,
+                               constant_signature_certify, mat_inverse,
+                               mat_mul_q, signature,
                                spectrum_all_real_positive, tannaka_transfer)
+
+from conftest import distinct_real_roots
 
 F = Fraction
 
@@ -100,19 +102,18 @@ def test_charpoly_similarity_invariance():
 
 def real_spectrum_summary(p):
     """(distinct real roots, distinct roots, all real) of a rational
-    polynomial: count_real_roots, and deg p - deg gcd(p, p') from the
-    last element of its Sturm chain."""
+    polynomial: the Sturm count over the whole line, and deg p - deg
+    gcd(p, p') from the last element of its Sturm chain."""
     chain = _chain(_int_poly(p))
     distinct = len(chain[0]) - len(chain[-1]) if chain else 0
-    real = count_real_roots(p)
+    real = distinct_real_roots(p)
     return real, distinct, real == distinct
 
 
 def test_sturm_oracle():
     # X^2 - 5X + 6: two distinct real roots, both positive
     p = [F(6), F(-5), F(1)]
-    assert count_real_roots(p) == 2
-    assert count_real_roots(p, lo=F(0)) == 2
+    assert distinct_real_roots(p) == 2
     assert real_spectrum_summary(p) == (2, 2, True)
     assert spectrum_all_real_positive(p)
 
@@ -121,8 +122,12 @@ def test_sturm_complex_and_negative():
     assert real_spectrum_summary([F(1), F(0), F(1)]) == (0, 2, False)
     assert not spectrum_all_real_positive([F(1), F(0), F(1)])
     # X^2 - 1 has root -1
-    assert count_real_roots([F(-1), F(0), F(1)]) == 2
+    assert distinct_real_roots([F(-1), F(0), F(1)]) == 2
     assert not spectrum_all_real_positive([F(-1), F(0), F(1)])
+    # (X + 1)(X - 2)^2 = X^3 - 3X^2 + 4: p'(0) = 0, so the chain's
+    # constant terms hold a zero sign, which the count at 0 skips
+    assert not spectrum_all_real_positive([F(4), F(0), F(-3), F(1)])
+    assert real_spectrum_summary([F(4), F(0), F(-3), F(1)]) == (2, 2, True)
     # zero eigenvalue
     assert not spectrum_all_real_positive([F(0), F(0), F(1)])
     # (X-2)^2 (X-3): multiplicities are fine
@@ -151,7 +156,7 @@ def test_sturm_counts_match_known_factorization(roots):
         coeffs = [F(0)] + coeffs
         for i in range(len(coeffs) - 1):
             coeffs[i] -= F(r) * coeffs[i + 1]
-    assert count_real_roots(coeffs) == len(set(roots))
+    assert distinct_real_roots(coeffs) == len(set(roots))
     assert spectrum_all_real_positive(coeffs) == all(r > 0 for r in roots)
 
 
@@ -431,27 +436,10 @@ def test_sturm_positivity_with_repeated_and_complex_roots(roots, pairs, c,
     distinct = set(roots)
     assert spectrum_all_real_positive(p) == (
         not pairs and all(r > 0 for r in roots))
-    assert count_real_roots(p) == len(distinct)
-    # the count runs on the squarefree part, so it is (lo, hi] also when
-    # an end is a (repeated) root
-    for lo, hi in ((F(0), None), (F(-1, 2), F(5, 3)), (F(-7, 4), F(2, 5))):
-        assert count_real_roots(p, lo=lo, hi=hi) == sum(
-            1 for r in distinct if lo < r and (hi is None or r <= hi))
+    assert distinct_real_roots(p) == len(distinct)
     n_pairs = len(set(pairs))
     assert real_spectrum_summary(p) == (
         len(distinct), len(distinct) + 2 * n_pairs, n_pairs == 0)
-
-
-def test_count_real_roots_multiple_root_at_an_end():
-    # X^4 + X^2: the double root 0 made every element of the chain of p
-    # and p' vanish at lo = 0, and the count read -1
-    assert count_real_roots([F(0), F(0), F(1), F(0), F(1)], lo=F(0)) == 0
-    # (X + 1)^2 X (X - 1)^2: (-1, 1] holds 0 and the double root 1
-    p = _poly_from([F(-1), F(-1), F(0), F(1), F(1)], [])
-    assert count_real_roots(p, lo=F(-1), hi=F(1)) == 2
-    assert count_real_roots(p, lo=F(-1), hi=F(0)) == 1
-    assert count_real_roots(p, lo=F(0), hi=F(1)) == 1
-    assert count_real_roots(p) == 3
 
 
 def test_sturm_chain_is_integral_and_positive():
@@ -463,7 +451,7 @@ def test_sturm_chain_is_integral_and_positive():
     assert chain[0] == [1, -4, 5, -4, 4]
     assert chain[-1] == [1, -2]
     assert _chain(_int_poly([])) == []
-    assert count_real_roots([]) == 0
+    assert distinct_real_roots([]) == 0
     assert real_spectrum_summary([]) == (0, 0, True)
     assert spectrum_all_real_positive([F(3)])
     with pytest.raises(MalformedInput, match="zero polynomial"):

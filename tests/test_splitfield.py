@@ -9,7 +9,7 @@ from math import lcm
 import pytest
 
 from frobeig import analysis, splitfield, weil
-from frobeig.config import DEFAULT
+from frobeig.config import DEFAULT, PRECISION_START
 from frobeig.corpus import CORPUS
 from frobeig.exactmath.balls import lincomb, power_rows
 from frobeig.exactmath.intpoly import IntPoly
@@ -342,19 +342,46 @@ class TestSplittingField:
         assert g.order == 2 and automorphisms_act(sf, g.perms)
         assert set(g.perms) == {(0, 1), (1, 0)}
 
-    def test_low_precision_builds_degree_eight(self):
+    def test_low_precision_builds_degree_eight(self, monkeypatch):
         # the integer traces resolve on the 16-bit root enclosures; the
         # Newton interpolation they replaced needed more precision here
-        st = replace(DEFAULT, precision_start=16, precision_ceiling=16)
+        monkeypatch.setattr(weil, "PRECISION_START", 16)
+        st = replace(DEFAULT, precision_ceiling=16)
         field = splitting_field(validate(5, [25, -5, 6, -1, 1], st), st)
         _, default_field = split_cached(5, (25, -5, 6, -1, 1))
         assert field.degree == 8
         assert field.group_perms == default_field.group_perms
 
+    def test_precision_ladder_refines_to_the_default_field(self,
+                                                          monkeypatch):
+        # the degree-24 base change of q=5 [25,-5,6,-1,1] validates at 16
+        # bits, and the field escalates to 32, 64 and 128 bits, refining
+        # the record's roots each time, to the field of the default run
+        q = 5 ** 24
+        coeffs = (3552713678800500929355621337890625,
+                  32855388402938842773437500, 193457399029942726,
+                  551221948, 1)
+        default = splitting_field(validate(q, coeffs))
+        monkeypatch.setattr(weil, "PRECISION_START", 16)
+        refined = []
+
+        def recorded(real, prec):
+            refined.append(prec)
+            return refine_roots(real, prec)
+
+        monkeypatch.setattr(splitfield, "refine_roots", recorded)
+        data = validate(q, coeffs)
+        field = splitting_field(data)
+        assert data.prec == 16
+        assert refined == [32, 64, 128]
+        for name in ("group_perms", "modulus", "weight", "root_coords"):
+            assert getattr(field, name) == getattr(default, name), name
+
     def test_env_ceiling_does_not_override_settings(self, monkeypatch):
         # only the CLI reads FROBEIG_MAX_PRECISION; an explicit Settings
         # keeps its ceiling, even when every attempt asks for more bits
-        st = replace(DEFAULT, precision_start=16, precision_ceiling=16)
+        monkeypatch.setattr(weil, "PRECISION_START", 16)
+        st = replace(DEFAULT, precision_ceiling=16)
         data = validate(5, [25, -5, 6, -1, 1], st)
         monkeypatch.setattr(splitfield, "_try_candidate",
                             lambda *args: splitfield._UNRESOLVED)
@@ -624,7 +651,7 @@ class TestBallCertificates:
         # w(i) and on no other
         d, sf = split_cached(5, (25, -5, 6, -1, 1))       # degree 8
         assert any(den > 1 for _, den in sf.root_coords)
-        bits = DEFAULT.precision_start + 64
+        bits = PRECISION_START + 64
         gammas = [lincomb(sf.weight, [sf.root_balls[w[r]]
                                       for r in sf.orbit_reps])
                   for w in sf.group_perms]
@@ -641,7 +668,7 @@ class TestBallCertificates:
                 for value in (enc.re, enc.im, enc.rad):
                     assert (value * grid).denominator == 1
                 targets = [b.scale(den) for b in sf.root_balls]
-                assert enc.intersects(targets[w[i]])
+                assert not enc.disjoint(targets[w[i]])
                 assert all(enc.disjoint(t) for j, t in enumerate(targets)
                            if j != w[i])
 

@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from frobeig import weil
-from frobeig.config import DEFAULT
+from frobeig.config import DEFAULT, PRECISION_START
 from frobeig.corpus import CORPUS
 from frobeig.errors import (Ambiguous, FrobeigError, FunctionalEquationFailed,
                             MalformedInput, NotPrimePower, NotSimple,
@@ -319,11 +319,12 @@ class TestEscalation:
         monkeypatch.setattr(weil, name,
                             _undecided_once(getattr(weil, name), fail))
         data = validate(q, coeffs)
-        assert default.prec == DEFAULT.precision_start
+        assert default.prec == PRECISION_START
         assert data.prec == 2 * default.prec
         assert data.factors == default.factors
         assert data.iota == default.iota
-        assert all(a.intersects(b) for a, b in zip(data.roots, default.roots))
+        assert not any(a.disjoint(b)
+                       for a, b in zip(data.roots, default.roots))
         assert (splitting_field(data).group_perms
                 == splitting_field(default).group_perms)
 
@@ -332,7 +333,7 @@ class TestEscalation:
     def test_undecided_stage_at_the_ceiling(self, monkeypatch, stage, name,
                                             fail):
         q, coeffs = self.QUARTIC
-        st = replace(DEFAULT, precision_ceiling=DEFAULT.precision_start)
+        st = replace(DEFAULT, precision_ceiling=PRECISION_START)
         monkeypatch.setattr(weil, name,
                             _undecided_once(getattr(weil, name), fail))
         with pytest.raises(PrecisionExhausted) as exc:
