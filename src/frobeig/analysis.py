@@ -15,6 +15,9 @@ pi_i pibar_i / pi_j pibar_j in T: a word realizing to 1 lies in T, so a
 multiple of it is a sum of trivial words, which vanish in Eig, and Eig
 is torsion-free.  Then the kernel is empty with saturation index 1, mu
 is Tate exactly when mu = 0, and no field or relation engine is built.
+Nor does the report scan base changes for multiplicity growth
+(eig._growth): pi_i^k = pi_j^k for i != j would make the word
+k (e_i - e_j), nonzero in Eig, realize to 1.
 
 Only the certificate and the field can fail on a bound (degree cap or
 precision ceiling), each on its own, so read order changes no result.

@@ -74,7 +74,8 @@ from itertools import permutations, product
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
                     Sequence, Tuple)
 
-from .errors import InternalInconsistency, MalformedInput, TorsionDetected
+from .errors import (DegreeCapExceeded, InternalInconsistency,
+                     MalformedInput, PrecisionExhausted, TorsionDetected)
 from .exactmath.latt import (hnf_rows, in_row_lattice,
                              lattice_saturation_index, relation_candidates)
 from .exactmath.roots import arg_ball, two_pi_ball
@@ -590,6 +591,20 @@ def _multiplicity_growth_at(data: WeilData) -> Optional[int]:
     return None
 
 
+def _growth(an: Analysis) -> Optional[int]:
+    """multiplicity_growth_at of a simple record.  Growth at k means
+    pi_i^k = pi_j^k for some i != j, that is, the word k (e_i - e_j)
+    realizes to 1.  e_i - e_j is nonzero in the torsion-free Eig, so an
+    injective rho rules growth out with no base change.  A record whose
+    injectivity ends in a bound failure keeps the base-change scan."""
+    try:
+        if an.injective:
+            return None
+    except (DegreeCapExceeded, PrecisionExhausted):
+        pass
+    return _multiplicity_growth_at(an.data)
+
+
 def invariants_report(an: Analysis) -> Dict[str, object]:
     """Bundle of the numerical invariants driving the main positivity
     statement; a splitting-field failure stored in the analysis marks
@@ -608,7 +623,7 @@ def invariants_report(an: Analysis) -> Dict[str, object]:
         # conjugate, so base_change(P, k) is a power of the minimal
         # polynomial of pi^k: a simple input stays isotypic for every k
         report["geometrically_isotypic"] = True
-        report["multiplicity_growth_at"] = _multiplicity_growth_at(data)
+        report["multiplicity_growth_at"] = _growth(an)
     else:
         report["multiplicity"] = None
         report["center_degree"] = sum(f.poly.degree for f in data.factors)

@@ -43,33 +43,78 @@ from . import lefmot
 
 # --- canonical serialization ---
 
-def _encode(obj) -> str:
-    """The canonical JSON text of obj, written in one pass over it."""
+# the C encoder of the json module; every value it meets is a str, bool,
+# None, list or dict with str keys (see _plain)
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            ensure_ascii=True, check_circular=False)
+
+
+def _plain(obj):
+    """obj as the JSON value that canonical_json writes: every int and
+    Fraction its decimal or "p/q" string, every tuple a list.  Exact types
+    take the fast path; subclasses go through _plain_subclass."""
+    kind = type(obj)
+    if kind is str or kind is bool or obj is None:
+        return obj
+    if kind is int or kind is Fraction:
+        return str(obj)             # Fraction prints "p/q", or "p" if whole
+    if kind is list or kind is tuple:
+        return [_plain(x) for x in obj]
+    if kind is dict:
+        for k in obj:
+            if type(k) is not str:
+                return _plain_subclass(obj)
+        return {k: _plain(v) for k, v in obj.items()}
+    return _plain_subclass(obj)
+
+
+def _plain_subclass(obj):
+    """_plain by isinstance: str, int (bool is final), Fraction, list,
+    tuple and dict subclasses.  Raises TypeError on a dict key that is no
+    str and on any other type, float included."""
     if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
+        return obj                  # the encoder writes its characters
     if isinstance(obj, (int, Fraction)):
-        # Fraction prints "p/q", or "p" when whole
-        return encode_basestring_ascii(str(obj))
-    if obj is None:
-        return "null"
+        return str(obj)
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(map(_encode, obj)) + "]"
+        return [_plain(x) for x in obj]
     if isinstance(obj, dict):
         for k in obj:
             if not isinstance(k, str):
                 raise TypeError(f"non-string key {k!r} in report data")
-        return "{" + ",".join(
-            encode_basestring_ascii(k) + ":" + _encode(obj[k])
-            for k in sorted(obj)) + "}"
+        return {k: _plain(v) for k, v in obj.items()}
     raise TypeError(f"cannot serialize {type(obj).__name__} in a report")
+
+
+def _piece(value) -> str:
+    """The canonical JSON text of value, from one encoder call."""
+    return _ENCODER.encode(_plain(value))
+
+
+def _top_value(value) -> str:
+    if type(value) is list:
+        return "[" + ",".join(map(_piece, value)) + "]"
+    return _piece(value)
 
 
 def canonical_json(obj) -> str:
     """Canonical single-line rendering: keys sorted, compact separators,
-    ASCII only, numerics as exact strings."""
-    return _encode(obj)
+    ASCII only, numerics as exact strings.  A walk (_plain) turns obj into
+    plain JSON values, and the json module's C encoder writes them.
+
+    Until it returns, the encoder holds a token for every value it writes
+    (on CPython 3.11 about seven bytes for each byte of output), next to
+    the walk's copy.  So a top-level dict is written here one value at a
+    time, and a list among its values one element at a time: a deep-grid
+    report holds one decomposition's copy and tokens at a time, not the
+    whole record's."""
+    if type(obj) is not dict:
+        return _piece(obj)
+    for k in obj:
+        if not isinstance(k, str):
+            raise TypeError(f"non-string key {k!r} in report data")
+    return "{" + ",".join(encode_basestring_ascii(k) + ":" + _top_value(obj[k])
+                          for k in sorted(obj)) + "}"
 
 
 def content_key(input_echo: dict, options: Dict[str, int],

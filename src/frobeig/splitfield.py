@@ -81,8 +81,10 @@ commonest Galois group, from three rational square tests and the
 Frobenius cycle types of h mod small primes (see its docstring), and
 `galois_data` runs the same group checks on those permutations.  Only
 when that certificate fails is the field built.  A cycle type also
-bounds |G| from below, so an input whose group provably exceeds the
-degree cap ends there without the subgroup search.
+bounds |G| from below, and so does a Frobenius element that is trivial
+on the pairs and flips one or all but one of them, so an input whose
+group provably exceeds the degree cap ends there without the subgroup
+search.
 
 Rejection is equally certified.  When H is the Galois group, every power
 sum Tr(x^k) and, past the squarefree gate, every trace t_{i,k} is an
@@ -720,7 +722,14 @@ def generic_group(data: WeilData, cap: int) -> Optional[Tuple[Perm, ...]]:
     subgroup misses some class: the conjugates of H cover fewer than |W'|
     elements) G = W'.  Otherwise None.  Each element's order, the lcm of
     its cycle lengths, divides |G|, and so does the number 2g of roots, G
-    being transitive on them: as soon as their lcm exceeds cap,
+    being transitive on them.  So does 2^g g once some element is trivial
+    on the pairs (h+ splits into linear factors mod ell) and flips 1 or
+    g - 1 of them (h has that many factors of degree 2 mod ell): the
+    restriction G -> G+ to the pairs has its kernel N inside the flips
+    (Z/2)^g; the element, times iota in the second case, is a single flip
+    in N; G+ is transitive on the pairs, h+ being irreducible, so the
+    conjugates of that flip give N = (Z/2)^g, and |G| = |G+| 2^g with g
+    dividing |G+|.  As soon as the lcm of these divisors exceeds cap,
     DegreeCapExceeded, as the field construction would end.
 
     A certified W' larger than cap raises DegreeCapExceeded too.
@@ -746,12 +755,15 @@ def generic_group(data: WeilData, cap: int) -> Optional[Tuple[Perm, ...]]:
             usable = (ell for ell in _SMALL_PRIMES if bad % ell)
             for ell in islice(usable, _CYCLE_TYPE_BUDGET):
                 root_degrees = factor_degrees_mod(h, ell)
+                pair_degrees = factor_degrees_mod(hplus, ell)
                 order = lcm(order, *root_degrees)
+                if max(pair_degrees) == 1 and \
+                        root_degrees.count(2) in (1, g - 1):
+                    order = lcm(order, 2 ** g * g)      # N = (Z/2)^g
                 if order > cap:
                     raise DegreeCapExceeded(
                         f"splitting field degree exceeds the cap {cap}")
-                unseen.discard(_signed_type(root_degrees,
-                                            factor_degrees_mod(hplus, ell)))
+                unseen.discard(_signed_type(root_degrees, pair_degrees))
                 if not unseen:
                     break
             else:

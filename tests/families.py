@@ -1,10 +1,11 @@
 """Seeded input families shared by the tests: validated Weil
-polynomials drawn from fixed seeds, so every run sees the same inputs."""
+polynomials, and polynomials that fail validation with a root off the
+circle, drawn from fixed seeds, so every run sees the same inputs."""
 
 import math
 import random
 
-from frobeig.errors import FrobeigError
+from frobeig.errors import FrobeigError, RootModulusFailed
 from frobeig.weil import validate
 
 _QS = (2, 3, 4, 5, 7, 8, 9)
@@ -65,3 +66,22 @@ def seeded_generic_inputs(seed, g, count):
                 and not data.real_root_indices):
             found.append((q, coeffs))
     return found
+
+
+def seeded_off_circle_inputs(seed, count):
+    """Seeded quartics and sextics that satisfy the functional equation
+    and fail validation with a root off the circle |z|^2 = q."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        q = rng.choice((2, 3, 4, 5, 7))
+        a, b, c = (rng.randint(-8 * q, 8 * q) for _ in range(3))
+        coeffs = ((q * q, q * a, b, a, 1) if rng.random() < 0.5
+                  else (q ** 3, q * q * a, q * b, c, b, a, 1))
+        try:
+            validate(q, coeffs)
+        except RootModulusFailed:
+            out.append((q, coeffs))
+        except FrobeigError:
+            pass
+    return out

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import OrderedDict
 from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from pathlib import Path
@@ -165,6 +166,25 @@ class TestCanonicalJson:
                              capture_output=True, text=True,
                              env=subprocess_env())
         assert out.stdout.strip() == "[0, 0] False"
+
+
+def test_canonical_json_subclasses_match_the_oracle():
+    # subclasses miss canonical_json's exact-type fast path and take the
+    # isinstance rules; a str subclass is written as its characters,
+    # whatever its __str__ says
+    class Text(str):
+        def __str__(self):
+            return "other"
+
+    class Count(int):
+        pass
+
+    value = {Text("b"): [Text("\u00e9"), Count(3), (Fraction(1, 2),)],
+             "a": OrderedDict(z=Count(1), y=True)}
+    assert canonical_json(value) == _oracle_json(value) == \
+        '{"a":{"y":true,"z":"1"},"b":["\\u00e9","3",["1/2"]]}'
+    with pytest.raises(TypeError):
+        canonical_json({Text("a"): 1, 2: 3})
 
 
 # --- input records ---

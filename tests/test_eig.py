@@ -14,7 +14,8 @@ from frobeig.analysis import Analysis
 from frobeig.config import DEFAULT
 from frobeig.corpus import CORPUS
 from frobeig.eig import (_FIX_BITS, _box_hits, _factor_firsts,
-                         _newton_valuations, _orders_lcm, _relation_engine,
+                         _multiplicity_growth_at, _newton_valuations,
+                         _orders_lcm, _relation_engine,
                          _Relations, _slope_rows, _torsion_rank, _turns,
                          action_rows, apply_rows, build_eig_group,
                          frobenius_rank, invariants_report, realize_coords)
@@ -29,7 +30,7 @@ from frobeig.report import galois_fragment
 from frobeig.splitfield import (ModRing, galois_group, generic_group,
                                 is_root_of_unity, orbit_representatives,
                                 splitting_field, word_value)
-from frobeig.weil import base_change, validate
+from frobeig.weil import base_change, base_changes, validate
 
 from conftest import analysis_cached, minors_gcd, split_cached
 from families import seeded_generic_inputs, seeded_weil_inputs
@@ -341,6 +342,51 @@ class TestInvariantsReport:
         assert rep["undetermined_reason"] == "DegreeCapExceeded"
         # presentation-level facts survive
         assert rep["rank_eig"] == 3 and rep["torsion_free"] is True
+        # injectivity cannot be read past the cap, so the base-change scan
+        # reports the growth: pi^7 = -128 for the sextic's roots -2 zeta_7^j
+        rep = invariants_report(Analysis(
+            validate(4, [64, -32, 16, -8, 4, -2, 1]), tight))
+        assert rep["undetermined_reason"] == "DegreeCapExceeded"
+        assert rep["multiplicity_growth_at"] == 7
+
+    def test_growth_matches_the_base_change_scan(self, monkeypatch):
+        # growth at k means pi_i^k = pi_j^k for some i != j, which an
+        # injective rho rules out: those records read None with no base
+        # change, and the scan reads None on them too; every other simple
+        # record reports the scan
+        scanned = []
+
+        def counted(poly, ks):
+            scanned.append(poly)
+            return base_changes(poly, ks)
+
+        monkeypatch.setattr(eig_module, "base_changes", counted)
+        inputs = [(e.q, tuple(e.coefficients)) for e in CORPUS]
+        inputs += [(q ** k, base_change(IntPoly(c), k).coefficients)
+                   for q, c in inputs for k in (2, 3)]
+        inputs += seeded_weil_inputs(2026, 8, 4)
+        inputs += seeded_weil_inputs(11, 30, 15)
+        simple = injective = grown = 0
+        for q, coeffs in inputs:
+            scanned.clear()
+            try:
+                an = analysis_cached(q, tuple(coeffs))
+                rep = invariants_report(an)
+            except FrobeigError:
+                continue
+            if not an.data.is_simple:
+                continue
+            simple += 1
+            reported_scans = len(scanned)
+            scan = _multiplicity_growth_at(an.data)
+            assert rep["multiplicity_growth_at"] == scan, (q, coeffs)
+            if an.undetermined() is None and an.injective:
+                assert scan is None and reported_scans == 0, (q, coeffs)
+                injective += 1
+            else:
+                assert reported_scans == 1, (q, coeffs)
+            grown += scan is not None
+        assert (len(inputs), simple, injective, grown) == (228, 191, 127, 64)
 
 
 def _word_of(e, a):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import random
 import signal
 from dataclasses import replace
@@ -8,15 +9,17 @@ from math import lcm
 
 import pytest
 
-from frobeig import analysis, splitfield, weil
+from frobeig import __version__, analysis, splitfield, weil
 from frobeig.config import DEFAULT, PRECISION_START
 from frobeig.corpus import CORPUS
 from frobeig.exactmath.balls import lincomb, power_rows
-from frobeig.exactmath.intpoly import IntPoly
-from frobeig.exactmath.roots import refine_roots
+from frobeig.exactmath.intpoly import IntPoly, factor_degrees_mod
+from frobeig.exactmath.roots import real_weil_poly, refine_roots
 from frobeig.errors import (DegreeCapExceeded, InternalInconsistency,
                             PrecisionExhausted)
-from frobeig.splitfield import (ModRing, _block_permutations, _compose,
+from frobeig.report import process_line
+from frobeig.splitfield import (ModRing, _abs_discriminant,
+                                _block_permutations, _compose,
                                 _signed_type, _signed_types,
                                 _subgroup_candidates, galois_group,
                                 generic_group, is_root_of_unity,
@@ -36,6 +39,10 @@ GROUP_LAYER_SHA256 = (
     "d2e4a913c590336dec462c8d53c2498afd16977aaecc5e5aafa1e9ce30946866")
 GENERIC_SEXTIC = (3, (27, 27, 6, -1, 2, 3, 1))        # G = W_3, order 48
 GENERIC_OCTIC = (2, (16, 16, 24, 18, 17, 9, 6, 2, 1))  # |W'| = 384
+# sha256 of GENERIC_OCTIC's process_line report, which ends in
+# DegreeCapExceeded, as the subgroup search first wrote it
+OCTIC_LINE_SHA256 = (
+    "cec98fd1b9b801c91c97d14155faf5c4cb8eefcc658cfd1db0db59b2489818ec")
 # the accepted degree-48 modulus of GENERIC_SEXTIC's splitting field,
 # ascending coefficients
 GENERIC_SEXTIC_MODULUS = (
@@ -828,6 +835,72 @@ class TestGenericGroup:
             assert generic_group(validate(q, coeffs), 48) is None
         with pytest.raises(DegreeCapExceeded):
             generic_group(validate(5, (25, -5, 6, -1, 1)), 7)
+
+    def test_a_single_flip_fills_the_flip_kernel(self):
+        # a usable prime at which h+ splits into linear factors and h has 1
+        # or g - 1 factors of degree 2 shows an element of G that fixes
+        # every pair and flips one, up to iota; then the flip kernel N (the
+        # elements of G that fix every pair) is all of (Z/2)^g, so 2^g g
+        # divides |G|.  Within the scan's budget such a prime shows on
+        # every G = W_3 here and on none of the sextics X^6 + aX^3 + q^3,
+        # whose G has order 12
+        inputs = [GENERIC_SEXTIC] + seeded_generic_inputs(2026, 3, 4) + [
+            (q, coeffs) for q, coeffs in seeded_weil_inputs(11, 30, 15)
+            if len(coeffs) == 7]
+        shown = {}
+        for q, coeffs in inputs:
+            an = analysis_cached(q, tuple(coeffs))
+            data = an.data
+            if len(data.factors) != 1 or data.real_root_indices:
+                continue
+            g, h = len(data.roots) // 2, data.factors[0].poly
+            hplus = real_weil_poly(h, q)
+            bad = q * _abs_discriminant(h) * _abs_discriminant(hplus)
+            usable = (ell for ell in weil._SMALL_PRIMES if bad % ell)
+            single = any(
+                max(factor_degrees_mod(hplus, ell)) == 1
+                and factor_degrees_mod(h, ell).count(2) in (1, g - 1)
+                for ell in itertools.islice(usable,
+                                            splitfield._CYCLE_TYPE_BUDGET))
+            kernel = [p for p in an.gal.perms
+                      if all(p[i] in (i, data.iota[i]) for i in range(2 * g))]
+            if single:
+                assert len(kernel) == 2 ** g, (q, coeffs)
+            counts = shown.setdefault(an.gal.order, [0, 0])
+            counts[0] += 1
+            counts[1] += single
+        assert shown == {48: [5, 5], 12: [13, 0]}
+
+    def test_octic_flip_kernel_exceeds_the_cap(self, monkeypatch):
+        # at the 26th usable prime, 109, h+ splits into linear factors and
+        # h has three factors of degree 2: times iota that element flips one
+        # pair, so N = (Z/2)^4 and |G| >= 2^4 * 4 = 64 > 48, before any
+        # subgroup of W' (order 384) is listed; the record's bytes are those
+        # that the subgroup search reached in seconds
+        def too_slow(signum, frame):
+            raise TimeoutError("g=4 octic exceeded 2 s")
+
+        def no_search(*args):
+            raise AssertionError("the subgroup search ran")
+
+        data = validate(*GENERIC_OCTIC)
+        h = data.factors[0].poly
+        assert factor_degrees_mod(real_weil_poly(h, 2), 109) == (1,) * 4
+        assert factor_degrees_mod(h, 109).count(2) == 3
+        monkeypatch.setattr(splitfield, "_subgroup_candidates", no_search)
+        raw = json.dumps({"q": GENERIC_OCTIC[0],
+                          "coeffs": list(GENERIC_OCTIC[1])})
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(2)
+        try:
+            assert analysis.Analysis(data).undetermined() \
+                == "DegreeCapExceeded"
+            _, line, kind = process_line(raw, None, DEFAULT, __version__)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert kind == "report"
+        assert hashlib.sha256(line.encode()).hexdigest() == OCTIC_LINE_SHA256
 
     def test_g5_cycle_type_order_exceeds_the_cap(self, monkeypatch):
         # cycle lengths (4, 6) at the first usable prime give an element

@@ -20,6 +20,8 @@ from frobeig.quadforms import charpoly_exact
 from frobeig.splitfield import splitting_field
 from frobeig.weil import base_change, prime_power_decomposition, validate
 
+from families import seeded_off_circle_inputs
+
 
 def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
@@ -223,25 +225,6 @@ class TestValidate:
             validate(6, [6, -1, 1])
 
 
-def _off_circle_inputs(seed, count):
-    """Seeded quartics and sextics that satisfy the functional equation
-    and fail validation with a root off the circle |z|^2 = q."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        q = rng.choice((2, 3, 4, 5, 7))
-        a, b, c = (rng.randint(-8 * q, 8 * q) for _ in range(3))
-        coeffs = ((q * q, q * a, b, a, 1) if rng.random() < 0.5
-                  else (q ** 3, q * q * a, q * b, c, b, a, 1))
-        try:
-            validate(q, coeffs)
-        except RootModulusFailed:
-            out.append((q, coeffs))
-        except FrobeigError:
-            pass
-    return out
-
-
 def _built_off_circle():
     """x^2 - a x + q with a^2 > 4q (real roots off the circle), and
     (x - z)(x - conj z)(x - q/z)(x - q/conj z) for Gaussian integers z with
@@ -265,7 +248,7 @@ class TestModulusCertificate:
     def test_product_certificate_matches_division_oracle(self):
         # the exact gate against inputs built on or off the circle: the
         # corpus and products of x^2 - a x + q with a^2 <= 4q are on it,
-        # and _built_off_circle() and _off_circle_inputs() are off it
+        # and _built_off_circle() and seeded_off_circle_inputs() are off it
         rng = random.Random(2510)
         on = [(e.q, tuple(e.coefficients)) for e in CORPUS]
         for _ in range(60):
@@ -280,7 +263,7 @@ class TestModulusCertificate:
         for q, coeffs in on:
             s = real_weil_poly(IntPoly(coeffs), q).squarefree_part()
             assert roots_in_interval(s, q) == s.degree, (q, coeffs)
-        for q, coeffs in off + _off_circle_inputs(19, 40):
+        for q, coeffs in off + seeded_off_circle_inputs(19, 40):
             s = real_weil_poly(IntPoly(coeffs), q).squarefree_part()
             assert roots_in_interval(s, q) < s.degree, (q, coeffs)
             with pytest.raises(RootModulusFailed):
