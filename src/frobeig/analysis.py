@@ -21,9 +21,9 @@ k (e_i - e_j), nonzero in Eig, realize to 1.
 
 Only the certificate and the field can fail on a bound (degree cap or
 precision ceiling), each on its own, so read order changes no result.
-The certificate keeps no failure and is recomputed on each read.  The
-field keeps its failure for every read of it and of what is built on
-it, and reads the certificate first: a cap that it proves ends the field.
+Each keeps its failure, in a slot of its own, for every read of it and
+of what is built on it, so each runs at most once; the field reads the
+certificate first: a cap that it proves ends the field.
 
 The orbit classification reads four per-record tables on packed integer
 keys of one width (see lefmot.pack_width): one expansion of the
@@ -69,6 +69,7 @@ class Analysis:
         self.data = data
         self.settings = settings
         self.cm_assertion = cm_assertion
+        self._generic_failure: Optional[Exception] = None
         self._field_failure: Optional[Exception] = None
         self._dims: Dict[Tuple[int, int], Tuple[int, int, int, int]] = {}
         # one slot, (d, layers), for the power d read last
@@ -105,8 +106,13 @@ class Analysis:
     def generic(self) -> Optional[Tuple[Perm, ...]]:
         """W', when splitfield.generic_group certifies G = W' with no
         field; None sends the Galois group to the field.  A bound failure
-        is not kept: each read recomputes it, in milliseconds."""
-        return generic_group(self.data, self.settings.degree_cap)
+        is kept for every read."""
+        if self._generic_failure is None:
+            try:
+                return generic_group(self.data, self.settings.degree_cap)
+            except _BOUNDS as exc:
+                self._generic_failure = exc
+        raise self._generic_failure
 
     @cached_property
     def gal(self) -> GaloisData:

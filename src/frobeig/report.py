@@ -49,10 +49,25 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                             ensure_ascii=True, check_circular=False)
 
 
+def _str_keys(obj: dict) -> dict:
+    """obj, once every key of it is a str; TypeError otherwise."""
+    for k in obj:
+        if not isinstance(k, str):
+            raise TypeError(f"non-string key {k!r} in report data")
+    return obj
+
+
 def _plain(obj):
     """obj as the JSON value that canonical_json writes: every int and
-    Fraction its decimal or "p/q" string, every tuple a list.  Exact types
-    take the fast path; subclasses go through _plain_subclass."""
+    Fraction its decimal or "p/q" string, every tuple a list.  Raises
+    TypeError on a dict key that is no str and on any other type, float
+    included.
+
+    Exact types take the first branches.  A subclass value takes the
+    rule of the first base that isinstance finds: a str subclass stays,
+    and the encoder writes its characters, whatever its __str__; a list,
+    tuple or dict subclass is copied to a list or dict and walked
+    again."""
     kind = type(obj)
     if kind is str or kind is bool or obj is None:
         return obj
@@ -61,28 +76,15 @@ def _plain(obj):
     if kind is list or kind is tuple:
         return [_plain(x) for x in obj]
     if kind is dict:
-        for k in obj:
-            if type(k) is not str:
-                return _plain_subclass(obj)
-        return {k: _plain(v) for k, v in obj.items()}
-    return _plain_subclass(obj)
-
-
-def _plain_subclass(obj):
-    """_plain by isinstance: str, int (bool is final), Fraction, list,
-    tuple and dict subclasses.  Raises TypeError on a dict key that is no
-    str and on any other type, float included."""
+        return {k: _plain(v) for k, v in _str_keys(obj).items()}
     if isinstance(obj, str):
-        return obj                  # the encoder writes its characters
+        return obj
     if isinstance(obj, (int, Fraction)):
         return str(obj)
     if isinstance(obj, (list, tuple)):
-        return [_plain(x) for x in obj]
+        return _plain(list(obj))
     if isinstance(obj, dict):
-        for k in obj:
-            if not isinstance(k, str):
-                raise TypeError(f"non-string key {k!r} in report data")
-        return {k: _plain(v) for k, v in obj.items()}
+        return _plain(dict(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__} in a report")
 
 
@@ -92,7 +94,7 @@ def _piece(value) -> str:
 
 
 def _top_value(value) -> str:
-    if type(value) is list:
+    if isinstance(value, (list, tuple)):
         return "[" + ",".join(map(_piece, value)) + "]"
     return _piece(value)
 
@@ -108,13 +110,10 @@ def canonical_json(obj) -> str:
     time, and a list among its values one element at a time: a deep-grid
     report holds one decomposition's copy and tokens at a time, not the
     whole record's."""
-    if type(obj) is not dict:
+    if not isinstance(obj, dict):
         return _piece(obj)
-    for k in obj:
-        if not isinstance(k, str):
-            raise TypeError(f"non-string key {k!r} in report data")
     return "{" + ",".join(encode_basestring_ascii(k) + ":" + _top_value(obj[k])
-                          for k in sorted(obj)) + "}"
+                          for k in sorted(_str_keys(obj))) + "}"
 
 
 def content_key(input_echo: dict, options: Dict[str, int],

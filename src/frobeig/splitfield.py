@@ -692,6 +692,14 @@ def _signed_type(root_degrees: Sequence[int],
     return tuple(out)
 
 
+def _single_flip(root_degrees: Sequence[int], pair_degrees: Sequence[int],
+                 g: int) -> bool:
+    """Does the Frobenius element with these cycle lengths on the roots
+    and on the pairs fix every pair and flip 1 or g - 1 of them, so that
+    it, or it times iota, is a single flip?  (See generic_group.)"""
+    return max(pair_degrees) == 1 and root_degrees.count(2) in (1, g - 1)
+
+
 def generic_group(data: WeilData, cap: int) -> Optional[Tuple[Perm, ...]]:
     """W', sorted, when it is certified to be the Galois group G of a
     simple record with no real root, or with the one root +-sqrt(q); None
@@ -757,8 +765,7 @@ def generic_group(data: WeilData, cap: int) -> Optional[Tuple[Perm, ...]]:
                 root_degrees = factor_degrees_mod(h, ell)
                 pair_degrees = factor_degrees_mod(hplus, ell)
                 order = lcm(order, *root_degrees)
-                if max(pair_degrees) == 1 and \
-                        root_degrees.count(2) in (1, g - 1):
+                if _single_flip(root_degrees, pair_degrees, g):
                     order = lcm(order, 2 ** g * g)      # N = (Z/2)^g
                 if order > cap:
                     raise DegreeCapExceeded(

@@ -224,15 +224,33 @@ class TestGenericPath:
 
     def test_field_ends_at_the_certificates_cap(self, monkeypatch):
         # g=5: the certificate proves the degree cap from one cycle type,
-        # and the field reads it first, so it enumerates no subgroup
+        # and the field reads it first, so it enumerates no subgroup; the
+        # certificate keeps its failure, so it runs once per Analysis
+        # however often the report reads it
         def unreachable(*args):
             raise AssertionError("the field enumerated subgroups")
 
+        calls = []
+        certify = analysis.generic_group
+
+        def counted(data, cap):
+            calls.append(cap)
+            return certify(data, cap)
+
         monkeypatch.setattr(splitfield, "_subgroup_candidates", unreachable)
-        an = Analysis(validate(2, [32, 16, 8, 4, 2, 1, 1, 1, 1, 1, 1]))
+        monkeypatch.setattr(analysis, "generic_group", counted)
+        coeffs = [32, 16, 8, 4, 2, 1, 1, 1, 1, 1, 1]
+        an = Analysis(validate(2, coeffs))
         with pytest.raises(DegreeCapExceeded):
             an.field
+        with pytest.raises(DegreeCapExceeded):
+            an.gal
         assert an.undetermined() == "DegreeCapExceeded"
+        assert len(calls) == 1
+        line = process_line(json.dumps({"q": 2, "coeffs": coeffs}), None,
+                            DEFAULT, __version__)[1]
+        assert '"undetermined_reason":"DegreeCapExceeded"' in line
+        assert len(calls) == 2
 
     def test_corpus_fields_and_engines(self, monkeypatch):
         # the field and the relation engine run only where rho is not

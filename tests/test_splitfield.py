@@ -858,8 +858,8 @@ class TestGenericGroup:
             bad = q * _abs_discriminant(h) * _abs_discriminant(hplus)
             usable = (ell for ell in weil._SMALL_PRIMES if bad % ell)
             single = any(
-                max(factor_degrees_mod(hplus, ell)) == 1
-                and factor_degrees_mod(h, ell).count(2) in (1, g - 1)
+                splitfield._single_flip(factor_degrees_mod(h, ell),
+                                        factor_degrees_mod(hplus, ell), g)
                 for ell in itertools.islice(usable,
                                             splitfield._CYCLE_TYPE_BUDGET))
             kernel = [p for p in an.gal.perms
